@@ -419,21 +419,18 @@ def run_hybrid_probe(repeats: int = 1) -> dict:
 def run_streaming_probe(rows: int = 200_000) -> dict:
     """Smoke the trace-scale streaming plane in isolation.
 
-    Times the two structures that let 10M-request cells run at flat
-    RSS: (a) the chunked recorder's write/fold cycle — ``rows``
-    synthetic outcomes registered, committed, and sealed through
-    recycled chunks into an :class:`OutcomeSummary` — and (b) the
-    :class:`BucketCalendar`'s push + pop cycle over the same entry
-    count.  Also reports the fold's peak resident chunk count and the
-    RSS growth (``ru_maxrss`` delta) across the fold repeats, both flat
-    by design, so the ``--check`` gate catches a residency leak as well
-    as a throughput regression.
+    Times the structure that lets 10M-request cells run at flat RSS:
+    the chunked recorder's write/fold cycle — ``rows`` synthetic
+    outcomes registered, committed, and sealed through recycled chunks
+    into an :class:`OutcomeSummary`.  Also reports the fold's peak
+    resident chunk count and the RSS growth (``ru_maxrss`` delta)
+    across the fold repeats, both flat by design, so the ``--check``
+    gate catches a residency leak as well as a throughput regression.
     """
     import resource
 
     from repro.serving.records import RequestOutcome  # noqa: E402
     from repro.serving.streaming import ChunkedOutcomeRecorder  # noqa: E402
-    from repro.sim.engine import BucketCalendar  # noqa: E402
 
     chunk_rows = 8_192
     rss_before_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
@@ -460,30 +457,12 @@ def run_streaming_probe(rows: int = 200_000) -> dict:
     assert summary.count == rows
     rss_after_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     rss_growth_mb = max(rss_after_kb - rss_before_kb, 0) / 1024.0
-
-    span = 3_600.0
-    times = [span * ((index * 2_654_435_761) % (1 << 32)) / float(1 << 32)
-             for index in range(rows)]
-    calendar_s = None
-    for _ in range(3):
-        calendar = BucketCalendar(width=span * 32.0 / rows, start_key=0)
-        push = calendar.push
-        pop = calendar.pop
-        started = time.perf_counter()
-        for sequence, when in enumerate(times):
-            push((when, 1, sequence, None, True, None))
-        while calendar.size:
-            pop()
-        elapsed = time.perf_counter() - started
-        calendar_s = elapsed if calendar_s is None else min(calendar_s,
-                                                            elapsed)
     return {
         "rows": rows,
         "chunk_rows": chunk_rows,
         "fold_rows_per_s": round(rows / fold_s, 1),
         "peak_resident_chunks": recorder.peak_resident_chunks,
         "fold_rss_growth_mb": round(rss_growth_mb, 1),
-        "calendar_ops_per_s": round(2 * rows / calendar_s, 1),
     }
 
 
@@ -584,7 +563,6 @@ def run_sweep(scale: float, repeats: int) -> dict:
     print(f" replicated    {replicated['collapse_cells_per_s']:>10,.0f} "
           f"cells/s (group_by collapse)")
     print(f" streaming fold {streaming['fold_rows_per_s']:>12,.0f} rows/s "
-          f"calendar {streaming['calendar_ops_per_s']:>12,.0f} ops/s "
           f"(peak {streaming['peak_resident_chunks']} chunks, "
           f"+{streaming['fold_rss_growth_mb']:g} MB RSS)")
     print(f" halving search {search['cells_per_s']:>12,.0f} cells/s "
@@ -717,9 +695,6 @@ def run_check(path: str) -> int:
         checks.append(("streaming fold rows/s",
                        streaming["fold_rows_per_s"],
                        streaming_reference["fold_rows_per_s"]))
-        checks.append(("calendar ops/s",
-                       streaming["calendar_ops_per_s"],
-                       streaming_reference["calendar_ops_per_s"]))
         # Residency gates: lower is better, so they sit outside the
         # throughput loop.  The RSS allowance is absolute (allocator
         # noise dwarfs any ratio at these sizes); the chunk gate is

@@ -2,6 +2,7 @@
 # One-stop CI / pre-commit gate:
 #
 #   scripts/check.sh          tier-1 tests + docstring gate + perf probes
+#                             + benchmark-harness self-test + smokes
 #   scripts/check.sh --fast   tests only (skip docstring + perf gates)
 #   scripts/check.sh --docs   the above plus the docs build/validation
 #
@@ -13,9 +14,8 @@
 # an active chaos schedule), the routing probe (the multi-region
 # router's decision cycle under active breakers), the hybrid probe
 # (the probe cell spilling from an undersized provisioned fleet to
-# serverless), the streaming probe (chunked recorder fold +
-# calendar-queue cycle, with flat-RSS and resident-chunk residency
-# gates), and the search probe (the successive-halving schedule over
+# serverless), the streaming probe (chunked recorder fold, with
+# flat-RSS and resident-chunk residency gates), and the search probe (the successive-halving schedule over
 # a 512-candidate closed-form surface), each compared against
 # BENCH_engine.json with a 30% regression tolerance.  The chaos,
 # failover, hybrid, and halving smokes then run one registered chaos
@@ -26,6 +26,12 @@
 # stays flat in the trace length.  Regenerate the baseline with
 # `python benchmarks/bench_engine_throughput.py` on the machine that
 # runs the gate.
+#
+# The benchmark-harness self-test (perfbench/selftest.py, ~20 s) runs
+# every perfbench workload at a tiny scale in both modes and checks
+# digests, metrics, and the harness's failure accounting, so a src/
+# change that breaks the harness fails here rather than in the next
+# performance measurement.
 #
 # The docstring gate (scripts/check_docstrings.py) requires every
 # public repro.api name documented; the docs gate
@@ -46,6 +52,9 @@ if [[ "${1:-}" != "--fast" ]]; then
 
     echo "== perf gate (engine + columnar + control-plane + frame probes) =="
     python benchmarks/bench_engine_throughput.py --check
+
+    echo "== benchmark-harness self-test (perfbench at a tiny scale) =="
+    python3 perfbench/selftest.py
 
     echo "== chaos-scenario smoke (fault injection via the CLI) =="
     python -m repro.experiments.runner sweep chaos-outage --scale 0.3

@@ -8,8 +8,17 @@ draws), rejection and timeout paths — and records each cell's
 SHA-256 outcome-column hash plus headline usage counters into
 ``tests/data/golden_hashes.json``.
 
+Two more groups pin the subsystems the base cells never reach:
+
+* ``scenarios`` — every registered scenario (fault injection and its
+  interrupt path, the multi-region router, hybrid spill, scale-in,
+  provisioned keep-alive, storms) at ``SCENARIO_SCALE``, pinned by
+  column hash, cost, and ``events_processed``;
+* ``streamed`` — one streamed ``w-1m`` cell through the chunk ring,
+  pinned by :meth:`~repro.serving.streaming.OutcomeSummary.digest`.
+
 ``tests/test_control_plane.py`` asserts the current code reproduces
-these hashes bit-for-bit.  The file is only regenerated deliberately,
+these pins bit-for-bit.  The file is only regenerated deliberately,
 when a PR *intends* to change simulation behaviour::
 
     PYTHONPATH=src python scripts/record_golden.py
@@ -26,6 +35,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from repro.core.benchmark import ServingBenchmark  # noqa: E402
 from repro.core.planner import Planner  # noqa: E402
+from repro.core.scenario import list_scenarios  # noqa: E402
 from repro.workload.generator import standard_workload  # noqa: E402
 
 OUTPUT = os.path.join(ROOT, "tests", "data", "golden_hashes.json")
@@ -69,6 +79,17 @@ CELLS = [
 ]
 
 
+#: Workload compression of the registered-scenario cells: long enough
+#: that the fault schedules (first ~100 simulated seconds) land inside
+#: every scenario's trace, short enough to keep the pins a few seconds.
+SCENARIO_SCALE = 0.2
+
+#: The streamed cell: (provider, model, runtime, platform), workload,
+#: scale, and chunk rows (small chunks, so several fold through the ring).
+STREAMED_CELL = (("aws", "mobilenet", "tf1.15", "serverless"), "w-1m",
+                 0.01, 4096)
+
+
 def cell_key(provider, model, runtime, platform, workload_key, overrides):
     key = f"{provider}/{model}/{runtime}/{platform}/{workload_key}"
     if overrides:
@@ -99,6 +120,9 @@ def record(path: str = OUTPUT) -> dict:
         "workloads": {key: {"name": name, "scale": scale}
                       for key, (name, scale) in WORKLOADS.items()},
         "cells": cells,
+        "scenario_scale": SCENARIO_SCALE,
+        "scenarios": record_scenarios(),
+        "streamed": record_streamed(planner),
     }
     os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w", encoding="utf-8") as handle:
@@ -107,8 +131,43 @@ def record(path: str = OUTPUT) -> dict:
     return payload
 
 
+def _pin(digest: str, result) -> dict:
+    return {
+        "digest": digest,
+        "requests": result.total_requests,
+        "cost": result.cost,
+        "events_processed": result.metadata["events_processed"],
+    }
+
+
+def record_scenarios() -> dict:
+    """Pin every registered scenario at ``SCENARIO_SCALE``."""
+    bench = ServingBenchmark(seed=SEED)
+    pins = {}
+    for name in list_scenarios():
+        result = bench.run_scenario(name, scale=SCENARIO_SCALE)
+        pins[name] = _pin(result.table.column_hash(), result)
+    return pins
+
+
+def record_streamed(planner: Planner) -> dict:
+    """Pin the streamed cell by its outcome-summary digest."""
+    cell, workload_name, scale, chunk_rows = STREAMED_CELL
+    result = ServingBenchmark(seed=SEED, chunk_rows=chunk_rows).run(
+        planner.plan(*cell), standard_workload(workload_name, seed=SEED,
+                                               scale=scale),
+        workload_scale=scale)
+    pin = _pin(result.table.digest(), result)
+    pin.update(scale=scale, chunk_rows=chunk_rows)
+    return {"/".join((*cell, workload_name)): pin}
+
+
 if __name__ == "__main__":
     payload = record()
-    for key, entry in payload["cells"].items():
-        print(f"{entry['column_hash'][:16]}  {key}")
-    print(f"wrote {OUTPUT} ({len(payload['cells'])} cells)")
+    for group in ("cells", "scenarios", "streamed"):
+        for key, entry in payload[group].items():
+            digest = entry.get("column_hash", entry.get("digest"))
+            print(f"{digest[:16]}  {key}")
+    print(f"wrote {OUTPUT} ({len(payload['cells'])} cells, "
+          f"{len(payload['scenarios'])} scenarios, "
+          f"{len(payload['streamed'])} streamed)")

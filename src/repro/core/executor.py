@@ -94,7 +94,6 @@ class Executor:
         batcher = BatchAccumulator(config.batch_size)
         last_index = len(trace) - 1
         previous = 0.0
-        timeout = self.env.timeout
         register = self.recorder.register
         single = config.batch_size == 1
         # The resilient path is chosen once per client, not per request:
@@ -105,7 +104,7 @@ class Executor:
             gap = arrival - previous
             previous = arrival
             if gap > 0:
-                yield timeout(gap)
+                yield gap
             outcome = self._new_outcome(client_id)
             register(outcome)
             if single:
@@ -181,7 +180,7 @@ class Executor:
             delay = policy.backoff(self.rng, attempt)
             if deadline is not None and self.env.now + delay > deadline:
                 break
-            yield self.env.timeout(delay)
+            yield delay
             outcome.reopen()
             attempt += 1
         outcome.attempts = attempt

@@ -221,5 +221,5 @@ class FaultInjector:
         for at in sorted(self.spec.storm_times_s):
             delay = at - self.env.now
             if delay > 0:
-                yield self.env.timeout(delay)
+                yield delay
             self._flush()

@@ -6,7 +6,7 @@ Two queueing models cover every platform the paper evaluates:
   requests are buffered as :class:`PendingRequest` tickets; idle
   instances pull work, the scaler pins queued tickets to fresh
   instances, and the client waits on the ticket's response event under
-  a deadline guard.
+  a deadline guard (a :meth:`~repro.sim.engine.Lane.guard`).
 * :class:`SlotQueue` — the *slot* model of a server frontend (VM or
   managed endpoint): a capacity-limited connection backlog in front of
   a worker pool.  Requests beyond the backlog are rejected on the spot
@@ -77,21 +77,6 @@ class WorkQueue:
         self.store.add(pending)
         return pending
 
-    def await_response(self, pending: PendingRequest, deadline_s: float):
-        """Wait for the ticket's response under a deadline guard.
-
-        A generator (``yield from`` it): returns ``True`` if the
-        response arrived in time — cancelling the dead guard timer —
-        and ``False`` if the deadline fired first.
-        """
-        response_event = pending.response_event
-        deadline = self.env.timeout(deadline_s)
-        winner = yield self.env.race(response_event, deadline)
-        if winner is not response_event:
-            return False
-        deadline.cancel()
-        return True
-
     # -- serve side --------------------------------------------------------
     def take(self) -> Optional[PendingRequest]:
         """Pop the oldest buffered ticket, or ``None`` (scaler pinning)."""
@@ -133,7 +118,7 @@ class SlotQueue:
     capacity).
     """
 
-    __slots__ = ("env", "workers", "deadline_s", "_capacity",
+    __slots__ = ("env", "workers", "_deadlines", "_capacity",
                  "rejected", "timed_out")
 
     def __init__(self, env: Environment,
@@ -141,12 +126,17 @@ class SlotQueue:
                  deadline_s: float):
         self.env = env
         self.workers = Resource(env, capacity=1)
-        self.deadline_s = deadline_s
+        self._deadlines = env.lane(deadline_s)
         self._capacity = capacity
         self.rejected = 0
         self.timed_out = 0
 
     # -- introspection -----------------------------------------------------
+    @property
+    def deadline_s(self) -> float:
+        """The server-side deadline on waiting for a worker slot."""
+        return self._deadlines.delay
+
     @property
     def queue_length(self) -> int:
         """Requests waiting for a worker slot."""
@@ -179,18 +169,15 @@ class SlotQueue:
         """Wait for a worker slot under the server-side deadline.
 
         A generator (``yield from`` it): returns the granted claim —
-        release it with :meth:`release` — or ``None`` on timeout.  The
-        losing guard timer is cancelled so it does not rot in the
-        calendar.
+        release it with :meth:`release` — or ``None`` on timeout.  A
+        claim granted first withdraws the deadline guard from its lane.
         """
         claim = self.workers.request()
-        deadline = self.env.timeout(self.deadline_s)
-        yield self.env.race(claim, deadline)
+        yield self._deadlines.guard(claim)
         if not claim.triggered:
             self.workers.cancel(claim)
             self.timed_out += 1
             return None
-        deadline.cancel()
         return claim
 
     def release(self, claim) -> None:

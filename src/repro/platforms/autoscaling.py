@@ -114,5 +114,5 @@ class TargetTrackingScaler:
     def run(self):
         """The scaler's periodic process (register with ``env.process``)."""
         while True:
-            yield self.env.timeout(self.evaluation_period_s)
+            yield self.evaluation_period_s
             self.evaluate_once()

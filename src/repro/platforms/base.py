@@ -104,19 +104,26 @@ class ServingPlatform(abc.ABC):
                                                 self._net_jitter_cv)
         return latency + payload_mb / self._net_bandwidth
 
-    def _network_up(self, outcome: RequestOutcome, payload_mb: float):
-        """Simulate the client-to-endpoint transfer; returns a timeout event."""
+    def _network_up(self, outcome: RequestOutcome, payload_mb: float) -> float:
+        """Attribute the client-to-endpoint transfer; returns its duration.
+
+        Callers ``yield`` the duration (a bare sleep).
+        """
         duration = self._transfer_time(payload_mb)
         breakdown = outcome.breakdown
         breakdown["network"] = breakdown.get("network", 0.0) + duration
-        return self.env.timeout(duration)
+        return duration
 
-    def _network_down(self, outcome: RequestOutcome, response_mb: float):
-        """Simulate the endpoint-to-client transfer; returns a timeout event."""
+    def _network_down(self, outcome: RequestOutcome,
+                      response_mb: float) -> float:
+        """Attribute the endpoint-to-client transfer; returns its duration.
+
+        Callers ``yield`` the duration (a bare sleep).
+        """
         duration = self._transfer_time(response_mb)
         breakdown = outcome.breakdown
         breakdown["network"] = breakdown.get("network", 0.0) + duration
-        return self.env.timeout(duration)
+        return duration
 
 
 def build_platform(env: Environment, deployment: Deployment,

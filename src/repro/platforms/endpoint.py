@@ -245,7 +245,7 @@ class PooledEndpointPlatform(ServingPlatform):
     def _bring_up(self, record: PoolInstance):
         delay = self.rng.lognormal_around(
             self.scaleout_stream, self._launch_delay_s(), 0.15)
-        yield self.env.timeout(delay)
+        yield delay
         if not record.alive:
             # Fault-injected kill landed while the instance was warming;
             # the bring-up completes into nothing.
@@ -269,7 +269,7 @@ class PooledEndpointPlatform(ServingPlatform):
                 # watermark (e.g. an outage took the fleet down), so
                 # fail fast instead of queueing into a pool that cannot
                 # serve.
-                yield self.env.timeout(self.rejection_latency_s)
+                yield self.rejection_latency_s
                 outcome.finish(self.env.now, success=False, error="shed")
                 self.meter.record_shed()
                 return outcome
@@ -284,7 +284,7 @@ class PooledEndpointPlatform(ServingPlatform):
             # meter's failure count) carries it in the conservation
             # ledger — submitted == completed + failed + rejected
             # + timed_out + shed.
-            yield self.env.timeout(self.rejection_latency_s)
+            yield self.rejection_latency_s
             outcome.finish(self.env.now, success=False,
                            error=self.reject_error)
             return outcome
@@ -312,7 +312,7 @@ class PooledEndpointPlatform(ServingPlatform):
             # accelerator; otherwise it competes with inference for the
             # same cores.
             held = predict if self.handler_off_worker else handler + predict
-            yield self.env.timeout(held)
+            yield held
             outcome.add_stage(Stage.HANDLER, handler)
             outcome.add_stage(Stage.PREDICT, predict)
         except Interrupt:
@@ -328,7 +328,7 @@ class PooledEndpointPlatform(ServingPlatform):
                 track.pop(process, None)
             self.queue.release(claim)
         if self.handler_off_worker:
-            yield self.env.timeout(handler)
+            yield handler
         yield self._network_down(outcome, response_mb)
         outcome.finish(self.env.now, success=True)
         self.meter.record_completed()

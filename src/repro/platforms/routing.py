@@ -604,7 +604,7 @@ class MultiRegionPlatform(ServingPlatform):
                     # Shed at the front door. The yield keeps the
                     # request process alive past its inline first step —
                     # callers attach completion callbacks to it.
-                    yield env.timeout(0.0)
+                    yield 0.0
                     outcome.finish(env.now, success=False,
                                    error=CIRCUIT_OPEN_ERROR)
                     self.meter.record_shed()
@@ -703,13 +703,13 @@ class MultiRegionPlatform(ServingPlatform):
             breakdown = attempt.breakdown
             breakdown[Stage.NETWORK] = (breakdown.get(Stage.NETWORK, 0.0)
                                         + latency)
-            yield self.env.timeout(latency)
+            yield latency
         yield backend.submit(attempt, payload_mb, response_mb)
         if latency > 0.0:
             breakdown = attempt.breakdown
             breakdown[Stage.NETWORK] = (breakdown.get(Stage.NETWORK, 0.0)
                                         + latency)
-            yield self.env.timeout(latency)
+            yield latency
         if index != _DEGRADED:
             self._observe(index, attempt)
         return attempt

@@ -112,9 +112,12 @@ class ServerlessPlatform(ServingPlatform):
         # One falsy check per request on the no-fault path, not two.
         self._admission_faults = bool(self._error_rate
                                       or self._shed_watermark)
-        self._deadline_s = min(
+        # Fixed-delay guard lanes: the client deadline on every request,
+        # the keep-alive on every idle period.
+        self._deadlines = env.lane(min(
             _FUNCTION_TIMEOUT_S,
-            self.config.request_timeout_s or _FUNCTION_TIMEOUT_S)
+            self.config.request_timeout_s or _FUNCTION_TIMEOUT_S))
+        self._keep_alives = env.lane(traits.keep_alive_s)
         # Per-run constants, hoisted off the per-request path: the profile
         # lookups are pure functions of the (fixed) deployment, and the
         # method chains cost more than the arithmetic they guard.
@@ -183,18 +186,12 @@ class ServerlessPlatform(ServingPlatform):
                 return outcome
         pending = self.queue.enqueue(outcome)
         self._scale_out()
-        # The deadline guard is WorkQueue.await_response, inlined: one
-        # sub-generator per request costs ~2% end-to-end throughput.
-        response_event = pending.response_event
-        deadline = self.env.timeout(self._deadline_s)
-        winner = yield self.env.race(response_event, deadline)
-        if winner is not response_event:
+        # The client waits for the response under its deadline guard; a
+        # response that arrives first withdraws the guard from its lane.
+        if (yield self._deadlines.guard(pending.response_event)) is None:
             outcome.finish(self.env.now, success=False, error="timeout")
             self.meter.record_timed_out()
             return outcome
-        # The response won the race: withdraw the 300 s guard timer so it
-        # does not rot in the calendar until the platform kill deadline.
-        deadline.cancel()
         yield self._network_down(outcome, response_mb)
         outcome.finish(self.env.now, success=True)
         self.meter.record_completed()
@@ -203,7 +200,7 @@ class ServerlessPlatform(ServingPlatform):
     # --------------------------------------------------------------- scaling
     def _scaler_loop(self):
         while True:
-            yield self.env.timeout(self.policy.interval_s)
+            yield self.policy.interval_s
             self._scale_out()
 
     def _scale_out(self) -> None:
@@ -286,29 +283,30 @@ class ServerlessPlatform(ServingPlatform):
         pull = self.provider.registry.pull_time(self._image_mb, self.rng)
         stages.sandbox_s = pull + self._jitter(
             self._traits.sandbox_setup_s, _STAGE_JITTER_CV, "sandbox")
-        yield self.env.timeout(stages.sandbox_s)
+        yield stages.sandbox_s
 
         stages.import_s = self._jitter(
             self._import_time_s, _STAGE_JITTER_CV, "import")
-        yield self.env.timeout(stages.import_s)
+        yield stages.import_s
 
         if self._download_mb > 0:
             stages.download_s = self.provider.storage.download_time(
                 self._download_mb, self.rng)
-            yield self.env.timeout(stages.download_s)
+            yield stages.download_s
 
         stages.load_s = self._jitter(
             self._load_time_s, _STAGE_JITTER_CV, "load")
-        yield self.env.timeout(stages.load_s)
+        yield stages.load_s
         instance.cold_stages = stages
 
     def _instance_loop(self, instance: PoolInstance, prewarmed: bool,
                        first_request: Optional[PendingRequest] = None):
         # Fault injection interrupts this loop to kill the instance; each
         # yield region has a handler that re-queues any in-flight ticket
-        # and withdraws its pending calendar entries before the loop
-        # exits (a stale service timer resuming a finished generator is
-        # a harmless no-op, but cancelled gets must leave the store).
+        # and withdraws its pending waits before the loop exits (the
+        # interrupt already detached the loop from its sleep or guard,
+        # but cancelled gets must leave the store and a withdrawn
+        # keep-alive must leave its lane).
         try:
             if not prewarmed:
                 yield from self._cold_start_pipeline(instance)
@@ -323,9 +321,9 @@ class ServerlessPlatform(ServingPlatform):
             return
         while instance.alive:
             get_event = self.queue.get()
-            keep_alive = self.env.timeout(self._traits.keep_alive_s)
+            keep_alive = self._keep_alives.guard(get_event)
             try:
-                yield self.env.race(get_event, keep_alive)
+                yield keep_alive
             except Interrupt:
                 if not get_event.triggered:
                     self.queue.cancel_get(get_event)
@@ -340,9 +338,7 @@ class ServerlessPlatform(ServingPlatform):
                 self._live.pop(instance.instance_id, None)
                 self.pool.retire(instance)
                 return
-            # A request arrived: withdraw the keep-alive timer that lost
-            # the race so it does not sit dead in the calendar.
-            keep_alive.cancel()
+            # A request arrived (the keep-alive guard withdrew itself).
             try:
                 yield from self._serve(instance, get_event.value)
             except Interrupt:
@@ -392,7 +388,7 @@ class ServerlessPlatform(ServingPlatform):
             predict += self.rng.lognormal_sum(
                 "predict", self._warm_predict_s, _PREDICT_JITTER_CV,
                 inferences - 1)
-        yield self.env.timeout(handler + predict)
+        yield handler + predict
 
         breakdown[Stage.HANDLER] = handler
         breakdown[Stage.PREDICT] = predict

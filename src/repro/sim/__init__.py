@@ -6,7 +6,11 @@ spirit of SimPy:
 
 * :class:`~repro.sim.engine.Environment` — the event loop and clock.
 * :class:`~repro.sim.engine.Event` / :class:`~repro.sim.engine.Timeout` /
-  :class:`~repro.sim.engine.Process` — the things a process can ``yield``.
+  :class:`~repro.sim.engine.Process` — the things a process can ``yield``
+  (besides a plain non-negative number: a bare sleep).
+* :class:`~repro.sim.engine.Lane` — fixed-delay guard timers raced
+  against an event (request deadlines, keep-alives) that share one
+  calendar slot.
 * :class:`~repro.sim.resources.Resource` and
   :class:`~repro.sim.resources.Store` — capacity-limited resources and
   FIFO object stores used to model servers and queues.

@@ -3,30 +3,52 @@
 The engine follows the classic event-calendar design: a binary heap of
 ``(time, priority, sequence, event)`` entries is popped in order, each
 popped event runs its callbacks, and callbacks may schedule further
-events.  Processes are plain Python generators that ``yield`` events; the
-:class:`Process` wrapper resumes the generator whenever the yielded event
-triggers.
+events.  Processes are plain Python generators that ``yield`` events (or
+plain delays); the :class:`Process` wrapper resumes the generator
+whenever the yielded event triggers or the delay has passed.
 
 The engine is intentionally small but complete enough to model serving
-platforms: timeouts, triggerable events, process interruption, and
-composite conditions (``AnyOf`` / ``AllOf``).
+platforms: timeouts, triggerable events, guard timers, process
+interruption, and composite conditions (``AnyOf`` / ``AllOf``).
 
 Performance notes
 -----------------
 This module is the hot path of every experiment (a full w-200 run pops
 millions of calendar entries), so it trades a little uniformity for
-speed:
+speed.  Every entry pushed onto the heap is an event that runs: on the
+profiled serverless cell, heap pushes per request equal calendar
+events per request (about 6), apart from a handful of stale guard
+tokens per run.
 
 * Every event class uses ``__slots__``; with hundreds of thousands of
   live events per run, per-instance ``__dict__`` allocation dominated
   both memory and attribute-access time.
 
-* Process resumption has a dedicated fast path.  Interrupting a
-  process and resuming it off an already-processed event used to
-  allocate a throwaway :class:`Event` whose only job was to carry
-  ``(ok, value)`` to :meth:`Process._resume`.  These now push a raw
-  6-tuple ``(time, priority, sequence, process, ok, value)`` onto the
-  calendar, and the scheduler resumes the generator directly.
+* **Bare sleeps.**  A process may ``yield`` a plain non-negative number
+  (``int`` or ``float``, not ``bool``) instead of an event.  The engine
+  then pushes the process's resume entry itself, a raw 6-tuple
+  ``(now + d, NORMAL, sequence, process, True, None)`` under exactly
+  the key ``env.timeout(d)`` would have taken, and the scheduler
+  resumes the generator directly when it pops.  No :class:`Timeout`
+  object is allocated, so private waits (network legs, service and
+  cold-start stages, periodic loops, backoff) cost one tuple.
+  ``env.timeout`` remains for timers that other code observes.  The
+  same 6-tuple carries every direct resumption: off an
+  already-processed event, and the delivery of an interrupt.
+
+* **Guard lanes.**  A request deadline or a keep-alive is a fixed-delay
+  timer that nearly always loses its race.  :meth:`Environment.lane`
+  returns a :class:`Lane` holding such guards in creation order, which
+  for a constant delay is expiry order.  Only the lane's earliest guard
+  sits on the heap, under the sequence number it took when it was
+  created; withdrawing a guard sets a flag in O(1).  When a withdrawn
+  guard's entry pops, it arms the lane's next live guard and is not
+  counted in ``events_processed`` (like the tombstone it replaces).
+  The global pop order, and so every random draw and every digest, is
+  the same as with one :class:`Timeout` per guard.  :meth:`Lane.guard`
+  is the timer and the race in one object: it triggers with the
+  watched event if that fires first (withdrawing itself), or with
+  ``None`` when its delay expires.
 
 * Starting a process runs its first step *inline*: the generator
   advances to its first ``yield`` within ``env.process()`` itself
@@ -40,15 +62,27 @@ speed:
   a segment that calls ``interrupt()`` (which enqueues an URGENT
   resume) *before* ``env.process()`` — the new process's first segment
   now runs before that interrupt is delivered, where it used to run
-  after.  A corollary: yielding a non-event (or a cancelled event) as
-  the *first* yield raises :class:`SimulationError` at the
-  ``env.process()`` call site rather than later inside
-  :meth:`Environment.run`.
+  after.  A corollary: yielding a non-event (or a cancelled event, or
+  a negative or NaN delay) as the *first* yield raises
+  :class:`SimulationError` at the ``env.process()`` call site rather
+  than later inside :meth:`Environment.run`.
 
-* Scheduled entries are cancellable via lazy-deletion tombstones (see
-  below), so platforms can withdraw the overwhelmingly-dead guard
-  timers (request timeouts, keep-alives) that otherwise rot in the heap
-  for hundreds of simulated seconds.
+* The calendar is one binary heap.  Peak live entries stay under 10k
+  on every registered workload (the streamed runs pop entries as fast
+  as they push them), so no other queue structure is needed.
+
+Interrupts
+----------
+:meth:`Process.interrupt` detaches the process from whatever it was
+waiting on before scheduling the :class:`Interrupt`: its resume
+callback leaves the event's callback list, and a pending sleep (or
+direct resume) entry goes stale.  A stale entry still pops and counts
+in ``events_processed``, but resumes nothing: the scheduler checks that
+a resume entry is the process's current ``_target``.  A process that
+catches the interrupt and waits again therefore wakes when its new
+wait ends, never when the old one does.  Interrupts that are still
+pending when another arrives coalesce (the latest cause is delivered,
+once), and a process may not interrupt itself.
 
 Tombstone cancellation
 ----------------------
@@ -68,32 +102,14 @@ workload stays O(live) in memory.  Cancellation semantics:
 * A cancelled event never satisfies an ``AnyOf``/``AllOf`` member test
   (its ``ok`` is ``None``), and yielding a cancelled event from a
   process is a :class:`SimulationError`.
-
-Calendar-bucket queue
----------------------
-A single binary heap costs O(log n) per push/pop, which starts to matter
-when millions of entries are live at once.  When the heap grows past
-``bucket_threshold`` entries the environment migrates — once, in place —
-to a :class:`BucketCalendar`: entries are spread across fixed-width time
-buckets (future buckets are plain append lists, O(1) push), and only the
-bucket currently being drained is heapified.  Entries are full
-``(time, priority, sequence, ...)`` tuples in both structures and the
-bucket boundaries respect time order, so the pop sequence — and
-therefore every golden hash — is **bit-identical** to the heap's.  The
-default threshold is far above what any registered workload keeps live
-(the streaming runs pop entries as fast as they push them), so the heap
-remains the everyday fast path; the threshold can be forced low via the
-``REPRO_BUCKET_THRESHOLD`` environment variable or the
-``Environment(bucket_threshold=...)`` argument (the bit-identity tests
-do exactly that).
 """
 
 from __future__ import annotations
 
-import os
+from collections import deque
 from heapq import heapify, heappop, heappush
 from itertools import count
-from typing import Any, Callable, Generator, Iterable, List, Optional
+from typing import Any, Callable, Deque, Generator, Iterable, Optional
 
 __all__ = [
     "SimulationError",
@@ -104,7 +120,8 @@ __all__ = [
     "AnyOf",
     "AllOf",
     "Race",
-    "BucketCalendar",
+    "Lane",
+    "Guard",
     "Environment",
 ]
 
@@ -116,16 +133,6 @@ URGENT = 0
 
 #: Tombstone compaction threshold: never rebuild below this many.
 _MIN_TOMBSTONES = 64
-
-#: Live-entry count at which the environment migrates from the binary
-#: heap to the bucket calendar (override: REPRO_BUCKET_THRESHOLD).
-_BUCKET_THRESHOLD = int(os.environ.get("REPRO_BUCKET_THRESHOLD", "500000"))
-
-#: Target mean entries per bucket when the migration picks a width.
-_BUCKET_FAN = 32.0
-
-#: Floor on the bucket width (guards a zero-span calendar).
-_MIN_BUCKET_WIDTH = 1e-6
 
 
 class SimulationError(RuntimeError):
@@ -143,9 +150,10 @@ class Interrupt(Exception):
 class Event:
     """An event that may be triggered once and then calls its callbacks.
 
-    Events are the only objects a process may ``yield``.  An event is
-    *triggered* when a value (or an exception) has been scheduled for it,
-    and *processed* once its callbacks have run.
+    Events (and plain non-negative numbers, see :class:`Process`) are
+    what a process may ``yield``.  An event is *triggered* when a value
+    (or an exception) has been scheduled for it, and *processed* once
+    its callbacks have run.
     """
 
     __slots__ = ("env", "callbacks", "_value", "_ok", "_triggered",
@@ -199,14 +207,8 @@ class Event:
         self._ok = True
         self._value = value
         env = self.env
-        entry = (env._now + delay, NORMAL, next(env._sequence), self)
-        if env._calendar is None:
-            queue = env._queue
-            heappush(queue, entry)
-            if len(queue) >= env._bucket_threshold:
-                env._migrate_to_buckets()
-        else:
-            env._calendar.push(entry)
+        heappush(env._queue,
+                 (env._now + delay, NORMAL, next(env._sequence), self))
         return self
 
     def fail(self, exception: BaseException, delay: float = 0.0) -> "Event":
@@ -221,14 +223,8 @@ class Event:
         self._ok = False
         self._value = exception
         env = self.env
-        entry = (env._now + delay, NORMAL, next(env._sequence), self)
-        if env._calendar is None:
-            queue = env._queue
-            heappush(queue, entry)
-            if len(queue) >= env._bucket_threshold:
-                env._migrate_to_buckets()
-        else:
-            env._calendar.push(entry)
+        heappush(env._queue,
+                 (env._now + delay, NORMAL, next(env._sequence), self))
         return self
 
     def cancel(self) -> bool:
@@ -247,14 +243,16 @@ class Event:
         if self._triggered:
             env = self.env
             env._tombstones += 1
-            calendar = env._calendar
-            live = len(env._queue) if calendar is None else calendar.size
             if (env._tombstones > _MIN_TOMBSTONES
-                    and env._tombstones * 2 > live):
+                    and env._tombstones * 2 > len(env._queue)):
                 env._compact()
         return True
 
     # -- internal ---------------------------------------------------------
+    def _skip(self) -> None:
+        """The scheduler popped this event's entry after it was cancelled."""
+        self.env._tombstones -= 1
+
     def _run_callbacks(self) -> None:
         callbacks, self.callbacks = self.callbacks, None
         if callbacks is None:
@@ -272,16 +270,19 @@ class Event:
 class Timeout(Event):
     """An event that triggers after a fixed delay.
 
-    Guard timers that usually lose their race (request deadlines,
-    keep-alives) should be :meth:`~Event.cancel`-ed by the winner so the
-    calendar does not fill up with dead entries.
+    For a private wait that nothing else observes, yield the delay
+    itself (a bare sleep) instead.  For a fixed-delay guard that usually
+    loses its race, use a :class:`Lane`.  A timeout that loses a race
+    should be :meth:`~Event.cancel`-ed by the winner so the calendar
+    does not fill up with dead entries.
     """
 
     __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None):
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay!r}")
+        if not delay >= 0:
+            raise SimulationError(
+                f"timeout delay must be non-negative: {delay!r}")
         self.env = env
         self.callbacks = []
         self._value = value
@@ -290,21 +291,20 @@ class Timeout(Event):
         self._defused = False
         self._cancelled = False
         self.delay = delay
-        entry = (env._now + delay, NORMAL, next(env._sequence), self)
-        if env._calendar is None:
-            queue = env._queue
-            heappush(queue, entry)
-            if len(queue) >= env._bucket_threshold:
-                env._migrate_to_buckets()
-        else:
-            env._calendar.push(entry)
+        heappush(env._queue,
+                 (env._now + delay, NORMAL, next(env._sequence), self))
 
 
 class Process(Event):
     """Wraps a generator and resumes it whenever the yielded event fires.
 
-    The process itself is an event: it triggers when the generator returns
-    (successfully, with the generator's return value) or raises.
+    A process may yield an :class:`Event` (it resumes with the event's
+    value, or the event's exception is thrown into it) or a plain
+    non-negative ``int`` / ``float`` — a *bare sleep*: it resumes with
+    ``None`` that many seconds later, exactly where ``env.timeout`` of
+    the same delay would have resumed it.  The process itself is an
+    event: it triggers when the generator returns (successfully, with
+    the generator's return value) or raises.
     """
 
     __slots__ = ("_generator", "_target")
@@ -312,9 +312,18 @@ class Process(Event):
     def __init__(self, env: "Environment", generator: Generator):
         if not hasattr(generator, "send"):
             raise SimulationError("process() requires a generator")
-        Event.__init__(self, env)
+        # Event.__init__, inlined: one process per request.
+        self.env = env
+        self.callbacks = []
+        self._value = None
+        self._ok = None
+        self._triggered = False
+        self._defused = False
+        self._cancelled = False
         self._generator = generator
-        self._target: Optional[Event] = None
+        #: What the process waits on: the event it is subscribed to, or
+        #: its resume entry on the heap (a sleep or a direct resume).
+        self._target: Any = None
         # Run the first step inline: no calendar entry, and a bad first
         # yield (non-event) surfaces here, at the env.process() call.
         # _step() always leaves env._active_process at None, so the
@@ -332,10 +341,27 @@ class Process(Event):
         return not self._triggered
 
     def interrupt(self, cause: Any = None) -> None:
-        """Throw an :class:`Interrupt` into the process at the current time."""
+        """Throw an :class:`Interrupt` into the process at the current time.
+
+        The process is detached from what it was waiting on first, so
+        that wait can no longer resume it.  A second interrupt before
+        the first is delivered replaces it.
+        """
         if self._triggered:
             raise SimulationError("cannot interrupt a finished process")
-        self.env._schedule_resume(self, False, Interrupt(cause))
+        env = self.env
+        if env._active_process is self:
+            raise SimulationError("a process cannot interrupt itself")
+        target = self._target
+        if isinstance(target, Event) and target.callbacks is not None:
+            target.callbacks.remove(self._resume)
+        # A pending resume entry (sleep, direct resume, or an earlier
+        # interrupt) goes stale when _target moves on: it still pops and
+        # counts, but the scheduler no longer resumes the process for it.
+        entry = (env._now, URGENT, next(env._sequence), self, False,
+                 Interrupt(cause))
+        heappush(env._queue, entry)
+        self._target = entry
 
     # -- internal ---------------------------------------------------------
     def _resume(self, event: Event) -> None:
@@ -360,6 +386,9 @@ class Process(Event):
             self._triggered = True
             self._ok = True
             self._value = stop.value
+            # A resume entry held here references the process: drop it
+            # so the finished process is freed by reference counting.
+            self._target = None
             env._active_process = None
             # Successful completion dispatches its waiters synchronously
             # instead of through an URGENT calendar entry: one entry per
@@ -376,23 +405,40 @@ class Process(Event):
             self._triggered = True
             self._ok = False
             self._value = exc
+            self._target = None
             env._active_process = None
             env._schedule(self, priority=URGENT)
             return
         env._active_process = None
 
-        if not isinstance(result, Event):
+        if result.__class__ is not float:
+            if isinstance(result, Event):
+                if result.callbacks is None:
+                    if result._ok is None:
+                        raise SimulationError(
+                            "process yielded a cancelled event")
+                    # The event already happened; resume immediately
+                    # without allocating a fresh Event.
+                    entry = (env._now, URGENT, next(env._sequence), self,
+                             result._ok, result._value)
+                    heappush(env._queue, entry)
+                    self._target = entry
+                else:
+                    result.callbacks.append(self._resume)
+                    self._target = result
+                return
+            if (not isinstance(result, (int, float))
+                    or isinstance(result, bool)):
+                raise SimulationError(
+                    f"process yielded a non-event value: {result!r}")
+        # Bare sleep: the key env.timeout(result) would have taken.
+        if not result >= 0:
             raise SimulationError(
-                f"process yielded a non-event value: {result!r}")
-        if result.callbacks is None:
-            if result._cancelled:
-                raise SimulationError("process yielded a cancelled event")
-            # The event already happened; resume immediately without
-            # allocating a fresh Event (the old slow path).
-            env._schedule_resume(self, result._ok, result._value)
-        else:
-            result.callbacks.append(self._resume)
-        self._target = result
+                f"sleep delay must be non-negative: {result!r}")
+        entry = (env._now + result, NORMAL, next(env._sequence), self,
+                 True, None)
+        heappush(env._queue, entry)
+        self._target = entry
 
 
 class _Condition(Event):
@@ -467,23 +513,17 @@ class AllOf(_Condition):
 
 
 class Race(Event):
-    """First-of-two specialisation of :class:`AnyOf` for guard-timer races.
+    """First-of-two specialisation of :class:`AnyOf`.
 
-    Every simulated request runs two of these (response vs request
-    deadline on the client, queue-get vs keep-alive on the instance), so
-    the general condition machinery — member list, observer genexprs,
-    result-dict collection — was pure per-request overhead.  ``Race``
-    triggers with the **winning event** as its value.
-
-    The win is handed to the race's waiters *synchronously*, inside the
-    winning event's own callback cascade, instead of travelling through
-    an extra calendar entry the way a generic condition's ``succeed``
-    does.  At two races per request that removes two of the ~10 calendar
-    entries each request used to cost.  The only observable difference
-    is that the waiter resumes within the winner's pop rather than one
-    (zero-delay) entry later — i.e. slightly earlier relative to other
-    events scheduled at the exact same timestamp.  Both events must
-    belong to this environment.
+    ``Race`` triggers with the **winning event** as its value, handing
+    the win to its waiters *synchronously*, inside the winning event's
+    own callback cascade, instead of through an extra calendar entry
+    the way a generic condition's ``succeed`` does.  The only observable
+    difference is that the waiter resumes within the winner's pop
+    rather than one (zero-delay) entry later — i.e. slightly earlier
+    relative to other events scheduled at the exact same timestamp.
+    Both events must belong to this environment.  A race against a
+    fixed-delay guard timer is a :meth:`Lane.guard` instead.
     """
 
     __slots__ = ("_a", "_b")
@@ -537,120 +577,166 @@ class Race(Event):
                 callback(self)
 
 
-class BucketCalendar:
-    """A calendar queue: fixed-width time buckets behind the heap's contract.
+class Lane:
+    """Fixed-delay guard timers that share one slot on the heap.
 
-    Entries are the same ``(time, priority, sequence, ...)`` tuples the
-    heap holds.  The bucket of an entry is ``int(time / width)``; pushes
-    into the bucket currently being drained (or any earlier time — which
-    can only happen for zero-delay entries at the clock) go into that
-    bucket's heap, pushes into future buckets are O(1) list appends.  A
-    future bucket is heapified once, when the drain cursor reaches it.
-    Because buckets partition time and ties resolve through the same
-    tuple comparison the heap used, the pop order is bit-identical to a
-    single heap over the same pushes.
+    Guards are kept in creation order, which for a constant delay is
+    expiry order, so only the earliest one needs a calendar entry: the
+    *armed* guard, pushed under the ``(expiry, NORMAL, sequence)`` key
+    it took when it was created, exactly where a :class:`Timeout` of the
+    same delay would sit.  When its entry pops (expired or withdrawn),
+    the lane arms the next live guard.  A withdrawn guard is only
+    flagged; withdrawn guards at the front of the waiting line are
+    dropped at once, so with guards withdrawn roughly in creation order
+    (requests served first-come first-served) the line stays as short
+    as the number of guards still live.
     """
 
-    __slots__ = ("width", "size", "_current", "_current_key", "_buckets",
-                 "_future_keys")
+    __slots__ = ("env", "delay", "_armed", "_waiting", "_expire_hook")
 
-    def __init__(self, width: float, start_key: int):
-        if width <= 0:
-            raise SimulationError(f"bucket width must be positive: {width!r}")
-        self.width = width
-        self.size = 0
-        self._current: List[tuple] = []
-        self._current_key = start_key
-        self._buckets: dict[int, List[tuple]] = {}
-        self._future_keys: List[int] = []
+    def __init__(self, env: "Environment", delay: float):
+        if not delay >= 0:
+            raise SimulationError(
+                f"lane delay must be non-negative: {delay!r}")
+        self.env = env
+        self.delay = delay
+        #: The guard whose entry is on the heap (None: lane empty).
+        self._armed: Optional["Guard"] = None
+        #: Later guards, in creation order; the first one is live.
+        self._waiting: Deque["Guard"] = deque()
+        #: Bound once: every guard's first callback.
+        self._expire_hook = self._expire
 
     def __len__(self) -> int:
-        return self.size
+        """Guards held: the armed one and the waiting line."""
+        return (self._armed is not None) + len(self._waiting)
 
-    def push(self, entry: tuple) -> None:
-        """Insert one calendar entry (time is ``entry[0]``)."""
-        key = int(entry[0] / self.width)
-        if key <= self._current_key:
-            heappush(self._current, entry)
+    def guard(self, event: Event) -> "Guard":
+        """A guard on ``event``: yield it to wait for ``event`` or expiry."""
+        return Guard(self, event)
+
+    def _expire(self, guard: "Guard") -> None:
+        """The armed guard's entry popped: arm the next live guard."""
+        waiting = self._waiting
+        if not waiting:
+            self._armed = None
+            return
+        head = self._armed = waiting.popleft()
+        heappush(self.env._queue,
+                 (head._expiry, NORMAL, head._sequence, head))
+        while waiting and waiting[0]._cancelled:
+            waiting.popleft()
+
+
+class Guard(Event):
+    """A fixed-delay timer raced against one event (see :class:`Lane`).
+
+    Triggers with the watched event as its value if that fires first —
+    the guard then withdraws itself — or with ``None`` when the lane's
+    delay expires first.  A failure of the watched event is passed on
+    to the guard's waiters.  :meth:`cancel` withdraws the guard in O(1).
+    """
+
+    __slots__ = ("_lane", "_expiry", "_sequence")
+
+    def __init__(self, lane: Lane, event: Event):
+        env = lane.env
+        if event.env is not env:
+            raise SimulationError(
+                "cannot mix events of different environments")
+        self.env = env
+        self._value = None
+        self._ok = True
+        self._triggered = True
+        self._defused = False
+        self._cancelled = False
+        self._lane = lane
+        self._expiry = env._now + lane.delay
+        self._sequence = next(env._sequence)
+        callbacks = event.callbacks
+        if callbacks is None and event._ok is not None:
+            # The watched event is already over: settled on the spot,
+            # never on the lane.
+            self.callbacks = None
+            self._settle(event, handled=True)
+            return
+        self.callbacks = [lane._expire_hook]
+        if lane._armed is None:
+            lane._armed = self
+            heappush(env._queue,
+                     (self._expiry, NORMAL, self._sequence, self))
         else:
-            bucket = self._buckets.get(key)
-            if bucket is None:
-                self._buckets[key] = [entry]
-                heappush(self._future_keys, key)
-            else:
-                bucket.append(entry)
-        self.size += 1
+            lane._waiting.append(self)
+        if callbacks is not None:
+            # (A cancelled event never fires: the guard can only expire.)
+            callbacks.append(self._win)
 
-    def _advance(self) -> List[tuple]:
-        """The current bucket, cursor moved forward until it is non-empty.
+    def cancel(self) -> bool:
+        """Withdraw the guard; ``False`` if it already expired or won."""
+        if self.callbacks is None:
+            return False
+        self.callbacks = None
+        self._ok = None
+        self._cancelled = True
+        waiting = self._lane._waiting
+        while waiting and waiting[0]._cancelled:
+            waiting.popleft()
+        return True
 
-        Caller must ensure ``size`` > 0 (some bucket holds an entry).
-        """
-        current = self._current
-        while not current:
-            key = heappop(self._future_keys)
-            current = self._buckets.pop(key)
-            heapify(current)
-            self._current = current
-            self._current_key = key
-        return current
+    def _skip(self) -> None:
+        """The lane's entry popped after this guard was withdrawn."""
+        self._lane._expire(self)
 
-    def min_time(self) -> float:
-        """Time of the earliest entry, or ``inf`` when empty."""
-        if not self.size:
-            return float("inf")
-        return self._advance()[0][0]
+    def _settle(self, event: Event, handled: bool) -> None:
+        """Take the watched event's outcome as the guard's own."""
+        if event._ok:
+            self._value = event
+        else:
+            self._ok = False
+            self._value = event._value
+            if handled:
+                # Passed on to the guard's waiters; with none, the
+                # scheduler surfaces the failure.
+                event._defused = True
 
-    def pop(self) -> tuple:
-        """Remove and return the earliest entry (``size`` must be > 0)."""
-        current = self._advance()
-        self.size -= 1
-        return heappop(current)
-
-    def compact(self) -> int:
-        """Drop tombstoned entries from every bucket; returns live count.
-
-        Empty buckets keep their (already-queued) key — the drain cursor
-        skips them — so the future-key heap never needs surgery.
-        """
-        def live(entries: List[tuple]) -> List[tuple]:
-            return [entry for entry in entries
-                    if len(entry) == 6 or not entry[3]._cancelled]
-
-        current = live(self._current)
-        heapify(current)
-        self._current = current
-        size = len(current)
-        for key, bucket in self._buckets.items():
-            kept = live(bucket)
-            self._buckets[key] = kept
-            size += len(kept)
-        self.size = size
-        return size
+    def _win(self, event: Event) -> None:
+        """The watched event fired first: trigger with it, leave the lane."""
+        callbacks = self.callbacks
+        if callbacks is None:
+            # Expired or withdrawn first.
+            return
+        self.callbacks = None
+        self._cancelled = True
+        waiting = self._lane._waiting
+        while waiting and waiting[0]._cancelled:
+            waiting.popleft()
+        # callbacks[0] is the lane's expiry hook: a won guard never
+        # expires; its entry, if armed, re-arms the lane via _skip().
+        del callbacks[0]
+        if event._ok:
+            self._value = event
+        else:
+            self._settle(event, handled=bool(callbacks))
+        for callback in callbacks:
+            callback(self)
 
 
 class Environment:
     """The simulation environment: clock, calendar, and process factory."""
 
     __slots__ = ("_now", "_queue", "_sequence", "_active_process",
-                 "_tombstones", "events_processed", "_calendar",
-                 "_bucket_threshold")
+                 "_tombstones", "events_processed")
 
-    def __init__(self, initial_time: float = 0.0,
-                 bucket_threshold: Optional[int] = None):
+    def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
         self._queue: list = []
         self._sequence = count()
         self._active_process: Optional[Process] = None
         #: Cancelled entries still sitting in the heap (lazy deletion).
         self._tombstones = 0
-        #: Number of calendar entries executed (tombstones excluded).
+        #: Number of calendar entries executed (tombstones and withdrawn
+        #: guard tokens excluded; stale resume entries included).
         self.events_processed = 0
-        #: Bucket calendar, installed once the heap outgrows the
-        #: threshold (None = everyday binary-heap mode).
-        self._calendar: Optional[BucketCalendar] = None
-        self._bucket_threshold = (_BUCKET_THRESHOLD if bucket_threshold is None
-                                  else int(bucket_threshold))
 
     # -- clock ------------------------------------------------------------
     @property
@@ -672,6 +758,10 @@ class Environment:
         """Create an event that triggers ``delay`` seconds from now."""
         return Timeout(self, delay, value=value)
 
+    def lane(self, delay: float) -> Lane:
+        """A lane of guard timers that all expire ``delay`` after creation."""
+        return Lane(self, delay)
+
     def process(self, generator: Generator) -> Process:
         """Register ``generator`` as a new process, started at the current time."""
         return Process(self, generator)
@@ -691,61 +781,21 @@ class Environment:
     # -- scheduling --------------------------------------------------------
     def _schedule(self, event: Event, delay: float = 0.0,
                   priority: int = NORMAL) -> None:
-        entry = (self._now + delay, priority, next(self._sequence), event)
-        if self._calendar is None:
-            queue = self._queue
-            heappush(queue, entry)
-            if len(queue) >= self._bucket_threshold:
-                self._migrate_to_buckets()
-        else:
-            self._calendar.push(entry)
-
-    def _schedule_resume(self, process: Process, ok: bool, value: Any) -> None:
-        """Fast path: resume ``process`` at the current time, no Event."""
-        entry = (self._now, URGENT, next(self._sequence), process, ok, value)
-        if self._calendar is None:
-            queue = self._queue
-            heappush(queue, entry)
-            if len(queue) >= self._bucket_threshold:
-                self._migrate_to_buckets()
-        else:
-            self._calendar.push(entry)
-
-    def _migrate_to_buckets(self) -> None:
-        """One-way migration of the live heap into a bucket calendar.
-
-        The width targets ``_BUCKET_FAN`` entries per bucket over the
-        span of the entries currently live; ``run()``'s heap loop sees
-        the emptied queue and falls through to the bucket loop.
-        """
-        queue = self._queue
-        if not queue:
-            return
-        low = self._now
-        high = max(entry[0] for entry in queue)
-        width = max((high - low) * _BUCKET_FAN / len(queue),
-                    _MIN_BUCKET_WIDTH)
-        calendar = BucketCalendar(width, int(low / width))
-        push = calendar.push
-        for entry in queue:
-            push(entry)
-        queue.clear()
-        self._calendar = calendar
+        heappush(self._queue,
+                 (self._now + delay, priority, next(self._sequence), event))
 
     def _compact(self) -> None:
-        """Rebuild the calendar without tombstones (keeps memory O(live)).
+        """Rebuild the heap without tombstones (keeps memory O(live)).
 
-        Heap mode rebuilds in place, because ``run()`` holds a local
-        reference to the list; bucket mode compacts bucket by bucket.
+        Rebuilds in place, because ``run()`` holds a local reference to
+        the list.  Lane entries stay: a withdrawn head still has to
+        re-arm its lane when it pops.
         """
-        calendar = self._calendar
-        if calendar is not None:
-            calendar.compact()
-        else:
-            queue = self._queue
-            queue[:] = [entry for entry in queue
-                        if len(entry) == 6 or not entry[3]._cancelled]
-            heapify(queue)
+        queue = self._queue
+        queue[:] = [entry for entry in queue
+                    if len(entry) == 6 or not entry[3]._cancelled
+                    or entry[3].__class__ is Guard]
+        heapify(queue)
         self._tombstones = 0
 
     def peek(self) -> float:
@@ -755,41 +805,28 @@ class Environment:
             entry = queue[0]
             if len(entry) == 4 and entry[3]._cancelled:
                 heappop(queue)
-                self._tombstones -= 1
+                entry[3]._skip()
                 continue
             return entry[0]
-        calendar = self._calendar
-        if calendar is not None:
-            while calendar.size:
-                current = calendar._advance()
-                entry = current[0]
-                if len(entry) == 4 and entry[3]._cancelled:
-                    heappop(current)
-                    calendar.size -= 1
-                    self._tombstones -= 1
-                    continue
-                return entry[0]
         return float("inf")
 
     def step(self) -> None:
         """Process exactly one event from the calendar (skipping tombstones)."""
+        queue = self._queue
         while True:
-            queue = self._queue
-            if queue:
-                entry = heappop(queue)
-            else:
-                calendar = self._calendar
-                if calendar is None or not calendar.size:
-                    raise SimulationError("no more events to process")
-                entry = calendar.pop()
+            if not queue:
+                raise SimulationError("no more events to process")
+            entry = heappop(queue)
             if len(entry) == 6:
                 self._now = entry[0]
                 self.events_processed += 1
-                entry[3]._step(entry[4], entry[5])
+                process = entry[3]
+                if process._target is entry:
+                    process._step(entry[4], entry[5])
                 return
             event = entry[3]
             if event._cancelled:
-                self._tombstones -= 1
+                event._skip()
                 continue
             self._now = entry[0]
             self.events_processed += 1
@@ -807,68 +844,35 @@ class Environment:
                 f"until ({until!r}) must not be before now ({self._now!r})")
         # Inlined step() loop: popping, tombstone skipping, and callback
         # dispatch in one frame is worth ~25% wall-clock on full runs.
-        # Two inlined loops, actually: the heap loop and the bucket loop.
-        # A migration mid-run empties the heap in place, so the heap loop
-        # falls through and the outer loop enters the bucket loop (the
-        # migration is one-way — the outer loop runs at most twice).
         limit = float("inf") if until is None else until
+        queue = self._queue
         pop = heappop
         processed = 0
         try:
-            while True:
-                queue = self._queue
-                while queue:
-                    if queue[0][0] > limit:
-                        self._now = until
-                        return
-                    entry = pop(queue)
-                    if len(entry) == 6:
-                        self._now = entry[0]
-                        processed += 1
-                        entry[3]._step(entry[4], entry[5])
-                        continue
-                    event = entry[3]
-                    if event._cancelled:
-                        self._tombstones -= 1
-                        continue
-                    self._now = entry[0]
-                    processed += 1
-                    callbacks = event.callbacks
-                    if callbacks is not None:
-                        event.callbacks = None
-                        for callback in callbacks:
-                            callback(event)
-                    if event._ok is False and not event._defused:
-                        raise event._value
-                calendar = self._calendar
-                if calendar is None or not calendar.size:
+            while queue:
+                if queue[0][0] > limit:
                     break
-                advance = calendar._advance
-                while calendar.size:
-                    current = advance()
-                    if current[0][0] > limit:
-                        self._now = until
-                        return
-                    entry = pop(current)
-                    calendar.size -= 1
-                    if len(entry) == 6:
-                        self._now = entry[0]
-                        processed += 1
-                        entry[3]._step(entry[4], entry[5])
-                        continue
-                    event = entry[3]
-                    if event._cancelled:
-                        self._tombstones -= 1
-                        continue
+                entry = pop(queue)
+                if len(entry) == 6:
                     self._now = entry[0]
                     processed += 1
-                    callbacks = event.callbacks
-                    if callbacks is not None:
-                        event.callbacks = None
-                        for callback in callbacks:
-                            callback(event)
-                    if event._ok is False and not event._defused:
-                        raise event._value
+                    process = entry[3]
+                    if process._target is entry:
+                        process._step(entry[4], entry[5])
+                    continue
+                event = entry[3]
+                if event._cancelled:
+                    event._skip()
+                    continue
+                self._now = entry[0]
+                processed += 1
+                callbacks = event.callbacks
+                if callbacks is not None:
+                    event.callbacks = None
+                    for callback in callbacks:
+                        callback(event)
+                if event._ok is False and not event._defused:
+                    raise event._value
             if until is not None:
                 self._now = until
         finally:

@@ -14,7 +14,10 @@ Three layers of guarantees:
   pre-refactor outcome columns bit-for-bit.  The hashes in
   ``tests/data/golden_hashes.json`` were recorded *before* the control
   plane existed (``scripts/record_golden.py``); any drift in a draw, a
-  completion time, or a stage attribution fails these tests.
+  completion time, or a stage attribution fails these tests.  The same
+  file pins every registered scenario (faults, routing, hybrid spill,
+  scale-in) and one streamed ``w-1m`` cell by digest, cost, and
+  ``events_processed``.
 """
 
 import json
@@ -24,6 +27,7 @@ import pytest
 
 from repro.core.benchmark import ServingBenchmark
 from repro.core.planner import Planner
+from repro.core.scenario import get_scenario
 from repro.platforms.admission import SlotQueue, WorkQueue
 from repro.platforms.policies import (
     ConcurrencyScalingPolicy,
@@ -314,37 +318,40 @@ class TestWorkQueue:
         assert reused is ticket
         assert reused.outcome.request_id == 2
 
-    def test_await_response_served_in_time(self, env):
+    def test_response_guard_served_in_time(self, env):
+        """The serverless client's wait: response vs. deadline guard."""
         queue = WorkQueue(env)
+        deadlines = env.lane(10.0)
         served = []
 
         def client():
             ticket = queue.enqueue(_outcome())
-            result = yield from queue.await_response(ticket, deadline_s=10.0)
-            served.append((result, env.now))
+            winner = yield deadlines.guard(ticket.response_event)
+            served.append((winner is ticket.response_event, env.now))
 
         def worker():
-            yield env.timeout(1.0)
+            yield 1.0
             queue.take().response_event.succeed()
 
         env.process(client())
         env.process(worker())
         env.run()
         assert served == [(True, 1.0)]
-        assert env.now < 10.0  # the dead deadline guard was cancelled
+        assert env.now < 10.0  # the won guard withdrew from its lane
 
-    def test_await_response_deadline_fires(self, env):
+    def test_response_guard_deadline_fires(self, env):
         queue = WorkQueue(env)
+        deadlines = env.lane(2.0)
         served = []
 
         def client():
             ticket = queue.enqueue(_outcome())
-            result = yield from queue.await_response(ticket, deadline_s=2.0)
-            served.append((result, env.now))
+            winner = yield deadlines.guard(ticket.response_event)
+            served.append((winner, env.now))
 
         env.process(client())
         env.run()
-        assert served == [(False, 2.0)]
+        assert served == [(None, 2.0)]
 
 
 class TestSlotQueue:
@@ -489,3 +496,34 @@ class TestGoldenEquivalence:
         assert result.usage.cold_starts == expected["cold_starts"]
         assert result.usage.instances_created == expected["instances_created"]
         assert result.usage.peak_instances == expected["peak_instances"]
+
+
+def _assert_pin(result, digest: str, expected: dict) -> None:
+    assert digest == expected["digest"]
+    assert result.total_requests == expected["requests"]
+    assert result.cost == expected["cost"]
+    assert result.metadata["events_processed"] == expected["events_processed"]
+
+
+class TestGoldenScenarios:
+    """Absolute pins for the subsystems the 14 base cells never reach."""
+
+    @pytest.mark.parametrize("name", sorted(_GOLDEN["scenarios"]))
+    def test_scenario_reproduces_pin(self, name):
+        result = ServingBenchmark(seed=_GOLDEN["seed"]).run_scenario(
+            get_scenario(name), scale=_GOLDEN["scenario_scale"])
+        _assert_pin(result, result.table.column_hash(),
+                    _GOLDEN["scenarios"][name])
+
+    @pytest.mark.parametrize("key", sorted(_GOLDEN["streamed"]))
+    def test_streamed_cell_reproduces_summary_digest(self, key):
+        expected = _GOLDEN["streamed"][key]
+        provider, model, runtime, platform, workload = key.split("/")
+        seed, scale = _GOLDEN["seed"], expected["scale"]
+        result = ServingBenchmark(
+            seed=seed, chunk_rows=expected["chunk_rows"]).run(
+                Planner().plan(provider, model, runtime, platform),
+                standard_workload(workload, seed=seed, scale=scale),
+                workload_scale=scale)
+        assert result.streaming
+        _assert_pin(result, result.table.digest(), expected)

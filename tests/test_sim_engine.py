@@ -25,6 +25,14 @@ class TestClockAndTimeouts:
         with pytest.raises(SimulationError):
             env.timeout(-1.0)
 
+    def test_nan_timeout_rejected(self, env):
+        """A NaN delay used to fire first and set the clock to NaN."""
+        with pytest.raises(SimulationError):
+            env.timeout(float("nan"))
+        env.timeout(1.0)
+        env.run()
+        assert env.now == 1.0
+
     def test_run_until_stops_early(self, env):
         log = []
 
@@ -186,7 +194,7 @@ class TestProcesses:
         """The first step runs inline, so a bad first yield surfaces at
         the env.process() call itself, not later inside run()."""
         def bad():
-            yield 42
+            yield "42"  # numbers are bare sleeps; a string is no event
 
         with pytest.raises(SimulationError):
             env.process(bad())
@@ -194,7 +202,7 @@ class TestProcesses:
     def test_yield_non_event_rejected_after_first_step(self, env):
         def bad():
             yield env.timeout(1.0)
-            yield 42
+            yield "42"
 
         env.process(bad())
         with pytest.raises(SimulationError):
@@ -245,6 +253,98 @@ class TestProcesses:
         env.process(attacker(victim_proc))
         env.run()
         assert caught == ["stop"]
+
+    @pytest.mark.parametrize("sleep", [False, True])
+    def test_interrupt_detaches_the_interrupted_wait(self, env, sleep):
+        """Interrupted at t=1 out of a 10 s wait, a 20 s wait ends at 21.
+
+        The old wait used to stay subscribed: it woke the process at
+        t=10 and later resumed the finished generator, overwriting its
+        return value with None.
+        """
+        log = []
+
+        def wait(delay):
+            return delay if sleep else env.timeout(delay)
+
+        def victim():
+            try:
+                yield wait(10.0)
+            except Interrupt:
+                log.append(("interrupted", env.now))
+            yield wait(20.0)
+            log.append(("woke", env.now))
+            return "done"
+
+        def attacker(target):
+            yield env.timeout(1.0)
+            target.interrupt()
+
+        proc = env.process(victim())
+        env.process(attacker(proc))
+        env.run()
+        assert log == [("interrupted", 1.0), ("woke", 21.0)]
+        assert proc.value == "done"
+        # The stale 10 s entry still pops and counts: attacker timeout,
+        # interrupt, stale wait, 20 s wait.
+        assert env.events_processed == 4
+        assert env.now == 21.0
+
+    def test_interrupt_detaches_from_a_guard(self, env):
+        lane = env.lane(10.0)
+        log = []
+
+        def victim():
+            guard = lane.guard(env.event())
+            try:
+                yield guard
+            except Interrupt:
+                guard.cancel()
+                log.append(env.now)
+            yield 20.0
+            log.append(env.now)
+
+        def attacker(target):
+            yield 1.0
+            target.interrupt()
+
+        proc = env.process(victim())
+        env.process(attacker(proc))
+        env.run()
+        assert log == [1.0, 21.0]
+        # The withdrawn guard's token does not count.
+        assert env.events_processed == 3
+
+    def test_pending_interrupts_coalesce(self, env):
+        causes = []
+
+        def victim():
+            while True:
+                try:
+                    yield 100.0
+                    return
+                except Interrupt as interrupt:
+                    causes.append((interrupt.cause, env.now))
+
+        def attacker(target):
+            yield 1.0
+            target.interrupt("first")
+            target.interrupt("second")
+
+        proc = env.process(victim())
+        env.process(attacker(proc))
+        env.run()
+        assert causes == [("second", 1.0)]
+        assert not proc.is_alive and env.now == 101.0
+
+    def test_self_interrupt_rejected(self, env):
+        def selfish():
+            yield 1.0
+            env.active_process.interrupt()
+
+        env.process(selfish())
+        with pytest.raises(SimulationError):
+            env.run()
 
     def test_interrupt_finished_process_rejected(self, env):
         def quick():

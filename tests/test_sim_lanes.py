@@ -1,0 +1,392 @@
+"""Bare sleeps and guard lanes: the two engine primitives off the heap.
+
+* **Bare sleeps** — a process that yields a plain number resumes exactly
+  where ``env.timeout`` of that delay would have resumed it; bools,
+  negative and NaN delays are rejected.
+* **Guard lanes** — ``lane.guard(event)`` behaves like ``env.timeout``
+  raced against ``event`` with the loser cancelled: the same firing
+  order, clock, and ``events_processed`` on random programs of wins,
+  expiries, withdrawals, interrupts, and guards armed from a fired
+  guard's callbacks — while the heap holds at most one entry per lane.
+"""
+
+import gc
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.sim import Environment, Interrupt, SimulationError
+
+
+def _entries_of(env, lane):
+    """Heap entries that belong to ``lane`` (its armed head token)."""
+    return [entry for entry in env._queue
+            if len(entry) == 4 and getattr(entry[3], "_lane", None) is lane]
+
+
+class TestBareSleeps:
+    def test_sleep_advances_clock_and_resumes_with_none(self, env):
+        log = []
+
+        def proc():
+            log.append((yield 2.5))
+            log.append(env.now)
+            yield 3  # an int is a sleep too
+            log.append(env.now)
+
+        env.process(proc())
+        env.run()
+        assert log == [None, 2.5, 5.5]
+
+    def test_sleep_pops_in_timeout_order_at_equal_times(self, env):
+        """Same (time, NORMAL, sequence) key as env.timeout(d)."""
+        order = []
+
+        def sleeper(name, delay):
+            yield delay
+            order.append(name)
+
+        def timer(name, delay):
+            yield env.timeout(delay)
+            order.append(name)
+
+        env.process(timer("t1", 1.0))
+        env.process(sleeper("s1", 1.0))
+        env.process(timer("t2", 1.0))
+        env.process(sleeper("s2", 1))
+        env.process(sleeper("s0", 0.0))
+        env.run()
+        assert order == ["s0", "t1", "s1", "t2", "s2"]
+        assert env.events_processed == 5
+
+    def test_sleep_matches_timeout_run_bit_for_bit(self):
+        """A mixed program: sleeps and timeouts interleave identically."""
+        def program(env, sleep):
+            log = []
+
+            def proc(index):
+                for step in range(4):
+                    delay = ((index * 7 + step * 3) % 5) * 0.25
+                    if sleep:
+                        yield delay
+                    else:
+                        yield env.timeout(delay)
+                    log.append((index, step, env.now))
+
+            for index in range(6):
+                env.process(proc(index))
+            env.run()
+            return log, env.events_processed
+
+        assert program(Environment(), True) == program(Environment(), False)
+
+    @pytest.mark.parametrize("bad", [True, False, -1, -0.5, math.nan,
+                                     -math.inf])
+    def test_bool_negative_and_nan_rejected(self, env, bad):
+        def proc():
+            yield bad
+
+        with pytest.raises(SimulationError):
+            env.process(proc())
+
+    def test_rejected_mid_run(self, env):
+        def proc():
+            yield 1.0
+            yield math.nan
+
+        env.process(proc())
+        with pytest.raises(SimulationError):
+            env.run()
+        assert not math.isnan(env.now)
+
+    def test_finished_sleeper_is_freed_without_the_cycle_collector(self,
+                                                                  env):
+        """The resume entry a process keeps must not outlive it.
+
+        One such cycle per request left every finished request's
+        process (and its outcome) to the cycle collector.
+        """
+        def proc():
+            yield 1.0
+            yield env.timeout(1.0)
+            yield 0.5
+
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(50):
+                env.process(proc())
+            env.run()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_infinite_sleep_never_wakes_before_until(self, env):
+        woke = []
+
+        def proc():
+            yield math.inf
+            woke.append(env.now)
+
+        env.process(proc())
+        env.run(until=100.0)
+        assert woke == [] and env.now == 100.0
+
+
+class TestLanes:
+    def test_guard_wins_with_the_event(self, env):
+        lane = env.lane(10.0)
+        event = env.event()
+        seen = []
+
+        def proc():
+            seen.append((yield lane.guard(event)))
+            seen.append(env.now)
+
+        env.process(proc())
+        event.succeed("ok", delay=3.0)
+        env.run()
+        assert seen == [event, 3.0]
+        # The withdrawn guard's token popped without counting.
+        assert env.events_processed == 1
+
+    def test_guard_expires_with_none(self, env):
+        lane = env.lane(4.0)
+        seen = []
+
+        def proc():
+            seen.append((yield lane.guard(env.event())))
+            seen.append(env.now)
+
+        env.process(proc())
+        env.run()
+        assert seen == [None, 4.0]
+        assert env.events_processed == 1
+
+    def test_late_event_after_expiry_is_ignored(self, env):
+        lane = env.lane(1.0)
+        event = env.event()
+        seen = []
+
+        def proc():
+            seen.append((yield lane.guard(event)))
+
+        env.process(proc())
+        event.succeed(delay=2.0)
+        env.run()
+        assert seen == [None]
+        assert env.events_processed == 2
+
+    def test_cancel_withdraws(self, env):
+        lane = env.lane(5.0)
+        guard = lane.guard(env.event())
+        assert guard.cancel() is True
+        assert guard.cancel() is False
+        env.run()
+        assert env.events_processed == 0
+
+    def test_failure_is_passed_to_the_waiter(self, env):
+        lane = env.lane(5.0)
+        event = env.event()
+        caught = []
+
+        def proc():
+            try:
+                yield lane.guard(event)
+            except KeyError as error:
+                caught.append((error.args, env.now))
+
+        env.process(proc())
+        event.fail(KeyError("boom"), delay=1.0)
+        env.run()
+        assert caught == [(("boom",), 1.0)]
+
+    def test_unwatched_failure_still_surfaces(self, env):
+        lane = env.lane(5.0)
+        event = env.event()
+        lane.guard(event)
+        event.fail(KeyError("boom"))
+        with pytest.raises(KeyError):
+            env.run()
+
+    def test_guard_on_processed_event_wins_at_once(self, env):
+        lane = env.lane(5.0)
+        event = env.event()
+        event.succeed()
+        env.run()
+        seen = []
+
+        def proc():
+            seen.append((yield lane.guard(event)))
+            seen.append(env.now)
+
+        env.process(proc())
+        env.run()
+        assert seen == [event, 0.0]
+        assert len(lane) == 0
+
+    def test_negative_or_nan_delay_rejected(self, env):
+        for bad in (-1.0, math.nan):
+            with pytest.raises(SimulationError):
+                env.lane(bad)
+
+    def test_heap_holds_at_most_one_entry_per_lane(self, env):
+        deadlines = env.lane(30.0)
+        keep_alives = env.lane(50.0)
+        peak = []
+
+        def client(index):
+            yield index * 0.5
+            response = env.event()
+            response.succeed(delay=(index % 4) * 10.0)
+            yield deadlines.guard(response)
+            yield keep_alives.guard(env.event())
+
+        def probe():
+            while env.now < 200.0:
+                peak.append((len(_entries_of(env, deadlines)),
+                             len(_entries_of(env, keep_alives))))
+                yield 0.25
+
+        for index in range(40):
+            env.process(client(index))
+        env.process(probe())
+        env.run()
+        assert max(d for d, _ in peak) == 1
+        assert max(k for _, k in peak) == 1
+        assert len(deadlines) == 0 and len(keep_alives) == 0
+
+
+# ---------------------------------------------------------------------------
+# Lane == timeout + race, on random programs
+# ---------------------------------------------------------------------------
+
+_HALF_STEPS = st.integers(min_value=0, max_value=14).map(lambda k: k * 0.5)
+
+_ROUND = st.fixed_dictionaries({
+    # When the watched event fires after the guard is armed (None: never).
+    "respond": st.one_of(st.none(), _HALF_STEPS),
+    # Interrupt this long after arming (None: no interrupt).
+    "interrupt": st.one_of(st.none(), _HALF_STEPS),
+    # After an interrupt: withdraw and go on (True) or withdraw and quit.
+    "resume": st.booleans(),
+    # Arm a side guard from a plain callback on this round's guard; its
+    # event fires after this share of the delay (None: no side guard).
+    "side": st.sampled_from([None, 0.5, 1.0, 1.5]),
+})
+
+_PROGRAM = st.tuples(
+    st.sampled_from([0.5, 1.0, 2.5, 4.0]),
+    st.lists(st.tuples(_HALF_STEPS,
+                       st.lists(_ROUND, min_size=1, max_size=4)),
+             min_size=1, max_size=5),
+)
+
+
+def _run_guard_program(delay, actors, use_lane):
+    """Run one program; returns (firing log, final clock, events)."""
+    env = Environment()
+    lane = env.lane(delay)
+    log = []
+
+    def arm(event):
+        """(what to yield, how to withdraw it)."""
+        if use_lane:
+            guard = lane.guard(event)
+            return guard, guard.cancel
+        timer = env.timeout(delay)
+        race = env.race(event, timer)
+
+        def withdraw():
+            timer.cancel()
+            race.cancel()
+        return race, withdraw
+
+    def settle(tag, event, value, withdraw):
+        won = value is event
+        if won and not use_lane:
+            withdraw()  # timeout + race: the winner cancels the timer
+        log.append((tag, "win" if won else "expire", env.now))
+
+    def respond(event, after):
+        yield after
+        event.succeed()
+
+    def side(tag, waitable, share):
+        def spawn(_fired):
+            def watcher():
+                event = env.event()
+                event.succeed(delay=delay * share)
+                target, withdraw = arm(event)
+                settle(tag, event, (yield target), withdraw)
+            env.process(watcher())
+        waitable.callbacks.append(spawn)
+
+    def interrupter(process, after, armed):
+        yield after
+        if process.is_alive and armed[0]:
+            armed[0] = False
+            process.interrupt()
+
+    def actor(index, start, rounds):
+        yield start
+        armed = [False]
+        for number, plan in enumerate(rounds):
+            tag = (index, number)
+            event = env.event()
+            if plan["respond"] is not None:
+                env.process(respond(event, plan["respond"]))
+            target, withdraw = arm(event)
+            if plan["side"] is not None:
+                side(tag + ("side",), target, plan["side"])
+            if plan["interrupt"] is not None:
+                env.process(interrupter(env.active_process,
+                                        plan["interrupt"], armed))
+            armed[0] = True
+            try:
+                value = yield target
+            except Interrupt:
+                withdraw()
+                log.append((tag, "interrupt", env.now))
+                if not plan["resume"]:
+                    return
+                continue
+            armed[0] = False
+            settle(tag, event, value, withdraw)
+
+    for index, (start, rounds) in enumerate(actors):
+        env.process(actor(index, start, rounds))
+    env.run()
+    return log, env.now, env.events_processed
+
+
+class TestLaneMatchesTimeoutRace:
+    @given(_PROGRAM)
+    @settings(max_examples=300, deadline=None)
+    def test_same_firings_clock_and_event_count(self, program):
+        delay, actors = program
+        assert (_run_guard_program(delay, actors, use_lane=True)
+                == _run_guard_program(delay, actors, use_lane=False))
+
+    def test_program_exercises_every_outcome(self):
+        """A fixed program hits win, expiry, interrupt, and side guards."""
+        actors = [
+            (0.0, [{"respond": 0.5, "interrupt": None, "resume": True,
+                    "side": 1.5},
+                   {"respond": None, "interrupt": None, "resume": True,
+                    "side": None},
+                   {"respond": 3.0, "interrupt": 0.5, "resume": True,
+                    "side": None},
+                   {"respond": 1.0, "interrupt": None, "resume": True,
+                    "side": None}]),
+            (0.5, [{"respond": 1.0, "interrupt": 1.0, "resume": False,
+                    "side": 0.5}]),
+        ]
+        run = _run_guard_program(1.0, actors, use_lane=True)
+        log = run[0]
+        assert {entry[1] for entry in log} == {"win", "expire", "interrupt"}
+        sides = {entry[1] for entry in log if len(entry[0]) == 3}
+        assert sides == {"win", "expire"}
+        assert run == _run_guard_program(1.0, actors, use_lane=False)

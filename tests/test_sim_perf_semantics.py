@@ -6,6 +6,9 @@ observable behaviour.  These tests pin down the contracts:
 
 * :meth:`Event.cancel` semantics before/after processing and inside
   ``AnyOf`` conditions, including tombstone reclamation.
+* Every heap push on the profiled serverless cell is an event that
+  runs: pushes equal ``events_processed`` up to the few stale guard
+  tokens and the entries still pending at the horizon.
 * The serverless platform's O(1) alive counter agrees with a
   brute-force scan over every instance ever created.
 * ``run_matrix(workers=N)`` returns results identical to serial mode.
@@ -13,6 +16,8 @@ observable behaviour.  These tests pin down the contracts:
 
 import pytest
 
+import repro.core.benchmark as benchmark_module
+import repro.sim.engine as engine
 from repro.core.benchmark import ServingBenchmark
 from repro.core.executor import Executor
 from repro.core.planner import Planner
@@ -134,6 +139,52 @@ class TestCancellableTimers:
         first.cancel()
         env.step()
         assert env.now == 5.0
+
+
+class TestHeapPushesAreEvents:
+    def test_profiled_cell_pushes_equal_events(self, monkeypatch, tiny_w40):
+        """Deterministic counter gate: no dead entries on the hot path.
+
+        Each request used to push ~8 heap entries of which ~6 ran (the
+        client deadline and the keep-alive were raced, cancelled and
+        compacted away).  Bare sleeps and guard lanes push only what
+        runs; the remainder is bounded per run, not per request.
+        """
+        pushes = [0]
+        stale = [0]
+        envs = []
+        push, skip = engine.heappush, engine.Guard._skip
+
+        def counting_push(queue, entry):
+            pushes[0] += 1
+            push(queue, entry)
+
+        def counting_skip(guard):
+            stale[0] += 1
+            skip(guard)
+
+        class CapturedEnvironment(Environment):
+            __slots__ = ()
+
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                envs.append(self)
+
+        monkeypatch.setattr(engine, "heappush", counting_push)
+        monkeypatch.setattr(engine.Guard, "_skip", counting_skip)
+        monkeypatch.setattr(benchmark_module, "Environment",
+                            CapturedEnvironment)
+        deployment = Planner().plan("aws", "mobilenet", "tf1.15",
+                                    "serverless")
+        result = ServingBenchmark(seed=5).run(deployment, tiny_w40)
+        env, = envs
+        events = env.events_processed
+        assert result.metadata["events_processed"] == events
+        pending = len(env._queue)
+        assert pushes[0] == events + stale[0] + pending
+        # A handful of lane tokens and pending entries per run (the old
+        # guards left about two dead entries per request).
+        assert stale[0] + pending <= 8, (stale[0], pending)
 
 
 class TestAliveCounterConsistency:

@@ -1,6 +1,6 @@
-"""The trace-scale streaming plane: chunk ring, reductions, calendar, shm.
+"""The trace-scale streaming plane: chunk ring, reductions, shm.
 
-Four guarantees of the streaming engine are pinned here:
+Three guarantees of the streaming engine are pinned here:
 
 * **Chunk-ring equality** — the chunked recorder, at any chunk size,
   retains columns bit-identical to the preallocated ``OutcomeRecorder``
@@ -10,9 +10,6 @@ Four guarantees of the streaming engine are pinned here:
   (``OutcomeSummary`` folds, no full table) reproduces every standard
   metric: counts, ratios, and timelines exactly; sketch quantiles within
   the sketch's documented resolution.
-* **Calendar-queue bit-identity** — forcing the heap-to-bucket migration
-  at tiny thresholds changes neither the outcome columns nor the event
-  count of a cell.
 * **Shared-memory transport** — ``pack_arrays``/``unpack_arrays`` round
   payloads through a shm segment bit-identically, and a worker pool
   forced onto the segment path matches serial hashes.
@@ -26,7 +23,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import repro.sim.engine as engine
 from repro.core.benchmark import ServingBenchmark
 from repro.core.results import RunResult
 from repro.core.shm import ShmPayload, pack_arrays, unpack_arrays
@@ -215,34 +211,6 @@ class TestLatencySketch:
         sketch.add(np.array([0.5]))
         assert sketch.quantile(0.0) == 0.5
         assert sketch.quantile(100.0) == 0.5
-
-
-class TestBucketCalendar:
-    def test_pop_order_matches_heap(self):
-        import heapq
-        rng = np.random.default_rng(11)
-        times = rng.uniform(0.0, 100.0, 5_000)
-        entries = [(float(t), 1, seq, None, True, None)
-                   for seq, t in enumerate(times)]
-        heap = list(entries)
-        heapq.heapify(heap)
-        calendar = engine.BucketCalendar(width=0.64, start_key=0)
-        for entry in entries:
-            calendar.push(entry)
-        order = [calendar.pop() for _ in range(len(entries))]
-        assert order == [heapq.heappop(heap) for _ in range(len(entries))]
-        assert calendar.size == 0
-
-    def test_forced_migration_is_bit_identical(self, monkeypatch,
-                                               reference_result, tiny_w40):
-        result, deployment = reference_result
-        for threshold in (16, 128):
-            monkeypatch.setattr(engine, "_BUCKET_THRESHOLD", threshold)
-            bucketed = ServingBenchmark(seed=SEED).run(deployment, tiny_w40)
-            assert (bucketed.table.column_hash()
-                    == result.table.column_hash())
-            assert (bucketed.metadata["events_processed"]
-                    == result.metadata["events_processed"])
 
 
 class TestShmTransport:
