@@ -15,7 +15,10 @@ Usage::
 
 ``--check`` runs only the small fixed probe cell (well under a second),
 compares its throughput against the probe entry recorded in
-``BENCH_engine.json``, and also smokes the columnar outcome pipeline
+``BENCH_engine.json``, gates two deterministic work counters of that
+cell (calendar events must equal the recorded count exactly; cProfile
+calls per request may exceed the recorded value by at most 2 %), and
+also smokes the columnar outcome pipeline
 (outcome-table build + metric reductions on the probe's data), the
 serving control plane (instance-pool transitions, scaling-policy
 decisions, work-queue ticket cycling), the study layer
@@ -35,8 +38,10 @@ documents the perf trajectory across PRs.
 from __future__ import annotations
 
 import argparse
+import cProfile
 import json
 import os
+import pstats
 import sys
 import time
 
@@ -60,6 +65,10 @@ CHECK_SCALE = 0.3
 
 #: Allowed throughput regression before --check fails.
 CHECK_TOLERANCE = 0.30
+
+#: Allowed growth of the probe's cProfile calls per request.  The count
+#: is deterministic, so this gate is tight where wall-clock cannot be.
+CALLS_TOLERANCE = 0.02
 
 WORKLOADS = ("w-40", "w-120", "w-200")
 SEED = 7
@@ -91,6 +100,22 @@ def run_cell(workload_name: str, scale: float, repeats: int = 1,
         "events_per_s": round(events / best, 1),
         "success_ratio": round(result.success_ratio, 4),
     }
+
+
+def probe_calls_per_request() -> float:
+    """cProfile calls (Python and builtin) per request on the probe cell.
+
+    A deterministic work count: one untimed run first, so lazy imports
+    and one-off caches stay out of the profiled run.
+    """
+    deployment = Planner().plan("aws", "mobilenet", "tf1.15", "serverless")
+    workload = standard_workload(CHECK_WORKLOAD, seed=SEED, scale=CHECK_SCALE)
+    ServingBenchmark(seed=SEED).run(deployment, workload)
+    profiler = cProfile.Profile()
+    result = profiler.runcall(ServingBenchmark(seed=SEED).run, deployment,
+                              workload)
+    return round(pstats.Stats(profiler).total_calls
+                 / result.total_requests, 2)
 
 
 def run_columnar_probe(result) -> dict:
@@ -537,6 +562,7 @@ def run_sweep(scale: float, repeats: int) -> dict:
               f"({entry['speedup_vs_seed']:.2f}x vs seed)")
     keep: list = []
     probe = run_cell(CHECK_WORKLOAD, CHECK_SCALE, repeats, keep_result=keep)
+    probe["calls_per_req"] = probe_calls_per_request()
     columnar = run_columnar_probe(keep[0])
     control = run_control_probe()
     frame = run_frame_probe(keep[0])
@@ -547,7 +573,9 @@ def run_sweep(scale: float, repeats: int) -> dict:
     streaming = run_streaming_probe()
     search = run_search_probe()
     print(f" probe x{CHECK_SCALE:<5g} {probe['wall_s']:>8.3f}s "
-          f"{probe['requests_per_s']:>10,.0f} req/s")
+          f"{probe['requests_per_s']:>10,.0f} req/s "
+          f"({probe['events']} events, {probe['calls_per_req']:g} "
+          f"calls/request)")
     print(f" faults x{CHECK_SCALE:<5g} {fault['wall_s']:>8.3f}s "
           f"{fault['requests_per_s']:>10,.0f} req/s (chaos schedule on)")
     print(f" hybrid x{CHECK_SCALE:<5g} {hybrid['wall_s']:>8.3f}s "
@@ -592,7 +620,8 @@ def run_check(path: str) -> int:
 
     Gates both the simulation hot path (requests/s on the fixed probe
     cell) and the columnar pipeline (outcome-table build and metric
-    reduction rows/s).  Total runtime stays under a second.
+    reduction rows/s), plus the probe cell's work counters: calendar
+    events exactly, cProfile calls per request within CALLS_TOLERANCE.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -610,6 +639,23 @@ def run_check(path: str) -> int:
                      keep_result=keep)
     checks = [("engine req/s", probe["requests_per_s"],
                reference["requests_per_s"])]
+    failed = False
+    # Work counters: deterministic, so they gate far tighter than time.
+    verdict = "OK" if probe["events"] == reference["events"] else "REGRESSION"
+    failed = failed or verdict != "OK"
+    print(f"probe calendar events: {probe['events']} "
+          f"(recorded {reference['events']}, must match) -> {verdict}")
+    if "calls_per_req" in reference:
+        calls = probe_calls_per_request()
+        limit = reference["calls_per_req"] * (1.0 + CALLS_TOLERANCE)
+        verdict = "OK" if calls <= limit else "REGRESSION"
+        failed = failed or verdict != "OK"
+        print(f"probe cProfile calls/request: {calls:g} "
+              f"(recorded {reference['calls_per_req']:g}, limit "
+              f"{limit:.2f}) -> {verdict}")
+    else:
+        print("note: no calls_per_req recorded; rerun the full sweep "
+              "to extend the gate")
     columnar_reference = recorded.get("columnar_probe")
     if columnar_reference:
         columnar = run_columnar_probe(keep[0])
@@ -688,7 +734,6 @@ def run_check(path: str) -> int:
     else:
         print("note: no search_probe recorded; rerun the full sweep "
               "to extend the gate")
-    failed = False
     streaming_reference = recorded.get("streaming_probe")
     if streaming_reference:
         streaming = run_streaming_probe()

@@ -96,7 +96,8 @@ class ServingBenchmark:
         executor.execute(until=horizon)
         end_time = max(executor.last_completion_time, workload.trace.duration)
         usage = platform.finalize(end_time=end_time)
-        metadata = {"events_processed": float(env.events_processed)}
+        metadata = {"events_processed": float(env.events_processed),
+                    "rng_draws": float(rng.draws)}
         if streaming:
             # Fold the tail (failing still-open requests at the horizon,
             # exactly like fail_unfinished on the full path).

@@ -49,6 +49,15 @@ class Executor:
     #: Client-side retry policy (None unless the config enables retries).
     _retry: Optional[RetryPolicy] = None
 
+    def __post_init__(self) -> None:
+        # The request pick is a pre-bound draw over the pool's payloads
+        # (scaled by the fixed samples-per-request knob once, here).
+        samples = self.platform.config.samples_per_request
+        self._payloads = [template.payload_mb * samples
+                          for template in self.request_pool.templates]
+        self._pick = self.rng.choice_draw("request-pick",
+                                          len(self._payloads))
+
     # -- public ---------------------------------------------------------------
     def run(self, until: Optional[float] = None) -> OutcomeTable:
         """Run the experiment to completion and return the outcome table."""
@@ -96,10 +105,16 @@ class Executor:
         previous = 0.0
         register = self.recorder.register
         single = config.batch_size == 1
-        # The resilient path is chosen once per client, not per request:
-        # with retries off the hot path is byte-for-byte the old one.
-        send = (self._send_single if self._retry is None
-                else self._send_resilient)
+        # One process per request, running the platform's request
+        # generator — or, with retries on, the retry loop around it
+        # (chosen once per client, not per request).
+        request = (self.platform.request if self._retry is None
+                   else self._resilient_request)
+        process = self.env.process
+        payloads = self._payloads
+        pick = self._pick
+        response_mb = self.platform.model.output_payload_mb
+        completed = self._completed
         for index, arrival in enumerate(trace):
             gap = arrival - previous
             previous = arrival
@@ -108,13 +123,14 @@ class Executor:
             outcome = self._new_outcome(client_id)
             register(outcome)
             if single:
-                send(outcome)
+                process(request(outcome, payloads[pick()],
+                                response_mb)).callbacks.append(completed)
             else:
                 batch = batcher.add(outcome)
                 if batch is None and index == last_index:
                     batch = batcher.flush()
                 if batch:
-                    self.env.process(self._send_batch(client_id, batch))
+                    process(self._send_batch(client_id, batch))
 
     def _new_outcome(self, client_id: int) -> RequestOutcome:
         config = self.platform.config
@@ -127,38 +143,20 @@ class Executor:
         self._next_request_id += 1
         return outcome
 
-    def _payload_mb(self) -> float:
-        config = self.platform.config
-        template = self.request_pool.pick(self.rng)
-        return template.payload_mb * config.samples_per_request
+    def _completed(self, process) -> None:
+        """Completion callback of a request process: record its outcome.
 
-    def _send_single(self, outcome: RequestOutcome) -> None:
-        """Submit one request, recording its completion time when done.
-
-        Completion is observed via a callback on the platform's request
-        process rather than a wrapper process: with one wrapper per
-        request the executor alone used to add three calendar entries
-        per request to the hot path.
+        A callback on the request's own process, not a wrapper process:
+        a wrapper per request used to add three calendar entries per
+        request to the hot path.
         """
-        payload = self._payload_mb()
-        response = self.platform.model.output_payload_mb
-        process = self.platform.submit(outcome, payload, response)
-        process.callbacks.append(
-            lambda _event, outcome=outcome: self._note_completion(outcome))
+        self._note_completion(process.value)
 
-    def _send_resilient(self, outcome: RequestOutcome) -> None:
-        """Submit with retry/backoff (one wrapper process per request).
-
-        Only used when the config enables retries — the wrapper process
-        costs a few calendar entries per request, which the no-retry
-        fast path avoids.
-        """
-        self.env.process(self._resilient_request(outcome))
-
-    def _resilient_request(self, outcome: RequestOutcome):
+    def _resilient_request(self, outcome: RequestOutcome, payload_mb: float,
+                           response_mb: float):
         """Retry loop: capped exponential backoff under a timeout budget.
 
-        Each attempt is a full platform submission (the conservation
+        Each attempt is a full platform request (the conservation
         ledger counts every attempt).  After a failed attempt the next
         try is delayed by the policy's jittered backoff; retrying stops
         when the attempts are exhausted or when the next backoff would
@@ -167,14 +165,12 @@ class Executor:
         platform-side deadline (which ``request_timeout_s`` tightens).
         """
         policy = self._retry
-        payload = self._payload_mb()
-        response = self.platform.model.output_payload_mb
         budget = self.platform.config.request_timeout_s
         deadline = (outcome.send_time + budget
                     if budget is not None else None)
         attempt = 1
         while True:
-            yield self.platform.submit(outcome, payload, response)
+            yield from self.platform.request(outcome, payload_mb, response_mb)
             if outcome.success or attempt >= policy.attempts:
                 break
             delay = policy.backoff(self.rng, attempt)
@@ -184,7 +180,7 @@ class Executor:
             outcome.reopen()
             attempt += 1
         outcome.attempts = attempt
-        self._note_completion(outcome)
+        return outcome
 
     def _send_batch(self, client_id: int, batch: List[RequestOutcome]):
         """Send one invocation carrying a whole client-side batch."""
@@ -196,9 +192,9 @@ class Executor:
             inferences=len(batch) * config.inferences_per_request,
         )
         self._next_request_id += 1
-        payload = self._payload_mb() * len(batch)
+        payload = self._payloads[self._pick()] * len(batch)
         response = self.platform.model.output_payload_mb * len(batch)
-        yield self.platform.submit(carrier, payload, response)
+        yield from self.platform.request(carrier, payload, response)
         for member in batch:
             member.cold_start = carrier.cold_start
             member.instance_id = carrier.instance_id

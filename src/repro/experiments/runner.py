@@ -310,6 +310,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.list or not args.experiments:
         _print_listing()
         return 0
+    if not 0.0 < args.scale <= 1.0:
+        parser.error(f"--scale must be in (0, 1], got {args.scale:g}")
     if args.experiments[0] == "sweep":
         return _run_sweeps(args.experiments[1:], args, parser)
 

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Generator, Optional
 
 from repro.models.profiles import LatencyProfiles
 from repro.serving.deployment import Deployment, PlatformKind
 from repro.serving.records import RequestOutcome
-from repro.sim import Environment, Process, RandomStreams, TimeSeriesMonitor
+from repro.sim import Environment, RandomStreams, TimeSeriesMonitor
 
 __all__ = ["PlatformUsage", "ServingPlatform", "build_platform"]
 
@@ -44,6 +44,10 @@ class ServingPlatform(abc.ABC):
 
     #: Platform family used for handler-overhead lookups; subclasses override.
     family: str = "serverless"
+    #: Whether the platform may re-record an outcome through
+    #: :attr:`outcome_sink` after its request finished (a serverless
+    #: invocation keeps running and billing past the client deadline).
+    late_commits: bool = False
 
     def __init__(self, env: Environment, deployment: Deployment,
                  profiles: Optional[LatencyProfiles] = None,
@@ -61,13 +65,12 @@ class ServingPlatform(abc.ABC):
         self.model = deployment.model
         self.runtime = deployment.runtime
         self.config = deployment.config
-        # The network model's fields, hoisted for the two per-request
-        # transfer legs (the attribute/method chain cost more than the
-        # arithmetic).
+        # The two per-request network legs: the jittered latency is a
+        # pre-bound draw (``NetworkModel.transfer_time``, inlined).
         network = self.provider.network
-        self._net_latency_s = network.one_way_latency_s
         self._net_bandwidth = network.bandwidth_mbps
-        self._net_jitter_cv = network.jitter_cv
+        self._net_latency = self.rng.lognormal_draw(
+            "network", network.one_way_latency_s, network.jitter_cv)
 
     # -- lifecycle ----------------------------------------------------------
     def start(self) -> None:
@@ -78,13 +81,18 @@ class ServingPlatform(abc.ABC):
         """
 
     @abc.abstractmethod
-    def submit(self, outcome: RequestOutcome, payload_mb: float,
-               response_mb: float) -> Process:
-        """Submit one request; returns the process the client waits on.
+    def request(self, outcome: RequestOutcome, payload_mb: float,
+                response_mb: float) -> Generator:
+        """Serve one request: a generator returning ``outcome``.
 
-        The platform fills in ``outcome`` (stages, success, billing) and
-        the returned process finishes when the client has received the
-        response or the error.
+        The caller runs it as a process (the executor, one per client
+        request) or delegates to it with ``yield from`` (a front door or
+        a retry loop).  The first segment records the submission; the
+        platform fills in ``outcome`` (stages, success, billing), and
+        the generator returns it once the client has received the
+        response or the error.  It always yields at least once, so a
+        process running it is still pending when ``env.process()``
+        returns.
         """
 
     @abc.abstractmethod
@@ -96,31 +104,12 @@ class ServingPlatform(abc.ABC):
         """Per-request parsing/serialisation overhead for this family."""
         return self.profiles.handler_overhead_s(self.family)
 
-    def _transfer_time(self, payload_mb: float) -> float:
-        """One network leg; inlined ``NetworkModel.transfer_time``."""
-        latency = self._net_latency_s
-        if self._net_jitter_cv > 0:
-            latency = self.rng.lognormal_around("network", latency,
-                                                self._net_jitter_cv)
-        return latency + payload_mb / self._net_bandwidth
-
-    def _network_up(self, outcome: RequestOutcome, payload_mb: float) -> float:
-        """Attribute the client-to-endpoint transfer; returns its duration.
+    def _network_leg(self, outcome: RequestOutcome, payload_mb: float) -> float:
+        """Attribute one network transfer; returns its duration.
 
         Callers ``yield`` the duration (a bare sleep).
         """
-        duration = self._transfer_time(payload_mb)
-        breakdown = outcome.breakdown
-        breakdown["network"] = breakdown.get("network", 0.0) + duration
-        return duration
-
-    def _network_down(self, outcome: RequestOutcome,
-                      response_mb: float) -> float:
-        """Attribute the endpoint-to-client transfer; returns its duration.
-
-        Callers ``yield`` the duration (a bare sleep).
-        """
-        duration = self._transfer_time(response_mb)
+        duration = self._net_latency() + payload_mb / self._net_bandwidth
         breakdown = outcome.breakdown
         breakdown["network"] = breakdown.get("network", 0.0) + duration
         return duration

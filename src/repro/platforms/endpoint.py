@@ -94,6 +94,10 @@ class PooledEndpointPlatform(ServingPlatform):
         # Per-run constants hoisted off the per-request path.
         self._handler_s = self._handler_overhead()
         self._predict_s = self._service_time_s()
+        # A one-inference request's service time (a one-term
+        # lognormal_sum is the same float as one draw).
+        self._predict = self.rng.lognormal_draw(
+            self.predict_stream, self._predict_s, _SERVICE_JITTER_CV)
         self.policy = TargetUtilisationPolicy(
             target_per_instance=(self.config.target_per_instance
                                  or self._target_per_instance()),
@@ -169,12 +173,6 @@ class PooledEndpointPlatform(ServingPlatform):
             self.env.process(self._scaler.run())
         if self._injector is not None:
             self._injector.start()
-
-    def submit(self, outcome: RequestOutcome, payload_mb: float,
-               response_mb: float):
-        """Submit one request to the endpoint's serving frontend."""
-        self.meter.record_submitted()
-        return self.env.process(self._handle(outcome, payload_mb, response_mb))
 
     def finalize(self, end_time: Optional[float] = None) -> PlatformUsage:
         """Close the books: the meter assembles the usage record."""
@@ -259,9 +257,11 @@ class PooledEndpointPlatform(ServingPlatform):
         self.pool.sync_gauge()
 
     # ------------------------------------------------------------- serving
-    def _handle(self, outcome: RequestOutcome, payload_mb: float,
+    def request(self, outcome: RequestOutcome, payload_mb: float,
                 response_mb: float):
-        yield self._network_up(outcome, payload_mb)
+        """Serve one request through the endpoint's serving frontend."""
+        self.meter.record_submitted()
+        yield self._network_leg(outcome, payload_mb)
         if self._admission_faults:
             if (self._shed_watermark
                     and self.pool.ready < self._shed_watermark):
@@ -304,9 +304,11 @@ class PooledEndpointPlatform(ServingPlatform):
             process = self.env.active_process
             track[process] = outcome
         try:
-            predict = self.rng.lognormal_sum(
-                self.predict_stream, self._predict_s, _SERVICE_JITTER_CV,
-                max(outcome.inferences, 1))
+            inferences = outcome.inferences
+            predict = (self._predict() if inferences <= 1
+                       else self.rng.lognormal_sum(
+                           self.predict_stream, self._predict_s,
+                           _SERVICE_JITTER_CV, inferences))
             # With the handler off the worker (GPU servers) the HTTP
             # handling runs on the host CPUs and does not occupy the
             # accelerator; otherwise it competes with inference for the
@@ -329,7 +331,7 @@ class PooledEndpointPlatform(ServingPlatform):
             self.queue.release(claim)
         if self.handler_off_worker:
             yield handler
-        yield self._network_down(outcome, response_mb)
+        yield self._network_leg(outcome, response_mb)
         outcome.finish(self.env.now, success=True)
         self.meter.record_completed()
         return outcome

@@ -166,6 +166,9 @@ class HybridServingPlatform(ServingPlatform):
     """
 
     family = "vm"
+    #: The serverless spill path re-commits late; the front door
+    #: forwards those re-commits.
+    late_commits = True
 
     def __init__(self, env, deployment, profiles=None, rng=None):
         super().__init__(env, deployment, profiles, rng)
@@ -193,13 +196,6 @@ class HybridServingPlatform(ServingPlatform):
         for backend in (self.provisioned_backend, self.spill_backend):
             backend.outcome_sink = self._forward_late
             backend.start()
-
-    def submit(self, outcome: RequestOutcome, payload_mb: float,
-               response_mb: float):
-        """Route one client request to exactly one path."""
-        self.meter.record_submitted()
-        return self.env.process(
-            self._route(outcome, payload_mb, response_mb))
 
     def finalize(self, end_time: Optional[float] = None) -> PlatformUsage:
         """Merge both paths' usage under the front door's ledger.
@@ -271,9 +267,9 @@ class HybridServingPlatform(ServingPlatform):
                 SPILL_STREAM, 0.9, 1.1)
         return True
 
-    def _route(self, outcome: RequestOutcome, payload_mb: float,
-               response_mb: float):
-        """Forward the client's outcome to exactly one path, then ledger it.
+    def request(self, outcome: RequestOutcome, payload_mb: float,
+                response_mb: float):
+        """Route one client request to exactly one path, then ledger it.
 
         Unlike the multi-region router (attempt-local outcomes merged
         back), the front door forwards the *client's* outcome directly:
@@ -281,6 +277,7 @@ class HybridServingPlatform(ServingPlatform):
         fields, and finishes it — so a backend's late (post-deadline)
         billing re-commit already carries the registered row.
         """
+        self.meter.record_submitted()
         spilled = self._should_spill()
         if spilled:
             outcome.served_by = SERVED_BY_SPILL
@@ -289,7 +286,7 @@ class HybridServingPlatform(ServingPlatform):
         else:
             outcome.served_by = SERVED_BY_PROVISIONED
             backend = self.provisioned_backend
-        yield backend.submit(outcome, payload_mb, response_mb)
+        yield from backend.request(outcome, payload_mb, response_mb)
         self.meter.classify(outcome)
         return outcome
 

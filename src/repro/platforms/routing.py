@@ -478,9 +478,15 @@ class MultiRegionPlatform(ServingPlatform):
         self._quantile = LatencyQuantile(config.hedge_percentile,
                                          config.hedge_min_samples)
         self._watermark = config.brownout_watermark
-        #: Timed-out client rows awaiting a backend's late (post-deadline)
-        #: billing re-commit, keyed by the attempt object's identity.
-        self._late_attempts: Dict[int, RequestOutcome] = {}
+        #: Timed-out attempts awaiting a backend's late (post-deadline)
+        #: billing re-commit: id(attempt) -> (attempt, client row).  Only
+        #: filed when the backends can re-commit late (a class-level
+        #: capability), and the entry keeps the attempt alive so its id
+        #: cannot be reused while the entry exists.
+        self._late_attempts: Dict[int, Tuple[RequestOutcome,
+                                             RequestOutcome]] = {}
+        self._backends_commit_late = any(
+            backend.late_commits for backend in self._all_backends())
 
     # ------------------------------------------------------------------ API
     def start(self) -> None:
@@ -488,13 +494,6 @@ class MultiRegionPlatform(ServingPlatform):
         for backend in self._all_backends():
             backend.outcome_sink = self._late_attempt
             backend.start()
-
-    def submit(self, outcome: RequestOutcome, payload_mb: float,
-               response_mb: float):
-        """Route one client request through the front door."""
-        self.meter.record_submitted()
-        return self.env.process(
-            self._route(outcome, payload_mb, response_mb))
 
     def finalize(self, end_time: Optional[float] = None) -> PlatformUsage:
         """Merge every backend's usage under the router's ledger.
@@ -585,8 +584,10 @@ class MultiRegionPlatform(ServingPlatform):
             return 0.0
         return busy / capacity
 
-    def _route(self, outcome: RequestOutcome, payload_mb: float,
-               response_mb: float):
+    def request(self, outcome: RequestOutcome, payload_mb: float,
+                response_mb: float):
+        """Route one client request through the front door."""
+        self.meter.record_submitted()
         env = self.env
         degraded = False
         index: Optional[int] = None
@@ -601,9 +602,9 @@ class MultiRegionPlatform(ServingPlatform):
                     # serve degraded instead of shedding.
                     degraded = True
                 else:
-                    # Shed at the front door. The yield keeps the
-                    # request process alive past its inline first step —
-                    # callers attach completion callbacks to it.
+                    # Shed at the front door. The yield keeps a process
+                    # running this request alive past its inline first
+                    # step — callers attach completion callbacks to it.
                     yield 0.0
                     outcome.finish(env.now, success=False,
                                    error=CIRCUIT_OPEN_ERROR)
@@ -611,21 +612,16 @@ class MultiRegionPlatform(ServingPlatform):
                     return outcome
 
         if degraded:
-            attempt, process = self._spawn(_DEGRADED, outcome, payload_mb,
-                                           response_mb)
-            yield process
-            final = attempt
+            final = yield from self._attempt(_DEGRADED, outcome, payload_mb,
+                                             response_mb)
         else:
             self.breakers[index].on_route(env.now)
-            attempt, process = self._spawn(index, outcome, payload_mb,
-                                           response_mb)
             if self._hedge and self._quantile.ready:
-                final = yield from self._hedged(index, attempt, process,
-                                                outcome, payload_mb,
+                final = yield from self._hedged(index, outcome, payload_mb,
                                                 response_mb)
             else:
-                yield process
-                final = attempt
+                final = yield from self._attempt(index, outcome, payload_mb,
+                                                 response_mb)
 
         self._merge(outcome, final)
         if final.success:
@@ -633,68 +629,62 @@ class MultiRegionPlatform(ServingPlatform):
                            error=DEGRADED_LABEL if degraded else "")
         else:
             outcome.finish(env.now, success=False, error=final.error)
-            if final.error == "timeout":
+            if final.error == "timeout" and self._backends_commit_late:
                 # The backend may still run (and bill) the invocation
                 # past the client deadline; remember the row so the
                 # late re-commit reaches the table.
-                self._late_attempts[id(final)] = outcome
+                self._late_attempts[id(final)] = (final, outcome)
         self.meter.classify(outcome, degraded)
         return outcome
 
-    def _hedged(self, index: int, attempt: RequestOutcome, process,
-                outcome: RequestOutcome, payload_mb: float,
-                response_mb: float):
+    def _hedged(self, index: int, outcome: RequestOutcome,
+                payload_mb: float, response_mb: float):
         """Race the primary attempt against the hedge timer, then hedge.
 
-        The primary winning cancels the timer (no dead calendar entry);
-        the timer winning issues a second attempt on another admitting
-        backend and the first completion wins the request.  When the
-        first completion failed but the other attempt is still in
-        flight, the router waits for it and prefers its success — a
-        hedge also doubles as a failover retry.
+        Only here does an attempt run as a process of its own: a race
+        needs an event on each side.  The primary winning cancels the
+        timer (no dead calendar entry); the timer winning issues a
+        second attempt on another admitting backend and the first
+        completion wins the request.  When the first completion failed
+        but the other attempt is still in flight, the router waits for
+        it and prefers its success — a hedge also doubles as a failover
+        retry.  Returns the winning attempt.
         """
         env = self.env
+        primary = env.process(self._attempt(index, outcome, payload_mb,
+                                            response_mb))
         hedge_timer = env.timeout(self._quantile.value)
-        winner = yield env.race(process, hedge_timer)
-        if winner is process:
+        winner = yield env.race(primary, hedge_timer)
+        if winner is primary:
             hedge_timer.cancel()
-            return attempt
+            return primary.value
         alternate = self._choose(self._snapshots(env.now), exclude=index)
         if alternate is None:
-            yield process
-            return attempt
+            return (yield primary)
         self.meter.record_hedge()
         self.breakers[alternate].on_route(env.now)
-        attempt2, process2 = self._spawn(alternate, outcome, payload_mb,
-                                         response_mb)
-        winner2 = yield env.race(process, process2)
-        if winner2 is process:
-            first, other, other_process = attempt, attempt2, process2
-        else:
-            first, other, other_process = attempt2, attempt, process
+        secondary = env.process(self._attempt(alternate, outcome, payload_mb,
+                                              response_mb))
+        winner = yield env.race(primary, secondary)
+        other = secondary if winner is primary else primary
+        first = winner.value
         if first.success:
             return first
-        yield other_process
-        return other if other.success else first
+        attempt = yield other
+        return attempt if attempt.success else first
 
-    def _spawn(self, index: int, outcome: RequestOutcome,
-               payload_mb: float, response_mb: float):
-        """One routed attempt: a fresh outcome + its wrapper process.
+    def _attempt(self, index: int, outcome: RequestOutcome,
+                 payload_mb: float, response_mb: float):
+        """One routed attempt on a fresh attempt-local outcome; returns it.
 
-        Attempts are attempt-local outcome objects (never registered
-        rows); the winner's serve-side fields are merged back into the
-        client's outcome, and the loser of a hedge simply runs to
-        completion and is discarded — its region still bills it.
+        Attempts are never registered rows; the winner's serve-side
+        fields are merged back into the client's outcome, and the loser
+        of a hedge simply runs to completion and is discarded — its
+        region still bills it.
         """
         attempt = RequestOutcome(
             request_id=outcome.request_id, client_id=outcome.client_id,
             send_time=self.env.now, inferences=outcome.inferences)
-        process = self.env.process(
-            self._attempt(index, attempt, payload_mb, response_mb))
-        return attempt, process
-
-    def _attempt(self, index: int, attempt: RequestOutcome,
-                 payload_mb: float, response_mb: float):
         if index == _DEGRADED:
             backend, latency = self.degraded_backend, 0.0
         else:
@@ -704,7 +694,7 @@ class MultiRegionPlatform(ServingPlatform):
             breakdown[Stage.NETWORK] = (breakdown.get(Stage.NETWORK, 0.0)
                                         + latency)
             yield latency
-        yield backend.submit(attempt, payload_mb, response_mb)
+        yield from backend.request(attempt, payload_mb, response_mb)
         if latency > 0.0:
             breakdown = attempt.breakdown
             breakdown[Stage.NETWORK] = (breakdown.get(Stage.NETWORK, 0.0)
@@ -751,9 +741,11 @@ class MultiRegionPlatform(ServingPlatform):
         client deadline; propagate the late billing fields to the
         client's registered row and forward it to the executor's sink.
         """
-        outcome = self._late_attempts.pop(id(attempt), None)
-        if outcome is None:
+        entry = self._late_attempts.get(id(attempt))
+        if entry is None or entry[0] is not attempt:
             return
+        del self._late_attempts[id(attempt)]
+        outcome = entry[1]
         outcome.billed_duration_s = attempt.billed_duration_s
         if attempt.instance_id is not None:
             outcome.instance_id = attempt.instance_id

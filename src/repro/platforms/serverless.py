@@ -71,6 +71,7 @@ class ServerlessPlatform(ServingPlatform):
     """Serverless model serving on AWS Lambda or Google Cloud Functions."""
 
     family = "serverless"
+    late_commits = True
 
     def __init__(self, env, deployment, profiles=None, rng=None):
         super().__init__(env, deployment, profiles, rng)
@@ -126,6 +127,8 @@ class ServerlessPlatform(ServingPlatform):
         self._warm_predict_s = profiles.warm_predict_time(
             self.provider.name, self.runtime.key, self.model.name,
             self.config.memory_gb)
+        self._warm_predict = self.rng.lognormal_draw(
+            "predict", self._warm_predict_s, _PREDICT_JITTER_CV)
         self._cold_predict_s = profiles.cold_predict_time(
             self.provider.name, self.runtime.key, self.model.name,
             self.config.memory_gb)
@@ -150,13 +153,6 @@ class ServerlessPlatform(ServingPlatform):
         if self._injector is not None:
             self._injector.start()
 
-    def submit(self, outcome: RequestOutcome, payload_mb: float,
-               response_mb: float):
-        """Submit one request to the serverless endpoint."""
-        self.meter.record_submitted()
-        return self.env.process(
-            self._client_request(outcome, payload_mb, response_mb))
-
     def finalize(self, end_time: Optional[float] = None) -> PlatformUsage:
         """Close the books: the meter assembles the usage record."""
         end = end_time if end_time is not None else self.env.now
@@ -166,9 +162,11 @@ class ServerlessPlatform(ServingPlatform):
             provisioned_concurrency=self.config.provisioned_concurrency)
 
     # --------------------------------------------------------------- client
-    def _client_request(self, outcome: RequestOutcome, payload_mb: float,
-                        response_mb: float):
-        yield self._network_up(outcome, payload_mb)
+    def request(self, outcome: RequestOutcome, payload_mb: float,
+                response_mb: float):
+        """Serve one request on the serverless endpoint."""
+        self.meter.record_submitted()
+        yield self._network_leg(outcome, payload_mb)
         if self._admission_faults:
             if (self._shed_watermark
                     and self.pool.ready < self._shed_watermark):
@@ -192,7 +190,7 @@ class ServerlessPlatform(ServingPlatform):
             outcome.finish(self.env.now, success=False, error="timeout")
             self.meter.record_timed_out()
             return outcome
-        yield self._network_down(outcome, response_mb)
+        yield self._network_leg(outcome, response_mb)
         outcome.finish(self.env.now, success=True)
         self.meter.record_completed()
         return outcome
@@ -212,8 +210,12 @@ class ServerlessPlatform(ServingPlatform):
         environment, which is what makes that request a "cold-start
         request" in the paper's terminology.
         """
+        backlog = self.queue.backlog
+        if not backlog:
+            # Nothing to pin, and the policy plans no starts.
+            return
         to_start, budget, headroom = self.policy.plan_starts(
-            self.queue.backlog, self.pool.alive)
+            backlog, self.pool.alive)
         pinned = 0
         for _ in range(to_start):
             pending = self.queue.take()
@@ -382,9 +384,8 @@ class ServerlessPlatform(ServingPlatform):
             predict = self._jitter(self._cold_predict_s, _PREDICT_JITTER_CV,
                                    "predict")
         else:
-            predict = self._jitter(self._warm_predict_s, _PREDICT_JITTER_CV,
-                                   "predict")
-        if inferences > 1 and self._warm_predict_s > 0:
+            predict = self._warm_predict()
+        if inferences > 1:
             predict += self.rng.lognormal_sum(
                 "predict", self._warm_predict_s, _PREDICT_JITTER_CV,
                 inferences - 1)

@@ -33,24 +33,39 @@ def w40_cell():
             standard_workload("w-40", seed=SEED, scale=0.05))
 
 
-def _run_hash(deployment, workload, block_size):
+def _run_digest(deployment, workload, block_size):
+    """The cell's column hash and its count of served random variates."""
     bench = ServingBenchmark(seed=SEED, rng_block_size=block_size)
-    return bench.run(deployment, workload).table.column_hash()
+    result = bench.run(deployment, workload)
+    return result.table.column_hash(), result.metadata["rng_draws"]
 
 
 class TestBlockSizeInvariance:
     def test_buffered_draws_match_unbuffered_run(self, w40_cell):
-        """Identical outcome columns before/after block-buffered draws."""
+        """Identical outcome columns before/after block-buffered draws.
+
+        The draw count agrees too: counted per call when unbuffered,
+        per block otherwise.
+        """
         deployment, workload = w40_cell
-        unbuffered = _run_hash(deployment, workload, block_size=1)
+        unbuffered = _run_digest(deployment, workload, block_size=1)
+        assert unbuffered[1] > 0
         for block_size in (7, 1024):
-            assert _run_hash(deployment, workload, block_size) == unbuffered
+            assert _run_digest(deployment, workload, block_size) == unbuffered
 
     def test_stream_sequences_identical_at_any_block_size(self):
+        """Every draw path serves the block-size-1 scalar sequence.
+
+        Pre-bound draws share their stream's block with the scalar
+        methods, so bound draws interleaved with ``lognormal_around``,
+        ``lognormal_sum`` and ``choice`` on one stream still match.
+        """
         for block_size in (3, 256):
             reference = RandomStreams(SEED, block_size=1)
             streams = RandomStreams(SEED, block_size=block_size)
-            for _ in range(600):
+            jitter = streams.lognormal_draw("jitter", 0.05, 0.08)
+            pick = streams.choice_draw("pick", 200)
+            for step in range(600):
                 assert (streams.lognormal_around("jitter", 0.05, 0.08)
                         == reference.lognormal_around("jitter", 0.05, 0.08))
                 assert (streams.exponential("dwell", 2.0)
@@ -59,6 +74,13 @@ class TestBlockSizeInvariance:
                         == reference.uniform("pull", 0.0, 1.0))
                 assert (streams.choice("pick", 200)
                         == reference.choice("pick", 200))
+                assert jitter() == reference.lognormal_around(
+                    "jitter", 0.05, 0.08)
+                assert pick() == reference.choice("pick", 200)
+                if step % 5 == 0:
+                    assert (streams.lognormal_sum("jitter", 0.2, 0.08, 4)
+                            == reference.lognormal_sum(
+                                "jitter", 0.2, 0.08, 4))
 
     def test_lognormal_sum_matches_repeated_draws(self):
         summed = RandomStreams(SEED)

@@ -126,6 +126,11 @@ class TestRunnerCli:
         assert output.exists()
         assert "fig04" in output.read_text()
 
-    def test_main_rejects_unknown_experiment(self):
+    def test_main_rejects_unknown_experiment(self, capsys):
         with pytest.raises(SystemExit):
             main(["fig99"])
+        # An out-of-range --scale is a one-line usage error as well.
+        for scale in ("0", "-1", "1.5"):
+            with pytest.raises(SystemExit):
+                main(["fig05", "--scale", scale])
+            assert "--scale must be in (0, 1]" in capsys.readouterr().err

@@ -415,6 +415,43 @@ class TestFailoverEndToEnd:
         _, routed_table = run_platform(routed, outage_w40)
         assert routed_table.attempts_mean() < single_table.attempts_mean()
 
+    def test_late_attempts_filed_only_for_late_committing_backends(
+            self, outage_w40):
+        """Managed-ML regions never re-commit late: nothing is filed.
+
+        A timed-out attempt is remembered only when its backend can
+        re-record it after the deadline (serverless); anything else
+        would stay in the router, and keep the client row alive, for
+        the rest of the run.
+        """
+        routed = Planner().plan("aws", "mobilenet", "tf1.15", "managed_ml",
+                                **OUTAGE, **ROUTED)
+        router, _ = run_platform(routed, outage_w40)
+        assert router.meter.notes()["timed_out"] > 0
+        assert router._late_attempts == {}
+        assert not any(backend.late_commits for backend in router.backends)
+
+    def test_late_recommit_matches_the_filed_attempt_by_identity(self):
+        deployment = Planner().plan("aws", "mobilenet", "tf1.15",
+                                    "serverless", region_count=2)
+        router = build_platform(Environment(), deployment,
+                                rng=RandomStreams(SEED))
+        recorded = []
+        router.outcome_sink = recorded.append
+        filed, impostor, client = (
+            RequestOutcome(request_id=1, client_id=0, send_time=0.0)
+            for _ in range(3))
+        filed.billed_duration_s = 2.5
+        # An entry under the impostor's id (as if a freed attempt's id
+        # were reused) is not the impostor's to claim.
+        router._late_attempts[id(impostor)] = (filed, client)
+        router._late_attempt(impostor)
+        assert recorded == [] and len(router._late_attempts) == 1
+        router._late_attempts = {id(filed): (filed, client)}
+        router._late_attempt(filed)
+        assert recorded == [client] and router._late_attempts == {}
+        assert client.billed_duration_s == 2.5
+
     def test_hedging_fires_and_ledger_holds(self, tiny_w40):
         deployment = Planner().plan(
             "aws", "mobilenet", "tf1.15", "serverless",

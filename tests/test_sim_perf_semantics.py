@@ -9,10 +9,15 @@ observable behaviour.  These tests pin down the contracts:
 * Every heap push on the profiled serverless cell is an event that
   runs: pushes equal ``events_processed`` up to the few stale guard
   tokens and the entries still pending at the horizon.
+* Every client request runs as one process through every layer
+  (retry loop, router, hybrid front door, platform); only hedge races,
+  instance loops and background loops add processes.
 * The serverless platform's O(1) alive counter agrees with a
   brute-force scan over every instance ever created.
 * ``run_matrix(workers=N)`` returns results identical to serial mode.
 """
+
+from collections import Counter
 
 import pytest
 
@@ -21,6 +26,8 @@ import repro.sim.engine as engine
 from repro.core.benchmark import ServingBenchmark
 from repro.core.executor import Executor
 from repro.core.planner import Planner
+from repro.core.scenario import get_scenario
+from repro.experiments.base import load_registered_studies
 from repro.platforms.serverless import ServerlessPlatform
 from repro.sim import Environment, RandomStreams, SimulationError
 from repro.workload.generator import standard_workload
@@ -185,6 +192,62 @@ class TestHeapPushesAreEvents:
         # A handful of lane tokens and pending entries per run (the old
         # guards left about two dead entries per request).
         assert stale[0] + pending <= 8, (stale[0], pending)
+
+
+class TestOneProcessPerRequest:
+    """Deterministic counter gate: one ``Process`` per client request.
+
+    Nested layers (the retry loop, the router, the hybrid front door)
+    run the next layer's ``request()`` with ``yield from``, so a request
+    is one process end to end.  The only other processes are the client
+    loops, the router's hedge races (a race needs a process on each
+    side), and instance and background loops.  A layer that goes back
+    to a child process per request breaks the first or third count.
+    """
+
+    @pytest.mark.parametrize("name, hedges", [
+        ("failover-crash", True),
+        ("failover-outage", False),
+        ("hybrid-burst", False),
+    ])
+    def test_process_constructions_are_structural(self, monkeypatch, name,
+                                                  hedges):
+        started = Counter()
+        races = [0]
+        process_init, race = engine.Process.__init__, engine.Environment.race
+
+        def counting_init(process, env, generator):
+            started[generator.__name__] += 1
+            process_init(process, env, generator)
+
+        def counting_race(env, a, b):
+            races[0] += 1
+            return race(env, a, b)
+
+        load_registered_studies()
+        spec = get_scenario(name)
+        workload = spec.build_workload(seed=5, scale=0.1)
+        deployment = spec.deployment(Planner())
+        monkeypatch.setattr(engine.Process, "__init__", counting_init)
+        monkeypatch.setattr(engine.Environment, "race", counting_race)
+        result = ServingBenchmark(seed=5).run(deployment, workload,
+                                              seed=spec.seed)
+
+        # One process per client request, retried or not.
+        assert (started.pop("request", 0)
+                + started.pop("_resilient_request", 0)
+                == result.total_requests)
+        assert started.pop("_client") == len(workload.client_traces)
+        # Routed attempts are processes only where they race: a hedge
+        # race's primary, plus the hedge itself once the timer wins.
+        assert started.pop("_attempt", 0) == races[0]
+        assert (races[0] > 0) == hedges
+        instance_loops = (started.pop("_instance_loop", 0)
+                          + started.pop("_bring_up", 0))
+        assert instance_loops <= result.usage.instances_created
+        # Scaler and storm loops: a few per platform, not per request.
+        assert set(started) <= {"_scaler_loop", "run", "_storm_loop"}
+        assert sum(started.values()) <= 4, started
 
 
 class TestAliveCounterConsistency:

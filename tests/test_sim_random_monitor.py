@@ -30,6 +30,7 @@ class TestRandomStreams:
     def test_lognormal_zero_cv_is_deterministic(self):
         streams = RandomStreams(1)
         assert streams.lognormal_around("x", 3.0, 0.0) == 3.0
+        assert streams.lognormal_draw("x", 3.0, 0.0)() == 3.0
 
     def test_validation(self):
         streams = RandomStreams(0)
@@ -41,6 +42,13 @@ class TestRandomStreams:
             streams.lognormal_around("x", -1.0, 0.1)
         with pytest.raises(ValueError):
             streams.choice("x", 0)
+        # Pre-bound draws validate once, when they are bound.
+        with pytest.raises(ValueError):
+            streams.lognormal_draw("x", 0.0, 0.1)
+        with pytest.raises(ValueError):
+            streams.lognormal_draw("x", 1.0, -0.1)
+        with pytest.raises(ValueError):
+            streams.choice_draw("x", 0)
 
     def test_choice_in_range(self):
         streams = RandomStreams(9)
@@ -52,6 +60,33 @@ class TestRandomStreams:
         base = RandomStreams(7)
         forked = base.fork(1)
         assert base.uniform("x", 0, 1) != forked.uniform("x", 0, 1)
+
+    @pytest.mark.parametrize("block_size", [1, 3, 1024])
+    def test_draw_count_covers_every_draw_path(self, block_size):
+        """``draws`` counts served variates, whichever path served them."""
+        streams = RandomStreams(4, block_size=block_size)
+        warm = streams.lognormal_draw("predict", 0.05, 0.08)
+        fixed = streams.lognormal_draw("predict", 0.05, 0.0)
+        pick = streams.choice_draw("pick", 200)
+        expected = 0
+        for step in range(50):
+            streams.exponential("dwell", 2.0)
+            streams.uniform("pull", 0.0, 1.0)
+            streams.lognormal_around("predict", 0.2, 0.08)
+            streams.lognormal_around("predict", 0.2, 0.0)  # no variate
+            streams.lognormal_sum("predict", 0.05, 0.08, 1 + step % 4)
+            streams.lognormal_sum("predict", 0.05, 0.0, 3)  # no variate
+            streams.choice("pick", 200)
+            warm()
+            fixed()  # no variate
+            pick()
+            expected += 6 + 1 + step % 4
+            assert streams.draws == expected
+        # A choice bound change discards the unserved rest of the
+        # block: it was never served, so it is never counted.
+        streams.choice("pick", 7)
+        pick()
+        assert streams.draws == expected + 2
 
 
 class TestTimeSeriesMonitor:
