@@ -37,7 +37,12 @@
 # every perfbench workload at a tiny scale in both modes and checks
 # digests, metrics, and the harness's failure accounting, so a src/
 # change that breaks the harness fails here rather than in the next
-# performance measurement.
+# performance measurement.  The benchmark-reference step then runs
+# both perfbench workloads once at full size and seed 7
+# (`perfbench/run.py --workload W --seconds 0 --trace 0`, ~10 s each)
+# and fails unless the last line reports `"failed": 0`: every cell must
+# reproduce the digest and cost committed in perfbench/reference.json,
+# so a src/ change that moves a benchmark output fails here too.
 #
 # The docstring gate (scripts/check_docstrings.py) requires every
 # public repro.api name documented; the docs gate
@@ -61,6 +66,16 @@ if [[ "${1:-}" != "--fast" ]]; then
 
     echo "== benchmark-harness self-test (perfbench at a tiny scale) =="
     python3 perfbench/selftest.py
+
+    echo "== benchmark reference (perfbench cells vs reference.json) =="
+    for workload in serial-cells study-fig05; do
+        python3 perfbench/run.py --workload "$workload" --seconds 0 \
+            --trace 0 | tail -n 1 | python3 -c '
+import json, sys
+line = sys.stdin.read().strip()
+print(line)
+sys.exit(json.loads(line)["failed"] != 0)'
+    done
 
     echo "== chaos-scenario smoke (fault injection via the CLI) =="
     python -m repro.experiments.runner sweep chaos-outage --scale 0.3

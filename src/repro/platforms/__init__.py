@@ -19,8 +19,8 @@ compositions of the same four control-plane parts (see ARCHITECTURE.md):
   (cold -> warming -> idle -> busy -> retired) with O(1) accounting;
 * :mod:`~repro.platforms.policies` — pluggable scaling policies
   (concurrency-driven, target-utilisation, fixed fleet);
-* :mod:`~repro.platforms.admission` — admission queues (pull-model
-  :class:`~repro.platforms.admission.WorkQueue`, slot-model
+* :mod:`~repro.platforms.admission` — admission queues (the serverless
+  backlog :class:`~repro.platforms.admission.WorkQueue`, slot-model
   :class:`~repro.platforms.admission.SlotQueue`);
 * :mod:`~repro.platforms.billing` — :class:`~repro.platforms.billing.
   BillingMeter`, the single writer of

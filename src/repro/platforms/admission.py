@@ -2,11 +2,12 @@
 
 Two queueing models cover every platform the paper evaluates:
 
-* :class:`WorkQueue` — the *pull* model of a FaaS router: submitted
-  requests are buffered as :class:`PendingRequest` tickets; idle
-  instances pull work, the scaler pins queued tickets to fresh
-  instances, and the client waits on the ticket's response event under
-  a deadline guard (a :meth:`~repro.sim.engine.Lane.guard`).
+* :class:`WorkQueue` — the backlog of a FaaS router: a request that
+  finds no idle instance is buffered as a :class:`PendingRequest`
+  ticket, first in first out.  The scaler pins queued tickets to fresh
+  instances, an instance that finishes its work takes the oldest ticket,
+  and the client waits on the ticket's response event under a deadline
+  guard (a :meth:`~repro.sim.engine.Lane.guard`).
 * :class:`SlotQueue` — the *slot* model of a server frontend (VM or
   managed endpoint): a capacity-limited connection backlog in front of
   a worker pool.  Requests beyond the backlog are rejected on the spot
@@ -26,10 +27,11 @@ instead of being handed back to the allocator.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Union
+from collections import deque
+from typing import Callable, Deque, List, Optional, Union
 
 from repro.serving.records import RequestOutcome
-from repro.sim import Environment, Resource, Store
+from repro.sim import Environment, Resource
 from repro.sim.engine import Event
 
 __all__ = ["PendingRequest", "WorkQueue", "SlotQueue"]
@@ -49,58 +51,60 @@ class PendingRequest:
 
 
 class WorkQueue:
-    """Pull-model admission queue (the FaaS router's backlog)."""
+    """The FaaS router's backlog: a FIFO of request tickets."""
 
-    __slots__ = ("env", "store", "_free")
+    __slots__ = ("env", "_tickets", "_free")
 
     def __init__(self, env: Environment):
         self.env = env
-        self.store = Store(env)
+        self._tickets: Deque[PendingRequest] = deque()
         self._free: List[PendingRequest] = []
 
     @property
     def backlog(self) -> int:
         """Number of requests waiting for an instance."""
-        return self.store.size
+        return len(self._tickets)
 
     # -- submit side -------------------------------------------------------
-    def enqueue(self, outcome: RequestOutcome) -> PendingRequest:
-        """Buffer one request; returns its (possibly recycled) ticket."""
+    def ticket(self, outcome: RequestOutcome,
+               enqueue_time: float) -> PendingRequest:
+        """A (possibly recycled) ticket for ``outcome``, not buffered.
+
+        The ticket carries a fresh response event; ``enqueue_time`` is
+        when the request started waiting for an instance.
+        """
         free = self._free
         if free:
             pending = free.pop()
         else:
             pending = PendingRequest()
         pending.outcome = outcome
-        pending.response_event = self.env.event()
-        pending.enqueue_time = self.env.now
-        self.store.add(pending)
+        pending.response_event = Event(self.env)
+        pending.enqueue_time = enqueue_time
+        return pending
+
+    def enqueue(self, outcome: RequestOutcome) -> PendingRequest:
+        """Buffer one request arriving now; returns its ticket."""
+        pending = self.ticket(outcome, self.env.now)
+        self._tickets.append(pending)
         return pending
 
     # -- serve side --------------------------------------------------------
     def take(self) -> Optional[PendingRequest]:
-        """Pop the oldest buffered ticket, or ``None`` (scaler pinning)."""
-        return self.store.take()
-
-    def get(self):
-        """Event-returning pull (idle instances waiting for work)."""
-        return self.store.get()
-
-    def cancel_get(self, event) -> None:
-        """Withdraw a pending pull (keep-alive expiry)."""
-        self.store.cancel_get(event)
+        """Pop the oldest buffered ticket, or ``None`` if there is none."""
+        tickets = self._tickets
+        return tickets.popleft() if tickets else None
 
     def requeue(self, pending: PendingRequest) -> None:
-        """Return a crashed instance's ticket to the backlog.
+        """Return a crashed instance's ticket to the tail of the backlog.
 
-        The pull model's re-dispatch path: when fault injection kills an
-        instance mid-request, its in-flight ticket goes back to the
-        store (waking an idle puller if one is waiting) and keeps its
-        original ``enqueue_time`` — the eventual queue-stage attribution
-        includes the time lost on the dead instance.  The client keeps
-        waiting on the same ``response_event`` under its deadline guard.
+        The re-dispatch path when fault injection kills an instance
+        mid-request and no idle instance can claim the ticket: it keeps
+        its original ``enqueue_time`` — the eventual queue-stage
+        attribution includes the time lost on the dead instance — and
+        the client keeps waiting on the same ``response_event``.
         """
-        self.store.add(pending)
+        self._tickets.append(pending)
 
     def recycle(self, pending: PendingRequest) -> None:
         """Return a served ticket to the free list for reuse."""

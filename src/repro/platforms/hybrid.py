@@ -14,7 +14,7 @@ compositions built from the same deployment:
   :class:`~repro.platforms.vm.VmPlatform`: slot admission, instance-hour
   billing, autoscaling off);
 * the **spill** path — an ordinary serverless deployment
-  (:class:`~repro.platforms.serverless.ServerlessPlatform`: pull
+  (:class:`~repro.platforms.serverless.ServerlessPlatform`: backlog
   admission, per-request billing).
 
 Every client request is routed to exactly one path.  The decision is a
@@ -177,7 +177,8 @@ class HybridServingPlatform(ServingPlatform):
         self.provisioned_backend: ServingPlatform = build_platform(
             env, deployment.with_config(**_provisioned_overrides(config)),
             self.profiles, self.rng)
-        #: The serverless spill path (pull admission, per-request billing).
+        #: The serverless spill path (backlog admission, per-request
+        #: billing).
         self.spill_backend: ServingPlatform = build_platform(
             env, deployment.with_config(**_spill_overrides(config)),
             self.profiles, self.rng)

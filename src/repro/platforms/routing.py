@@ -566,7 +566,7 @@ class MultiRegionPlatform(ServingPlatform):
         """Busy fraction of the serving capacity, across all regions.
 
         Slot-model backends (endpoints) report worker-slot occupancy;
-        pull-model backends (serverless) report the busy fraction of
+        backlog-model backends (serverless) report the busy fraction of
         the ready sandbox fleet, plus any backlog waiting for one.
         """
         busy = capacity = 0.0

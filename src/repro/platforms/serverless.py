@@ -21,8 +21,19 @@ The platform is a thin composition of the serving control plane:
   :class:`~repro.cloud.providers.ServerlessTraits`), which is the
   mechanism behind GCP creating far more instances than needed
   (Figure 11, Section 5.1);
-* a :class:`~repro.platforms.admission.WorkQueue` buffers pending
-  requests as interned tickets that idle instances pull;
+* an idle line (a deque of ``(instance, keep-alive guard)`` in
+  idle-since order) holds the warm instances waiting for work: a
+  request that finds one is served inline, in its own process, by the
+  oldest; each keep-alive is a withdrawable lane guard
+  (:meth:`~repro.sim.engine.Lane.guard` on ``None``) whose expiry
+  retires the instance, or re-parks a provisioned one;
+* a :class:`~repro.platforms.admission.WorkQueue` buffers the requests
+  that found no idle instance as interned tickets; the scaler pins them
+  to fresh instances, and an instance that finishes its work takes the
+  oldest one directly;
+* an instance loop runs only while an instance has work (its cold
+  start, a pinned or requeued ticket, the backlog) and parks the
+  instance when the backlog is empty, so idle instances run no process;
 * a :class:`~repro.platforms.billing.ServerlessMeter` owns the bill
   (GB-seconds plus per-request fees, AWS excluding initialisation from
   the billed duration and GCP including it, provisioned concurrency as
@@ -32,8 +43,9 @@ The platform is a thin composition of the serving control plane:
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import Deque, Dict, Optional, Tuple
 
 from repro.core.faults import REQUEST_FAULT_STREAM, FaultInjector, FaultSpec
 from repro.platforms.admission import PendingRequest, WorkQueue
@@ -42,7 +54,8 @@ from repro.platforms.billing import ServerlessMeter
 from repro.platforms.policies import ConcurrencyScalingPolicy
 from repro.platforms.pool import InstancePool, InstanceState, PoolInstance
 from repro.serving.records import RequestOutcome, Stage
-from repro.sim import Interrupt
+from repro.sim import Interrupt, Process
+from repro.sim.engine import Guard
 
 __all__ = ["ServerlessPlatform"]
 
@@ -105,9 +118,13 @@ class ServerlessPlatform(ServingPlatform):
                                         kill=self._kill_instance,
                                         flush=self._flush_idle)
                           if spec is not None else None)
-        #: Live instance registry (id -> (instance, loop process)); only
-        #: populated when faults are active — kill targets come from here.
-        self._live = {}
+        #: Live instance registry, only kept when faults are active (kill
+        #: targets come from here): id -> (instance, runner), where the
+        #: runner is the process serving the instance (its loop, or a
+        #: request served inline) or, for a parked instance, its
+        #: keep-alive guard.
+        self._live: Optional[Dict[int, tuple]] = (
+            {} if self._injector is not None else None)
         self._error_rate = spec.request_error_rate if spec else 0.0
         self._shed_watermark = self.config.shed_watermark
         # One falsy check per request on the no-fault path, not two.
@@ -119,6 +136,10 @@ class ServerlessPlatform(ServingPlatform):
             _FUNCTION_TIMEOUT_S,
             self.config.request_timeout_s or _FUNCTION_TIMEOUT_S))
         self._keep_alives = env.lane(traits.keep_alive_s)
+        #: The idle line: parked instances and their keep-alive guards,
+        #: oldest idle first.
+        self._idle: Deque[Tuple[PoolInstance, Guard]] = deque()
+        self._expire_hook = self._keep_alive_expired
         # Per-run constants, hoisted off the per-request path: the profile
         # lookups are pure functions of the (fixed) deployment, and the
         # method chains cost more than the arithmetic they guard.
@@ -164,7 +185,14 @@ class ServerlessPlatform(ServingPlatform):
     # --------------------------------------------------------------- client
     def request(self, outcome: RequestOutcome, payload_mb: float,
                 response_mb: float):
-        """Serve one request on the serverless endpoint."""
+        """Serve one request on the serverless endpoint.
+
+        A request that finds a warm instance idle is served right here,
+        in the request's own process.  Otherwise it waits in the backlog
+        for an instance: a fresh one the scaler pins to it, or one that
+        finishes its work first.
+        """
+        env = self.env
         self.meter.record_submitted()
         yield self._network_leg(outcome, payload_mb)
         if self._admission_faults:
@@ -173,25 +201,72 @@ class ServerlessPlatform(ServingPlatform):
                 # Graceful degradation: ready capacity is below the
                 # watermark, so fail fast instead of piling onto the
                 # backlog.
-                outcome.finish(self.env.now, success=False, error="shed")
+                outcome.finish(env.now, success=False, error="shed")
                 self.meter.record_shed()
                 return outcome
             if self._error_rate and self.rng.uniform(
                     REQUEST_FAULT_STREAM, 0.0, 1.0) < self._error_rate:
-                outcome.finish(self.env.now, success=False,
+                outcome.finish(env.now, success=False,
                                error="transient_error")
                 self.meter.record_failed()
                 return outcome
-        pending = self.queue.enqueue(outcome)
-        self._scale_out()
-        # The client waits for the response under its deadline guard; a
-        # response that arrives first withdraws the guard from its lane.
-        if (yield self._deadlines.guard(pending.response_event)) is None:
-            outcome.finish(self.env.now, success=False, error="timeout")
+        idle = self._idle
+        if not idle:
+            pending = self.queue.enqueue(outcome)
+            self._scale_out()
+            # The client waits for the response under its deadline guard;
+            # a response that arrives first withdraws the guard.
+            served = (yield self._deadlines.guard(pending.response_event)
+                      ) is not None
+        else:
+            # The oldest idle instance serves the request inline.
+            instance, keep_alive = idle.popleft()
+            keep_alive.cancel()
+            enqueue = env.now
+            predict = self._claim(instance, outcome, enqueue)
+            duration = self._handler_s + predict
+            deadline = enqueue + self._deadlines.delay
+            if enqueue + duration >= deadline:
+                # The serve overruns the client deadline: hand it to an
+                # instance loop as a ticket, so it runs (and bills) past
+                # the deadline and re-commits late.  The guard comes
+                # first: it expires before the serve ends.
+                pending = self.queue.ticket(outcome, enqueue)
+                guard = self._deadlines.guard(pending.response_event)
+                env.process(self._instance_loop(instance, pending,
+                                                predict=predict))
+                served = (yield guard) is not None
+            else:
+                live = self._live
+                if live is not None:
+                    live[instance.instance_id] = (instance,
+                                                  env.active_process)
+                try:
+                    yield duration
+                except Interrupt:
+                    # The instance was killed mid-serve: requeue the
+                    # request under its original enqueue time and wait
+                    # for another instance until the original deadline.
+                    pending = self.queue.ticket(outcome, enqueue)
+                    response = pending.response_event
+                    self._crash(instance, pending)
+                    timer = env.timeout_at(deadline)
+                    served = (yield env.race(response, timer)) is response
+                    timer.cancel()
+                else:
+                    self._release(instance, outcome, predict)
+                    pending = self.queue.take()
+                    if pending is None:
+                        self._park(instance)
+                    else:
+                        env.process(self._instance_loop(instance, pending))
+                    served = True
+        if not served:
+            outcome.finish(env.now, success=False, error="timeout")
             self.meter.record_timed_out()
             return outcome
         yield self._network_leg(outcome, response_mb)
-        outcome.finish(self.env.now, success=True)
+        outcome.finish(env.now, success=True)
         self.meter.record_completed()
         return outcome
 
@@ -232,45 +307,99 @@ class ServerlessPlatform(ServingPlatform):
                          first_request: Optional[PendingRequest] = None
                          ) -> None:
         instance = self.pool.launch(warm=prewarmed, provisioned=prewarmed)
-        process = self.env.process(self._instance_loop(instance, prewarmed,
-                                                       first_request))
+        if prewarmed:
+            self._park(instance)
+        else:
+            self.env.process(self._instance_loop(instance, first_request,
+                                                 cold=True))
         if self._injector is not None:
-            self._live[instance.instance_id] = (instance, process)
             self._injector.watch(instance)
+
+    # ------------------------------------------------------------ idle line
+    def _park(self, instance: PoolInstance) -> None:
+        """Put an idle instance at the tail of the idle line.
+
+        Its keep-alive is a guard that watches no event: claiming the
+        instance withdraws it, and its expiry reclaims the instance.
+        """
+        keep_alive = self._keep_alives.guard(None)
+        keep_alive.callbacks.append(self._expire_hook)
+        entry = (instance, keep_alive)
+        self._idle.append(entry)
+        if self._live is not None:
+            self._live[instance.instance_id] = entry
+
+    def _keep_alive_expired(self, keep_alive: Guard) -> None:
+        """A keep-alive expired: reclaim the instance at the head of the line.
+
+        The line is in idle-since order and every keep-alive has the
+        same delay, so the guard that expires is always the head's.
+        """
+        instance = self._idle.popleft()[0]
+        if instance.provisioned:
+            # Provisioned instances stay reserved for the whole run.
+            self._park(instance)
+            return
+        if self._live is not None:
+            del self._live[instance.instance_id]
+        self.pool.retire(instance)
+
+    def _requeue(self, pending: PendingRequest) -> None:
+        """Re-dispatch a crashed instance's ticket.
+
+        The oldest idle instance claims it at once and serves it after
+        one zero-delay step; with no idle instance it goes back to the
+        backlog.
+        """
+        idle = self._idle
+        if idle:
+            instance, keep_alive = idle.popleft()
+            keep_alive.cancel()
+            self.env.process(self._instance_loop(instance, pending,
+                                                 requeued=True))
+        else:
+            self.queue.requeue(pending)
 
     # ----------------------------------------------------------- fault hooks
     def _kill_instance(self, instance: PoolInstance) -> None:
-        """Fault-injection kill: interrupt the instance's serving loop.
+        """Fault-injection kill.
 
-        The registry entry is popped *before* the interrupt so two
-        faults landing on the same instance at the same timestamp can
-        never interrupt its (by then finished) loop twice.
+        An idle instance leaves the idle line and dies at once.  A
+        working one is interrupted in the process that runs it (its
+        instance loop, or the request it serves inline), whose handler
+        requeues the in-flight ticket.  The registry entry is popped
+        *before* the interrupt so two faults landing on the same
+        instance at the same timestamp can never interrupt twice.
         """
         entry = self._live.pop(instance.instance_id, None)
-        if entry is not None and entry[1].is_alive:
-            entry[1].interrupt("fault")
-        elif instance.alive:
+        if entry is not None:
+            runner = entry[1]
+            if isinstance(runner, Process):
+                runner.interrupt("fault")
+                return
+            self._idle.remove(entry)
+            runner.cancel()
+        if instance.alive:
             self.pool.kill(instance)
 
     def _flush_idle(self) -> None:
         """Cold-start storm: reclaim every idle non-provisioned sandbox."""
-        for instance, _process in list(self._live.values()):
+        for instance, _runner in list(self._live.values()):
             if (instance.state == InstanceState.IDLE
                     and not instance.provisioned):
                 self._kill_instance(instance)
 
     def _crash(self, instance: PoolInstance,
                pending: Optional[PendingRequest]) -> None:
-        """The loop's interrupt handler: account the kill, save the work.
+        """An interrupt handler: account the kill, save the work.
 
-        An in-flight ticket goes back to the work queue (the pull
-        model's re-dispatch: another instance will serve it, or the
-        client's deadline guard fires) before the pool counters are
-        fixed up.
+        An in-flight ticket is re-dispatched (another instance will
+        serve it, or the client's deadline fires) before the pool
+        counters are fixed up.
         """
         self._live.pop(instance.instance_id, None)
         if pending is not None:
-            self.queue.requeue(pending)
+            self._requeue(pending)
         self.pool.kill(instance)
 
     # -------------------------------------------------------------- instance
@@ -301,62 +430,71 @@ class ServerlessPlatform(ServingPlatform):
         yield stages.load_s
         instance.cold_stages = stages
 
-    def _instance_loop(self, instance: PoolInstance, prewarmed: bool,
-                       first_request: Optional[PendingRequest] = None):
-        # Fault injection interrupts this loop to kill the instance; each
-        # yield region has a handler that re-queues any in-flight ticket
-        # and withdraws its pending waits before the loop exits (the
-        # interrupt already detached the loop from its sleep or guard,
-        # but cancelled gets must leave the store and a withdrawn
-        # keep-alive must leave its lane).
+    def _instance_loop(self, instance: PoolInstance,
+                       pending: Optional[PendingRequest], cold: bool = False,
+                       predict: Optional[float] = None,
+                       requeued: bool = False):
+        """Run ``instance`` while it has work, then park it idle.
+
+        The work is its cold start (``cold``), the ticket it starts with
+        (the scaler's pinned request after a cold start, a requeued or an
+        overrunning request otherwise), then backlog tickets until the
+        backlog is empty.  ``predict`` is the predict time of a serve
+        that already began; a ``requeued`` ticket, claimed by an idle
+        instance, is served after one zero-delay step.
+        Fault injection interrupts the loop to kill the instance; the
+        handler re-dispatches the in-flight ticket.
+        """
+        if self._live is not None:
+            self._live[instance.instance_id] = (instance,
+                                                self.env.active_process)
+        cold_trigger = cold and pending is not None
         try:
-            if not prewarmed:
+            if cold:
                 yield from self._cold_start_pipeline(instance)
                 self.pool.mark_ready(instance)
                 self.meter.record_cold_start()
-            if first_request is not None:
-                yield from self._serve(instance, first_request,
-                                       is_cold_trigger=True)
-                first_request = None
+                if pending is None:
+                    pending = self.queue.take()
+            elif requeued:
+                yield 0.0
+            while pending is not None:
+                outcome = pending.outcome
+                if predict is None:
+                    predict = self._claim(instance, outcome,
+                                          pending.enqueue_time, cold_trigger)
+                yield self._handler_s + predict
+                self._release(instance, outcome, predict, cold_trigger)
+                if (outcome.completion_time is not None
+                        and self.outcome_sink is not None):
+                    # The client already gave up on this request (its
+                    # deadline) and its row was committed without the
+                    # serve-side fields; re-record it now that the
+                    # invocation actually ran and was billed.
+                    self.outcome_sink(outcome)
+                pending.response_event.succeed()
+                self.queue.recycle(pending)
+                cold_trigger = False
+                predict = None
+                pending = self.queue.take()
         except Interrupt:
-            self._crash(instance, first_request)
+            self._crash(instance, pending)
             return
-        while instance.alive:
-            get_event = self.queue.get()
-            keep_alive = self._keep_alives.guard(get_event)
-            try:
-                yield keep_alive
-            except Interrupt:
-                if not get_event.triggered:
-                    self.queue.cancel_get(get_event)
-                keep_alive.cancel()
-                self._crash(instance, None)
-                return
-            if not get_event.triggered:
-                self.queue.cancel_get(get_event)
-                if instance.provisioned:
-                    # Provisioned instances stay reserved for the whole run.
-                    continue
-                self._live.pop(instance.instance_id, None)
-                self.pool.retire(instance)
-                return
-            # A request arrived (the keep-alive guard withdrew itself).
-            try:
-                yield from self._serve(instance, get_event.value)
-            except Interrupt:
-                self._crash(instance, get_event.value)
-                return
+        self._park(instance)
 
-    def _serve(self, instance: PoolInstance, pending: PendingRequest,
-               is_cold_trigger: bool = False):
-        outcome = pending.outcome
+    def _claim(self, instance: PoolInstance, outcome: RequestOutcome,
+               enqueue_time: float, cold_trigger: bool = False) -> float:
+        """Start serving ``outcome`` on ``instance``; returns the predict time.
+
+        Attributes the wait (and, for the request that triggered a cold
+        start, the cold-start stages) and draws the predict time.  The
+        serve lasts the handler overhead plus the predict time.
+        """
         outcome.instance_id = instance.instance_id
-        wait = self.env.now - pending.enqueue_time
+        wait = self.env.now - enqueue_time
         self.pool.mark_busy(instance)
-
-        init_billable = 0.0
         breakdown = outcome.breakdown
-        if is_cold_trigger and instance.cold_stages is not None:
+        if cold_trigger and instance.cold_stages is not None:
             # This request triggered the instance: it paid for the whole
             # cold-start pipeline, so attribute the sub-stages to it (this
             # is how the paper measures Figure 10).  Each stage is set
@@ -369,13 +507,9 @@ class ServerlessPlatform(ServingPlatform):
             breakdown[Stage.DOWNLOAD] = stages.download_s
             breakdown[Stage.LOAD] = stages.load_s
             breakdown[Stage.QUEUE] = max(wait - stages.total(), 0.0)
-            init_billable = (stages.import_s + stages.download_s
-                             + stages.load_s)
         else:
             breakdown[Stage.QUEUE] = wait
 
-        handler = self._handler_s
-        inferences = outcome.inferences
         # Only the very first inference on a fresh runtime pays the
         # lazy-initialisation penalty (Section 5.1); subsequent inferences
         # in the same (possibly batched) invocation run at the warm speed.
@@ -385,27 +519,30 @@ class ServerlessPlatform(ServingPlatform):
                                    "predict")
         else:
             predict = self._warm_predict()
+        inferences = outcome.inferences
         if inferences > 1:
             predict += self.rng.lognormal_sum(
                 "predict", self._warm_predict_s, _PREDICT_JITTER_CV,
                 inferences - 1)
-        yield handler + predict
+        return predict
 
+    def _release(self, instance: PoolInstance, outcome: RequestOutcome,
+                 predict: float, cold_trigger: bool = False) -> None:
+        """Finish serving ``outcome``: book the stages and the bill.
+
+        The instance goes back to idle (its caller decides what it does
+        next).
+        """
+        handler = self._handler_s
+        breakdown = outcome.breakdown
         breakdown[Stage.HANDLER] = handler
         breakdown[Stage.PREDICT] = predict
 
         billed = handler + predict
-        if self._traits.billing_includes_init:
-            billed += init_billable
+        if self._traits.billing_includes_init and cold_trigger:
+            stages = instance.cold_stages
+            if stages is not None:
+                billed += stages.import_s + stages.download_s + stages.load_s
         outcome.billed_duration_s = billed
         self.meter.record_invocation(billed, provisioned=instance.provisioned)
-
         self.pool.mark_idle(instance)
-        if outcome.completion_time is not None and self.outcome_sink is not None:
-            # The client already gave up on this request (the 300 s
-            # deadline) and its row was committed without the serve-side
-            # fields; re-record it now that the invocation actually ran
-            # and was billed.
-            self.outcome_sink(outcome)
-        pending.response_event.succeed()
-        self.queue.recycle(pending)

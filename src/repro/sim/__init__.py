@@ -11,9 +11,8 @@ spirit of SimPy:
 * :class:`~repro.sim.engine.Lane` — fixed-delay guard timers raced
   against an event (request deadlines, keep-alives) that share one
   calendar slot.
-* :class:`~repro.sim.resources.Resource` and
-  :class:`~repro.sim.resources.Store` — capacity-limited resources and
-  FIFO object stores used to model servers and queues.
+* :class:`~repro.sim.resources.Resource` — a capacity-limited pool of
+  identical slots with a FIFO wait queue, used to model server workers.
 * :class:`~repro.sim.monitor.TimeSeriesMonitor` and friends — measurement
   helpers used by the analyzer.
 * :class:`~repro.sim.randomness.RandomStreams` — reproducible, purpose-keyed
@@ -36,7 +35,7 @@ from repro.sim.engine import (
 )
 from repro.sim.monitor import CounterMonitor, GaugeMonitor, TimeSeriesMonitor
 from repro.sim.randomness import RandomStreams
-from repro.sim.resources import Request, Resource, Store
+from repro.sim.resources import Request, Resource
 
 __all__ = [
     "AllOf",
@@ -51,7 +50,6 @@ __all__ = [
     "Request",
     "Resource",
     "SimulationError",
-    "Store",
     "TimeSeriesMonitor",
     "Timeout",
 ]

@@ -48,7 +48,9 @@ tokens per run.
   the same as with one :class:`Timeout` per guard.  :meth:`Lane.guard`
   is the timer and the race in one object: it triggers with the
   watched event if that fires first (withdrawing itself), or with
-  ``None`` when its delay expires.
+  ``None`` when its delay expires.  A guard on ``None`` watches
+  nothing: it is a plain timer that can be withdrawn (the serverless
+  keep-alive of an idle instance).
 
 * Starting a process runs its first step *inline*: the generator
   advances to its first ``yield`` within ``env.process()`` itself
@@ -279,7 +281,8 @@ class Timeout(Event):
 
     __slots__ = ("delay",)
 
-    def __init__(self, env: "Environment", delay: float, value: Any = None):
+    def __init__(self, env: "Environment", delay: float, value: Any = None,
+                 at: Optional[float] = None):
         if not delay >= 0:
             raise SimulationError(
                 f"timeout delay must be non-negative: {delay!r}")
@@ -292,7 +295,8 @@ class Timeout(Event):
         self._cancelled = False
         self.delay = delay
         heappush(env._queue,
-                 (env._now + delay, NORMAL, next(env._sequence), self))
+                 (env._now + delay if at is None else at, NORMAL,
+                  next(env._sequence), self))
 
 
 class Process(Event):
@@ -611,8 +615,12 @@ class Lane:
         """Guards held: the armed one and the waiting line."""
         return (self._armed is not None) + len(self._waiting)
 
-    def guard(self, event: Event) -> "Guard":
-        """A guard on ``event``: yield it to wait for ``event`` or expiry."""
+    def guard(self, event: Optional[Event]) -> "Guard":
+        """A guard on ``event``: yield it to wait for ``event`` or expiry.
+
+        With ``event=None`` the guard is a plain timer that can be
+        withdrawn: it only ever expires (or is cancelled).
+        """
         return Guard(self, event)
 
     def _expire(self, guard: "Guard") -> None:
@@ -634,16 +642,21 @@ class Guard(Event):
     Triggers with the watched event as its value if that fires first —
     the guard then withdraws itself — or with ``None`` when the lane's
     delay expires first.  A failure of the watched event is passed on
-    to the guard's waiters.  :meth:`cancel` withdraws the guard in O(1).
+    to the guard's waiters.  A guard on ``None`` watches nothing: it is
+    a timer that only expires.  :meth:`cancel` withdraws the guard in
+    O(1).
     """
 
     __slots__ = ("_lane", "_expiry", "_sequence")
 
-    def __init__(self, lane: Lane, event: Event):
+    def __init__(self, lane: Lane, event: Optional[Event]):
         env = lane.env
-        if event.env is not env:
-            raise SimulationError(
-                "cannot mix events of different environments")
+        callbacks = None
+        if event is not None:
+            if event.env is not env:
+                raise SimulationError(
+                    "cannot mix events of different environments")
+            callbacks = event.callbacks
         self.env = env
         self._value = None
         self._ok = True
@@ -653,8 +666,7 @@ class Guard(Event):
         self._lane = lane
         self._expiry = env._now + lane.delay
         self._sequence = next(env._sequence)
-        callbacks = event.callbacks
-        if callbacks is None and event._ok is not None:
+        if callbacks is None and event is not None and event._ok is not None:
             # The watched event is already over: settled on the spot,
             # never on the lane.
             self.callbacks = None
@@ -757,6 +769,15 @@ class Environment:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Create an event that triggers ``delay`` seconds from now."""
         return Timeout(self, delay, value=value)
+
+    def timeout_at(self, when: float, value: Any = None) -> Timeout:
+        """Create an event that triggers at the absolute time ``when``.
+
+        The entry is keyed at ``when`` itself, which
+        ``timeout(when - now)`` does not guarantee (``now + (when -
+        now)`` may round to a neighbouring float).
+        """
+        return Timeout(self, when - self._now, value=value, at=when)
 
     def lane(self, delay: float) -> Lane:
         """A lane of guard timers that all expire ``delay`` after creation."""

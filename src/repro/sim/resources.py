@@ -1,23 +1,20 @@
-"""Capacity-limited resources and object stores for the simulator.
+"""Capacity-limited resources for the simulator.
 
 A :class:`Resource` models a pool of identical servers (e.g. the worker
 slots of a VM-based serving endpoint): processes ``yield resource.request()``
 to obtain a slot, and call :meth:`Resource.release` when done.  Requests
 are granted strictly FIFO, which matches how the serving frontends the
 paper evaluates queue incoming HTTP requests.
-
-A :class:`Store` is a FIFO buffer of Python objects with optional capacity,
-used for request queues whose entries must be inspected (e.g. batching).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Optional, Set
+from typing import Deque, Optional, Set
 
 from repro.sim.engine import Environment, Event, SimulationError
 
-__all__ = ["Request", "Resource", "Store", "StorePut", "StoreGet"]
+__all__ = ["Request", "Resource"]
 
 
 class Request(Event):
@@ -105,103 +102,3 @@ class Resource:
             self._users.add(req)
             req.usage_since = self.env.now
             req.succeed(req)
-
-
-class StorePut(Event):
-    """Pending put of ``item`` into a :class:`Store`."""
-
-    __slots__ = ("item",)
-
-    def __init__(self, store: "Store", item: Any):
-        super().__init__(store.env)
-        self.item = item
-
-
-class StoreGet(Event):
-    """Pending get from a :class:`Store`."""
-
-    __slots__ = ()
-
-    def __init__(self, store: "Store"):
-        super().__init__(store.env)
-
-
-class Store:
-    """FIFO object buffer with optional capacity."""
-
-    def __init__(self, env: Environment, capacity: float = float("inf")):
-        if capacity <= 0:
-            raise SimulationError("store capacity must be positive")
-        self.env = env
-        self.capacity = capacity
-        self.items: Deque[Any] = deque()
-        self._puts: Deque[StorePut] = deque()
-        self._gets: Deque[StoreGet] = deque()
-
-    @property
-    def size(self) -> int:
-        """Number of buffered items."""
-        return len(self.items)
-
-    def put(self, item: Any) -> StorePut:
-        """Insert ``item``; the event triggers once the item is buffered."""
-        event = StorePut(self, item)
-        self._puts.append(event)
-        self._dispatch()
-        return event
-
-    def add(self, item: Any) -> None:
-        """Insert ``item`` without a completion event (hot-path put).
-
-        Only valid on an unbounded store, where a put can never block.
-        Dispatch semantics are identical to :meth:`put`; the difference
-        is that no :class:`StorePut` event is allocated or scheduled —
-        on request-queue stores that event was one calendar entry per
-        request that nobody ever waited on.
-        """
-        if self.capacity != float("inf"):
-            raise SimulationError("add() requires an unbounded store")
-        self.items.append(item)
-        self._dispatch()
-
-    def take(self) -> Any:
-        """Remove and return the oldest buffered item, or ``None`` if empty.
-
-        The synchronous counterpart of :meth:`get` for callers that only
-        want an item that is already there (e.g. a scaler pinning queued
-        requests to fresh instances).  Items only accumulate while no
-        getter is waiting, so taking the head cannot starve a pending
-        :meth:`get`.
-        """
-        if self.items:
-            return self.items.popleft()
-        return None
-
-    def get(self) -> StoreGet:
-        """Remove the oldest item; the event triggers with that item."""
-        event = StoreGet(self)
-        self._gets.append(event)
-        self._dispatch()
-        return event
-
-    def cancel_get(self, event: StoreGet) -> None:
-        """Withdraw a pending get (e.g. an idle worker reached its keep-alive)."""
-        try:
-            self._gets.remove(event)
-        except ValueError:
-            # Already granted an item (or never issued); nothing to withdraw.
-            pass
-
-    def _dispatch(self) -> None:
-        progress = True
-        while progress:
-            progress = False
-            if self._puts and len(self.items) < self.capacity:
-                put = self._puts.popleft()
-                self.items.append(put.item)
-                put.succeed()
-                progress = True
-            if self._gets and self.items:
-                get = self._gets.popleft()
-                get.succeed(self.items.popleft())
-                progress = True

@@ -239,14 +239,46 @@ class TestServerlessFaults:
                                     "serverless", crash_mtbf_s=20.0)
         platform, table = run_platform(deployment, tiny_w40)
         assert platform.pool.killed > 0
-        # Pull-model admission: the crashed sandbox's request goes back
-        # into the work queue, so no request is lost to the crash.
+        # Backlog admission: the crashed sandbox's request is
+        # re-dispatched, so no request is lost to the crash.
         notes = platform.meter.conservation_notes()
         assert notes["submitted"] == table.count
         assert notes["completed"] == int(table.success.sum())
         assert notes["submitted"] == (
             notes["completed"] + notes["failed"] + notes["rejected"]
             + notes["timed_out"] + notes["shed"])
+
+    def test_requeued_ticket_survives_its_receiver_dying_at_once(self):
+        """An outage kills the serving and the idle instance together.
+
+        The serving instance's ticket is requeued onto the idle one,
+        which the same outage kills in the same instant, before it
+        starts serving.  Its own crash handler must requeue the ticket
+        again, so the request is served once capacity comes back
+        instead of waiting out its whole deadline.
+        """
+        deployment = Planner().plan("aws", "mobilenet", "tf1.15",
+                                    "serverless", provisioned_concurrency=2,
+                                    outage_start_s=10.0,
+                                    outage_duration_s=5.0,
+                                    outage_fraction=1.0)
+        env = Environment()
+        platform = build_platform(env, deployment, rng=RandomStreams(SEED))
+        platform.start()
+        outcome = RequestOutcome(request_id=0, client_id=0, send_time=9.95)
+
+        def client():
+            yield 9.95
+            yield from platform.request(outcome, 0.1, 0.01)
+
+        env.process(client())
+        env.run(until=400.0)
+        assert platform.pool.killed >= 2
+        assert outcome.success, outcome.error
+        # Served by an instance launched after the outage window, long
+        # before the 300 s deadline.
+        assert outcome.instance_id >= 2
+        assert 15.0 < outcome.completion_time < 60.0
 
     def test_storms_force_extra_cold_starts(self, tiny_w40):
         planner = Planner()

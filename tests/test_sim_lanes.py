@@ -8,6 +8,8 @@
   order, clock, and ``events_processed`` on random programs of wins,
   expiries, withdrawals, interrupts, and guards armed from a fired
   guard's callbacks — while the heap holds at most one entry per lane.
+  ``lane.guard(None)`` watches nothing: a timer that can be withdrawn.
+* ``env.timeout_at(when)`` keys its entry at ``when`` exactly.
 """
 
 import gc
@@ -226,6 +228,36 @@ class TestLanes:
         env.run()
         assert seen == [event, 0.0]
         assert len(lane) == 0
+
+    def test_unwatched_guard_is_a_withdrawable_timer(self, env):
+        """A guard on ``None`` only expires, in creation order."""
+        lane = env.lane(3.0)
+        fired = []
+        guards = []
+        for index in range(3):
+            guard = lane.guard(None)
+            guard.callbacks.append(
+                lambda event, index=index: fired.append(
+                    (index, event.value, env.now)))
+            guards.append(guard)
+        assert guards[1].cancel() is True
+        env.run()
+        assert fired == [(0, None, 3.0), (2, None, 3.0)]
+        assert guards[0].cancel() is False  # too late: it expired
+        assert env.events_processed == 2
+        assert len(lane) == 0
+
+    def test_timeout_at_is_keyed_at_the_exact_time(self, env):
+        env.run(until=0.2)
+        # now + (0.9 - now) rounds to a neighbour of 0.9.
+        assert env.now + (0.9 - env.now) != 0.9
+        fired = []
+        env.timeout_at(0.9).callbacks.append(
+            lambda _event: fired.append(env.now))
+        env.run()
+        assert fired == [0.9]
+        with pytest.raises(SimulationError):
+            env.timeout_at(0.5)
 
     def test_negative_or_nan_delay_rejected(self, env):
         for bad in (-1.0, math.nan):

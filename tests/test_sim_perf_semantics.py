@@ -12,11 +12,15 @@ observable behaviour.  These tests pin down the contracts:
 * Every client request runs as one process through every layer
   (retry loop, router, hybrid front door, platform); only hedge races,
   instance loops and background loops add processes.
+* A warm serverless request is served inside its own process: three
+  calendar entries from arrival to response, and a kill mid-serve
+  keeps the request's enqueue time and deadline.
 * The serverless platform's O(1) alive counter agrees with a
   brute-force scan over every instance ever created.
 * ``run_matrix(workers=N)`` returns results identical to serial mode.
 """
 
+import sys
 from collections import Counter
 
 import pytest
@@ -28,7 +32,10 @@ from repro.core.executor import Executor
 from repro.core.planner import Planner
 from repro.core.scenario import get_scenario
 from repro.experiments.base import load_registered_studies
+from repro.platforms.admission import WorkQueue
+from repro.platforms.pool import InstancePool, InstanceState
 from repro.platforms.serverless import ServerlessPlatform
+from repro.serving.records import RequestOutcome, Stage
 from repro.sim import Environment, RandomStreams, SimulationError
 from repro.workload.generator import standard_workload
 from repro.workload.requests import RequestPool
@@ -201,8 +208,9 @@ class TestOneProcessPerRequest:
     run the next layer's ``request()`` with ``yield from``, so a request
     is one process end to end.  The only other processes are the client
     loops, the router's hedge races (a race needs a process on each
-    side), and instance and background loops.  A layer that goes back
-    to a child process per request breaks the first or third count.
+    side), instance loops while an instance has work, and background
+    loops.  A layer that goes back to a child process per request
+    breaks the first, third or fourth count.
     """
 
     @pytest.mark.parametrize("name, hedges", [
@@ -213,16 +221,44 @@ class TestOneProcessPerRequest:
     def test_process_constructions_are_structural(self, monkeypatch, name,
                                                   hedges):
         started = Counter()
+        attempts = set()
         races = [0]
+        launched = [0]
+        handoffs = [0]
         process_init, race = engine.Process.__init__, engine.Environment.race
+        launch, take = InstancePool.launch, WorkQueue.take
+        requeue = ServerlessPlatform._requeue
 
         def counting_init(process, env, generator):
             started[generator.__name__] += 1
+            if generator.__name__ == "_attempt":
+                attempts.add(process)
             process_init(process, env, generator)
 
         def counting_race(env, a, b):
-            races[0] += 1
+            # Only the hedge races; a request killed mid-serve also
+            # races its response against the rest of its deadline.
+            if a in attempts or b in attempts:
+                races[0] += 1
             return race(env, a, b)
+
+        def counting_launch(pool, warm=False, provisioned=False):
+            launched[0] += not warm
+            return launch(pool, warm=warm, provisioned=provisioned)
+
+        def counting_take(queue):
+            pending = take(queue)
+            if (pending is not None
+                    and sys._getframe(1).f_code.co_name == "request"):
+                # An instance that served a request inline takes the
+                # next backlog ticket in a loop of its own.
+                handoffs[0] += 1
+            return pending
+
+        def counting_requeue(platform, pending):
+            # A requeued ticket claims an idle instance, if any.
+            handoffs[0] += bool(platform._idle)
+            requeue(platform, pending)
 
         load_registered_studies()
         spec = get_scenario(name)
@@ -230,6 +266,9 @@ class TestOneProcessPerRequest:
         deployment = spec.deployment(Planner())
         monkeypatch.setattr(engine.Process, "__init__", counting_init)
         monkeypatch.setattr(engine.Environment, "race", counting_race)
+        monkeypatch.setattr(InstancePool, "launch", counting_launch)
+        monkeypatch.setattr(WorkQueue, "take", counting_take)
+        monkeypatch.setattr(ServerlessPlatform, "_requeue", counting_requeue)
         result = ServingBenchmark(seed=5).run(deployment, workload,
                                               seed=spec.seed)
 
@@ -242,25 +281,105 @@ class TestOneProcessPerRequest:
         # race's primary, plus the hedge itself once the timer wins.
         assert started.pop("_attempt", 0) == races[0]
         assert (races[0] > 0) == hedges
+        # Instance loops: one per cold launch (serverless cold start or
+        # endpoint bring-up), plus one per hand-off of a ticket to an
+        # instance that had finished its work.  Idle instances run none.
         instance_loops = (started.pop("_instance_loop", 0)
                           + started.pop("_bring_up", 0))
-        assert instance_loops <= result.usage.instances_created
+        assert instance_loops == launched[0] + handoffs[0]
         # Scaler and storm loops: a few per platform, not per request.
         assert set(started) <= {"_scaler_loop", "run", "_storm_loop"}
         assert sum(started.values()) <= 4, started
+
+
+class TestInlineWarmServe:
+    """A warm request is served inside its own process.
+
+    No ticket, no pull and no response event cross the calendar: a
+    request that finds an idle instance costs three calendar entries
+    (network up, serve, network down).  A kill during such a serve
+    requeues the request under its original enqueue time and deadline.
+    """
+
+    def _platform(self, seed=3, **overrides):
+        deployment = Planner().plan("aws", "mobilenet", "tf1.15",
+                                    "serverless", **overrides)
+        env = Environment()
+        platform = ServerlessPlatform(env, deployment,
+                                      rng=RandomStreams(seed))
+        platform.start()
+        return env, platform
+
+    def test_warm_request_costs_three_calendar_entries(self):
+        # A slow scaler keeps its ticks out of the measured window.
+        env, platform = self._platform(provisioned_concurrency=1,
+                                       scale_interval_s=1000.0)
+        outcome = RequestOutcome(request_id=0, client_id=0, send_time=0.0)
+        process = env.process(platform.request(outcome, 0.1, 0.01))
+        steps = 0
+        while process.is_alive:
+            env.step()
+            steps += 1
+        assert outcome.success and outcome.instance_id == 0
+        assert steps == env.events_processed == 3
+
+    def test_kill_mid_serve_requeues_under_the_original_enqueue_time(self):
+        # A storm far beyond the window keeps the fault hooks armed.
+        env, platform = self._platform(provisioned_concurrency=2,
+                                       storm_times_s=(1e5,))
+        first, second = (instance for instance, _ in platform._idle)
+        outcome = RequestOutcome(request_id=0, client_id=0, send_time=0.0)
+        process = env.process(platform.request(outcome, 0.1, 0.01))
+        while first.state != InstanceState.BUSY:
+            env.step()
+        enqueue = env.now
+        env.run(until=enqueue + 0.001)  # mid-serve: the handler alone is 8 ms
+        killed_at = env.now
+        platform._kill_instance(first)
+        while process.is_alive:
+            env.step()
+        assert outcome.success
+        assert outcome.instance_id == second.instance_id
+        # The wait includes the time lost on the dead instance.
+        assert outcome.stage(Stage.QUEUE) == killed_at - enqueue > 0.0
+        assert platform.pool.killed == 1
+
+    def test_kill_mid_serve_times_out_at_the_original_deadline(self):
+        # The outage kills the only instance mid-serve and every
+        # instance launched for the next 50 s: no capacity comes back.
+        env, platform = self._platform(seed=5, provisioned_concurrency=1,
+                                       request_timeout_s=2.0,
+                                       outage_start_s=10.0,
+                                       outage_duration_s=50.0,
+                                       outage_fraction=1.0)
+        outcome = RequestOutcome(request_id=0, client_id=0, send_time=9.95)
+
+        def client():
+            yield 9.95
+            yield from platform.request(outcome, 0.1, 0.01)
+
+        env.process(client())
+        env.run(until=40.0)
+        enqueue = outcome.send_time + outcome.stage(Stage.NETWORK)
+        # The instance was serving the request when the outage hit.
+        assert outcome.instance_id == 0 and enqueue < 10.0
+        assert outcome.stage(Stage.PREDICT) == 0.0
+        assert outcome.error == "timeout"
+        assert outcome.completion_time == enqueue + 2.0 < 10.0 + 2.0
 
 
 class TestAliveCounterConsistency:
     def _run_serverless(self, monkeypatch, workload):
         """Run one serverless experiment, capturing every instance."""
         tracked = []
-        original = ServerlessPlatform._instance_loop
+        launch = InstancePool.launch
 
-        def spy(self, instance, prewarmed, first_request=None):
+        def spy(pool, warm=False, provisioned=False):
+            instance = launch(pool, warm=warm, provisioned=provisioned)
             tracked.append(instance)
-            return original(self, instance, prewarmed, first_request)
+            return instance
 
-        monkeypatch.setattr(ServerlessPlatform, "_instance_loop", spy)
+        monkeypatch.setattr(InstancePool, "launch", spy)
         env = Environment()
         deployment = Planner().plan("aws", "mobilenet", "tf1.15",
                                     "serverless")

@@ -1,8 +1,8 @@
-"""Unit tests for Resource and Store."""
+"""Unit tests for Resource."""
 
 import pytest
 
-from repro.sim import Resource, SimulationError, Store
+from repro.sim import Resource, SimulationError
 
 
 class TestResource:
@@ -77,62 +77,3 @@ class TestResource:
         env.run()
         assert timeline == [("a", "start", 0.0), ("a", "end", 2.0),
                             ("b", "start", 2.0), ("b", "end", 3.0)]
-
-
-class TestStore:
-    def test_put_then_get(self, env):
-        store = Store(env)
-        store.put("x")
-        got = store.get()
-        assert got.triggered
-        assert got.value == "x"
-
-    def test_get_waits_for_put(self, env):
-        store = Store(env)
-        got = store.get()
-        assert not got.triggered
-        store.put("late")
-        assert got.triggered and got.value == "late"
-
-    def test_fifo_ordering(self, env):
-        store = Store(env)
-        for item in (1, 2, 3):
-            store.put(item)
-        values = [store.get().value for _ in range(3)]
-        assert values == [1, 2, 3]
-
-    def test_capacity_blocks_puts(self, env):
-        store = Store(env, capacity=1)
-        first = store.put("a")
-        second = store.put("b")
-        assert first.triggered
-        assert not second.triggered
-        store.get()
-        assert second.triggered
-
-    def test_capacity_validation(self, env):
-        with pytest.raises(SimulationError):
-            Store(env, capacity=0)
-
-    def test_cancel_get(self, env):
-        store = Store(env)
-        pending = store.get()
-        store.cancel_get(pending)
-        store.put("item")
-        # The cancelled get must not consume the item.
-        assert store.size == 1
-        assert not pending.triggered
-
-    def test_cancel_get_after_grant_is_noop(self, env):
-        store = Store(env)
-        store.put("x")
-        got = store.get()
-        store.cancel_get(got)
-        assert got.triggered and got.value == "x"
-
-    def test_size_property(self, env):
-        store = Store(env)
-        assert store.size == 0
-        store.put(1)
-        store.put(2)
-        assert store.size == 2
