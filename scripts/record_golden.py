@@ -15,7 +15,14 @@ Two more groups pin the subsystems the base cells never reach:
   provisioned keep-alive, storms) at ``SCENARIO_SCALE``, pinned by
   column hash, cost, and ``events_processed``;
 * ``streamed`` — one streamed ``w-1m`` cell through the chunk ring,
-  pinned by :meth:`~repro.serving.streaming.OutcomeSummary.digest`.
+  pinned by :meth:`~repro.serving.streaming.OutcomeSummary.digest`;
+* ``frames`` — the study frames that read every table reduction (the
+  headline grid, both stage-breakdown figures, batched runs whose
+  request ids skip the batch carriers' ids, the SLO / availability /
+  recovery and hybrid-path columns), each pinned by a SHA-256 over its
+  unrounded ``to_rows()`` (see :func:`frame_digest`);
+* ``fidelity`` — one short-horizon ``with_fidelity`` cell, pinned by
+  column hash and cost.
 
 ``tests/test_control_plane.py`` asserts the current code reproduces
 these pins bit-for-bit.  The file is only regenerated deliberately,
@@ -33,9 +40,16 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
+import hashlib  # noqa: E402
+
 from repro.core.benchmark import ServingBenchmark  # noqa: E402
 from repro.core.planner import Planner  # noqa: E402
-from repro.core.scenario import list_scenarios  # noqa: E402
+from repro.core.scenario import ScenarioSpec, list_scenarios  # noqa: E402
+from repro.core.study import get_study  # noqa: E402
+from repro.experiments.base import (  # noqa: E402
+    ExperimentContext,
+    load_registered_studies,
+)
 from repro.workload.generator import standard_workload  # noqa: E402
 
 OUTPUT = os.path.join(ROOT, "tests", "data", "golden_hashes.json")
@@ -90,6 +104,32 @@ STREAMED_CELL = (("aws", "mobilenet", "tf1.15", "serverless"), "w-1m",
                  0.01, 4096)
 
 
+#: Study frames pinned by row digest, each at its own context scale:
+#: small enough to keep all of them a few seconds together; the
+#: failover study runs longer so its two-region rows recover inside
+#: the trace (a finite ``time_to_recover_s``).  AWS only, serial.
+FRAMES = {
+    "fig05": 0.02,
+    "fig10": 0.03,
+    "fig14": 0.03,
+    "fig17": 0.02,
+    "failover-recovery": 0.1,
+    "hybrid-economics": 0.02,
+}
+
+#: The short-horizon cell: a spec, its fidelity, and the context scale
+#: the fidelity multiplies into.
+FIDELITY_CELL = (ScenarioSpec(name="", provider="aws", model="mobilenet",
+                              runtime="tf1.15", platform="serverless",
+                              workload="w-120"), 0.25, 0.2)
+
+
+def frame_digest(frame) -> str:
+    """SHA-256 over a frame's unrounded rows (JSON, sorted keys)."""
+    text = json.dumps(frame.to_rows(), sort_keys=True)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def cell_key(provider, model, runtime, platform, workload_key, overrides):
     key = f"{provider}/{model}/{runtime}/{platform}/{workload_key}"
     if overrides:
@@ -123,6 +163,8 @@ def record(path: str = OUTPUT) -> dict:
         "scenario_scale": SCENARIO_SCALE,
         "scenarios": record_scenarios(),
         "streamed": record_streamed(planner),
+        "frames": record_frames(),
+        "fidelity": record_fidelity(),
     }
     os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w", encoding="utf-8") as handle:
@@ -162,12 +204,38 @@ def record_streamed(planner: Planner) -> dict:
     return {"/".join((*cell, workload_name)): pin}
 
 
+def record_frames() -> dict:
+    """Pin every frame of :data:`FRAMES` by :func:`frame_digest`."""
+    load_registered_studies()
+    pins = {}
+    for name, scale in FRAMES.items():
+        context = ExperimentContext(seed=SEED, scale=scale,
+                                    providers=("aws",), workers=0)
+        frame = get_study(name).run(context)
+        pins[name] = {"digest": frame_digest(frame), "rows": len(frame),
+                      "scale": scale}
+    return pins
+
+
+def record_fidelity() -> dict:
+    """Pin the short-horizon cell by column hash and cost."""
+    base, fidelity, scale = FIDELITY_CELL
+    spec = base.with_fidelity(fidelity)
+    result = ExperimentContext(seed=SEED, scale=scale,
+                               providers=("aws",)).run_scenario(spec)
+    return {spec.cell_key: {"column_hash": result.table.column_hash(),
+                            "requests": result.total_requests,
+                            "cost": result.cost, "scale": scale}}
+
+
 if __name__ == "__main__":
     payload = record()
-    for group in ("cells", "scenarios", "streamed"):
+    for group in ("cells", "scenarios", "streamed", "frames", "fidelity"):
         for key, entry in payload[group].items():
-            digest = entry.get("column_hash", entry.get("digest"))
+            digest = entry.get("column_hash") or entry["digest"]
             print(f"{digest[:16]}  {key}")
     print(f"wrote {OUTPUT} ({len(payload['cells'])} cells, "
           f"{len(payload['scenarios'])} scenarios, "
-          f"{len(payload['streamed'])} streamed)")
+          f"{len(payload['streamed'])} streamed, "
+          f"{len(payload['frames'])} frames, "
+          f"{len(payload['fidelity'])} fidelity)")

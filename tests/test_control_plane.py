@@ -17,9 +17,11 @@ Three layers of guarantees:
   completion time, or a stage attribution fails these tests.  The same
   file pins every registered scenario (faults, routing, hybrid spill,
   scale-in) and one streamed ``w-1m`` cell by digest, cost, and
-  ``events_processed``.
+  ``events_processed``, and pins the study frames' unrounded rows
+  (every table reduction) and one short-horizon fidelity cell.
 """
 
+import hashlib
 import json
 import os
 
@@ -27,7 +29,9 @@ import pytest
 
 from repro.core.benchmark import ServingBenchmark
 from repro.core.planner import Planner
-from repro.core.scenario import get_scenario
+from repro.core.scenario import ScenarioSpec, get_scenario
+from repro.core.study import get_study
+from repro.experiments.base import ExperimentContext, load_registered_studies
 from repro.platforms.admission import SlotQueue, WorkQueue
 from repro.platforms.policies import (
     ConcurrencyScalingPolicy,
@@ -527,3 +531,39 @@ class TestGoldenScenarios:
                 workload_scale=scale)
         assert result.streaming
         _assert_pin(result, result.table.digest(), expected)
+
+
+class TestGoldenFrames:
+    """Absolute pins for the reductions a study frame reads off tables."""
+
+    @pytest.mark.parametrize("name", sorted(_GOLDEN["frames"]))
+    def test_frame_rows_reproduce_pin(self, name):
+        expected = _GOLDEN["frames"][name]
+        load_registered_studies()
+        context = ExperimentContext(seed=_GOLDEN["seed"],
+                                    scale=expected["scale"],
+                                    providers=("aws",), workers=0)
+        frame = get_study(name).run(context)
+        # Same encoding as scripts/record_golden.py: unrounded rows as
+        # JSON with sorted keys (floats print round-trip exact).
+        text = json.dumps(frame.to_rows(), sort_keys=True)
+        assert len(frame) == expected["rows"]
+        assert (hashlib.sha256(text.encode("utf-8")).hexdigest()
+                == expected["digest"])
+
+    @pytest.mark.parametrize("key", sorted(_GOLDEN["fidelity"]))
+    def test_fidelity_cell_reproduces_pin(self, key):
+        expected = _GOLDEN["fidelity"][key]
+        provider, model, runtime, platform, workload, fidelity = \
+            key.split("/")
+        spec = ScenarioSpec(name="", provider=provider, model=model,
+                            runtime=runtime, platform=platform,
+                            workload=workload).with_fidelity(
+                                float(fidelity.split("=")[1]))
+        assert spec.cell_key == key
+        result = ExperimentContext(
+            seed=_GOLDEN["seed"], scale=expected["scale"],
+            providers=("aws",)).run_scenario(spec)
+        assert result.table.column_hash() == expected["column_hash"]
+        assert result.total_requests == expected["requests"]
+        assert result.cost == expected["cost"]
