@@ -19,6 +19,14 @@ mutate it incrementally) and the API-compatibility view:
 demand.  Reconstruction drops breakdown stages whose accumulated value
 is exactly 0.0 (the table cannot distinguish "absent" from "zero");
 ``RequestOutcome.stage`` reports 0.0 for both, so metrics are unchanged.
+
+A table stores only what its run produced.  A column whose rows all
+hold the recorder default is a zero-byte, read-only ``np.broadcast_to``
+view; ``request_id`` is not stored when it is the row number; and only
+stage columns that are non-zero somewhere are stored.  The omitted
+columns are rebuilt when read, so every reader sees the same dense
+values (and :meth:`OutcomeTable.column_hash` the same bytes) as if
+they were stored.
 """
 
 from __future__ import annotations
@@ -41,6 +49,33 @@ STAGE_ORDER = Stage.ORDER
 _STAGE_INDEX: Dict[str, int] = {name: i for i, name in enumerate(STAGE_ORDER)}
 _N_STAGES = len(STAGE_ORDER)
 
+#: Recorder default and dtype of each column a run may leave untouched
+#: (server platforms never write the serverless fields; only retries,
+#: batching, hybrids and failures write the rest).
+_DEFAULTS = {
+    "cold_start": (np.bool_, False),
+    "instance_id": (np.int64, -1),
+    "billed_duration_s": (np.float64, 0.0),
+    "inferences": (np.int32, 1),
+    "error_code": (np.int16, 0),
+    "attempts": (np.int32, 1),
+    "served_by": (np.int8, 0),
+}
+
+
+def _filled(count: int, dtype, value) -> np.ndarray:
+    """A zero-byte, read-only column of ``count`` copies of ``value``."""
+    return np.broadcast_to(np.array(value, dtype=dtype), (count,))
+
+
+def _sequential(request_id, count: int) -> bool:
+    """Whether ``request_id`` is ``arange(count)`` (None stands for it)."""
+    if request_id is None or count == 0:
+        return True
+    return bool(request_id[0] == 0 and request_id[-1] == count - 1
+                and np.array_equal(request_id,
+                                   np.arange(count, dtype=np.int64)))
+
 
 class OutcomeTable:
     """Immutable-ish struct-of-arrays over one run's request outcomes.
@@ -61,6 +96,19 @@ class OutcomeTable:
     * ``served_by``    int8 (hybrid path code; 0 = direct, 1 =
       provisioned fleet, 2 = serverless spill)
     * ``stages``       float64 matrix of shape (count, len(Stage.ORDER))
+
+    Columns may be read-only views.  The constructor stores only what
+    the run produced: a column whose rows all hold the recorder default
+    (``cold_start`` False, ``instance_id`` -1, ``billed_duration_s``
+    0.0, ``inferences`` 1, ``error_code`` 0, ``attempts`` 1,
+    ``served_by`` 0) becomes a zero-byte read-only broadcast view;
+    ``request_id`` is not stored when it equals ``arange(count)``; and
+    only stage columns that are non-zero on some row are stored.
+    ``request_id`` and ``stages`` are rebuilt (read-only) on every
+    read, so prefer :meth:`stage_column` for one stage.  Any of the
+    defaultable columns, ``request_id``, and any entry of ``stages``
+    (given as a sequence of per-stage columns) may be passed as None to
+    mean "all default".  :meth:`resident_bytes` reports what is stored.
     """
 
     def __init__(self, request_id, client_id, send_time, completion_time,
@@ -68,24 +116,33 @@ class OutcomeTable:
                  inferences, error_code, stages,
                  error_names: Sequence[str] = ("",), attempts=None,
                  served_by=None):
-        self.request_id = request_id
+        count = int(send_time.shape[0])
+        self._request_id = (None if _sequential(request_id, count)
+                            else request_id)
         self.client_id = client_id
         self.send_time = send_time
         self.completion_time = completion_time
         self.success = success
-        self.cold_start = cold_start
-        self.instance_id = instance_id
-        self.billed_duration_s = billed_duration_s
-        self.inferences = inferences
-        self.error_code = error_code
-        self.stages = stages
+        for name, column in (("cold_start", cold_start),
+                             ("instance_id", instance_id),
+                             ("billed_duration_s", billed_duration_s),
+                             ("inferences", inferences),
+                             ("error_code", error_code),
+                             ("attempts", attempts),
+                             ("served_by", served_by)):
+            dtype, default = _DEFAULTS[name]
+            if column is None or not (column != default).any():
+                column = _filled(count, dtype, default)
+            setattr(self, name, column)
+        if isinstance(stages, np.ndarray):
+            stages = stages.T           # a (count, n_stages) matrix
+        #: Stored stage columns by index in ``STAGE_ORDER`` (contiguous
+        #: copies, so a recorder's full matrix is not kept alive).
+        self._stages: Dict[int, np.ndarray] = {
+            index: np.ascontiguousarray(column, dtype=np.float64)
+            for index, column in enumerate(stages)
+            if column is not None and column.any()}
         self.error_names: List[str] = list(error_names)
-        if attempts is None:
-            attempts = np.ones(self.count, dtype=np.int32)
-        self.attempts = attempts
-        if served_by is None:
-            served_by = np.zeros(self.count, dtype=np.int8)
-        self.served_by = served_by
 
     # -- shape ----------------------------------------------------------------
     @property
@@ -95,6 +152,37 @@ class OutcomeTable:
 
     def __len__(self) -> int:
         return self.count
+
+    # -- storage --------------------------------------------------------------
+    @property
+    def request_id(self) -> np.ndarray:
+        """Request ids (int64); the row numbers when not stored."""
+        if self._request_id is None:
+            ids = np.arange(self.count, dtype=np.int64)
+            ids.flags.writeable = False
+            return ids
+        return self._request_id
+
+    @property
+    def stages(self) -> np.ndarray:
+        """The (count, len(Stage.ORDER)) stage matrix, rebuilt read-only
+        from the stored stage columns (unproduced stages read 0.0)."""
+        matrix = np.zeros((self.count, _N_STAGES), dtype=np.float64)
+        for index, column in self._stages.items():
+            matrix[:, index] = column
+        matrix.flags.writeable = False
+        return matrix
+
+    def resident_bytes(self) -> int:
+        """Bytes of column data this table stores (zero-byte views and
+        rebuilt columns count 0)."""
+        columns = [self.client_id, self.send_time, self.completion_time,
+                   self.success, *self._stages.values()]
+        columns.extend(getattr(self, name) for name in _DEFAULTS)
+        if self._request_id is not None:
+            columns.append(self._request_id)
+        return sum(column.nbytes for column in columns
+                   if column.strides != (0,))
 
     # -- derived columns -------------------------------------------------------
     @property
@@ -107,8 +195,12 @@ class OutcomeTable:
         return self.latency[self.success]
 
     def stage_column(self, stage: str) -> np.ndarray:
-        """Accumulated seconds in one breakdown stage, per request."""
-        return self.stages[:, _STAGE_INDEX[stage]]
+        """Accumulated seconds in one breakdown stage, per request (the
+        stored column, or a zero-byte column of zeros)."""
+        column = self._stages.get(_STAGE_INDEX[stage])
+        if column is None:
+            return _filled(self.count, np.float64, 0.0)
+        return column
 
     def error_strings(self) -> List[str]:
         """Per-request error messages ('' for plain successful requests;
@@ -256,6 +348,12 @@ class OutcomeTable:
         n_open = int(open_mask.sum())
         if n_open == 0:
             return 0
+        # Read-only columns (all-default views) are copied before the
+        # write; no other table shares the copy.
+        for name in ("completion_time", "success", "error_code"):
+            column = getattr(self, name)
+            if not column.flags.writeable:
+                setattr(self, name, column.copy())
         self.completion_time[open_mask] = np.maximum(
             horizon, self.send_time[open_mask])
         self.success[open_mask] = False
@@ -286,8 +384,8 @@ class OutcomeTable:
         completion = float(self.completion_time[index])
         instance = int(self.instance_id[index])
         breakdown: Dict[str, float] = {}
-        for stage_index, name in enumerate(STAGE_ORDER):
-            seconds = float(self.stages[index, stage_index])
+        for name in STAGE_ORDER:
+            seconds = float(self.stage_column(name)[index])
             if seconds != 0.0:
                 breakdown[name] = seconds
         return RequestOutcome(
@@ -307,8 +405,48 @@ class OutcomeTable:
         )
 
     def to_outcomes(self) -> List[RequestOutcome]:
-        """Reconstruct the full list of outcome objects (API-compat view)."""
-        return [self.row(index) for index in range(self.count)]
+        """Reconstruct the full list of outcome objects (API-compat view).
+
+        Reads every column once (as a Python list) rather than indexing
+        numpy scalars row by row; the objects equal :meth:`row`'s.
+        """
+        names = self.error_names
+        stages = [(STAGE_ORDER[index], self._stages[index].tolist())
+                  for index in sorted(self._stages)]
+        outcomes = []
+        for index, (request_id, client_id, send, completion, success,
+                    code, cold, instance, billed, inferences, attempts,
+                    served_by) in enumerate(zip(
+                        self.request_id.tolist(), self.client_id.tolist(),
+                        self.send_time.tolist(),
+                        self.completion_time.tolist(),
+                        self.success.tolist(), self.error_code.tolist(),
+                        self.cold_start.tolist(), self.instance_id.tolist(),
+                        self.billed_duration_s.tolist(),
+                        self.inferences.tolist(), self.attempts.tolist(),
+                        self.served_by.tolist())):
+            breakdown: Dict[str, float] = {}
+            for name, seconds in stages:
+                if seconds[index] != 0.0:
+                    breakdown[name] = seconds[index]
+            outcomes.append(RequestOutcome(
+                request_id=request_id,
+                client_id=client_id,
+                send_time=send,
+                # NaN (unfinished) is the one value unequal to itself.
+                completion_time=(None if completion != completion
+                                 else completion),
+                success=success,
+                error=names[code],
+                cold_start=cold,
+                instance_id=None if instance < 0 else instance,
+                billed_duration_s=billed,
+                inferences=inferences,
+                breakdown=breakdown,
+                attempts=attempts,
+                served_by=served_by,
+            ))
+        return outcomes
 
     # -- wire format -----------------------------------------------------------
     def packed(self) -> dict:
@@ -326,9 +464,8 @@ class OutcomeTable:
         """
         count = self.count
         packed: dict = {"count": count, "errors": self.error_names}
-        if not np.array_equal(self.request_id,
-                              np.arange(count, dtype=np.int64)):
-            packed["request_id"] = self.request_id.astype(np.int64)
+        if self._request_id is not None:
+            packed["request_id"] = self._request_id.astype(np.int64)
         packed["client_id"] = self.client_id.astype(np.int32)
         packed["send_time"] = self.send_time
         packed["completion_time"] = self.completion_time
@@ -346,68 +483,38 @@ class OutcomeTable:
         if self.served_by.any():
             packed["served_by"] = self.served_by.astype(np.int8)
         packed["billed_duration_s"] = _pack_sparse(self.billed_duration_s)
-        packed["stages"] = [_pack_sparse(self.stages[:, i])
-                            for i in range(_N_STAGES)]
+        packed["stages"] = [_pack_sparse(self.stage_column(name))
+                            for name in STAGE_ORDER]
         return packed
 
     @classmethod
     def from_packed(cls, packed: dict) -> "OutcomeTable":
-        """Rebuild a table from :meth:`packed` output (exact inverse)."""
+        """Rebuild a table from :meth:`packed` output (exact inverse).
+
+        Fields the wire format left out become the constructor's
+        zero-byte defaults; no full-size default array is allocated.
+        """
         count = packed["count"]
-        request_id = packed.get("request_id")
-        if request_id is None:
-            request_id = np.arange(count, dtype=np.int64)
-        else:
-            request_id = request_id.astype(np.int64)
-        success = np.unpackbits(packed["success"],
-                                count=count).astype(bool)
         cold = packed.get("cold_start")
-        if cold is None:
-            cold_start = np.zeros(count, dtype=bool)
-        else:
-            cold_start = np.unpackbits(cold, count=count).astype(bool)
-        instance_id = packed.get("instance_id")
-        if instance_id is None:
-            instance_id = np.full(count, -1, dtype=np.int64)
-        else:
-            instance_id = instance_id.astype(np.int64)
-        inferences = packed.get("inferences")
-        if inferences is None:
-            inferences = np.ones(count, dtype=np.int32)
-        else:
-            inferences = inferences.astype(np.int32)
-        error_code = packed.get("error_code")
-        if error_code is None:
-            error_code = np.zeros(count, dtype=np.int16)
-        attempts = packed.get("attempts")
-        if attempts is None:
-            attempts = np.ones(count, dtype=np.int32)
-        else:
-            attempts = attempts.astype(np.int32)
-        served_by = packed.get("served_by")
-        if served_by is None:
-            served_by = np.zeros(count, dtype=np.int8)
-        else:
-            served_by = served_by.astype(np.int8)
-        stages = np.zeros((count, _N_STAGES), dtype=np.float64)
-        for stage_index, column in enumerate(packed["stages"]):
-            stages[:, stage_index] = _unpack_sparse(column, count)
         return cls(
-            request_id=request_id,
+            request_id=_widened(packed.get("request_id"), np.int64),
             client_id=packed["client_id"].astype(np.int32),
             send_time=packed["send_time"],
             completion_time=packed["completion_time"],
-            success=success,
-            cold_start=cold_start,
-            instance_id=instance_id,
+            success=np.unpackbits(packed["success"],
+                                  count=count).astype(bool),
+            cold_start=(None if cold is None else
+                        np.unpackbits(cold, count=count).astype(bool)),
+            instance_id=_widened(packed.get("instance_id"), np.int64),
             billed_duration_s=_unpack_sparse(packed["billed_duration_s"],
                                              count),
-            inferences=inferences,
-            error_code=error_code,
-            stages=stages,
+            inferences=_widened(packed.get("inferences"), np.int32),
+            error_code=packed.get("error_code"),
+            stages=[_unpack_sparse(column, count)
+                    for column in packed["stages"]],
             error_names=packed["errors"],
-            attempts=attempts,
-            served_by=served_by,
+            attempts=_widened(packed.get("attempts"), np.int32),
+            served_by=_widened(packed.get("served_by"), np.int8),
         )
 
     # -- determinism -----------------------------------------------------------
@@ -450,10 +557,10 @@ def _pack_sparse(column: np.ndarray):
     return column
 
 
-def _unpack_sparse(packed, count: int) -> np.ndarray:
-    """Inverse of :func:`_pack_sparse`."""
+def _unpack_sparse(packed, count: int):
+    """Inverse of :func:`_pack_sparse` (None stays None: all zero)."""
     if packed is None:
-        return np.zeros(count, dtype=np.float64)
+        return None
     if isinstance(packed, float):
         return np.full(count, packed, dtype=np.float64)
     if isinstance(packed, tuple):
@@ -462,6 +569,11 @@ def _unpack_sparse(packed, count: int) -> np.ndarray:
         column[indices] = values
         return column
     return packed
+
+
+def _widened(column, dtype):
+    """A packed integer column back at its table dtype (None stays None)."""
+    return None if column is None else column.astype(dtype)
 
 
 def _intern_error(names: List[str], error: str) -> int:
