@@ -15,10 +15,11 @@ Usage::
 
 ``--check`` runs only the small fixed probe cell (well under a second),
 compares its throughput against the probe entry recorded in
-``BENCH_engine.json``, gates two deterministic work counters of that
+``BENCH_engine.json``, gates three deterministic counters of that
 cell (calendar events must equal the recorded count exactly; cProfile
-calls per request may exceed the recorded value by at most 2 %), and
-also smokes the columnar outcome pipeline
+calls per request may exceed the recorded value by at most 2 %; the
+bytes its outcome table stores per row may not exceed the recorded
+value), and also smokes the columnar outcome pipeline
 (outcome-table build + metric reductions on the probe's data), the
 serving control plane (instance-pool transitions, scaling-policy
 decisions, work-queue ticket cycling), the study layer
@@ -126,6 +127,8 @@ def run_columnar_probe(result) -> dict:
     latency stats, cold-start ratio) over the table — the two halves of
     the columnar data plane.  Reported as rows/s so the ``--check`` gate
     can flag a regression in either half; both run in well under 100 ms.
+    Also counts the bytes the run's table stores per row
+    (``OutcomeTable.resident_bytes``), an exact, host-independent count.
     """
     from repro.core.metrics import LatencyStats  # noqa: E402
     from repro.serving.outcome_table import OutcomeTable  # noqa: E402
@@ -156,6 +159,8 @@ def run_columnar_probe(result) -> dict:
         "requests": table.count,
         "build_rows_per_s": round(table.count / build_s, 1),
         "reduce_rows_per_s": round(table.count / reduce_s, 1),
+        "resident_bytes_per_row": round(table.resident_bytes()
+                                        / table.count, 2),
     }
 
 
@@ -584,7 +589,8 @@ def run_sweep(scale: float, repeats: int) -> dict:
     print(f" routing       {routing['cycles_per_s']:>13,.0f} cycles/s "
           f"({routing['breaker_trips']} breaker trips)")
     print(f" columnar build {columnar['build_rows_per_s']:>12,.0f} rows/s "
-          f"reduce {columnar['reduce_rows_per_s']:>14,.0f} rows/s")
+          f"reduce {columnar['reduce_rows_per_s']:>14,.0f} rows/s "
+          f"({columnar['resident_bytes_per_row']:g} table bytes/row)")
     print(f" control plane {control['cycles_per_s']:>13,.0f} cycles/s")
     print(f" result frame  {frame['build_cells_per_s']:>10,.0f} cells/s "
           f"query {frame['query_ops_per_s']:>10,.0f} ops/s")
@@ -620,8 +626,9 @@ def run_check(path: str) -> int:
 
     Gates both the simulation hot path (requests/s on the fixed probe
     cell) and the columnar pipeline (outcome-table build and metric
-    reduction rows/s), plus the probe cell's work counters: calendar
-    events exactly, cProfile calls per request within CALLS_TOLERANCE.
+    reduction rows/s), plus the probe cell's counters: calendar events
+    exactly, cProfile calls per request within CALLS_TOLERANCE, and
+    resident table bytes per row at most the recorded value.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -665,6 +672,16 @@ def run_check(path: str) -> int:
         checks.append(("columnar reduce rows/s",
                        columnar["reduce_rows_per_s"],
                        columnar_reference["reduce_rows_per_s"]))
+        # Memory counter: exact like the events gate (any growth in the
+        # bytes a table stores per row fails).
+        recorded_bytes = columnar_reference.get("resident_bytes_per_row")
+        if recorded_bytes is not None:
+            resident = columnar["resident_bytes_per_row"]
+            verdict = "OK" if resident <= recorded_bytes else "REGRESSION"
+            failed = failed or verdict != "OK"
+            print(f"probe table resident bytes/row: {resident:g} "
+                  f"(recorded {recorded_bytes:g}, must not exceed) "
+                  f"-> {verdict}")
     else:
         print("note: no columnar_probe recorded; rerun the full sweep "
               "to extend the gate")

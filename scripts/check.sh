@@ -7,10 +7,12 @@
 #   scripts/check.sh --docs   the above plus the docs build/validation
 #
 # The perf gate is benchmarks/bench_engine_throughput.py --check.  It
-# first gates two deterministic work counters of the fixed probe cell
+# first gates three deterministic counters of the fixed probe cell
 # (w-40 at scale 0.3, seed 7) against BENCH_engine.json: calendar
-# events must equal the recorded count exactly, and cProfile calls per
-# request may be at most 2% above the recorded value.  These do not
+# events must equal the recorded count exactly, cProfile calls per
+# request may be at most 2% above the recorded value, and the bytes
+# the cell's outcome table stores per row (OutcomeTable.resident_bytes,
+# an exact count) may not exceed the recorded value.  These do not
 # depend on the host's speed (only on the Python and numpy versions,
 # like the recorded baseline).  It then gates, on wall-clock: the
 # fixed simulation probe cell, the columnar build/reduce probes, the

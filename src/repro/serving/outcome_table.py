@@ -49,9 +49,10 @@ STAGE_ORDER = Stage.ORDER
 _STAGE_INDEX: Dict[str, int] = {name: i for i, name in enumerate(STAGE_ORDER)}
 _N_STAGES = len(STAGE_ORDER)
 
-#: Recorder default and dtype of each column a run may leave untouched
+#: Dtype and recorder default of each column a run may leave untouched
 #: (server platforms never write the serverless fields; only retries,
-#: batching, hybrids and failures write the rest).
+#: batching, hybrids and failures write the rest), in constructor
+#: argument order.
 _DEFAULTS = {
     "cold_start": (np.bool_, False),
     "instance_id": (np.int64, -1),
@@ -123,21 +124,17 @@ class OutcomeTable:
         self.send_time = send_time
         self.completion_time = completion_time
         self.success = success
-        for name, column in (("cold_start", cold_start),
-                             ("instance_id", instance_id),
-                             ("billed_duration_s", billed_duration_s),
-                             ("inferences", inferences),
-                             ("error_code", error_code),
-                             ("attempts", attempts),
-                             ("served_by", served_by)):
-            dtype, default = _DEFAULTS[name]
+        defaultable = (cold_start, instance_id, billed_duration_s,
+                       inferences, error_code, attempts, served_by)
+        for (name, (dtype, default)), column in zip(_DEFAULTS.items(),
+                                                    defaultable):
             if column is None or not (column != default).any():
                 column = _filled(count, dtype, default)
             setattr(self, name, column)
         if isinstance(stages, np.ndarray):
             stages = stages.T           # a (count, n_stages) matrix
-        #: Stored stage columns by index in ``STAGE_ORDER`` (contiguous
-        #: copies, so a recorder's full matrix is not kept alive).
+        #: Stored stage columns by index in ``STAGE_ORDER``; columns of a
+        #: matrix are copied out, so the matrix itself is not kept alive.
         self._stages: Dict[int, np.ndarray] = {
             index: np.ascontiguousarray(column, dtype=np.float64)
             for index, column in enumerate(stages)
@@ -529,15 +526,15 @@ class OutcomeTable:
                        self.completion_time, self.success, self.cold_start,
                        self.instance_id, self.billed_duration_s,
                        self.inferences, self.error_code, self.stages):
-            digest.update(np.ascontiguousarray(column).tobytes())
+            digest.update(np.ascontiguousarray(column))
         if (self.attempts != 1).any():
             # Retried runs hash their attempts column; retry-free runs
             # skip it so historical golden digests stay valid.
-            digest.update(np.ascontiguousarray(self.attempts).tobytes())
+            digest.update(np.ascontiguousarray(self.attempts))
         if self.served_by.any():
             # Same rule for the hybrid path column: only hybrid runs
             # (the only producers of non-zero codes) hash it.
-            digest.update(np.ascontiguousarray(self.served_by).tobytes())
+            digest.update(np.ascontiguousarray(self.served_by))
         digest.update("\x00".join(self.error_names).encode("utf-8"))
         return digest.hexdigest()
 
@@ -611,7 +608,11 @@ class OutcomeRecorder:
         self.error_code = np.zeros(capacity, dtype=np.int16)
         self.attempts = np.ones(capacity, dtype=np.int32)
         self.served_by = np.zeros(capacity, dtype=np.int8)
-        self.stages = np.zeros((capacity, _N_STAGES), dtype=np.float64)
+        #: One column per breakdown stage, by name (a table keeps only
+        #: the produced ones, without copying them).
+        self.stages: Dict[str, np.ndarray] = {
+            name: np.zeros(capacity, dtype=np.float64)
+            for name in STAGE_ORDER}
         self.error_names: List[str] = [""]
         #: Registered-but-uncommitted outcomes; their partial state
         #: (accrued stages, instance assignment) is flushed by
@@ -627,9 +628,8 @@ class OutcomeRecorder:
         pad = new_capacity - self._capacity
 
         def extend(array: np.ndarray, fill) -> np.ndarray:
-            shape = (pad,) + array.shape[1:]
             return np.concatenate(
-                [array, np.full(shape, fill, dtype=array.dtype)])
+                [array, np.full(pad, fill, dtype=array.dtype)])
 
         self.request_id = extend(self.request_id, 0)
         self.client_id = extend(self.client_id, 0)
@@ -643,7 +643,8 @@ class OutcomeRecorder:
         self.error_code = extend(self.error_code, 0)
         self.attempts = extend(self.attempts, 1)
         self.served_by = extend(self.served_by, 0)
-        self.stages = extend(self.stages, 0.0)
+        self.stages = {name: extend(column, 0.0)
+                       for name, column in self.stages.items()}
         self._capacity = new_capacity
 
     # -- write path ------------------------------------------------------------
@@ -694,9 +695,8 @@ class OutcomeRecorder:
         breakdown = outcome.breakdown
         if breakdown:
             stages = self.stages
-            index = _STAGE_INDEX
             for name, seconds in breakdown.items():
-                stages[row, index[name]] = seconds
+                stages[name][row] = seconds
 
     # -- read side -------------------------------------------------------------
     def table(self) -> OutcomeTable:
@@ -720,7 +720,7 @@ class OutcomeRecorder:
             billed_duration_s=self.billed_duration_s[:n],
             inferences=self.inferences[:n],
             error_code=self.error_code[:n],
-            stages=self.stages[:n],
+            stages=[self.stages[name][:n] for name in STAGE_ORDER],
             error_names=self.error_names,
             attempts=self.attempts[:n],
             served_by=self.served_by[:n],

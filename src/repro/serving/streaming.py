@@ -298,11 +298,11 @@ class OutcomeSummary:
                        table.instance_id, table.billed_duration_s,
                        table.inferences, error_code, table.stages,
                        table.attempts):
-            chained.update(np.ascontiguousarray(column).tobytes())
+            chained.update(np.ascontiguousarray(column))
         if served.any():
             # Hybrid chunks fold their path column into the digest;
             # all-direct chunks skip it so historical digests stay valid.
-            chained.update(np.ascontiguousarray(served).tobytes())
+            chained.update(np.ascontiguousarray(served))
         chained.update("\x00".join(table.error_names).encode("utf-8"))
         self._digest_hex = chained.hexdigest()
 

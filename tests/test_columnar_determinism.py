@@ -12,15 +12,24 @@ The columnar rework leans on two exact-equivalence guarantees:
 Both are asserted here as SHA-256 hashes over every outcome column of a
 fixed-seed w-40 cell — if any draw, any completion time, or any stage
 attribution shifts by one ULP, the hashes diverge.
+
+A third guarantee is the table's storage rule: a table stores only what
+its run produced (all-default columns are zero-byte views, sequential
+request ids and unproduced stages are not stored), and every reader
+sees exactly what it would see over dense columns.
 """
 
+import copy
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.core.benchmark import ServingBenchmark
 from repro.core.planner import Planner
-from repro.serving.outcome_table import OutcomeTable
+from repro.serving.outcome_table import OutcomeRecorder, OutcomeTable
+from repro.serving.records import RequestOutcome, Stage
+from repro.serving.streaming import OutcomeSummary
 from repro.sim import RandomStreams
 from repro.workload.generator import standard_workload
 
@@ -333,3 +342,145 @@ class TestObjectViewConsistency:
         for outcome in outcomes[:50]:
             for stage, seconds in outcome.breakdown.items():
                 assert seconds >= 0.0, stage
+
+
+#: The recorder default of every column a run may leave untouched.
+DEFAULTS = {"cold_start": False, "instance_id": -1, "billed_duration_s": 0.0,
+            "inferences": 1, "error_code": 0, "attempts": 1, "served_by": 0}
+
+#: Bytes per row of a table that stores every column (the dense layout).
+DENSE_ROW_BYTES = 121
+
+
+@pytest.fixture(scope="module")
+def storage_tables():
+    """A managed-ML and a serverless cell on w-40 (their tables)."""
+    workload = standard_workload("w-40", seed=SEED, scale=0.1)
+    planner = Planner()
+    return {platform: ServingBenchmark(seed=SEED).run(
+                planner.plan("aws", "mobilenet", "tf1.15", platform),
+                workload).table
+            for platform in ("managed_ml", "serverless")}
+
+
+def _zero_byte(column) -> bool:
+    return column.strides == (0,) and not column.flags.writeable
+
+
+def _dense(table: OutcomeTable) -> OutcomeTable:
+    """The same table with every column stored dense: the reference."""
+    dense = copy.copy(table)
+    for name in DEFAULTS:
+        setattr(dense, name, np.array(getattr(table, name)))
+    dense._request_id = np.array(table.request_id)
+    stages = table.stages
+    dense._stages = {index: stages[:, index].copy()
+                     for index in range(len(Stage.ORDER))}
+    assert dense.resident_bytes() == DENSE_ROW_BYTES * table.count
+    return dense
+
+
+def _reductions(table: OutcomeTable) -> list:
+    """Every reduction the table offers, in comparable form."""
+    return [
+        table.count, table.latency.tolist(),
+        table.successful_latencies().tolist(), table.error_strings(),
+        table.attempts_mean(), table.degraded_ratio(), table.spill_ratio(),
+        [table.path_latency_mean(code) for code in range(3)],
+        table.slo_attainment(0.5), table.slo_attainment(5.0),
+        [column.tolist() for column in table.success_timeline(5.0)],
+        table.availability(5.0), table.time_to_recover(10.0, 5.0),
+        [table.stage_column(stage).tolist() for stage in Stage.ORDER],
+        table.request_id.tolist(), table.stages.tolist(),
+    ]
+
+
+class TestStoredColumns:
+    """Tables store only what the run produced; readers cannot tell."""
+
+    def test_cells_store_only_produced_columns(self, storage_tables):
+        expected_row_bytes = {"managed_ml": 55, "serverless": 102}
+        for platform, table in storage_tables.items():
+            count = table.count
+            assert table.resident_bytes() == (expected_row_bytes[platform]
+                                              * count), platform
+            for name, default in DEFAULTS.items():
+                column = getattr(table, name)
+                assert column.shape == (count,)
+                assert _zero_byte(column) == bool((column == default).all())
+            for stage in Stage.ORDER:
+                column = table.stage_column(stage)
+                assert column.dtype == np.float64
+                assert _zero_byte(column) == (not column.any())
+            # Rebuilt columns keep their shapes and dtypes.
+            assert table.request_id.dtype == np.int64
+            assert table.request_id.tolist() == list(range(count))
+            assert table.stages.shape == (count, len(Stage.ORDER))
+            assert table.stages.dtype == np.float64
+        managed = storage_tables["managed_ml"]
+        assert [name for name in DEFAULTS
+                if _zero_byte(getattr(managed, name))] == [
+            "cold_start", "instance_id", "billed_duration_s", "inferences",
+            "attempts", "served_by"]
+        assert sum(_zero_byte(managed.stage_column(stage))
+                   for stage in Stage.ORDER) == 4
+        with pytest.raises(ValueError):
+            managed.cold_start[0] = True      # views are read-only
+
+    def test_readers_match_dense_reference(self, storage_tables):
+        for platform, table in storage_tables.items():
+            dense = _dense(table)
+            assert table.column_hash() == dense.column_hash(), platform
+            wire = pickle.dumps(table.packed())
+            expected = dense.packed()
+            # The wire elides sequential request ids whatever the storage.
+            assert expected.pop("request_id").tolist() == list(
+                range(table.count))
+            assert wire == pickle.dumps(expected)
+            restored = OutcomeTable.from_packed(pickle.loads(wire))
+            assert restored.column_hash() == dense.column_hash()
+            assert restored.resident_bytes() == table.resident_bytes()
+            np.testing.assert_equal(_reductions(table), _reductions(dense))
+            np.testing.assert_equal(_reductions(restored),
+                                    _reductions(dense))
+            folded, reference = OutcomeSummary(), OutcomeSummary()
+            folded.fold(table)
+            reference.fold(dense)
+            assert folded.digest() == reference.digest()
+            outcomes = table.to_outcomes()
+            assert outcomes == [dense.row(i) for i in range(dense.count)]
+            assert outcomes[:20] == [table.row(i) for i in range(20)]
+
+    def test_fail_unfinished_copies_a_zero_byte_error_column(self):
+        recorder = OutcomeRecorder(capacity=4)
+        outcomes = [RequestOutcome(request_id=i, client_id=0,
+                                   send_time=float(i)) for i in range(4)]
+        for outcome in outcomes:
+            recorder.register(outcome)
+        for outcome in outcomes[:2]:
+            outcome.finish(outcome.send_time + 0.5, success=True)
+            recorder.commit(outcome)
+        table, other = recorder.table(), recorder.table()
+        assert _zero_byte(table.error_code)
+        assert table.fail_unfinished(horizon=2.5) == 2
+        assert table.error_strings() == ["", "", "unfinished", "unfinished"]
+        assert table.success.tolist() == [True, True, False, False]
+        assert table.completion_time.tolist() == [0.5, 1.5, 2.5, 3.0]
+        assert _zero_byte(other.error_code)
+        assert other.error_strings() == [""] * 4
+
+    def test_from_packed_leaves_omitted_fields_zero_byte(self,
+                                                         storage_tables):
+        table = storage_tables["managed_ml"]
+        packed = table.packed()
+        omitted = [name for name in DEFAULTS if packed.get(name) is None]
+        assert omitted == ["cold_start", "instance_id", "billed_duration_s",
+                           "inferences", "attempts", "served_by"]
+        assert "request_id" not in packed
+        restored = OutcomeTable.from_packed(packed)
+        for name in omitted:
+            assert _zero_byte(getattr(restored, name)), name
+        for stage, column in zip(Stage.ORDER, packed["stages"]):
+            assert _zero_byte(restored.stage_column(stage)) == (
+                column is None), stage
+        assert restored.resident_bytes() == table.resident_bytes()
