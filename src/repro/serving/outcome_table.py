@@ -345,12 +345,9 @@ class OutcomeTable:
         n_open = int(open_mask.sum())
         if n_open == 0:
             return 0
-        # Read-only columns (all-default views) are copied before the
-        # write; no other table shares the copy.
-        for name in ("completion_time", "success", "error_code"):
-            column = getattr(self, name)
-            if not column.flags.writeable:
-                setattr(self, name, column.copy())
+        if not self.error_code.flags.writeable:
+            # An all-default column is a read-only view: write to a copy.
+            self.error_code = self.error_code.copy()
         self.completion_time[open_mask] = np.maximum(
             horizon, self.send_time[open_mask])
         self.success[open_mask] = False
@@ -385,8 +382,11 @@ class OutcomeTable:
             seconds = float(self.stage_column(name)[index])
             if seconds != 0.0:
                 breakdown[name] = seconds
+        ids = self._request_id
         return RequestOutcome(
-            request_id=int(self.request_id[index]),
+            # Sequential ids are the row numbers; no O(n) rebuild per row.
+            request_id=(range(self.count)[index] if ids is None
+                        else int(ids[index])),
             client_id=int(self.client_id[index]),
             send_time=float(self.send_time[index]),
             completion_time=None if np.isnan(completion) else completion,
