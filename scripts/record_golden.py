@@ -33,14 +33,13 @@ when a PR *intends* to change simulation behaviour::
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
-
-import hashlib  # noqa: E402
 
 from repro.core.benchmark import ServingBenchmark  # noqa: E402
 from repro.core.planner import Planner  # noqa: E402
@@ -232,7 +231,7 @@ if __name__ == "__main__":
     payload = record()
     for group in ("cells", "scenarios", "streamed", "frames", "fidelity"):
         for key, entry in payload[group].items():
-            digest = entry.get("column_hash") or entry["digest"]
+            digest = entry.get("column_hash", entry.get("digest"))
             print(f"{digest[:16]}  {key}")
     print(f"wrote {OUTPUT} ({len(payload['cells'])} cells, "
           f"{len(payload['scenarios'])} scenarios, "
