@@ -106,10 +106,12 @@ class OutcomeTable:
     ``request_id`` is not stored when it equals ``arange(count)``; and
     only stage columns that are non-zero on some row are stored.
     ``request_id`` and ``stages`` are rebuilt (read-only) on every
-    read, so prefer :meth:`stage_column` for one stage.  Any of the
-    defaultable columns, ``request_id``, and any entry of ``stages``
-    (given as a sequence of per-stage columns) may be passed as None to
-    mean "all default".  :meth:`resident_bytes` reports what is stored.
+    read, so prefer :meth:`stage_column` for one stage.
+
+    The constructor takes ``stages`` as one float64 column per stage in
+    ``Stage.ORDER``.  Any of the defaultable columns, ``request_id`` and
+    any stage column may be passed as None to mean "all default".
+    :meth:`resident_bytes` reports what is stored.
     """
 
     def __init__(self, request_id, client_id, send_time, completion_time,
@@ -131,13 +133,9 @@ class OutcomeTable:
             if column is None or not (column != default).any():
                 column = _filled(count, dtype, default)
             setattr(self, name, column)
-        if isinstance(stages, np.ndarray):
-            stages = stages.T           # a (count, n_stages) matrix
-        #: Stored stage columns by index in ``STAGE_ORDER``; columns of a
-        #: matrix are copied out, so the matrix itself is not kept alive.
-        self._stages: Dict[int, np.ndarray] = {
-            index: np.ascontiguousarray(column, dtype=np.float64)
-            for index, column in enumerate(stages)
+        #: Stored stage columns by name, in ``STAGE_ORDER``.
+        self._stages: Dict[str, np.ndarray] = {
+            name: column for name, column in zip(STAGE_ORDER, stages)
             if column is not None and column.any()}
         self.error_names: List[str] = list(error_names)
 
@@ -165,8 +163,8 @@ class OutcomeTable:
         """The (count, len(Stage.ORDER)) stage matrix, rebuilt read-only
         from the stored stage columns (unproduced stages read 0.0)."""
         matrix = np.zeros((self.count, _N_STAGES), dtype=np.float64)
-        for index, column in self._stages.items():
-            matrix[:, index] = column
+        for name, column in self._stages.items():
+            matrix[:, _STAGE_INDEX[name]] = column
         matrix.flags.writeable = False
         return matrix
 
@@ -194,8 +192,10 @@ class OutcomeTable:
     def stage_column(self, stage: str) -> np.ndarray:
         """Accumulated seconds in one breakdown stage, per request (the
         stored column, or a zero-byte column of zeros)."""
-        column = self._stages.get(_STAGE_INDEX[stage])
+        column = self._stages.get(stage)
         if column is None:
+            if stage not in _STAGE_INDEX:
+                raise KeyError(f"unknown stage {stage!r}")
             return _filled(self.count, np.float64, 0.0)
         return column
 
@@ -408,8 +408,8 @@ class OutcomeTable:
         numpy scalars row by row; the objects equal :meth:`row`'s.
         """
         names = self.error_names
-        stages = [(STAGE_ORDER[index], self._stages[index].tolist())
-                  for index in sorted(self._stages)]
+        stages = [(name, column.tolist())
+                  for name, column in self._stages.items()]
         outcomes = []
         for index, (request_id, client_id, send, completion, success,
                     code, cold, instance, billed, inferences, attempts,

@@ -64,9 +64,6 @@ _N_PATHS = 3
 
 __all__ = ["LatencySketch", "OutcomeSummary", "ChunkedOutcomeRecorder"]
 
-_N_STAGES = len(STAGE_ORDER)
-_STAGE_INDEX: Dict[str, int] = {name: i for i, name in enumerate(STAGE_ORDER)}
-
 #: Default number of rows per column chunk (~8 MB of columns).
 DEFAULT_CHUNK_ROWS = 65_536
 
@@ -470,7 +467,10 @@ class _Chunk:
         self.error_code = np.zeros(rows, dtype=np.int16)
         self.attempts = np.ones(rows, dtype=np.int32)
         self.served_by = np.zeros(rows, dtype=np.int8)
-        self.stages = np.zeros((rows, _N_STAGES), dtype=np.float64)
+        #: One column per breakdown stage, by name (as in the
+        #: preallocated recorder).
+        self.stages = {name: np.zeros(rows, dtype=np.float64)
+                       for name in STAGE_ORDER}
         self.uncommitted = 0
         self.max_send = 0.0
 
@@ -488,7 +488,8 @@ class _Chunk:
         self.error_code[:] = 0
         self.attempts[:] = 1
         self.served_by[:] = 0
-        self.stages[:] = 0.0
+        for column in self.stages.values():
+            column[:] = 0.0
         self.uncommitted = 0
         self.max_send = 0.0
 
@@ -509,7 +510,7 @@ class _Chunk:
             billed_duration_s=self.billed_duration_s[:rows],
             inferences=self.inferences[:rows],
             error_code=self.error_code[:rows],
-            stages=self.stages[:rows],
+            stages=[self.stages[name][:rows] for name in STAGE_ORDER],
             error_names=error_names,
             attempts=self.attempts[:rows],
             served_by=self.served_by[:rows],
@@ -640,9 +641,8 @@ class ChunkedOutcomeRecorder:
         breakdown = outcome.breakdown
         if breakdown:
             stages = chunk.stages
-            index = _STAGE_INDEX
             for name, seconds in breakdown.items():
-                stages[offset, index[name]] = seconds
+                stages[name][offset] = seconds
 
     # -- sealing -----------------------------------------------------------
     def _seal_ready(self) -> None:
@@ -693,22 +693,21 @@ class ChunkedOutcomeRecorder:
             billed_duration_s=self._concat("billed_duration_s"),
             inferences=self._concat("inferences"),
             error_code=self._concat("error_code"),
-            stages=self._concat("stages"),
+            stages=[self._concat("stages", name) for name in STAGE_ORDER],
             error_names=self.error_names,
             attempts=self._concat("attempts"),
             served_by=self._concat("served_by"),
         )
 
-    def _concat(self, column: str) -> np.ndarray:
+    def _concat(self, column: str, stage: Optional[str] = None) -> np.ndarray:
+        """One column over the resident chunks (``stage``: of ``stages``)."""
         rows = self.chunk_rows
+        chunks = [(self._resident[index], min(self._count - index * rows, rows))
+                  for index in sorted(self._resident)] or [(_Chunk(0), 0)]
         pieces = []
-        for index in sorted(self._resident):
-            chunk = self._resident[index]
-            n = min(self._count - index * rows, rows)
-            pieces.append(getattr(chunk, column)[:n])
-        if not pieces:
-            reference = getattr(_Chunk(0), column)
-            return reference
+        for chunk, n in chunks:
+            array = getattr(chunk, column)
+            pieces.append((array if stage is None else array[stage])[:n])
         return np.concatenate(pieces) if len(pieces) > 1 else pieces[0].copy()
 
     def sealed_chunks(self):

@@ -374,8 +374,8 @@ def _dense(table: OutcomeTable) -> OutcomeTable:
         setattr(dense, name, np.array(getattr(table, name)))
     dense._request_id = np.array(table.request_id)
     stages = table.stages
-    dense._stages = {index: stages[:, index].copy()
-                     for index in range(len(Stage.ORDER))}
+    dense._stages = {name: stages[:, index].copy()
+                     for index, name in enumerate(Stage.ORDER)}
     assert dense.resident_bytes() == DENSE_ROW_BYTES * table.count
     return dense
 
