@@ -702,7 +702,8 @@ class ChunkedOutcomeRecorder:
     def _concat(self, column: str, stage: Optional[str] = None) -> np.ndarray:
         """One column over the resident chunks (``stage``: of ``stages``)."""
         rows = self.chunk_rows
-        chunks = [(self._resident[index], min(self._count - index * rows, rows))
+        chunks = [(self._resident[index],
+                   min(self._count - index * rows, rows))
                   for index in sorted(self._resident)] or [(_Chunk(0), 0)]
         pieces = []
         for chunk, n in chunks:
