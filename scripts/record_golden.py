@@ -41,6 +41,7 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
+from repro.api import run  # noqa: E402
 from repro.core.benchmark import ServingBenchmark  # noqa: E402
 from repro.core.planner import Planner  # noqa: E402
 from repro.core.scenario import ScenarioSpec, list_scenarios  # noqa: E402
@@ -183,10 +184,9 @@ def _pin(digest: str, result) -> dict:
 
 def record_scenarios() -> dict:
     """Pin every registered scenario at ``SCENARIO_SCALE``."""
-    bench = ServingBenchmark(seed=SEED)
     pins = {}
     for name in list_scenarios():
-        result = bench.run_scenario(name, scale=SCENARIO_SCALE)
+        result = run(name, seed=SEED, scale=SCENARIO_SCALE)
         pins[name] = _pin(result.table.column_hash(), result)
     return pins
 

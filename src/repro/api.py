@@ -176,9 +176,11 @@ def run(scenario: Union[str, ScenarioSpec], *, seed: int = 7,
     Returns:
         The cell's :class:`~repro.core.results.RunResult`.
     """
-    from repro.core.benchmark import ServingBenchmark
-    return ServingBenchmark(seed=seed).run_scenario(scenario, scale=scale,
-                                                    planner=planner)
+    from repro.experiments.base import ExperimentContext
+    context = ExperimentContext(seed=seed, scale=scale)
+    if planner is not None:
+        context.planner = planner
+    return context.run_scenario(scenario)
 
 
 def run_study(study: Union[str, Study, Sweep], *, seed: int = 7,

@@ -11,16 +11,21 @@ Typical use::
     bench = ServingBenchmark(seed=7)
     result = bench.run(deployment, workload)
     print(result.average_latency, result.success_ratio, result.cost)
+
+:meth:`ServingBenchmark.run` runs one already-resolved cell.  Declarative
+cells (:class:`~repro.core.scenario.ScenarioSpec`) resolve and run
+through :meth:`~repro.experiments.base.ExperimentContext.run_specs`
+(:func:`repro.api.run` for one spec), which fans the cells out over
+:func:`repro.core.parallel.run_cells`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Optional
 
 from repro.core.executor import Executor
 from repro.core.results import RunResult
-from repro.core.scenario import ScenarioSpec, get_scenario
 from repro.models.profiles import LatencyProfiles
 from repro.platforms.base import build_platform
 from repro.serving.deployment import Deployment
@@ -119,109 +124,3 @@ class ServingBenchmark:
             workload_scale=workload_scale,
             metadata=metadata,
         )
-
-    def run_scenario(self, scenario: Union[str, ScenarioSpec],
-                     workload: Optional[Workload] = None,
-                     scale: float = 1.0,
-                     planner=None) -> RunResult:
-        """Run one declarative scenario (by spec or registered name).
-
-        The scenario's workload reference is resolved (and compressed to
-        ``scale``, further multiplied by the spec's pinned
-        :attr:`~repro.core.scenario.ScenarioSpec.fidelity` when set)
-        unless an explicit ``workload`` is supplied — the tools pass one
-        when they evaluate candidates against a shared target workload.
-        """
-        spec = get_scenario(scenario) if isinstance(scenario, str) else scenario
-        deployment = spec.deployment(planner)
-        if workload is None:
-            # build_workload folds the spec's fidelity into the scale.
-            workload = spec.build_workload(seed=self.seed, scale=scale)
-        if spec.fidelity is not None:
-            scale = scale * spec.fidelity
-        return self.run(deployment, workload, workload_scale=scale,
-                        seed=spec.seed)
-
-    def run_scenarios(self, scenarios: Iterable[Union[str, ScenarioSpec]],
-                      scale: float = 1.0, workers: int = 0,
-                      planner=None) -> Dict[str, RunResult]:
-        """Run several scenarios, keyed by scenario name.
-
-        Workload references are deduplicated, so scenarios that share a
-        workload generate (and, with ``workers`` > 1, ship) it once.
-        Scenario names must be distinct — the results are keyed by them.
-        """
-        specs = [get_scenario(s) if isinstance(s, str) else s
-                 for s in scenarios]
-        names = [spec.name for spec in specs]
-        if len(set(names)) != len(names):
-            duplicates = sorted({name for name in names
-                                 if names.count(name) > 1})
-            raise ValueError(f"scenario names must be distinct, got "
-                             f"duplicates: {duplicates}")
-        workloads: Dict[tuple, Workload] = {}
-        cells = []
-        for spec in specs:
-            key = (spec.workload,
-                   self.seed if spec.seed is None else spec.seed,
-                   spec.fidelity)
-            if key not in workloads:
-                workloads[key] = spec.build_workload(seed=self.seed,
-                                                     scale=scale)
-            cell_scale = (scale * spec.fidelity
-                          if spec.fidelity is not None else scale)
-            cells.append((spec.deployment(planner), workloads[key],
-                          cell_scale, spec.seed))
-        if workers and workers != 1 and len(cells) > 1:
-            from repro.core.parallel import run_cells
-            results = run_cells(self, cells, workers)
-        else:
-            results = [self.run(deployment, workload, cell_scale, seed=seed)
-                       for deployment, workload, cell_scale, seed in cells]
-        return {spec.name: result for spec, result in zip(specs, results)}
-
-    def run_many(self, deployments: Iterable[Deployment],
-                 workload: Workload,
-                 workload_scale: float = 1.0,
-                 workers: int = 0) -> List[RunResult]:
-        """Run the same workload against several deployments.
-
-        ``workers`` > 1 fans the independent cells out over that many
-        worker processes (see :mod:`repro.core.parallel`); results are
-        bit-identical to serial mode because every cell reseeds its own
-        RNG from this benchmark's seed.
-        """
-        deployments = list(deployments)
-        if workers and workers != 1 and len(deployments) > 1:
-            from repro.core.parallel import run_cells
-            return run_cells(self, [(d, workload, workload_scale)
-                                    for d in deployments], workers)
-        return [self.run(deployment, workload, workload_scale)
-                for deployment in deployments]
-
-    def run_matrix(self, deployments: Iterable[Deployment],
-                   workloads: Iterable[Workload],
-                   workload_scale: float = 1.0,
-                   workers: int = 0) -> Dict[str, List[RunResult]]:
-        """Run every deployment under every workload, keyed by workload name.
-
-        With ``workers`` > 1 the whole (deployment, workload) grid is
-        flattened and fanned out at once, so the pool stays busy even
-        when individual workloads have few deployments.
-        """
-        deployments = list(deployments)
-        workloads = list(workloads)
-        if workers and workers != 1 and len(deployments) * len(workloads) > 1:
-            from repro.core.parallel import run_cells
-            cells = [(deployment, workload, workload_scale)
-                     for workload in workloads for deployment in deployments]
-            flat = run_cells(self, cells, workers)
-            results = {}
-            for index, workload in enumerate(workloads):
-                start = index * len(deployments)
-                results[workload.name] = flat[start:start + len(deployments)]
-            return results
-        return {workload.name: self.run_many(deployments, workload,
-                                             workload_scale)
-                for workload in workloads}
-

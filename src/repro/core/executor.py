@@ -86,13 +86,6 @@ class Executor:
         return self.recorder
 
     @property
-    def outcomes(self) -> List[RequestOutcome]:
-        """Materialised outcome objects (compat view over the table)."""
-        if self.recorder is None:
-            return []
-        return self.recorder.table().to_outcomes()
-
-    @property
     def last_completion_time(self) -> float:
         """Completion time of the last finished request (0 if none)."""
         return self._last_completion

@@ -34,15 +34,18 @@ Transport is kept lean in both directions:
   tests), and ``REPRO_SHM=0`` restores plain pickling.
 
 If worker processes cannot be spawned (restricted sandboxes, missing
-semaphores), the fan-out silently degrades to serial execution — cells
-are pure functions, so a retry in-process is always safe.
+semaphores), or a worker dies mid-batch, the fan-out keeps every cell a
+worker finished (unpacking it, which unlinks its shared-memory segment)
+and reruns only the unfinished cells in-process, with a
+``RuntimeWarning`` — cells are pure functions, so a rerun is always
+safe and the results stay bit-identical.
 """
 
 from __future__ import annotations
 
 import os
 import warnings
-from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.benchmark import ServingBenchmark
@@ -51,6 +54,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.workload.generator import Workload
 
 __all__ = ["resolve_workers", "run_cells"]
+
+#: One resolved cell: ``(deployment, workload, scale, seed)``.
+Cell = Tuple["Deployment", "Workload", float, Optional[int]]
 
 #: Worker-process state installed by the pool initializer.
 _WORKER_STATE: Dict[str, object] = {}
@@ -89,26 +95,24 @@ def _run_cell_pooled(payload: Tuple["Deployment", int, float, object]):
 
 
 def run_cells(benchmark: "ServingBenchmark",
-              cells: Sequence[tuple],
+              cells: Sequence[Cell],
               workers: int) -> List["RunResult"]:
     """Run every cell, fanning out over ``workers`` processes.
 
-    Each cell is ``(deployment, workload, scale)`` with an optional
-    trailing per-cell ``seed`` (``None`` = the benchmark's seed — the
-    replicated-sweep path pins one seed per replicate cell).  Results
-    come back in the order of ``cells`` and are bit-identical to serial
-    execution at any worker count.  With ``workers <= 1`` (or a single
-    cell) everything runs in-process.
+    Each cell is ``(deployment, workload, scale, seed)``; a ``None``
+    seed runs at the benchmark's seed.  Results come back in the order
+    of ``cells`` and are bit-identical to serial execution at any worker
+    count.  With ``workers <= 1`` (or a single cell) everything runs
+    in-process.
     """
-    cells = [(cell if len(cell) == 4 else (*cell, None)) for cell in cells]
     workers = min(resolve_workers(workers), len(cells))
     if workers <= 1:
-        return _run_serial(benchmark, cells)
+        return [_run_serial(benchmark, cell) for cell in cells]
     try:
         from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures.process import BrokenProcessPool
     except ImportError:
-        return _run_serial(benchmark, cells)
+        return [_run_serial(benchmark, cell) for cell in cells]
 
     # Deduplicate the shared workloads (by identity: the experiment layer
     # caches and reuses Workload objects) so each ships once per worker.
@@ -123,30 +127,52 @@ def run_cells(benchmark: "ServingBenchmark",
             workloads.append(workload)
         payloads.append((deployment, index, scale, seed))
 
-    from repro.core.results import RunResult
+    futures = []
+    failure: Optional[BaseException] = None
     try:
         with ProcessPoolExecutor(max_workers=workers,
                                  initializer=_init_worker,
                                  initargs=(benchmark, workloads)) as pool:
-            transports = list(pool.map(_run_cell_pooled, payloads,
-                                       chunksize=1))
+            for payload in payloads:
+                futures.append(pool.submit(_run_cell_pooled, payload))
     except (BrokenProcessPool, NotImplementedError, OSError,
             PermissionError) as exc:
-        # Pool could not be created, or a worker died mid-batch.  Cells
-        # are pure, so re-running any partially-dispatched work
-        # in-process cannot change results — but say so, because the
-        # serial rerun can be much slower than the user asked for.
-        warnings.warn(f"worker pool unavailable ({exc!r}); "
-                      f"running {len(cells)} cells serially",
-                      RuntimeWarning, stacklevel=2)
-        return _run_serial(benchmark, cells)
+        # The pool could not be created, or broke while cells were
+        # still being submitted.
+        failure = exc
+    # The pool has shut down, so every submitted cell is settled.
+    # Unpack every finished one before anything else: each may own a
+    # shared-memory segment that only its unpack unlinks.
+    from repro.core.results import RunResult
     from repro.core.shm import unpack_arrays
-    return [RunResult.from_transport(unpack_arrays(transport), deployment)
-            for transport, (deployment, _workload, _scale, _seed)
-            in zip(transports, cells)]
+    results: List[Optional["RunResult"]] = [None] * len(cells)
+    error: Optional[BaseException] = None
+    for index, future in enumerate(futures):
+        exc = future.exception()
+        if exc is None:
+            results[index] = RunResult.from_transport(
+                unpack_arrays(future.result()), cells[index][0])
+        elif isinstance(exc, BrokenProcessPool):
+            failure = failure or exc
+        elif error is None:
+            error = exc
+    if error is not None:
+        raise error
+    unfinished = [index for index, result in enumerate(results)
+                  if result is None]
+    if unfinished:
+        # A worker died mid-batch (or never started).  Cells are pure,
+        # so rerunning the unfinished ones in-process cannot change
+        # results — but say so, because the serial rerun can be much
+        # slower than the user asked for.
+        warnings.warn(f"worker pool unavailable ({failure!r}); running "
+                      f"{len(unfinished)} of {len(cells)} cells serially",
+                      RuntimeWarning, stacklevel=2)
+        for index in unfinished:
+            results[index] = _run_serial(benchmark, cells[index])
+    return results
 
 
-def _run_serial(benchmark: "ServingBenchmark",
-                cells: Sequence[tuple]) -> List["RunResult"]:
-    return [benchmark.run(deployment, workload, scale, seed=seed)
-            for deployment, workload, scale, seed in cells]
+def _run_serial(benchmark: "ServingBenchmark", cell: Cell) -> "RunResult":
+    deployment, workload, scale, seed = cell
+    return benchmark.run(deployment, workload, scale, seed=seed)

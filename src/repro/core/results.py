@@ -2,28 +2,26 @@
 
 A :class:`RunResult` carries its outcomes as a columnar
 :class:`~repro.serving.outcome_table.OutcomeTable`; every headline metric
-is a vectorised masked reduction over the table's arrays.  The
-object-per-request view (``outcomes`` / ``successful`` / ``failed``) is
-reconstructed lazily and cached, purely for API compatibility — metric
-code should prefer the columns.
+is a vectorised masked reduction over the table's arrays
+(:meth:`OutcomeTable.to_outcomes` rebuilds per-request objects on
+demand).
 
 Trace-scale (streaming) runs carry an
 :class:`~repro.serving.streaming.OutcomeSummary` instead — the online
 reduction of the chunks that were folded during the run.  Headline
-metrics come straight from the summary's accumulators; the per-request
-views are unavailable by construction (the rows no longer exist).
+metrics come straight from the summary's accumulators; per-request rows
+are unavailable by construction (they no longer exist).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Tuple, Union
 
 from repro.core.metrics import LatencyStats
 from repro.platforms.base import PlatformUsage
 from repro.serving.deployment import Deployment
 from repro.serving.outcome_table import OutcomeTable
-from repro.serving.records import RequestOutcome
 from repro.serving.streaming import OutcomeSummary
 
 __all__ = ["RunResult"]
@@ -37,21 +35,14 @@ class RunResult:
     workload_name: str
     #: Columnar per-request outcomes — or, for streaming (trace-scale)
     #: runs, the :class:`OutcomeSummary` their folded chunks reduced
-    #: into.  A plain list of :class:`RequestOutcome` is also accepted
-    #: and converted on the spot.
-    table: Union[OutcomeTable, OutcomeSummary, List[RequestOutcome]]
+    #: into.
+    table: Union[OutcomeTable, OutcomeSummary]
     usage: PlatformUsage
     #: Simulated wall-clock length of the experiment (last completion).
     duration_s: float
     #: Fraction of the paper's full workload that was replayed (1.0 = full).
     workload_scale: float = 1.0
     metadata: Dict[str, float] = field(default_factory=dict)
-    _outcomes_view: Optional[List[RequestOutcome]] = field(
-        default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.table, (OutcomeTable, OutcomeSummary)):
-            self.table = OutcomeTable.from_outcomes(list(self.table))
 
     # -- backend ---------------------------------------------------------------
     @property
@@ -59,32 +50,6 @@ class RunResult:
         """True when this result carries an :class:`OutcomeSummary`
         (streaming reductions) instead of a full outcome table."""
         return isinstance(self.table, OutcomeSummary)
-
-    # -- object views (lazy, for API compatibility) ----------------------------
-    @property
-    def outcomes(self) -> List[RequestOutcome]:
-        """Per-request outcome objects, reconstructed from the table.
-
-        Unavailable on streaming results — the per-request rows were
-        folded into the summary and discarded during the run.
-        """
-        if self.streaming:
-            raise RuntimeError(
-                "streaming results carry an OutcomeSummary, not per-request "
-                "rows; use the summary reductions (result.table) instead")
-        if self._outcomes_view is None:
-            self._outcomes_view = self.table.to_outcomes()
-        return self._outcomes_view
-
-    @property
-    def successful(self) -> List[RequestOutcome]:
-        """Outcomes of the requests that succeeded."""
-        return [o for o in self.outcomes if o.success]
-
-    @property
-    def failed(self) -> List[RequestOutcome]:
-        """Outcomes of the requests that failed."""
-        return [o for o in self.outcomes if not o.success]
 
     # -- headline metrics -----------------------------------------------------
     @property

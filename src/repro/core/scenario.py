@@ -3,13 +3,13 @@
 A :class:`ScenarioSpec` names everything one experiment cell needs —
 provider, model, runtime, platform, workload, and service-config /
 scaling-policy overrides — as plain data.  It is the single construction
-path for cells: :meth:`~repro.core.benchmark.ServingBenchmark.
-run_scenario` executes one, the experiment modules'
-:class:`~repro.experiments.base.ExperimentContext` builds every figure
-cell through one, and the analysis tools (navigator, hybrid planner,
-cost estimator) resolve their deployments from one.  Before this layer,
-``run_matrix``, the figure experiments, and each tool all hand-rolled
-their own planner calls.
+path for cells: :meth:`~repro.experiments.base.ExperimentContext.
+run_specs` resolves each spec into a cell (its deployment, its workload
+at :meth:`ScenarioSpec.cell_scale`, its pinned seed) and runs the batch
+through its run cache; :func:`repro.api.run`, every study and figure
+experiment, and the search tools all go through it, and the analysis
+tools (navigator, hybrid planner, cost estimator) resolve their
+deployments from a spec.
 
 Because platform behaviour is itself composed from the control plane
 (pool / policy / queue / meter — see ARCHITECTURE.md), a *new* scenario
@@ -30,7 +30,7 @@ per-instance target — policy as data).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 from repro.serving.deployment import Deployment, PlatformKind
@@ -142,13 +142,7 @@ class ScenarioSpec:
 
     def with_config(self, **changes) -> "ScenarioSpec":
         """A copy with additional / changed config overrides."""
-        merged = self.overrides
-        merged.update(changes)
-        return ScenarioSpec(name=self.name, provider=self.provider,
-                            model=self.model, runtime=self.runtime,
-                            platform=self.platform, workload=self.workload,
-                            config=merged, description=self.description,
-                            seed=self.seed, fidelity=self.fidelity)
+        return replace(self, config={**self.overrides, **changes})
 
     def with_seed(self, seed: Optional[int],
                   name: str = "") -> "ScenarioSpec":
@@ -158,12 +152,7 @@ class ScenarioSpec:
         per replicate; ``name`` optionally renames the copy so replicate
         rows stay identifiable in reports.
         """
-        return ScenarioSpec(name=name or self.name, provider=self.provider,
-                            model=self.model, runtime=self.runtime,
-                            platform=self.platform, workload=self.workload,
-                            config=self.overrides,
-                            description=self.description, seed=seed,
-                            fidelity=self.fidelity)
+        return replace(self, seed=seed, name=name or self.name)
 
     def with_fidelity(self, fidelity: Optional[float],
                       name: str = "") -> "ScenarioSpec":
@@ -174,12 +163,17 @@ class ScenarioSpec:
         same way replicated sweeps mint seeded cells via
         :meth:`with_seed`.
         """
-        return ScenarioSpec(name=name or self.name, provider=self.provider,
-                            model=self.model, runtime=self.runtime,
-                            platform=self.platform, workload=self.workload,
-                            config=self.overrides,
-                            description=self.description, seed=self.seed,
-                            fidelity=fidelity)
+        return replace(self, fidelity=fidelity, name=name or self.name)
+
+    def cell_scale(self, scale: float) -> float:
+        """The workload scale this cell runs at under a runner's ``scale``.
+
+        ``scale`` itself, or ``scale * fidelity`` when a short-horizon
+        :attr:`fidelity` is pinned.  The one place fidelity meets scale:
+        :meth:`build_workload` and the experiment context's run path
+        both resolve a cell's effective scale here.
+        """
+        return scale if self.fidelity is None else scale * self.fidelity
 
     @property
     def cell_key(self) -> str:
@@ -230,17 +224,15 @@ class ScenarioSpec:
 
         The spec's own :attr:`seed` wins over the caller's ``seed``
         argument (a pinned cell *is* its seed); with neither set, the
-        project-wide default seed 7 applies.  A pinned :attr:`fidelity`
-        multiplies into ``scale``, so a short-horizon cell generates the
-        exact workload its runner will replay.
+        project-wide default seed 7 applies.  The workload is generated
+        at :meth:`cell_scale` of ``scale``, so a short-horizon cell
+        generates the exact workload its runner will replay.
         """
         if self.seed is not None:
             seed = self.seed
-        if self.fidelity is not None:
-            scale = scale * self.fidelity
         return standard_workload(self.workload,
                                  seed=7 if seed is None else seed,
-                                 scale=scale)
+                                 scale=self.cell_scale(scale))
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,6 @@ from typing import (
 
 import numpy as np
 
-from repro.core.metrics import LatencyStats
 from repro.core.results import RunResult
 from repro.core.scenario import ScenarioSpec
 from repro.serving.deployment import PlatformKind, ServiceConfig
@@ -556,60 +555,32 @@ STANDARD_METRIC_COLUMNS: Tuple[str, ...] = (
 def _standard_metrics(result: RunResult) -> Dict[str, object]:
     """The per-cell reductions every frame carries.
 
-    Computed directly as masked numpy reductions over the cell's
-    :class:`~repro.serving.outcome_table.OutcomeTable` columns; the
-    study tests assert them equal to the corresponding
-    :class:`~repro.core.results.RunResult` properties.  Streaming cells
-    (those carrying an :class:`~repro.serving.streaming.OutcomeSummary`)
-    serve the same keys from the summary's online reductions.
+    Read off the :class:`~repro.core.results.RunResult` headline
+    properties, which serve full tables and streaming
+    :class:`~repro.serving.streaming.OutcomeSummary` cells alike.
     """
     usage = result.usage
-    if result.streaming:
-        summary = result.table
-        stats = summary.latency_stats()
-        metrics = {
-            "requests": summary.count,
-            "success_ratio": summary.success_ratio,
-            "avg_latency_s": summary.average_latency,
-            "p50_latency_s": stats.p50,
-            "p99_latency_s": stats.p99,
-            "std_latency_s": stats.std,
-            "cost_usd": usage.cost,
-            "cold_starts": usage.cold_starts,
-            "cold_start_ratio": summary.cold_start_ratio,
-            "instances_created": usage.instances_created,
-            "peak_instances": usage.peak_instances,
-            "duration_s": result.duration_s,
-        }
-        _add_hybrid_metrics(metrics, result, summary)
-        return metrics
-    table = result.table
-    count = table.count
-    success = table.success
-    n_success = int(success.sum())
-    latencies = table.latency[success]
-    stats = LatencyStats.from_values(latencies)
+    stats = result.latency_stats()
     metrics = {
-        "requests": count,
-        "success_ratio": (n_success / count) if count else 0.0,
-        "avg_latency_s": float(latencies.mean()) if n_success else 0.0,
+        "requests": result.total_requests,
+        "success_ratio": result.success_ratio,
+        "avg_latency_s": result.average_latency,
         "p50_latency_s": stats.p50,
         "p99_latency_s": stats.p99,
         "std_latency_s": stats.std,
         "cost_usd": usage.cost,
         "cold_starts": usage.cold_starts,
-        "cold_start_ratio": (int(table.cold_start[success].sum()) / n_success
-                             if n_success else 0.0),
+        "cold_start_ratio": result.cold_start_ratio,
         "instances_created": usage.instances_created,
         "peak_instances": usage.peak_instances,
         "duration_s": result.duration_s,
     }
-    _add_hybrid_metrics(metrics, result, table)
+    _add_hybrid_metrics(metrics, result)
     return metrics
 
 
-def _add_hybrid_metrics(metrics: Dict[str, object], result: RunResult,
-                        table) -> None:
+def _add_hybrid_metrics(metrics: Dict[str, object],
+                        result: RunResult) -> None:
     """Per-path columns for hybrid cells (``cost_usd`` is already blended).
 
     Only hybrid cells carry them — other platforms never populate the
@@ -622,6 +593,7 @@ def _add_hybrid_metrics(metrics: Dict[str, object], result: RunResult,
     from repro.serving.records import SERVED_BY_PROVISIONED, SERVED_BY_SPILL
     if result.deployment.config.platform != PlatformKind.HYBRID:
         return
+    table = result.table
     metrics["spill_ratio"] = table.spill_ratio()
     metrics["provisioned_latency_s"] = table.path_latency_mean(
         SERVED_BY_PROVISIONED)
@@ -1187,9 +1159,13 @@ class Study:
     def run(self, context=None) -> ResultFrame:
         """Execute every cell and assemble the tidy frame.
 
-        Cells go through the context's shared run cache (so studies
+        Every cell runs in one
+        :meth:`~repro.experiments.base.ExperimentContext.run_specs`
+        batch: through the context's shared run cache (so studies
         overlapping on cells — e.g. fig05 and table1 — simulate each
         cell once) and its parallel fan-out when ``context.workers`` > 1.
+        Cells whose provider is outside ``context.providers`` are
+        dropped first.
 
         Grid control is reported, never silent: the frame's ``meta``
         carries ``constrained_out`` (cells dropped by a sweep's
@@ -1204,12 +1180,11 @@ class Study:
         cells = [cell for _sweep, expansion in expansions
                  for cell in expansion.cells
                  if cell.spec.provider in context.providers]
-        context.prefetch_specs([cell.spec for cell in cells])
-        results = [(cell.labels, context.run_scenario(cell.spec))
-                   for cell in cells]
+        specs = [cell.spec for cell in cells]
+        results = list(zip([cell.labels for cell in cells],
+                           context.run_specs(specs)))
         frame = ResultFrame.from_results(
-            results, metrics=self.metrics, name=self.name,
-            specs=[cell.spec for cell in cells])
+            results, metrics=self.metrics, name=self.name, specs=specs)
         constrained = {sweep.name: len(expansion.dropped)
                        for sweep, expansion in expansions
                        if expansion.dropped}

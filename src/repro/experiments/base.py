@@ -18,11 +18,11 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.core.analyzer import Analyzer
 from repro.core.benchmark import ServingBenchmark
+from repro.core.parallel import run_cells
 from repro.core.planner import Planner
 from repro.core.results import RunResult
 from repro.core.scenario import ScenarioSpec, get_scenario
 from repro.core.study import ResultFrame, format_table
-from repro.serving.deployment import Deployment
 from repro.workload.generator import Workload, standard_workload
 
 __all__ = [
@@ -106,11 +106,6 @@ class ExperimentResult:
         )
 
 
-#: One prefetchable cell: (provider, model, runtime, platform,
-#: workload_name) plus an optional trailing dict of config overrides.
-CellTuple = tuple
-
-
 @dataclass
 class ExperimentContext:
     """Shared configuration and caches for experiment runs.
@@ -119,10 +114,13 @@ class ExperimentContext:
     keeping the request rates (and therefore all queueing behaviour)
     unchanged; 1.0 reproduces the full workloads.
 
-    ``workers`` > 1 lets :meth:`prefetch` fan independent cells out over
-    that many worker processes (0 or 1 = serial, negative = one per
-    core).  Results are bit-identical either way; see
-    :mod:`repro.core.parallel`.
+    Every declarative cell runs through :meth:`run_specs` (or its
+    one-spec form :meth:`run_scenario`): each uncached spec resolves to
+    its deployment, its cached workload at the spec's effective scale
+    and its pinned seed, and the batch runs through
+    :func:`~repro.core.parallel.run_cells`.  ``workers`` > 1 fans that
+    batch out over that many worker processes (0 or 1 = serial,
+    negative = one per core); results are bit-identical either way.
     """
 
     seed: int = 7
@@ -140,126 +138,53 @@ class ExperimentContext:
             raise ValueError("scale must be in (0, 1]")
         self.benchmark.seed = self.seed
 
-    # -- workloads -------------------------------------------------------------
     def workload(self, name: str, seed: Optional[int] = None,
-                 fidelity: Optional[float] = None) -> Workload:
-        """The named standard workload at this context's scale (cached).
+                 scale: Optional[float] = None) -> Workload:
+        """The named standard workload, cached by (name, seed, scale).
 
-        ``seed`` overrides the context seed for one replicate cell, and
-        ``fidelity`` multiplies into the context scale for one
-        short-horizon cell; the cache is keyed by ``(name, effective
-        seed, effective scale)`` so replicates and rung fidelities of
-        the same workload coexist without regenerating each other.
+        ``seed`` and ``scale`` default to the context's own; the run path
+        passes a spec's pinned seed and effective scale
+        (:meth:`~repro.core.scenario.ScenarioSpec.cell_scale`), so
+        replicates and rung fidelities of one workload coexist without
+        regenerating each other.
         """
-        effective = self.seed if seed is None else seed
-        scale = self.scale * (fidelity if fidelity is not None else 1.0)
-        key = (name, effective, scale)
+        seed = self.seed if seed is None else seed
+        scale = self.scale if scale is None else scale
+        key = (name, seed, scale)
         if key not in self._workloads:
-            self._workloads[key] = standard_workload(name, seed=effective,
+            self._workloads[key] = standard_workload(name, seed=seed,
                                                      scale=scale)
         return self._workloads[key]
 
-    def cell_scale(self, spec: ScenarioSpec) -> float:
-        """The effective workload scale of one spec (fidelity folded in)."""
-        if spec.fidelity is not None:
-            return self.scale * spec.fidelity
-        return self.scale
+    def run_specs(self, specs: Iterable[ScenarioSpec]) -> List[RunResult]:
+        """Run every spec through the run cache; results in spec order.
 
-    # -- runs -------------------------------------------------------------------
-    @staticmethod
-    def _cell_spec(provider: str, model: str, runtime: str, platform: str,
-                   workload_name: str, overrides: Dict[str, object]
-                   ) -> ScenarioSpec:
-        """An anonymous scenario for one figure cell (named by its key)."""
-        spec = ScenarioSpec(name="", provider=provider, model=model,
-                            runtime=runtime, platform=platform,
-                            workload=workload_name, config=overrides)
-        return spec
-
-    def run(self, deployment: Deployment, workload_name: str,
-            cache_key: Optional[str] = None) -> RunResult:
-        """Run one pre-planned cell, with caching across experiment modules.
-
-        Prefer :meth:`run_cell` / :meth:`run_scenario`; this entry point
-        exists for callers that already hold a deployment object.
+        Specs are deduplicated by ``cell_key``.  Each one not yet cached
+        resolves to one cell (its deployment through this context's
+        planner, its workload at the spec's effective scale, its pinned
+        seed), and all of them run as one batch, over the worker pool
+        when ``workers`` > 1.
         """
-        key = cache_key or f"{deployment.label}|{deployment.config}|{workload_name}"
-        if key not in self._runs:
-            self._runs[key] = self.benchmark.run(
-                deployment, self.workload(workload_name),
-                workload_scale=self.scale)
-        return self._runs[key]
+        specs = list(specs)
+        pending: Dict[str, tuple] = {}
+        for spec in specs:
+            key = spec.cell_key
+            if key in self._runs or key in pending:
+                continue
+            scale = spec.cell_scale(self.scale)
+            pending[key] = (spec.deployment(self.planner),
+                            self.workload(spec.workload, spec.seed, scale),
+                            scale, spec.seed)
+        if pending:
+            results = run_cells(self.benchmark, list(pending.values()),
+                                self.workers)
+            self._runs.update(zip(pending, results))
+        return [self._runs[spec.cell_key] for spec in specs]
 
     def run_scenario(self, scenario) -> RunResult:
         """Run one declarative scenario (spec or registered name), cached."""
         spec = get_scenario(scenario) if isinstance(scenario, str) else scenario
-        key = spec.cell_key
-        if key not in self._runs:
-            self._runs[key] = self.benchmark.run(
-                spec.deployment(self.planner),
-                self.workload(spec.workload, seed=spec.seed,
-                              fidelity=spec.fidelity),
-                workload_scale=self.cell_scale(spec),
-                seed=spec.seed)
-        return self._runs[key]
-
-    def run_cell(self, provider: str, model: str, runtime: str, platform: str,
-                 workload_name: str, **config_overrides) -> RunResult:
-        """Plan and run a (provider, model, runtime, platform, workload) cell.
-
-        The cell is built through a :class:`ScenarioSpec` — the same
-        construction path the registered scenarios, the tools, and
-        :meth:`prefetch` use.
-        """
-        return self.run_scenario(self._cell_spec(
-            provider, model, runtime, platform, workload_name,
-            config_overrides))
-
-    def prefetch(self, cells: Iterable[CellTuple]) -> None:
-        """Simulate many cells up front, in parallel when ``workers`` > 1.
-
-        Each cell is ``(provider, model, runtime, platform, workload_name)``
-        with an optional trailing dict of config overrides — the same
-        arguments :meth:`run_cell` takes.  Unknown providers are skipped
-        (mirroring the per-module provider filter), cached cells are not
-        re-run, and every result lands in the shared run cache, so the
-        experiment's subsequent :meth:`run_cell` calls are pure lookups.
-        """
-        self.prefetch_specs(
-            self._cell_spec(cell[0], cell[1], cell[2], cell[3], cell[4],
-                            cell[5] if len(cell) > 5 else {})
-            for cell in cells)
-
-    def prefetch_specs(self, specs: Iterable[ScenarioSpec]) -> None:
-        """Spec-native prefetch: the study layer's unit-of-work list.
-
-        Deduplicates by ``cell_key``, skips cached cells and providers
-        outside this context, and fans the rest out over the worker
-        pool; afterwards :meth:`run_scenario` on any of the specs is a
-        pure cache lookup.
-        """
-        pending: List[tuple] = []
-        queued = set()
-        for spec in specs:
-            if spec.provider not in self.providers:
-                continue
-            key = spec.cell_key
-            if key in self._runs or key in queued:
-                continue
-            queued.add(key)
-            pending.append((key, spec))
-        if not pending:
-            return
-        from repro.core.parallel import run_cells
-        results = run_cells(
-            self.benchmark,
-            [(spec.deployment(self.planner),
-              self.workload(spec.workload, seed=spec.seed,
-                            fidelity=spec.fidelity),
-              self.cell_scale(spec), spec.seed) for _key, spec in pending],
-            self.workers)
-        for (key, _spec), result in zip(pending, results):
-            self._runs[key] = result
+        return self.run_specs([spec])[0]
 
 
 def breakdown_metrics(result: RunResult) -> Dict[str, object]:

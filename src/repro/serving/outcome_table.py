@@ -78,7 +78,59 @@ def _sequential(request_id, count: int) -> bool:
                                    np.arange(count, dtype=np.int64)))
 
 
-class OutcomeTable:
+class TimelineReductions:
+    """The reductions both outcome backends compute from one timeline.
+
+    :class:`OutcomeTable` and the streaming
+    :class:`~repro.serving.streaming.OutcomeSummary` each expose
+    ``success_timeline(bin_s) -> (edges, requests, successes)``; the
+    timeline-level metrics are written once, here, over that.
+    """
+
+    def availability(self, bin_s: float = 10.0,
+                     min_success_ratio: float = 0.5) -> float:
+        """Fraction of time bins in which the service was *available*.
+
+        A bin is available when the success ratio of the requests sent
+        in it reaches ``min_success_ratio``; bins with no traffic count
+        as available (nothing was refused).  This is the outage-visible
+        metric: a 30 s dark window under 5 s bins costs ~6 bins of
+        availability regardless of how many requests piled into it.
+        """
+        edges, requests, successes = self.success_timeline(bin_s)
+        if len(edges) == 0:
+            return 1.0
+        active = requests > 0
+        if not active.any():
+            return 1.0
+        ratio = successes[active] / requests[active]
+        available = int((ratio >= min_success_ratio).sum())
+        available += int((~active).sum())
+        return available / len(edges)
+
+    def time_to_recover(self, after_s: float, bin_s: float = 10.0,
+                        min_success_ratio: float = 0.5) -> float:
+        """Seconds from ``after_s`` until service is healthy again.
+
+        Scans the :meth:`success_timeline` for the first bin starting at
+        or after ``after_s`` (the end of an outage window) that carries
+        traffic and meets ``min_success_ratio``; returns the gap between
+        ``after_s`` and that bin's left edge — 0.0 when the first bin
+        after the outage is already healthy.  Returns NaN when the
+        service never recovers within the recorded horizon.
+        """
+        edges, requests, successes = self.success_timeline(bin_s)
+        for index in range(len(edges)):
+            if edges[index] + bin_s <= after_s:
+                continue
+            if requests[index] == 0:
+                continue
+            if successes[index] / requests[index] >= min_success_ratio:
+                return float(max(edges[index] - after_s, 0.0))
+        return float("nan")
+
+
+class OutcomeTable(TimelineReductions):
     """Immutable-ish struct-of-arrays over one run's request outcomes.
 
     Columns (all length ``count``):
@@ -289,48 +341,6 @@ class OutcomeTable:
         successes = np.bincount(index[self.success], minlength=bins)
         edges = np.arange(bins) * bin_s
         return edges, requests, successes
-
-    def availability(self, bin_s: float = 10.0,
-                     min_success_ratio: float = 0.5) -> float:
-        """Fraction of time bins in which the service was *available*.
-
-        A bin is available when the success ratio of the requests sent
-        in it reaches ``min_success_ratio``; bins with no traffic count
-        as available (nothing was refused).  This is the outage-visible
-        metric: a 30 s dark window under 5 s bins costs ~6 bins of
-        availability regardless of how many requests piled into it.
-        """
-        edges, requests, successes = self.success_timeline(bin_s)
-        if len(edges) == 0:
-            return 1.0
-        active = requests > 0
-        if not active.any():
-            return 1.0
-        ratio = successes[active] / requests[active]
-        available = int((ratio >= min_success_ratio).sum())
-        available += int((~active).sum())
-        return available / len(edges)
-
-    def time_to_recover(self, after_s: float, bin_s: float = 10.0,
-                        min_success_ratio: float = 0.5) -> float:
-        """Seconds from ``after_s`` until service is healthy again.
-
-        Scans the :meth:`success_timeline` for the first bin starting at
-        or after ``after_s`` (the end of an outage window) that carries
-        traffic and meets ``min_success_ratio``; returns the gap between
-        ``after_s`` and that bin's left edge — 0.0 when the first bin
-        after the outage is already healthy.  Returns NaN when the
-        service never recovers within the recorded horizon.
-        """
-        edges, requests, successes = self.success_timeline(bin_s)
-        for index in range(len(edges)):
-            if edges[index] + bin_s <= after_s:
-                continue
-            if requests[index] == 0:
-                continue
-            if successes[index] / requests[index] >= min_success_ratio:
-                return float(max(edges[index] - after_s, 0.0))
-        return float("nan")
 
     # -- mutation (benchmark-internal) ----------------------------------------
     def fail_unfinished(self, horizon: float,

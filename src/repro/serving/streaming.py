@@ -54,6 +54,7 @@ from repro.core.metrics import LatencyStats
 from repro.serving.outcome_table import (
     STAGE_ORDER,
     OutcomeTable,
+    TimelineReductions,
     _intern_error,
 )
 from repro.serving.records import SERVED_BY_SPILL, RequestOutcome
@@ -183,7 +184,7 @@ class LatencySketch:
         )
 
 
-class OutcomeSummary:
+class OutcomeSummary(TimelineReductions):
     """Online reductions over folded outcome chunks.
 
     The streaming replacement for holding a full
@@ -195,7 +196,10 @@ class OutcomeSummary:
     :meth:`time_to_recover`, :meth:`success_timeline`,
     :meth:`attempts_mean`, :meth:`degraded_ratio`, :meth:`spill_ratio`,
     :meth:`path_latency_mean`) so results built on either backend answer
-    the same questions.
+    the same questions; :meth:`availability` and :meth:`time_to_recover`
+    are the table's own implementation, inherited from
+    :class:`~repro.serving.outcome_table.TimelineReductions` and read
+    off this summary's :meth:`success_timeline`.
     """
 
     #: Time resolution (seconds) of the streaming success timeline; any
@@ -397,42 +401,6 @@ class OutcomeSummary:
         requests = requests.reshape(bins, factor).sum(axis=1)
         successes = successes.reshape(bins, factor).sum(axis=1)
         return np.arange(bins) * bin_s, requests, successes
-
-    def availability(self, bin_s: float = 10.0,
-                     min_success_ratio: float = 0.5) -> float:
-        """Fraction of time bins in which the service was available.
-
-        Same semantics as the table reduction: a bin with traffic is
-        available when its success ratio reaches ``min_success_ratio``;
-        bins without traffic count as available.
-        """
-        edges, requests, successes = self.success_timeline(bin_s)
-        if len(edges) == 0:
-            return 1.0
-        active = requests > 0
-        if not active.any():
-            return 1.0
-        ratio = successes[active] / requests[active]
-        available = int((ratio >= min_success_ratio).sum())
-        available += int((~active).sum())
-        return available / len(edges)
-
-    def time_to_recover(self, after_s: float, bin_s: float = 10.0,
-                        min_success_ratio: float = 0.5) -> float:
-        """Seconds from ``after_s`` until the service is healthy again.
-
-        Mirrors the table reduction over the streaming timeline; NaN
-        when the service never recovers within the recorded horizon.
-        """
-        edges, requests, successes = self.success_timeline(bin_s)
-        for index in range(len(edges)):
-            if edges[index] + bin_s <= after_s:
-                continue
-            if requests[index] == 0:
-                continue
-            if successes[index] / requests[index] >= min_success_ratio:
-                return float(max(edges[index] - after_s, 0.0))
-        return float("nan")
 
     # -- determinism -------------------------------------------------------
     def digest(self) -> str:

@@ -289,8 +289,7 @@ class CostEstimator:
         Resolves the scenario's deployment and workload references (the
         request count comes from the workload spec's target), so the
         analytical what-if prices exactly the cell
-        :meth:`~repro.core.benchmark.ServingBenchmark.run_scenario`
-        would simulate.
+        :func:`repro.api.run` would simulate.
         """
         deployment = scenario.deployment()
         if deployment.provider.name != self.provider.name:

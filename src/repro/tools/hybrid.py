@@ -314,7 +314,7 @@ class HybridValidation:
 def validate_routed_plan(scenario, routed_percentile: float = 60.0,
                          seed: int = 7, scale: float = 1.0,
                          profiles: Optional[LatencyProfiles] = None,
-                         benchmark=None, **overrides) -> HybridValidation:
+                         **overrides) -> HybridValidation:
     """Check the routed closed form against a simulated hybrid cell.
 
     Plans ``scenario``'s workload with ``routed_percentile`` (hedging
@@ -343,6 +343,7 @@ def validate_routed_plan(scenario, routed_percentile: float = 60.0,
     """
     from repro.core.benchmark import ServingBenchmark
     from repro.core.scenario import ScenarioSpec, get_scenario
+    from repro.experiments.base import ExperimentContext
     from repro.serving.deployment import PlatformKind
     if isinstance(scenario, str):
         scenario = get_scenario(scenario)
@@ -362,13 +363,10 @@ def validate_routed_plan(scenario, routed_percentile: float = 60.0,
         provider=scenario.provider, model=scenario.model,
         runtime=scenario.runtime, platform=PlatformKind.HYBRID,
         workload=scenario.workload, config=config, seed=scenario.seed)
-    if benchmark is not None:
-        bench = benchmark
-    elif profiles is not None:
-        bench = ServingBenchmark(seed=seed, profiles=profiles)
-    else:
-        bench = ServingBenchmark(seed=seed)
-    result = bench.run_scenario(cell, scale=scale)
+    context = ExperimentContext(seed=seed, scale=scale)
+    if profiles is not None:
+        context.benchmark = ServingBenchmark(seed=seed, profiles=profiles)
+    result = context.run_scenario(cell)
     return HybridValidation(
         plan=plan,
         simulated_cost=result.usage.cost,

@@ -6,8 +6,9 @@ configuration under pre-defined constraints."  The navigator does exactly
 that on the simulated cloud: its candidate grid *is* a
 :class:`~repro.core.study.Sweep` (runtime x memory x batch, plus
 optional server platforms), each candidate is measured on a
-time-compressed copy of the target workload through the same
-``run_scenario`` path the experiments use, and the evaluation comes back
+time-compressed copy of the target workload (each candidate spec's
+deployment run by :meth:`~repro.core.benchmark.ServingBenchmark.run`
+against that one workload), and the evaluation comes back
 as a :class:`~repro.core.study.ResultFrame` — one row per candidate with
 the standard reductions plus a ``feasible`` column — from which the
 feasible set is ranked under the user's latency / success-ratio / cost
@@ -169,8 +170,8 @@ class DesignSpaceNavigator:
         else:
             results = [
                 ({**cell.spec.as_row(), **cell.labels},
-                 self.benchmark.run_scenario(cell.spec, workload=workload,
-                                             planner=self.planner))
+                 self.benchmark.run(cell.spec.deployment(self.planner),
+                                    workload, seed=cell.spec.seed))
                 for cell in cells
             ]
             frame = ResultFrame.from_results(

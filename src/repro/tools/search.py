@@ -253,8 +253,8 @@ class _ContextEvaluator:
         return spec.cell_key in self.context._runs
 
     def prefetch(self, specs: Sequence[ScenarioSpec]) -> None:
-        """Fan a rung's cells over the context's worker pool."""
-        self.context.prefetch_specs(specs)
+        """Run a rung's cells as one batch over the context's worker pool."""
+        self.context.run_specs(specs)
 
     def __call__(self, spec: ScenarioSpec) -> Dict[str, object]:
         """The cell's standard frame metrics (simulating on a cache miss)."""

@@ -26,6 +26,7 @@ import numpy as np
 import pytest
 
 from repro.core.benchmark import ServingBenchmark
+from repro.core.parallel import run_cells
 from repro.core.planner import Planner
 from repro.serving.outcome_table import OutcomeRecorder, OutcomeTable
 from repro.serving.records import RequestOutcome, Stage
@@ -109,8 +110,10 @@ class TestSerialParallelEquality:
                        for platform in ("serverless", "cpu_server",
                                         "managed_ml", "gpu_server")]
         bench = ServingBenchmark(seed=SEED)
-        serial = bench.run_many(deployments, workload)
-        parallel = bench.run_many(deployments, workload, workers=4)
+        cells = [(deployment, workload, 1.0, None)
+                 for deployment in deployments]
+        serial = run_cells(bench, cells, workers=0)
+        parallel = run_cells(bench, cells, workers=4)
         for left, right in zip(serial, parallel):
             assert left.table.column_hash() == right.table.column_hash()
             assert left.cost == right.cost
@@ -171,8 +174,7 @@ class TestSeedAxisDeterminism:
         def run_all(workers):
             context = ExperimentContext(seed=SEED, scale=0.05,
                                         workers=workers)
-            context.prefetch_specs(specs)
-            return [context.run_scenario(s) for s in specs]
+            return context.run_specs(specs)
 
         serial = run_all(workers=0)
         parallel = run_all(workers=4)
@@ -238,7 +240,7 @@ class TestFidelityDeterminism:
         assert rung0.workload_scale == folded.workload_scale
 
     def test_rung0_context_run_matches_api_run(self):
-        """The context path (run cache, prefetch) == the api.run path."""
+        """The context path (run cache, run_specs) == the api.run path."""
         from repro.api import ScenarioSpec, run
         from repro.experiments.base import ExperimentContext
 
@@ -262,8 +264,7 @@ class TestFidelityDeterminism:
         def run_all(workers):
             context = ExperimentContext(seed=SEED, scale=self.SCALE,
                                         workers=workers)
-            context.prefetch_specs(specs)
-            return [context.run_scenario(s) for s in specs]
+            return context.run_specs(specs)
 
         serial = run_all(workers=0)
         parallel = run_all(workers=2)
@@ -284,7 +285,7 @@ class TestPackedTransport:
         deployment, workload = w40_cell
         result = ServingBenchmark(seed=SEED).run(deployment, workload)
         packed = len(pickle.dumps(result.to_transport()))
-        legacy = len(pickle.dumps(result.outcomes))
+        legacy = len(pickle.dumps(result.table.to_outcomes()))
         # The margin widens with request count (per-table overhead is
         # constant); at this tiny 750-request cell it is already ~1.9x.
         assert packed < legacy * 0.6
@@ -330,7 +331,7 @@ class TestObjectViewConsistency:
         """Masked reductions agree with the reconstructed object view."""
         deployment, workload = w40_cell
         result = ServingBenchmark(seed=SEED).run(deployment, workload)
-        outcomes = result.outcomes
+        outcomes = result.table.to_outcomes()
         assert result.total_requests == len(outcomes)
         successes = [o for o in outcomes if o.success]
         assert result.success_ratio == len(successes) / len(outcomes)

@@ -27,6 +27,7 @@ import os
 
 import pytest
 
+from repro.api import run
 from repro.core.benchmark import ServingBenchmark
 from repro.core.planner import Planner
 from repro.core.scenario import ScenarioSpec, get_scenario
@@ -514,8 +515,8 @@ class TestGoldenScenarios:
 
     @pytest.mark.parametrize("name", sorted(_GOLDEN["scenarios"]))
     def test_scenario_reproduces_pin(self, name):
-        result = ServingBenchmark(seed=_GOLDEN["seed"]).run_scenario(
-            get_scenario(name), scale=_GOLDEN["scenario_scale"])
+        result = run(get_scenario(name), seed=_GOLDEN["seed"],
+                     scale=_GOLDEN["scenario_scale"])
         _assert_pin(result, result.table.column_hash(),
                     _GOLDEN["scenarios"][name])
 

@@ -1,9 +1,11 @@
 """Tests for the planner, executor, analyzer, metrics, and benchmark façade."""
 
+import numpy as np
 import pytest
 
 from repro.core import Analyzer, LatencyStats, Planner, ServingBenchmark, percentile
 from repro.core.metrics import mean_or_zero, ratio
+from repro.core.parallel import run_cells
 from repro.serving import PlatformKind
 from repro.serving.records import RequestOutcome
 
@@ -95,20 +97,20 @@ class TestBenchmarkAndExecutor:
         deployment = planner.plan("aws", "mobilenet", "ort1.4", "serverless")
         result = bench.run(deployment, tiny_w40)
         assert result.total_requests == tiny_w40.count
-        assert all(o.completion_time is not None for o in result.outcomes)
+        assert not np.isnan(result.table.completion_time).any()
         assert result.duration_s > 0
         assert result.workload_name == "w-40"
 
     def test_request_ids_unique(self, bench, planner, tiny_w40):
         deployment = planner.plan("aws", "mobilenet", "ort1.4", "serverless")
         result = bench.run(deployment, tiny_w40)
-        ids = [o.request_id for o in result.outcomes]
-        assert len(ids) == len(set(ids))
+        ids = result.table.request_id
+        assert len(np.unique(ids)) == len(ids)
 
     def test_clients_are_assigned(self, bench, planner, tiny_w40):
         deployment = planner.plan("aws", "mobilenet", "ort1.4", "serverless")
         result = bench.run(deployment, tiny_w40)
-        clients = {o.client_id for o in result.outcomes}
+        clients = set(result.table.client_id.tolist())
         assert clients == set(range(8))
 
     def test_run_many_and_matrix(self, bench, planner, tiny_w40):
@@ -116,11 +118,11 @@ class TestBenchmarkAndExecutor:
             planner.plan("aws", "mobilenet", "ort1.4", "serverless"),
             planner.plan("aws", "mobilenet", "ort1.4", "gpu_server"),
         ]
-        results = bench.run_many(deployments, tiny_w40)
-        assert len(results) == 2
-        matrix = bench.run_matrix(deployments, [tiny_w40])
-        assert set(matrix) == {"w-40"}
-        assert len(matrix["w-40"]) == 2
+        results = run_cells(bench, [(deployment, tiny_w40, 1.0, None)
+                                    for deployment in deployments],
+                            workers=0)
+        assert [result.deployment for result in results] == deployments
+        assert {result.workload_name for result in results} == {"w-40"}
 
     def test_batch_executor_preserves_request_count(self, bench, planner,
                                                     tiny_w40):

@@ -7,6 +7,7 @@ benchmark harness under ``benchmarks/``.
 
 import pytest
 
+from repro.core.scenario import ScenarioSpec
 from repro.experiments import ExperimentContext, list_experiments, run_experiment
 from repro.experiments.base import EXPERIMENTS, format_table
 from repro.experiments.runner import build_parser, main, run_selected
@@ -51,10 +52,11 @@ class TestContext:
         assert first is second
 
     def test_run_cache(self, tiny_context):
-        first = tiny_context.run_cell("aws", "mobilenet", "ort1.4",
-                                      "serverless", "w-40")
-        second = tiny_context.run_cell("aws", "mobilenet", "ort1.4",
-                                       "serverless", "w-40")
+        spec = ScenarioSpec(name="", provider="aws", model="mobilenet",
+                            runtime="ort1.4", platform="serverless",
+                            workload="w-40")
+        first = tiny_context.run_scenario(spec)
+        second = tiny_context.run_scenario(spec)
         assert first is second
 
 

@@ -24,8 +24,10 @@ Six layers:
 import numpy as np
 import pytest
 
+from repro.api import run
 from repro.core.benchmark import ServingBenchmark
 from repro.core.executor import Executor
+from repro.core.parallel import run_cells
 from repro.core.planner import Planner
 from repro.core.scenario import ScenarioSpec, get_scenario
 from repro.platforms.base import build_platform
@@ -310,8 +312,7 @@ class TestHybridEndToEnd:
 
     def test_spill_survives_a_provisioned_outage(self):
         """The hybrid-outage scenario: spill absorbs the outage window."""
-        bench = ServingBenchmark(seed=SEED)
-        result = bench.run_scenario("hybrid-outage", scale=0.1)
+        result = run("hybrid-outage", seed=SEED, scale=0.1)
         table = result.table
         assert table.spill_ratio() > 0.0
         assert float(table.success.mean()) > 0.9
@@ -319,9 +320,8 @@ class TestHybridEndToEnd:
         assert result.usage.notes["spill.completed"] > 0
 
     def test_registered_scenarios_run_end_to_end(self):
-        bench = ServingBenchmark(seed=SEED)
         for name in ("hybrid-burst", "hybrid-steady"):
-            result = bench.run_scenario(name, scale=0.05)
+            result = run(name, seed=SEED, scale=0.05)
             assert result.table.count > 0
             assert_conserved(result.usage.notes)
 
@@ -345,8 +345,10 @@ class TestHybridDeterminism:
                         crash_mtbf_s=30.0),
         ]
         bench = ServingBenchmark(seed=SEED)
-        serial = bench.run_many(deployments, tiny_w40)
-        parallel = bench.run_many(deployments, tiny_w40, workers=3)
+        cells = [(deployment, tiny_w40, 1.0, None)
+                 for deployment in deployments]
+        serial = run_cells(bench, cells, workers=0)
+        parallel = run_cells(bench, cells, workers=3)
         for left, right in zip(serial, parallel):
             assert left.table.column_hash() == right.table.column_hash()
             assert left.cost == right.cost

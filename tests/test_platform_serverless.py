@@ -23,19 +23,20 @@ class TestServerlessBasics:
 
     def test_cold_starts_happen_and_are_flagged(self, bench, planner, tiny_w40):
         result = run_serverless(bench, planner, tiny_w40)
-        cold = [o for o in result.successful if o.cold_start]
+        table = result.table
+        cold = table.success & table.cold_start
         assert result.usage.cold_starts > 0
-        assert cold, "at least some requests must be cold-start requests"
-        for outcome in cold[:20]:
-            assert outcome.stage(Stage.IMPORT) > 0
-            assert outcome.stage(Stage.LOAD) > 0
-            assert outcome.latency > 2.0
+        assert cold.any(), "at least some requests must be cold-start requests"
+        assert (table.stage_column(Stage.IMPORT)[cold][:20] > 0).all()
+        assert (table.stage_column(Stage.LOAD)[cold][:20] > 0).all()
+        assert (table.latency[cold][:20] > 2.0).all()
 
     def test_warm_requests_are_fast(self, bench, planner, tiny_w40):
         result = run_serverless(bench, planner, tiny_w40)
-        warm = [o for o in result.successful if not o.cold_start]
-        assert warm
-        mean_warm = sum(o.latency for o in warm) / len(warm)
+        table = result.table
+        warm = table.success & ~table.cold_start
+        assert warm.any()
+        mean_warm = float(table.latency[warm].mean())
         # Warm requests are far faster than the ~9 s cold start; a small
         # share of them still queues behind in-flight cold starts at this
         # tiny workload scale, so the bound is loose.
@@ -55,9 +56,10 @@ class TestServerlessBasics:
 
     def test_vgg_skips_download_stage(self, bench, planner, tiny_w40):
         result = run_serverless(bench, planner, tiny_w40, model="vgg")
-        cold = [o for o in result.successful if o.cold_start]
-        assert cold
-        assert all(o.stage(Stage.DOWNLOAD) == 0.0 for o in cold)
+        table = result.table
+        cold = table.success & table.cold_start
+        assert cold.any()
+        assert (table.stage_column(Stage.DOWNLOAD)[cold] == 0.0).all()
 
     def test_reproducible_with_same_seed(self, planner, tiny_w40):
         first = ServingBenchmark(seed=9).run(
@@ -114,10 +116,13 @@ class TestServerlessDesignSpace:
         base = run_serverless(bench, planner, tiny_w40)
         heavy = run_serverless(bench, planner, tiny_w40,
                                extra_download_mb=300.0)
-        base_cold = [o.latency for o in base.successful if o.cold_start]
-        heavy_cold = [o.latency for o in heavy.successful if o.cold_start]
-        assert (sum(heavy_cold) / len(heavy_cold)
-                > sum(base_cold) / len(base_cold) + 1.0)
+
+        def mean_cold_latency(result):
+            table = result.table
+            return float(table.latency[table.success & table.cold_start]
+                         .mean())
+
+        assert mean_cold_latency(heavy) > mean_cold_latency(base) + 1.0
 
     def test_inferences_per_request_scale_latency(self, bench, planner,
                                                   tiny_w40):

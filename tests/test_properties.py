@@ -165,12 +165,13 @@ class TestEndToEndInvariants:
         assert 0.0 <= result.success_ratio <= 1.0
         assert result.cost >= 0.0
         assert result.average_latency >= 0.0
-        for outcome in result.outcomes:
+        outcomes = result.table.to_outcomes()
+        for outcome in outcomes:
             assert outcome.completion_time is not None
             assert outcome.completion_time >= outcome.send_time
             for stage, seconds in outcome.breakdown.items():
                 assert seconds >= 0.0, stage
-        successful = result.successful
+        successful = [outcome for outcome in outcomes if outcome.success]
         if successful:
             # End-to-end latency can never be smaller than the predict stage.
             for outcome in successful[:50]:

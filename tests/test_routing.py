@@ -24,6 +24,7 @@ import pytest
 
 from repro.core.benchmark import ServingBenchmark
 from repro.core.executor import Executor
+from repro.core.parallel import run_cells
 from repro.core.planner import Planner
 from repro.platforms.base import build_platform
 from repro.platforms.routing import (
@@ -532,8 +533,10 @@ class TestFailoverEndToEnd:
                          brownout_model="mobilenet"),
         ]
         bench = ServingBenchmark(seed=SEED)
-        serial = bench.run_many(deployments, tiny_w40)
-        parallel = bench.run_many(deployments, tiny_w40, workers=3)
+        cells = [(deployment, tiny_w40, 1.0, None)
+                 for deployment in deployments]
+        serial = run_cells(bench, cells, workers=0)
+        parallel = run_cells(bench, cells, workers=3)
         for left, right in zip(serial, parallel):
             assert left.table.column_hash() == right.table.column_hash()
             assert left.cost == right.cost

@@ -8,7 +8,7 @@ shipped config-only scenarios end-to-end.
 
 import pytest
 
-from repro.core.benchmark import ServingBenchmark
+from repro.api import run
 from repro.core.planner import Planner
 from repro.core.scenario import (
     ScenarioSpec,
@@ -121,32 +121,20 @@ class TestRegistry:
 
 class TestScenarioExecution:
     def test_burst_storm_runs_end_to_end(self):
-        result = ServingBenchmark(seed=7).run_scenario("burst-storm",
-                                                       scale=0.04)
+        result = run("burst-storm", seed=7, scale=0.04)
         assert result.total_requests > 1000
         assert result.success_ratio > 0.95
         assert result.usage.cold_starts > 0
 
     def test_provisioned_serverless_runs_end_to_end(self):
-        result = ServingBenchmark(seed=7).run_scenario(
-            "provisioned-serverless", scale=0.04)
+        result = run("provisioned-serverless", seed=7, scale=0.04)
         assert result.usage.cost_breakdown["provisioned"] > 0
         assert result.usage.peak_instances >= 8
 
-    def test_run_scenarios_rejects_duplicate_names(self):
-        bench = ServingBenchmark(seed=7)
-        anonymous = ScenarioSpec(name="", provider="aws", model="mobilenet")
-        with pytest.raises(ValueError, match="distinct"):
-            bench.run_scenarios([anonymous,
-                                 anonymous.with_config(memory_gb=4.0)])
-
     def test_storm_separates_serverless_from_managed(self):
         """The config-only storm reproduces the paper's headline split."""
-        bench = ServingBenchmark(seed=7)
-        results = bench.run_scenarios(["burst-storm", "burst-storm-managed"],
-                                      scale=0.04)
-        serverless = results["burst-storm"]
-        managed = results["burst-storm-managed"]
+        serverless, managed = ExperimentContext(seed=7, scale=0.04).run_specs(
+            [get_scenario("burst-storm"), get_scenario("burst-storm-managed")])
         assert serverless.success_ratio > managed.success_ratio + 0.3
         assert serverless.total_requests == managed.total_requests
 
@@ -165,13 +153,12 @@ class TestScenarioExecution:
 
     def test_eager_policy_changes_scaling_behaviour(self):
         """Policy-as-data: the override must actually move the metrics."""
-        bench = ServingBenchmark(seed=7)
-        eager = bench.run_scenario("eager-managed", scale=0.3)
-        default = bench.run_scenario(
+        eager = run("eager-managed", seed=7, scale=0.3)
+        default = run(
             ScenarioSpec(name="default-managed", provider="aws",
                          model="mobilenet", platform=PlatformKind.MANAGED_ML,
                          workload="w-120"),
-            scale=0.3)
+            seed=7, scale=0.3)
         assert (eager.usage.instances_created
                 > default.usage.instances_created)
 
@@ -183,11 +170,9 @@ class TestScenarioExecution:
         relaunches for the second one — cheaper than the same cell with
         scale-in disabled, with a visible retire/relaunch cycle.
         """
-        bench = ServingBenchmark(seed=7)
         spec = get_scenario("diurnal-scalein")
-        scaled_in = bench.run_scenario(spec, scale=0.3)
-        static = bench.run_scenario(
-            spec.with_config(scale_in_cooldown_s=None), scale=0.3)
+        scaled_in, static = ExperimentContext(seed=7, scale=0.3).run_specs(
+            [spec, spec.with_config(scale_in_cooldown_s=None)])
         # More launches than the no-scale-in run: retire + relaunch.
         assert (scaled_in.usage.instances_created
                 > static.usage.instances_created)
@@ -215,9 +200,10 @@ class TestScenarioExecution:
         first = context.run_scenario("burst-storm")
         second = context.run_scenario(get_scenario("burst-storm"))
         assert first is second  # same cache entry either way
-        # run_cell goes through the same spec path and cache.
-        cell = context.run_cell("aws", "mobilenet", "tf1.15", "serverless",
-                                "w-storm")
+        # An anonymous spec of the same cell shares the cache entry.
+        cell = context.run_scenario(ScenarioSpec(
+            name="", provider="aws", model="mobilenet", runtime="tf1.15",
+            platform="serverless", workload="w-storm"))
         assert cell is first
 
 

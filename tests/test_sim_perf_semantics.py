@@ -17,7 +17,7 @@ observable behaviour.  These tests pin down the contracts:
   keeps the request's enqueue time and deadline.
 * The serverless platform's O(1) alive counter agrees with a
   brute-force scan over every instance ever created.
-* ``run_matrix(workers=N)`` returns results identical to serial mode.
+* ``run_cells(workers=N)`` returns results identical to serial mode.
 """
 
 import sys
@@ -29,6 +29,7 @@ import repro.core.benchmark as benchmark_module
 import repro.sim.engine as engine
 from repro.core.benchmark import ServingBenchmark
 from repro.core.executor import Executor
+from repro.core.parallel import run_cells
 from repro.core.planner import Planner
 from repro.core.scenario import get_scenario
 from repro.experiments.base import load_registered_studies
@@ -417,30 +418,34 @@ class TestParallelEquality:
         return (result.total_requests, result.success_ratio,
                 result.average_latency, result.cost,
                 result.usage.instances_created, result.usage.cold_starts,
-                [outcome.completion_time for outcome in result.outcomes])
+                result.table.completion_time.tolist())
 
     def test_run_matrix_parallel_identical_to_serial(self):
+        """A deployment x workload grid of cells fans out bit-identically."""
         planner = Planner()
         deployments = [planner.plan("aws", "mobilenet", "tf1.15", platform)
                        for platform in ("serverless", "cpu_server")]
-        workloads = [standard_workload("w-40", seed=11, scale=0.04)]
+        workloads = [standard_workload("w-40", seed=11, scale=0.04),
+                     standard_workload("w-120", seed=11, scale=0.02)]
+        cells = [(deployment, workload, 1.0, None)
+                 for workload in workloads for deployment in deployments]
         bench = ServingBenchmark(seed=11)
-        serial = bench.run_matrix(deployments, workloads)
-        parallel = bench.run_matrix(deployments, workloads, workers=4)
-        assert serial.keys() == parallel.keys()
-        for name in serial:
-            assert len(serial[name]) == len(parallel[name])
-            for left, right in zip(serial[name], parallel[name]):
-                assert self._key_metrics(left) == self._key_metrics(right)
+        serial = run_cells(bench, cells, workers=0)
+        parallel = run_cells(bench, cells, workers=4)
+        assert len(serial) == len(parallel) == len(cells)
+        for left, right in zip(serial, parallel):
+            assert self._key_metrics(left) == self._key_metrics(right)
 
     def test_run_many_parallel_identical_to_serial(self):
         planner = Planner()
         deployments = [planner.plan("gcp", "mobilenet", "tf1.15", platform)
                        for platform in ("serverless", "managed_ml")]
         workload = standard_workload("w-40", seed=13, scale=0.04)
+        cells = [(deployment, workload, 1.0, None)
+                 for deployment in deployments]
         bench = ServingBenchmark(seed=13)
-        serial = bench.run_many(deployments, workload)
-        parallel = bench.run_many(deployments, workload, workers=2)
+        serial = run_cells(bench, cells, workers=0)
+        parallel = run_cells(bench, cells, workers=2)
         for left, right in zip(serial, parallel):
             assert self._key_metrics(left) == self._key_metrics(right)
 

@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 
 from repro.core.benchmark import ServingBenchmark
+from repro.core.parallel import run_cells
 from repro.core.results import RunResult
 from repro.core.shm import ShmPayload, pack_arrays, unpack_arrays
 from repro.serving.outcome_table import OutcomeRecorder, OutcomeTable
@@ -122,8 +123,6 @@ class TestStreamingReductions:
         assert not full.streaming
         assert streamed.streaming
         assert isinstance(streamed.table, OutcomeSummary)
-        with pytest.raises(RuntimeError):
-            streamed.outcomes  # noqa: B018 - the raise is the assertion
 
     def test_exact_reductions_match(self, pair):
         full, streamed = pair
@@ -235,16 +234,72 @@ class TestShmTransport:
 
     def test_worker_pool_on_segment_path_matches_serial(self, monkeypatch,
                                                         tiny_w40):
+        """Pooled == serial with the segment path forced on, and off."""
         from repro.core.planner import Planner
         monkeypatch.setenv("REPRO_SHM_MIN_BYTES", "0")
         planner = Planner()
         deployments = [planner.plan("aws", "mobilenet", "tf1.15", platform)
                        for platform in ("serverless", "cpu_server")]
         bench = ServingBenchmark(seed=SEED)
-        serial = bench.run_many(deployments, tiny_w40)
-        pooled = bench.run_many(deployments, tiny_w40, workers=2)
+        cells = [(deployment, tiny_w40, 1.0, None)
+                 for deployment in deployments]
+        serial = run_cells(bench, cells, workers=0)
+        for shm in ("1", "0"):
+            monkeypatch.setenv("REPRO_SHM", shm)
+            pooled = run_cells(bench, cells, workers=2)
+            for left, right in zip(serial, pooled):
+                assert left.table.column_hash() == right.table.column_hash()
+
+    def test_worker_crash_keeps_finished_cells_and_leaks_no_segment(
+            self, monkeypatch, tiny_w40):
+        """A worker dying mid-batch: the cells other workers finished are
+        kept (unpacking unlinks their segments), only the unfinished cell
+        reruns in-process, and the results equal the serial run."""
+        import os
+        import time
+
+        from repro.core.planner import Planner
+
+        def segments():
+            if not os.path.isdir("/dev/shm"):
+                pytest.skip("no /dev/shm to inspect")
+            return {name for name in os.listdir("/dev/shm")
+                    if name.startswith("psm_")}
+
+        monkeypatch.setenv("REPRO_SHM_MIN_BYTES", "0")
+        planner = Planner()
+        deployments = [planner.plan("aws", "mobilenet", "tf1.15", platform)
+                       for platform in ("serverless", "cpu_server",
+                                        "managed_ml", "gpu_server")]
+        bench = ServingBenchmark(seed=SEED)
+        cells = [(deployment, tiny_w40, 1.0, None)
+                 for deployment in deployments]
+        serial = run_cells(bench, cells, workers=0)
+
+        # Patch the class, not the pool function: forked workers inherit
+        # it, and a closure could not be pickled as the task.
+        parent = os.getpid()
+        run = ServingBenchmark.run
+
+        def crash_managed_cell_in_worker(self, deployment, *args, **kwargs):
+            if (os.getpid() != parent
+                    and deployment.config.platform == "managed_ml"):
+                time.sleep(0.5)  # let the other cells finish first
+                os._exit(1)
+            return run(self, deployment, *args, **kwargs)
+
+        monkeypatch.setattr(ServingBenchmark, "run",
+                            crash_managed_cell_in_worker)
+        before = segments()
+        # The crashing worker sent back the cell it ran before, so at
+        # least that one is kept.
+        with pytest.warns(RuntimeWarning,
+                          match="running [123] of 4 cells serially"):
+            pooled = run_cells(bench, cells, workers=2)
+        assert segments() - before == set()
         for left, right in zip(serial, pooled):
             assert left.table.column_hash() == right.table.column_hash()
+            assert left.cost == right.cost
 
 
 class TestStreamedWorkload:

@@ -365,8 +365,7 @@ class TestStudyExecution:
             name="cache-test", base=_base(workload="w-40"),
             axes={"runtime": ("tf1.15",)}))
         frame = study.run(context)
-        direct = context.run_cell("aws", "mobilenet", "tf1.15", "serverless",
-                                  "w-40")
+        direct = context.run_scenario(_base(workload="w-40"))
         assert frame.row(0)["cost_usd"] == direct.cost
         # Re-running the study is pure cache lookups: same values out.
         assert study.run(context).row(0) == frame.row(0)
