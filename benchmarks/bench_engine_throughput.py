@@ -19,7 +19,8 @@ compares its throughput against the probe entry recorded in
 cell (calendar events must equal the recorded count exactly; cProfile
 calls per request may exceed the recorded value by at most 2 %; the
 bytes its outcome table stores per row may not exceed the recorded
-value), and also smokes the columnar outcome pipeline
+value) and the calendar events of the fault-injection and hybrid
+probes (exactly, like the probe cell), and also smokes the columnar outcome pipeline
 (outcome-table build + metric reductions on the probe's data), the
 serving control plane (instance-pool transitions, scaling-policy
 decisions, work-queue ticket cycling), the study layer
@@ -275,6 +276,7 @@ def run_fault_probe(repeats: int = 1) -> dict:
         "scale": CHECK_SCALE,
         "faults": dict(FAULT_PROBE_CONFIG),
         "requests": result.total_requests,
+        "events": int(result.metadata["events_processed"]),
         "wall_s": round(best, 3),
         "requests_per_s": round(result.total_requests / best, 1),
         "success_ratio": round(result.success_ratio, 4),
@@ -439,6 +441,7 @@ def run_hybrid_probe(repeats: int = 1) -> dict:
         "scale": CHECK_SCALE,
         "config": dict(HYBRID_PROBE_CONFIG),
         "requests": result.total_requests,
+        "events": int(result.metadata["events_processed"]),
         "wall_s": round(best, 3),
         "requests_per_s": round(result.total_requests / best, 1),
         "spill_ratio": round(result.table.spill_ratio(), 4),
@@ -582,10 +585,12 @@ def run_sweep(scale: float, repeats: int) -> dict:
           f"({probe['events']} events, {probe['calls_per_req']:g} "
           f"calls/request)")
     print(f" faults x{CHECK_SCALE:<5g} {fault['wall_s']:>8.3f}s "
-          f"{fault['requests_per_s']:>10,.0f} req/s (chaos schedule on)")
+          f"{fault['requests_per_s']:>10,.0f} req/s "
+          f"({fault['events']} events, chaos schedule on)")
     print(f" hybrid x{CHECK_SCALE:<5g} {hybrid['wall_s']:>8.3f}s "
           f"{hybrid['requests_per_s']:>10,.0f} req/s "
-          f"(spill ratio {hybrid['spill_ratio']:g})")
+          f"({hybrid['events']} events, spill ratio "
+          f"{hybrid['spill_ratio']:g})")
     print(f" routing       {routing['cycles_per_s']:>13,.0f} cycles/s "
           f"({routing['breaker_trips']} breaker trips)")
     print(f" columnar build {columnar['build_rows_per_s']:>12,.0f} rows/s "
@@ -621,6 +626,14 @@ def run_sweep(scale: float, repeats: int) -> dict:
     }
 
 
+def events_gate(label: str, measured: dict, recorded: dict) -> bool:
+    """Print one exact calendar-events gate line; True when it holds."""
+    verdict = "OK" if measured["events"] == recorded["events"] else "REGRESSION"
+    print(f"{label} calendar events: {measured['events']} "
+          f"(recorded {recorded['events']}, must match) -> {verdict}")
+    return verdict == "OK"
+
+
 def run_check(path: str) -> int:
     """CI smoke gate: fail if any probe regressed > CHECK_TOLERANCE.
 
@@ -628,7 +641,9 @@ def run_check(path: str) -> int:
     cell) and the columnar pipeline (outcome-table build and metric
     reduction rows/s), plus the probe cell's counters: calendar events
     exactly, cProfile calls per request within CALLS_TOLERANCE, and
-    resident table bytes per row at most the recorded value.
+    resident table bytes per row at most the recorded value.  The
+    fault-injection and hybrid probes' calendar events must match
+    their recorded counts exactly too.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -646,12 +661,8 @@ def run_check(path: str) -> int:
                      keep_result=keep)
     checks = [("engine req/s", probe["requests_per_s"],
                reference["requests_per_s"])]
-    failed = False
     # Work counters: deterministic, so they gate far tighter than time.
-    verdict = "OK" if probe["events"] == reference["events"] else "REGRESSION"
-    failed = failed or verdict != "OK"
-    print(f"probe calendar events: {probe['events']} "
-          f"(recorded {reference['events']}, must match) -> {verdict}")
+    failed = not events_gate("probe", probe, reference)
     if "calls_per_req" in reference:
         calls = probe_calls_per_request()
         limit = reference["calls_per_req"] * (1.0 + CALLS_TOLERANCE)
@@ -718,6 +729,8 @@ def run_check(path: str) -> int:
     fault_reference = recorded.get("fault_injection_probe")
     if fault_reference:
         fault = run_fault_probe(repeats=2)
+        failed = not events_gate("fault-injection probe", fault,
+                                 fault_reference) or failed
         checks.append(("fault-injection req/s",
                        fault["requests_per_s"],
                        fault_reference["requests_per_s"]))
@@ -736,6 +749,8 @@ def run_check(path: str) -> int:
     hybrid_reference = recorded.get("hybrid_probe")
     if hybrid_reference:
         hybrid = run_hybrid_probe(repeats=2)
+        failed = not events_gate("hybrid probe", hybrid,
+                                 hybrid_reference) or failed
         checks.append(("hybrid req/s",
                        hybrid["requests_per_s"],
                        hybrid_reference["requests_per_s"]))

@@ -12,9 +12,11 @@
 # events must equal the recorded count exactly, cProfile calls per
 # request may be at most 2% above the recorded value, and the bytes
 # the cell's outcome table stores per row (OutcomeTable.resident_bytes,
-# an exact count) may not exceed the recorded value.  These do not
-# depend on the host's speed (only on the Python and numpy versions,
-# like the recorded baseline).  It then gates, on wall-clock: the
+# an exact count) may not exceed the recorded value.  The calendar
+# events of the fault-injection and hybrid probes must equal their
+# recorded counts exactly too.  These do not depend on the host's
+# speed (only on the Python and numpy versions, like the recorded
+# baseline).  It then gates, on wall-clock: the
 # fixed simulation probe cell, the columnar build/reduce probes, the
 # control-plane (pool / policy / queue) probe, the study-layer
 # (ResultFrame build/query) probe, the replicated-frame (group_by
