@@ -241,8 +241,9 @@ class _ContextEvaluator:
 
     Exposes the cache-awareness and worker fan-out hooks the search
     uses: :meth:`is_cached` peeks at the context's run cache before a
-    rung executes, :meth:`prefetch` fans the rung's uncached cells over
-    the context's worker pool.
+    rung executes, :meth:`prefetch` runs the rung's cells as one
+    :meth:`~repro.experiments.base.ExperimentContext.run_specs` batch
+    (uncached cells fan out over the context's worker pool).
     """
 
     def __init__(self, context) -> None:
