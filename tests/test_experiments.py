@@ -59,6 +59,17 @@ class TestContext:
         second = tiny_context.run_scenario(spec)
         assert first is second
 
+    def test_run_specs_dedups_by_cell_key_in_spec_order(self, tiny_context):
+        base = ScenarioSpec(name="a", provider="aws", model="mobilenet",
+                            workload="w-40")
+        renamed = base.with_seed(None, name="b")  # same cell_key
+        larger = base.with_config(memory_gb=4.0)
+        results = tiny_context.run_specs([base, larger, renamed])
+        assert results[0] is results[2]
+        assert results[1] is not results[0]
+        assert results[1].deployment.config.memory_gb == 4.0
+        assert tiny_context.run_specs([larger])[0] is results[1]
+
 
 class TestSelectedExperiments:
     def test_fig04_reports_three_workloads(self, tiny_context):

@@ -60,6 +60,31 @@ class TestScenarioSpec:
         assert tuned.overrides == {"memory_gb": 8.0, "batch_size": 4}
         assert spec.overrides == {"memory_gb": 2.0}  # original untouched
 
+    def test_copy_methods_keep_every_other_field(self):
+        spec = ScenarioSpec(name="s", provider="gcp", model="vgg",
+                            runtime="ort1.4", platform="managed_ml",
+                            workload="w-120", config={"memory_gb": 2.0},
+                            description="d", seed=3, fidelity=0.5)
+        assert spec.with_config(batch_size=4) == ScenarioSpec(
+            name="s", provider="gcp", model="vgg", runtime="ort1.4",
+            platform="managed_ml", workload="w-120",
+            config={"memory_gb": 2.0, "batch_size": 4}, description="d",
+            seed=3, fidelity=0.5)
+        reseeded = spec.with_seed(9, name="r")
+        assert (reseeded.name, reseeded.seed) == ("r", 9)
+        assert reseeded.with_seed(3, name="s") == spec
+        shortened = spec.with_fidelity(0.25)
+        assert (shortened.name, shortened.fidelity) == ("s", 0.25)
+        # __post_init__ still normalises: full fidelity is no fidelity.
+        assert spec.with_fidelity(1.0).fidelity is None
+        assert shortened.with_fidelity(0.5) == spec
+
+    def test_cell_scale_folds_fidelity_into_the_scale(self):
+        spec = ScenarioSpec(name="s", provider="aws", model="mobilenet")
+        assert spec.cell_scale(0.2) == 0.2
+        assert spec.with_fidelity(0.25).cell_scale(0.2) == 0.2 * 0.25
+        assert spec.with_fidelity(1.0).cell_scale(0.2) == 0.2
+
     def test_cell_key_is_stable_and_distinct(self):
         base = ScenarioSpec(name="a", provider="aws", model="mobilenet")
         same = ScenarioSpec(name="b", provider="aws", model="mobilenet")
