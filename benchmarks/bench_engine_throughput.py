@@ -471,7 +471,6 @@ def run_streaming_probe(rows: int = 200_000) -> dict:
     recorder = None
     for _ in range(3):
         recorder = ChunkedOutcomeRecorder(chunk_rows=chunk_rows,
-                                          keep_chunks=False,
                                           seal_lag_s=1.0)
         outcome = RequestOutcome(request_id=0, client_id=0, send_time=0.0)
         started = time.perf_counter()
@@ -643,7 +642,8 @@ def run_check(path: str) -> int:
     exactly, cProfile calls per request within CALLS_TOLERANCE, and
     resident table bytes per row at most the recorded value.  The
     fault-injection and hybrid probes' calendar events must match
-    their recorded counts exactly too.
+    their recorded counts exactly too, and the streaming probe's peak
+    resident chunks may not exceed the recorded count.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -783,7 +783,7 @@ def run_check(path: str) -> int:
         print(f"streaming fold RSS growth: {rss:g} MB "
               f"(recorded {streaming_reference['fold_rss_growth_mb']:g}, "
               f"limit {rss_limit:g}) -> {verdict}")
-        chunk_limit = streaming_reference["peak_resident_chunks"] + 2
+        chunk_limit = streaming_reference["peak_resident_chunks"]
         chunks = streaming["peak_resident_chunks"]
         verdict = "OK" if chunks <= chunk_limit else "REGRESSION"
         failed = failed or verdict != "OK"

@@ -90,7 +90,6 @@ class ServingBenchmark:
         if streaming:
             recorder = ChunkedOutcomeRecorder(
                 chunk_rows=self.chunk_rows,
-                keep_chunks=False,
                 seal_lag_s=self.drain_timeout_s + 50.0,
             )
         else:

@@ -8,11 +8,16 @@ the Figure 12c/12d micro-benchmark knobs (samples per request, inferences
 per request) are applied here because they are client decisions, not
 platform ones.
 
-Outcomes are recorded columnar: every issued request is registered with a
-preallocated :class:`~repro.serving.outcome_table.OutcomeRecorder` (sized
-from the workload's known request count) and committed into the arrays
-the moment it completes, so the per-request Python objects only live
-while their request is in flight.
+Outcomes are recorded columnar: every issued request is registered with
+the recorder the caller passes in and committed into its columns the
+moment it completes, so the per-request Python objects only live while
+their request is in flight.  The recorder is required, and in the
+package ``ServingBenchmark.run`` is the one place that chooses it: a
+preallocated :class:`~repro.serving.outcome_table.OutcomeRecorder`
+sized from the workload, or the streaming
+:class:`~repro.serving.streaming.ChunkedOutcomeRecorder` for
+trace-scale cells.  Both have the same write API (``register`` /
+``commit``), so the executor drives either one.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from typing import List, Optional
 from repro.core.faults import RetryPolicy
 from repro.platforms.base import ServingPlatform
 from repro.platforms.batching import BatchAccumulator
-from repro.serving.outcome_table import OutcomeRecorder, OutcomeTable
+from repro.serving.outcome_table import OutcomeRecorder
 from repro.serving.records import RequestOutcome
 from repro.sim import Environment, RandomStreams
 from repro.workload.generator import Workload
@@ -41,8 +46,9 @@ class Executor:
     workload: Workload
     request_pool: RequestPool
     rng: RandomStreams
-    #: Columnar outcome store; created by :meth:`run` (or lazily).
-    recorder: Optional[OutcomeRecorder] = None
+    #: Columnar outcome store: an ``OutcomeRecorder`` or, for streamed
+    #: cells, a ``ChunkedOutcomeRecorder``.
+    recorder: OutcomeRecorder
     _next_request_id: int = 0
     _last_completion: float = 0.0
     _commit = None  # bound recorder.commit, cached for the hot callback
@@ -59,23 +65,13 @@ class Executor:
                                           len(self._payloads))
 
     # -- public ---------------------------------------------------------------
-    def run(self, until: Optional[float] = None) -> OutcomeTable:
-        """Run the experiment to completion and return the outcome table."""
-        return self.execute(until=until).table()
-
     def execute(self, until: Optional[float] = None) -> OutcomeRecorder:
-        """Run the experiment to completion and return the recorder.
+        """Run the experiment until ``until`` and return the recorder.
 
-        The recorder-returning form exists for the streaming path: a
-        :class:`~repro.serving.streaming.ChunkedOutcomeRecorder` in
-        streaming mode has no ``table()`` — the benchmark calls its
-        ``finalize()`` instead.  Any pre-set ``self.recorder`` with the
-        ``register``/``commit`` write API is used as-is; otherwise a
-        preallocated recorder sized to the workload is created.
+        The caller reads the outcomes off the recorder: ``table()`` on
+        an ``OutcomeRecorder``, ``finalize()`` on a streaming
+        ``ChunkedOutcomeRecorder``.
         """
-        if self.recorder is None:
-            capacity = sum(len(trace) for trace in self.workload.client_traces)
-            self.recorder = OutcomeRecorder(capacity)
         self._commit = self.recorder.commit
         self._retry = RetryPolicy.from_config(self.platform.config)
         self.platform.outcome_sink = self._late_commit
@@ -123,7 +119,7 @@ class Executor:
                 if batch is None and index == last_index:
                     batch = batcher.flush()
                 if batch:
-                    process(self._send_batch(client_id, batch))
+                    process(self._send_batch(client_id, batch, request))
 
     def _new_outcome(self, client_id: int) -> RequestOutcome:
         config = self.platform.config
@@ -175,8 +171,14 @@ class Executor:
         outcome.attempts = attempt
         return outcome
 
-    def _send_batch(self, client_id: int, batch: List[RequestOutcome]):
-        """Send one invocation carrying a whole client-side batch."""
+    def _send_batch(self, client_id: int, batch: List[RequestOutcome],
+                    request):
+        """Send one invocation carrying a whole client-side batch.
+
+        ``request`` is the client's request callable, so a batch goes
+        through the retry loop whenever retries are on; each member
+        takes the carrier's attempts.
+        """
         config = self.platform.config
         carrier = RequestOutcome(
             request_id=self._next_request_id,
@@ -187,10 +189,11 @@ class Executor:
         self._next_request_id += 1
         payload = self._payloads[self._pick()] * len(batch)
         response = self.platform.model.output_payload_mb * len(batch)
-        yield from self.platform.request(carrier, payload, response)
+        yield from request(carrier, payload, response)
         for member in batch:
             member.cold_start = carrier.cold_start
             member.instance_id = carrier.instance_id
+            member.attempts = carrier.attempts
             member.breakdown = dict(carrier.breakdown)
             member.finish(carrier.completion_time
                           if carrier.completion_time is not None

@@ -1,16 +1,18 @@
 """Run results: the raw material the analyzer works on.
 
-A :class:`RunResult` carries its outcomes as a columnar
-:class:`~repro.serving.outcome_table.OutcomeTable`; every headline metric
-is a vectorised masked reduction over the table's arrays
+A :class:`RunResult` carries its outcomes as one of two backends with
+the same reduction API.  Most cells carry a columnar
+:class:`~repro.serving.outcome_table.OutcomeTable`, whose metrics are
+vectorised masked reductions over its arrays
 (:meth:`OutcomeTable.to_outcomes` rebuilds per-request objects on
-demand).
-
-Trace-scale (streaming) runs carry an
+demand).  Trace-scale (streaming) runs carry an
 :class:`~repro.serving.streaming.OutcomeSummary` instead — the online
-reduction of the chunks that were folded during the run.  Headline
-metrics come straight from the summary's accumulators; per-request rows
-are unavailable by construction (they no longer exist).
+reduction of the chunks that were folded during the run; per-request
+rows are unavailable by construction (they no longer exist).
+
+The headline metrics delegate to whichever backend the result carries;
+only the transport (:meth:`RunResult.to_transport` /
+:meth:`RunResult.from_transport`) checks which one it is.
 """
 
 from __future__ import annotations
@@ -60,22 +62,12 @@ class RunResult:
     @property
     def success_ratio(self) -> float:
         """Fraction of requests that succeeded (the paper's SR metric)."""
-        if self.streaming:
-            return self.table.success_ratio
-        count = self.table.count
-        if count == 0:
-            return 0.0
-        return int(self.table.success.sum()) / count
+        return self.table.success_ratio
 
     @property
     def average_latency(self) -> float:
         """Mean end-to-end latency of the *successful* requests (paper metric)."""
-        if self.streaming:
-            return self.table.average_latency
-        latencies = self.table.successful_latencies()
-        if latencies.size == 0:
-            return 0.0
-        return float(latencies.mean())
+        return self.table.average_latency
 
     @property
     def cost(self) -> float:
@@ -85,13 +77,7 @@ class RunResult:
     @property
     def cold_start_ratio(self) -> float:
         """Fraction of successful requests served by a cold instance."""
-        if self.streaming:
-            return self.table.cold_start_ratio
-        success = self.table.success
-        n_success = int(success.sum())
-        if n_success == 0:
-            return 0.0
-        return int(self.table.cold_start[success].sum()) / n_success
+        return self.table.cold_start_ratio
 
     def latency_stats(self) -> LatencyStats:
         """Distributional statistics over successful-request latencies.
@@ -99,9 +85,7 @@ class RunResult:
         Streaming results serve quantiles from the latency sketch
         (accurate to ~0.4 %); full tables compute them exactly.
         """
-        if self.streaming:
-            return self.table.latency_stats()
-        return LatencyStats.from_values(self.table.successful_latencies())
+        return self.table.latency_stats()
 
     # -- transport -------------------------------------------------------------
     def to_transport(self) -> Tuple:

@@ -12,6 +12,10 @@ their request is in flight.
 workload's known request count, it captures a request's issue-time
 fields when the executor creates it and the completion-time fields when
 the platform finishes it, after which the Python object is garbage.
+Its rows live in one :class:`OutcomeColumns` block, the same block the
+streaming ring of :mod:`repro.serving.streaming` recycles: the per-row
+columns, their defaults, the serve-field writes and the zero-copy table
+view are defined once, there.
 
 ``RequestOutcome`` remains the in-flight representation (platforms
 mutate it incrementally) and the API-compatibility view:
@@ -36,24 +40,29 @@ from typing import Dict, Iterable, List, Sequence
 
 import numpy as np
 
+from repro.core.metrics import LatencyStats
 from repro.serving.records import (
     SERVED_BY_SPILL,
     RequestOutcome,
     Stage,
 )
 
-__all__ = ["OutcomeTable", "OutcomeRecorder"]
+__all__ = ["OutcomeTable", "OutcomeColumns", "OutcomeRecorder"]
 
 #: Column order of the per-stage latency matrix.
 STAGE_ORDER = Stage.ORDER
 _STAGE_INDEX: Dict[str, int] = {name: i for i, name in enumerate(STAGE_ORDER)}
 _N_STAGES = len(STAGE_ORDER)
 
-#: Dtype and recorder default of each column a run may leave untouched
-#: (server platforms never write the serverless fields; only retries,
-#: batching, hybrids and failures write the rest), in constructor
-#: argument order.
-_DEFAULTS = {
+#: Every per-row column of a recorder block: its dtype and the value a
+#: row holds until a request writes it.  Stages are separate: one
+#: float64 column per stage, default 0.0.
+_COLUMNS = {
+    "request_id": (np.int64, 0),
+    "client_id": (np.int32, 0),
+    "send_time": (np.float64, 0.0),
+    "completion_time": (np.float64, np.nan),
+    "success": (np.bool_, False),
     "cold_start": (np.bool_, False),
     "instance_id": (np.int64, -1),
     "billed_duration_s": (np.float64, 0.0),
@@ -62,6 +71,13 @@ _DEFAULTS = {
     "attempts": (np.int32, 1),
     "served_by": (np.int8, 0),
 }
+
+#: The columns a run may leave untouched (server platforms never write
+#: the serverless fields; only retries, batching, hybrids and failures
+#: write the rest), in constructor argument order.
+_DEFAULTS = {name: _COLUMNS[name] for name in (
+    "cold_start", "instance_id", "billed_duration_s", "inferences",
+    "error_code", "attempts", "served_by")}
 
 
 def _filled(count: int, dtype, value) -> np.ndarray:
@@ -240,6 +256,36 @@ class OutcomeTable(TimelineReductions):
     def successful_latencies(self) -> np.ndarray:
         """Latencies of the successful requests (the paper's headline set)."""
         return self.latency[self.success]
+
+    # -- headline reductions ---------------------------------------------------
+    @property
+    def success_ratio(self) -> float:
+        """Fraction of requests that succeeded (the paper's SR metric)."""
+        count = self.count
+        if count == 0:
+            return 0.0
+        return int(self.success.sum()) / count
+
+    @property
+    def average_latency(self) -> float:
+        """Mean end-to-end latency of the *successful* requests."""
+        latencies = self.successful_latencies()
+        if latencies.size == 0:
+            return 0.0
+        return float(latencies.mean())
+
+    @property
+    def cold_start_ratio(self) -> float:
+        """Fraction of successful requests served by a cold instance."""
+        success = self.success
+        n_success = int(success.sum())
+        if n_success == 0:
+            return 0.0
+        return int(self.cold_start[success].sum()) / n_success
+
+    def latency_stats(self) -> LatencyStats:
+        """Exact distributional statistics over successful latencies."""
+        return LatencyStats.from_values(self.successful_latencies())
 
     def stage_column(self, stage: str) -> np.ndarray:
         """Accumulated seconds in one breakdown stage, per request (the
@@ -592,104 +638,55 @@ def _intern_error(names: List[str], error: str) -> int:
         return len(names) - 1
 
 
-class OutcomeRecorder:
-    """Preallocated write-side of an :class:`OutcomeTable`.
+class OutcomeColumns:
+    """One block of recorder columns: ``rows`` rows of every per-row
+    column plus one float64 column per stage.
 
-    Sized from the workload's known request count; grows geometrically in
-    the (unusual) case more requests are issued than the hint promised.
-    ``capacity`` is honoured exactly (it used to be silently clamped to a
-    minimum of 16, which made chunk accounting off-by-up-to-15 for tiny
-    cells); a zero-capacity recorder simply grows on first registration.
+    Both recorders write through blocks: :class:`OutcomeRecorder` keeps
+    one and grows it, the streaming ring recycles fixed-size ones.
     """
 
-    def __init__(self, capacity: int):
-        self._capacity = max(int(capacity), 0)
-        self._count = 0
-        capacity = self._capacity
-        self.request_id = np.zeros(capacity, dtype=np.int64)
-        self.client_id = np.zeros(capacity, dtype=np.int32)
-        self.send_time = np.zeros(capacity, dtype=np.float64)
-        self.completion_time = np.full(capacity, np.nan, dtype=np.float64)
-        self.success = np.zeros(capacity, dtype=bool)
-        self.cold_start = np.zeros(capacity, dtype=bool)
-        self.instance_id = np.full(capacity, -1, dtype=np.int64)
-        self.billed_duration_s = np.zeros(capacity, dtype=np.float64)
-        self.inferences = np.ones(capacity, dtype=np.int32)
-        self.error_code = np.zeros(capacity, dtype=np.int16)
-        self.attempts = np.ones(capacity, dtype=np.int32)
-        self.served_by = np.zeros(capacity, dtype=np.int8)
+    __slots__ = (*_COLUMNS, "stages", "rows")
+
+    def __init__(self, rows: int):
+        self.rows = rows
+        for name, (dtype, default) in _COLUMNS.items():
+            # np.zeros leaves the pages of a column never written
+            # unmapped, so an untouched zero-default column costs no
+            # resident memory.
+            setattr(self, name, np.zeros(rows, dtype=dtype) if default == 0
+                    else np.full(rows, default, dtype=dtype))
         #: One column per breakdown stage, by name (a table keeps only
         #: the produced ones, without copying them).
         self.stages: Dict[str, np.ndarray] = {
-            name: np.zeros(capacity, dtype=np.float64)
-            for name in STAGE_ORDER}
-        self.error_names: List[str] = [""]
-        #: Registered-but-uncommitted outcomes; their partial state
-        #: (accrued stages, instance assignment) is flushed by
-        #: :meth:`table` so requests that never complete keep the fields
-        #: they did accumulate.
-        self._inflight: Dict[int, RequestOutcome] = {}
+            name: np.zeros(rows, dtype=np.float64) for name in STAGE_ORDER}
 
-    def __len__(self) -> int:
-        return self._count
+    def reset(self) -> None:
+        """Restore every row to the column defaults (for reuse)."""
+        for name, (_dtype, default) in _COLUMNS.items():
+            getattr(self, name)[:] = default
+        for column in self.stages.values():
+            column[:] = 0.0
 
-    def _grow(self) -> None:
-        new_capacity = max(self._capacity * 2, 16)
-        pad = new_capacity - self._capacity
+    def grown(self, rows: int) -> "OutcomeColumns":
+        """A new ``rows``-row block that starts with this block's rows."""
+        block = OutcomeColumns(rows)
+        n = self.rows
+        for name in _COLUMNS:
+            getattr(block, name)[:n] = getattr(self, name)
+        for name, column in self.stages.items():
+            block.stages[name][:n] = column
+        return block
 
-        def extend(array: np.ndarray, fill) -> np.ndarray:
-            return np.concatenate(
-                [array, np.full(pad, fill, dtype=array.dtype)])
+    def write_serve_fields(self, row: int, outcome: RequestOutcome,
+                           error_names: List[str]) -> None:
+        """Write what serving set on ``outcome`` into ``row``.
 
-        self.request_id = extend(self.request_id, 0)
-        self.client_id = extend(self.client_id, 0)
-        self.send_time = extend(self.send_time, 0.0)
-        self.completion_time = extend(self.completion_time, np.nan)
-        self.success = extend(self.success, False)
-        self.cold_start = extend(self.cold_start, False)
-        self.instance_id = extend(self.instance_id, -1)
-        self.billed_duration_s = extend(self.billed_duration_s, 0.0)
-        self.inferences = extend(self.inferences, 1)
-        self.error_code = extend(self.error_code, 0)
-        self.attempts = extend(self.attempts, 1)
-        self.served_by = extend(self.served_by, 0)
-        self.stages = {name: extend(column, 0.0)
-                       for name, column in self.stages.items()}
-        self._capacity = new_capacity
-
-    # -- write path ------------------------------------------------------------
-    def register(self, outcome: RequestOutcome) -> int:
-        """Record a freshly issued request; returns its row index."""
-        row = self._count
-        if row >= self._capacity:
-            self._grow()
-        self._count = row + 1
-        outcome.row = row
-        self._inflight[row] = outcome
-        self.request_id[row] = outcome.request_id
-        self.client_id[row] = outcome.client_id
-        self.send_time[row] = outcome.send_time
-        if outcome.inferences != 1:
-            self.inferences[row] = outcome.inferences
-        return row
-
-    def commit(self, outcome: RequestOutcome) -> None:
-        """Record a finished request's completion-time fields.
-
-        Safe to call again for the same outcome (e.g. when a serverless
-        invocation still runs — and bills — after its client already gave
-        up at the 300 s deadline): the row is simply rewritten with the
-        later state.
+        Only non-default values are written; ``error_names`` is the
+        recorder's error vocabulary, extended when the error is new.
         """
-        row = outcome.row
-        self._inflight.pop(row, None)
-        self.completion_time[row] = outcome.completion_time
-        self._write_serve_fields(row, outcome)
-
-    def _write_serve_fields(self, row: int, outcome: RequestOutcome) -> None:
         if outcome.error:
-            self.error_code[row] = _intern_error(self.error_names,
-                                                 outcome.error)
+            self.error_code[row] = _intern_error(error_names, outcome.error)
         if outcome.success:
             self.success[row] = True
         if outcome.cold_start:
@@ -708,17 +705,9 @@ class OutcomeRecorder:
             for name, seconds in breakdown.items():
                 stages[name][row] = seconds
 
-    # -- read side -------------------------------------------------------------
-    def table(self) -> OutcomeTable:
-        """The recorded outcomes as a trimmed :class:`OutcomeTable`.
-
-        Flushes the partial state (accrued network/queue stages, instance
-        assignment) of registered-but-never-committed requests first, so
-        unfinished rows carry everything their in-flight objects did.
-        """
-        for row, outcome in self._inflight.items():
-            self._write_serve_fields(row, outcome)
-        n = self._count
+    def view(self, n: int, error_names: List[str]) -> OutcomeTable:
+        """The first ``n`` rows as an :class:`OutcomeTable`, without a
+        copy: the table shares this block's buffers."""
         return OutcomeTable(
             request_id=self.request_id[:n],
             client_id=self.client_id[:n],
@@ -731,7 +720,77 @@ class OutcomeRecorder:
             inferences=self.inferences[:n],
             error_code=self.error_code[:n],
             stages=[self.stages[name][:n] for name in STAGE_ORDER],
-            error_names=self.error_names,
+            error_names=error_names,
             attempts=self.attempts[:n],
             served_by=self.served_by[:n],
         )
+
+
+class OutcomeRecorder:
+    """Preallocated write-side of an :class:`OutcomeTable`.
+
+    Sized from the workload's known request count; grows geometrically in
+    the (unusual) case more requests are issued than the hint promised.
+    ``capacity`` is honoured exactly (it used to be silently clamped to a
+    minimum of 16, which made chunk accounting off-by-up-to-15 for tiny
+    cells); a zero-capacity recorder simply grows on first registration.
+    """
+
+    def __init__(self, capacity: int):
+        self._capacity = max(int(capacity), 0)
+        self._count = 0
+        self.columns = OutcomeColumns(self._capacity)
+        self.error_names: List[str] = [""]
+        #: Registered-but-uncommitted outcomes; their partial state
+        #: (accrued stages, instance assignment) is flushed by
+        #: :meth:`table` so requests that never complete keep the fields
+        #: they did accumulate.
+        self._inflight: Dict[int, RequestOutcome] = {}
+
+    def _grow(self) -> None:
+        self._capacity = max(self._capacity * 2, 16)
+        self.columns = self.columns.grown(self._capacity)
+
+    # -- write path ------------------------------------------------------------
+    def register(self, outcome: RequestOutcome) -> int:
+        """Record a freshly issued request; returns its row index."""
+        row = self._count
+        if row >= self._capacity:
+            self._grow()
+        self._count = row + 1
+        outcome.row = row
+        self._inflight[row] = outcome
+        columns = self.columns
+        columns.request_id[row] = outcome.request_id
+        columns.client_id[row] = outcome.client_id
+        columns.send_time[row] = outcome.send_time
+        if outcome.inferences != 1:
+            columns.inferences[row] = outcome.inferences
+        return row
+
+    def commit(self, outcome: RequestOutcome) -> None:
+        """Record a finished request's completion-time fields.
+
+        Safe to call again for the same outcome (e.g. when a serverless
+        invocation still runs — and bills — after its client already gave
+        up at the 300 s deadline): the row is simply rewritten with the
+        later state.
+        """
+        row = outcome.row
+        self._inflight.pop(row, None)
+        columns = self.columns
+        columns.completion_time[row] = outcome.completion_time
+        columns.write_serve_fields(row, outcome, self.error_names)
+
+    # -- read side -------------------------------------------------------------
+    def table(self) -> OutcomeTable:
+        """The recorded outcomes as a trimmed :class:`OutcomeTable`.
+
+        Flushes the partial state (accrued network/queue stages, instance
+        assignment) of registered-but-never-committed requests first, so
+        unfinished rows carry everything their in-flight objects did.
+        """
+        columns = self.columns
+        for row, outcome in self._inflight.items():
+            columns.write_serve_fields(row, outcome, self.error_names)
+        return columns.view(self._count, self.error_names)

@@ -7,16 +7,14 @@ alone are gigabytes, and every metric reduction walks all of them).
 This module is the flat-RSS alternative:
 
 * :class:`ChunkedOutcomeRecorder` writes outcomes into a ring of
-  fixed-size column chunks.  A chunk *seals* once every row in it has
-  been committed and the simulation clock has moved past the chunk's
-  last send time by a safety lag (so late re-commits through
-  ``platform.outcome_sink`` can still land).  Sealed chunks either stay
-  resident (``keep_chunks=True`` — the drop-in recorder used to prove
-  bit-identical column hashes against the preallocated path) or fold
-  into an :class:`OutcomeSummary` and recycle their buffers
-  (``keep_chunks=False`` — the streaming mode, whose peak memory is
-  bounded by the seal lag times the arrival rate, not the trace
-  length).
+  fixed-size :class:`~repro.serving.outcome_table.OutcomeColumns`
+  blocks, the same column block the preallocated recorder grows.  A
+  chunk *seals* once every row in it has been committed and the
+  simulation clock has moved past the chunk's last send time by a
+  safety lag (so late re-commits through ``platform.outcome_sink`` can
+  still land).  A sealed chunk folds into an :class:`OutcomeSummary`
+  and its buffers are recycled, so peak memory is bounded by the seal
+  lag times the arrival rate, not the trace length.
 
 * :class:`OutcomeSummary` is the online-reduction target: running
   sums/counts for means and ratios, exact min/max, a log-binned
@@ -52,7 +50,7 @@ import numpy as np
 
 from repro.core.metrics import LatencyStats
 from repro.serving.outcome_table import (
-    STAGE_ORDER,
+    OutcomeColumns,
     OutcomeTable,
     TimelineReductions,
     _intern_error,
@@ -414,112 +412,50 @@ class OutcomeSummary(TimelineReductions):
         return self._digest_hex
 
 
-class _Chunk:
-    """One fixed-size column block of the recorder ring."""
+class _Chunk(OutcomeColumns):
+    """One column block of the recorder ring plus its sealing counters."""
 
-    __slots__ = ("request_id", "client_id", "send_time", "completion_time",
-                 "success", "cold_start", "instance_id", "billed_duration_s",
-                 "inferences", "error_code", "attempts", "served_by",
-                 "stages", "uncommitted", "max_send")
+    __slots__ = ("uncommitted", "max_send")
 
     def __init__(self, rows: int):
-        self.request_id = np.zeros(rows, dtype=np.int64)
-        self.client_id = np.zeros(rows, dtype=np.int32)
-        self.send_time = np.zeros(rows, dtype=np.float64)
-        self.completion_time = np.full(rows, np.nan, dtype=np.float64)
-        self.success = np.zeros(rows, dtype=bool)
-        self.cold_start = np.zeros(rows, dtype=bool)
-        self.instance_id = np.full(rows, -1, dtype=np.int64)
-        self.billed_duration_s = np.zeros(rows, dtype=np.float64)
-        self.inferences = np.ones(rows, dtype=np.int32)
-        self.error_code = np.zeros(rows, dtype=np.int16)
-        self.attempts = np.ones(rows, dtype=np.int32)
-        self.served_by = np.zeros(rows, dtype=np.int8)
-        #: One column per breakdown stage, by name (as in the
-        #: preallocated recorder).
-        self.stages = {name: np.zeros(rows, dtype=np.float64)
-                       for name in STAGE_ORDER}
+        OutcomeColumns.__init__(self, rows)
         self.uncommitted = 0
         self.max_send = 0.0
 
     def reset(self) -> None:
-        """Restore default column values for ring reuse."""
-        self.request_id[:] = 0
-        self.client_id[:] = 0
-        self.send_time[:] = 0.0
-        self.completion_time[:] = np.nan
-        self.success[:] = False
-        self.cold_start[:] = False
-        self.instance_id[:] = -1
-        self.billed_duration_s[:] = 0.0
-        self.inferences[:] = 1
-        self.error_code[:] = 0
-        self.attempts[:] = 1
-        self.served_by[:] = 0
-        for column in self.stages.values():
-            column[:] = 0.0
+        """Restore default column values and counters for ring reuse."""
+        OutcomeColumns.reset(self)
         self.uncommitted = 0
         self.max_send = 0.0
-
-    def view(self, rows: int, error_names: List[str]) -> OutcomeTable:
-        """The chunk's first ``rows`` rows as an :class:`OutcomeTable`.
-
-        A zero-copy view over the chunk buffers — do not retain it past
-        a ring recycle.
-        """
-        return OutcomeTable(
-            request_id=self.request_id[:rows],
-            client_id=self.client_id[:rows],
-            send_time=self.send_time[:rows],
-            completion_time=self.completion_time[:rows],
-            success=self.success[:rows],
-            cold_start=self.cold_start[:rows],
-            instance_id=self.instance_id[:rows],
-            billed_duration_s=self.billed_duration_s[:rows],
-            inferences=self.inferences[:rows],
-            error_code=self.error_code[:rows],
-            stages=[self.stages[name][:rows] for name in STAGE_ORDER],
-            error_names=error_names,
-            attempts=self.attempts[:rows],
-            served_by=self.served_by[:rows],
-        )
 
 
 class ChunkedOutcomeRecorder:
     """Chunk-ring write side of the outcome data plane.
 
-    API-compatible with :class:`~repro.serving.outcome_table.
-    OutcomeRecorder` (``register`` / ``commit`` / ``table``), but the
-    backing store is a ring of ``chunk_rows``-row column chunks instead
-    of one flat preallocation:
+    The write API of :class:`~repro.serving.outcome_table.
+    OutcomeRecorder` (``register`` / ``commit``) over a ring of
+    ``chunk_rows``-row column chunks instead of one flat preallocation.
+    Once a chunk is fully committed and the clock has passed its newest
+    send time by ``seal_lag_s``, it folds into :attr:`summary` and its
+    buffers are recycled, so peak memory is bounded by the seal-lag
+    window rather than the trace.  :meth:`finalize` fails still-open
+    rows (the ``fail_unfinished`` semantics) and folds the tail,
+    returning the summary.
 
-    * ``keep_chunks=True`` (default) retains every chunk; :meth:`table`
-      concatenates them into a full table **bit-identical** to the
-      preallocated recorder's at any chunk size.
-    * ``keep_chunks=False`` streams: once a chunk is fully committed
-      and the clock has passed its newest send time by ``seal_lag_s``,
-      it folds into ``summary`` and its buffers are recycled, so peak
-      memory is bounded by the seal-lag window rather than the trace.
-      :meth:`finalize` fails still-open rows (the ``fail_unfinished``
-      semantics) and folds the tail, returning the summary.
+    All chunks share one error vocabulary: the summary's digest hashes
+    the vocabulary as it stands when each chunk folds.
 
     A commit that arrives for an already-folded row raises — that means
     ``seal_lag_s`` was smaller than the platform's late-service window
     and the run's reductions could silently drift otherwise.
     """
 
-    def __init__(self, capacity: int = 0,
-                 chunk_rows: int = DEFAULT_CHUNK_ROWS,
-                 keep_chunks: bool = True,
-                 summary: Optional[OutcomeSummary] = None,
+    def __init__(self, chunk_rows: int = DEFAULT_CHUNK_ROWS,
                  seal_lag_s: float = DEFAULT_SEAL_LAG_S):
         if chunk_rows < 1:
             raise ValueError("chunk_rows must be positive")
-        if not keep_chunks and summary is None:
-            summary = OutcomeSummary()
         self.chunk_rows = int(chunk_rows)
-        self.keep_chunks = keep_chunks
-        self.summary = summary
+        self.summary = OutcomeSummary()
         self.seal_lag_s = float(seal_lag_s)
         self.error_names: List[str] = [""]
         self._count = 0
@@ -531,9 +467,6 @@ class ChunkedOutcomeRecorder:
         #: Peak number of simultaneously resident chunks (observability).
         self.peak_resident_chunks = 0
         self._finalized = False
-
-    def __len__(self) -> int:
-        return self._count
 
     # -- write path --------------------------------------------------------
     def register(self, outcome: RequestOutcome) -> int:
@@ -583,34 +516,10 @@ class ChunkedOutcomeRecorder:
             chunk.uncommitted -= 1
         completion = outcome.completion_time
         chunk.completion_time[offset] = completion
-        self._write_serve_fields(chunk, offset, outcome)
+        chunk.write_serve_fields(offset, outcome, self.error_names)
         if completion is not None and completion > self._clock:
             self._clock = completion
-            if not self.keep_chunks:
-                self._seal_ready()
-
-    def _write_serve_fields(self, chunk: _Chunk, offset: int,
-                            outcome: RequestOutcome) -> None:
-        if outcome.error:
-            chunk.error_code[offset] = _intern_error(self.error_names,
-                                                     outcome.error)
-        if outcome.success:
-            chunk.success[offset] = True
-        if outcome.cold_start:
-            chunk.cold_start[offset] = True
-        if outcome.instance_id is not None:
-            chunk.instance_id[offset] = outcome.instance_id
-        if outcome.billed_duration_s:
-            chunk.billed_duration_s[offset] = outcome.billed_duration_s
-        if outcome.attempts != 1:
-            chunk.attempts[offset] = outcome.attempts
-        if outcome.served_by:
-            chunk.served_by[offset] = outcome.served_by
-        breakdown = outcome.breakdown
-        if breakdown:
-            stages = chunk.stages
-            for name, seconds in breakdown.items():
-                stages[name][offset] = seconds
+            self._seal_ready()
 
     # -- sealing -----------------------------------------------------------
     def _seal_ready(self) -> None:
@@ -631,61 +540,6 @@ class ChunkedOutcomeRecorder:
             self._base += 1
 
     # -- read side ---------------------------------------------------------
-    def _flush_inflight(self) -> None:
-        """Write the partial state of registered-but-uncommitted rows."""
-        rows = self.chunk_rows
-        for row, outcome in self._inflight.items():
-            index, offset = divmod(row, rows)
-            self._write_serve_fields(self._resident[index], offset, outcome)
-
-    def table(self) -> OutcomeTable:
-        """The recorded outcomes as one concatenated :class:`OutcomeTable`.
-
-        Only available with ``keep_chunks=True``; bit-identical to the
-        preallocated recorder's table (same values, same error
-        vocabulary, same hash) at any chunk size.
-        """
-        if not self.keep_chunks:
-            raise RuntimeError(
-                "a streaming recorder folds chunks as it goes; use "
-                "finalize() to obtain the OutcomeSummary")
-        self._flush_inflight()
-        return OutcomeTable(
-            request_id=self._concat("request_id"),
-            client_id=self._concat("client_id"),
-            send_time=self._concat("send_time"),
-            completion_time=self._concat("completion_time"),
-            success=self._concat("success"),
-            cold_start=self._concat("cold_start"),
-            instance_id=self._concat("instance_id"),
-            billed_duration_s=self._concat("billed_duration_s"),
-            inferences=self._concat("inferences"),
-            error_code=self._concat("error_code"),
-            stages=[self._concat("stages", name) for name in STAGE_ORDER],
-            error_names=self.error_names,
-            attempts=self._concat("attempts"),
-            served_by=self._concat("served_by"),
-        )
-
-    def _concat(self, column: str, stage: Optional[str] = None) -> np.ndarray:
-        """One column over the resident chunks (``stage``: of ``stages``)."""
-        rows = self.chunk_rows
-        chunks = [(self._resident[index],
-                   min(self._count - index * rows, rows))
-                  for index in sorted(self._resident)] or [(_Chunk(0), 0)]
-        pieces = []
-        for chunk, n in chunks:
-            array = getattr(chunk, column)
-            pieces.append((array if stage is None else array[stage])[:n])
-        return np.concatenate(pieces) if len(pieces) > 1 else pieces[0].copy()
-
-    def sealed_chunks(self):
-        """Iterate the resident chunks as trimmed tables (test hook)."""
-        rows = self.chunk_rows
-        for index in sorted(self._resident):
-            n = min(self._count - index * rows, rows)
-            yield self._resident[index].view(n, self.error_names)
-
     def finalize(self, horizon: float,
                  error: str = "unfinished") -> OutcomeSummary:
         """Fail still-open rows at ``horizon`` and fold every tail chunk.
@@ -696,13 +550,15 @@ class ChunkedOutcomeRecorder:
         ``max(horizon, send_time)`` as failures with ``error``.
         Returns the :class:`OutcomeSummary`; idempotent per run.
         """
-        if self.keep_chunks:
-            raise RuntimeError("finalize() is the streaming read side; "
-                               "retained recorders return table()")
         if self._finalized:
             return self.summary
-        self._flush_inflight()
         rows = self.chunk_rows
+        # Partial serve state first, so errors already on in-flight rows
+        # enter the vocabulary before ``error`` (the digest hashes it).
+        for row, outcome in self._inflight.items():
+            index, offset = divmod(row, rows)
+            self._resident[index].write_serve_fields(offset, outcome,
+                                                     self.error_names)
         if self._inflight:
             code = _intern_error(self.error_names, error)
             for row in self._inflight:

@@ -24,8 +24,6 @@ makes the paper's experiments reproducible in CI.
 """
 
 from repro.sim.engine import (
-    AllOf,
-    AnyOf,
     Environment,
     Event,
     Interrupt,
@@ -38,8 +36,6 @@ from repro.sim.randomness import RandomStreams
 from repro.sim.resources import Request, Resource
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
     "CounterMonitor",
     "Environment",
     "Event",

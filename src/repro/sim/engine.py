@@ -9,7 +9,7 @@ whenever the yielded event triggers or the delay has passed.
 
 The engine is intentionally small but complete enough to model serving
 platforms: timeouts, triggerable events, guard timers, process
-interruption, and composite conditions (``AnyOf`` / ``AllOf``).
+interruption, and first-of-two races (:class:`Race`).
 
 Performance notes
 -----------------
@@ -101,9 +101,9 @@ workload stays O(live) in memory.  Cancellation semantics:
   run, ``ok`` becomes ``None``, and ``cancelled`` is ``True``.
 * ``cancel()`` on an already-processed event is a no-op returning
   ``False``.
-* A cancelled event never satisfies an ``AnyOf``/``AllOf`` member test
-  (its ``ok`` is ``None``), and yielding a cancelled event from a
-  process is a :class:`SimulationError`.
+* A cancelled event never wins a :class:`Race` (its ``ok`` is
+  ``None``), and yielding a cancelled event from a process is a
+  :class:`SimulationError`.
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ from __future__ import annotations
 from collections import deque
 from heapq import heapify, heappop, heappush
 from itertools import count
-from typing import Any, Callable, Deque, Generator, Iterable, Optional
+from typing import Any, Callable, Deque, Generator, Optional
 
 __all__ = [
     "SimulationError",
@@ -119,8 +119,6 @@ __all__ = [
     "Event",
     "Timeout",
     "Process",
-    "AnyOf",
-    "AllOf",
     "Race",
     "Lane",
     "Guard",
@@ -445,87 +443,16 @@ class Process(Event):
         self._target = entry
 
 
-class _Condition(Event):
-    """Base class for ``AnyOf`` / ``AllOf`` composite events."""
-
-    __slots__ = ("_events",)
-
-    def __init__(self, env: "Environment", events: Iterable[Event]):
-        Event.__init__(self, env)
-        self._events = events = list(events)
-        for event in events:
-            if event.env is not env:
-                raise SimulationError(
-                    "cannot mix events of different environments")
-        # Only attach observers once the whole set has been validated,
-        # so a mixed-environment error does not leak callbacks onto the
-        # events that preceded it.
-        observe = self._observe
-        for event in events:
-            if event.callbacks is None:
-                if event._ok is False:
-                    event._defused = True
-            else:
-                event.callbacks.append(observe)
-        self._check()
-
-    def _observe(self, event: Event) -> None:
-        if self._triggered:
-            return
-        if event._ok is False:
-            event._defused = True
-            self.fail(event._value)
-            return
-        self._check()
-
-    def _collect(self) -> dict[Event, Any]:
-        return {
-            event: event._value
-            for event in self._events
-            if event.callbacks is None and event._ok
-        }
-
-    def _check(self) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class AnyOf(_Condition):
-    """Triggers as soon as any of the given events has triggered."""
-
-    __slots__ = ()
-
-    def _check(self) -> None:
-        if self._triggered:
-            return
-        events = self._events
-        if not events or any(event.callbacks is None and event._ok
-                             for event in events):
-            self.succeed(self._collect())
-
-
-class AllOf(_Condition):
-    """Triggers once all of the given events have triggered."""
-
-    __slots__ = ()
-
-    def _check(self) -> None:
-        if self._triggered:
-            return
-        if all(event.callbacks is None and event._ok
-               for event in self._events):
-            self.succeed(self._collect())
-
-
 class Race(Event):
-    """First-of-two specialisation of :class:`AnyOf`.
+    """Triggers when the first of two events does.
 
     ``Race`` triggers with the **winning event** as its value, handing
     the win to its waiters *synchronously*, inside the winning event's
     own callback cascade, instead of through an extra calendar entry
-    the way a generic condition's ``succeed`` does.  The only observable
-    difference is that the waiter resumes within the winner's pop
-    rather than one (zero-delay) entry later — i.e. slightly earlier
-    relative to other events scheduled at the exact same timestamp.
+    the way ``succeed`` does: the waiter resumes within the winner's
+    pop, ahead of other events scheduled at the exact same timestamp.
+    A member that fails while the race waits fails the race; a
+    cancelled member never wins.
     Both events must belong to this environment.  A race against a
     fixed-delay guard timer is a :meth:`Lane.guard` instead.
     """
@@ -539,9 +466,9 @@ class Race(Event):
                 "cannot mix events of different environments")
         self._a = a
         self._b = b
-        # Mirror _Condition: already-processed failed members are defused
-        # at construction; an already-processed ok member wins outright
-        # (through the calendar, like AnyOf's constructor _check).
+        # Already-processed failed members are defused at construction;
+        # an already-processed ok member wins outright, through the
+        # calendar (``succeed``).
         winner = None
         a_done = a.callbacks is None
         b_done = b.callbacks is None
@@ -787,17 +714,9 @@ class Environment:
         """Register ``generator`` as a new process, started at the current time."""
         return Process(self, generator)
 
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Composite event triggering when any of ``events`` triggers."""
-        return AnyOf(self, events)
-
     def race(self, a: Event, b: Event) -> Race:
-        """First-of-two event (lightweight ``any_of``; value = the winner)."""
+        """First-of-two event (value = the winning event)."""
         return Race(self, a, b)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """Composite event triggering when all of ``events`` have triggered."""
-        return AllOf(self, events)
 
     # -- scheduling --------------------------------------------------------
     def _schedule(self, event: Event, delay: float = 0.0,

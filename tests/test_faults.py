@@ -54,8 +54,9 @@ def run_platform(deployment, workload, seed=SEED):
     pool = RequestPool(sample_payload_mb=deployment.model.input_payload_mb,
                        pool_size=workload.spec.request_pool_size, seed=seed)
     executor = Executor(env=env, platform=platform, workload=workload,
-                        request_pool=pool, rng=rng)
-    table = executor.run(until=workload.spec.duration_s + 400.0)
+                        request_pool=pool, rng=rng,
+                        recorder=OutcomeRecorder(0))
+    table = executor.execute(until=workload.spec.duration_s + 400.0).table()
     table.fail_unfinished(workload.spec.duration_s + 400.0)
     return platform, table
 
@@ -293,20 +294,26 @@ class TestServerlessFaults:
                 > int(quiet_table.cold_start.sum()))
 
     def test_transient_errors_surface_and_retries_absorb_them(self, tiny_w40):
+        # Batched clients (batch_size 4) must go through the retry loop
+        # too: each batch is one invocation, retried as a whole.
         planner = Planner()
-        flaky = planner.plan("aws", "mobilenet", "tf1.15", "serverless",
-                             request_error_rate=0.1)
-        _, flaky_table = run_platform(flaky, tiny_w40)
-        flaky_errors = error_counts(flaky_table)
-        assert flaky_errors.get("transient_error", 0) > 0
-        resilient = planner.plan("aws", "mobilenet", "tf1.15", "serverless",
-                                 request_error_rate=0.1, retry_attempts=4)
-        _, resilient_table = run_platform(resilient, tiny_w40)
-        flaky_ratio = flaky_table.success.sum() / flaky_table.count
-        resilient_ratio = (resilient_table.success.sum()
-                           / resilient_table.count)
-        assert resilient_ratio > flaky_ratio
-        assert resilient_ratio > 0.99
+        for batch_size in (1, 4):
+            flaky = planner.plan("aws", "mobilenet", "tf1.15", "serverless",
+                                 request_error_rate=0.1,
+                                 batch_size=batch_size)
+            _, flaky_table = run_platform(flaky, tiny_w40)
+            flaky_errors = error_counts(flaky_table)
+            assert flaky_errors.get("transient_error", 0) > 0, batch_size
+            resilient = planner.plan("aws", "mobilenet", "tf1.15",
+                                     "serverless", request_error_rate=0.1,
+                                     retry_attempts=4, batch_size=batch_size)
+            _, resilient_table = run_platform(resilient, tiny_w40)
+            flaky_ratio = flaky_table.success.sum() / flaky_table.count
+            resilient_ratio = (resilient_table.success.sum()
+                               / resilient_table.count)
+            assert resilient_ratio > flaky_ratio, batch_size
+            assert resilient_ratio > 0.99, (batch_size, resilient_ratio)
+            assert resilient_table.attempts_mean() > 1.0, batch_size
 
 
 class TestEndpointFaults:

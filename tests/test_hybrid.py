@@ -39,6 +39,7 @@ from repro.platforms.hybrid import (
     _spill_overrides,
 )
 from repro.serving.deployment import PlatformKind, ServiceConfig
+from repro.serving.outcome_table import OutcomeRecorder
 from repro.serving.records import (
     SERVED_BY_DIRECT,
     SERVED_BY_NAMES,
@@ -67,8 +68,9 @@ def run_platform(deployment, workload, seed=SEED):
     pool = RequestPool(sample_payload_mb=deployment.model.input_payload_mb,
                       pool_size=workload.spec.request_pool_size, seed=seed)
     executor = Executor(env=env, platform=platform, workload=workload,
-                        request_pool=pool, rng=rng)
-    table = executor.run(until=workload.spec.duration_s + 400.0)
+                        request_pool=pool, rng=rng,
+                        recorder=OutcomeRecorder(0))
+    table = executor.execute(until=workload.spec.duration_s + 400.0).table()
     table.fail_unfinished(workload.spec.duration_s + 400.0)
     return platform, table
 

@@ -41,6 +41,7 @@ from repro.platforms.routing import (
     choose_weighted,
 )
 from repro.serving.deployment import ServiceConfig
+from repro.serving.outcome_table import OutcomeRecorder
 from repro.serving.records import RequestOutcome
 from repro.sim import Environment, RandomStreams
 from repro.workload.requests import RequestPool
@@ -56,8 +57,9 @@ def run_platform(deployment, workload, seed=SEED):
     pool = RequestPool(sample_payload_mb=deployment.model.input_payload_mb,
                       pool_size=workload.spec.request_pool_size, seed=seed)
     executor = Executor(env=env, platform=platform, workload=workload,
-                        request_pool=pool, rng=rng)
-    table = executor.run(until=workload.spec.duration_s + 400.0)
+                        request_pool=pool, rng=rng,
+                        recorder=OutcomeRecorder(0))
+    table = executor.execute(until=workload.spec.duration_s + 400.0).table()
     table.fail_unfinished(workload.spec.duration_s + 400.0)
     return platform, table
 
@@ -564,8 +566,9 @@ class TestFailoverEndToEnd:
             sample_payload_mb=deployment.model.input_payload_mb,
             pool_size=tiny_w40.spec.request_pool_size, seed=SEED)
         executor = Executor(env=env, platform=platform, workload=tiny_w40,
-                            request_pool=pool, rng=rng)
-        executor.run(until=tiny_w40.spec.duration_s + 400.0)
+                            request_pool=pool, rng=rng,
+                            recorder=OutcomeRecorder(0))
+        executor.execute(until=tiny_w40.spec.duration_s + 400.0)
         usage = platform.finalize(env.now)
         regional = [key for key in usage.notes if key.startswith("region")]
         assert any(key.startswith("region0.") for key in regional)

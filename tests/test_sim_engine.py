@@ -3,7 +3,6 @@
 import pytest
 
 from repro.sim import Environment, Interrupt, SimulationError
-from repro.sim.engine import AllOf, AnyOf, Timeout
 
 
 class TestClockAndTimeouts:
@@ -376,58 +375,3 @@ class TestProcesses:
         env.run()
         assert trace == ["grandchild", "child", ("parent", 6)]
 
-
-class TestConditions:
-    def test_any_of_triggers_on_first(self, env):
-        results = []
-
-        def proc():
-            first = env.timeout(1.0, value="fast")
-            second = env.timeout(5.0, value="slow")
-            outcome = yield env.any_of([first, second])
-            results.append((env.now, list(outcome.values())))
-
-        env.process(proc())
-        env.run()
-        assert results[0][0] == 1.0
-        assert "fast" in results[0][1]
-
-    def test_all_of_waits_for_all(self, env):
-        results = []
-
-        def proc():
-            events = [env.timeout(d) for d in (1.0, 2.0, 3.0)]
-            yield env.all_of(events)
-            results.append(env.now)
-
-        env.process(proc())
-        env.run()
-        assert results == [3.0]
-
-    def test_any_of_with_untriggered_event_and_timeout(self, env):
-        """The pattern used by platform timeouts must not fire early."""
-        results = []
-
-        def proc():
-            pending = env.event()
-            deadline = env.timeout(2.0)
-            outcome = yield env.any_of([pending, deadline])
-            results.append((env.now, pending in outcome))
-
-        env.process(proc())
-        env.run()
-        assert results == [(2.0, False)]
-
-    def test_any_of_empty_triggers_immediately(self, env):
-        results = []
-
-        def proc():
-            yield env.any_of([])
-            results.append(env.now)
-
-        env.process(proc())
-        env.run()
-        assert results == [0.0]
-
-    def test_condition_classes_exported(self):
-        assert AnyOf is not None and AllOf is not None and Timeout is not None

@@ -5,7 +5,7 @@ O(1) platform accounting, parallel cell fan-out) must not change any
 observable behaviour.  These tests pin down the contracts:
 
 * :meth:`Event.cancel` semantics before/after processing and inside
-  ``AnyOf`` conditions, including tombstone reclamation.
+  a :class:`~repro.sim.engine.Race`, including tombstone reclamation.
 * Every heap push on the profiled serverless cell is an event that
   runs: pushes equal ``events_processed`` up to the few stale guard
   tokens and the entries still pending at the horizon.
@@ -36,6 +36,7 @@ from repro.experiments.base import load_registered_studies
 from repro.platforms.admission import WorkQueue
 from repro.platforms.pool import InstancePool, InstanceState
 from repro.platforms.serverless import ServerlessPlatform
+from repro.serving.outcome_table import OutcomeRecorder
 from repro.serving.records import RequestOutcome, Stage
 from repro.sim import Environment, RandomStreams, SimulationError
 from repro.workload.generator import standard_workload
@@ -81,8 +82,8 @@ class TestCancellableTimers:
         def proc():
             fast = env.timeout(1.0, value="fast")
             guard = env.timeout(300.0, value="guard")
-            result = yield env.any_of([fast, guard])
-            assert guard not in result
+            winner = yield env.race(fast, guard)
+            assert winner is fast
             guard.cancel()
             log.append(env.now)
 
@@ -99,8 +100,8 @@ class TestCancellableTimers:
             early = env.timeout(2.0, value="early")
             late = env.timeout(8.0, value="late")
             early.cancel()
-            result = yield env.any_of([early, late])
-            results.append((env.now, early in result, late in result))
+            winner = yield env.race(early, late)
+            results.append((env.now, winner is early, winner is late))
 
         env.process(proc())
         env.run()
@@ -390,8 +391,9 @@ class TestAliveCounterConsistency:
             sample_payload_mb=deployment.model.input_payload_mb,
             pool_size=workload.spec.request_pool_size, seed=3)
         executor = Executor(env=env, platform=platform, workload=workload,
-                            request_pool=pool, rng=RandomStreams(3))
-        executor.run(until=workload.spec.duration_s + 400.0)
+                            request_pool=pool, rng=RandomStreams(3),
+                            recorder=OutcomeRecorder(0))
+        executor.execute(until=workload.spec.duration_s + 400.0)
         return platform, tracked
 
     def test_alive_counter_matches_brute_force_scan(self, monkeypatch,

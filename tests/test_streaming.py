@@ -3,9 +3,9 @@
 Three guarantees of the streaming engine are pinned here:
 
 * **Chunk-ring equality** — the chunked recorder, at any chunk size,
-  retains columns bit-identical to the preallocated ``OutcomeRecorder``
-  (same ``column_hash``), and its sealed chunks survive the ``packed()``
-  wire format losslessly.
+  folds chunks whose columns, concatenated, are bit-identical to the
+  preallocated ``OutcomeRecorder``'s, and every folded chunk survives
+  the ``packed()`` wire format losslessly.
 * **Streaming reductions** — a cell run through the streaming path
   (``OutcomeSummary`` folds, no full table) reproduces every standard
   metric: counts, ratios, and timelines exactly; sketch quantiles within
@@ -19,6 +19,8 @@ the materialised trace) and the recorder's exact-capacity contract.
 """
 
 from __future__ import annotations
+
+import pickle
 
 import numpy as np
 import pytest
@@ -53,15 +55,37 @@ def reference_result(tiny_w40):
     return ServingBenchmark(seed=SEED).run(deployment, tiny_w40), deployment
 
 
-def _replay(outcomes, chunk_rows: int) -> ChunkedOutcomeRecorder:
-    """Feed materialised outcomes through a retained chunk ring."""
-    recorder = ChunkedOutcomeRecorder(chunk_rows=chunk_rows,
-                                      keep_chunks=True)
+#: Every array column of a table, compared bit for bit across backends
+#: (error codes are compared as their strings).
+ARRAY_COLUMNS = ("request_id", "client_id", "send_time", "completion_time",
+                 "success", "cold_start", "instance_id", "billed_duration_s",
+                 "inferences", "attempts", "served_by", "stages")
+
+
+def _replay(outcomes, chunk_rows: int):
+    """Feed materialised outcomes through the streaming chunk ring.
+
+    Returns every chunk the ring folded, in fold order, as a pair: the
+    chunk's ``column_hash()`` at fold time, and the table rebuilt from
+    its pickled ``packed()`` form (a copy that outlives the ring).
+    """
+    recorder = ChunkedOutcomeRecorder(chunk_rows=chunk_rows)
+    fold = recorder.summary.fold
+    folded = []
+
+    def keep_and_fold(view):
+        wire = pickle.loads(pickle.dumps(view.packed()))
+        folded.append((view.column_hash(), OutcomeTable.from_packed(wire)))
+        fold(view)
+
+    recorder.summary.fold = keep_and_fold
     for outcome in outcomes:
         recorder.register(outcome)
     for outcome in outcomes:
         recorder.commit(outcome)
-    return recorder
+    # Every replayed row is committed, so finalize fails none of them.
+    recorder.finalize(horizon=0.0)
+    return folded
 
 
 class TestChunkRingEquality:
@@ -70,24 +94,34 @@ class TestChunkRingEquality:
                                                       reference_result,
                                                       chunk_rows):
         result, _deployment = reference_result
-        outcomes = result.table.to_outcomes()
-        recorder = _replay(outcomes, chunk_rows)
-        assert recorder.table().column_hash() == result.table.column_hash()
+        table = result.table
+        chunks = [chunk for _hash, chunk in
+                  _replay(table.to_outcomes(), chunk_rows)]
+        full, tail = divmod(table.count, chunk_rows)
+        assert ([chunk.count for chunk in chunks]
+                == [chunk_rows] * full + ([tail] if tail else []))
+        for name in ARRAY_COLUMNS:
+            expected = np.ascontiguousarray(getattr(table, name))
+            joined = np.concatenate([getattr(chunk, name)
+                                     for chunk in chunks])
+            assert joined.dtype == expected.dtype, name
+            assert joined.tobytes() == expected.tobytes(), name
+        assert ([error for chunk in chunks
+                 for error in chunk.error_strings()]
+                == table.error_strings())
 
     def test_sealed_chunks_survive_packed_round_trip(self,
                                                      reference_result):
         result, _deployment = reference_result
-        recorder = _replay(result.table.to_outcomes(), chunk_rows=256)
-        chunks = list(recorder.sealed_chunks())
-        assert sum(chunk.count for chunk in chunks) == result.table.count
-        for chunk in chunks:
-            rebuilt = OutcomeTable.from_packed(chunk.packed())
-            assert rebuilt.column_hash() == chunk.column_hash()
+        folded = _replay(result.table.to_outcomes(), chunk_rows=256)
+        assert sum(chunk.count for _hash, chunk in folded) == (
+            result.table.count)
+        for fold_hash, rebuilt in folded:
+            assert rebuilt.column_hash() == fold_hash
 
     def test_commit_after_fold_is_a_hard_error(self):
         from repro.serving.records import RequestOutcome
-        recorder = ChunkedOutcomeRecorder(chunk_rows=4, keep_chunks=False,
-                                          seal_lag_s=0.0)
+        recorder = ChunkedOutcomeRecorder(chunk_rows=4, seal_lag_s=0.0)
         outcomes = []
         for index in range(8):
             outcome = RequestOutcome(request_id=index, client_id=0,
@@ -167,8 +201,7 @@ class TestStreamingReductions:
 
     def test_mid_run_sealing_bounds_residency(self):
         from repro.serving.records import RequestOutcome
-        recorder = ChunkedOutcomeRecorder(chunk_rows=128, keep_chunks=False,
-                                          seal_lag_s=20.0)
+        recorder = ChunkedOutcomeRecorder(chunk_rows=128, seal_lag_s=20.0)
         rows = 128 * 36
         for index in range(rows):
             send = index * 0.5  # one chunk spans 64 s >> the 20 s lag
@@ -356,15 +389,38 @@ class TestExactCapacity:
             assert recorder._capacity == capacity
 
     def test_grow_from_zero(self):
-        from repro.serving.records import RequestOutcome
-        recorder = OutcomeRecorder(0)
-        for index in range(40):
-            outcome = RequestOutcome(request_id=index, client_id=0,
-                                     send_time=float(index))
-            recorder.register(outcome)
-            outcome.completion_time = float(index) + 0.5
-            outcome.success = True
-            recorder.commit(outcome)
-        table = recorder.table()
+        """A recorder grown from zero rows (0 -> 16 -> 32 -> 64) keeps
+        every column of every row: its table hashes like a presized
+        recorder's, with a non-default value in every column."""
+        from repro.serving.records import RequestOutcome, Stage
+
+        def feed(recorder):
+            for index in range(40):
+                outcome = RequestOutcome(request_id=index,
+                                         client_id=index % 3,
+                                         send_time=float(index),
+                                         inferences=1 + index % 2)
+                recorder.register(outcome)
+                outcome.completion_time = float(index) + 0.5
+                outcome.success = index % 5 != 0
+                outcome.error = "" if outcome.success else "timeout"
+                outcome.cold_start = index % 4 == 0
+                outcome.instance_id = index // 4
+                outcome.billed_duration_s = 0.1 * index
+                outcome.attempts = 1 + index % 3
+                outcome.served_by = index % 3
+                outcome.breakdown = {Stage.QUEUE: 0.01 * index,
+                                     Stage.PREDICT: 0.2}
+                recorder.commit(outcome)
+            return recorder.table()
+
+        table = feed(OutcomeRecorder(0))
+        presized = feed(OutcomeRecorder(40))
         assert table.count == 40
-        assert bool(table.success.all())
+        assert table.column_hash() == presized.column_hash()
+        # Every defaultable column was written, so none is a zero-byte
+        # default view.
+        for name in ("cold_start", "instance_id", "billed_duration_s",
+                     "inferences", "error_code", "attempts", "served_by"):
+            assert getattr(table, name).strides != (0,), name
+        assert table.error_strings()[:2] == ["timeout", ""]
