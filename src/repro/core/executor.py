@@ -193,6 +193,8 @@ class Executor:
         for member in batch:
             member.cold_start = carrier.cold_start
             member.instance_id = carrier.instance_id
+            member.billed_duration_s = carrier.billed_duration_s
+            member.served_by = carrier.served_by
             member.attempts = carrier.attempts
             member.breakdown = dict(carrier.breakdown)
             member.finish(carrier.completion_time

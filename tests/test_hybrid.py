@@ -321,6 +321,23 @@ class TestHybridEndToEnd:
         # The outage struck only the provisioned path's fault injector.
         assert result.usage.notes["spill.completed"] > 0
 
+    def test_batched_members_carry_the_path_and_billing(self):
+        """A batch is one invocation: every member row records the path
+        that served it and the invocation's billed seconds."""
+        spec = get_scenario("hybrid-burst")
+        single = run(spec, seed=7, scale=0.2)
+        batched = run(spec.with_config(batch_size=4), seed=7, scale=0.2)
+        spilled = batched.usage.notes["spilled"]
+        assert spilled > 0
+        table = batched.table
+        # Each spilled invocation carries four members (the last batch
+        # of a client may carry fewer).
+        assert table.spill_ratio() > 0.5 * single.table.spill_ratio()
+        members = table.served_by == SERVED_BY_SPILL
+        assert int(members.sum()) >= spilled
+        assert (table.billed_duration_s[members] > 0).any()
+        assert not (table.served_by == SERVED_BY_DIRECT).any()
+
     def test_registered_scenarios_run_end_to_end(self):
         for name in ("hybrid-burst", "hybrid-steady"):
             result = run(name, seed=SEED, scale=0.05)
