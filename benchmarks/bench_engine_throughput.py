@@ -301,7 +301,6 @@ def run_control_probe(iterations: int = 50_000) -> dict:
         TargetUtilisationPolicy,
     )
     from repro.platforms.pool import InstancePool  # noqa: E402
-    from repro.serving.records import RequestOutcome  # noqa: E402
     from repro.sim import Environment  # noqa: E402
 
     best = None
@@ -314,10 +313,9 @@ def run_control_probe(iterations: int = 50_000) -> dict:
             interval_s=1.0, overprovision=1.6)
         tracker = TargetUtilisationPolicy(
             target_per_instance=4.0, min_instances=1, max_instances=32)
-        outcome = RequestOutcome(request_id=0, client_id=0, send_time=0.0)
         started = time.perf_counter()
         for index in range(iterations):
-            ticket = queue.enqueue(outcome)
+            ticket = queue.enqueue(0, 1)
             pinned, budget, headroom = router.plan_starts(queue.backlog,
                                                           pool.alive)
             router.speculative_starts(pinned, budget, headroom)
@@ -462,7 +460,6 @@ def run_streaming_probe(rows: int = 200_000) -> dict:
     """
     import resource
 
-    from repro.serving.records import RequestOutcome  # noqa: E402
     from repro.serving.streaming import ChunkedOutcomeRecorder  # noqa: E402
 
     chunk_rows = 8_192
@@ -470,19 +467,16 @@ def run_streaming_probe(rows: int = 200_000) -> dict:
     fold_s = None
     recorder = None
     for _ in range(3):
-        recorder = ChunkedOutcomeRecorder(chunk_rows=chunk_rows,
+        recorder = ChunkedOutcomeRecorder(rows, chunk_rows=chunk_rows,
                                           seal_lag_s=1.0)
-        outcome = RequestOutcome(request_id=0, client_id=0, send_time=0.0)
+        columns = recorder.columns
         started = time.perf_counter()
         for index in range(rows):
-            outcome.request_id = index
-            outcome.client_id = index & 7
             send = index * 0.001
-            outcome.send_time = send
-            recorder.register(outcome)
-            outcome.completion_time = send + 0.05
-            outcome.success = True
-            recorder.commit(outcome)
+            row = recorder.register(index, index & 7, send)
+            columns.completion_time[row] = send + 0.05
+            columns.success[row] = True
+            recorder.commit(row)
         summary = recorder.finalize(rows * 0.001 + 1.0)
         elapsed = time.perf_counter() - started
         fold_s = elapsed if fold_s is None else min(fold_s, elapsed)

@@ -7,8 +7,8 @@ The framework has four components, mirroring the paper's design:
   runtime, service configuration) names into a concrete
   :class:`~repro.serving.deployment.Deployment`.
 * **Executor** (:mod:`repro.core.executor`) — simulated clients that
-  replay the workload against a deployed platform and log one
-  :class:`~repro.serving.records.RequestOutcome` per request.
+  replay the workload against a deployed platform and record one
+  outcome row per request.
 * **Analyzer** (:mod:`repro.core.analyzer`) — computes the paper's three
   metrics (response latency, request success ratio, cost) plus the
   time-series and cold-start breakdowns used in the figures.

@@ -89,6 +89,7 @@ class ServingBenchmark:
                      or total_requests >= self.streaming_threshold)
         if streaming:
             recorder = ChunkedOutcomeRecorder(
+                total_requests,
                 chunk_rows=self.chunk_rows,
                 seal_lag_s=self.drain_timeout_s + 50.0,
             )
@@ -98,7 +99,7 @@ class ServingBenchmark:
                             request_pool=pool, rng=rng, recorder=recorder)
         horizon = workload.spec.duration_s + self.drain_timeout_s
         executor.execute(until=horizon)
-        end_time = max(executor.last_completion_time, workload.trace.duration)
+        end_time = max(recorder.last_completion_time, workload.trace.duration)
         usage = platform.finalize(end_time=end_time)
         metadata = {"events_processed": float(env.events_processed),
                     "rng_draws": float(rng.draws)}

@@ -30,7 +30,6 @@ compositions of the same four control-plane parts (see ARCHITECTURE.md):
 from repro.platforms.admission import PendingRequest, SlotQueue, WorkQueue
 from repro.platforms.autoscaling import TargetTrackingScaler
 from repro.platforms.base import PlatformUsage, ServingPlatform, build_platform
-from repro.platforms.batching import BatchAccumulator
 from repro.platforms.billing import BillingMeter, InstanceHourMeter, ServerlessMeter
 from repro.platforms.endpoint import PooledEndpointPlatform
 from repro.platforms.managed_ml import ManagedMlPlatform
@@ -44,7 +43,6 @@ from repro.platforms.serverless import ServerlessPlatform
 from repro.platforms.vm import VmPlatform
 
 __all__ = [
-    "BatchAccumulator",
     "BillingMeter",
     "ConcurrencyScalingPolicy",
     "FixedFleetPolicy",

@@ -30,7 +30,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Deque, List, Optional, Union
 
-from repro.serving.records import RequestOutcome
 from repro.sim import Environment, Resource
 from repro.sim.engine import Event
 
@@ -38,16 +37,23 @@ __all__ = ["PendingRequest", "WorkQueue", "SlotQueue"]
 
 
 class PendingRequest:
-    """A request waiting for an instance (slotted, free-listed)."""
+    """A request waiting for an instance (slotted, free-listed).
 
-    __slots__ = ("outcome", "response_event", "enqueue_time")
+    ``row`` is the request's outcome row and ``inferences`` the
+    inference count it was submitted with.  ``late`` marks a ticket
+    whose client already gave up: serving it writes the row after its
+    commit.
+    """
 
-    def __init__(self, outcome: Optional[RequestOutcome] = None,
-                 response_event: Optional[Event] = None,
-                 enqueue_time: float = 0.0):
-        self.outcome = outcome
-        self.response_event = response_event
-        self.enqueue_time = enqueue_time
+    __slots__ = ("row", "inferences", "response_event", "enqueue_time",
+                 "late")
+
+    def __init__(self):
+        self.row = -1
+        self.inferences = 1
+        self.response_event: Optional[Event] = None
+        self.enqueue_time = 0.0
+        self.late = False
 
 
 class WorkQueue:
@@ -66,9 +72,10 @@ class WorkQueue:
         return len(self._tickets)
 
     # -- submit side -------------------------------------------------------
-    def ticket(self, outcome: RequestOutcome,
+    def ticket(self, row: int, inferences: int,
                enqueue_time: float) -> PendingRequest:
-        """A (possibly recycled) ticket for ``outcome``, not buffered.
+        """A (possibly recycled) ticket for the request in ``row``, not
+        buffered.
 
         The ticket carries a fresh response event; ``enqueue_time`` is
         when the request started waiting for an instance.
@@ -78,14 +85,15 @@ class WorkQueue:
             pending = free.pop()
         else:
             pending = PendingRequest()
-        pending.outcome = outcome
+        pending.row = row
+        pending.inferences = inferences
         pending.response_event = Event(self.env)
         pending.enqueue_time = enqueue_time
         return pending
 
-    def enqueue(self, outcome: RequestOutcome) -> PendingRequest:
+    def enqueue(self, row: int, inferences: int) -> PendingRequest:
         """Buffer one request arriving now; returns its ticket."""
-        pending = self.ticket(outcome, self.env.now)
+        pending = self.ticket(row, inferences, self.env.now)
         self._tickets.append(pending)
         return pending
 
@@ -108,8 +116,8 @@ class WorkQueue:
 
     def recycle(self, pending: PendingRequest) -> None:
         """Return a served ticket to the free list for reuse."""
-        pending.outcome = None
         pending.response_event = None
+        pending.late = False
         self._free.append(pending)
 
 

@@ -8,7 +8,7 @@ from typing import Callable, Dict, Generator, Optional
 
 from repro.models.profiles import LatencyProfiles
 from repro.serving.deployment import Deployment, PlatformKind
-from repro.serving.records import RequestOutcome
+from repro.serving.outcome_table import OutcomeColumns
 from repro.sim import Environment, RandomStreams, TimeSeriesMonitor
 
 __all__ = ["PlatformUsage", "ServingPlatform", "build_platform"]
@@ -44,10 +44,6 @@ class ServingPlatform(abc.ABC):
 
     #: Platform family used for handler-overhead lookups; subclasses override.
     family: str = "serverless"
-    #: Whether the platform may re-record an outcome through
-    #: :attr:`outcome_sink` after its request finished (a serverless
-    #: invocation keeps running and billing past the client deadline).
-    late_commits: bool = False
 
     def __init__(self, env: Environment, deployment: Deployment,
                  profiles: Optional[LatencyProfiles] = None,
@@ -56,11 +52,11 @@ class ServingPlatform(abc.ABC):
         self.deployment = deployment
         self.profiles = profiles or LatencyProfiles()
         self.rng = rng or RandomStreams(0)
-        #: Optional callback (set by the executor) re-recording an outcome
-        #: the platform mutated *after* its client already finished it —
-        #: e.g. a serverless invocation that runs and bills after the
-        #: client's 300 s deadline expired.
-        self.outcome_sink: Optional[Callable[[RequestOutcome], None]] = None
+        #: The rows this platform writes outcomes into (see :meth:`bind`).
+        self._rows: Optional[OutcomeColumns] = None
+        #: Called with a row once its request finished (None: the caller
+        #: that drives this platform commits).
+        self._commit: Optional[Callable[[int], None]] = None
         self.provider = deployment.provider
         self.model = deployment.model
         self.runtime = deployment.runtime
@@ -73,6 +69,18 @@ class ServingPlatform(abc.ABC):
             "network", network.one_way_latency_s, network.jitter_cv)
 
     # -- lifecycle ----------------------------------------------------------
+    def bind(self, rows: OutcomeColumns,
+             commit: Optional[Callable[[int], None]] = None) -> None:
+        """Write outcomes into ``rows`` (once per run, before :meth:`start`).
+
+        ``commit`` is the recorder's commit when this platform is the
+        outermost layer of the request path; None when a caller (a front
+        door, the retry loop, the batch sender) commits.  Front doors
+        override this to bind their backends.
+        """
+        self._rows = rows
+        self._commit = commit
+
     def start(self) -> None:
         """Launch background processes (autoscalers, pre-warmed instances).
 
@@ -81,16 +89,17 @@ class ServingPlatform(abc.ABC):
         """
 
     @abc.abstractmethod
-    def request(self, outcome: RequestOutcome, payload_mb: float,
+    def request(self, row: int, payload_mb: float,
                 response_mb: float) -> Generator:
-        """Serve one request: a generator returning ``outcome``.
+        """Serve the request registered in ``row`` of the bound rows.
 
         The caller runs it as a process (the executor, one per client
         request) or delegates to it with ``yield from`` (a front door or
         a retry loop).  The first segment records the submission; the
-        platform fills in ``outcome`` (stages, success, billing), and
-        the generator returns it once the client has received the
-        response or the error.  It always yields at least once, so a
+        platform writes the row's stages, billing, cold start, instance,
+        success, error and completion as they happen, and the generator
+        returns once the client has received the response or the error
+        (see :meth:`_finish`).  It always yields at least once, so a
         process running it is still pending when ``env.process()``
         returns.
         """
@@ -104,15 +113,28 @@ class ServingPlatform(abc.ABC):
         """Per-request parsing/serialisation overhead for this family."""
         return self.profiles.handler_overhead_s(self.family)
 
-    def _network_leg(self, outcome: RequestOutcome, payload_mb: float) -> float:
-        """Attribute one network transfer; returns its duration.
+    def _network_leg(self, row: int, payload_mb: float) -> float:
+        """Attribute one network transfer to ``row``; returns its duration.
 
         Callers ``yield`` the duration (a bare sleep).
         """
         duration = self._net_latency() + payload_mb / self._net_bandwidth
-        breakdown = outcome.breakdown
-        breakdown["network"] = breakdown.get("network", 0.0) + duration
+        self._rows.network_s[row] += duration
         return duration
+
+    def _finish(self, row: int, success: bool, error: str = "") -> None:
+        """The request in ``row`` completes now: write it, commit it.
+
+        ``error`` may label a success too (a router's degraded serve).
+        """
+        rows = self._rows
+        rows.completion_time[row] = self.env.now
+        if success:
+            rows.success[row] = True
+        if error:
+            rows.errors[row] = error
+        if self._commit is not None:
+            self._commit(row)
 
 
 def build_platform(env: Environment, deployment: Deployment,

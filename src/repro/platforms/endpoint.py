@@ -29,7 +29,6 @@ from repro.platforms.base import PlatformUsage, ServingPlatform
 from repro.platforms.billing import InstanceHourMeter
 from repro.platforms.policies import TargetUtilisationPolicy
 from repro.platforms.pool import InstancePool, InstanceState, PoolInstance
-from repro.serving.records import RequestOutcome, Stage
 from repro.sim import Interrupt
 
 __all__ = ["PooledEndpointPlatform"]
@@ -257,11 +256,16 @@ class PooledEndpointPlatform(ServingPlatform):
         self.pool.sync_gauge()
 
     # ------------------------------------------------------------- serving
-    def request(self, outcome: RequestOutcome, payload_mb: float,
-                response_mb: float):
-        """Serve one request through the endpoint's serving frontend."""
+    def request(self, row: int, payload_mb: float, response_mb: float):
+        """Serve one request through the endpoint's serving frontend.
+
+        Stages accumulate into the row, so a request the client retries
+        sums its queueing and service across attempts.
+        """
+        env = self.env
+        rows = self._rows
         self.meter.record_submitted()
-        yield self._network_leg(outcome, payload_mb)
+        yield self._network_leg(row, payload_mb)
         if self._admission_faults:
             if (self._shed_watermark
                     and self.pool.ready < self._shed_watermark):
@@ -270,68 +274,63 @@ class PooledEndpointPlatform(ServingPlatform):
                 # fail fast instead of queueing into a pool that cannot
                 # serve.
                 yield self.rejection_latency_s
-                outcome.finish(self.env.now, success=False, error="shed")
+                self._finish(row, False, "shed")
                 self.meter.record_shed()
-                return outcome
+                return
             if self._error_rate and self.rng.uniform(
                     REQUEST_FAULT_STREAM, 0.0, 1.0) < self._error_rate:
-                outcome.finish(self.env.now, success=False,
-                               error="transient_error")
+                self._finish(row, False, "transient_error")
                 self.meter.record_failed()
-                return outcome
+                return
         if not self.queue.try_admit():
             # Spilled at admission: the queue's rejection tally (not the
             # meter's failure count) carries it in the conservation
             # ledger — submitted == completed + failed + rejected
             # + timed_out + shed.
             yield self.rejection_latency_s
-            outcome.finish(self.env.now, success=False,
-                           error=self.reject_error)
-            return outcome
+            self._finish(row, False, self.reject_error)
+            return
 
-        enqueue = self.env.now
+        enqueue = env.now
         claim = yield from self.queue.acquire()
+        rows.queue_s[row] += env.now - enqueue
         if claim is None:
-            outcome.add_stage(Stage.QUEUE, self.env.now - enqueue)
-            outcome.finish(self.env.now, success=False, error="timeout")
+            self._finish(row, False, "timeout")
             self.meter.record_timed_out()
-            return outcome
+            return
 
-        outcome.add_stage(Stage.QUEUE, self.env.now - enqueue)
         handler = self._handler_s
         track = self._track
         if track is not None:
-            process = self.env.active_process
-            track[process] = outcome
+            process = env.active_process
+            track[process] = row
         try:
-            inferences = outcome.inferences
+            inferences = rows.inferences[row]
             predict = (self._predict() if inferences <= 1
                        else self.rng.lognormal_sum(
                            self.predict_stream, self._predict_s,
-                           _SERVICE_JITTER_CV, inferences))
+                           _SERVICE_JITTER_CV, int(inferences)))
             # With the handler off the worker (GPU servers) the HTTP
             # handling runs on the host CPUs and does not occupy the
             # accelerator; otherwise it competes with inference for the
             # same cores.
             held = predict if self.handler_off_worker else handler + predict
             yield held
-            outcome.add_stage(Stage.HANDLER, handler)
-            outcome.add_stage(Stage.PREDICT, predict)
+            rows.handler_s[row] += handler
+            rows.predict_s[row] += predict
         except Interrupt:
             # The serving instance was fault-killed mid-request: the
             # slot model has no ticket to re-queue, so the request fails
             # back to the client (which may retry it).
-            outcome.finish(self.env.now, success=False,
-                           error="instance_crash")
+            self._finish(row, False, "instance_crash")
             self.meter.record_failed()
-            return outcome
+            return
         finally:
             if track is not None:
                 track.pop(process, None)
             self.queue.release(claim)
         if self.handler_off_worker:
             yield handler
-        yield self._network_leg(outcome, response_mb)
-        outcome.finish(self.env.now, success=True)
+        yield self._network_leg(row, response_mb)
+        self._finish(row, True)
         self.meter.record_completed()
-        return outcome

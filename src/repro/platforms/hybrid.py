@@ -50,11 +50,9 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.platforms.base import PlatformUsage, ServingPlatform, build_platform
-from repro.platforms.billing import BillingMeter
-from repro.platforms.routing import _REJECT_ERRORS, _merge_gauges
+from repro.platforms.routing import FrontDoorMeter, _merge_gauges
 from repro.serving.deployment import PlatformKind
-from repro.serving.records import (SERVED_BY_PROVISIONED, SERVED_BY_SPILL,
-                                   RequestOutcome)
+from repro.serving.records import SERVED_BY_PROVISIONED, SERVED_BY_SPILL
 
 __all__ = ["SPILL_STREAM", "HybridMeter", "HybridServingPlatform"]
 
@@ -63,41 +61,24 @@ __all__ = ["SPILL_STREAM", "HybridMeter", "HybridServingPlatform"]
 SPILL_STREAM = "hybrid-spill"
 
 
-class HybridMeter(BillingMeter):
+class HybridMeter(FrontDoorMeter):
     """The front door's conservation ledger over client requests.
 
-    Extends the shared 5-bucket ledger (``submitted == completed +
-    failed + rejected + timed_out + shed``) with the hybrid-only
-    ``spilled`` tally — requests routed to the serverless path.
-    ``spilled`` is a routing count, never a sixth outcome bucket, so
-    spilled requests cannot double-count.
+    A :class:`~repro.platforms.routing.FrontDoorMeter` plus the
+    hybrid-only ``spilled`` tally — requests routed to the serverless
+    path.  ``spilled`` is a routing count, never a sixth outcome bucket,
+    so spilled requests cannot double-count.
     """
 
-    __slots__ = ("rejected", "spilled")
+    __slots__ = ("spilled",)
 
     def __init__(self) -> None:
         super().__init__()
-        self.rejected = 0
         self.spilled = 0
 
     def record_spill(self) -> None:
         """Count one request routed to the serverless spill path."""
         self.spilled += 1
-
-    def classify(self, outcome: RequestOutcome) -> None:
-        """Put one finished client outcome in exactly one ledger bucket."""
-        if outcome.success:
-            self.completed += 1
-            return
-        error = outcome.error
-        if error == "timeout":
-            self.timed_out += 1
-        elif error == "shed":
-            self.shed += 1
-        elif error in _REJECT_ERRORS:
-            self.rejected += 1
-        else:
-            self.failed += 1
 
     def notes(self) -> Dict[str, float]:
         """The extended ledger as ``PlatformUsage.notes`` entries."""
@@ -166,9 +147,6 @@ class HybridServingPlatform(ServingPlatform):
     """
 
     family = "vm"
-    #: The serverless spill path re-commits late; the front door
-    #: forwards those re-commits.
-    late_commits = True
 
     def __init__(self, env, deployment, profiles=None, rng=None):
         super().__init__(env, deployment, profiles, rng)
@@ -192,11 +170,16 @@ class HybridServingPlatform(ServingPlatform):
         self._slots = self.provisioned_backend.queue.workers
 
     # ------------------------------------------------------------------ API
+    def bind(self, rows, commit=None) -> None:
+        """Both paths write the client's rows; the front door commits."""
+        super().bind(rows, commit)
+        self.provisioned_backend.bind(rows)
+        self.spill_backend.bind(rows)
+
     def start(self) -> None:
-        """Start both backends, forwarding their late re-commits."""
-        for backend in (self.provisioned_backend, self.spill_backend):
-            backend.outcome_sink = self._forward_late
-            backend.start()
+        """Start both backends."""
+        self.provisioned_backend.start()
+        self.spill_backend.start()
 
     def finalize(self, end_time: Optional[float] = None) -> PlatformUsage:
         """Merge both paths' usage under the front door's ledger.
@@ -268,35 +251,25 @@ class HybridServingPlatform(ServingPlatform):
                 SPILL_STREAM, 0.9, 1.1)
         return True
 
-    def request(self, outcome: RequestOutcome, payload_mb: float,
-                response_mb: float):
+    def request(self, row: int, payload_mb: float, response_mb: float):
         """Route one client request to exactly one path, then ledger it.
 
-        Unlike the multi-region router (attempt-local outcomes merged
-        back), the front door forwards the *client's* outcome directly:
-        exactly one backend serves each attempt, fills in the serve-side
-        fields, and finishes it — so a backend's late (post-deadline)
-        billing re-commit already carries the registered row.
+        Unlike the multi-region router (attempts on rows of their own,
+        the winner merged back), the front door hands the *client's* row
+        to the backend: exactly one backend serves each attempt and
+        writes the row, so a spilled request served after its client
+        gave up lands in that row too.
         """
         self.meter.record_submitted()
-        spilled = self._should_spill()
-        if spilled:
-            outcome.served_by = SERVED_BY_SPILL
+        rows = self._rows
+        if self._should_spill():
+            rows.served_by[row] = SERVED_BY_SPILL
             self.meter.record_spill()
             backend = self.spill_backend
         else:
-            outcome.served_by = SERVED_BY_PROVISIONED
+            rows.served_by[row] = SERVED_BY_PROVISIONED
             backend = self.provisioned_backend
-        yield from backend.request(outcome, payload_mb, response_mb)
-        self.meter.classify(outcome)
-        return outcome
-
-    def _forward_late(self, outcome: RequestOutcome) -> None:
-        """A backend re-committed an outcome after its client finished.
-
-        Serverless invocations keep running (and billing) past the
-        client deadline; the outcome is the client's registered row, so
-        it forwards straight to the executor's sink.
-        """
-        if self.outcome_sink is not None:
-            self.outcome_sink(outcome)
+        yield from backend.request(row, payload_mb, response_mb)
+        self.meter.classify(rows.success[row], rows.errors.get(row, ""))
+        if self._commit is not None:
+            self._commit(row)

@@ -50,13 +50,15 @@ completions never double-count (property-tested in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.platforms.base import PlatformUsage, ServingPlatform, build_platform
 from repro.platforms.billing import BillingMeter
 from repro.serving.deployment import Deployment
-from repro.serving.records import RequestOutcome, Stage
+from repro.serving.outcome_table import OutcomeColumns
+from repro.serving.records import Stage
 from repro.sim import TimeSeriesMonitor
 
 __all__ = [
@@ -68,6 +70,7 @@ __all__ = [
     "BackendSnapshot",
     "choose_priority",
     "choose_weighted",
+    "FrontDoorMeter",
     "RouterMeter",
     "MultiRegionPlatform",
 ]
@@ -314,38 +317,26 @@ def choose_weighted(snapshots: Sequence[BackendSnapshot],
     return candidates[-1].index
 
 
-class RouterMeter(BillingMeter):
-    """The router's conservation ledger over *client* requests.
+class FrontDoorMeter(BillingMeter):
+    """A front door's conservation ledger over *client* requests.
 
     Extends the shared 5-bucket ledger (``submitted == completed +
-    failed + rejected + timed_out + shed``) with router-only tallies:
-    ``rejected`` (admission spills surfaced by a backend), ``hedges``
-    (second attempts issued) and ``degraded`` (brownout completions —
-    a subset of ``completed``, never a sixth bucket, so hedged and
-    degraded requests cannot double-count).
+    failed + rejected + timed_out + shed``) with the ``rejected`` bucket
+    (admission spills surfaced by a backend); :meth:`classify` puts a
+    finished client request in exactly one bucket.
     """
 
-    __slots__ = ("rejected", "hedges", "degraded")
+    __slots__ = ("rejected",)
 
     def __init__(self) -> None:
         super().__init__()
         self.rejected = 0
-        self.hedges = 0
-        self.degraded = 0
 
-    def record_hedge(self) -> None:
-        """Count one hedged (duplicate) attempt issued by the router."""
-        self.hedges += 1
-
-    def classify(self, outcome: RequestOutcome, degraded: bool) -> None:
-        """Put one finished client outcome in exactly one ledger bucket."""
-        if outcome.success:
+    def classify(self, success: bool, error: str) -> None:
+        """Put one finished client request in exactly one ledger bucket."""
+        if success:
             self.completed += 1
-            if degraded:
-                self.degraded += 1
-            return
-        error = outcome.error
-        if error == "timeout":
+        elif error == "timeout":
             self.timed_out += 1
         elif error == "shed" or error == CIRCUIT_OPEN_ERROR:
             self.shed += 1
@@ -353,6 +344,32 @@ class RouterMeter(BillingMeter):
             self.rejected += 1
         else:
             self.failed += 1
+
+
+class RouterMeter(FrontDoorMeter):
+    """The router's ledger: a :class:`FrontDoorMeter` plus router-only
+    tallies — ``hedges`` (second attempts issued) and ``degraded``
+    (brownout completions, a subset of ``completed``, never a sixth
+    bucket, so hedged and degraded requests cannot double-count)."""
+
+    __slots__ = ("hedges", "degraded")
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.hedges = 0
+        self.degraded = 0
+
+    def record_hedge(self) -> None:
+        """Count one hedged (duplicate) attempt issued by the router."""
+        self.hedges += 1
+
+    def classify(self, success: bool, error: str,
+                 degraded: bool = False) -> None:
+        """Ledger one finished client request (a degraded success also
+        counts as ``degraded``)."""
+        super().classify(success, error)
+        if success and degraded:
+            self.degraded += 1
 
     def notes(self) -> Dict[str, float]:
         """The extended ledger as ``PlatformUsage.notes`` entries."""
@@ -435,6 +452,77 @@ def _merge_gauges(monitors: Sequence[TimeSeriesMonitor]) -> TimeSeriesMonitor:
     return merged
 
 
+class _AttemptRows(OutcomeColumns):
+    """The rows the router's attempts run on, one per live attempt.
+
+    Each attempt writes a row of its own, so the winner can merge into
+    the client row and a losing hedge runs on undisturbed.  A row opens
+    with every stage at -0.0, which no serve writes (durations are
+    non-negative and ``-0.0 + x == x``): the merge tells a stage the
+    attempt never entered from one it spent 0 s in.  Closed rows are
+    reused; a row a backend holds for a late serve is reused only once
+    that serve lands, its billed seconds and instance forwarded to the
+    (held) client row.
+    """
+
+    __slots__ = ("client", "_free", "_fresh", "_held", "_closed")
+
+    def __init__(self, rows: int, client: OutcomeColumns):
+        OutcomeColumns.__init__(self, rows, lazy=True)
+        #: The client rows the router writes.
+        self.client = client
+        self._free: List[int] = []
+        self._fresh = 0
+        self._held: Set[int] = set()
+        #: Held rows the router is done with -> client row (-1: none).
+        self._closed: Dict[int, int] = {}
+
+    def open(self, inferences: int) -> int:
+        """A fresh attempt row for a request of ``inferences``."""
+        if self._free:
+            row = self._free.pop()
+        else:
+            row = self._fresh
+            self._fresh = row + 1
+        self.reset(row, row + 1)
+        self.inferences[row] = inferences
+        for column in self.stages.values():
+            column[row] = -0.0
+        self.errors.pop(row, None)
+        return row
+
+    def close(self, row: int, client_row: int = -1) -> None:
+        """The router is done with ``row``; a late serve still pending on
+        it will land in ``client_row`` (when >= 0)."""
+        if row in self._held:
+            self._closed[row] = client_row
+            if client_row >= 0:
+                self.client.hold(client_row)
+        else:
+            self._free.append(row)
+
+    def hold(self, row: int) -> None:
+        """A backend will write ``row`` after its attempt gave up."""
+        self._held.add(row)
+
+    def release(self, row: int) -> None:
+        """The late serve landed: forward it if the router already closed
+        the row, then reuse the row."""
+        self._held.discard(row)
+        client_row = self._closed.pop(row, None)
+        if client_row is None:
+            return      # still open: the router merges it
+        if client_row >= 0:
+            client = self.client
+            client.billed_duration_s[client_row] = (
+                self.billed_duration_s[row])
+            instance = self.instance_id[row]
+            if instance >= 0:
+                client.instance_id[client_row] = instance
+            client.release(client_row)
+        self._free.append(row)
+
+
 class MultiRegionPlatform(ServingPlatform):
     """A resilient routing front door over regional platform replicas.
 
@@ -478,21 +566,23 @@ class MultiRegionPlatform(ServingPlatform):
         self._quantile = LatencyQuantile(config.hedge_percentile,
                                          config.hedge_min_samples)
         self._watermark = config.brownout_watermark
-        #: Timed-out attempts awaiting a backend's late (post-deadline)
-        #: billing re-commit: id(attempt) -> (attempt, client row).  Only
-        #: filed when the backends can re-commit late (a class-level
-        #: capability), and the entry keeps the attempt alive so its id
-        #: cannot be reused while the entry exists.
-        self._late_attempts: Dict[int, Tuple[RequestOutcome,
-                                             RequestOutcome]] = {}
-        self._backends_commit_late = any(
-            backend.late_commits for backend in self._all_backends())
+        #: Attempt rows every backend writes (see :meth:`bind`).
+        self._attempts: Optional[_AttemptRows] = None
 
     # ------------------------------------------------------------------ API
+    def bind(self, rows, commit=None) -> None:
+        """The router writes the client rows; its backends write attempt
+        rows, at most two live per routed request (a primary and a
+        hedge) for each of the client's retries."""
+        super().bind(rows, commit)
+        self._attempts = _AttemptRows(
+            2 * max(self.config.retry_attempts, 1) * rows.rows, rows)
+        for backend in self._all_backends():
+            backend.bind(self._attempts)
+
     def start(self) -> None:
         """Start every regional backend (and the brownout backend)."""
         for backend in self._all_backends():
-            backend.outcome_sink = self._late_attempt
             backend.start()
 
     def finalize(self, end_time: Optional[float] = None) -> PlatformUsage:
@@ -584,8 +674,7 @@ class MultiRegionPlatform(ServingPlatform):
             return 0.0
         return busy / capacity
 
-    def request(self, outcome: RequestOutcome, payload_mb: float,
-                response_mb: float):
+    def request(self, row: int, payload_mb: float, response_mb: float):
         """Route one client request through the front door."""
         self.meter.record_submitted()
         env = self.env
@@ -604,41 +693,39 @@ class MultiRegionPlatform(ServingPlatform):
                 else:
                     # Shed at the front door. The yield keeps a process
                     # running this request alive past its inline first
-                    # step — callers attach completion callbacks to it.
+                    # step.
                     yield 0.0
-                    outcome.finish(env.now, success=False,
-                                   error=CIRCUIT_OPEN_ERROR)
+                    self._finish(row, False, CIRCUIT_OPEN_ERROR)
                     self.meter.record_shed()
-                    return outcome
+                    return
 
         if degraded:
-            final = yield from self._attempt(_DEGRADED, outcome, payload_mb,
+            final = yield from self._attempt(_DEGRADED, row, payload_mb,
                                              response_mb)
         else:
             self.breakers[index].on_route(env.now)
             if self._hedge and self._quantile.ready:
-                final = yield from self._hedged(index, outcome, payload_mb,
+                final = yield from self._hedged(index, row, payload_mb,
                                                 response_mb)
             else:
-                final = yield from self._attempt(index, outcome, payload_mb,
+                final = yield from self._attempt(index, row, payload_mb,
                                                  response_mb)
 
-        self._merge(outcome, final)
-        if final.success:
-            outcome.finish(env.now, success=True,
-                           error=DEGRADED_LABEL if degraded else "")
+        attempts = self._attempts
+        success = bool(attempts.success[final])
+        if success:
+            error = DEGRADED_LABEL if degraded else ""
         else:
-            outcome.finish(env.now, success=False, error=final.error)
-            if final.error == "timeout" and self._backends_commit_late:
-                # The backend may still run (and bill) the invocation
-                # past the client deadline; remember the row so the
-                # late re-commit reaches the table.
-                self._late_attempts[id(final)] = (final, outcome)
-        self.meter.classify(outcome, degraded)
-        return outcome
+            error = attempts.errors.get(final, "")
+        self._merge(row, final)
+        # A backend still serving the attempt after its deadline writes
+        # its late billing into this client row.
+        attempts.close(final, row)
+        self._finish(row, success, error)
+        self.meter.classify(success, error, degraded)
 
-    def _hedged(self, index: int, outcome: RequestOutcome,
-                payload_mb: float, response_mb: float):
+    def _hedged(self, index: int, row: int, payload_mb: float,
+                response_mb: float):
         """Race the primary attempt against the hedge timer, then hedge.
 
         Only here does an attempt run as a process of its own: a race
@@ -648,10 +735,12 @@ class MultiRegionPlatform(ServingPlatform):
         completion wins the request.  When the first completion failed
         but the other attempt is still in flight, the router waits for
         it and prefers its success — a hedge also doubles as a failover
-        retry.  Returns the winning attempt.
+        retry.  Returns the winning attempt's row; the other one closes
+        once its attempt is over.
         """
         env = self.env
-        primary = env.process(self._attempt(index, outcome, payload_mb,
+        attempts = self._attempts
+        primary = env.process(self._attempt(index, row, payload_mb,
                                             response_mb))
         hedge_timer = env.timeout(self._quantile.value)
         winner = yield env.race(primary, hedge_timer)
@@ -663,91 +752,86 @@ class MultiRegionPlatform(ServingPlatform):
             return (yield primary)
         self.meter.record_hedge()
         self.breakers[alternate].on_route(env.now)
-        secondary = env.process(self._attempt(alternate, outcome, payload_mb,
+        secondary = env.process(self._attempt(alternate, row, payload_mb,
                                               response_mb))
         winner = yield env.race(primary, secondary)
         other = secondary if winner is primary else primary
         first = winner.value
-        if first.success:
+        if attempts.success[first]:
+            # The loser runs on (its region still bills it).
+            if other.processed:
+                attempts.close(other.value)
+            else:
+                other.callbacks.append(self._close_loser)
             return first
         attempt = yield other
-        return attempt if attempt.success else first
+        if attempts.success[attempt]:
+            attempts.close(first)
+            return attempt
+        attempts.close(attempt)
+        return first
 
-    def _attempt(self, index: int, outcome: RequestOutcome,
-                 payload_mb: float, response_mb: float):
-        """One routed attempt on a fresh attempt-local outcome; returns it.
+    def _close_loser(self, process) -> None:
+        """A hedge's losing attempt finished: its row is free."""
+        self._attempts.close(process.value)
 
-        Attempts are never registered rows; the winner's serve-side
-        fields are merged back into the client's outcome, and the loser
-        of a hedge simply runs to completion and is discarded — its
-        region still bills it.
+    def _attempt(self, index: int, row: int, payload_mb: float,
+                 response_mb: float):
+        """One routed attempt on an attempt row of its own; returns it.
+
+        The attempt row starts from the client row's inference count;
+        the winner's serve-side fields are merged into the client row
+        and the loser of a hedge simply runs to completion and is
+        discarded — its region still bills it.
         """
-        attempt = RequestOutcome(
-            request_id=outcome.request_id, client_id=outcome.client_id,
-            send_time=self.env.now, inferences=outcome.inferences)
+        env = self.env
+        attempts = self._attempts
+        attempt = attempts.open(self._rows.inferences[row])
+        started = env.now
         if index == _DEGRADED:
             backend, latency = self.degraded_backend, 0.0
         else:
             backend, latency = self.backends[index], self._latencies[index]
         if latency > 0.0:
-            breakdown = attempt.breakdown
-            breakdown[Stage.NETWORK] = (breakdown.get(Stage.NETWORK, 0.0)
-                                        + latency)
+            attempts.network_s[attempt] += latency
             yield latency
         yield from backend.request(attempt, payload_mb, response_mb)
         if latency > 0.0:
-            breakdown = attempt.breakdown
-            breakdown[Stage.NETWORK] = (breakdown.get(Stage.NETWORK, 0.0)
-                                        + latency)
+            attempts.network_s[attempt] += latency
             yield latency
         if index != _DEGRADED:
-            self._observe(index, attempt)
+            self._observe(index, bool(attempts.success[attempt]),
+                          env.now - started)
         return attempt
 
-    def _observe(self, index: int, attempt: RequestOutcome) -> None:
+    def _observe(self, index: int, success: bool, latency: float) -> None:
         """Feed one completed attempt into health, breaker, and hedging."""
-        latency = self.env.now - attempt.send_time
-        self.health[index].observe(attempt.success, latency)
+        self.health[index].observe(success, latency)
         breaker = self.breakers[index]
-        if attempt.success:
+        if success:
             breaker.record_success()
             if self._hedge:
                 self._quantile.observe(latency)
         else:
             breaker.record_failure(self.env.now)
 
-    def _merge(self, outcome: RequestOutcome,
-               attempt: RequestOutcome) -> None:
+    def _merge(self, row: int, attempt: int) -> None:
         """Copy the winning attempt's serve-side fields into the client row.
 
         Mirrors the retry layer's stage semantics: per-attempt stages
         plain-overwrite, accumulate-style stages (network) sum across
-        attempts of the same client request.
+        attempts of the same client request.  A stage the attempt never
+        entered (still -0.0) leaves the client's value alone.
         """
-        outcome.cold_start = attempt.cold_start
-        outcome.instance_id = attempt.instance_id
-        outcome.billed_duration_s = attempt.billed_duration_s
-        breakdown = outcome.breakdown
-        for name, seconds in attempt.breakdown.items():
+        rows, attempts = self._rows, self._attempts
+        rows.cold_start[row] = attempts.cold_start[attempt]
+        rows.instance_id[row] = attempts.instance_id[attempt]
+        rows.billed_duration_s[row] = attempts.billed_duration_s[attempt]
+        for name, column in attempts.stages.items():
+            seconds = column[attempt]
+            if seconds == 0.0 and math.copysign(1.0, seconds) < 0.0:
+                continue
             if name == Stage.NETWORK:
-                breakdown[name] = breakdown.get(name, 0.0) + seconds
+                rows.stages[name][row] += seconds
             else:
-                breakdown[name] = seconds
-
-    def _late_attempt(self, attempt: RequestOutcome) -> None:
-        """A backend re-committed an attempt after its client timed out.
-
-        Serverless invocations keep running (and billing) past the
-        client deadline; propagate the late billing fields to the
-        client's registered row and forward it to the executor's sink.
-        """
-        entry = self._late_attempts.get(id(attempt))
-        if entry is None or entry[0] is not attempt:
-            return
-        del self._late_attempts[id(attempt)]
-        outcome = entry[1]
-        outcome.billed_duration_s = attempt.billed_duration_s
-        if attempt.instance_id is not None:
-            outcome.instance_id = attempt.instance_id
-        if self.outcome_sink is not None:
-            self.outcome_sink(outcome)
+                rows.stages[name][row] = seconds

@@ -53,7 +53,6 @@ from repro.platforms.base import PlatformUsage, ServingPlatform
 from repro.platforms.billing import ServerlessMeter
 from repro.platforms.policies import ConcurrencyScalingPolicy
 from repro.platforms.pool import InstancePool, InstanceState, PoolInstance
-from repro.serving.records import RequestOutcome, Stage
 from repro.sim import Interrupt, Process
 from repro.sim.engine import Guard
 
@@ -84,7 +83,6 @@ class ServerlessPlatform(ServingPlatform):
     """Serverless model serving on AWS Lambda or Google Cloud Functions."""
 
     family = "serverless"
-    late_commits = True
 
     def __init__(self, env, deployment, profiles=None, rng=None):
         super().__init__(env, deployment, profiles, rng)
@@ -183,36 +181,37 @@ class ServerlessPlatform(ServingPlatform):
             provisioned_concurrency=self.config.provisioned_concurrency)
 
     # --------------------------------------------------------------- client
-    def request(self, outcome: RequestOutcome, payload_mb: float,
-                response_mb: float):
+    def request(self, row: int, payload_mb: float, response_mb: float):
         """Serve one request on the serverless endpoint.
 
         A request that finds a warm instance idle is served right here,
         in the request's own process.  Otherwise it waits in the backlog
         for an instance: a fresh one the scaler pins to it, or one that
-        finishes its work first.
+        finishes its work first.  A request whose client times out first
+        stays in the backlog: an instance still serves (and bills) it
+        later, into the same row, which stays held until then.
         """
         env = self.env
         self.meter.record_submitted()
-        yield self._network_leg(outcome, payload_mb)
+        yield self._network_leg(row, payload_mb)
         if self._admission_faults:
             if (self._shed_watermark
                     and self.pool.ready < self._shed_watermark):
                 # Graceful degradation: ready capacity is below the
                 # watermark, so fail fast instead of piling onto the
                 # backlog.
-                outcome.finish(env.now, success=False, error="shed")
+                self._finish(row, False, "shed")
                 self.meter.record_shed()
-                return outcome
+                return
             if self._error_rate and self.rng.uniform(
                     REQUEST_FAULT_STREAM, 0.0, 1.0) < self._error_rate:
-                outcome.finish(env.now, success=False,
-                               error="transient_error")
+                self._finish(row, False, "transient_error")
                 self.meter.record_failed()
-                return outcome
+                return
         idle = self._idle
+        inferences = self._rows.inferences[row]
         if not idle:
-            pending = self.queue.enqueue(outcome)
+            pending = self.queue.enqueue(row, inferences)
             self._scale_out()
             # The client waits for the response under its deadline guard;
             # a response that arrives first withdraws the guard.
@@ -223,15 +222,15 @@ class ServerlessPlatform(ServingPlatform):
             instance, keep_alive = idle.popleft()
             keep_alive.cancel()
             enqueue = env.now
-            predict = self._claim(instance, outcome, enqueue)
+            predict = self._claim(instance, row, inferences, 0.0)
             duration = self._handler_s + predict
             deadline = enqueue + self._deadlines.delay
             if enqueue + duration >= deadline:
                 # The serve overruns the client deadline: hand it to an
                 # instance loop as a ticket, so it runs (and bills) past
-                # the deadline and re-commits late.  The guard comes
-                # first: it expires before the serve ends.
-                pending = self.queue.ticket(outcome, enqueue)
+                # the deadline.  The guard comes first: it expires
+                # before the serve ends.
+                pending = self.queue.ticket(row, inferences, enqueue)
                 guard = self._deadlines.guard(pending.response_event)
                 env.process(self._instance_loop(instance, pending,
                                                 predict=predict))
@@ -247,14 +246,14 @@ class ServerlessPlatform(ServingPlatform):
                     # The instance was killed mid-serve: requeue the
                     # request under its original enqueue time and wait
                     # for another instance until the original deadline.
-                    pending = self.queue.ticket(outcome, enqueue)
+                    pending = self.queue.ticket(row, inferences, enqueue)
                     response = pending.response_event
                     self._crash(instance, pending)
                     timer = env.timeout_at(deadline)
                     served = (yield env.race(response, timer)) is response
                     timer.cancel()
                 else:
-                    self._release(instance, outcome, predict)
+                    self._release(instance, row, predict)
                     pending = self.queue.take()
                     if pending is None:
                         self._park(instance)
@@ -262,13 +261,16 @@ class ServerlessPlatform(ServingPlatform):
                         env.process(self._instance_loop(instance, pending))
                     served = True
         if not served:
-            outcome.finish(env.now, success=False, error="timeout")
+            # The ticket is still outstanding: an instance will serve it
+            # after the client gave up, writing the row late.
+            pending.late = True
+            self._rows.hold(row)
+            self._finish(row, False, "timeout")
             self.meter.record_timed_out()
-            return outcome
-        yield self._network_leg(outcome, response_mb)
-        outcome.finish(env.now, success=True)
+            return
+        yield self._network_leg(row, response_mb)
+        self._finish(row, True)
         self.meter.record_completed()
-        return outcome
 
     # --------------------------------------------------------------- scaling
     def _scaler_loop(self):
@@ -459,19 +461,18 @@ class ServerlessPlatform(ServingPlatform):
             elif requeued:
                 yield 0.0
             while pending is not None:
-                outcome = pending.outcome
+                row = pending.row
                 if predict is None:
-                    predict = self._claim(instance, outcome,
-                                          pending.enqueue_time, cold_trigger)
+                    predict = self._claim(
+                        instance, row, pending.inferences,
+                        self.env.now - pending.enqueue_time, cold_trigger)
                 yield self._handler_s + predict
-                self._release(instance, outcome, predict, cold_trigger)
-                if (outcome.completion_time is not None
-                        and self.outcome_sink is not None):
-                    # The client already gave up on this request (its
-                    # deadline) and its row was committed without the
-                    # serve-side fields; re-record it now that the
-                    # invocation actually ran and was billed.
-                    self.outcome_sink(outcome)
+                self._release(instance, row, predict, cold_trigger)
+                if pending.late:
+                    # The client gave up on this request (its deadline)
+                    # and committed the row; the late serve has now
+                    # written it.
+                    self._rows.release(row)
                 pending.response_event.succeed()
                 self.queue.recycle(pending)
                 cold_trigger = False
@@ -482,33 +483,31 @@ class ServerlessPlatform(ServingPlatform):
             return
         self._park(instance)
 
-    def _claim(self, instance: PoolInstance, outcome: RequestOutcome,
-               enqueue_time: float, cold_trigger: bool = False) -> float:
-        """Start serving ``outcome`` on ``instance``; returns the predict time.
+    def _claim(self, instance: PoolInstance, row: int, inferences: int,
+               wait: float, cold_trigger: bool = False) -> float:
+        """Start serving ``row`` on ``instance``; returns the predict time.
 
-        Attributes the wait (and, for the request that triggered a cold
-        start, the cold-start stages) and draws the predict time.  The
-        serve lasts the handler overhead plus the predict time.
+        Attributes the ``wait`` for an instance (and, for the request
+        that triggered a cold start, the cold-start stages) and draws the
+        predict time for the request's ``inferences``.  The serve lasts
+        the handler overhead plus the predict time.
         """
-        outcome.instance_id = instance.instance_id
-        wait = self.env.now - enqueue_time
+        rows = self._rows
+        rows.instance_id[row] = instance.instance_id
         self.pool.mark_busy(instance)
-        breakdown = outcome.breakdown
         if cold_trigger and instance.cold_stages is not None:
             # This request triggered the instance: it paid for the whole
             # cold-start pipeline, so attribute the sub-stages to it (this
-            # is how the paper measures Figure 10).  Each stage is set
-            # exactly once per outcome, so plain dict writes replace the
-            # accumulate-style add_stage calls on this hot path.
+            # is how the paper measures Figure 10).
             stages = instance.cold_stages
-            outcome.cold_start = True
-            breakdown[Stage.SANDBOX] = stages.sandbox_s
-            breakdown[Stage.IMPORT] = stages.import_s
-            breakdown[Stage.DOWNLOAD] = stages.download_s
-            breakdown[Stage.LOAD] = stages.load_s
-            breakdown[Stage.QUEUE] = max(wait - stages.total(), 0.0)
+            rows.cold_start[row] = True
+            rows.sandbox_s[row] = stages.sandbox_s
+            rows.import_s[row] = stages.import_s
+            rows.download_s[row] = stages.download_s
+            rows.load_s[row] = stages.load_s
+            rows.queue_s[row] = max(wait - stages.total(), 0.0)
         else:
-            breakdown[Stage.QUEUE] = wait
+            rows.queue_s[row] = wait
 
         # Only the very first inference on a fresh runtime pays the
         # lazy-initialisation penalty (Section 5.1); subsequent inferences
@@ -519,30 +518,29 @@ class ServerlessPlatform(ServingPlatform):
                                    "predict")
         else:
             predict = self._warm_predict()
-        inferences = outcome.inferences
         if inferences > 1:
             predict += self.rng.lognormal_sum(
                 "predict", self._warm_predict_s, _PREDICT_JITTER_CV,
-                inferences - 1)
+                int(inferences) - 1)
         return predict
 
-    def _release(self, instance: PoolInstance, outcome: RequestOutcome,
-                 predict: float, cold_trigger: bool = False) -> None:
-        """Finish serving ``outcome``: book the stages and the bill.
+    def _release(self, instance: PoolInstance, row: int, predict: float,
+                 cold_trigger: bool = False) -> None:
+        """Finish serving ``row``: book the stages and the bill.
 
         The instance goes back to idle (its caller decides what it does
         next).
         """
         handler = self._handler_s
-        breakdown = outcome.breakdown
-        breakdown[Stage.HANDLER] = handler
-        breakdown[Stage.PREDICT] = predict
+        rows = self._rows
+        rows.handler_s[row] = handler
+        rows.predict_s[row] = predict
 
         billed = handler + predict
         if self._traits.billing_includes_init and cold_trigger:
             stages = instance.cold_stages
             if stages is not None:
                 billed += stages.import_s + stages.download_s + stages.load_s
-        outcome.billed_duration_s = billed
+        rows.billed_duration_s[row] = billed
         self.meter.record_invocation(billed, provisioned=instance.provisioned)
         self.pool.mark_idle(instance)

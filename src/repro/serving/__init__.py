@@ -4,9 +4,9 @@ A :class:`~repro.serving.deployment.Deployment` captures the three
 dimensions the paper's planner works with (Section 3): the model, the
 serving runtime, and the service configuration (which platform, how much
 memory, which instance type, ...).  A
-:class:`~repro.serving.records.RequestOutcome` is the per-request log line
-both the clients and the platforms fill in; the analyzer consumes lists
-of outcomes.
+:class:`~repro.serving.records.RequestOutcome` is the object view of one
+request's outcome row; the platforms write those rows in place (see
+:mod:`repro.serving.outcome_table`).
 """
 
 from repro.serving.deployment import Deployment, PlatformKind, ServiceConfig

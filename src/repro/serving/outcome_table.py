@@ -1,28 +1,26 @@
 """Columnar (struct-of-arrays) request outcomes.
 
-The simulation's data plane used to be a ``List[RequestOutcome]`` — one
-Python object plus one breakdown dict per request, walked by list
-comprehensions for every metric and re-pickled wholesale through the
-process pool.  :class:`OutcomeTable` replaces that with numpy columns:
-every metric becomes a masked reduction, result transport shrinks to a
-handful of compact arrays, and the per-request objects only live while
-their request is in flight.
+:class:`OutcomeTable` holds one run's request outcomes as numpy columns:
+every metric is a masked reduction, and result transport is a handful of
+compact arrays.
 
-:class:`OutcomeRecorder` is the write side: preallocated to the
-workload's known request count, it captures a request's issue-time
-fields when the executor creates it and the completion-time fields when
-the platform finishes it, after which the Python object is garbage.
-Its rows live in one :class:`OutcomeColumns` block, the same block the
-streaming ring of :mod:`repro.serving.streaming` recycles: the per-row
-columns, their defaults, the serve-field writes and the zero-copy table
-view are defined once, there.
+The write side is a block of rows, :class:`OutcomeColumns`.  The
+executor registers each request's row with a recorder
+(:class:`OutcomeRecorder`, preallocated to the workload's request count,
+or the streaming ring of :mod:`repro.serving.streaming`), and the
+platform that serves it writes its stages, billing, cold start,
+instance, path, error and completion straight into that row.  No
+per-request object exists: the block is bound once per run, a request
+is a plain row index, and ``commit(row)`` only interns the row's error
+string once the request finished.  A view of the block's rows is an
+:class:`OutcomeTable`, without a copy.
 
-``RequestOutcome`` remains the in-flight representation (platforms
-mutate it incrementally) and the API-compatibility view:
-:meth:`OutcomeTable.to_outcomes` reconstructs equivalent objects on
-demand.  Reconstruction drops breakdown stages whose accumulated value
-is exactly 0.0 (the table cannot distinguish "absent" from "zero");
-``RequestOutcome.stage`` reports 0.0 for both, so metrics are unchanged.
+``RequestOutcome`` remains as the object view of one row:
+:meth:`OutcomeTable.to_outcomes` builds the objects on demand and
+:meth:`OutcomeTable.from_outcomes` reads them back.  Reconstruction
+drops breakdown stages whose accumulated value is exactly 0.0 (the table
+cannot distinguish "absent" from "zero"); ``RequestOutcome.stage``
+reports 0.0 for both, so metrics are unchanged.
 
 A table stores only what its run produced.  A column whose rows all
 hold the recorder default is a zero-byte, read-only ``np.broadcast_to``
@@ -36,7 +34,7 @@ they were stored.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -415,19 +413,33 @@ class OutcomeTable(TimelineReductions):
     def from_outcomes(cls, outcomes: Iterable[RequestOutcome]) -> "OutcomeTable":
         """Build a table from materialised outcome objects.
 
-        Unfinished outcomes keep everything except the completion fields
-        (``table()`` flushes their partial state, including any error
-        string already set).  The objects themselves are left untouched —
-        the recorder's row bookkeeping is not leaked back to the caller.
+        Unfinished outcomes keep everything except the completion fields.
+        Error names enter the vocabulary in the order a recorder would
+        have met them: finished outcomes first, then unfinished ones.
+        The objects themselves are left untouched.
         """
-        recorder = OutcomeRecorder(capacity=0)
-        for outcome in outcomes:
-            caller_row = outcome.row
-            recorder.register(outcome)
-            if outcome.completion_time is not None:
-                recorder.commit(outcome)
-            outcome.row = caller_row
-        return recorder.table()
+        outcomes = list(outcomes)
+        count = len(outcomes)
+        block = OutcomeColumns(count)
+        for name in ("request_id", "client_id", "send_time", "success",
+                     "cold_start", "billed_duration_s", "inferences",
+                     "attempts", "served_by"):
+            getattr(block, name)[:] = [getattr(o, name) for o in outcomes]
+        block.completion_time[:] = [
+            np.nan if o.completion_time is None else o.completion_time
+            for o in outcomes]
+        block.instance_id[:] = [-1 if o.instance_id is None
+                                else o.instance_id for o in outcomes]
+        for name, column in block.stages.items():
+            column[:] = [o.breakdown.get(name, 0.0) for o in outcomes]
+        names = [""]
+        for finished in (True, False):
+            for row, outcome in enumerate(outcomes):
+                if (outcome.error
+                        and (outcome.completion_time is not None) == finished):
+                    block.error_code[row] = _intern_error(names,
+                                                          outcome.error)
+        return block.view(0, count, names)
 
     def row(self, index: int) -> RequestOutcome:
         """Reconstruct one request's outcome object."""
@@ -458,48 +470,8 @@ class OutcomeTable(TimelineReductions):
         )
 
     def to_outcomes(self) -> List[RequestOutcome]:
-        """Reconstruct the full list of outcome objects (API-compat view).
-
-        Reads every column once (as a Python list) rather than indexing
-        numpy scalars row by row; the objects equal :meth:`row`'s.
-        """
-        names = self.error_names
-        stages = [(name, column.tolist())
-                  for name, column in self._stages.items()]
-        outcomes = []
-        for index, (request_id, client_id, send, completion, success,
-                    code, cold, instance, billed, inferences, attempts,
-                    served_by) in enumerate(zip(
-                        self.request_id.tolist(), self.client_id.tolist(),
-                        self.send_time.tolist(),
-                        self.completion_time.tolist(),
-                        self.success.tolist(), self.error_code.tolist(),
-                        self.cold_start.tolist(), self.instance_id.tolist(),
-                        self.billed_duration_s.tolist(),
-                        self.inferences.tolist(), self.attempts.tolist(),
-                        self.served_by.tolist())):
-            breakdown: Dict[str, float] = {}
-            for name, seconds in stages:
-                if seconds[index] != 0.0:
-                    breakdown[name] = seconds[index]
-            outcomes.append(RequestOutcome(
-                request_id=request_id,
-                client_id=client_id,
-                send_time=send,
-                # NaN (unfinished) is the one value unequal to itself.
-                completion_time=(None if completion != completion
-                                 else completion),
-                success=success,
-                error=names[code],
-                cold_start=cold,
-                instance_id=None if instance < 0 else instance,
-                billed_duration_s=billed,
-                inferences=inferences,
-                breakdown=breakdown,
-                attempts=attempts,
-                served_by=served_by,
-            ))
-        return outcomes
+        """Reconstruct the full list of outcome objects (API-compat view)."""
+        return [self.row(index) for index in range(self.count)]
 
     # -- wire format -----------------------------------------------------------
     def packed(self) -> dict:
@@ -638,159 +610,170 @@ def _intern_error(names: List[str], error: str) -> int:
         return len(names) - 1
 
 
-class OutcomeColumns:
-    """One block of recorder columns: ``rows`` rows of every per-row
-    column plus one float64 column per stage.
+#: Attribute name of each stage's column on a block (``queue_s`` ...).
+_STAGE_ATTRS = {name: f"{name}_s" for name in STAGE_ORDER}
+#: The columns serving writes: all but the issue-time ones (written at
+#: ``register``) and ``error_code`` (interned at commit).
+_SERVE_COLUMNS = tuple(name for name in _COLUMNS if name not in (
+    "request_id", "client_id", "send_time", "inferences", "error_code")
+) + tuple(_STAGE_ATTRS.values())
 
-    Both recorders write through blocks: :class:`OutcomeRecorder` keeps
-    one and grows it, the streaming ring recycles fixed-size ones.
+
+class OutcomeColumns:
+    """One block of outcome rows: every per-row column, one float64
+    column per stage (an attribute ``queue_s``, ``network_s``, ... and
+    an entry of :attr:`stages`), and the pending error strings.
+
+    The one place serving writes a request's outcome (see the module
+    docstring).  Error strings wait in :attr:`errors` until the
+    recorder interns them at commit, so the vocabulary only holds errors
+    a finished request kept: a retried attempt's error never enters it.
+    ``hold``/``release`` bracket a write that may come after the row's
+    commit (a serverless invocation served after its client gave up): a
+    plain block ignores them, the chunk ring keeps the row's chunk
+    resident, the router's attempt rows forward the late billing.
     """
 
-    __slots__ = (*_COLUMNS, "stages", "rows")
+    __slots__ = (*_COLUMNS, *_STAGE_ATTRS.values(), "stages", "errors",
+                 "rows")
 
-    def __init__(self, rows: int):
+    def __init__(self, rows: int, lazy: bool = False):
         self.rows = rows
-        for name, (dtype, default) in _COLUMNS.items():
+        for name, (dtype, _default) in _COLUMNS.items():
             # np.zeros leaves the pages of a column never written
-            # unmapped, so an untouched zero-default column costs no
-            # resident memory.
-            setattr(self, name, np.zeros(rows, dtype=dtype) if default == 0
-                    else np.full(rows, default, dtype=dtype))
+            # unmapped, so an untouched row costs no resident memory.
+            setattr(self, name, np.zeros(rows, dtype=dtype))
         #: One column per breakdown stage, by name (a table keeps only
         #: the produced ones, without copying them).
-        self.stages: Dict[str, np.ndarray] = {
-            name: np.zeros(rows, dtype=np.float64) for name in STAGE_ORDER}
+        self.stages: Dict[str, np.ndarray] = {}
+        for name, attr in _STAGE_ATTRS.items():
+            column = np.zeros(rows, dtype=np.float64)
+            setattr(self, attr, column)
+            self.stages[name] = column
+        #: Error strings of finished rows not yet committed.
+        self.errors: Dict[int, str] = {}
+        if not lazy:
+            # A ``lazy`` owner fills defaults row range by row range.
+            self.reset(0, rows, fresh=True)
 
-    def reset(self) -> None:
-        """Restore every row to the column defaults (for reuse)."""
-        for name, (_dtype, default) in _COLUMNS.items():
-            getattr(self, name)[:] = default
-        for column in self.stages.values():
-            column[:] = 0.0
+    def reset(self, start: int, stop: int, fresh: bool = False) -> None:
+        """Restore rows ``[start, stop)`` to the column defaults.
 
-    def grown(self, rows: int) -> "OutcomeColumns":
-        """A new ``rows``-row block that starts with this block's rows."""
-        block = OutcomeColumns(rows)
-        n = self.rows
-        for name in _COLUMNS:
-            getattr(block, name)[:n] = getattr(self, name)
-        for name, column in self.stages.items():
-            block.stages[name][:n] = column
-        return block
-
-    def write_serve_fields(self, row: int, outcome: RequestOutcome,
-                           error_names: List[str]) -> None:
-        """Write what serving set on ``outcome`` into ``row``.
-
-        Only non-default values are written; ``error_names`` is the
-        recorder's error vocabulary, extended when the error is new.
+        On ``fresh`` rows (never written) the zero-default columns
+        already hold their default and stay untouched.
         """
-        if outcome.error:
-            self.error_code[row] = _intern_error(error_names, outcome.error)
-        if outcome.success:
-            self.success[row] = True
-        if outcome.cold_start:
-            self.cold_start[row] = True
-        if outcome.instance_id is not None:
-            self.instance_id[row] = outcome.instance_id
-        if outcome.billed_duration_s:
-            self.billed_duration_s[row] = outcome.billed_duration_s
-        if outcome.attempts != 1:
-            self.attempts[row] = outcome.attempts
-        if outcome.served_by:
-            self.served_by[row] = outcome.served_by
-        breakdown = outcome.breakdown
-        if breakdown:
-            stages = self.stages
-            for name, seconds in breakdown.items():
-                stages[name][row] = seconds
+        for name, (_dtype, default) in _COLUMNS.items():
+            if default or not fresh:
+                getattr(self, name)[start:stop] = default
+        if not fresh:
+            for column in self.stages.values():
+                column[start:stop] = 0.0
 
-    def view(self, n: int, error_names: List[str]) -> OutcomeTable:
-        """The first ``n`` rows as an :class:`OutcomeTable`, without a
+    def hold(self, row: int) -> None:
+        """A write to ``row`` may still come after its commit."""
+
+    def release(self, row: int) -> None:
+        """The write announced by :meth:`hold` has landed."""
+
+    def fan_out(self, row: int, rows: Sequence[int]) -> None:
+        """Copy every column serving writes from ``row`` to ``rows``.
+
+        A client-side batch is one invocation: the carrier's row fans
+        out to the other members, column by column, so no serve-side
+        field can be left behind.
+        """
+        targets = list(rows)
+        for name in _SERVE_COLUMNS:
+            column = getattr(self, name)
+            column[targets] = column[row]
+        error = self.errors.get(row)
+        if error:
+            self.errors.update(dict.fromkeys(targets, error))
+
+    def intern_errors(self, error_names: List[str],
+                      rows: Optional[Iterable[int]] = None) -> None:
+        """Move pending error strings into ``error_code``: those of
+        ``rows``, or of every row (in row order)."""
+        errors = self.errors
+        for row in sorted(errors) if rows is None else rows:
+            error = errors.pop(row, None)
+            if error:
+                self.error_code[row] = _intern_error(error_names, error)
+
+    def view(self, start: int, stop: int,
+             error_names: List[str]) -> OutcomeTable:
+        """Rows ``[start, stop)`` as an :class:`OutcomeTable`, without a
         copy: the table shares this block's buffers."""
+        rows = slice(start, stop)
         return OutcomeTable(
-            request_id=self.request_id[:n],
-            client_id=self.client_id[:n],
-            send_time=self.send_time[:n],
-            completion_time=self.completion_time[:n],
-            success=self.success[:n],
-            cold_start=self.cold_start[:n],
-            instance_id=self.instance_id[:n],
-            billed_duration_s=self.billed_duration_s[:n],
-            inferences=self.inferences[:n],
-            error_code=self.error_code[:n],
-            stages=[self.stages[name][:n] for name in STAGE_ORDER],
+            request_id=self.request_id[rows],
+            client_id=self.client_id[rows],
+            send_time=self.send_time[rows],
+            completion_time=self.completion_time[rows],
+            success=self.success[rows],
+            cold_start=self.cold_start[rows],
+            instance_id=self.instance_id[rows],
+            billed_duration_s=self.billed_duration_s[rows],
+            inferences=self.inferences[rows],
+            error_code=self.error_code[rows],
+            stages=[self.stages[name][rows] for name in STAGE_ORDER],
             error_names=error_names,
-            attempts=self.attempts[:n],
-            served_by=self.served_by[:n],
+            attempts=self.attempts[rows],
+            served_by=self.served_by[rows],
         )
 
 
 class OutcomeRecorder:
-    """Preallocated write-side of an :class:`OutcomeTable`.
+    """Preallocated write side of an :class:`OutcomeTable`.
 
-    Sized from the workload's known request count; grows geometrically in
-    the (unusual) case more requests are issued than the hint promised.
-    ``capacity`` is honoured exactly (it used to be silently clamped to a
-    minimum of 16, which made chunk accounting off-by-up-to-15 for tiny
-    cells); a zero-capacity recorder simply grows on first registration.
+    Sized exactly from the run's request count (``ServingBenchmark.run``
+    counts the workload's arrivals): rows never move, so a platform
+    binds :attr:`columns` once per run.  It does not grow: registering
+    more than ``capacity`` rows raises ``IndexError``.
     """
 
     def __init__(self, capacity: int):
-        self._capacity = max(int(capacity), 0)
         self._count = 0
-        self.columns = OutcomeColumns(self._capacity)
+        #: The rows serving writes (bound once per run by the platform).
+        self.columns = OutcomeColumns(max(int(capacity), 0))
         self.error_names: List[str] = [""]
-        #: Registered-but-uncommitted outcomes; their partial state
-        #: (accrued stages, instance assignment) is flushed by
-        #: :meth:`table` so requests that never complete keep the fields
-        #: they did accumulate.
-        self._inflight: Dict[int, RequestOutcome] = {}
-
-    def _grow(self) -> None:
-        self._capacity = max(self._capacity * 2, 16)
-        self.columns = self.columns.grown(self._capacity)
 
     # -- write path ------------------------------------------------------------
-    def register(self, outcome: RequestOutcome) -> int:
+    def register(self, request_id: int, client_id: int, send_time: float,
+                 inferences: int = 1) -> int:
         """Record a freshly issued request; returns its row index."""
         row = self._count
-        if row >= self._capacity:
-            self._grow()
-        self._count = row + 1
-        outcome.row = row
-        self._inflight[row] = outcome
         columns = self.columns
-        columns.request_id[row] = outcome.request_id
-        columns.client_id[row] = outcome.client_id
-        columns.send_time[row] = outcome.send_time
-        if outcome.inferences != 1:
-            columns.inferences[row] = outcome.inferences
+        self._count = row + 1
+        columns.request_id[row] = request_id
+        columns.client_id[row] = client_id
+        columns.send_time[row] = send_time
+        if inferences != 1:
+            columns.inferences[row] = inferences
         return row
 
-    def commit(self, outcome: RequestOutcome) -> None:
-        """Record a finished request's completion-time fields.
+    def commit(self, row: int) -> None:
+        """Signal that the request in ``row`` finished at its client.
 
-        Safe to call again for the same outcome (e.g. when a serverless
-        invocation still runs — and bills — after its client already gave
-        up at the 300 s deadline): the row is simply rewritten with the
-        later state.
+        Serving already wrote the row; this interns its error string,
+        once per finished request.
         """
-        row = outcome.row
-        self._inflight.pop(row, None)
-        columns = self.columns
-        columns.completion_time[row] = outcome.completion_time
-        columns.write_serve_fields(row, outcome, self.error_names)
+        if self.columns.errors:
+            self.columns.intern_errors(self.error_names, (row,))
 
     # -- read side -------------------------------------------------------------
-    def table(self) -> OutcomeTable:
-        """The recorded outcomes as a trimmed :class:`OutcomeTable`.
+    @property
+    def last_completion_time(self) -> float:
+        """Latest completion time of a recorded request (0 if none)."""
+        completion = self.columns.completion_time[:self._count]
+        finished = completion[~np.isnan(completion)]
+        return float(finished.max()) if finished.size else 0.0
 
-        Flushes the partial state (accrued network/queue stages, instance
-        assignment) of registered-but-never-committed requests first, so
-        unfinished rows carry everything their in-flight objects did.
+    def table(self) -> OutcomeTable:
+        """The recorded rows as an :class:`OutcomeTable` (no copy).
+
+        Rows still in flight keep whatever serving wrote so far; their
+        completion time is NaN until ``fail_unfinished`` closes them.
         """
-        columns = self.columns
-        for row, outcome in self._inflight.items():
-            columns.write_serve_fields(row, outcome, self.error_names)
-        return columns.view(self._count, self.error_names)
+        self.columns.intern_errors(self.error_names)
+        return self.columns.view(0, self._count, self.error_names)

@@ -1,4 +1,12 @@
-"""Per-request outcome records and the cold-start sub-stage vocabulary."""
+"""Per-request outcome records and the cold-start sub-stage vocabulary.
+
+Serving writes outcomes straight into recorder rows
+(:class:`~repro.serving.outcome_table.OutcomeColumns`);
+:class:`RequestOutcome` is the one-object-per-request view of a table
+row, built on demand by :meth:`~repro.serving.outcome_table.OutcomeTable.
+to_outcomes` and read back by :meth:`~repro.serving.outcome_table.
+OutcomeTable.from_outcomes`.
+"""
 
 from __future__ import annotations
 
@@ -41,9 +49,8 @@ class Stage:
 class RequestOutcome:
     """Everything the framework records about one client request.
 
-    With tens of thousands of live requests per run this is a hot
-    allocation site, hence ``slots=True``: no per-instance ``__dict__``,
-    faster attribute access in the platform code that mutates outcomes.
+    The object view of one outcome-table row (see the module docstring);
+    no simulation builds one.
     """
 
     request_id: int
@@ -72,9 +79,6 @@ class RequestOutcome:
     #: :data:`SERVED_BY_NAMES`): 0 = direct (the non-hybrid default),
     #: 1 = provisioned fleet, 2 = serverless spill.
     served_by: int = 0
-    #: Row index assigned by the :class:`~repro.serving.outcome_table.
-    #: OutcomeRecorder` (-1 while unregistered).
-    row: int = field(default=-1, repr=False, compare=False)
 
     @property
     def latency(self) -> Optional[float]:
@@ -96,20 +100,6 @@ class RequestOutcome:
         self.completion_time = time
         self.success = success
         self.error = error
-
-    def reopen(self) -> None:
-        """Reset completion state for a client-side retry attempt.
-
-        The retry layer re-submits the *same* outcome object, so the
-        end-to-end latency of the final row spans every attempt plus the
-        backoff in between (``send_time`` is kept).  Breakdown stages
-        are kept too: per-attempt stages are plain-overwritten by the
-        next attempt while accumulate-style stages (network) sum across
-        attempts.
-        """
-        self.completion_time = None
-        self.success = False
-        self.error = ""
 
     def stage(self, name: str) -> float:
         """Seconds spent in one breakdown stage (0 if absent)."""

@@ -6,15 +6,15 @@ a few hundred thousand requests, hopeless at ten million (the columns
 alone are gigabytes, and every metric reduction walks all of them).
 This module is the flat-RSS alternative:
 
-* :class:`ChunkedOutcomeRecorder` writes outcomes into a ring of
-  fixed-size :class:`~repro.serving.outcome_table.OutcomeColumns`
-  blocks, the same column block the preallocated recorder grows.  A
-  chunk *seals* once every row in it has been committed and the
+* :class:`ChunkedOutcomeRecorder` hands serving rows of one lazily
+  allocated :class:`~repro.serving.outcome_table.OutcomeColumns` block,
+  grouped into fixed-size chunks.  A chunk *seals* once no row in it
+  can still be written — every row committed, none held for a
+  serverless invocation served after its client gave up — and the
   simulation clock has moved past the chunk's last send time by a
-  safety lag (so late re-commits through ``platform.outcome_sink`` can
-  still land).  A sealed chunk folds into an :class:`OutcomeSummary`
-  and its buffers are recycled, so peak memory is bounded by the seal
-  lag times the arrival rate, not the trace length.
+  safety lag.  A sealed chunk folds into an :class:`OutcomeSummary` and
+  its rows are reused by a later chunk, so peak memory is bounded by
+  the seal lag times the arrival rate, not the trace length.
 
 * :class:`OutcomeSummary` is the online-reduction target: running
   sums/counts for means and ratios, exact min/max, a log-binned
@@ -55,7 +55,7 @@ from repro.serving.outcome_table import (
     TimelineReductions,
     _intern_error,
 )
-from repro.serving.records import SERVED_BY_SPILL, RequestOutcome
+from repro.serving.records import SERVED_BY_SPILL
 
 #: Number of hybrid path codes tracked by the per-path accumulators
 #: (direct / provisioned / spill; see ``repro.serving.records``).
@@ -67,10 +67,8 @@ __all__ = ["LatencySketch", "OutcomeSummary", "ChunkedOutcomeRecorder"]
 DEFAULT_CHUNK_ROWS = 65_536
 
 #: Default seal lag in simulated seconds: a chunk only folds once the
-#: clock is this far past its newest send time, so late-served requests
-#: (client timed out at the 300 s deadline, invocation finished after)
-#: can still be re-committed.  Matches the benchmark's default client
-#: deadline plus drain slack.
+#: clock is this far past its newest send time.  Matches the
+#: benchmark's default client deadline plus drain slack.
 DEFAULT_SEAL_LAG_S = 450.0
 
 
@@ -412,169 +410,197 @@ class OutcomeSummary(TimelineReductions):
         return self._digest_hex
 
 
-class _Chunk(OutcomeColumns):
-    """One column block of the recorder ring plus its sealing counters."""
+class _Window(OutcomeColumns):
+    """The ring's rows: chunk-sized positions of one column block.
 
-    __slots__ = ("uncommitted", "max_send")
+    A chunk of the run occupies one position (``chunk_rows`` consecutive
+    rows) while it is resident; a folded chunk's position is reused by a
+    later chunk.  :attr:`pending` counts, per position, the rows whose
+    writes may still come: registered but uncommitted rows, plus rows
+    held for a late serve (-1: no chunk holds the position).
+    """
 
-    def __init__(self, rows: int):
-        OutcomeColumns.__init__(self, rows)
-        self.uncommitted = 0
-        self.max_send = 0.0
+    __slots__ = ("chunk_rows", "pending")
 
-    def reset(self) -> None:
-        """Restore default column values and counters for ring reuse."""
-        OutcomeColumns.reset(self)
-        self.uncommitted = 0
-        self.max_send = 0.0
+    def __init__(self, positions: int, chunk_rows: int):
+        OutcomeColumns.__init__(self, positions * chunk_rows, lazy=True)
+        self.chunk_rows = chunk_rows
+        self.pending = [-1] * positions
+
+    def hold(self, row: int) -> None:
+        """Keep ``row``'s chunk resident until :meth:`release`."""
+        self.pending[row // self.chunk_rows] += 1
+
+    def release(self, row: int) -> None:
+        """The held row's late write landed; its chunk may seal again."""
+        self.pending[row // self.chunk_rows] -= 1
 
 
 class ChunkedOutcomeRecorder:
     """Chunk-ring write side of the outcome data plane.
 
     The write API of :class:`~repro.serving.outcome_table.
-    OutcomeRecorder` (``register`` / ``commit``) over a ring of
-    ``chunk_rows``-row column chunks instead of one flat preallocation.
-    Once a chunk is fully committed and the clock has passed its newest
-    send time by ``seal_lag_s``, it folds into :attr:`summary` and its
-    buffers are recycled, so peak memory is bounded by the seal-lag
-    window rather than the trace.  :meth:`finalize` fails still-open
-    rows (the ``fail_unfinished`` semantics) and folds the tail,
-    returning the summary.
+    OutcomeRecorder` (:attr:`columns`, ``register``, ``commit``) over
+    ``chunk_rows``-row chunks.  :attr:`columns` has room for every chunk
+    of a ``rows``-request run but is allocated lazily, and a folded
+    chunk's position is reused by the next chunk, so only the positions
+    resident at once are ever touched: peak memory is bounded by the
+    seal-lag window rather than the trace.  A chunk folds into
+    :attr:`summary` once it is full, no row in it can still be written
+    (every row committed, none held for a late serve), and the clock has
+    passed its newest send time by ``seal_lag_s``.  :meth:`finalize`
+    fails still-open rows and folds the tail.
 
-    All chunks share one error vocabulary: the summary's digest hashes
-    the vocabulary as it stands when each chunk folds.
-
-    A commit that arrives for an already-folded row raises — that means
-    ``seal_lag_s`` was smaller than the platform's late-service window
-    and the run's reductions could silently drift otherwise.
+    ``register`` returns the row's place in :attr:`columns`, not in the
+    run.  All chunks share one error vocabulary: the summary's digest
+    hashes it as it stands when each chunk folds.  A commit for a row
+    whose chunk was already folded raises.
     """
 
-    def __init__(self, chunk_rows: int = DEFAULT_CHUNK_ROWS,
+    def __init__(self, rows: int, chunk_rows: int = DEFAULT_CHUNK_ROWS,
                  seal_lag_s: float = DEFAULT_SEAL_LAG_S):
         if chunk_rows < 1:
             raise ValueError("chunk_rows must be positive")
         self.chunk_rows = int(chunk_rows)
+        positions = max(-(-int(rows) // self.chunk_rows), 1)
+        #: The rows serving writes (bound once per run by the platform).
+        self.columns = _Window(positions, self.chunk_rows)
         self.summary = OutcomeSummary()
         self.seal_lag_s = float(seal_lag_s)
         self.error_names: List[str] = [""]
         self._count = 0
         self._base = 0          # index of the oldest resident chunk
-        self._resident: Dict[int, _Chunk] = {}
-        self._free: List[_Chunk] = []
+        self._resident: Dict[int, int] = {}   # chunk index -> position
+        self._max_send = [0.0] * positions
+        self._free: List[int] = []
+        self._fresh = 0         # next never-used position
+        self._position = 0      # position of the chunk being filled
         self._clock = 0.0       # newest completion time observed
-        self._inflight: Dict[int, RequestOutcome] = {}
         #: Peak number of simultaneously resident chunks (observability).
         self.peak_resident_chunks = 0
         self._finalized = False
 
     # -- write path --------------------------------------------------------
-    def register(self, outcome: RequestOutcome) -> int:
+    def register(self, request_id: int, client_id: int, send_time: float,
+                 inferences: int = 1) -> int:
         """Record a freshly issued request; returns its row index."""
-        row = self._count
-        self._count = row + 1
-        index, offset = divmod(row, self.chunk_rows)
-        chunk = self._resident.get(index)
-        if chunk is None:
-            if self._free:
-                chunk = self._free.pop()
-                chunk.reset()
-            else:
-                chunk = _Chunk(self.chunk_rows)
-            self._resident[index] = chunk
-            resident = len(self._resident)
-            if resident > self.peak_resident_chunks:
-                self.peak_resident_chunks = resident
-        outcome.row = row
-        self._inflight[row] = outcome
-        chunk.uncommitted += 1
-        send = outcome.send_time
-        if send > chunk.max_send:
-            chunk.max_send = send
-        chunk.request_id[offset] = outcome.request_id
-        chunk.client_id[offset] = outcome.client_id
-        chunk.send_time[offset] = send
-        if outcome.inferences != 1:
-            chunk.inferences[offset] = outcome.inferences
+        count = self._count
+        self._count = count + 1
+        rows = self.chunk_rows
+        offset = count % rows
+        if offset == 0:
+            self._open_chunk(count // rows)
+        position = self._position
+        row = position * rows + offset
+        columns = self.columns
+        columns.pending[position] += 1
+        if send_time > self._max_send[position]:
+            self._max_send[position] = send_time
+        columns.request_id[row] = request_id
+        columns.client_id[row] = client_id
+        columns.send_time[row] = send_time
+        if inferences != 1:
+            columns.inferences[row] = inferences
         return row
 
-    def commit(self, outcome: RequestOutcome) -> None:
-        """Record a finished request's completion-time fields.
+    def _open_chunk(self, index: int) -> None:
+        """Give chunk ``index`` a position: a folded chunk's, or a fresh one."""
+        rows = self.chunk_rows
+        if self._free:
+            position = self._free.pop()
+            self.columns.reset(position * rows, (position + 1) * rows)
+        else:
+            position = self._fresh
+            self._fresh = position + 1
+            self.columns.reset(position * rows, (position + 1) * rows,
+                               fresh=True)
+        self._position = position
+        self.columns.pending[position] = 0
+        self._max_send[position] = 0.0
+        self._resident[index] = position
+        resident = len(self._resident)
+        if resident > self.peak_resident_chunks:
+            self.peak_resident_chunks = resident
 
-        Re-commits of still-resident rows rewrite in place (the
-        late-served-after-timeout path); a commit to a folded row is a
-        hard error — raise rather than drift.
+    def commit(self, row: int) -> None:
+        """Signal that the request in ``row`` finished at its client.
+
+        Interns the row's error string and advances the ring's clock to
+        its completion time, folding every chunk that became ready.  A
+        commit to a row whose chunk was folded is a hard error.
         """
-        row = outcome.row
-        index, offset = divmod(row, self.chunk_rows)
-        chunk = self._resident.get(index)
-        if chunk is None:
+        columns = self.columns
+        position = row // self.chunk_rows
+        if columns.pending[position] < 0:
             raise RuntimeError(
                 f"commit for row {row} arrived after its chunk was folded; "
                 f"increase seal_lag_s (currently {self.seal_lag_s} s)")
-        if self._inflight.pop(row, None) is not None:
-            chunk.uncommitted -= 1
-        completion = outcome.completion_time
-        chunk.completion_time[offset] = completion
-        chunk.write_serve_fields(offset, outcome, self.error_names)
-        if completion is not None and completion > self._clock:
+        columns.pending[position] -= 1
+        if columns.errors:
+            columns.intern_errors(self.error_names, (row,))
+        completion = columns.completion_time[row]
+        if completion > self._clock:
             self._clock = completion
             self._seal_ready()
 
     # -- sealing -----------------------------------------------------------
     def _seal_ready(self) -> None:
-        """Fold every leading chunk that is full, committed, and aged."""
+        """Fold every leading chunk that is full, settled, and aged."""
         rows = self.chunk_rows
         horizon = self._clock - self.seal_lag_s
+        pending = self.columns.pending
         while True:
-            chunk = self._resident.get(self._base)
-            if chunk is None:
+            position = self._resident.get(self._base)
+            if position is None:
                 return
             if (self._count < (self._base + 1) * rows
-                    or chunk.uncommitted
-                    or chunk.max_send > horizon):
+                    or pending[position]
+                    or self._max_send[position] > horizon):
                 return
-            self.summary.fold(chunk.view(rows, self.error_names))
-            del self._resident[self._base]
-            self._free.append(chunk)
+            self._fold(self._base, self._view(self._base))
             self._base += 1
 
+    def _view(self, index: int) -> OutcomeTable:
+        """The registered rows of resident chunk ``index`` (no copy)."""
+        rows = self.chunk_rows
+        start = self._resident[index] * rows
+        count = min(self._count - index * rows, rows)
+        return self.columns.view(start, start + count, self.error_names)
+
+    def _fold(self, index: int, table: OutcomeTable) -> None:
+        """Fold chunk ``index`` (as ``table``) and free its position."""
+        self.summary.fold(table)
+        position = self._resident.pop(index)
+        self.columns.pending[position] = -1
+        self._free.append(position)
+
     # -- read side ---------------------------------------------------------
+    @property
+    def last_completion_time(self) -> float:
+        """Latest completion time of a committed request (0 if none)."""
+        return float(self._clock)
+
     def finalize(self, horizon: float,
                  error: str = "unfinished") -> OutcomeSummary:
         """Fail still-open rows at ``horizon`` and fold every tail chunk.
 
-        Mirrors the full path's ``table()`` flush followed by
-        ``OutcomeTable.fail_unfinished(horizon)``: partial serve state
-        is written first, then open rows complete at
-        ``max(horizon, send_time)`` as failures with ``error``.
-        Returns the :class:`OutcomeSummary`; idempotent per run.
+        The full path's ``table()`` followed by
+        ``OutcomeTable.fail_unfinished(horizon)``, chunk by chunk: open
+        rows (no completion time) complete at ``max(horizon,
+        send_time)`` as failures with ``error``.  Returns the
+        :class:`OutcomeSummary`; idempotent per run.
         """
         if self._finalized:
             return self.summary
-        rows = self.chunk_rows
-        # Partial serve state first, so errors already on in-flight rows
-        # enter the vocabulary before ``error`` (the digest hashes it).
-        for row, outcome in self._inflight.items():
-            index, offset = divmod(row, rows)
-            self._resident[index].write_serve_fields(offset, outcome,
-                                                     self.error_names)
-        if self._inflight:
-            code = _intern_error(self.error_names, error)
-            for row in self._inflight:
-                index, offset = divmod(row, rows)
-                chunk = self._resident[index]
-                chunk.completion_time[offset] = max(
-                    horizon, chunk.send_time[offset])
-                chunk.success[offset] = False
-                chunk.error_code[offset] = code
-                chunk.uncommitted -= 1
-            self._inflight.clear()
-        for index in sorted(self._resident):
-            chunk = self._resident[index]
-            n = min(self._count - index * rows, rows)
-            self.summary.fold(chunk.view(n, self.error_names))
-        self._resident.clear()
-        self._free.clear()
+        self.columns.intern_errors(self.error_names)
+        tables = [(index, self._view(index))
+                  for index in sorted(self._resident)]
+        if any(np.isnan(table.completion_time).any() for _, table in tables):
+            # Interned before the first tail chunk folds: the digest
+            # hashes the vocabulary as each chunk folds.
+            _intern_error(self.error_names, error)
+        for index, table in tables:
+            table.fail_unfinished(horizon, error)
+            self._fold(index, table)
         self._finalized = True
         return self.summary

@@ -311,19 +311,54 @@ class TestLateAndPartialCommits:
         assert (table.stage_column("predict")[served_late] > 0).all()
 
     def test_unfinished_requests_keep_partial_stages(self):
-        """Registered-but-never-completed rows flush their accrued state."""
+        """Registered-but-never-completed rows keep what serving wrote."""
         from repro.serving.outcome_table import OutcomeRecorder
-        from repro.serving.records import RequestOutcome, Stage
+        from repro.serving.records import Stage
 
         recorder = OutcomeRecorder(capacity=2)
-        outcome = RequestOutcome(request_id=0, client_id=0, send_time=1.0)
-        recorder.register(outcome)
-        outcome.add_stage(Stage.NETWORK, 0.25)
-        outcome.instance_id = 3
+        row = recorder.register(0, 0, 1.0)
+        recorder.columns.network_s[row] += 0.25
+        recorder.columns.instance_id[row] = 3
         table = recorder.table()
         assert table.stage_column(Stage.NETWORK)[0] == 0.25
         assert table.instance_id[0] == 3
         assert table.completion_time[0] != table.completion_time[0]  # NaN
+
+
+class TestNoOutcomeObjects:
+    """Serving writes outcome rows in place: a run builds no
+    ``RequestOutcome``, whatever layers its request path stacks."""
+
+    @pytest.mark.parametrize("cell", [
+        "serverless", "managed_ml", "failover-crash", "hybrid-burst",
+        "batched-retried"])
+    def test_a_run_constructs_no_request_outcome(self, monkeypatch, cell):
+        from repro.api import run
+        from repro.core.scenario import get_scenario, list_scenarios
+
+        built = []
+        init = RequestOutcome.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(RequestOutcome, "__init__", counting_init)
+        workload = standard_workload("w-40", seed=SEED, scale=0.05)
+        planner = Planner()
+        if cell in list_scenarios():
+            result = run(get_scenario(cell), seed=SEED, scale=0.05)
+        elif cell == "batched-retried":
+            deployment = planner.plan(
+                "aws", "mobilenet", "tf1.15", "serverless", batch_size=4,
+                request_error_rate=0.1, retry_attempts=3)
+            result = ServingBenchmark(seed=SEED).run(deployment, workload)
+            assert result.table.attempts_mean() > 1.0
+        else:
+            deployment = planner.plan("aws", "mobilenet", "tf1.15", cell)
+            result = ServingBenchmark(seed=SEED).run(deployment, workload)
+        assert result.total_requests > 0
+        assert built == []
 
 
 class TestObjectViewConsistency:
@@ -454,13 +489,11 @@ class TestStoredColumns:
 
     def test_fail_unfinished_copies_a_zero_byte_error_column(self):
         recorder = OutcomeRecorder(capacity=4)
-        outcomes = [RequestOutcome(request_id=i, client_id=0,
-                                   send_time=float(i)) for i in range(4)]
-        for outcome in outcomes:
-            recorder.register(outcome)
-        for outcome in outcomes[:2]:
-            outcome.finish(outcome.send_time + 0.5, success=True)
-            recorder.commit(outcome)
+        rows = [recorder.register(i, 0, float(i)) for i in range(4)]
+        for row in rows[:2]:
+            recorder.columns.completion_time[row] = row + 0.5
+            recorder.columns.success[row] = True
+            recorder.commit(row)
         table, other = recorder.table(), recorder.table()
         assert _zero_byte(table.error_code)
         assert table.fail_unfinished(horizon=2.5) == 2

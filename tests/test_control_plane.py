@@ -40,7 +40,6 @@ from repro.platforms.policies import (
     TargetUtilisationPolicy,
 )
 from repro.platforms.pool import InstancePool, InstanceState
-from repro.serving.records import RequestOutcome
 from repro.workload.generator import standard_workload
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data",
@@ -296,15 +295,16 @@ class TestInstancePool:
 # Admission queues
 # ---------------------------------------------------------------------------
 
-def _outcome(request_id=0):
-    return RequestOutcome(request_id=request_id, client_id=0, send_time=0.0)
+def _enqueue(queue, row=0):
+    """Buffer the one-inference request in ``row``."""
+    return queue.enqueue(row, 1)
 
 
 class TestWorkQueue:
     def test_enqueue_take_fifo(self, env):
         queue = WorkQueue(env)
-        first = queue.enqueue(_outcome(1))
-        queue.enqueue(_outcome(2))
+        first = _enqueue(queue, 1)
+        _enqueue(queue, 2)
         assert queue.backlog == 2
         assert queue.take() is first
         assert queue.backlog == 1
@@ -315,13 +315,13 @@ class TestWorkQueue:
     def test_tickets_are_interned(self, env):
         """A recycled ticket is reused for the next arrival."""
         queue = WorkQueue(env)
-        ticket = queue.enqueue(_outcome(1))
+        ticket = _enqueue(queue, 1)
         queue.take()
         queue.recycle(ticket)
-        assert ticket.outcome is None and ticket.response_event is None
-        reused = queue.enqueue(_outcome(2))
+        assert ticket.response_event is None and not ticket.late
+        reused = _enqueue(queue, 2)
         assert reused is ticket
-        assert reused.outcome.request_id == 2
+        assert reused.row == 2
 
     def test_response_guard_served_in_time(self, env):
         """The serverless client's wait: response vs. deadline guard."""
@@ -330,7 +330,7 @@ class TestWorkQueue:
         served = []
 
         def client():
-            ticket = queue.enqueue(_outcome())
+            ticket = _enqueue(queue)
             winner = yield deadlines.guard(ticket.response_event)
             served.append((winner is ticket.response_event, env.now))
 
@@ -350,7 +350,7 @@ class TestWorkQueue:
         served = []
 
         def client():
-            ticket = queue.enqueue(_outcome())
+            ticket = _enqueue(queue)
             winner = yield deadlines.guard(ticket.response_event)
             served.append((winner, env.now))
 

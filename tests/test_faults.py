@@ -34,7 +34,6 @@ from repro.platforms.base import build_platform
 from repro.platforms.pool import InstancePool, InstanceState
 from repro.serving.deployment import ServiceConfig
 from repro.serving.outcome_table import OutcomeRecorder, OutcomeTable
-from repro.serving.records import RequestOutcome
 from repro.sim import Environment, RandomStreams
 from repro.workload.requests import RequestPool
 
@@ -55,7 +54,7 @@ def run_platform(deployment, workload, seed=SEED):
                        pool_size=workload.spec.request_pool_size, seed=seed)
     executor = Executor(env=env, platform=platform, workload=workload,
                         request_pool=pool, rng=rng,
-                        recorder=OutcomeRecorder(0))
+                        recorder=OutcomeRecorder(workload.count))
     table = executor.execute(until=workload.spec.duration_s + 400.0).table()
     table.fail_unfinished(workload.spec.duration_s + 400.0)
     return platform, table
@@ -266,15 +265,18 @@ class TestServerlessFaults:
                                     outage_fraction=1.0)
         env = Environment()
         platform = build_platform(env, deployment, rng=RandomStreams(SEED))
+        recorder = OutcomeRecorder(1)
+        platform.bind(recorder.columns, recorder.commit)
         platform.start()
-        outcome = RequestOutcome(request_id=0, client_id=0, send_time=9.95)
+        row = recorder.register(0, 0, 9.95)
 
         def client():
             yield 9.95
-            yield from platform.request(outcome, 0.1, 0.01)
+            yield from platform.request(row, 0.1, 0.01)
 
         env.process(client())
         env.run(until=400.0)
+        outcome = recorder.table().row(row)
         assert platform.pool.killed >= 2
         assert outcome.success, outcome.error
         # Served by an instance launched after the outage window, long
@@ -420,13 +422,15 @@ class TestSLOReductions:
     def _table(self, rows):
         """Build a table from (send_time, success) pairs, 0.5 s latency."""
         recorder = OutcomeRecorder(len(rows))
+        columns = recorder.columns
         for index, (send, success) in enumerate(rows):
-            outcome = RequestOutcome(request_id=index, client_id=0,
-                                     send_time=send)
-            recorder.register(outcome)
-            outcome.finish(send + 0.5, success,
-                           "" if success else "instance_crash")
-            recorder.commit(outcome)
+            row = recorder.register(index, 0, send)
+            columns.completion_time[row] = send + 0.5
+            if success:
+                columns.success[row] = True
+            else:
+                columns.errors[row] = "instance_crash"
+            recorder.commit(row)
         return recorder.table()
 
     def test_slo_attainment_counts_failures_against_the_target(self):
@@ -478,13 +482,13 @@ class TestSLOReductions:
 class TestAttemptsColumn:
     def _table(self, attempts_per_row):
         recorder = OutcomeRecorder(len(attempts_per_row))
+        columns = recorder.columns
         for index, attempts in enumerate(attempts_per_row):
-            outcome = RequestOutcome(request_id=index, client_id=0,
-                                     send_time=float(index))
-            recorder.register(outcome)
-            outcome.attempts = attempts
-            outcome.finish(index + 0.5, True)
-            recorder.commit(outcome)
+            row = recorder.register(index, 0, float(index))
+            columns.attempts[row] = attempts
+            columns.completion_time[row] = index + 0.5
+            columns.success[row] = True
+            recorder.commit(row)
         return recorder.table()
 
     def test_recorder_commits_the_attempts_column(self):
@@ -499,11 +503,10 @@ class TestAttemptsColumn:
         explicit = self._table([1, 1, 1])
         implicit_recorder = OutcomeRecorder(3)
         for index in range(3):
-            outcome = RequestOutcome(request_id=index, client_id=0,
-                                     send_time=float(index))
-            implicit_recorder.register(outcome)
-            outcome.finish(index + 0.5, True)
-            implicit_recorder.commit(outcome)
+            row = implicit_recorder.register(index, 0, float(index))
+            implicit_recorder.columns.completion_time[row] = index + 0.5
+            implicit_recorder.columns.success[row] = True
+            implicit_recorder.commit(row)
         assert explicit.column_hash() == implicit_recorder.table().column_hash()
 
     def test_retried_attempts_are_part_of_the_digest(self):

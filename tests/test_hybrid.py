@@ -45,7 +45,6 @@ from repro.serving.records import (
     SERVED_BY_NAMES,
     SERVED_BY_PROVISIONED,
     SERVED_BY_SPILL,
-    RequestOutcome,
 )
 from repro.sim import Environment, RandomStreams
 from repro.tools.hybrid import (
@@ -69,7 +68,7 @@ def run_platform(deployment, workload, seed=SEED):
                       pool_size=workload.spec.request_pool_size, seed=seed)
     executor = Executor(env=env, platform=platform, workload=workload,
                         request_pool=pool, rng=rng,
-                        recorder=OutcomeRecorder(0))
+                        recorder=OutcomeRecorder(workload.count))
     table = executor.execute(until=workload.spec.duration_s + 400.0).table()
     table.fail_unfinished(workload.spec.duration_s + 400.0)
     return platform, table
@@ -129,9 +128,8 @@ class TestHybridConfig:
 
 class TestHybridMeter:
     def finished(self, error=None):
-        outcome = RequestOutcome(request_id=0, client_id=0, send_time=0.0)
-        outcome.finish(time=1.0, success=error is None, error=error or "")
-        return outcome
+        """A finished request's ``(success, error)``."""
+        return error is None, error or ""
 
     @pytest.mark.parametrize("error,bucket", [
         (None, "completed"),
@@ -145,7 +143,7 @@ class TestHybridMeter:
     def test_each_outcome_lands_in_exactly_one_bucket(self, error, bucket):
         meter = HybridMeter()
         meter.record_submitted()
-        meter.classify(self.finished(error))
+        meter.classify(*self.finished(error))
         notes = meter.notes()
         assert notes[bucket] == 1.0
         assert sum(notes[b] for b in BUCKETS) == 1.0
@@ -155,7 +153,7 @@ class TestHybridMeter:
         meter = HybridMeter()
         meter.record_submitted()
         meter.record_spill()
-        meter.classify(self.finished())
+        meter.classify(*self.finished())
         notes = meter.notes()
         assert notes["spilled"] == 1.0
         assert notes["completed"] == 1.0
@@ -337,6 +335,27 @@ class TestHybridEndToEnd:
         assert int(members.sum()) >= spilled
         assert (table.billed_duration_s[members] > 0).any()
         assert not (table.served_by == SERVED_BY_DIRECT).any()
+
+    def test_spilled_request_served_late_lands_in_its_row(self, monkeypatch):
+        """The spill path writes the client's own row: a spilled request
+        that times out at its 1 s deadline while a sandbox cold-starts is
+        served later, and its billing and instance land in that row."""
+        deployment = hybrid_plan(Planner(), request_timeout_s=1.0)
+        env = Environment()
+        platform = build_platform(env, deployment, rng=RandomStreams(SEED))
+        monkeypatch.setattr(platform, "_should_spill", lambda: True)
+        recorder = OutcomeRecorder(1)
+        platform.bind(recorder.columns, recorder.commit)
+        platform.start()
+        row = recorder.register(0, 0, 0.0)
+        env.process(platform.request(row, 0.1, 0.01))
+        env.run(until=120.0)
+        outcome = recorder.table().row(row)
+        assert outcome.served_by == SERVED_BY_SPILL
+        assert outcome.error == "timeout" and outcome.completion_time < 2.0
+        assert outcome.instance_id is not None
+        assert outcome.billed_duration_s > 0.0
+        assert outcome.stage("predict") > 0.0
 
     def test_registered_scenarios_run_end_to_end(self):
         for name in ("hybrid-burst", "hybrid-steady"):

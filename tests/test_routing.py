@@ -42,7 +42,6 @@ from repro.platforms.routing import (
 )
 from repro.serving.deployment import ServiceConfig
 from repro.serving.outcome_table import OutcomeRecorder
-from repro.serving.records import RequestOutcome
 from repro.sim import Environment, RandomStreams
 from repro.workload.requests import RequestPool
 
@@ -58,7 +57,7 @@ def run_platform(deployment, workload, seed=SEED):
                       pool_size=workload.spec.request_pool_size, seed=seed)
     executor = Executor(env=env, platform=platform, workload=workload,
                         request_pool=pool, rng=rng,
-                        recorder=OutcomeRecorder(0))
+                        recorder=OutcomeRecorder(workload.count))
     table = executor.execute(until=workload.spec.duration_s + 400.0).table()
     table.fail_unfinished(workload.spec.duration_s + 400.0)
     return platform, table
@@ -253,9 +252,8 @@ class TestRoutingPolicies:
 
 class TestRouterMeter:
     def _finished(self, success, error=""):
-        outcome = RequestOutcome(request_id=0, client_id=0, send_time=0.0)
-        outcome.finish(1.0, success, error)
-        return outcome
+        """A finished request's ``(success, error)``."""
+        return success, error
 
     def test_every_outcome_lands_in_exactly_one_bucket(self):
         meter = RouterMeter()
@@ -270,9 +268,9 @@ class TestRouterMeter:
             (self._finished(False, "instance_crash"), False, "failed"),
             (self._finished(False, "transient_error"), False, "failed"),
         ]
-        for outcome, degraded, _bucket in cases:
+        for (success, error), degraded, _bucket in cases:
             meter.record_submitted()
-            meter.classify(outcome, degraded)
+            meter.classify(success, error, degraded)
         notes = meter.notes()
         assert notes["submitted"] == len(cases)
         assert notes["submitted"] == (
@@ -289,7 +287,7 @@ class TestRouterMeter:
         meter = RouterMeter()
         meter.record_submitted()
         meter.record_hedge()
-        meter.classify(self._finished(True), False)
+        meter.classify(*self._finished(True), False)
         notes = meter.notes()
         assert notes["hedges"] == 1
         assert notes["submitted"] == notes["completed"] == 1
@@ -420,40 +418,58 @@ class TestFailoverEndToEnd:
 
     def test_late_attempts_filed_only_for_late_committing_backends(
             self, outage_w40):
-        """Managed-ML regions never re-commit late: nothing is filed.
+        """Managed-ML regions never serve after a deadline.
 
-        A timed-out attempt is remembered only when its backend can
-        re-record it after the deadline (serverless); anything else
-        would stay in the router, and keep the client row alive, for
-        the rest of the run.
+        No attempt row is left waiting for a late serve (only a
+        serverless backend holds one), and every client row the router
+        timed out keeps the billing it had when the router gave up:
+        none, on a slot-model endpoint.
         """
         routed = Planner().plan("aws", "mobilenet", "tf1.15", "managed_ml",
                                 **OUTAGE, **ROUTED)
-        router, _ = run_platform(routed, outage_w40)
+        router, table = run_platform(routed, outage_w40)
         assert router.meter.notes()["timed_out"] > 0
-        assert router._late_attempts == {}
-        assert not any(backend.late_commits for backend in router.backends)
+        assert not router._attempts._held and not router._attempts._closed
+        if "timeout" in table.error_names:
+            timed_out = table.error_code == table.error_names.index("timeout")
+            assert (table.billed_duration_s[timed_out] == 0.0).all()
 
     def test_late_recommit_matches_the_filed_attempt_by_identity(self):
+        """A routed request that times out at the client and is served
+        late ends with the late billed seconds and instance in its row.
+
+        Each attempt runs on an attempt row of its own.  Both requests
+        time out at the 1 s deadline (a cold start, then an instance's
+        slow first predict) and are served late by different instances:
+        each late serve's billing lands in its own client row.
+        """
         deployment = Planner().plan("aws", "mobilenet", "tf1.15",
-                                    "serverless", region_count=2)
-        router = build_platform(Environment(), deployment,
-                                rng=RandomStreams(SEED))
-        recorded = []
-        router.outcome_sink = recorded.append
-        filed, impostor, client = (
-            RequestOutcome(request_id=1, client_id=0, send_time=0.0)
-            for _ in range(3))
-        filed.billed_duration_s = 2.5
-        # An entry under the impostor's id (as if a freed attempt's id
-        # were reused) is not the impostor's to claim.
-        router._late_attempts[id(impostor)] = (filed, client)
-        router._late_attempt(impostor)
-        assert recorded == [] and len(router._late_attempts) == 1
-        router._late_attempts = {id(filed): (filed, client)}
-        router._late_attempt(filed)
-        assert recorded == [client] and router._late_attempts == {}
-        assert client.billed_duration_s == 2.5
+                                    "serverless", region_count=2,
+                                    request_timeout_s=1.0)
+        env = Environment()
+        router = build_platform(env, deployment, rng=RandomStreams(SEED))
+        recorder = OutcomeRecorder(2)
+        router.bind(recorder.columns, recorder.commit)
+        router.start()
+        rows = [recorder.register(0, 0, 0.0), recorder.register(1, 0, 60.0)]
+
+        def client():
+            yield from router.request(rows[0], 0.1, 0.01)
+            yield 60.0 - env.now
+            yield from router.request(rows[1], 0.1, 0.01)
+
+        env.process(client())
+        env.run(until=120.0)
+        table = recorder.table()
+        first, second = (table.row(row) for row in rows)
+        for outcome in (first, second):
+            assert outcome.error == "timeout" and not outcome.success
+            assert outcome.completion_time < outcome.send_time + 2.0
+            assert outcome.instance_id is not None
+            assert outcome.billed_duration_s > 0.0
+        assert first.instance_id != second.instance_id
+        assert first.billed_duration_s != second.billed_duration_s
+        assert not router._attempts._held and not router._attempts._closed
 
     def test_hedging_fires_and_ledger_holds(self, tiny_w40):
         deployment = Planner().plan(
@@ -567,7 +583,7 @@ class TestFailoverEndToEnd:
             pool_size=tiny_w40.spec.request_pool_size, seed=SEED)
         executor = Executor(env=env, platform=platform, workload=tiny_w40,
                             request_pool=pool, rng=rng,
-                            recorder=OutcomeRecorder(0))
+                            recorder=OutcomeRecorder(tiny_w40.count))
         executor.execute(until=tiny_w40.spec.duration_s + 400.0)
         usage = platform.finalize(env.now)
         regional = [key for key in usage.notes if key.startswith("region")]

@@ -37,7 +37,7 @@ from repro.platforms.admission import WorkQueue
 from repro.platforms.pool import InstancePool, InstanceState
 from repro.platforms.serverless import ServerlessPlatform
 from repro.serving.outcome_table import OutcomeRecorder
-from repro.serving.records import RequestOutcome, Stage
+from repro.serving.records import Stage
 from repro.sim import Environment, RandomStreams, SimulationError
 from repro.workload.generator import standard_workload
 from repro.workload.requests import RequestPool
@@ -309,29 +309,32 @@ class TestInlineWarmServe:
         env = Environment()
         platform = ServerlessPlatform(env, deployment,
                                       rng=RandomStreams(seed))
+        recorder = OutcomeRecorder(1)
+        platform.bind(recorder.columns, recorder.commit)
         platform.start()
-        return env, platform
+        return env, platform, recorder
 
     def test_warm_request_costs_three_calendar_entries(self):
         # A slow scaler keeps its ticks out of the measured window.
-        env, platform = self._platform(provisioned_concurrency=1,
-                                       scale_interval_s=1000.0)
-        outcome = RequestOutcome(request_id=0, client_id=0, send_time=0.0)
-        process = env.process(platform.request(outcome, 0.1, 0.01))
+        env, platform, recorder = self._platform(provisioned_concurrency=1,
+                                                 scale_interval_s=1000.0)
+        row = recorder.register(0, 0, 0.0)
+        process = env.process(platform.request(row, 0.1, 0.01))
         steps = 0
         while process.is_alive:
             env.step()
             steps += 1
+        outcome = recorder.table().row(row)
         assert outcome.success and outcome.instance_id == 0
         assert steps == env.events_processed == 3
 
     def test_kill_mid_serve_requeues_under_the_original_enqueue_time(self):
         # A storm far beyond the window keeps the fault hooks armed.
-        env, platform = self._platform(provisioned_concurrency=2,
-                                       storm_times_s=(1e5,))
+        env, platform, recorder = self._platform(provisioned_concurrency=2,
+                                                 storm_times_s=(1e5,))
         first, second = (instance for instance, _ in platform._idle)
-        outcome = RequestOutcome(request_id=0, client_id=0, send_time=0.0)
-        process = env.process(platform.request(outcome, 0.1, 0.01))
+        row = recorder.register(0, 0, 0.0)
+        process = env.process(platform.request(row, 0.1, 0.01))
         while first.state != InstanceState.BUSY:
             env.step()
         enqueue = env.now
@@ -340,6 +343,7 @@ class TestInlineWarmServe:
         platform._kill_instance(first)
         while process.is_alive:
             env.step()
+        outcome = recorder.table().row(row)
         assert outcome.success
         assert outcome.instance_id == second.instance_id
         # The wait includes the time lost on the dead instance.
@@ -349,19 +353,19 @@ class TestInlineWarmServe:
     def test_kill_mid_serve_times_out_at_the_original_deadline(self):
         # The outage kills the only instance mid-serve and every
         # instance launched for the next 50 s: no capacity comes back.
-        env, platform = self._platform(seed=5, provisioned_concurrency=1,
-                                       request_timeout_s=2.0,
-                                       outage_start_s=10.0,
-                                       outage_duration_s=50.0,
-                                       outage_fraction=1.0)
-        outcome = RequestOutcome(request_id=0, client_id=0, send_time=9.95)
+        env, platform, recorder = self._platform(
+            seed=5, provisioned_concurrency=1, request_timeout_s=2.0,
+            outage_start_s=10.0, outage_duration_s=50.0,
+            outage_fraction=1.0)
+        row = recorder.register(0, 0, 9.95)
 
         def client():
             yield 9.95
-            yield from platform.request(outcome, 0.1, 0.01)
+            yield from platform.request(row, 0.1, 0.01)
 
         env.process(client())
         env.run(until=40.0)
+        outcome = recorder.table().row(row)
         enqueue = outcome.send_time + outcome.stage(Stage.NETWORK)
         # The instance was serving the request when the outage hit.
         assert outcome.instance_id == 0 and enqueue < 10.0
@@ -392,7 +396,7 @@ class TestAliveCounterConsistency:
             pool_size=workload.spec.request_pool_size, seed=3)
         executor = Executor(env=env, platform=platform, workload=workload,
                             request_pool=pool, rng=RandomStreams(3),
-                            recorder=OutcomeRecorder(0))
+                            recorder=OutcomeRecorder(workload.count))
         executor.execute(until=workload.spec.duration_s + 400.0)
         return platform, tracked
 

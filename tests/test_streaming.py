@@ -62,6 +62,23 @@ ARRAY_COLUMNS = ("request_id", "client_id", "send_time", "completion_time",
                  "inferences", "attempts", "served_by", "stages")
 
 
+def _write(columns, row, outcome):
+    """Write what serving recorded for ``outcome`` into ``row``."""
+    columns.completion_time[row] = (np.nan if outcome.completion_time is None
+                                    else outcome.completion_time)
+    columns.success[row] = outcome.success
+    columns.cold_start[row] = outcome.cold_start
+    columns.instance_id[row] = (-1 if outcome.instance_id is None
+                                else outcome.instance_id)
+    columns.billed_duration_s[row] = outcome.billed_duration_s
+    columns.attempts[row] = outcome.attempts
+    columns.served_by[row] = outcome.served_by
+    for stage, seconds in outcome.breakdown.items():
+        columns.stages[stage][row] = seconds
+    if outcome.error:
+        columns.errors[row] = outcome.error
+
+
 def _replay(outcomes, chunk_rows: int):
     """Feed materialised outcomes through the streaming chunk ring.
 
@@ -69,7 +86,7 @@ def _replay(outcomes, chunk_rows: int):
     chunk's ``column_hash()`` at fold time, and the table rebuilt from
     its pickled ``packed()`` form (a copy that outlives the ring).
     """
-    recorder = ChunkedOutcomeRecorder(chunk_rows=chunk_rows)
+    recorder = ChunkedOutcomeRecorder(len(outcomes), chunk_rows=chunk_rows)
     fold = recorder.summary.fold
     folded = []
 
@@ -79,10 +96,12 @@ def _replay(outcomes, chunk_rows: int):
         fold(view)
 
     recorder.summary.fold = keep_and_fold
-    for outcome in outcomes:
-        recorder.register(outcome)
-    for outcome in outcomes:
-        recorder.commit(outcome)
+    rows = [recorder.register(outcome.request_id, outcome.client_id,
+                              outcome.send_time, outcome.inferences)
+            for outcome in outcomes]
+    for row, outcome in zip(rows, outcomes):
+        _write(recorder.columns, row, outcome)
+        recorder.commit(row)
     # Every replayed row is committed, so finalize fails none of them.
     recorder.finalize(horizon=0.0)
     return folded
@@ -120,21 +139,17 @@ class TestChunkRingEquality:
             assert rebuilt.column_hash() == fold_hash
 
     def test_commit_after_fold_is_a_hard_error(self):
-        from repro.serving.records import RequestOutcome
-        recorder = ChunkedOutcomeRecorder(chunk_rows=4, seal_lag_s=0.0)
-        outcomes = []
-        for index in range(8):
-            outcome = RequestOutcome(request_id=index, client_id=0,
-                                     send_time=float(index))
-            recorder.register(outcome)
-            outcomes.append(outcome)
-        for outcome in outcomes:
-            outcome.completion_time = outcome.send_time + 100.0
-            outcome.success = True
-            recorder.commit(outcome)
+        recorder = ChunkedOutcomeRecorder(8, chunk_rows=4, seal_lag_s=0.0)
+        columns = recorder.columns
+        rows = [recorder.register(index, 0, float(index))
+                for index in range(8)]
+        for row in rows:
+            columns.completion_time[row] = columns.send_time[row] + 100.0
+            columns.success[row] = True
+            recorder.commit(row)
         # Both chunks full+committed and aged past the (zero) lag: folded.
         assert recorder.summary.chunks_folded >= 1
-        late = outcomes[0]
+        late = rows[0]
         with pytest.raises(RuntimeError, match="folded"):
             recorder.commit(late)
 
@@ -200,17 +215,16 @@ class TestStreamingReductions:
             streamed.table.success_timeline(1.5)
 
     def test_mid_run_sealing_bounds_residency(self):
-        from repro.serving.records import RequestOutcome
-        recorder = ChunkedOutcomeRecorder(chunk_rows=128, seal_lag_s=20.0)
         rows = 128 * 36
+        recorder = ChunkedOutcomeRecorder(rows, chunk_rows=128,
+                                          seal_lag_s=20.0)
+        columns = recorder.columns
         for index in range(rows):
             send = index * 0.5  # one chunk spans 64 s >> the 20 s lag
-            outcome = RequestOutcome(request_id=index, client_id=0,
-                                     send_time=send)
-            recorder.register(outcome)
-            outcome.completion_time = send + 0.05
-            outcome.success = True
-            recorder.commit(outcome)
+            row = recorder.register(index, 0, send)
+            columns.completion_time[row] = send + 0.05
+            columns.success[row] = True
+            recorder.commit(row)
         summary = recorder.finalize(rows * 0.5 + 1.0)
         assert summary.count == rows
         assert summary.chunks_folded == 36
@@ -386,41 +400,4 @@ class TestExactCapacity:
     def test_capacity_is_not_padded(self):
         for capacity in (0, 1, 7, 100):
             recorder = OutcomeRecorder(capacity)
-            assert recorder._capacity == capacity
-
-    def test_grow_from_zero(self):
-        """A recorder grown from zero rows (0 -> 16 -> 32 -> 64) keeps
-        every column of every row: its table hashes like a presized
-        recorder's, with a non-default value in every column."""
-        from repro.serving.records import RequestOutcome, Stage
-
-        def feed(recorder):
-            for index in range(40):
-                outcome = RequestOutcome(request_id=index,
-                                         client_id=index % 3,
-                                         send_time=float(index),
-                                         inferences=1 + index % 2)
-                recorder.register(outcome)
-                outcome.completion_time = float(index) + 0.5
-                outcome.success = index % 5 != 0
-                outcome.error = "" if outcome.success else "timeout"
-                outcome.cold_start = index % 4 == 0
-                outcome.instance_id = index // 4
-                outcome.billed_duration_s = 0.1 * index
-                outcome.attempts = 1 + index % 3
-                outcome.served_by = index % 3
-                outcome.breakdown = {Stage.QUEUE: 0.01 * index,
-                                     Stage.PREDICT: 0.2}
-                recorder.commit(outcome)
-            return recorder.table()
-
-        table = feed(OutcomeRecorder(0))
-        presized = feed(OutcomeRecorder(40))
-        assert table.count == 40
-        assert table.column_hash() == presized.column_hash()
-        # Every defaultable column was written, so none is a zero-byte
-        # default view.
-        for name in ("cold_start", "instance_id", "billed_duration_s",
-                     "inferences", "error_code", "attempts", "served_by"):
-            assert getattr(table, name).strides != (0,), name
-        assert table.error_strings()[:2] == ["timeout", ""]
+            assert recorder.columns.rows == capacity
