@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
-from repro.serving.deployment import Deployment, PlatformKind
+from repro.serving.deployment import Deployment, PlatformKind, ServiceConfig
 from repro.workload.generator import (
     Workload,
     WorkloadSpec,
@@ -49,6 +49,11 @@ __all__ = [
     "list_scenarios",
     "scenario_library",
 ]
+
+#: The ``ServiceConfig`` knobs a spec may override (the platform is a
+#: spec field of its own).
+_CONFIG_KNOBS = frozenset(field.name for field in fields(ServiceConfig)
+                          if field.name != "platform")
 
 
 @dataclass(frozen=True)
@@ -119,6 +124,7 @@ class ScenarioSpec:
                                tuple(sorted(tuple(self.config))))
         if self.platform not in PlatformKind.ALL:
             raise ValueError(f"unknown platform {self.platform!r}")
+        self._validate_names()
         if self.fidelity is not None:
             if not 0.0 < self.fidelity <= 1.0:
                 raise ValueError("fidelity must be in (0, 1]")
@@ -127,6 +133,31 @@ class ScenarioSpec:
                 # cell_key (and so the run cache) identical to a spec
                 # that never set the field.
                 object.__setattr__(self, "fidelity", None)
+
+    def _validate_names(self) -> None:
+        """Reject an unknown config knob, provider, model or runtime now,
+        naming the valid choices, rather than when the cell runs.
+
+        Workload names are checked when the cell runs: scenario modules
+        register their workloads on import.
+        """
+        from repro.cloud.providers import get_provider
+        from repro.models.zoo import get_model
+        from repro.runtimes.registry import get_runtime
+
+        unknown = sorted(key for key, _value in self.config
+                         if key not in _CONFIG_KNOBS)
+        if unknown:
+            raise ValueError(
+                f"unknown config knob(s) {', '.join(map(repr, unknown))}; "
+                f"known: {sorted(_CONFIG_KNOBS)}")
+        for lookup, name in ((get_provider, self.provider),
+                             (get_model, self.model),
+                             (get_runtime, self.runtime)):
+            try:
+                lookup(name)
+            except KeyError as error:
+                raise ValueError(error.args[0]) from None
 
     # -- data access ---------------------------------------------------------
     @property

@@ -53,6 +53,24 @@ class TestScenarioSpec:
             ScenarioSpec(name="s", provider="aws", model="mobilenet",
                          platform="mainframe")
 
+    def test_unknown_config_knob_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="'memroy_gb'.*memory_gb"):
+            ScenarioSpec(name="s", provider="aws", model="mobilenet",
+                         config={"memroy_gb": 2})
+
+    def test_unknown_provider_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="'awz'.*'aws' or 'gcp'"):
+            ScenarioSpec(name="s", provider="awz", model="mobilenet")
+
+    def test_unknown_model_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="'mobilenett'.*'mobilenet'"):
+            ScenarioSpec(name="s", provider="aws", model="mobilenett")
+
+    def test_unknown_runtime_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="'tf9'.*'tf1.15'"):
+            ScenarioSpec(name="s", provider="aws", model="mobilenet",
+                         runtime="tf9")
+
     def test_with_config_merges(self):
         spec = ScenarioSpec(name="s", provider="aws", model="mobilenet",
                             config={"memory_gb": 2.0})
