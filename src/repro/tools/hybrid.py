@@ -169,43 +169,6 @@ class HybridPlanner:
         workload = scenario.build_workload(seed=seed, scale=scale)
         return self.plan(workload.trace)
 
-    @classmethod
-    def compare_scenarios(cls, scenarios, seed: int = 7, scale: float = 1.0,
-                          profiles: Optional[LatencyProfiles] = None,
-                          **overrides):
-        """Plan every scenario and return one tidy comparison frame.
-
-        One row per scenario: fleet sizing, overflow, and the three
-        strategy costs, with the winning strategy named — the what-if
-        companion to a simulated study over the same specs.
-        """
-        from repro.core.scenario import get_scenario
-        from repro.core.study import ResultFrame
-        specs = [get_scenario(s) if isinstance(s, str) else s
-                 for s in scenarios]
-        rows = []
-        for spec in specs:
-            planner = cls.from_scenario(spec, profiles=profiles, **overrides)
-            plan = planner.plan_scenario(spec, seed=seed, scale=scale)
-            row = {
-                "scenario": spec.name or spec.cell_key,
-                "provider": spec.provider,
-                "model": spec.model,
-                "workload": spec.workload,
-                "servers": plan.servers,
-                "overflow_fraction": plan.overflow_fraction,
-                "hybrid_cost_usd": plan.hybrid_cost,
-                "serverless_cost_usd": plan.pure_serverless_cost,
-                "server_cost_usd": plan.pure_server_cost,
-                "best_strategy": plan.best_strategy(),
-            }
-            if plan.routed_cost is not None:
-                row["routed_cost_usd"] = plan.routed_cost
-                row["routed_servers"] = plan.routed_servers
-            rows.append(row)
-        return ResultFrame.from_rows(rows, name="hybrid-comparison",
-                                     specs=specs)
-
     def plan(self, trace: ArrivalTrace,
              duration_s: Optional[float] = None) -> HybridPlan:
         """Plan a hybrid deployment for one arrival trace."""
