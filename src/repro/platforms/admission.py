@@ -37,13 +37,9 @@ __all__ = ["PendingRequest", "WorkQueue", "SlotQueue"]
 
 
 class PendingRequest:
-    """A request waiting for an instance (slotted, free-listed).
-
-    ``row`` is the request's outcome row and ``inferences`` the
-    inference count it was submitted with.  ``late`` marks a ticket
-    whose client already gave up: serving it writes the row after its
-    commit.
-    """
+    """A request waiting for an instance (slotted, free-listed): its
+    outcome row, its inference count, and ``late`` once its client gave
+    up (serving it then writes the row after its commit)."""
 
     __slots__ = ("row", "inferences", "response_event", "enqueue_time",
                  "late")

@@ -1,4 +1,8 @@
-"""The common interface of all simulated serving platforms."""
+"""The common interface of all simulated serving platforms.
+
+A platform serves a request by writing its outcome into a row of the
+column block it bound once per run (:meth:`ServingPlatform.bind`).
+"""
 
 from __future__ import annotations
 

@@ -309,7 +309,7 @@ class PooledEndpointPlatform(ServingPlatform):
             predict = (self._predict() if inferences <= 1
                        else self.rng.lognormal_sum(
                            self.predict_stream, self._predict_s,
-                           _SERVICE_JITTER_CV, int(inferences)))
+                           _SERVICE_JITTER_CV, inferences))
             # With the handler off the worker (GPU servers) the HTTP
             # handling runs on the host CPUs and does not occupy the
             # accelerator; otherwise it competes with inference for the

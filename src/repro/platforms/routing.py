@@ -712,7 +712,7 @@ class MultiRegionPlatform(ServingPlatform):
                                                  response_mb)
 
         attempts = self._attempts
-        success = bool(attempts.success[final])
+        success = attempts.success[final]
         if success:
             error = DEGRADED_LABEL if degraded else ""
         else:
@@ -800,7 +800,7 @@ class MultiRegionPlatform(ServingPlatform):
             attempts.network_s[attempt] += latency
             yield latency
         if index != _DEGRADED:
-            self._observe(index, bool(attempts.success[attempt]),
+            self._observe(index, attempts.success[attempt],
                           env.now - started)
         return attempt
 

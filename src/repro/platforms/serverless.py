@@ -521,7 +521,7 @@ class ServerlessPlatform(ServingPlatform):
         if inferences > 1:
             predict += self.rng.lognormal_sum(
                 "predict", self._warm_predict_s, _PREDICT_JITTER_CV,
-                int(inferences) - 1)
+                inferences - 1)
         return predict
 
     def _release(self, instance: PoolInstance, row: int, predict: float,

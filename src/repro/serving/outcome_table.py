@@ -421,17 +421,18 @@ class OutcomeTable(TimelineReductions):
         outcomes = list(outcomes)
         count = len(outcomes)
         block = OutcomeColumns(count)
+        arrays = block.arrays
         for name in ("request_id", "client_id", "send_time", "success",
                      "cold_start", "billed_duration_s", "inferences",
                      "attempts", "served_by"):
-            getattr(block, name)[:] = [getattr(o, name) for o in outcomes]
-        block.completion_time[:] = [
+            arrays[name][:] = [getattr(o, name) for o in outcomes]
+        arrays["completion_time"][:] = [
             np.nan if o.completion_time is None else o.completion_time
             for o in outcomes]
-        block.instance_id[:] = [-1 if o.instance_id is None
-                                else o.instance_id for o in outcomes]
-        for name, column in block.stages.items():
-            column[:] = [o.breakdown.get(name, 0.0) for o in outcomes]
+        arrays["instance_id"][:] = [-1 if o.instance_id is None
+                                    else o.instance_id for o in outcomes]
+        for name, attr in _STAGE_ATTRS.items():
+            arrays[attr][:] = [o.breakdown.get(name, 0.0) for o in outcomes]
         names = [""]
         for finished in (True, False):
             for row, outcome in enumerate(outcomes):
@@ -625,31 +626,37 @@ class OutcomeColumns:
     an entry of :attr:`stages`), and the pending error strings.
 
     The one place serving writes a request's outcome (see the module
-    docstring).  Error strings wait in :attr:`errors` until the
-    recorder interns them at commit, so the vocabulary only holds errors
-    a finished request kept: a retried attempt's error never enters it.
-    ``hold``/``release`` bracket a write that may come after the row's
-    commit (a serverless invocation served after its client gave up): a
-    plain block ignores them, the chunk ring keeps the row's chunk
-    resident, the router's attempt rows forward the late billing.
+    docstring).  Each column is a numpy array in :attr:`arrays`, and the
+    attribute of the same name is a ``memoryview`` of it: serving reads
+    and writes single rows through the views, which costs about half a
+    numpy scalar access (a third for ``+=``), while tables, resets and
+    batch fan-outs work on the arrays.  Error strings wait in
+    :attr:`errors` until the recorder interns them at commit, so the
+    vocabulary only holds errors a finished request kept: a retried
+    attempt's error never enters it.  ``hold``/``release`` bracket a
+    write that may come after the row's commit (a serverless invocation
+    served after its client gave up): a plain block ignores them, the
+    chunk ring keeps the row's chunk resident, the router's attempt rows
+    forward the late billing.
     """
 
-    __slots__ = (*_COLUMNS, *_STAGE_ATTRS.values(), "stages", "errors",
-                 "rows")
+    __slots__ = (*_COLUMNS, *_STAGE_ATTRS.values(), "arrays", "stages",
+                 "errors", "rows")
 
     def __init__(self, rows: int, lazy: bool = False):
         self.rows = rows
-        for name, (dtype, _default) in _COLUMNS.items():
-            # np.zeros leaves the pages of a column never written
-            # unmapped, so an untouched row costs no resident memory.
-            setattr(self, name, np.zeros(rows, dtype=dtype))
-        #: One column per breakdown stage, by name (a table keeps only
-        #: the produced ones, without copying them).
-        self.stages: Dict[str, np.ndarray] = {}
-        for name, attr in _STAGE_ATTRS.items():
-            column = np.zeros(rows, dtype=np.float64)
-            setattr(self, attr, column)
-            self.stages[name] = column
+        # np.zeros leaves the pages of a column never written unmapped,
+        # so an untouched row costs no resident memory.
+        self.arrays: Dict[str, np.ndarray] = {
+            name: np.zeros(rows, dtype=dtype)
+            for name, (dtype, _default) in _COLUMNS.items()}
+        self.arrays.update((attr, np.zeros(rows, dtype=np.float64))
+                           for attr in _STAGE_ATTRS.values())
+        for name, array in self.arrays.items():
+            setattr(self, name, memoryview(array))
+        #: The stage columns' row views, by stage name.
+        self.stages: Dict[str, memoryview] = {
+            name: getattr(self, attr) for name, attr in _STAGE_ATTRS.items()}
         #: Error strings of finished rows not yet committed.
         self.errors: Dict[int, str] = {}
         if not lazy:
@@ -664,10 +671,10 @@ class OutcomeColumns:
         """
         for name, (_dtype, default) in _COLUMNS.items():
             if default or not fresh:
-                getattr(self, name)[start:stop] = default
+                self.arrays[name][start:stop] = default
         if not fresh:
-            for column in self.stages.values():
-                column[start:stop] = 0.0
+            for attr in _STAGE_ATTRS.values():
+                self.arrays[attr][start:stop] = 0.0
 
     def hold(self, row: int) -> None:
         """A write to ``row`` may still come after its commit."""
@@ -684,8 +691,8 @@ class OutcomeColumns:
         """
         targets = list(rows)
         for name in _SERVE_COLUMNS:
-            column = getattr(self, name)
-            column[targets] = column[row]
+            array = self.arrays[name]
+            array[targets] = array[row]
         error = self.errors.get(row)
         if error:
             self.errors.update(dict.fromkeys(targets, error))
@@ -705,22 +712,10 @@ class OutcomeColumns:
         """Rows ``[start, stop)`` as an :class:`OutcomeTable`, without a
         copy: the table shares this block's buffers."""
         rows = slice(start, stop)
+        columns = {name: array[rows] for name, array in self.arrays.items()}
         return OutcomeTable(
-            request_id=self.request_id[rows],
-            client_id=self.client_id[rows],
-            send_time=self.send_time[rows],
-            completion_time=self.completion_time[rows],
-            success=self.success[rows],
-            cold_start=self.cold_start[rows],
-            instance_id=self.instance_id[rows],
-            billed_duration_s=self.billed_duration_s[rows],
-            inferences=self.inferences[rows],
-            error_code=self.error_code[rows],
-            stages=[self.stages[name][rows] for name in STAGE_ORDER],
-            error_names=error_names,
-            attempts=self.attempts[rows],
-            served_by=self.served_by[rows],
-        )
+            stages=[columns.pop(_STAGE_ATTRS[name]) for name in STAGE_ORDER],
+            error_names=error_names, **columns)
 
 
 class OutcomeRecorder:
@@ -753,11 +748,8 @@ class OutcomeRecorder:
         return row
 
     def commit(self, row: int) -> None:
-        """Signal that the request in ``row`` finished at its client.
-
-        Serving already wrote the row; this interns its error string,
-        once per finished request.
-        """
+        """The request in ``row`` finished at its client (serving already
+        wrote the row): intern its error string."""
         if self.columns.errors:
             self.columns.intern_errors(self.error_names, (row,))
 
@@ -765,7 +757,7 @@ class OutcomeRecorder:
     @property
     def last_completion_time(self) -> float:
         """Latest completion time of a recorded request (0 if none)."""
-        completion = self.columns.completion_time[:self._count]
+        completion = self.columns.arrays["completion_time"][:self._count]
         finished = completion[~np.isnan(completion)]
         return float(finished.max()) if finished.size else 0.0
 
