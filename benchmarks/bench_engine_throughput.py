@@ -467,7 +467,7 @@ def run_streaming_probe(rows: int = 200_000) -> dict:
     fold_s = None
     recorder = None
     for _ in range(3):
-        recorder = ChunkedOutcomeRecorder(rows, chunk_rows=chunk_rows,
+        recorder = ChunkedOutcomeRecorder(chunk_rows=chunk_rows,
                                           seal_lag_s=1.0)
         columns = recorder.columns
         started = time.perf_counter()

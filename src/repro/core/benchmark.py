@@ -89,7 +89,6 @@ class ServingBenchmark:
                      or total_requests >= self.streaming_threshold)
         if streaming:
             recorder = ChunkedOutcomeRecorder(
-                total_requests,
                 chunk_rows=self.chunk_rows,
                 seal_lag_s=self.drain_timeout_s + 50.0,
             )
@@ -115,6 +114,10 @@ class ServingBenchmark:
             # Requests still open when the horizon was reached failed,
             # in bulk.
             table.fail_unfinished(horizon)
+            # The table now holds the rows: empty the block, so they go
+            # with the result rather than with the run's objects, which
+            # only the cyclic garbage collector frees.
+            recorder.columns.resize(0)
         return RunResult(
             deployment=deployment,
             workload_name=workload.name,

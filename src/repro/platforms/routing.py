@@ -459,16 +459,16 @@ class _AttemptRows(OutcomeColumns):
     the client row and a losing hedge runs on undisturbed.  A row opens
     with every stage at -0.0, which no serve writes (durations are
     non-negative and ``-0.0 + x == x``): the merge tells a stage the
-    attempt never entered from one it spent 0 s in.  Closed rows are
-    reused; a row a backend holds for a late serve is reused only once
-    that serve lands, its billed seconds and instance forwarded to the
-    (held) client row.
+    attempt never entered from one it spent 0 s in.  The block grows on
+    demand; closed rows are reused, and a row a backend holds for a late
+    serve is reused only once that serve lands, its billed seconds and
+    instance forwarded to the (held) client row.
     """
 
     __slots__ = ("client", "_free", "_fresh", "_held", "_closed")
 
-    def __init__(self, rows: int, client: OutcomeColumns):
-        OutcomeColumns.__init__(self, rows, lazy=True)
+    def __init__(self, client: OutcomeColumns):
+        OutcomeColumns.__init__(self, 0)
         #: The client rows the router writes.
         self.client = client
         self._free: List[int] = []
@@ -484,6 +484,8 @@ class _AttemptRows(OutcomeColumns):
         else:
             row = self._fresh
             self._fresh = row + 1
+            if row == self.rows:
+                self.resize(max(2 * self.rows, 16))
         self.reset(row, row + 1)
         self.inferences[row] = inferences
         for column in self.stages.values():
@@ -572,11 +574,9 @@ class MultiRegionPlatform(ServingPlatform):
     # ------------------------------------------------------------------ API
     def bind(self, rows, commit=None) -> None:
         """The router writes the client rows; its backends write attempt
-        rows, at most two live per routed request (a primary and a
-        hedge) for each of the client's retries."""
+        rows."""
         super().bind(rows, commit)
-        self._attempts = _AttemptRows(
-            2 * max(self.config.retry_attempts, 1) * rows.rows, rows)
+        self._attempts = _AttemptRows(rows)
         for backend in self._all_backends():
             backend.bind(self._attempts)
 

@@ -643,13 +643,14 @@ class OutcomeColumns:
     __slots__ = (*_COLUMNS, *_STAGE_ATTRS.values(), "arrays", "stages",
                  "errors", "rows")
 
-    def __init__(self, rows: int, lazy: bool = False):
+    def __init__(self, rows: int):
         self.rows = rows
         # np.zeros leaves the pages of a column never written unmapped,
-        # so an untouched row costs no resident memory.
-        self.arrays: Dict[str, np.ndarray] = {
-            name: np.zeros(rows, dtype=dtype)
-            for name, (dtype, _default) in _COLUMNS.items()}
+        # so an untouched zero-default column costs no resident memory.
+        self.arrays: Dict[str, np.ndarray] = {}
+        for name, (dtype, default) in _COLUMNS.items():
+            self.arrays[name] = (np.zeros(rows, dtype=dtype) if default == 0
+                                 else np.full(rows, default, dtype=dtype))
         self.arrays.update((attr, np.zeros(rows, dtype=np.float64))
                            for attr in _STAGE_ATTRS.values())
         for name, array in self.arrays.items():
@@ -659,22 +660,27 @@ class OutcomeColumns:
             name: getattr(self, attr) for name, attr in _STAGE_ATTRS.items()}
         #: Error strings of finished rows not yet committed.
         self.errors: Dict[int, str] = {}
-        if not lazy:
-            # A ``lazy`` owner fills defaults row range by row range.
-            self.reset(0, rows, fresh=True)
 
-    def reset(self, start: int, stop: int, fresh: bool = False) -> None:
-        """Restore rows ``[start, stop)`` to the column defaults.
+    def resize(self, rows: int) -> None:
+        """Give the block ``rows`` rows, in place.
 
-        On ``fresh`` rows (never written) the zero-default columns
-        already hold their default and stay untouched.
+        The block object, which platforms bind, stays the same; rows
+        below both sizes keep their index and values, and new rows hold
+        the defaults.  The chunk ring and the router's attempt rows grow
+        on demand this way; ``resize(0)`` frees the storage.
         """
+        arrays, errors, kept = self.arrays, self.errors, min(self.rows, rows)
+        OutcomeColumns.__init__(self, rows)
+        for name, array in arrays.items():
+            self.arrays[name][:kept] = array[:kept]
+        self.errors = errors
+
+    def reset(self, start: int, stop: int) -> None:
+        """Restore rows ``[start, stop)`` to the column defaults."""
         for name, (_dtype, default) in _COLUMNS.items():
-            if default or not fresh:
-                self.arrays[name][start:stop] = default
-        if not fresh:
-            for attr in _STAGE_ATTRS.values():
-                self.arrays[attr][start:stop] = 0.0
+            self.arrays[name][start:stop] = default
+        for attr in _STAGE_ATTRS.values():
+            self.arrays[attr][start:stop] = 0.0
 
     def hold(self, row: int) -> None:
         """A write to ``row`` may still come after its commit."""

@@ -6,15 +6,15 @@ a few hundred thousand requests, hopeless at ten million (the columns
 alone are gigabytes, and every metric reduction walks all of them).
 This module is the flat-RSS alternative:
 
-* :class:`ChunkedOutcomeRecorder` hands serving rows of one lazily
-  allocated :class:`~repro.serving.outcome_table.OutcomeColumns` block,
-  grouped into fixed-size chunks.  A chunk *seals* once no row in it
-  can still be written — every row committed, none held for a
-  serverless invocation served after its client gave up — and the
-  simulation clock has moved past the chunk's last send time by a
-  safety lag.  A sealed chunk folds into an :class:`OutcomeSummary` and
-  its rows are reused by a later chunk, so peak memory is bounded by
-  the seal lag times the arrival rate, not the trace length.
+* :class:`ChunkedOutcomeRecorder` hands serving rows of one
+  :class:`~repro.serving.outcome_table.OutcomeColumns` block, grouped
+  into fixed-size chunks.  A chunk *seals* once no row in it can still
+  be written — every row committed, none held for a serverless
+  invocation served after its client gave up — and the simulation clock
+  has moved past the chunk's last send time by a safety lag.  A sealed
+  chunk folds into an :class:`OutcomeSummary` and its rows are reused
+  by a later chunk, so peak memory is bounded by the seal lag times the
+  arrival rate, not the trace length.
 
 * :class:`OutcomeSummary` is the online-reduction target: running
   sums/counts for means and ratios, exact min/max, a log-binned
@@ -415,17 +415,18 @@ class _Window(OutcomeColumns):
 
     A chunk of the run occupies one position (``chunk_rows`` consecutive
     rows) while it is resident; a folded chunk's position is reused by a
-    later chunk.  :attr:`pending` counts, per position, the rows whose
-    writes may still come: registered but uncommitted rows, plus rows
-    held for a late serve (-1: no chunk holds the position).
+    later chunk, and the block grows by a position only when every
+    position is resident.  :attr:`pending` counts, per position, the
+    rows whose writes may still come: registered but uncommitted rows,
+    plus rows held for a late serve (-1: no chunk holds the position).
     """
 
     __slots__ = ("chunk_rows", "pending")
 
-    def __init__(self, positions: int, chunk_rows: int):
-        OutcomeColumns.__init__(self, positions * chunk_rows, lazy=True)
+    def __init__(self, chunk_rows: int):
+        OutcomeColumns.__init__(self, 0)
         self.chunk_rows = chunk_rows
-        self.pending = [-1] * positions
+        self.pending: List[int] = []
 
     def hold(self, row: int) -> None:
         """Keep ``row``'s chunk resident until :meth:`release`."""
@@ -441,15 +442,14 @@ class ChunkedOutcomeRecorder:
 
     The write API of :class:`~repro.serving.outcome_table.
     OutcomeRecorder` (:attr:`columns`, ``register``, ``commit``) over
-    ``chunk_rows``-row chunks.  :attr:`columns` has room for every chunk
-    of a ``rows``-request run but is allocated lazily, and a folded
-    chunk's position is reused by the next chunk, so only the positions
-    resident at once are ever touched: peak memory is bounded by the
-    seal-lag window rather than the trace.  A chunk folds into
-    :attr:`summary` once it is full, no row in it can still be written
-    (every row committed, none held for a late serve), and the clock has
-    passed its newest send time by ``seal_lag_s``.  :meth:`finalize`
-    fails still-open rows and folds the tail.
+    ``chunk_rows``-row chunks, which occupy chunk-sized positions of
+    :attr:`columns`.  A chunk folds into :attr:`summary` once it is
+    full, no row in it can still be written (every row committed, none
+    held for a late serve), and the clock has passed its newest send
+    time by ``seal_lag_s``; its position is then reused by the next
+    chunk, so peak memory is bounded by the seal-lag window rather than
+    the trace.  :meth:`finalize` fails still-open rows, folds the tail
+    and frees the block.
 
     ``register`` returns the row's place in :attr:`columns`, not in the
     run.  All chunks share one error vocabulary: the summary's digest
@@ -457,23 +457,21 @@ class ChunkedOutcomeRecorder:
     whose chunk was already folded raises.
     """
 
-    def __init__(self, rows: int, chunk_rows: int = DEFAULT_CHUNK_ROWS,
+    def __init__(self, chunk_rows: int = DEFAULT_CHUNK_ROWS,
                  seal_lag_s: float = DEFAULT_SEAL_LAG_S):
         if chunk_rows < 1:
             raise ValueError("chunk_rows must be positive")
         self.chunk_rows = int(chunk_rows)
-        positions = max(-(-int(rows) // self.chunk_rows), 1)
         #: The rows serving writes (bound once per run by the platform).
-        self.columns = _Window(positions, self.chunk_rows)
+        self.columns = _Window(self.chunk_rows)
         self.summary = OutcomeSummary()
         self.seal_lag_s = float(seal_lag_s)
         self.error_names: List[str] = [""]
         self._count = 0
         self._base = 0          # index of the oldest resident chunk
         self._resident: Dict[int, int] = {}   # chunk index -> position
-        self._max_send = [0.0] * positions
+        self._max_send: List[float] = []      # per position
         self._free: List[int] = []
-        self._fresh = 0         # next never-used position
         self._position = 0      # position of the chunk being filled
         self._clock = 0.0       # newest completion time observed
         #: Peak number of simultaneously resident chunks (observability).
@@ -504,18 +502,19 @@ class ChunkedOutcomeRecorder:
         return row
 
     def _open_chunk(self, index: int) -> None:
-        """Give chunk ``index`` a position: a folded chunk's, or a fresh one."""
+        """Give chunk ``index`` a position: a folded chunk's, or a new one."""
         rows = self.chunk_rows
+        columns = self.columns
         if self._free:
             position = self._free.pop()
-            self.columns.reset(position * rows, (position + 1) * rows)
+            columns.reset(position * rows, (position + 1) * rows)
         else:
-            position = self._fresh
-            self._fresh = position + 1
-            self.columns.reset(position * rows, (position + 1) * rows,
-                               fresh=True)
+            position = len(columns.pending)
+            columns.resize(columns.rows + rows)
+            columns.pending.append(0)
+            self._max_send.append(0.0)
         self._position = position
-        self.columns.pending[position] = 0
+        columns.pending[position] = 0
         self._max_send[position] = 0.0
         self._resident[index] = position
         resident = len(self._resident)
@@ -602,5 +601,6 @@ class ChunkedOutcomeRecorder:
         for index, table in tables:
             table.fail_unfinished(horizon, error)
             self._fold(index, table)
+        self.columns.resize(0)
         self._finalized = True
         return self.summary

@@ -86,7 +86,7 @@ def _replay(outcomes, chunk_rows: int):
     chunk's ``column_hash()`` at fold time, and the table rebuilt from
     its pickled ``packed()`` form (a copy that outlives the ring).
     """
-    recorder = ChunkedOutcomeRecorder(len(outcomes), chunk_rows=chunk_rows)
+    recorder = ChunkedOutcomeRecorder(chunk_rows=chunk_rows)
     fold = recorder.summary.fold
     folded = []
 
@@ -139,7 +139,7 @@ class TestChunkRingEquality:
             assert rebuilt.column_hash() == fold_hash
 
     def test_commit_after_fold_is_a_hard_error(self):
-        recorder = ChunkedOutcomeRecorder(8, chunk_rows=4, seal_lag_s=0.0)
+        recorder = ChunkedOutcomeRecorder(chunk_rows=4, seal_lag_s=0.0)
         columns = recorder.columns
         rows = [recorder.register(index, 0, float(index))
                 for index in range(8)]
@@ -216,8 +216,7 @@ class TestStreamingReductions:
 
     def test_mid_run_sealing_bounds_residency(self):
         rows = 128 * 36
-        recorder = ChunkedOutcomeRecorder(rows, chunk_rows=128,
-                                          seal_lag_s=20.0)
+        recorder = ChunkedOutcomeRecorder(chunk_rows=128, seal_lag_s=20.0)
         columns = recorder.columns
         for index in range(rows):
             send = index * 0.5  # one chunk spans 64 s >> the 20 s lag
