@@ -613,6 +613,10 @@ def _intern_error(names: List[str], error: str) -> int:
 
 #: Attribute name of each stage's column on a block (``queue_s`` ...).
 _STAGE_ATTRS = {name: f"{name}_s" for name in STAGE_ORDER}
+_STAGE_NAMES = {attr: name for name, attr in _STAGE_ATTRS.items()}
+#: Every column of a block, stage columns included: dtype and default.
+_BLOCK_COLUMNS = {**_COLUMNS, **{attr: (np.float64, 0.0)
+                                 for attr in _STAGE_ATTRS.values()}}
 #: The columns serving writes: all but the issue-time ones (written at
 #: ``register``) and ``error_code`` (interned at commit).
 _SERVE_COLUMNS = tuple(name for name in _COLUMNS if name not in (
@@ -644,22 +648,13 @@ class OutcomeColumns:
                  "errors", "rows")
 
     def __init__(self, rows: int):
-        self.rows = rows
-        # np.zeros leaves the pages of a column never written unmapped,
-        # so an untouched zero-default column costs no resident memory.
+        self.rows = 0
         self.arrays: Dict[str, np.ndarray] = {}
-        for name, (dtype, default) in _COLUMNS.items():
-            self.arrays[name] = (np.zeros(rows, dtype=dtype) if default == 0
-                                 else np.full(rows, default, dtype=dtype))
-        self.arrays.update((attr, np.zeros(rows, dtype=np.float64))
-                           for attr in _STAGE_ATTRS.values())
-        for name, array in self.arrays.items():
-            setattr(self, name, memoryview(array))
         #: The stage columns' row views, by stage name.
-        self.stages: Dict[str, memoryview] = {
-            name: getattr(self, attr) for name, attr in _STAGE_ATTRS.items()}
+        self.stages: Dict[str, memoryview] = {}
         #: Error strings of finished rows not yet committed.
         self.errors: Dict[int, str] = {}
+        self.resize(rows)
 
     def resize(self, rows: int) -> None:
         """Give the block ``rows`` rows, in place.
@@ -669,11 +664,21 @@ class OutcomeColumns:
         the defaults.  The chunk ring and the router's attempt rows grow
         on demand this way; ``resize(0)`` frees the storage.
         """
-        arrays, errors, kept = self.arrays, self.errors, min(self.rows, rows)
-        OutcomeColumns.__init__(self, rows)
-        for name, array in arrays.items():
-            self.arrays[name][:kept] = array[:kept]
-        self.errors = errors
+        kept = min(self.rows, rows)
+        self.rows = rows
+        for name, (dtype, default) in _BLOCK_COLUMNS.items():
+            # np.zeros leaves the pages of a column never written
+            # unmapped, so an untouched zero-default column costs no
+            # resident memory.  Column by column, so a growing block
+            # never holds two copies of every column at once.
+            array = (np.zeros(rows, dtype=dtype) if default == 0
+                     else np.full(rows, default, dtype=dtype))
+            if kept:
+                array[:kept] = self.arrays[name][:kept]
+            self.arrays[name] = array
+            setattr(self, name, memoryview(array))
+            if name in _STAGE_NAMES:
+                self.stages[_STAGE_NAMES[name]] = getattr(self, name)
 
     def reset(self, start: int, stop: int) -> None:
         """Restore rows ``[start, stop)`` to the column defaults."""

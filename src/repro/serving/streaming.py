@@ -411,15 +411,11 @@ class OutcomeSummary(TimelineReductions):
 
 
 class _Window(OutcomeColumns):
-    """The ring's rows: chunk-sized positions of one column block.
-
-    A chunk of the run occupies one position (``chunk_rows`` consecutive
-    rows) while it is resident; a folded chunk's position is reused by a
-    later chunk, and the block grows by a position only when every
-    position is resident.  :attr:`pending` counts, per position, the
-    rows whose writes may still come: registered but uncommitted rows,
-    plus rows held for a late serve (-1: no chunk holds the position).
-    """
+    """The ring's rows: one chunk-sized position per resident chunk
+    (reused once the chunk folds, added only when all are resident).
+    :attr:`pending` counts, per position, the rows whose writes may
+    still come: uncommitted rows and rows held for a late serve (-1: no
+    chunk holds the position)."""
 
     __slots__ = ("chunk_rows", "pending")
 
