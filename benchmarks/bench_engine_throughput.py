@@ -19,9 +19,11 @@ compares its throughput against the probe entry recorded in
 cell (calendar events must equal the recorded count exactly; cProfile
 calls per request may exceed the recorded value by at most 2 %; the
 bytes its outcome table stores per row may not exceed the recorded
-value) and the calendar events of the fault-injection and hybrid
-probes (exactly, like the probe cell), and also smokes the columnar outcome pipeline
-(outcome-table build + metric reductions on the probe's data), the
+value), the calendar events of the fault-injection and hybrid probes,
+the routing probe's breaker trips and the search probe's simulated
+cells and rungs (all exactly, like the probe cell), and also smokes the
+columnar outcome pipeline (outcome-table build + metric reductions on
+the probe's data), the
 serving control plane (instance-pool transitions, scaling-policy
 decisions, work-queue ticket cycling), the study layer
 (``ResultFrame`` build over per-cell reductions + where/pivot/to_rows
@@ -619,11 +621,12 @@ def run_sweep(scale: float, repeats: int) -> dict:
     }
 
 
-def events_gate(label: str, measured: dict, recorded: dict) -> bool:
-    """Print one exact calendar-events gate line; True when it holds."""
-    verdict = "OK" if measured["events"] == recorded["events"] else "REGRESSION"
-    print(f"{label} calendar events: {measured['events']} "
-          f"(recorded {recorded['events']}, must match) -> {verdict}")
+def exact_gate(label: str, measured: dict, recorded: dict,
+               key: str = "events") -> bool:
+    """Print one exact counter gate line; True when it holds."""
+    verdict = "OK" if measured[key] == recorded[key] else "REGRESSION"
+    print(f"{label}: {measured[key]} (recorded {recorded[key]}, must "
+          f"match) -> {verdict}")
     return verdict == "OK"
 
 
@@ -635,9 +638,11 @@ def run_check(path: str) -> int:
     reduction rows/s), plus the probe cell's counters: calendar events
     exactly, cProfile calls per request within CALLS_TOLERANCE, and
     resident table bytes per row at most the recorded value.  The
-    fault-injection and hybrid probes' calendar events must match
-    their recorded counts exactly too, and the streaming probe's peak
-    resident chunks may not exceed the recorded count.
+    fault-injection and hybrid probes' calendar events, the routing
+    probe's breaker trips, and the search probe's simulated cells and
+    rungs must match their recorded counts exactly too, and the
+    streaming probe's peak resident chunks may not exceed the recorded
+    count.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -656,7 +661,7 @@ def run_check(path: str) -> int:
     checks = [("engine req/s", probe["requests_per_s"],
                reference["requests_per_s"])]
     # Work counters: deterministic, so they gate far tighter than time.
-    failed = not events_gate("probe", probe, reference)
+    failed = not exact_gate("probe calendar events", probe, reference)
     if "calls_per_req" in reference:
         calls = probe_calls_per_request()
         limit = reference["calls_per_req"] * (1.0 + CALLS_TOLERANCE)
@@ -723,8 +728,8 @@ def run_check(path: str) -> int:
     fault_reference = recorded.get("fault_injection_probe")
     if fault_reference:
         fault = run_fault_probe(repeats=2)
-        failed = not events_gate("fault-injection probe", fault,
-                                 fault_reference) or failed
+        failed = not exact_gate("fault-injection probe calendar events",
+                                fault, fault_reference) or failed
         checks.append(("fault-injection req/s",
                        fault["requests_per_s"],
                        fault_reference["requests_per_s"]))
@@ -734,6 +739,8 @@ def run_check(path: str) -> int:
     routing_reference = recorded.get("routing_probe")
     if routing_reference:
         routing = run_routing_probe()
+        failed = not exact_gate("routing probe breaker trips", routing,
+                                routing_reference, "breaker_trips") or failed
         checks.append(("routing cycles/s",
                        routing["cycles_per_s"],
                        routing_reference["cycles_per_s"]))
@@ -743,8 +750,8 @@ def run_check(path: str) -> int:
     hybrid_reference = recorded.get("hybrid_probe")
     if hybrid_reference:
         hybrid = run_hybrid_probe(repeats=2)
-        failed = not events_gate("hybrid probe", hybrid,
-                                 hybrid_reference) or failed
+        failed = not exact_gate("hybrid probe calendar events", hybrid,
+                                hybrid_reference) or failed
         checks.append(("hybrid req/s",
                        hybrid["requests_per_s"],
                        hybrid_reference["requests_per_s"]))
@@ -754,6 +761,9 @@ def run_check(path: str) -> int:
     search_reference = recorded.get("search_probe")
     if search_reference:
         search = run_search_probe()
+        for key in ("simulated", "rungs"):
+            failed = not exact_gate(f"search probe {key}", search,
+                                    search_reference, key) or failed
         checks.append(("halving search cells/s",
                        search["cells_per_s"],
                        search_reference["cells_per_s"]))

@@ -13,7 +13,7 @@ Run with::
     python examples/foodlg_image_service.py
 """
 
-from repro import Analyzer, Planner, PlatformKind, ServingBenchmark, standard_workload
+from repro import Planner, PlatformKind, ServingBenchmark, standard_workload
 
 #: Mobile users give up if a photo takes longer than this to analyse.
 LATENCY_SLO_S = 1.0
@@ -29,7 +29,6 @@ SCALE = 0.15
 def main() -> None:
     planner = Planner()
     benchmark = ServingBenchmark(seed=11)
-    analyzer = Analyzer()
     workload = standard_workload(WORKLOAD, seed=11, scale=SCALE)
     budget = BUDGET_USD * SCALE
 

@@ -6,8 +6,7 @@ paper — serving runtime, memory size, and batch size — affect latency
 and cost.  The example first declares the choices as a
 :class:`~repro.api.Sweep` (the grid is data; the result is a tidy
 frame), then lets the design-space navigator (Section 6, challenge #3)
-pick a configuration under a latency constraint, and the memory tuner
-refine the memory size.
+pick a runtime, memory size and batch size under a latency constraint.
 
 Run with::
 
@@ -16,7 +15,7 @@ Run with::
 
 from repro import standard_workload
 from repro.api import ScenarioSpec, Sweep, run_study
-from repro.tools import DesignSpaceNavigator, MemoryTuner, NavigationConstraints
+from repro.tools import DesignSpaceNavigator, NavigationConstraints
 
 MODEL = "albert"
 PROVIDER = "aws"
@@ -62,23 +61,9 @@ def navigate() -> None:
         print("No configuration met the constraints.")
 
 
-def tune_memory() -> None:
-    tuner = MemoryTuner()
-    workload = standard_workload(WORKLOAD, seed=3, scale=0.1)
-    outcome = tuner.tune(PROVIDER, MODEL, "ort1.4", workload,
-                         candidates_gb=(1.0, 2.0, 4.0),
-                         latency_target_s=LATENCY_SLO_S)
-    print("\nMemory tuning (ORT1.4):")
-    for row in outcome.rows:
-        print(f"  {row['memory_gb']:.0f}GB  latency {row['avg_latency_s']:.3f}s  "
-              f"cost ${row['cost_usd']:.4f}")
-    print(f"Recommended memory size: {outcome.best_memory_gb} GB")
-
-
 def main() -> None:
     sweep()
     navigate()
-    tune_memory()
 
 
 if __name__ == "__main__":

@@ -26,11 +26,6 @@ class InstanceType:
     gpu_model: str = ""
     hourly_rate: float = 0.0
 
-    @property
-    def has_gpu(self) -> bool:
-        """Whether the instance carries at least one accelerator."""
-        return self.gpus > 0
-
 
 _CATALOG: Dict[str, InstanceType] = {
     # AWS -----------------------------------------------------------------

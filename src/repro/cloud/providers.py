@@ -133,10 +133,6 @@ class CloudProvider:
         """A copy of this provider with modified managed-ML traits."""
         return replace(self, managed_ml=replace(self.managed_ml, **changes))
 
-    def with_vm(self, **changes) -> "CloudProvider":
-        """A copy of this provider with modified VM traits."""
-        return replace(self, vm=replace(self.vm, **changes))
-
 
 def aws() -> CloudProvider:
     """Amazon Web Services, calibrated to the paper's observations."""

@@ -40,11 +40,3 @@ class ObjectStorage:
         if rng is None or self.jitter_cv == 0:
             return base
         return rng.lognormal_around(stream, base, self.jitter_cv)
-
-    def upload_time(self, size_mb: float) -> float:
-        """Seconds to upload ``size_mb`` megabytes (used when deploying models)."""
-        if size_mb < 0:
-            raise ValueError("size_mb must be non-negative")
-        # Uploads happen once, outside the measured serving path; assume the
-        # same sustained bandwidth without jitter.
-        return self.request_latency_s + size_mb / self.download_bandwidth_mbps

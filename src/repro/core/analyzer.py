@@ -7,19 +7,21 @@ into the numbers the paper reports:
   request success ratio, and cost (Figure 5 / Table 1);
 * latency and success-ratio time-series (Figures 6, 8, 9);
 * cold-start / warm-up sub-stage breakdowns (Figures 10 and 14);
-* instance-count time-series (Figures 7 and 11);
-* comparison tables across systems.
+* instance-count time-series (Figures 7 and 11).
+
+The timeline and breakdown read per-request rows, so they raise
+``ValueError`` on a streamed (trace-scale) result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.core.metrics import LatencyStats
 from repro.core.results import RunResult
+from repro.serving.outcome_table import OutcomeTable
 from repro.serving.records import Stage
 
 __all__ = ["Analyzer", "TimelinePoint", "BreakdownSummary"]
@@ -67,6 +69,15 @@ class BreakdownSummary:
         }
 
 
+def _rows(result: RunResult, reduction: str) -> OutcomeTable:
+    """The result's outcome table, for a reduction that reads its rows."""
+    if result.streaming:
+        raise ValueError(
+            f"{reduction} reads per-request rows, but {result.label} is a "
+            f"streamed result, which keeps only an OutcomeSummary")
+    return result.table
+
+
 class Analyzer:
     """Computes metrics, timelines, and breakdowns from run results."""
 
@@ -82,44 +93,25 @@ class Analyzer:
         })
         return row
 
-    def comparison_table(self, results: Iterable[RunResult]) -> List[Dict[str, object]]:
-        """Summaries of several runs, sorted for stable presentation."""
-        rows = [self.summarize(result) for result in results]
-        return sorted(rows, key=lambda row: (row["provider"], row["model"],
-                                             row["workload"], row["platform"]))
-
     # -- timelines ------------------------------------------------------------
     def latency_timeline(self, result: RunResult,
                          bin_seconds: float = 20.0) -> List[TimelinePoint]:
         """Average latency and success ratio per time bin (Figures 6, 8, 9).
 
-        Vectorised over the outcome table: requests are bucketed with one
-        ``searchsorted`` over the bin edges and the per-bin counts and
-        latency sums come from ``bincount`` — no per-outcome Python loop.
+        The bins and their request / success counts are the table's
+        :meth:`~repro.serving.outcome_table.OutcomeTable.success_timeline`;
+        only the per-bin latency sum of the successful requests is
+        computed here.  Empty bins are skipped.
         """
-        if bin_seconds <= 0:
-            raise ValueError("bin_seconds must be positive")
-        table = result.table
-        if table.count == 0:
-            return []
-        send = table.send_time
-        horizon = float(send.max()) + bin_seconds
-        edges = np.arange(0.0, horizon + bin_seconds, bin_seconds)
-        n_bins = len(edges) - 1
-        # Same bucketing as the old [start, end) pair loop over `edges`.
-        bins = np.searchsorted(edges, send, side="right") - 1
-        bins = np.clip(bins, 0, n_bins - 1)
-        requests = np.bincount(bins, minlength=n_bins)
+        table = _rows(result, "latency_timeline")
+        edges, requests, successes = table.success_timeline(bin_seconds)
         success = table.success
-        successes = np.bincount(bins[success], minlength=n_bins)
-        latency_sums = np.bincount(bins[success],
+        latency_sums = np.bincount(table.send_bins(bin_seconds)[success],
                                    weights=table.latency[success],
-                                   minlength=n_bins)
+                                   minlength=len(edges))
         points: List[TimelinePoint] = []
-        for index in range(n_bins):
+        for index in np.flatnonzero(requests):
             n_requests = int(requests[index])
-            if n_requests == 0:
-                continue
             n_success = int(successes[index])
             avg = latency_sums[index] / n_success if n_success else 0.0
             points.append(TimelinePoint(
@@ -147,7 +139,7 @@ class Analyzer:
         Masked column means over the outcome table: successful requests
         split by the ``cold_start`` flag, stage columns averaged directly.
         """
-        table = result.table
+        table = _rows(result, "coldstart_breakdown")
         cold = table.success & table.cold_start
         warm = table.success & ~table.cold_start
         n_cold = int(cold.sum())
@@ -175,13 +167,3 @@ class Analyzer:
         if improved.average_latency == 0:
             return 0.0
         return baseline.average_latency / improved.average_latency
-
-    def cost_ratio(self, baseline: RunResult, improved: RunResult) -> float:
-        """Cost ratio baseline / improved (">1" means improved is cheaper)."""
-        if improved.cost == 0:
-            return 0.0
-        return baseline.cost / improved.cost
-
-    def stats(self, result: RunResult) -> LatencyStats:
-        """Latency distribution statistics for successful requests."""
-        return result.latency_stats()

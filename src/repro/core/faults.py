@@ -67,10 +67,6 @@ class OutageWindow:
         """Simulated second the domain comes back."""
         return self.start_s + self.duration_s
 
-    def covers(self, time_s: float) -> bool:
-        """Whether ``time_s`` falls inside the dark window."""
-        return self.start_s <= time_s < self.end_s
-
 
 @dataclass(frozen=True)
 class FaultSpec:
@@ -113,13 +109,6 @@ class FaultSpec:
                 or self.outage is not None
                 or bool(self.storm_times_s)
                 or self.request_error_rate > 0.0)
-
-    @property
-    def kills_instances(self) -> bool:
-        """Whether the spec can take instances down mid-run."""
-        return (self.crash_mtbf_s is not None
-                or self.outage is not None
-                or bool(self.storm_times_s))
 
 
 @dataclass(frozen=True)

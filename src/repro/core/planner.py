@@ -10,8 +10,7 @@ CPU/GPU servers, and so on.
 
 from __future__ import annotations
 
-from itertools import product
-from typing import Dict, Iterable, List, Optional
+from typing import Dict
 
 from repro.cloud.providers import CloudProvider, get_provider
 from repro.models.zoo import ModelSpec, get_model
@@ -56,41 +55,6 @@ class Planner:
         if isinstance(scenario, str):
             scenario = get_scenario(scenario)
         return scenario.deployment(self)
-
-    def plan_matrix(self, providers: Iterable[str], models: Iterable[str],
-                    runtimes: Iterable[str], platforms: Iterable[str],
-                    **config_overrides) -> List[Deployment]:
-        """The cross-product of the given dimensions, skipping unsupported
-        combinations (e.g. OnnxRuntime on managed ML services)."""
-        deployments = []
-        for provider, model, runtime, platform in product(
-                providers, models, runtimes, platforms):
-            try:
-                deployments.append(self.plan(provider, model, runtime,
-                                             platform, **config_overrides))
-            except ValueError:
-                # Unsupported combination (the paper skips these too).
-                continue
-        return deployments
-
-    def plan_paper_systems(self, provider: str, model: str,
-                           runtime: str = "tf1.15") -> Dict[str, Deployment]:
-        """The four systems compared per provider in Figure 5 / Table 1."""
-        systems = {
-            "serverless": self.plan(provider, model, runtime,
-                                    PlatformKind.SERVERLESS),
-            "cpu_server": self.plan(provider, model, runtime,
-                                    PlatformKind.CPU_SERVER),
-            "gpu_server": self.plan(provider, model, runtime,
-                                    PlatformKind.GPU_SERVER),
-        }
-        try:
-            systems["managed_ml"] = self.plan(provider, model, runtime,
-                                              PlatformKind.MANAGED_ML)
-        except ValueError:
-            # The managed service does not support this runtime.
-            pass
-        return systems
 
     # -- internals -----------------------------------------------------------
     def _platform_defaults(self, platform: str) -> Dict[str, object]:

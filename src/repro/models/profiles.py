@@ -2,15 +2,15 @@
 
 :class:`LatencyProfiles` answers questions like "how long does a warm
 MobileNet prediction take on AWS serverless with 4 GB of memory and
-OnnxRuntime?"  It wraps the raw calibration tables, applies the memory
-scaling law (Figure 15), and exposes extension points so experiments can
-register their own models or override individual entries.
+OnnxRuntime?"  It wraps the raw calibration tables and applies the
+memory scaling law (Figure 15); each table is a field, so a caller can
+pass its own entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.models.calibration import (
     COLD_START_STAGES,
@@ -23,7 +23,6 @@ from repro.models.calibration import (
     ColdStartStages,
     PredictCalibration,
 )
-from repro.models.zoo import ModelSpec
 
 __all__ = ["LatencyProfiles"]
 
@@ -54,25 +53,6 @@ class LatencyProfiles:
         default_factory=lambda: dict(SERVER_PREDICT))
     handler_overhead: Dict[str, float] = field(
         default_factory=lambda: dict(HANDLER_OVERHEAD_S))
-
-    # -- registration -------------------------------------------------------
-    def register_cold_start(self, provider: str, runtime: str, model: str,
-                            stages: ColdStartStages) -> None:
-        """Add or override the cold-start stages for one combination."""
-        self.cold_start[(provider, runtime, model)] = stages
-
-    def register_serverless_predict(self, provider: str, runtime: str,
-                                    model: str,
-                                    calibration: PredictCalibration) -> None:
-        """Add or override the warm serverless predict time."""
-        self.serverless_predict[(provider, runtime, model)] = calibration
-
-    def register_server_predict(self, runtime: str, model: str, hardware: str,
-                                calibration: PredictCalibration) -> None:
-        """Add or override the per-request server service time."""
-        if hardware not in ("cpu", "gpu"):
-            raise ValueError("hardware must be 'cpu' or 'gpu'")
-        self.server_predict[(runtime, model, hardware)] = calibration
 
     # -- queries ------------------------------------------------------------
     def cold_start_stages(self, provider: str, runtime: str,
@@ -131,25 +111,3 @@ class LatencyProfiles:
         if platform_family not in self.handler_overhead:
             raise KeyError(f"unknown platform family {platform_family!r}")
         return self.handler_overhead[platform_family]
-
-    def supports(self, provider: str, runtime: str, model: str) -> bool:
-        """Whether a serverless calibration exists for this combination."""
-        return ((provider, runtime, model) in self.cold_start
-                and (provider, runtime, model) in self.serverless_predict)
-
-    # -- derived helpers ----------------------------------------------------
-    def cold_start_total(self, provider: str, runtime: str, model: ModelSpec,
-                         memory_gb: float, download_time_s: float,
-                         sandbox_setup_s: float) -> float:
-        """End-to-end cold-start latency excluding network transfer.
-
-        Combines the calibrated sub-stages with the externally supplied
-        model-download time and the provider's sandbox setup overhead —
-        the quantity the paper reports as "E2E (cs)" in Figure 10.
-        """
-        stages = self.cold_start_stages(provider, runtime, model.name)
-        return (sandbox_setup_s
-                + stages.import_s
-                + download_time_s
-                + self.load_time(provider, runtime, model.name, memory_gb)
-                + self.cold_predict_time(provider, runtime, model.name, memory_gb))

@@ -28,7 +28,7 @@ instead of being handed back to the allocator.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, List, Optional, Union
+from typing import Deque, List, Optional
 
 from repro.sim import Environment, Resource
 from repro.sim.engine import Event
@@ -120,55 +120,38 @@ class WorkQueue:
 class SlotQueue:
     """Slot-model admission queue (server frontend + worker pool).
 
-    Owns the worker :class:`~repro.sim.Resource`; ``capacity`` bounds
-    the *waiting* backlog and may be a callable for endpoints whose
-    backlog grows with the ready fleet (managed ML's per-instance queue
-    capacity).
+    Owns the worker :class:`~repro.sim.Resource`; ``backlog`` bounds
+    the *waiting* requests.  The platform sets both with :meth:`resize`
+    whenever its ready fleet changes (managed ML's backlog grows with
+    the fleet); until then the backlog admits nothing.
     """
 
-    __slots__ = ("env", "workers", "_deadlines", "_capacity",
+    __slots__ = ("env", "workers", "_deadlines", "backlog",
                  "rejected", "timed_out")
 
-    def __init__(self, env: Environment,
-                 capacity: Union[int, Callable[[], float]],
-                 deadline_s: float):
+    def __init__(self, env: Environment, deadline_s: float):
         self.env = env
         self.workers = Resource(env, capacity=1)
         self._deadlines = env.lane(deadline_s)
-        self._capacity = capacity
+        self.backlog = 0
         self.rejected = 0
         self.timed_out = 0
 
     # -- introspection -----------------------------------------------------
-    @property
-    def deadline_s(self) -> float:
-        """The server-side deadline on waiting for a worker slot."""
-        return self._deadlines.delay
-
     @property
     def queue_length(self) -> int:
         """Requests waiting for a worker slot."""
         return self.workers.queue_length
 
     @property
-    def in_flight(self) -> int:
-        """Requests currently holding a worker slot."""
-        return self.workers.count
-
-    @property
     def demand(self) -> float:
         """In-flight plus queued requests (the autoscaler's signal)."""
         return self.workers.count + self.workers.queue_length
 
-    def capacity(self) -> float:
-        """Current backlog capacity (may track the fleet size)."""
-        capacity = self._capacity
-        return capacity() if callable(capacity) else capacity
-
     # -- protocol ----------------------------------------------------------
     def try_admit(self) -> bool:
         """Admit the request, or reject it when the backlog is full."""
-        if self.workers.queue_length >= self.capacity():
+        if self.workers.queue_length >= self.backlog:
             self.rejected += 1
             return False
         return True
@@ -192,6 +175,7 @@ class SlotQueue:
         """Return a granted worker slot."""
         self.workers.release(claim)
 
-    def resize(self, worker_capacity: int) -> None:
-        """Adjust the worker pool (autoscaling changed the fleet)."""
-        self.workers.resize(worker_capacity)
+    def resize(self, workers: int, backlog: int) -> None:
+        """Adjust the worker pool and the backlog (the fleet changed)."""
+        self.workers.resize(workers)
+        self.backlog = backlog

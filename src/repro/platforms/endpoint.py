@@ -19,7 +19,7 @@ queue capacity, error vocabulary, and pricing table.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Union
+from typing import Optional
 
 from repro.cloud.instances import get_instance_type
 from repro.core.faults import REQUEST_FAULT_STREAM, FaultInjector, FaultSpec
@@ -70,8 +70,7 @@ class PooledEndpointPlatform(ServingPlatform):
         deadline_s = self._request_timeout_s()
         if self.config.request_timeout_s is not None:
             deadline_s = min(deadline_s, self.config.request_timeout_s)
-        self.queue = SlotQueue(env, capacity=self._queue_capacity(),
-                               deadline_s=deadline_s)
+        self.queue = SlotQueue(env, deadline_s=deadline_s)
         self._start_time = env.now
         # Fault injection (spec is None with every knob at its default).
         spec = FaultSpec.from_config(self.config)
@@ -128,8 +127,8 @@ class PooledEndpointPlatform(ServingPlatform):
         """Mean per-inference service time for this endpoint."""
         raise NotImplementedError
 
-    def _queue_capacity(self) -> Union[int, Callable[[], float]]:
-        """Connection-backlog capacity (int, or callable for dynamic)."""
+    def _queue_capacity(self, ready: int) -> int:
+        """Connection-backlog capacity with ``ready`` instances serving."""
         raise NotImplementedError
 
     def _request_timeout_s(self) -> float:
@@ -251,8 +250,9 @@ class PooledEndpointPlatform(ServingPlatform):
         self._resize_workers()
 
     def _resize_workers(self) -> None:
-        capacity = max(self.pool.ready, 1) * self._workers_per_instance
-        self.queue.resize(capacity)
+        ready = max(self.pool.ready, 1)
+        self.queue.resize(ready * self._workers_per_instance,
+                          self._queue_capacity(ready))
         self.pool.sync_gauge()
 
     # ------------------------------------------------------------- serving

@@ -49,9 +49,8 @@ class ManagedMlPlatform(PooledEndpointPlatform):
             self.runtime.key, self.model.name, "cpu")
             * self.provider.managed_ml.service_time_multiplier)
 
-    def _queue_capacity(self):
-        per_instance = self.provider.managed_ml.queue_capacity_per_instance
-        return lambda: per_instance * max(self.pool.ready, 1)
+    def _queue_capacity(self, ready: int) -> int:
+        return self.provider.managed_ml.queue_capacity_per_instance * ready
 
     def _request_timeout_s(self) -> float:
         return self.provider.managed_ml.request_timeout_s

@@ -54,7 +54,7 @@ class VmPlatform(PooledEndpointPlatform):
             self.runtime.key, self.model.name,
             "gpu" if self._is_gpu else "cpu")
 
-    def _queue_capacity(self) -> int:
+    def _queue_capacity(self, ready: int) -> int:
         return self.provider.vm.queue_capacity
 
     def _request_timeout_s(self) -> float:

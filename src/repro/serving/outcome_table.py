@@ -365,6 +365,14 @@ class OutcomeTable(TimelineReductions):
         meeting = self.success & (self.latency <= target_s)
         return float(meeting.sum()) / self.count
 
+    def send_bins(self, bin_s: float) -> np.ndarray:
+        """Each row's time bin by send time, ``floor(send_time / bin_s)``:
+        the one binning behind :meth:`success_timeline` and the
+        analyzer's latency timeline."""
+        if bin_s <= 0:
+            raise ValueError("bin_s must be positive")
+        return (self.send_time / bin_s).astype(np.int64)
+
     def success_timeline(self, bin_s: float = 10.0):
         """Per-time-bin request and success counts (by send time).
 
@@ -373,17 +381,11 @@ class OutcomeTable(TimelineReductions):
         arrays.  The shared binning behind :meth:`availability` and
         :meth:`time_to_recover`.
         """
-        if bin_s <= 0:
-            raise ValueError("bin_s must be positive")
-        if self.count == 0:
-            empty = np.zeros(0)
-            return empty, empty.astype(np.int64), empty.astype(np.int64)
-        bins = int(np.floor(self.send_time.max() / bin_s)) + 1
-        index = np.minimum((self.send_time / bin_s).astype(np.int64),
-                           bins - 1)
-        requests = np.bincount(index, minlength=bins)
-        successes = np.bincount(index[self.success], minlength=bins)
-        edges = np.arange(bins) * bin_s
+        index = self.send_bins(bin_s)
+        requests = np.bincount(index)
+        successes = np.bincount(index[self.success],
+                                minlength=len(requests))
+        edges = np.arange(len(requests)) * bin_s
         return edges, requests, successes
 
     # -- mutation (benchmark-internal) ----------------------------------------
@@ -391,9 +393,8 @@ class OutcomeTable(TimelineReductions):
                         error: str = "unfinished") -> int:
         """Mark still-open requests as failed at ``horizon`` (vectorised).
 
-        Returns the number of requests so marked.  Mirrors the per-object
-        ``outcome.finish(max(horizon, send_time), success=False)`` the
-        benchmark used to apply in a Python loop.
+        Returns the number of requests so marked; each completes at
+        ``max(horizon, send_time)``.
         """
         open_mask = np.isnan(self.completion_time)
         n_open = int(open_mask.sum())

@@ -8,10 +8,6 @@ paper positions itself against:
   searches the design space" (challenge #3): given latency/cost
   constraints, sweep platform, runtime, memory, and batching choices and
   recommend a deployment.
-* :mod:`repro.tools.memory_tuner` — an AWS Lambda power-tuning analogue
-  that finds the cheapest memory size meeting a latency target.
-* :mod:`repro.tools.adaptive_batching` — a BATCH-style policy that picks
-  the largest batch size whose latency penalty stays within an SLO.
 * :mod:`repro.tools.hybrid` — a MArk-style planner that sizes an
   always-on server fleet for the base load and uses serverless for the
   overflow, comparing the blended cost against pure strategies.
@@ -21,20 +17,20 @@ paper positions itself against:
 * :mod:`repro.tools.search` — budgeted successive-halving search over
   the navigator's candidate space: cheap short-horizon rungs eliminate
   most designs before anything runs at full length.
+
+The paper's memory-size and batch-size advice (Sections 5.3 and 5.5)
+needs no tool of its own: the registered ``fig15`` and ``fig17`` studies
+sweep those knobs, and the navigator searches both.
 """
 
-from repro.tools.adaptive_batching import AdaptiveBatchingPolicy, BatchDecision
 from repro.tools.cost_estimator import (CostEstimator, DecomposedCostEstimate,
                                         ServerlessCostEstimate)
 from repro.tools.hybrid import HybridPlan, HybridPlanner
-from repro.tools.memory_tuner import MemoryTuner, MemoryTuningResult
 from repro.tools.navigator import DesignSpaceNavigator, NavigationConstraints, NavigationResult
 from repro.tools.search import (HalvingResult, HalvingRung, SearchStudy,
                                 SuccessiveHalvingSearch)
 
 __all__ = [
-    "AdaptiveBatchingPolicy",
-    "BatchDecision",
     "CostEstimator",
     "DecomposedCostEstimate",
     "DesignSpaceNavigator",
@@ -42,8 +38,6 @@ __all__ = [
     "HalvingRung",
     "HybridPlan",
     "HybridPlanner",
-    "MemoryTuner",
-    "MemoryTuningResult",
     "NavigationConstraints",
     "NavigationResult",
     "SearchStudy",

@@ -13,13 +13,12 @@ paper's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from repro.workload.mmpp import MMPP, MMPPState
-from repro.workload.requests import RequestPool
 from repro.workload.splitter import split_trace
 from repro.workload.traces import ArrivalTrace
 
@@ -77,31 +76,6 @@ class WorkloadSpec:
         for start, end in self.burst_windows:
             if not 0 <= start < end <= self.duration_s:
                 raise ValueError(f"invalid burst window ({start}, {end})")
-
-    def scaled(self, fraction: float) -> "WorkloadSpec":
-        """A spec with proportionally lower request *rates*.
-
-        This thins the workload: the burst structure is kept but both the
-        low and high rates shrink, so queueing behaviour changes.  Use
-        :meth:`compressed` when the rate-dependent effects (overload,
-        autoscaling) must be preserved.
-        """
-        if not 0.0 < fraction <= 1.0:
-            raise ValueError("fraction must be in (0, 1]")
-        return WorkloadSpec(
-            name=self.name,
-            high_rate=self.high_rate * fraction,
-            low_rate=self.low_rate * fraction,
-            target_requests=max(1, int(round(self.target_requests * fraction))),
-            duration_s=self.duration_s,
-            burst_windows=self.burst_windows,
-            burst_high_dwell_s=self.burst_high_dwell_s,
-            burst_low_dwell_s=self.burst_low_dwell_s,
-            num_clients=self.num_clients,
-            request_pool_size=self.request_pool_size,
-            streamed=self.streamed,
-            family=self.family,
-        )
 
     def compressed(self, fraction: float) -> "WorkloadSpec":
         """A spec with the same rates over a proportionally shorter run.

@@ -70,7 +70,3 @@ class RequestPool:
     def pick(self, rng: RandomStreams, stream: str = "request-pick") -> RequestTemplate:
         """Pick one template uniformly at random (as the paper's clients do)."""
         return self._templates[rng.choice(stream, len(self._templates))]
-
-    def mean_payload_mb(self) -> float:
-        """Average payload size over the pool."""
-        return sum(t.payload_mb for t in self._templates) / len(self._templates)

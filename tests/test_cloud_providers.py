@@ -48,10 +48,9 @@ class TestProviders:
         assert base.serverless.keep_alive_s != 30.0
         assert modified.name == base.name
 
-    def test_with_managed_and_vm_copies(self):
+    def test_with_managed_ml_copies(self):
         base = gcp()
         assert base.with_managed_ml(max_instances=2).managed_ml.max_instances == 2
-        assert base.with_vm(queue_capacity=5).vm.queue_capacity == 5
 
 
 class TestInstanceCatalog:
@@ -61,9 +60,9 @@ class TestInstanceCatalog:
                      "n1-standard-8", "n1-standard-8-t4"):
             assert name in catalog
 
-    def test_gpu_flags(self):
-        assert get_instance_type("g4dn.2xlarge").has_gpu
-        assert not get_instance_type("m5.2xlarge").has_gpu
+    def test_gpu_counts(self):
+        assert get_instance_type("g4dn.2xlarge").gpus > 0
+        assert get_instance_type("m5.2xlarge").gpus == 0
 
     def test_unknown_instance(self):
         with pytest.raises(KeyError):

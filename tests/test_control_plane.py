@@ -361,20 +361,33 @@ class TestWorkQueue:
 
 class TestSlotQueue:
     def test_rejects_when_backlog_full(self, env):
-        queue = SlotQueue(env, capacity=0, deadline_s=10.0)
+        queue = SlotQueue(env, deadline_s=10.0)
+        queue.resize(1, 0)
         assert not queue.try_admit()
         assert queue.rejected == 1
 
-    def test_dynamic_capacity_callable(self, env):
-        fleet = {"ready": 1}
-        queue = SlotQueue(env, capacity=lambda: 2 * fleet["ready"],
-                          deadline_s=10.0)
-        assert queue.capacity() == 2
-        fleet["ready"] = 3
-        assert queue.capacity() == 6
+    def test_managed_backlog_follows_the_ready_fleet(self, env):
+        from repro.platforms.base import build_platform
+        platform = build_platform(env, Planner().plan(
+            "aws", "mobilenet", "tf1.15", "managed_ml"))
+        per_instance = platform.provider.managed_ml.queue_capacity_per_instance
+        # Bring up the initial fleet by hand (platform.start() would also
+        # register the never-ending autoscaler process).
+        platform.pool.launch(warm=True)
+        platform._resize_workers()
+        assert platform.queue.backlog == per_instance
+        platform._launch_instances(2)
+        # Warming instances serve nothing, so they add no backlog.
+        assert platform.queue.backlog == per_instance
+        env.run()
+        assert platform.pool.ready == 3
+        assert platform.queue.backlog == 3 * per_instance
+        platform._retire_instances(1)
+        assert platform.queue.backlog == 2 * per_instance
 
     def test_acquire_grants_and_times_out(self, env):
-        queue = SlotQueue(env, capacity=10, deadline_s=5.0)
+        queue = SlotQueue(env, deadline_s=5.0)
+        queue.resize(1, 10)
         log = []
 
         def holder():

@@ -56,7 +56,9 @@ class TestLatencyProfiles:
         for provider in ("aws", "gcp"):
             for runtime in ("tf1.15", "ort1.4"):
                 for model in ("mobilenet", "albert", "vgg"):
-                    assert profiles.supports(provider, runtime, model)
+                    profiles.cold_start_stages(provider, runtime, model)
+                    profiles.serverless_predict_calibration(
+                        provider, runtime, model)
 
     def test_cold_start_e2e_matches_paper(self, profiles):
         """The calibrated stages must add up to the paper's Figure 10."""
@@ -71,11 +73,14 @@ class TestLatencyProfiles:
         for provider_name, model_name, expected in cases:
             provider = get_provider(provider_name)
             model = get_model(model_name)
-            download = provider.storage.download_time(model.download_mb)
-            total = profiles.cold_start_total(
-                provider_name, "tf1.15", model, memory_gb=2.0,
-                download_time_s=download,
-                sandbox_setup_s=provider.serverless.sandbox_setup_s)
+            total = (provider.serverless.sandbox_setup_s
+                     + profiles.import_time(provider_name, "tf1.15",
+                                            model_name)
+                     + provider.storage.download_time(model.download_mb)
+                     + profiles.load_time(provider_name, "tf1.15",
+                                          model_name, 2.0)
+                     + profiles.cold_predict_time(provider_name, "tf1.15",
+                                                  model_name, 2.0))
             assert total == pytest.approx(expected, rel=0.08)
 
     def test_ort_cold_start_much_faster(self, profiles):
@@ -110,19 +115,6 @@ class TestLatencyProfiles:
             profiles.server_predict_time("tf1.15", "mobilenet", "tpu")
         with pytest.raises(KeyError):
             profiles.handler_overhead_s("mainframe")
-
-    def test_register_overrides(self, profiles):
-        profiles.register_serverless_predict(
-            "aws", "tf1.15", "custom", PredictCalibration(0.5, 0.1))
-        profiles.register_cold_start("aws", "tf1.15", "custom",
-                                     ColdStartStages(1.0, 1.0, 1.0))
-        assert profiles.supports("aws", "tf1.15", "custom")
-        profiles.register_server_predict("tf1.15", "custom", "cpu",
-                                         PredictCalibration(0.9))
-        assert profiles.server_predict_time("tf1.15", "custom", "cpu") == 0.9
-        with pytest.raises(ValueError):
-            profiles.register_server_predict("tf1.15", "custom", "tpu",
-                                             PredictCalibration(0.9))
 
 
 class TestRuntimes:

@@ -17,11 +17,9 @@ from repro.core.scenario import (
     register_scenario,
 )
 from repro.experiments.base import ExperimentContext
-from repro.models import LatencyProfiles
 from repro.platforms.base import build_platform
 from repro.serving.deployment import PlatformKind
 from repro.sim import Environment
-from repro.tools.cost_estimator import CostEstimator
 from repro.tools.hybrid import HybridPlanner
 from repro.workload.generator import (
     WorkloadSpec,
@@ -260,27 +258,6 @@ class TestToolsIntegration:
                    for candidate in candidates)
         kinds = {candidate["platform"] for candidate in candidates}
         assert PlatformKind.CPU_SERVER in kinds
-
-    def test_cost_estimator_prices_a_scenario(self):
-        spec = get_scenario("provisioned-serverless")
-        estimator = CostEstimator.for_scenario(spec,
-                                               profiles=LatencyProfiles())
-        estimate = estimator.estimate_scenario(spec)
-        assert estimate.requests == spec.workload_spec().target_requests
-        assert estimate.total > 0
-
-    def test_cost_estimator_rejects_mismatched_provider(self):
-        spec = get_scenario("provisioned-serverless")
-        from repro.cloud import gcp
-        estimator = CostEstimator(provider=gcp(), profiles=LatencyProfiles())
-        with pytest.raises(ValueError):
-            estimator.estimate_scenario(spec)
-
-    def test_cost_estimator_rejects_server_scenarios(self):
-        spec = get_scenario("burst-storm-managed")
-        estimator = CostEstimator.for_scenario(spec)
-        with pytest.raises(ValueError):
-            estimator.estimate_scenario(spec)
 
     def test_hybrid_planner_from_scenario(self):
         spec = get_scenario("burst-storm")

@@ -214,6 +214,20 @@ class TestStreamingReductions:
         with pytest.raises(ValueError):
             streamed.table.success_timeline(1.5)
 
+    def test_row_reductions_reject_a_streamed_result(self, pair):
+        from repro.core.analyzer import Analyzer
+        from repro.experiments.base import breakdown_metrics
+        _full, streamed = pair
+        analyzer = Analyzer()
+        for reduction, name in ((analyzer.latency_timeline,
+                                 "latency_timeline"),
+                                (analyzer.coldstart_breakdown,
+                                 "coldstart_breakdown"),
+                                (breakdown_metrics, "coldstart_breakdown")):
+            with pytest.raises(ValueError,
+                               match=f"{name} .*only an OutcomeSummary"):
+                reduction(streamed)
+
     def test_mid_run_sealing_bounds_residency(self):
         rows = 128 * 36
         recorder = ChunkedOutcomeRecorder(chunk_rows=128, seal_lag_s=20.0)

@@ -68,7 +68,7 @@ class TestSweepExpansion:
         assert labels == [("tf1.15", 2.0), ("tf1.15", 4.0),
                           ("ort1.4", 2.0), ("ort1.4", 4.0)]
         assert len(sweep) == 4
-        assert sweep.axis_names == ("runtime", "memory_gb")
+        assert tuple(sweep.cells()[0].labels) == ("runtime", "memory_gb")
 
     def test_spec_axes_set_fields_config_axes_set_overrides(self):
         sweep = Sweep(name="s", base=_base(),
@@ -90,7 +90,7 @@ class TestSweepExpansion:
         assert (cells[0].spec.provider, cells[0].spec.model) == ("aws", "vgg")
         assert (cells[1].spec.provider, cells[1].spec.model) == ("gcp",
                                                                  "albert")
-        assert sweep.axis_names == ("provider", "model", "workload")
+        assert tuple(cells[0].labels) == ("provider", "model", "workload")
 
     def test_zipped_axis_arity_checked(self):
         with pytest.raises(ValueError, match="2-tuples"):
@@ -101,7 +101,7 @@ class TestSweepExpansion:
         sweep = Sweep(name="s", base=_base(), axes={"batch_size": (1, 2)},
                       constants={"panel": "12c"})
         assert all(c.labels["panel"] == "12c" for c in sweep.cells())
-        assert sweep.axis_names[0] == "panel"
+        assert next(iter(sweep.cells()[0].labels)) == "panel"
 
     def test_unknown_axis_rejected(self):
         with pytest.raises(ValueError, match="unknown sweep axis"):
@@ -517,7 +517,7 @@ class TestSweepReplication:
                       axes={"runtime": ("tf1.15", "ort1.4")}, replicates=3)
         cells = sweep.cells(base_seed=11)
         assert len(sweep) == len(cells) == 6
-        assert sweep.axis_names == ("runtime", "replicate", "seed")
+        assert tuple(cells[0].labels) == ("runtime", "replicate", "seed")
         assert [c.labels["replicate"] for c in cells] == [0, 1, 2, 0, 1, 2]
         assert [c.labels["seed"] for c in cells] == [11, 12, 13, 11, 12, 13]
         assert [c.spec.seed for c in cells] == [11, 12, 13, 11, 12, 13]
@@ -541,7 +541,7 @@ class TestSweepReplication:
         assert [c.spec.seed for c in cells] == [3, 5, 8]
         # The seed is a replication knob, never a ServiceConfig override.
         assert all(c.spec.overrides == {} for c in cells)
-        assert sweep.axis_names == ("seed",)
+        assert tuple(cells[0].labels) == ("seed",)
 
     def test_seed_axis_conflicts_with_replicates(self):
         with pytest.raises(ValueError, match="replication style"):
@@ -697,7 +697,7 @@ class TestSweepSampling:
 
 
 # ---------------------------------------------------------------------------
-# Grouped reductions: group_by / replicate_summary / concat
+# Grouped reductions: group_by / replicate_summary
 # ---------------------------------------------------------------------------
 
 class TestGroupedReductions:
@@ -760,32 +760,6 @@ class TestGroupedReductions:
     def test_replicate_summary_is_identity_without_replicates(self):
         frame = ResultFrame.from_rows([{"cell": "a", "x": 1.0}])
         assert frame.replicate_summary() is frame
-
-    def test_concat_unions_columns_and_labels(self):
-        left = ResultFrame.from_rows([{"a": 1, "x": 1.0}], name="l",
-                                     meta={"labels": ["a"]})
-        right = ResultFrame.from_rows([{"a": 2, "y": 3.0}], name="r",
-                                      meta={"labels": ["a"]})
-        both = ResultFrame.concat([left, right])
-        assert both.columns == ["a", "x", "y"]
-        assert len(both) == 2
-        assert both.row(0)["y"] is None and both.row(1)["x"] is None
-        assert both.meta["labels"] == ["a"]
-        assert both.name == "l+r"
-
-    def test_concat_of_replicated_frames_still_summarises(self):
-        rows = [{"cell": "a", "replicate": r, "seed": 7 + r, "x": float(r)}
-                for r in range(2)]
-        meta = {"labels": ["cell", "replicate", "seed"]}
-        one = ResultFrame.from_rows(rows, meta=meta)
-        rows_b = [dict(row, cell="b") for row in rows]
-        two = ResultFrame.from_rows(rows_b, meta=meta)
-        summary = ResultFrame.concat([one, two]).replicate_summary()
-        assert list(summary["cell"]) == ["a", "b"]
-        assert list(summary["replicates"]) == [2, 2]
-
-    def test_concat_empty_input(self):
-        assert len(ResultFrame.concat([])) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Tests for the extension tools (navigator, tuner, batching, hybrid, cost)."""
+"""Tests for the extension tools (navigator, hybrid, cost, search)."""
 
 import pytest
 
@@ -6,12 +6,10 @@ from repro.cloud import aws, gcp
 from repro.models import LatencyProfiles, get_model
 from repro.runtimes import get_runtime
 from repro.tools import (
-    AdaptiveBatchingPolicy,
     CostEstimator,
     DecomposedCostEstimate,
     DesignSpaceNavigator,
     HybridPlanner,
-    MemoryTuner,
     NavigationConstraints,
 )
 from repro.workload.generator import standard_workload
@@ -97,78 +95,6 @@ class TestHybridPlanner:
             HybridPlanner(provider=aws(), model=get_model("vgg"),
                           runtime=get_runtime("tf1.15"),
                           base_load_percentile=0.0)
-
-
-class TestAdaptiveBatching:
-    def test_latency_grows_with_batch(self):
-        policy = AdaptiveBatchingPolicy(provider="aws", model="mobilenet",
-                                        runtime="ort1.4", latency_slo_s=1.0)
-        assert (policy.expected_latency(8, 40.0)
-                > policy.expected_latency(1, 40.0))
-
-    def test_decision_respects_slo(self):
-        policy = AdaptiveBatchingPolicy(provider="aws", model="vgg",
-                                        runtime="tf1.15", latency_slo_s=2.0)
-        decision = policy.decide(100.0)
-        assert decision.expected_latency_s <= 2.0 or decision.batch_size == 1
-
-    def test_higher_rate_allows_bigger_batches(self):
-        policy = AdaptiveBatchingPolicy(provider="aws", model="mobilenet",
-                                        runtime="ort1.4", latency_slo_s=0.5)
-        slow = policy.decide(2.0).batch_size
-        fast = policy.decide(200.0).batch_size
-        assert fast >= slow
-
-    def test_decision_schedule(self):
-        policy = AdaptiveBatchingPolicy(provider="aws", model="mobilenet",
-                                        runtime="ort1.4", latency_slo_s=0.5)
-        schedule = policy.decision_schedule([5.0, 50.0, 150.0])
-        assert len(schedule) == 3
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            AdaptiveBatchingPolicy(provider="aws", model="vgg",
-                                   runtime="tf1.15", latency_slo_s=0.0)
-        policy = AdaptiveBatchingPolicy(provider="aws", model="vgg",
-                                        runtime="tf1.15", latency_slo_s=1.0)
-        with pytest.raises(ValueError):
-            policy.expected_latency(0, 10.0)
-        with pytest.raises(ValueError):
-            policy.expected_latency(1, 0.0)
-
-    def test_evaluate_on_simulator(self):
-        policy = AdaptiveBatchingPolicy(provider="aws", model="mobilenet",
-                                        runtime="ort1.4", latency_slo_s=1.0)
-        workload = standard_workload("w-40", seed=4, scale=0.05)
-        outcome = policy.evaluate(workload)
-        assert outcome["batch_size"] >= 1
-        assert outcome["cost_usd"] > 0
-
-
-class TestMemoryTuner:
-    def test_tuning_prefers_larger_memory_for_vgg_latency_target(self):
-        tuner = MemoryTuner()
-        workload = standard_workload("w-40", seed=4, scale=0.05)
-        outcome = tuner.tune("aws", "vgg", "tf1.15", workload,
-                             candidates_gb=(2.0, 8.0),
-                             latency_target_s=1.0)
-        assert outcome.rows[0]["memory_gb"] == 2.0
-        if outcome.met_target:
-            assert outcome.best_memory_gb == 8.0
-
-    def test_without_target_picks_balanced_option(self):
-        tuner = MemoryTuner()
-        workload = standard_workload("w-40", seed=4, scale=0.05)
-        outcome = tuner.tune("aws", "mobilenet", "ort1.4", workload,
-                             candidates_gb=(2.0, 4.0))
-        assert outcome.best_memory_gb in (2.0, 4.0)
-        assert len(outcome.rows) == 2
-
-    def test_empty_candidates_rejected(self):
-        tuner = MemoryTuner()
-        workload = standard_workload("w-40", seed=4, scale=0.05)
-        with pytest.raises(ValueError):
-            tuner.tune("aws", "vgg", "tf1.15", workload, candidates_gb=())
 
 
 class TestNavigator:
@@ -265,68 +191,13 @@ class TestDecomposedEstimator:
         hedged = ServiceConfig(hedge_percentile=99.0)
         assert CostEstimator.fanout_multiplier(hedged) == pytest.approx(1.01)
 
-    def test_estimate_scenario_decomposed_resolves_references(self,
-                                                              estimator):
-        estimate = estimator.estimate_scenario_decomposed(self._scenario())
+    def test_analytic_objective_resolves_references(self, estimator):
+        from repro.tools.search import analytic_objective
+        spec = self._scenario(memory_gb=4.0)
         direct = estimator.serverless_decomposed(
             get_model("mobilenet"), get_runtime("tf1.15"),
-            self._scenario().workload_spec().target_requests)
-        assert estimate.total == pytest.approx(direct.total)
-        with pytest.raises(ValueError, match="provider"):
-            estimator.estimate_scenario_decomposed(
-                self._scenario(provider="gcp"))
-
-    def _annotated_frame(self, specs):
-        from repro.core.study import ResultFrame
-        rows = [{**spec.as_row(), "cost_usd": 1.0} for spec in specs]
-        frame = ResultFrame.from_rows(rows, name="dec", specs=specs)
-        return CostEstimator.annotate_frame(frame)
-
-    def test_annotate_frame_decomposed_columns(self, estimator):
-        specs = [self._scenario(name=f"dec/{memory}", memory_gb=memory)
-                 for memory in (2.0, 4.0, 8.0)]
-        frame = self._annotated_frame(specs)
-        for name in ("est_cost_usd", "est_transfer_usd", "est_memory_usd",
-                     "est_fanout", "est_carbon_kg"):
-            assert name in frame.columns, name
-        for row, spec in zip(frame.to_rows(), specs):
-            estimate = estimator.estimate_scenario_decomposed(spec)
-            assert row["est_cost_usd"] == pytest.approx(estimate.total)
-            assert row["est_transfer_usd"] == pytest.approx(
-                estimate.transfer_cost)
-            assert row["est_memory_usd"] == pytest.approx(
-                estimate.memory_cost)
-            assert row["est_fanout"] == pytest.approx(estimate.fanout)
-            assert row["est_carbon_kg"] == pytest.approx(estimate.carbon_kg)
-            # Explicit components never exceed the blended total.
-            assert (row["est_transfer_usd"] + row["est_memory_usd"]
-                    < row["est_cost_usd"])
-
-    def test_annotate_frame_ranking_stable_across_equivalent_frames(self):
-        specs = [self._scenario(name=f"dec/{memory}", memory_gb=memory)
-                 for memory in (2.0, 4.0, 8.0)]
-        forward = self._annotated_frame(specs)
-        backward = self._annotated_frame(list(reversed(specs)))
-
-        def ranking(frame):
-            return [row["scenario"] for row in sorted(
-                frame.to_rows(),
-                key=lambda row: (row["est_cost_usd"], row["scenario"]))]
-
-        assert ranking(forward) == ranking(backward)
-
-    def test_annotate_frame_server_rows_are_none(self):
-        from repro.core.scenario import ScenarioSpec
-        specs = [self._scenario(),
-                 ScenarioSpec(name="dec/server", provider="aws",
-                              model="mobilenet", workload="w-40",
-                              platform="cpu_server")]
-        frame = self._annotated_frame(specs)
-        rows = frame.to_rows()
-        assert rows[0]["est_cost_usd"] is not None
-        for name in ("est_cost_usd", "est_transfer_usd", "est_memory_usd",
-                     "est_fanout", "est_carbon_kg"):
-            assert rows[1][name] is None, name
+            spec.workload_spec().target_requests, memory_gb=4.0)
+        assert analytic_objective(spec) == pytest.approx(direct.total)
 
 
 class TestNavigatorEmptyPrefilter:

@@ -1,5 +1,6 @@
 """Tests for the request pool."""
 
+import numpy as np
 import pytest
 
 from repro.sim import RandomStreams
@@ -21,7 +22,7 @@ class TestRequestPool:
 
     def test_payloads_jittered_around_sample_size(self):
         pool = RequestPool(sample_payload_mb=0.15, pool_size=200, seed=1)
-        mean = pool.mean_payload_mb()
+        mean = np.mean([t.payload_mb for t in pool.templates])
         assert mean == pytest.approx(0.15, rel=0.1)
         sizes = {t.payload_mb for t in pool.templates}
         assert len(sizes) > 100
@@ -31,8 +32,9 @@ class TestRequestPool:
                              payload_jitter=0.0, seed=1)
         batched = RequestPool(sample_payload_mb=0.1, pool_size=50,
                               samples_per_request=4, payload_jitter=0.0, seed=1)
-        assert batched.mean_payload_mb() == pytest.approx(
-            4 * single.mean_payload_mb())
+        batched_mean = np.mean([t.payload_mb for t in batched.templates])
+        single_mean = np.mean([t.payload_mb for t in single.templates])
+        assert batched_mean == pytest.approx(4 * single_mean)
 
     def test_pick_is_uniform_ish(self):
         pool = RequestPool(sample_payload_mb=0.1, pool_size=10, seed=2)
