@@ -1,9 +1,8 @@
-"""Ablation: hybrid provisioning (MArk-style).
+"""Ablation: hybrid provisioning (MArk-style) and adaptive batching.
 
-A strategy the paper positions as an alternative: a hybrid of always-on
-servers plus serverless overflow, quantified on the simulated cloud.
-The paper's batching finding is the registered ``fig17`` study
-(``bench_fig17_batch_size.py``).
+Two strategies the paper positions as alternatives or future work:
+a hybrid of always-on servers plus serverless overflow, and an adaptive
+batching policy.  These benchmarks quantify both on the simulated cloud.
 """
 
 from conftest import run_once
@@ -11,7 +10,7 @@ from conftest import run_once
 from repro.cloud import get_provider
 from repro.models import LatencyProfiles, get_model
 from repro.runtimes import get_runtime
-from repro.tools import HybridPlanner
+from repro.tools import AdaptiveBatchingPolicy, HybridPlanner
 
 
 def _hybrid(context):
@@ -34,3 +33,28 @@ def test_ablation_hybrid_provisioning(benchmark, context):
           f"overflow requests -> ${plan.hybrid_cost:.4f} "
           f"(pure serverless ${plan.pure_serverless_cost:.4f}, "
           f"pure servers ${plan.pure_server_cost:.4f})")
+
+
+def _batching(context):
+    policy = AdaptiveBatchingPolicy(provider="aws", model="vgg",
+                                    runtime="ort1.4", latency_slo_s=4.0)
+    workload = context.workload("w-120")
+    adaptive = policy.evaluate(workload)
+    fixed = policy.evaluate(workload, batch_size=1)
+    return adaptive, fixed
+
+
+def test_ablation_adaptive_batching(benchmark, context):
+    adaptive, fixed = run_once(benchmark, _batching, context)
+    # The adaptive policy picks a batch size and never costs meaningfully
+    # more than the unbatched baseline; at full scale it also meets the
+    # SLO it was configured with.
+    assert adaptive["batch_size"] >= 1
+    assert adaptive["cost_usd"] <= fixed["cost_usd"] * 1.10
+    if context.scale >= 0.5:
+        assert adaptive["met_slo"]
+    print()
+    print(f"adaptive batch={adaptive['batch_size']}: "
+          f"{adaptive['avg_latency_s']:.2f}s, ${adaptive['cost_usd']:.4f}")
+    print(f"no batching            : {fixed['avg_latency_s']:.2f}s, "
+          f"${fixed['cost_usd']:.4f}")

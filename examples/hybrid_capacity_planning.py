@@ -1,12 +1,15 @@
-"""Hybrid provisioning for a cost-sensitive service.
+"""Hybrid provisioning and adaptive batching for a cost-sensitive service.
 
-One of the strategies the paper discusses for making serving cheaper is
-the MArk-style hybrid (Section 2.3 / related work): always-on servers
-for the base load, serverless for the overflow.  This example plans it
-for the VGG model under the heavy w-200 workload and compares its
-estimated cost against pure serverless and pure servers.  (Batching as
-far as the latency SLO allows, Section 5.5, is the registered ``fig17``
-study: ``repro-experiments sweep fig17``.)
+Two of the strategies the paper discusses for making serving cheaper:
+
+* the MArk-style hybrid (Section 2.3 / related work): always-on servers
+  for the base load, serverless for the overflow;
+* adaptive batching (Section 5.5): batch requests as aggressively as the
+  latency SLO allows.
+
+This example plans both for the VGG model under the heavy w-200
+workload and compares their estimated/measured costs against pure
+serverless.
 
 Run with::
 
@@ -15,11 +18,12 @@ Run with::
 
 from repro import get_model, get_provider, get_runtime, standard_workload
 from repro.models import LatencyProfiles
-from repro.tools import HybridPlanner
+from repro.tools import AdaptiveBatchingPolicy, HybridPlanner
 
 MODEL = "vgg"
 WORKLOAD = "w-200"
 SCALE = 0.1
+LATENCY_SLO_S = 4.0
 
 
 def plan_hybrid() -> None:
@@ -45,8 +49,27 @@ def plan_hybrid() -> None:
     print(f"  cheapest strategy     : {plan.best_strategy()}")
 
 
+def plan_batching() -> None:
+    policy = AdaptiveBatchingPolicy(
+        provider="aws", model=MODEL, runtime="ort1.4",
+        latency_slo_s=LATENCY_SLO_S)
+    workload = standard_workload(WORKLOAD, scale=SCALE)
+    decision = policy.decide(workload.trace.mean_rate)
+    print(f"\nAdaptive batching under a {LATENCY_SLO_S}s SLO:")
+    print(f"  observed mean rate : {workload.trace.mean_rate:.1f} req/s")
+    print(f"  chosen batch size  : {decision.batch_size} "
+          f"(expected latency {decision.expected_latency_s:.2f}s)")
+    measured = policy.evaluate(workload, batch_size=decision.batch_size)
+    baseline = policy.evaluate(workload, batch_size=1)
+    print(f"  measured (batched) : {measured['avg_latency_s']:.2f}s, "
+          f"${measured['cost_usd']:.4f}")
+    print(f"  measured (no batch): {baseline['avg_latency_s']:.2f}s, "
+          f"${baseline['cost_usd']:.4f}")
+
+
 def main() -> None:
     plan_hybrid()
+    plan_batching()
 
 
 if __name__ == "__main__":

@@ -7,7 +7,8 @@ into the numbers the paper reports:
   request success ratio, and cost (Figure 5 / Table 1);
 * latency and success-ratio time-series (Figures 6, 8, 9);
 * cold-start / warm-up sub-stage breakdowns (Figures 10 and 14);
-* instance-count time-series (Figures 7 and 11).
+* instance-count time-series (Figures 7 and 11);
+* comparison tables across systems.
 
 The timeline and breakdown read per-request rows, so they raise
 ``ValueError`` on a streamed (trace-scale) result.
@@ -16,7 +17,7 @@ The timeline and breakdown read per-request rows, so they raise
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
@@ -92,6 +93,12 @@ class Analyzer:
             "cold_start_ratio": round(result.cold_start_ratio, 4),
         })
         return row
+
+    def comparison_table(self, results: Iterable[RunResult]) -> List[Dict[str, object]]:
+        """Summaries of several runs, sorted for stable presentation."""
+        rows = [self.summarize(result) for result in results]
+        return sorted(rows, key=lambda row: (row["provider"], row["model"],
+                                             row["workload"], row["platform"]))
 
     # -- timelines ------------------------------------------------------------
     def latency_timeline(self, result: RunResult,

@@ -877,8 +877,8 @@ class ResultFrame:
 
         Raises:
             ValueError: if the frame carries no label metadata (frames
-                built by ``Study.run`` / ``from_results`` always do);
-                guessing group keys would silently produce
+                built by ``Study.run`` / ``from_results`` / ``concat``
+                always do); guessing group keys would silently produce
                 per-row "statistics", so use :meth:`group_by` with
                 explicit keys instead.
         """
@@ -897,6 +897,48 @@ class ResultFrame:
             raise ValueError("cannot summarise: every label column is a "
                              "replication column")
         return self.group_by(*keys)
+
+    @classmethod
+    def concat(cls, frames: Sequence["ResultFrame"],
+               name: str = "") -> "ResultFrame":
+        """Stack several frames into one (cross-study concatenation).
+
+        Columns are the first-seen union across the frames; rows missing
+        a column get ``None``.  Named series are merged (later frames
+        win on name collisions) and specs are carried only when every
+        frame has them.  Label metadata merges in first-seen order, so
+        ``replicate_summary`` still works on a concatenated frame.
+        """
+        frames = list(frames)
+        if not frames:
+            return cls({}, name=name)
+        names: List[str] = []
+        labels: List[str] = []
+        for frame in frames:
+            for column in frame.columns:
+                if column not in names:
+                    names.append(column)
+            for label in frame.meta.get("labels", ()):
+                if label not in labels:
+                    labels.append(label)
+        columns: Dict[str, List[object]] = {key: [] for key in names}
+        for frame in frames:
+            for key in names:
+                if key in frame:
+                    columns[key].extend(frame.column(key))
+                else:
+                    columns[key].extend([None] * len(frame))
+        series: Dict[str, List[Dict[str, object]]] = {}
+        for frame in frames:
+            series.update(frame.series)
+        specs = None
+        if all(frame.specs is not None for frame in frames):
+            specs = [spec for frame in frames for spec in frame.specs]
+        meta: Dict[str, object] = {"labels": labels} if labels else {}
+        return cls(columns, series=series,
+                   name=name or "+".join(dict.fromkeys(
+                       frame.name for frame in frames if frame.name)),
+                   specs=specs, meta=meta)
 
     # -- presentation ------------------------------------------------------
     def to_rows(self, columns: Optional[Sequence[str]] = None,

@@ -87,6 +87,20 @@ class RequestOutcome:
             return None
         return self.completion_time - self.send_time
 
+    def add_stage(self, stage: str, seconds: float) -> None:
+        """Accumulate ``seconds`` into the given breakdown stage."""
+        if seconds < 0:
+            raise ValueError("stage durations must be non-negative")
+        self.breakdown[stage] = self.breakdown.get(stage, 0.0) + seconds
+
+    def finish(self, time: float, success: bool, error: str = "") -> None:
+        """Mark the request as completed at ``time``."""
+        if time < self.send_time:
+            raise ValueError("completion cannot precede the send time")
+        self.completion_time = time
+        self.success = success
+        self.error = error
+
     def stage(self, name: str) -> float:
         """Seconds spent in one breakdown stage (0 if absent)."""
         return self.breakdown.get(name, 0.0)

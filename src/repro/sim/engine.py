@@ -738,6 +738,18 @@ class Environment:
         heapify(queue)
         self._tombstones = 0
 
+    def peek(self) -> float:
+        """Time of the next scheduled event, or ``inf`` if the calendar is empty."""
+        queue = self._queue
+        while queue:
+            entry = queue[0]
+            if len(entry) == 4 and entry[3]._cancelled:
+                heappop(queue)
+                entry[3]._skip()
+                continue
+            return entry[0]
+        return float("inf")
+
     def step(self) -> None:
         """Process exactly one event from the calendar (skipping tombstones)."""
         queue = self._queue

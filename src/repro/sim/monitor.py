@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import List, Sequence
+from typing import Dict, List, Sequence
 
-__all__ = ["TimeSeriesMonitor", "GaugeMonitor"]
+__all__ = ["TimeSeriesMonitor", "CounterMonitor", "GaugeMonitor"]
 
 
 @dataclass
@@ -47,6 +47,23 @@ class TimeSeriesMonitor:
     def max(self) -> float:
         """Maximum observed value (0 for an empty series)."""
         return max(self.values) if self.values else 0.0
+
+
+@dataclass
+class CounterMonitor:
+    """A set of named monotonically increasing counters."""
+
+    counts: Dict[str, float] = field(default_factory=dict)
+
+    def increment(self, key: str, amount: float = 1.0) -> None:
+        """Add ``amount`` to counter ``key`` (creating it at 0)."""
+        if amount < 0:
+            raise ValueError("counters only increase; use a gauge instead")
+        self.counts[key] = self.counts.get(key, 0.0) + amount
+
+    def get(self, key: str) -> float:
+        """Current value of counter ``key`` (0 if never incremented)."""
+        return self.counts.get(key, 0.0)
 
 
 class GaugeMonitor:

@@ -332,6 +332,11 @@ class RandomStreams:
             return buffer[0][position]
         return draw
 
+    def fork(self, offset: int) -> "RandomStreams":
+        """A new family with a seed derived from this one (for replicas)."""
+        return RandomStreams(self._seed * 1_000_003 + int(offset),
+                             block_size=self._block)
+
 
 def _check_lognormal(mean: float, cv: float) -> None:
     """Reject lognormal parameters no draw can serve."""

@@ -8,6 +8,8 @@ paper positions itself against:
   searches the design space" (challenge #3): given latency/cost
   constraints, sweep platform, runtime, memory, and batching choices and
   recommend a deployment.
+* :mod:`repro.tools.adaptive_batching` — a BATCH-style policy that picks
+  the largest batch size whose latency penalty stays within an SLO.
 * :mod:`repro.tools.hybrid` — a MArk-style planner that sizes an
   always-on server fleet for the base load and uses serverless for the
   overflow, comparing the blended cost against pure strategies.
@@ -18,11 +20,12 @@ paper positions itself against:
   the navigator's candidate space: cheap short-horizon rungs eliminate
   most designs before anything runs at full length.
 
-The paper's memory-size and batch-size advice (Sections 5.3 and 5.5)
-needs no tool of its own: the registered ``fig15`` and ``fig17`` studies
-sweep those knobs, and the navigator searches both.
+The paper's memory-size advice (Section 5.3) needs no tool of its own:
+the registered ``fig15`` study sweeps memory, and the navigator searches
+it under a latency target.
 """
 
+from repro.tools.adaptive_batching import AdaptiveBatchingPolicy, BatchDecision
 from repro.tools.cost_estimator import (CostEstimator, DecomposedCostEstimate,
                                         ServerlessCostEstimate)
 from repro.tools.hybrid import HybridPlan, HybridPlanner
@@ -31,6 +34,8 @@ from repro.tools.search import (HalvingResult, HalvingRung, SearchStudy,
                                 SuccessiveHalvingSearch)
 
 __all__ = [
+    "AdaptiveBatchingPolicy",
+    "BatchDecision",
     "CostEstimator",
     "DecomposedCostEstimate",
     "DesignSpaceNavigator",

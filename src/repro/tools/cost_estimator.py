@@ -21,7 +21,7 @@ Two closed forms live here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, Optional
 
 from repro.cloud.providers import CloudProvider
 from repro.models.profiles import LatencyProfiles
@@ -209,6 +209,60 @@ class CostEstimator:
             carbon_kg=(gb_seconds * ENERGY_KWH_PER_GB_SECOND
                        * CARBON_KG_PER_KWH),
         )
+
+    @classmethod
+    def annotate_frame(cls, frame, profiles: Optional[LatencyProfiles] = None,
+                       cold_start_fraction: float = 0.01,
+                       column: str = "est_cost_usd"):
+        """Append closed-form serverless cost estimates to a study frame.
+
+        For every row whose spec is a serverless cell, the decomposed
+        analytical what-if (priced at the workload spec's *full-scale*
+        request count) lands in five columns: the blended total in
+        ``column`` plus its explicit components —
+        ``est_transfer_usd`` (per-request network transfer),
+        ``est_memory_usd`` (cold-start resident-memory residency),
+        ``est_fanout`` (expected invocations per client request), and
+        ``est_carbon_kg`` (the energy/carbon proxy).  The transfer and
+        memory components plus the implicit compute and request-fee
+        parts sum exactly to ``column``; server-based rows get ``None``
+        everywhere.  Comparing ``column`` against the measured
+        ``cost_usd`` shows where queueing / cold-start dynamics beat
+        the closed form — remember the measured column reflects the
+        run's workload scale.
+        """
+        if frame.specs is None:
+            raise ValueError("frame carries no scenario specs; build it "
+                             "through Study.run or from_results(specs=...)")
+        estimators: Dict[str, "CostEstimator"] = {}
+        extras = ("est_transfer_usd", "est_memory_usd", "est_fanout",
+                  "est_carbon_kg")
+        values: Dict[str, list] = {name: [] for name in (column, *extras)}
+        for spec in frame.specs:
+            deployment = spec.deployment()
+            if deployment.config.platform != "serverless":
+                for name in values:
+                    values[name].append(None)
+                continue
+            estimator = estimators.get(deployment.provider.name)
+            if estimator is None:
+                estimator = cls(provider=deployment.provider,
+                                profiles=profiles or LatencyProfiles())
+                estimators[deployment.provider.name] = estimator
+            estimate = estimator.serverless_decomposed(
+                deployment.model, deployment.runtime,
+                spec.workload_spec().target_requests,
+                memory_gb=deployment.config.memory_gb,
+                cold_start_fraction=cold_start_fraction,
+                config=deployment.config)
+            values[column].append(estimate.total)
+            values["est_transfer_usd"].append(estimate.transfer_cost)
+            values["est_memory_usd"].append(estimate.memory_cost)
+            values["est_fanout"].append(estimate.fanout)
+            values["est_carbon_kg"].append(estimate.carbon_kg)
+        for name, column_values in values.items():
+            frame = frame.with_column(name, column_values)
+        return frame
 
     # -- servers ----------------------------------------------------------------
     def vm(self, instance_type: str, duration_s: float,

@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.workload.traces import ArrivalTrace
 
-__all__ = ["MMPPState", "MMPP"]
+__all__ = ["MMPPState", "MMPP", "PoissonProcess"]
 
 
 @dataclass(frozen=True)
@@ -32,6 +32,25 @@ class MMPPState:
             raise ValueError("state rate must be non-negative")
         if self.mean_dwell_s <= 0:
             raise ValueError("mean dwell time must be positive")
+
+
+class PoissonProcess:
+    """A homogeneous Poisson process, the building block of the MMPP."""
+
+    def __init__(self, rate: float):
+        if rate < 0:
+            raise ValueError("rate must be non-negative")
+        self.rate = rate
+
+    def sample(self, start: float, end: float,
+               rng: np.random.Generator) -> np.ndarray:
+        """Arrival times in ``[start, end)`` for this rate."""
+        if end < start:
+            raise ValueError("end must not precede start")
+        if self.rate == 0 or end == start:
+            return np.array([])
+        count = rng.poisson(self.rate * (end - start))
+        return np.sort(rng.uniform(start, end, size=count))
 
 
 class MMPP:
@@ -68,6 +87,27 @@ class MMPP:
         return timeline
 
     # -- arrivals -----------------------------------------------------------
+    def sample_arrivals(self, duration: float, rng: np.random.Generator,
+                        name: str = "mmpp",
+                        timeline: List[Tuple[float, float, MMPPState]] | None = None,
+                        rate_scale: float = 1.0) -> ArrivalTrace:
+        """An arrival trace over ``[0, duration)``.
+
+        ``rate_scale`` multiplies every state's rate; it is used by the
+        workload generator to hit a target request count while keeping
+        the burst structure unchanged.
+        """
+        if rate_scale <= 0:
+            raise ValueError("rate_scale must be positive")
+        if timeline is None:
+            timeline = self.sample_state_timeline(duration, rng)
+        pieces = []
+        for start, end, state in timeline:
+            process = PoissonProcess(state.rate * rate_scale)
+            pieces.append(process.sample(start, end, rng))
+        times = np.sort(np.concatenate(pieces)) if pieces else np.array([])
+        return ArrivalTrace(times, name=name)
+
     def sample_arrivals_conditioned(self, duration: float,
                                     rng: np.random.Generator,
                                     total: int,
@@ -100,6 +140,13 @@ class MMPP:
                   for (start, end, _state), n in zip(timeline, counts) if n]
         times = np.sort(np.concatenate(pieces)) if pieces else np.array([])
         return ArrivalTrace(times, name=name)
+
+    @staticmethod
+    def expected_count(timeline: List[Tuple[float, float, MMPPState]],
+                       rate_scale: float = 1.0) -> float:
+        """Expected number of arrivals for a given state timeline."""
+        return sum((end - start) * state.rate * rate_scale
+                   for start, end, state in timeline)
 
     @staticmethod
     def two_state(low_rate: float, high_rate: float,

@@ -8,7 +8,7 @@ splitter, the executor, the analyzer's time-series — operates on traces.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -81,7 +81,27 @@ class ArrivalTrace:
         _, rates = self.rate_series(bin_seconds)
         return float(rates.max()) if rates.size else 0.0
 
+    def interarrival_times(self) -> np.ndarray:
+        """Differences between consecutive arrivals."""
+        if self.times.size < 2:
+            return np.array([])
+        return np.diff(self.times)
+
     # -- transformations ----------------------------------------------------
+    def shifted(self, offset: float) -> "ArrivalTrace":
+        """The same trace with all arrivals moved by ``offset`` seconds."""
+        if self.times.size and self.times[0] + offset < 0:
+            raise ValueError("shift would produce negative arrival times")
+        return ArrivalTrace(self.times + offset, name=self.name,
+                            metadata=dict(self.metadata))
+
+    def scaled_rate(self, factor: float) -> "ArrivalTrace":
+        """Compress (>1) or stretch (<1) the trace in time to change its rate."""
+        if factor <= 0:
+            raise ValueError("factor must be positive")
+        return ArrivalTrace(self.times / factor, name=self.name,
+                            metadata=dict(self.metadata))
+
     def subsampled(self, fraction: float, seed: int = 0) -> "ArrivalTrace":
         """Keep each arrival independently with probability ``fraction``.
 
@@ -97,6 +117,20 @@ class ArrivalTrace:
         keep = rng.random(self.times.size) < fraction
         return ArrivalTrace(self.times[keep], name=self.name,
                             metadata=dict(self.metadata))
+
+    def window(self, start: float, end: float) -> "ArrivalTrace":
+        """Arrivals within ``[start, end)``, re-based to start at 0."""
+        if end < start:
+            raise ValueError("end must not precede start")
+        mask = (self.times >= start) & (self.times < end)
+        return ArrivalTrace(self.times[mask] - start, name=self.name,
+                            metadata=dict(self.metadata))
+
+    @staticmethod
+    def from_times(times: Iterable[float], name: str = "") -> "ArrivalTrace":
+        """Build a trace from any iterable of times (sorted automatically)."""
+        array = np.sort(np.asarray(list(times), dtype=float))
+        return ArrivalTrace(array, name=name)
 
     def summary(self) -> dict:
         """A small dictionary of descriptive statistics."""

@@ -48,9 +48,13 @@ class TestProviders:
         assert base.serverless.keep_alive_s != 30.0
         assert modified.name == base.name
 
-    def test_with_managed_ml_copies(self):
+    def test_with_managed_and_vm_copies(self):
         base = gcp()
-        assert base.with_managed_ml(max_instances=2).managed_ml.max_instances == 2
+        copy = base.with_managed_ml(max_instances=2)
+        assert copy.managed_ml.max_instances == 2
+        # A copy: the base is untouched and the VM traits carry over.
+        assert base.managed_ml.max_instances != 2
+        assert copy.vm == base.vm
 
 
 class TestInstanceCatalog:
@@ -60,7 +64,7 @@ class TestInstanceCatalog:
                      "n1-standard-8", "n1-standard-8-t4"):
             assert name in catalog
 
-    def test_gpu_counts(self):
+    def test_gpu_flags(self):
         assert get_instance_type("g4dn.2xlarge").gpus > 0
         assert get_instance_type("m5.2xlarge").gpus == 0
 

@@ -366,7 +366,9 @@ class TestSlotQueue:
         assert not queue.try_admit()
         assert queue.rejected == 1
 
-    def test_managed_backlog_follows_the_ready_fleet(self, env):
+    def test_dynamic_capacity_callable(self, env):
+        """A managed platform's backlog follows its ready fleet: the
+        platform resizes the queue whenever the fleet changes."""
         from repro.platforms.base import build_platform
         platform = build_platform(env, Planner().plan(
             "aws", "mobilenet", "tf1.15", "managed_ml"))

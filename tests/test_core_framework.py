@@ -6,6 +6,7 @@ import pytest
 from repro.core import Analyzer, LatencyStats, Planner, ServingBenchmark, percentile
 from repro.core.metrics import mean_or_zero, ratio
 from repro.core.parallel import run_cells
+from repro.serving import PlatformKind
 from repro.serving.records import RequestOutcome
 
 
@@ -68,13 +69,34 @@ class TestPlanner:
         assert deployment.config.memory_gb == 8.0
         assert deployment.config.batch_size == 4
 
-    def test_plan_rejects_unsupported_runtime(self, planner):
-        # The managed services do not serve OnnxRuntime (the paper skips
-        # these cells too).
-        with pytest.raises(ValueError, match="not supported"):
-            planner.plan("aws", "mobilenet", "ort1.4", "managed_ml")
-        managed = planner.plan("aws", "mobilenet", "tf1.15", "managed_ml")
-        assert managed.label == "aws-managed_ml/mobilenet/tf1.15"
+    def test_plan_matrix_skips_unsupported(self, planner):
+        # Of this runtime x platform matrix only managed ORT is
+        # unsupported (the managed services do not serve OnnxRuntime, and
+        # the paper skips these cells too): plan rejects exactly that one.
+        labels = set()
+        for runtime in ("tf1.15", "ort1.4"):
+            for platform in (PlatformKind.SERVERLESS,
+                             PlatformKind.MANAGED_ML):
+                if (runtime, platform) == ("ort1.4", PlatformKind.MANAGED_ML):
+                    with pytest.raises(ValueError, match="not supported"):
+                        planner.plan("aws", "mobilenet", runtime, platform)
+                    continue
+                labels.add(planner.plan("aws", "mobilenet", runtime,
+                                        platform).label)
+        assert "aws-managed_ml/mobilenet/tf1.15" in labels
+        assert len(labels) == 3
+
+    def test_plan_paper_systems(self, planner):
+        # The four systems Figure 5 / Table 1 compare per provider.
+        for platform in ("serverless", "managed_ml", "cpu_server",
+                         "gpu_server"):
+            deployment = planner.plan("aws", "mobilenet", "tf1.15", platform)
+            assert deployment.config.platform == platform
+        # With ORT the managed service is unavailable.
+        with pytest.raises(ValueError):
+            planner.plan("gcp", "mobilenet", "ort1.4", "managed_ml")
+        for platform in ("serverless", "cpu_server", "gpu_server"):
+            planner.plan("gcp", "mobilenet", "ort1.4", platform)
 
     def test_unknown_platform(self, planner):
         with pytest.raises(ValueError):
@@ -168,6 +190,16 @@ class TestAnalyzer:
             "E2E (cs)", "import", "download", "load", "predict (cs)",
             "E2E (wu)", "predict (wu)"}
 
-    def test_speedup(self, sample_result):
+    def test_comparison_table_sorted(self, bench, planner, tiny_w40,
+                                     sample_result):
+        gpu = bench.run(
+            planner.plan("aws", "mobilenet", "tf1.15", "gpu_server"), tiny_w40)
+        rows = Analyzer().comparison_table([gpu, sample_result])
+        assert len(rows) == 2
+        assert rows[0]["platform"] <= rows[1]["platform"]
+
+    def test_speedup_and_cost_ratio(self, sample_result):
         analyzer = Analyzer()
         assert analyzer.speedup(sample_result, sample_result) == pytest.approx(1.0)
+        # A cost ratio is the plain ratio of the two runs' costs.
+        assert ratio(sample_result.cost, sample_result.cost) == pytest.approx(1.0)

@@ -84,9 +84,23 @@ class TestFaultSpec:
             spec = FaultSpec.from_config(ServiceConfig(**overrides))
             assert spec is not None and spec.active, overrides
 
-    def test_outage_window_end(self):
+    def test_outage_window_covers_half_open_interval(self):
+        """The injector applies the window as ``[start_s, end_s)``."""
         window = OutageWindow(start_s=10.0, duration_s=5.0)
         assert window.end_s == 15.0
+        # launch time -> when the domain kills the instance (None: never)
+        for launched_s, killed_s in ((9.999, 10.0), (10.0, 10.0),
+                                     (14.999, 14.999), (15.0, None)):
+            env = Environment()
+            killed = []
+            injector = FaultInjector(
+                env, FaultSpec(outage=window), RandomStreams(SEED),
+                kill=lambda instance: killed.append(env.now))
+            env.run(until=launched_s)
+            injector.watch(InstancePool(env).launch(warm=True))
+            env.run(until=20.0)
+            assert killed == ([] if killed_s is None else [killed_s]), (
+                launched_s)
 
     def test_config_validates_fault_knobs(self):
         for bad in ({"crash_mtbf_s": 0.0},

@@ -108,6 +108,28 @@ class TestLatencyProfiles:
             assert (profiles.server_predict_time("tf1.15", model, "gpu")
                     < profiles.server_predict_time("tf1.15", model, "cpu") / 5)
 
+    def test_register_overrides(self, profiles):
+        # Each calibration table is a field: a caller adds or overrides
+        # entries by passing its own tables.
+        custom = LatencyProfiles(
+            serverless_predict={
+                **profiles.serverless_predict,
+                ("aws", "tf1.15", "custom"): PredictCalibration(0.5, 0.1)},
+            cold_start={
+                **profiles.cold_start,
+                ("aws", "tf1.15", "custom"): ColdStartStages(1.0, 1.0, 1.0)},
+            server_predict={
+                **profiles.server_predict,
+                ("tf1.15", "custom", "cpu"): PredictCalibration(0.9)})
+        assert custom.cold_start_stages(
+            "aws", "tf1.15", "custom") == ColdStartStages(1.0, 1.0, 1.0)
+        assert custom.serverless_predict_calibration(
+            "aws", "tf1.15", "custom") == PredictCalibration(0.5, 0.1)
+        assert custom.server_predict_time("tf1.15", "custom", "cpu") == 0.9
+        # The default tables are untouched.
+        with pytest.raises(KeyError):
+            profiles.server_predict_time("tf1.15", "custom", "cpu")
+
     def test_unknown_keys_raise(self, profiles):
         with pytest.raises(KeyError):
             profiles.cold_start_stages("aws", "tf2.9", "mobilenet")

@@ -17,9 +17,11 @@ from repro.core.scenario import (
     register_scenario,
 )
 from repro.experiments.base import ExperimentContext
+from repro.models import LatencyProfiles
 from repro.platforms.base import build_platform
 from repro.serving.deployment import PlatformKind
 from repro.sim import Environment
+from repro.tools.cost_estimator import CostEstimator
 from repro.tools.hybrid import HybridPlanner
 from repro.workload.generator import (
     WorkloadSpec,
@@ -258,6 +260,35 @@ class TestToolsIntegration:
                    for candidate in candidates)
         kinds = {candidate["platform"] for candidate in candidates}
         assert PlatformKind.CPU_SERVER in kinds
+
+    def test_cost_estimator_prices_a_scenario(self):
+        # The halving search's analytic scorer prices a registered
+        # serverless scenario at its workload's full-scale request count,
+        # without simulating it.
+        from repro.tools.search import analytic_objective
+        spec = get_scenario("provisioned-serverless")
+        deployment = spec.deployment()
+        estimate = CostEstimator(
+            provider=deployment.provider,
+            profiles=LatencyProfiles()).serverless_decomposed(
+                deployment.model, deployment.runtime,
+                spec.workload_spec().target_requests,
+                memory_gb=deployment.config.memory_gb,
+                config=deployment.config)
+        assert estimate.requests == spec.workload_spec().target_requests
+        assert estimate.total > 0
+        assert analytic_objective(spec) == pytest.approx(estimate.total)
+
+    def test_analytic_objective_prices_server_scenarios(self):
+        # A server-backed scenario is priced as one instance over the
+        # workload's duration, not per request.
+        from repro.tools.search import analytic_objective
+        spec = get_scenario("burst-storm-managed")
+        deployment = spec.deployment()
+        estimator = CostEstimator(provider=deployment.provider,
+                                  profiles=LatencyProfiles())
+        assert analytic_objective(spec) == pytest.approx(estimator.managed_ml(
+            deployment.instance_type(), spec.workload_spec().duration_s))
 
     def test_hybrid_planner_from_scenario(self):
         spec = get_scenario("burst-storm")

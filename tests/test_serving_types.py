@@ -74,14 +74,23 @@ class TestRequestOutcome:
     def test_latency_requires_completion(self):
         outcome = RequestOutcome(request_id=1, client_id=0, send_time=10.0)
         assert outcome.latency is None
-        outcome.completion_time = 12.5
+        outcome.finish(12.5, success=True)
         assert outcome.latency == pytest.approx(2.5)
+        assert outcome.success
 
-    def test_stage_reads_the_breakdown(self):
-        outcome = RequestOutcome(request_id=1, client_id=0, send_time=0.0,
-                                 breakdown={Stage.NETWORK: 0.3})
+    def test_finish_before_send_rejected(self):
+        outcome = RequestOutcome(request_id=1, client_id=0, send_time=10.0)
+        with pytest.raises(ValueError):
+            outcome.finish(9.0, success=True)
+
+    def test_stage_accumulation(self):
+        outcome = RequestOutcome(request_id=1, client_id=0, send_time=0.0)
+        outcome.add_stage(Stage.NETWORK, 0.1)
+        outcome.add_stage(Stage.NETWORK, 0.2)
         assert outcome.stage(Stage.NETWORK) == pytest.approx(0.3)
         assert outcome.stage(Stage.PREDICT) == 0.0
+        with pytest.raises(ValueError):
+            outcome.add_stage(Stage.PREDICT, -0.1)
 
     def test_stage_vocabulary(self):
         assert set(Stage.COLD_ONLY) <= set(Stage.ORDER)

@@ -143,6 +143,12 @@ class TestCancellableTimers:
         env.run()
         assert env.now == pytest.approx(1.0)
 
+    def test_peek_skips_tombstones(self, env):
+        first = env.timeout(1.0)
+        env.timeout(5.0)
+        first.cancel()
+        assert env.peek() == 5.0
+
     def test_step_skips_tombstones(self, env):
         first = env.timeout(1.0)
         env.timeout(5.0)

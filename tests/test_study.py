@@ -697,7 +697,7 @@ class TestSweepSampling:
 
 
 # ---------------------------------------------------------------------------
-# Grouped reductions: group_by / replicate_summary
+# Grouped reductions: group_by / replicate_summary / concat
 # ---------------------------------------------------------------------------
 
 class TestGroupedReductions:
@@ -760,6 +760,32 @@ class TestGroupedReductions:
     def test_replicate_summary_is_identity_without_replicates(self):
         frame = ResultFrame.from_rows([{"cell": "a", "x": 1.0}])
         assert frame.replicate_summary() is frame
+
+    def test_concat_unions_columns_and_labels(self):
+        left = ResultFrame.from_rows([{"a": 1, "x": 1.0}], name="l",
+                                     meta={"labels": ["a"]})
+        right = ResultFrame.from_rows([{"a": 2, "y": 3.0}], name="r",
+                                      meta={"labels": ["a"]})
+        both = ResultFrame.concat([left, right])
+        assert both.columns == ["a", "x", "y"]
+        assert len(both) == 2
+        assert both.row(0)["y"] is None and both.row(1)["x"] is None
+        assert both.meta["labels"] == ["a"]
+        assert both.name == "l+r"
+
+    def test_concat_of_replicated_frames_still_summarises(self):
+        rows = [{"cell": "a", "replicate": r, "seed": 7 + r, "x": float(r)}
+                for r in range(2)]
+        meta = {"labels": ["cell", "replicate", "seed"]}
+        one = ResultFrame.from_rows(rows, meta=meta)
+        rows_b = [dict(row, cell="b") for row in rows]
+        two = ResultFrame.from_rows(rows_b, meta=meta)
+        summary = ResultFrame.concat([one, two]).replicate_summary()
+        assert list(summary["cell"]) == ["a", "b"]
+        assert list(summary["replicates"]) == [2, 2]
+
+    def test_concat_empty_input(self):
+        assert len(ResultFrame.concat([])) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Tests for the extension tools (navigator, hybrid, cost, search)."""
+"""Tests for the extension tools (navigator, batching, hybrid, cost, search)."""
 
 import pytest
 
@@ -6,6 +6,7 @@ from repro.cloud import aws, gcp
 from repro.models import LatencyProfiles, get_model
 from repro.runtimes import get_runtime
 from repro.tools import (
+    AdaptiveBatchingPolicy,
     CostEstimator,
     DecomposedCostEstimate,
     DesignSpaceNavigator,
@@ -95,6 +96,86 @@ class TestHybridPlanner:
             HybridPlanner(provider=aws(), model=get_model("vgg"),
                           runtime=get_runtime("tf1.15"),
                           base_load_percentile=0.0)
+
+
+class TestAdaptiveBatching:
+    def test_latency_grows_with_batch(self):
+        policy = AdaptiveBatchingPolicy(provider="aws", model="mobilenet",
+                                        runtime="ort1.4", latency_slo_s=1.0)
+        assert (policy.expected_latency(8, 40.0)
+                > policy.expected_latency(1, 40.0))
+
+    def test_decision_respects_slo(self):
+        policy = AdaptiveBatchingPolicy(provider="aws", model="vgg",
+                                        runtime="tf1.15", latency_slo_s=2.0)
+        decision = policy.decide(100.0)
+        assert decision.expected_latency_s <= 2.0 or decision.batch_size == 1
+
+    def test_higher_rate_allows_bigger_batches(self):
+        policy = AdaptiveBatchingPolicy(provider="aws", model="mobilenet",
+                                        runtime="ort1.4", latency_slo_s=0.5)
+        slow = policy.decide(2.0).batch_size
+        fast = policy.decide(200.0).batch_size
+        assert fast >= slow
+
+    def test_decision_schedule(self):
+        policy = AdaptiveBatchingPolicy(provider="aws", model="mobilenet",
+                                        runtime="ort1.4", latency_slo_s=0.5)
+        schedule = policy.decision_schedule([5.0, 50.0, 150.0])
+        assert len(schedule) == 3
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            AdaptiveBatchingPolicy(provider="aws", model="vgg",
+                                   runtime="tf1.15", latency_slo_s=0.0)
+        policy = AdaptiveBatchingPolicy(provider="aws", model="vgg",
+                                        runtime="tf1.15", latency_slo_s=1.0)
+        with pytest.raises(ValueError):
+            policy.expected_latency(0, 10.0)
+        with pytest.raises(ValueError):
+            policy.expected_latency(1, 0.0)
+
+    def test_evaluate_on_simulator(self):
+        policy = AdaptiveBatchingPolicy(provider="aws", model="mobilenet",
+                                        runtime="ort1.4", latency_slo_s=1.0)
+        workload = standard_workload("w-40", seed=4, scale=0.05)
+        outcome = policy.evaluate(workload)
+        assert outcome["batch_size"] >= 1
+        assert outcome["cost_usd"] > 0
+
+
+class TestMemoryTuner:
+    """Memory tuning (Section 5.3) is the navigator's memory axis, searched
+    for one runtime at batch size 1 under an optional latency target."""
+
+    @staticmethod
+    def _tune(model, runtime, candidates_gb, latency_target_s=None):
+        navigator = DesignSpaceNavigator(
+            provider="aws", model=model, runtimes=(runtime,),
+            memory_sizes_gb=candidates_gb, batch_sizes=(1,))
+        workload = standard_workload("w-40", seed=4, scale=0.05)
+        return navigator.search(workload, NavigationConstraints(
+            max_latency_s=latency_target_s, min_success_ratio=0.0))
+
+    def test_tuning_prefers_larger_memory_for_vgg_latency_target(self):
+        outcome = self._tune("vgg", "tf1.15", (2.0, 8.0),
+                             latency_target_s=1.0)
+        assert outcome.evaluated[0]["memory_gb"] == 2.0
+        # More memory buys VGG more CPU, so a lower latency.
+        assert (outcome.evaluated[1]["avg_latency_s"]
+                < outcome.evaluated[0]["avg_latency_s"])
+        if outcome.found:
+            assert outcome.best["memory_gb"] == 8.0
+
+    def test_without_target_picks_balanced_option(self):
+        # Without a latency target the cheapest candidate wins.
+        outcome = self._tune("mobilenet", "ort1.4", (2.0, 4.0))
+        assert outcome.best["memory_gb"] in (2.0, 4.0)
+        assert len(outcome.evaluated) == 2
+
+    def test_empty_candidates_rejected(self):
+        with pytest.raises(ValueError):
+            self._tune("vgg", "tf1.15", ())
 
 
 class TestNavigator:
@@ -191,13 +272,85 @@ class TestDecomposedEstimator:
         hedged = ServiceConfig(hedge_percentile=99.0)
         assert CostEstimator.fanout_multiplier(hedged) == pytest.approx(1.01)
 
-    def test_analytic_objective_resolves_references(self, estimator):
+    @staticmethod
+    def _decomposed(estimator, spec):
+        """The decomposed estimate of one serverless spec, priced at its
+        workload's full-scale request count."""
+        deployment = spec.deployment()
+        return estimator.serverless_decomposed(
+            deployment.model, deployment.runtime,
+            spec.workload_spec().target_requests,
+            memory_gb=deployment.config.memory_gb, config=deployment.config)
+
+    def test_estimate_scenario_decomposed_resolves_references(self,
+                                                              estimator):
+        # The halving search's analytic scorer resolves a spec's own
+        # provider, model, runtime, memory and workload.
         from repro.tools.search import analytic_objective
         spec = self._scenario(memory_gb=4.0)
         direct = estimator.serverless_decomposed(
             get_model("mobilenet"), get_runtime("tf1.15"),
             spec.workload_spec().target_requests, memory_gb=4.0)
         assert analytic_objective(spec) == pytest.approx(direct.total)
+        on_gcp = self._scenario(provider="gcp")
+        gcp_estimator = CostEstimator(provider=gcp(),
+                                      profiles=LatencyProfiles())
+        assert analytic_objective(on_gcp) == pytest.approx(
+            self._decomposed(gcp_estimator, on_gcp).total)
+        assert analytic_objective(on_gcp) != pytest.approx(
+            self._decomposed(estimator, on_gcp).total)
+
+    def _annotated_frame(self, specs):
+        from repro.core.study import ResultFrame
+        rows = [{**spec.as_row(), "cost_usd": 1.0} for spec in specs]
+        frame = ResultFrame.from_rows(rows, name="dec", specs=specs)
+        return CostEstimator.annotate_frame(frame)
+
+    def test_annotate_frame_decomposed_columns(self, estimator):
+        specs = [self._scenario(name=f"dec/{memory}", memory_gb=memory)
+                 for memory in (2.0, 4.0, 8.0)]
+        frame = self._annotated_frame(specs)
+        for name in ("est_cost_usd", "est_transfer_usd", "est_memory_usd",
+                     "est_fanout", "est_carbon_kg"):
+            assert name in frame.columns, name
+        for row, spec in zip(frame.to_rows(), specs):
+            estimate = self._decomposed(estimator, spec)
+            assert row["est_cost_usd"] == pytest.approx(estimate.total)
+            assert row["est_transfer_usd"] == pytest.approx(
+                estimate.transfer_cost)
+            assert row["est_memory_usd"] == pytest.approx(
+                estimate.memory_cost)
+            assert row["est_fanout"] == pytest.approx(estimate.fanout)
+            assert row["est_carbon_kg"] == pytest.approx(estimate.carbon_kg)
+            # Explicit components never exceed the blended total.
+            assert (row["est_transfer_usd"] + row["est_memory_usd"]
+                    < row["est_cost_usd"])
+
+    def test_annotate_frame_ranking_stable_across_equivalent_frames(self):
+        specs = [self._scenario(name=f"dec/{memory}", memory_gb=memory)
+                 for memory in (2.0, 4.0, 8.0)]
+        forward = self._annotated_frame(specs)
+        backward = self._annotated_frame(list(reversed(specs)))
+
+        def ranking(frame):
+            return [row["scenario"] for row in sorted(
+                frame.to_rows(),
+                key=lambda row: (row["est_cost_usd"], row["scenario"]))]
+
+        assert ranking(forward) == ranking(backward)
+
+    def test_annotate_frame_server_rows_are_none(self):
+        from repro.core.scenario import ScenarioSpec
+        specs = [self._scenario(),
+                 ScenarioSpec(name="dec/server", provider="aws",
+                              model="mobilenet", workload="w-40",
+                              platform="cpu_server")]
+        frame = self._annotated_frame(specs)
+        rows = frame.to_rows()
+        assert rows[0]["est_cost_usd"] is not None
+        for name in ("est_cost_usd", "est_transfer_usd", "est_memory_usd",
+                     "est_fanout", "est_carbon_kg"):
+            assert rows[1][name] is None, name
 
 
 class TestNavigatorEmptyPrefilter:

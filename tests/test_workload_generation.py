@@ -11,7 +11,29 @@ from repro.workload.generator import (
     standard_workload,
     standard_workload_specs,
 )
-from repro.workload.mmpp import MMPP, MMPPState
+from repro.workload.mmpp import MMPP, MMPPState, PoissonProcess
+
+
+class TestPoissonProcess:
+    def test_rate_validation(self):
+        with pytest.raises(ValueError):
+            PoissonProcess(-1.0)
+
+    def test_zero_rate_no_arrivals(self):
+        process = PoissonProcess(0.0)
+        assert process.sample(0, 100, np.random.default_rng(0)).size == 0
+
+    def test_mean_count_near_expectation(self):
+        process = PoissonProcess(10.0)
+        rng = np.random.default_rng(1)
+        counts = [process.sample(0, 100, rng).size for _ in range(30)]
+        assert np.mean(counts) == pytest.approx(1000, rel=0.05)
+
+    def test_arrivals_sorted_and_in_window(self):
+        process = PoissonProcess(5.0)
+        arrivals = process.sample(10, 20, np.random.default_rng(2))
+        assert np.all(np.diff(arrivals) >= 0)
+        assert np.all((arrivals >= 10) & (arrivals < 20))
 
 
 class TestMMPP:
@@ -38,6 +60,22 @@ class TestMMPP:
         timeline = mmpp.sample_state_timeline(500, np.random.default_rng(1))
         names = [state.name for _, _, state in timeline]
         assert all(a != b for a, b in zip(names, names[1:]))
+
+    def test_expected_count_matches_rates(self):
+        mmpp = MMPP.two_state(10, 0.0001, 100, 0.0001)
+        state = mmpp.states[0]
+        timeline = [(0.0, 100.0, state)]
+        assert MMPP.expected_count(timeline) == pytest.approx(1000)
+
+    def test_rate_scale_scales_arrivals(self):
+        mmpp = MMPP.two_state(10, 40, 30, 30)
+        rng = np.random.default_rng(3)
+        timeline = mmpp.sample_state_timeline(300, rng)
+        base = mmpp.sample_arrivals(300, np.random.default_rng(4),
+                                    timeline=timeline).count
+        doubled = mmpp.sample_arrivals(300, np.random.default_rng(4),
+                                       timeline=timeline, rate_scale=2.0).count
+        assert doubled == pytest.approx(2 * base, rel=0.15)
 
 
 class TestWorkloadSpecs:
