@@ -21,7 +21,9 @@ calls per request may exceed the recorded value by at most 2 %; the
 bytes its outcome table stores per row may not exceed the recorded
 value), the calendar events of the fault-injection and hybrid probes,
 the routing probe's breaker trips and the search probe's simulated
-cells and rungs (all exactly, like the probe cell), and also smokes the
+cells and rungs (all exactly, like the probe cell), the routed probe's
+calendar events (exactly) and cProfile calls per request (within 2 %),
+and also smokes the
 columnar outcome pipeline (outcome-table build + metric reductions on
 the probe's data), the
 serving control plane (instance-pool transitions, scaling-policy
@@ -54,6 +56,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from repro.core.benchmark import ServingBenchmark  # noqa: E402
 from repro.core.planner import Planner  # noqa: E402
+from repro.core.scenario import get_scenario  # noqa: E402
 from repro.workload.generator import standard_workload  # noqa: E402
 
 #: Where the trajectory file lives (repo root, next to CHANGES.md).
@@ -79,9 +82,12 @@ SEED = 7
 
 
 def run_cell(workload_name: str, scale: float, repeats: int = 1,
-             keep_result: list | None = None) -> dict:
-    """Run one serverless cell and report its throughput (best of N)."""
-    deployment = Planner().plan("aws", "mobilenet", "tf1.15", "serverless")
+             keep_result: list | None = None,
+             config: dict | None = None) -> dict:
+    """Run one serverless cell and report its throughput (best of N);
+    ``config`` overrides the deployment's service knobs."""
+    deployment = Planner().plan("aws", "mobilenet", "tf1.15", "serverless",
+                                **(config or {}))
     workload = standard_workload(workload_name, seed=SEED, scale=scale)
     best = None
     result = None
@@ -106,13 +112,15 @@ def run_cell(workload_name: str, scale: float, repeats: int = 1,
     }
 
 
-def probe_calls_per_request() -> float:
-    """cProfile calls (Python and builtin) per request on the probe cell.
+def probe_calls_per_request(config: dict | None = None) -> float:
+    """cProfile calls (Python and builtin) per request on the probe cell
+    (with ``config``'s service knobs, if given).
 
     A deterministic work count: one untimed run first, so lazy imports
     and one-off caches stay out of the profiled run.
     """
-    deployment = Planner().plan("aws", "mobilenet", "tf1.15", "serverless")
+    deployment = Planner().plan("aws", "mobilenet", "tf1.15", "serverless",
+                                **(config or {}))
     workload = standard_workload(CHECK_WORKLOAD, seed=SEED, scale=CHECK_SCALE)
     ServingBenchmark(seed=SEED).run(deployment, workload)
     profiler = cProfile.Profile()
@@ -405,6 +413,28 @@ def run_routing_probe(iterations: int = 50_000) -> dict:
     }
 
 
+#: Routed probe cell: the probe cell behind failover-crash's front door
+#: (two weighted regions, breakers, p95 hedging, crashes, retries).
+ROUTED_PROBE_CONFIG = dict(get_scenario("failover-crash").config)
+
+
+def run_routed_probe(repeats: int = 1) -> dict:
+    """Smoke the multi-region router end to end on the probe cell.
+
+    Unlike the routing probe, which times the decision functions alone,
+    this runs every routed request: snapshots and the weighted choice,
+    attempt rows and their merge, hedge races, breakers, and the
+    regional serverless backends under crashes and client retries.
+    Reports calendar events and cProfile calls per request, the counts
+    ``--check`` gates, and requests/s, which it only prints.
+    """
+    probe = run_cell(CHECK_WORKLOAD, CHECK_SCALE, repeats,
+                     config=ROUTED_PROBE_CONFIG)
+    probe["config"] = dict(ROUTED_PROBE_CONFIG)
+    probe["calls_per_req"] = probe_calls_per_request(ROUTED_PROBE_CONFIG)
+    return probe
+
+
 #: Hybrid probe cell: a one-server fleet under the probe workload, so
 #: the spill decision runs per request and both billing paths meter.
 HYBRID_PROBE_CONFIG = {
@@ -572,6 +602,7 @@ def run_sweep(scale: float, repeats: int) -> dict:
     replicated = run_replicated_frame_probe(keep[0])
     fault = run_fault_probe(repeats)
     routing = run_routing_probe()
+    routed = run_routed_probe(repeats)
     hybrid = run_hybrid_probe(repeats)
     streaming = run_streaming_probe()
     search = run_search_probe()
@@ -588,6 +619,10 @@ def run_sweep(scale: float, repeats: int) -> dict:
           f"{hybrid['spill_ratio']:g})")
     print(f" routing       {routing['cycles_per_s']:>13,.0f} cycles/s "
           f"({routing['breaker_trips']} breaker trips)")
+    print(f" routed x{CHECK_SCALE:<5g} {routed['wall_s']:>8.3f}s "
+          f"{routed['requests_per_s']:>10,.0f} req/s "
+          f"({routed['events']} events, {routed['calls_per_req']:g} "
+          f"calls/request)")
     print(f" columnar build {columnar['build_rows_per_s']:>12,.0f} rows/s "
           f"reduce {columnar['reduce_rows_per_s']:>14,.0f} rows/s "
           f"({columnar['resident_bytes_per_row']:g} table bytes/row)")
@@ -615,6 +650,7 @@ def run_sweep(scale: float, repeats: int) -> dict:
         "replicated_frame_probe": replicated,
         "fault_injection_probe": fault,
         "routing_probe": routing,
+        "routed_probe": routed,
         "hybrid_probe": hybrid,
         "streaming_probe": streaming,
         "search_probe": search,
@@ -630,6 +666,16 @@ def exact_gate(label: str, measured: dict, recorded: dict,
     return verdict == "OK"
 
 
+def calls_gate(label: str, calls: float, recorded: float) -> bool:
+    """Print one calls-per-request gate line (at most CALLS_TOLERANCE
+    above the recorded count); True when it holds."""
+    limit = recorded * (1.0 + CALLS_TOLERANCE)
+    verdict = "OK" if calls <= limit else "REGRESSION"
+    print(f"{label} cProfile calls/request: {calls:g} (recorded "
+          f"{recorded:g}, limit {limit:.2f}) -> {verdict}")
+    return verdict == "OK"
+
+
 def run_check(path: str) -> int:
     """CI smoke gate: fail if any probe regressed > CHECK_TOLERANCE.
 
@@ -640,7 +686,9 @@ def run_check(path: str) -> int:
     resident table bytes per row at most the recorded value.  The
     fault-injection and hybrid probes' calendar events, the routing
     probe's breaker trips, and the search probe's simulated cells and
-    rungs must match their recorded counts exactly too, and the
+    rungs must match their recorded counts exactly too, the routed
+    probe's calendar events exactly and its calls per request within
+    CALLS_TOLERANCE (its req/s is printed, not gated), and the
     streaming probe's peak resident chunks may not exceed the recorded
     count.
     """
@@ -663,13 +711,8 @@ def run_check(path: str) -> int:
     # Work counters: deterministic, so they gate far tighter than time.
     failed = not exact_gate("probe calendar events", probe, reference)
     if "calls_per_req" in reference:
-        calls = probe_calls_per_request()
-        limit = reference["calls_per_req"] * (1.0 + CALLS_TOLERANCE)
-        verdict = "OK" if calls <= limit else "REGRESSION"
-        failed = failed or verdict != "OK"
-        print(f"probe cProfile calls/request: {calls:g} "
-              f"(recorded {reference['calls_per_req']:g}, limit "
-              f"{limit:.2f}) -> {verdict}")
+        failed = not calls_gate("probe", probe_calls_per_request(),
+                                reference["calls_per_req"]) or failed
     else:
         print("note: no calls_per_req recorded; rerun the full sweep "
               "to extend the gate")
@@ -746,6 +789,21 @@ def run_check(path: str) -> int:
                        routing_reference["cycles_per_s"]))
     else:
         print("note: no routing_probe recorded; rerun the full sweep "
+              "to extend the gate")
+    routed_reference = recorded.get("routed_probe")
+    if routed_reference:
+        routed = run_routed_probe(repeats=2)
+        failed = not exact_gate("routed probe calendar events", routed,
+                                routed_reference) or failed
+        failed = not calls_gate("routed probe", routed["calls_per_req"],
+                                routed_reference["calls_per_req"]) or failed
+        # Printed, not gated: wall-clock alone swings past 30% on a
+        # shared host, while the two counts above are deterministic.
+        print(f"routed probe req/s: {routed['requests_per_s']:,.0f} "
+              f"(recorded {routed_reference['requests_per_s']:,.0f}, "
+              f"not gated)")
+    else:
+        print("note: no routed_probe recorded; rerun the full sweep "
               "to extend the gate")
     hybrid_reference = recorded.get("hybrid_probe")
     if hybrid_reference:

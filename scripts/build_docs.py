@@ -78,11 +78,17 @@ def _clean(doc: str) -> str:
     return "\n".join(out)
 
 
+#: A postponed annotation that typing wrapped (a ``NamedTuple`` field's)
+#: -> the quoted string every other postponed annotation renders as.
+_FORWARD_REF = re.compile(r"ForwardRef\(('[^']*')[^)]*\)")
+
+
 def _signature(obj) -> str:
     try:
-        return str(inspect.signature(obj))
+        signature = str(inspect.signature(obj))
     except (TypeError, ValueError):
         return "(...)"
+    return _FORWARD_REF.sub(r"\1", signature)
 
 
 def _class_section(name: str, cls) -> List[str]:

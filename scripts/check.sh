@@ -16,6 +16,11 @@
 # events of the fault-injection and hybrid probes, the routing probe's
 # circuit-breaker trips (250), and the search probe's simulated cells
 # (127) and rungs (5) must equal their recorded counts exactly too.
+# The routed probe (the probe cell behind failover-crash's two-region
+# front door: weighted routing, breakers, p95 hedging, crashes and
+# retries) gates its calendar events exactly and its cProfile calls
+# per request at most 2% above the recorded value; its req/s is
+# printed but not gated.
 # These do not depend on the host's speed (only on the Python and
 # numpy versions, like the recorded baseline).  It then gates, on
 # wall-clock: the

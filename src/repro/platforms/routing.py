@@ -51,13 +51,17 @@ completions never double-count (property-tested in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from dataclasses import replace
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.platforms.base import PlatformUsage, ServingPlatform, build_platform
 from repro.platforms.billing import BillingMeter
 from repro.serving.deployment import Deployment
-from repro.serving.outcome_table import OutcomeColumns
+from repro.serving.outcome_table import (
+    _BLOCK_COLUMNS,
+    _STAGE_NAMES,
+    OutcomeColumns,
+)
 from repro.serving.records import Stage
 from repro.sim import TimeSeriesMonitor
 
@@ -250,9 +254,13 @@ class LatencyQuantile:
         return self.estimate
 
 
-@dataclass(frozen=True)
-class BackendSnapshot:
-    """Immutable per-backend state a routing policy decides from."""
+class BackendSnapshot(NamedTuple):
+    """Immutable per-backend state a routing policy decides from.
+
+    A named tuple, because the router builds one per region on every
+    routing decision: built by position, it costs about a third of a
+    frozen dataclass.  Keyword construction works too.
+    """
 
     #: Region index of the backend.
     index: int
@@ -305,9 +313,14 @@ def choose_weighted(snapshots: Sequence[BackendSnapshot],
         return None
     weights: List[float] = []
     for snap in candidates:
-        score = (max(snap.success_rate, 0.01)
-                 / (snap.region_latency_s + max(snap.latency_s, 1e-3)))
-        weights.append(score)
+        # The floors, without max(): the same values, NaN included.
+        success = snap.success_rate
+        if success < 0.01:
+            success = 0.01
+        latency = snap.latency_s
+        if latency < 1e-3:
+            latency = 1e-3
+        weights.append(success / (snap.region_latency_s + latency))
     target = draw * sum(weights)
     acc = 0.0
     for snap, weight in zip(candidates, weights):
@@ -459,13 +472,16 @@ class _AttemptRows(OutcomeColumns):
     the client row and a losing hedge runs on undisturbed.  A row opens
     with every stage at -0.0, which no serve writes (durations are
     non-negative and ``-0.0 + x == x``): the merge tells a stage the
-    attempt never entered from one it spent 0 s in.  The block grows on
-    demand; closed rows are reused, and a row a backend holds for a late
-    serve is reused only once that serve lands, its billed seconds and
-    instance forwarded to the (held) client row.
+    attempt never entered from one it spent 0 s in.  Opening a row is
+    one scalar store per column through the block's row views, not a
+    slice reset per column.  The block grows on demand; closed rows are
+    reused, and a row a backend holds for a late serve is reused only
+    once that serve lands, its billed seconds and instance forwarded to
+    the (held) client row.
     """
 
-    __slots__ = ("client", "_free", "_fresh", "_held", "_closed")
+    __slots__ = ("client", "_free", "_fresh", "_held", "_closed", "_blank",
+                 "_pairs")
 
     def __init__(self, client: OutcomeColumns):
         OutcomeColumns.__init__(self, 0)
@@ -477,6 +493,35 @@ class _AttemptRows(OutcomeColumns):
         #: Held rows the router is done with -> client row (-1: none).
         self._closed: Dict[int, int] = {}
 
+    def resize(self, rows: int) -> None:
+        """Resize the block, then point the opening stores at the new
+        row views."""
+        OutcomeColumns.resize(self, rows)
+        #: (row view, value an opened row holds) for every column but
+        #: ``inferences``, which :meth:`open` sets.
+        self._blank = [
+            (getattr(self, name), -0.0 if name in _STAGE_NAMES else default)
+            for name, (_dtype, default) in _BLOCK_COLUMNS.items()
+            if name != "inferences"]
+        self._pairs = None
+
+    def stage_pairs(self) -> List[Tuple[memoryview, memoryview, bool]]:
+        """Per stage: (attempt view, client view, whether the client
+        value accumulates), for the views both blocks hold now.
+
+        A resize replaces every view of its block, so the pairs are
+        rebuilt after this block resized or the client's did (the chunk
+        ring grows its block).
+        """
+        pairs = self._pairs
+        client = self.client
+        # Any one view tells whether the client's block was replaced.
+        if pairs is None or pairs[0][1] is not client.queue_s:
+            self._pairs = pairs = [
+                (column, client.stages[name], name == Stage.NETWORK)
+                for name, column in self.stages.items()]
+        return pairs
+
     def open(self, inferences: int) -> int:
         """A fresh attempt row for a request of ``inferences``."""
         if self._free:
@@ -486,10 +531,9 @@ class _AttemptRows(OutcomeColumns):
             self._fresh = row + 1
             if row == self.rows:
                 self.resize(max(2 * self.rows, 16))
-        self.reset(row, row + 1)
+        for view, default in self._blank:
+            view[row] = default
         self.inferences[row] = inferences
-        for column in self.stages.values():
-            column[row] = -0.0
         self.errors.pop(row, None)
         return row
 
@@ -568,6 +612,9 @@ class MultiRegionPlatform(ServingPlatform):
         self._quantile = LatencyQuantile(config.hedge_percentile,
                                          config.hedge_min_samples)
         self._watermark = config.brownout_watermark
+        #: What a snapshot reads, per region: built once, not per request.
+        self._regions = list(zip(range(len(self.backends)), self._latencies,
+                                 self.breakers, self.health))
         #: Attempt rows every backend writes (see :meth:`bind`).
         self._attempts: Optional[_AttemptRows] = None
 
@@ -629,16 +676,9 @@ class MultiRegionPlatform(ServingPlatform):
         return list(self.backends) + [self.degraded_backend]
 
     def _snapshots(self, now: float) -> List[BackendSnapshot]:
-        return [
-            BackendSnapshot(
-                index=index,
-                region_latency_s=self._latencies[index],
-                admits=self.breakers[index].admits(now),
-                success_rate=self.health[index].success_rate,
-                latency_s=self.health[index].latency_s,
-            )
-            for index in range(len(self.backends))
-        ]
+        return [BackendSnapshot(index, latency, breaker.admits(now),
+                                health.success_rate, health.latency_s)
+                for index, latency, breaker, health in self._regions]
 
     def _choose(self, snapshots: Sequence[BackendSnapshot],
                 exclude: Optional[int] = None) -> Optional[int]:
@@ -827,11 +867,12 @@ class MultiRegionPlatform(ServingPlatform):
         rows.cold_start[row] = attempts.cold_start[attempt]
         rows.instance_id[row] = attempts.instance_id[attempt]
         rows.billed_duration_s[row] = attempts.billed_duration_s[attempt]
-        for name, column in attempts.stages.items():
+        rows.served_by[row] = attempts.served_by[attempt]
+        for column, target, accumulates in attempts.stage_pairs():
             seconds = column[attempt]
             if seconds == 0.0 and math.copysign(1.0, seconds) < 0.0:
                 continue
-            if name == Stage.NETWORK:
-                rows.stages[name][row] += seconds
+            if accumulates:
+                target[row] += seconds
             else:
-                rows.stages[name][row] = seconds
+                target[row] = seconds

@@ -208,7 +208,7 @@ class Event:
         self._value = value
         env = self.env
         heappush(env._queue,
-                 (env._now + delay, NORMAL, next(env._sequence), self))
+                 (env.now + delay, NORMAL, next(env._sequence), self))
         return self
 
     def fail(self, exception: BaseException, delay: float = 0.0) -> "Event":
@@ -224,7 +224,7 @@ class Event:
         self._value = exception
         env = self.env
         heappush(env._queue,
-                 (env._now + delay, NORMAL, next(env._sequence), self))
+                 (env.now + delay, NORMAL, next(env._sequence), self))
         return self
 
     def cancel(self) -> bool:
@@ -293,7 +293,7 @@ class Timeout(Event):
         self._cancelled = False
         self.delay = delay
         heappush(env._queue,
-                 (env._now + delay if at is None else at, NORMAL,
+                 (env.now + delay if at is None else at, NORMAL,
                   next(env._sequence), self))
 
 
@@ -360,7 +360,7 @@ class Process(Event):
         # A pending resume entry (sleep, direct resume, or an earlier
         # interrupt) goes stale when _target moves on: it still pops and
         # counts, but the scheduler no longer resumes the process for it.
-        entry = (env._now, URGENT, next(env._sequence), self, False,
+        entry = (env.now, URGENT, next(env._sequence), self, False,
                  Interrupt(cause))
         heappush(env._queue, entry)
         self._target = entry
@@ -421,7 +421,7 @@ class Process(Event):
                             "process yielded a cancelled event")
                     # The event already happened; resume immediately
                     # without allocating a fresh Event.
-                    entry = (env._now, URGENT, next(env._sequence), self,
+                    entry = (env.now, URGENT, next(env._sequence), self,
                              result._ok, result._value)
                     heappush(env._queue, entry)
                     self._target = entry
@@ -437,7 +437,7 @@ class Process(Event):
         if not result >= 0:
             raise SimulationError(
                 f"sleep delay must be non-negative: {result!r}")
-        entry = (env._now + result, NORMAL, next(env._sequence), self,
+        entry = (env.now + result, NORMAL, next(env._sequence), self,
                  True, None)
         heappush(env._queue, entry)
         self._target = entry
@@ -591,7 +591,7 @@ class Guard(Event):
         self._defused = False
         self._cancelled = False
         self._lane = lane
-        self._expiry = env._now + lane.delay
+        self._expiry = env.now + lane.delay
         self._sequence = next(env._sequence)
         if callbacks is None and event is not None and event._ok is not None:
             # The watched event is already over: settled on the spot,
@@ -663,11 +663,14 @@ class Guard(Event):
 class Environment:
     """The simulation environment: clock, calendar, and process factory."""
 
-    __slots__ = ("_now", "_queue", "_sequence", "_active_process",
+    __slots__ = ("now", "_queue", "_sequence", "_active_process",
                  "_tombstones", "events_processed")
 
     def __init__(self, initial_time: float = 0.0):
-        self._now = float(initial_time)
+        #: Current simulated time in seconds.  A plain attribute, not a
+        #: property: every request reads the clock several times.  Only
+        #: the scheduler sets it.
+        self.now = float(initial_time)
         self._queue: list = []
         self._sequence = count()
         self._active_process: Optional[Process] = None
@@ -678,11 +681,6 @@ class Environment:
         self.events_processed = 0
 
     # -- clock ------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
-
     @property
     def active_process(self) -> Optional[Process]:
         """The process currently being resumed, if any."""
@@ -704,7 +702,7 @@ class Environment:
         ``timeout(when - now)`` does not guarantee (``now + (when -
         now)`` may round to a neighbouring float).
         """
-        return Timeout(self, when - self._now, value=value, at=when)
+        return Timeout(self, when - self.now, value=value, at=when)
 
     def lane(self, delay: float) -> Lane:
         """A lane of guard timers that all expire ``delay`` after creation."""
@@ -722,7 +720,7 @@ class Environment:
     def _schedule(self, event: Event, delay: float = 0.0,
                   priority: int = NORMAL) -> None:
         heappush(self._queue,
-                 (self._now + delay, priority, next(self._sequence), event))
+                 (self.now + delay, priority, next(self._sequence), event))
 
     def _compact(self) -> None:
         """Rebuild the heap without tombstones (keeps memory O(live)).
@@ -758,7 +756,7 @@ class Environment:
                 raise SimulationError("no more events to process")
             entry = heappop(queue)
             if len(entry) == 6:
-                self._now = entry[0]
+                self.now = entry[0]
                 self.events_processed += 1
                 process = entry[3]
                 if process._target is entry:
@@ -768,7 +766,7 @@ class Environment:
             if event._cancelled:
                 event._skip()
                 continue
-            self._now = entry[0]
+            self.now = entry[0]
             self.events_processed += 1
             event._run_callbacks()
             if event._ok is False and not event._defused:
@@ -779,9 +777,9 @@ class Environment:
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the calendar is exhausted or ``until`` is reached."""
-        if until is not None and until < self._now:
+        if until is not None and until < self.now:
             raise SimulationError(
-                f"until ({until!r}) must not be before now ({self._now!r})")
+                f"until ({until!r}) must not be before now ({self.now!r})")
         # Inlined step() loop: popping, tombstone skipping, and callback
         # dispatch in one frame is worth ~25% wall-clock on full runs.
         limit = float("inf") if until is None else until
@@ -794,7 +792,7 @@ class Environment:
                     break
                 entry = pop(queue)
                 if len(entry) == 6:
-                    self._now = entry[0]
+                    self.now = entry[0]
                     processed += 1
                     process = entry[3]
                     if process._target is entry:
@@ -804,7 +802,7 @@ class Environment:
                 if event._cancelled:
                     event._skip()
                     continue
-                self._now = entry[0]
+                self.now = entry[0]
                 processed += 1
                 callbacks = event.callbacks
                 if callbacks is not None:
@@ -814,6 +812,6 @@ class Environment:
                 if event._ok is False and not event._defused:
                     raise event._value
             if until is not None:
-                self._now = until
+                self.now = until
         finally:
             self.events_processed += processed

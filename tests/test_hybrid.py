@@ -336,6 +336,20 @@ class TestHybridEndToEnd:
         assert (table.billed_duration_s[members] > 0).any()
         assert not (table.served_by == SERVED_BY_DIRECT).any()
 
+    def test_routed_hybrid_keeps_the_path_column(self):
+        """Behind the multi-region router each client row records the
+        path its winning attempt took, so the table's spill ratio is the
+        regions' spill tallies over the requests."""
+        spec = get_scenario("hybrid-burst").with_config(
+            region_count=2, region_latency_s=(0.0, 0.03))
+        result = run(spec, seed=7, scale=0.1)
+        notes = result.usage.notes
+        spilled = notes["region0.spilled"] + notes["region1.spilled"]
+        assert spilled > 0
+        table = result.table
+        assert int((table.served_by == SERVED_BY_SPILL).sum()) == spilled
+        assert table.spill_ratio() == spilled / table.count
+
     def test_spilled_request_served_late_lands_in_its_row(self, monkeypatch):
         """The spill path writes the client's own row: a spilled request
         that times out at its 1 s deadline while a sandbox cold-starts is

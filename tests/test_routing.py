@@ -4,8 +4,8 @@ Five layers:
 
 * **Config**: the routing knobs validate on `ServiceConfig` and stay
   hashable sweep axes.
-* **Units**: `BackendHealth`, `CircuitBreaker`, `LatencyQuantile`, and
-  the pure routing policies in isolation.
+* **Units**: `BackendHealth`, `CircuitBreaker`, `LatencyQuantile`, the
+  pure routing policies, and the router's attempt rows in isolation.
 * **Ledger**: `RouterMeter` classification and the extended
   conservation identity, property-tested across fault schedules x
   routing policies.
@@ -20,6 +20,7 @@ Five layers:
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.core.benchmark import ServingBenchmark
@@ -37,11 +38,17 @@ from repro.platforms.routing import (
     LatencyQuantile,
     MultiRegionPlatform,
     RouterMeter,
+    _AttemptRows,
     choose_priority,
     choose_weighted,
 )
 from repro.serving.deployment import ServiceConfig
-from repro.serving.outcome_table import OutcomeRecorder
+from repro.serving.outcome_table import (
+    _BLOCK_COLUMNS,
+    _STAGE_NAMES,
+    OutcomeColumns,
+    OutcomeRecorder,
+)
 from repro.sim import Environment, RandomStreams
 from repro.workload.requests import RequestPool
 
@@ -248,6 +255,89 @@ class TestRoutingPolicies:
 
     def test_weighted_none_when_every_breaker_is_open(self):
         assert choose_weighted([snapshot(0, admits=False)], 0.5) is None
+
+    def test_weighted_floors_success_and_latency(self):
+        """Below the floors (1 % success, 1 ms latency) a backend weighs
+        exactly what it weighs at them."""
+        draws = [draw / 64.0 for draw in range(64)]
+        at_floor = [snapshot(0, success=0.01, latency=1e-3),
+                    snapshot(1, success=0.5, latency=0.02)]
+        below = [snapshot(0, success=0.0, latency=0.0), at_floor[1]]
+        assert ([choose_weighted(at_floor, draw) for draw in draws]
+                == [choose_weighted(below, draw) for draw in draws])
+
+
+class TestAttemptRows:
+    """Opening a row writes every column of the block's column table,
+    so a column added to ``_BLOCK_COLUMNS`` is covered here too."""
+
+    INFERENCES = 3
+
+    @staticmethod
+    def dirty(rows, row):
+        """Write a non-default value into every column of ``row``, and
+        leave an error pending on it."""
+        for name, (dtype, default) in _BLOCK_COLUMNS.items():
+            rows.arrays[name][row] = (not default) if dtype is np.bool_ else 5
+        rows.errors[row] = "timeout"
+
+    def assert_opened(self, rows, row):
+        """``row`` reads like a freshly opened row, byte for byte."""
+        for name, (dtype, default) in _BLOCK_COLUMNS.items():
+            if name in _STAGE_NAMES:
+                default = -0.0
+            elif name == "inferences":
+                default = self.INFERENCES
+            expected = np.array([default], dtype=dtype).tobytes()
+            assert rows.arrays[name][row:row + 1].tobytes() == expected, name
+        assert row not in rows.errors
+
+    def test_reused_row_reads_like_a_fresh_one(self):
+        rows = _AttemptRows(OutcomeColumns(0))
+        first = rows.open(self.INFERENCES)
+        self.assert_opened(rows, first)
+        self.dirty(rows, first)
+        rows.close(first)
+        assert rows.open(self.INFERENCES) == first
+        self.assert_opened(rows, first)
+        fresh = rows.open(self.INFERENCES)
+        assert fresh != first
+        self.assert_opened(rows, fresh)
+
+    def test_reused_rows_read_fresh_across_growth(self):
+        """Rows written before the block grows from 16 to 32 rows are
+        reset in the grown block, not in the storage it replaced."""
+        rows = _AttemptRows(OutcomeColumns(0))
+        opened = [rows.open(self.INFERENCES) for _ in range(16)]
+        assert rows.rows == 16
+        for row in opened:
+            self.dirty(rows, row)
+        grown = rows.open(self.INFERENCES)
+        assert rows.rows == 32
+        self.dirty(rows, grown)
+        rows.close(opened[3])
+        rows.close(grown)
+        assert {rows.open(self.INFERENCES),
+                rows.open(self.INFERENCES)} == {opened[3], grown}
+        for row in (opened[3], grown):
+            self.assert_opened(rows, row)
+
+    def test_stage_pairs_follow_either_block_resizing(self):
+        """The merge's (attempt, client) stage views are the views both
+        blocks hold after either one resized."""
+        client = OutcomeColumns(4)
+        rows = _AttemptRows(client)
+        rows.open(self.INFERENCES)
+        rows.stage_pairs()
+        for grow in (lambda: client.resize(8), lambda: rows.resize(32)):
+            grow()
+            pairs = rows.stage_pairs()
+            assert len(pairs) == len(rows.stages)
+            for (column, target, accumulates), name in zip(pairs,
+                                                           rows.stages):
+                assert column is rows.stages[name]
+                assert target is client.stages[name]
+                assert accumulates == (name == "network")
 
 
 class TestRouterMeter:
@@ -531,6 +621,48 @@ class TestFailoverEndToEnd:
                 assert notes["degraded"] <= notes["completed"], label
                 # Client rows match the router's client-level ledger.
                 assert notes["completed"] == int(table.success.sum()), label
+
+    def test_attempt_rows_open_without_slice_resets(self, monkeypatch,
+                                                    tiny_w40):
+        """A routed cell opens its attempt rows with scalar stores: the
+        block's slice reset (the chunk ring's) never runs on them."""
+        reset = OutcomeColumns.reset
+        blocks = []
+
+        def spy(block, start, stop):
+            blocks.append(block)
+            reset(block, start, stop)
+
+        monkeypatch.setattr(OutcomeColumns, "reset", spy)
+        deployment = Planner().plan(
+            "aws", "mobilenet", "tf1.15", "serverless",
+            region_count=2, routing_policy="weighted",
+            breaker_failure_threshold=8, breaker_cooldown_s=5.0,
+            hedge_percentile=95.0, crash_mtbf_s=30.0, retry_attempts=3)
+        router, table = run_platform(deployment, tiny_w40)
+        assert table.count > router._attempts.rows > 0
+        assert not any(isinstance(block, _AttemptRows) for block in blocks)
+
+    def test_streamed_routed_cell_agrees_with_the_full_table(self, tiny_w40):
+        """The chunk ring grows its block mid-run, and the router's
+        merges follow the client rows into the grown block."""
+        deployment = Planner().plan(
+            "aws", "mobilenet", "tf1.15", "serverless",
+            region_count=2, routing_policy="weighted",
+            hedge_percentile=90.0, hedge_min_samples=16, crash_mtbf_s=30.0,
+            retry_attempts=2)
+        full = ServingBenchmark(seed=SEED).run(deployment, tiny_w40).table
+        streamed = ServingBenchmark(
+            seed=SEED, streaming_threshold=0,
+            chunk_rows=32).run(deployment, tiny_w40)
+        assert streamed.streaming
+        assert streamed.metadata["peak_resident_chunks"] > 1
+        summary = streamed.table
+        assert summary.count == full.count
+        assert summary.success_ratio == full.success_ratio
+        assert summary.cold_start_ratio == full.cold_start_ratio
+        assert summary.attempts_mean() == full.attempts_mean()
+        assert summary.average_latency == pytest.approx(full.average_latency)
 
     def test_routed_chaos_cells_identical_across_worker_pool(self, tiny_w40):
         planner = Planner()
