@@ -423,8 +423,10 @@ def run_routed_probe(repeats: int = 1) -> dict:
 
     Unlike the routing probe, which times the decision functions alone,
     this runs every routed request: snapshots and the weighted choice,
-    attempt rows and their merge, hedge races, breakers, and the
-    regional serverless backends under crashes and client retries.
+    attempt rows and their merge, hedge races, and the regional
+    serverless backends, with crash timers, breakers and client retries
+    armed.  On this short cell no request fails (7 hedges fire, no
+    breaker trips, no retry), so it times the routed path itself.
     Reports calendar events and cProfile calls per request, the counts
     ``--check`` gates, and requests/s, which it only prints.
     """
