@@ -8,12 +8,19 @@ draws), rejection and timeout paths — and records each cell's
 SHA-256 outcome-column hash plus headline usage counters into
 ``tests/data/golden_hashes.json``.
 
-Two more groups pin the subsystems the base cells never reach:
+More groups pin the subsystems the base cells never reach:
 
 * ``scenarios`` — every registered scenario (fault injection and its
   interrupt path, the multi-region router, hybrid spill, scale-in,
-  provisioned keep-alive, storms) at ``SCENARIO_SCALE``, pinned by
+  provisioned instances, storms) at ``SCENARIO_SCALE``, pinned by
   column hash, cost, and ``events_processed``;
+* ``keep_alive`` — serverless cells whose keep-alives expire: no
+  registered run idles an instance past the providers' 600 s
+  keep-alive, so these cut it to ``KEEP_ALIVE_S`` on ``w-storm``,
+  alone, with provisioned instances (which re-park when theirs
+  expires), with crashes (which kill idle instances), and with all
+  of these plus a cold-start storm; pinned by column hash, cost,
+  instances created, and ``events_processed``;
 * ``streamed`` — one streamed ``w-1m`` cell through the chunk ring,
   pinned by :meth:`~repro.serving.streaming.OutcomeSummary.digest`;
 * ``frames`` — the study frames that read every table reduction (the
@@ -42,6 +49,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from repro.api import run  # noqa: E402
+from repro.cloud.providers import get_provider  # noqa: E402
 from repro.core.benchmark import ServingBenchmark  # noqa: E402
 from repro.core.planner import Planner  # noqa: E402
 from repro.core.scenario import ScenarioSpec, list_scenarios  # noqa: E402
@@ -117,6 +125,22 @@ FRAMES = {
     "hybrid-economics": 0.02,
 }
 
+#: The keep-alive cells: aws/mobilenet/tf1.15 serverless on
+#: ``KEEP_ALIVE_WORKLOAD`` at ``KEEP_ALIVE_SCALE``, with the provider's
+#: keep-alive cut to ``KEEP_ALIVE_S`` (1,209-1,515 expiries per cell),
+#: under each of these config overrides.
+KEEP_ALIVE_S = 5.0
+KEEP_ALIVE_WORKLOAD = "w-storm"
+KEEP_ALIVE_SCALE = 0.1
+KEEP_ALIVE_CELLS = [
+    {},
+    {"provisioned_concurrency": 3},
+    {"crash_mtbf_s": 20.0},
+    {"provisioned_concurrency": 2, "crash_mtbf_s": 30.0,
+     "storm_times_s": (15.0,)},
+]
+
+
 #: The short-horizon cell: a spec, its fidelity, and the context scale
 #: the fidelity multiplies into.
 FIDELITY_CELL = (ScenarioSpec(name="", provider="aws", model="mobilenet",
@@ -163,6 +187,7 @@ def record(path: str = OUTPUT) -> dict:
         "scenario_scale": SCENARIO_SCALE,
         "scenarios": record_scenarios(),
         "streamed": record_streamed(planner),
+        "keep_alive": record_keep_alive(planner),
         "frames": record_frames(),
         "fidelity": record_fidelity(),
     }
@@ -203,6 +228,35 @@ def record_streamed(planner: Planner) -> dict:
     return {"/".join((*cell, workload_name)): pin}
 
 
+def record_keep_alive(planner: Planner) -> dict:
+    """Pin the :data:`KEEP_ALIVE_CELLS`; each entry carries its overrides
+    (tuples as JSON lists) so the test can rebuild the cell."""
+    provider = get_provider("aws").with_serverless(keep_alive_s=KEEP_ALIVE_S)
+    workload = standard_workload(KEEP_ALIVE_WORKLOAD, seed=SEED,
+                                 scale=KEEP_ALIVE_SCALE)
+    pins = {}
+    for overrides in KEEP_ALIVE_CELLS:
+        deployment = planner.plan(provider, "mobilenet", "tf1.15",
+                                  "serverless", **overrides)
+        result = ServingBenchmark(seed=SEED).run(deployment, workload)
+        key = cell_key("aws", "mobilenet", "tf1.15", "serverless",
+                       f"{KEEP_ALIVE_WORKLOAD}x{KEEP_ALIVE_SCALE}",
+                       dict(overrides, keep_alive_s=KEEP_ALIVE_S))
+        pins[key] = {
+            "column_hash": result.table.column_hash(),
+            "requests": result.total_requests,
+            "cost": result.cost,
+            "instances_created": result.usage.instances_created,
+            "events_processed": result.metadata["events_processed"],
+            "keep_alive_s": KEEP_ALIVE_S,
+            "workload": KEEP_ALIVE_WORKLOAD,
+            "scale": KEEP_ALIVE_SCALE,
+            "overrides": {name: list(value) if isinstance(value, tuple)
+                          else value for name, value in overrides.items()},
+        }
+    return pins
+
+
 def record_frames() -> dict:
     """Pin every frame of :data:`FRAMES` by :func:`frame_digest`."""
     load_registered_studies()
@@ -229,12 +283,14 @@ def record_fidelity() -> dict:
 
 if __name__ == "__main__":
     payload = record()
-    for group in ("cells", "scenarios", "streamed", "frames", "fidelity"):
+    for group in ("cells", "scenarios", "streamed", "keep_alive", "frames",
+                  "fidelity"):
         for key, entry in payload[group].items():
             digest = entry.get("column_hash", entry.get("digest"))
             print(f"{digest[:16]}  {key}")
     print(f"wrote {OUTPUT} ({len(payload['cells'])} cells, "
           f"{len(payload['scenarios'])} scenarios, "
           f"{len(payload['streamed'])} streamed, "
+          f"{len(payload['keep_alive'])} keep-alive, "
           f"{len(payload['frames'])} frames, "
           f"{len(payload['fidelity'])} fidelity)")

@@ -17,8 +17,11 @@ Three layers of guarantees:
   completion time, or a stage attribution fails these tests.  The same
   file pins every registered scenario (faults, routing, hybrid spill,
   scale-in) and one streamed ``w-1m`` cell by digest, cost, and
-  ``events_processed``, and pins the study frames' unrounded rows
-  (every table reduction) and one short-horizon fidelity cell.
+  ``events_processed``, four serverless cells whose keep-alives expire
+  (a 5 s keep-alive, with provisioned instances, crashes and a storm)
+  by column hash, cost, instances created and ``events_processed``,
+  and pins the study frames' unrounded rows (every table reduction)
+  and one short-horizon fidelity cell.
 """
 
 import hashlib
@@ -28,6 +31,7 @@ import os
 import pytest
 
 from repro.api import run
+from repro.cloud.providers import get_provider
 from repro.core.benchmark import ServingBenchmark
 from repro.core.planner import Planner
 from repro.core.scenario import ScenarioSpec, get_scenario
@@ -547,6 +551,34 @@ class TestGoldenScenarios:
                 workload_scale=scale)
         assert result.streaming
         _assert_pin(result, result.table.digest(), expected)
+
+
+class TestGoldenKeepAlive:
+    """Absolute pins for keep-alive expiry: the registered runs never
+    idle an instance past the providers' 600 s keep-alive."""
+
+    @pytest.mark.parametrize("key", sorted(_GOLDEN["keep_alive"]))
+    def test_keep_alive_cell_reproduces_pin(self, key):
+        expected = _GOLDEN["keep_alive"][key]
+        provider = get_provider("aws").with_serverless(
+            keep_alive_s=expected["keep_alive_s"])
+        overrides = {name: tuple(value) if isinstance(value, list)
+                     else value
+                     for name, value in expected["overrides"].items()}
+        deployment = Planner().plan(provider, "mobilenet", "tf1.15",
+                                    "serverless", **overrides)
+        workload = standard_workload(expected["workload"],
+                                     seed=_GOLDEN["seed"],
+                                     scale=expected["scale"])
+        result = ServingBenchmark(seed=_GOLDEN["seed"]).run(deployment,
+                                                            workload)
+        assert result.table.column_hash() == expected["column_hash"]
+        assert result.total_requests == expected["requests"]
+        assert result.cost == expected["cost"]
+        assert (result.usage.instances_created
+                == expected["instances_created"])
+        assert (result.metadata["events_processed"]
+                == expected["events_processed"])
 
 
 class TestGoldenFrames:
