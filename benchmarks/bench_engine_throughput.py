@@ -21,9 +21,10 @@ calls per request may exceed the recorded value by at most 2 %; the
 bytes its outcome table stores per row may not exceed the recorded
 value), the calendar events of the fault-injection and hybrid probes,
 the routing probe's breaker trips and the search probe's simulated
-cells and rungs (all exactly, like the probe cell), the routed probe's
-calendar events (exactly) and cProfile calls per request (within 2 %),
-and also smokes the
+cells and rungs (all exactly, like the probe cell), the routed and
+hybrid probes' cProfile calls per request (within 2 %, like the probe
+cell) and the routed probe's calendar events (exactly), and also
+smokes the
 columnar outcome pipeline (outcome-table build + metric reductions on
 the probe's data), the
 serving control plane (instance-pool transitions, scaling-policy
@@ -114,13 +115,18 @@ def run_cell(workload_name: str, scale: float, repeats: int = 1,
 
 def probe_calls_per_request(config: dict | None = None) -> float:
     """cProfile calls (Python and builtin) per request on the probe cell
-    (with ``config``'s service knobs, if given).
+    (with ``config``'s service knobs, if given)."""
+    return calls_per_request(Planner().plan(
+        "aws", "mobilenet", "tf1.15", "serverless", **(config or {})))
+
+
+def calls_per_request(deployment) -> float:
+    """cProfile calls (Python and builtin) per request of ``deployment``
+    on the probe workload.
 
     A deterministic work count: one untimed run first, so lazy imports
     and one-off caches stay out of the profiled run.
     """
-    deployment = Planner().plan("aws", "mobilenet", "tf1.15", "serverless",
-                                **(config or {}))
     workload = standard_workload(CHECK_WORKLOAD, seed=SEED, scale=CHECK_SCALE)
     ServingBenchmark(seed=SEED).run(deployment, workload)
     profiler = cProfile.Profile()
@@ -423,10 +429,12 @@ def run_routed_probe(repeats: int = 1) -> dict:
 
     Unlike the routing probe, which times the decision functions alone,
     this runs every routed request: snapshots and the weighted choice,
-    attempt rows and their merge, hedge races, and the regional
-    serverless backends, with crash timers, breakers and client retries
-    armed.  On this short cell no request fails (7 hedges fire, no
-    breaker trips, no retry), so it times the routed path itself.
+    attempt rows and their merge, the hedge timer on every request once
+    the latency estimate is ready (the primary attempt runs inline under
+    it; a hedge that fires runs as a process of its own), and the
+    regional serverless backends, with crash timers, breakers and client
+    retries armed.  On this short cell no request fails (7 hedges fire,
+    no breaker trips, no retry), so it times the routed path itself.
     Reports calendar events and cProfile calls per request, the counts
     ``--check`` gates, and requests/s, which it only prints.
     """
@@ -454,7 +462,9 @@ def run_hybrid_probe(repeats: int = 1) -> dict:
     so the per-request spill decision, both backends' admission paths,
     and the merged ``provisioned.`` / ``spill.`` usage ledger are all on
     the clock.  Reported as requests/s (plus the observed spill ratio,
-    as a behavioural canary) for the ``--check`` gate.
+    as a behavioural canary) and cProfile calls per request (the spill
+    path parks serverless instances on its idle line) for the
+    ``--check`` gate.
     """
     deployment = Planner().plan("aws", "mobilenet", "tf1.15", "hybrid",
                                 **HYBRID_PROBE_CONFIG)
@@ -478,6 +488,7 @@ def run_hybrid_probe(repeats: int = 1) -> dict:
         "requests_per_s": round(result.total_requests / best, 1),
         "spill_ratio": round(result.table.spill_ratio(), 4),
         "success_ratio": round(result.success_ratio, 4),
+        "calls_per_req": calls_per_request(deployment),
     }
 
 
@@ -618,7 +629,8 @@ def run_sweep(scale: float, repeats: int) -> dict:
     print(f" hybrid x{CHECK_SCALE:<5g} {hybrid['wall_s']:>8.3f}s "
           f"{hybrid['requests_per_s']:>10,.0f} req/s "
           f"({hybrid['events']} events, spill ratio "
-          f"{hybrid['spill_ratio']:g})")
+          f"{hybrid['spill_ratio']:g}, {hybrid['calls_per_req']:g} "
+          f"calls/request)")
     print(f" routing       {routing['cycles_per_s']:>13,.0f} cycles/s "
           f"({routing['breaker_trips']} breaker trips)")
     print(f" routed x{CHECK_SCALE:<5g} {routed['wall_s']:>8.3f}s "
@@ -690,7 +702,8 @@ def run_check(path: str) -> int:
     probe's breaker trips, and the search probe's simulated cells and
     rungs must match their recorded counts exactly too, the routed
     probe's calendar events exactly and its calls per request within
-    CALLS_TOLERANCE (its req/s is printed, not gated), and the
+    CALLS_TOLERANCE (its req/s is printed, not gated), the hybrid
+    probe's calls per request within CALLS_TOLERANCE, and the
     streaming probe's peak resident chunks may not exceed the recorded
     count.
     """
@@ -812,6 +825,10 @@ def run_check(path: str) -> int:
         hybrid = run_hybrid_probe(repeats=2)
         failed = not exact_gate("hybrid probe calendar events", hybrid,
                                 hybrid_reference) or failed
+        if "calls_per_req" in hybrid_reference:
+            failed = not calls_gate("hybrid probe", hybrid["calls_per_req"],
+                                    hybrid_reference["calls_per_req"]
+                                    ) or failed
         checks.append(("hybrid req/s",
                        hybrid["requests_per_s"],
                        hybrid_reference["requests_per_s"]))

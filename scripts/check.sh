@@ -20,7 +20,9 @@
 # front door: weighted routing, breakers, p95 hedging, crashes and
 # retries) gates its calendar events exactly and its cProfile calls
 # per request at most 2% above the recorded value; its req/s is
-# printed but not gated.
+# printed but not gated.  The hybrid probe's cProfile calls per
+# request are gated the same way (its spill path parks serverless
+# instances on their idle line, so keep-alive work shows there too).
 # These do not depend on the host's speed (only on the Python and
 # numpy versions, like the recorded baseline).  It then gates, on
 # wall-clock: the

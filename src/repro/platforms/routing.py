@@ -22,8 +22,10 @@ through the resilience toolkit:
 * **hedged requests** — once the router's streaming
   :class:`LatencyQuantile` estimate of the ``hedge_percentile`` latency
   is exceeded, a second attempt is issued on another region and the
-  first completion wins (the hedge timer is cancelled through the
-  engine's ``Race``/cancellable-timer machinery when the primary wins);
+  first successful completion wins.  The primary attempt runs inline
+  in the request's process under one cancellable hedge timer, so a
+  request that never hedges costs that timer and nothing else; only a
+  hedge that fires starts a process of its own;
 * **brownout degradation** — past a fleet-utilisation watermark the
   router serves requests from a cheaper ``brownout_model`` backend
   instead of shedding; such completions are *successes* labelled
@@ -52,6 +54,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from functools import partial
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.platforms.base import PlatformUsage, ServingPlatform, build_platform
@@ -64,6 +67,7 @@ from repro.serving.outcome_table import (
 )
 from repro.serving.records import Stage
 from repro.sim import TimeSeriesMonitor
+from repro.sim.engine import Timeout
 
 __all__ = [
     "ROUTE_STREAM",
@@ -569,6 +573,21 @@ class _AttemptRows(OutcomeColumns):
         self._free.append(row)
 
 
+class _HedgeTimer(Timeout):
+    """A routed request's hedge timer, carrying what its hedge needs.
+
+    The request (``row``, payloads) and its primary backend ``index``
+    ride in slots, so the timer's one callback, bound once per router,
+    can start the hedge.  Once it has, ``hedge`` is the hedge attempt's
+    process, ``primary_ok`` the primary's outcome once it ends before
+    the hedge does (None while it runs), and ``won`` whether the hedge
+    finished the client request.
+    """
+
+    __slots__ = ("index", "row", "payload_mb", "response_mb", "hedge",
+                 "primary_ok", "won")
+
+
 class MultiRegionPlatform(ServingPlatform):
     """A resilient routing front door over regional platform replicas.
 
@@ -617,6 +636,8 @@ class MultiRegionPlatform(ServingPlatform):
                                  self.breakers, self.health))
         #: Attempt rows every backend writes (see :meth:`bind`).
         self._attempts: Optional[_AttemptRows] = None
+        #: Every hedge timer's callback, bound once.
+        self._hedge_hook = self._hedge_fired
 
     # ------------------------------------------------------------------ API
     def bind(self, rows, commit=None) -> None:
@@ -747,73 +768,115 @@ class MultiRegionPlatform(ServingPlatform):
             if self._hedge and self._quantile.ready:
                 final = yield from self._hedged(index, row, payload_mb,
                                                 response_mb)
+                if final < 0:
+                    return      # the hedge won and finished the request
             else:
                 final = yield from self._attempt(index, row, payload_mb,
                                                  response_mb)
+        self._complete(row, final, degraded)
 
+    def _complete(self, row: int, attempt: int,
+                  degraded: bool = False) -> None:
+        """The client request in ``row`` finishes now with ``attempt``'s
+        outcome: merge it, close the attempt row, commit and ledger."""
         attempts = self._attempts
-        success = attempts.success[final]
+        success = attempts.success[attempt]
         if success:
             error = DEGRADED_LABEL if degraded else ""
         else:
-            error = attempts.errors.get(final, "")
-        self._merge(row, final)
+            error = attempts.errors.get(attempt, "")
+        self._merge(row, attempt)
         # A backend still serving the attempt after its deadline writes
         # its late billing into this client row.
-        attempts.close(final, row)
+        attempts.close(attempt, row)
         self._finish(row, success, error)
         self.meter.classify(success, error, degraded)
 
     def _hedged(self, index: int, row: int, payload_mb: float,
                 response_mb: float):
-        """Race the primary attempt against the hedge timer, then hedge.
+        """Run the primary attempt inline under the hedge timer.
 
-        Only here does an attempt run as a process of its own: a race
-        needs an event on each side.  The primary winning cancels the
-        timer (no dead calendar entry); the timer winning issues a
-        second attempt on another admitting backend and the first
-        completion wins the request.  When the first completion failed
-        but the other attempt is still in flight, the router waits for
-        it and prefers its success — a hedge also doubles as a failover
-        retry.  Returns the winning attempt's row; the other one closes
-        once its attempt is over.
+        The primary ending first withdraws the timer (no dead calendar
+        entry).  The timer firing first starts a hedge attempt on
+        another admitting backend (:meth:`_hedge_fired`), the only
+        attempt that runs as a process of its own.  The first
+        completion wins if it succeeded; otherwise the other attempt's
+        success is preferred (a hedge doubles as a failover retry), and
+        if both fail the first completion is reported.  A hedge that
+        wins finishes the client request when it lands
+        (:meth:`_hedge_landed`) and the primary runs on, billed by its
+        region: this then returns -1 when the primary ends.  Otherwise
+        it returns the attempt row to report; the other attempt's row
+        closes once that attempt is over.
         """
-        env = self.env
+        timer = _HedgeTimer(self.env, self._quantile.value)
+        timer.callbacks.append(self._hedge_hook)
+        timer.index = index
+        timer.row = row
+        timer.payload_mb = payload_mb
+        timer.response_mb = response_mb
+        timer.hedge = None
+        primary = yield from self._attempt(index, row, payload_mb,
+                                           response_mb)
+        hedge = timer.hedge
+        if hedge is None:
+            # Still pending (withdrawn here), or fired with no alternate.
+            timer.cancel()
+            return primary
         attempts = self._attempts
-        primary = env.process(self._attempt(index, row, payload_mb,
-                                            response_mb))
-        hedge_timer = env.timeout(self._quantile.value)
-        winner = yield env.race(primary, hedge_timer)
-        if winner is primary:
-            hedge_timer.cancel()
-            return primary.value
-        alternate = self._choose(self._snapshots(env.now), exclude=index)
+        if timer.won:
+            attempts.close(primary)
+            return -1
+        success = attempts.success[primary]
+        if not hedge.is_alive:
+            # The hedge landed first and failed.
+            first = hedge.value
+            if success:
+                attempts.close(first)
+                return primary
+            attempts.close(primary)
+            return first
+        timer.primary_ok = success
+        if success:
+            return primary      # the hedge's row closes when it lands
+        second = yield hedge
+        if attempts.success[second]:
+            attempts.close(primary)
+            return second
+        attempts.close(second)
+        return primary
+
+    def _hedge_fired(self, timer: _HedgeTimer) -> None:
+        """The hedge timer fired while the primary attempt runs: start
+        the hedge on another admitting backend, if one admits."""
+        env = self.env
+        alternate = self._choose(self._snapshots(env.now),
+                                 exclude=timer.index)
         if alternate is None:
-            return (yield primary)
+            return
         self.meter.record_hedge()
         self.breakers[alternate].on_route(env.now)
-        secondary = env.process(self._attempt(alternate, row, payload_mb,
-                                              response_mb))
-        winner = yield env.race(primary, secondary)
-        other = secondary if winner is primary else primary
-        first = winner.value
-        if attempts.success[first]:
-            # The loser runs on (its region still bills it).
-            if other.processed:
-                attempts.close(other.value)
-            else:
-                other.callbacks.append(self._close_loser)
-            return first
-        attempt = yield other
-        if attempts.success[attempt]:
-            attempts.close(first)
-            return attempt
-        attempts.close(attempt)
-        return first
+        timer.primary_ok = None
+        timer.won = False
+        hedge = env.process(self._attempt(alternate, timer.row,
+                                          timer.payload_mb,
+                                          timer.response_mb))
+        hedge.callbacks.append(partial(self._hedge_landed, timer))
+        timer.hedge = hedge
 
-    def _close_loser(self, process) -> None:
-        """A hedge's losing attempt finished: its row is free."""
-        self._attempts.close(process.value)
+    def _hedge_landed(self, timer: _HedgeTimer, hedge) -> None:
+        """The hedge attempt ended.  While the primary still runs, a
+        success wins: the client request finishes now.  After the
+        primary succeeded, the hedge's row is free.  (After the primary
+        failed, :meth:`_hedged` waits for this attempt and decides.)"""
+        attempt = hedge.value
+        primary_ok = timer.primary_ok
+        if primary_ok is None:
+            if self._attempts.success[attempt]:
+                timer.won = True
+                self._complete(timer.row, attempt)
+        elif primary_ok:
+            self._attempts.close(attempt)
 
     def _attempt(self, index: int, row: int, payload_mb: float,
                  response_mb: float):

@@ -21,12 +21,13 @@ The platform is a thin composition of the serving control plane:
   :class:`~repro.cloud.providers.ServerlessTraits`), which is the
   mechanism behind GCP creating far more instances than needed
   (Figure 11, Section 5.1);
-* an idle line (a deque of ``(instance, keep-alive guard)`` in
-  idle-since order) holds the warm instances waiting for work: a
-  request that finds one is served inline, in its own process, by the
-  oldest; each keep-alive is a withdrawable lane guard
-  (:meth:`~repro.sim.engine.Lane.guard` on ``None``) whose expiry
-  retires the instance, or re-parks a provisioned one;
+* an idle line (:class:`~repro.sim.engine.IdleLine`) holds the warm
+  instances waiting for work in idle-since order: a request that finds
+  one is served inline, in its own process, by the oldest.  A
+  keep-alive is data, the entry's expiry: only the oldest entry's
+  alarm is on the calendar, so an instance claimed before its
+  keep-alive ends costs no timer object.  An expiry retires the
+  instance, or re-parks a provisioned one;
 * a :class:`~repro.platforms.admission.WorkQueue` buffers the requests
   that found no idle instance as interned tickets; the scaler pins them
   to fresh instances, and an instance that finishes its work takes the
@@ -43,9 +44,8 @@ The platform is a thin composition of the serving control plane:
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.core.faults import REQUEST_FAULT_STREAM, FaultInjector, FaultSpec
 from repro.platforms.admission import PendingRequest, WorkQueue
@@ -54,7 +54,7 @@ from repro.platforms.billing import ServerlessMeter
 from repro.platforms.policies import ConcurrencyScalingPolicy
 from repro.platforms.pool import InstancePool, InstanceState, PoolInstance
 from repro.sim import Interrupt, Process
-from repro.sim.engine import Guard
+from repro.sim.engine import IdleLine
 
 __all__ = ["ServerlessPlatform"]
 
@@ -119,8 +119,8 @@ class ServerlessPlatform(ServingPlatform):
         #: Live instance registry, only kept when faults are active (kill
         #: targets come from here): id -> (instance, runner), where the
         #: runner is the process serving the instance (its loop, or a
-        #: request served inline) or, for a parked instance, its
-        #: keep-alive guard.
+        #: request served inline); a parked instance maps to its
+        #: idle-line entry ``(instance, expiry, sequence)`` instead.
         self._live: Optional[Dict[int, tuple]] = (
             {} if self._injector is not None else None)
         self._error_rate = spec.request_error_rate if spec else 0.0
@@ -128,16 +128,14 @@ class ServerlessPlatform(ServingPlatform):
         # One falsy check per request on the no-fault path, not two.
         self._admission_faults = bool(self._error_rate
                                       or self._shed_watermark)
-        # Fixed-delay guard lanes: the client deadline on every request,
-        # the keep-alive on every idle period.
+        # A fixed-delay guard lane: the client deadline on every request.
         self._deadlines = env.lane(min(
             _FUNCTION_TIMEOUT_S,
             self.config.request_timeout_s or _FUNCTION_TIMEOUT_S))
-        self._keep_alives = env.lane(traits.keep_alive_s)
-        #: The idle line: parked instances and their keep-alive guards,
-        #: oldest idle first.
-        self._idle: Deque[Tuple[PoolInstance, Guard]] = deque()
-        self._expire_hook = self._keep_alive_expired
+        #: The idle line: parked instances, oldest idle first, each
+        #: expiring after the keep-alive.
+        self._idle = IdleLine(env, traits.keep_alive_s,
+                              self._keep_alive_expired)
         # Per-run constants, hoisted off the per-request path: the profile
         # lookups are pure functions of the (fixed) deployment, and the
         # method chains cost more than the arithmetic they guard.
@@ -210,7 +208,7 @@ class ServerlessPlatform(ServingPlatform):
                 return
         idle = self._idle
         inferences = self._rows.inferences[row]
-        if not idle:
+        if not idle.entries:
             pending = self.queue.enqueue(row, inferences)
             self._scale_out()
             # The client waits for the response under its deadline guard;
@@ -219,8 +217,7 @@ class ServerlessPlatform(ServingPlatform):
                       ) is not None
         else:
             # The oldest idle instance serves the request inline.
-            instance, keep_alive = idle.popleft()
-            keep_alive.cancel()
+            instance = idle.claim()
             enqueue = env.now
             predict = self._claim(instance, row, inferences, 0.0)
             duration = self._handler_s + predict
@@ -256,7 +253,10 @@ class ServerlessPlatform(ServingPlatform):
                     self._release(instance, row, predict)
                     pending = self.queue.take()
                     if pending is None:
-                        self._park(instance)
+                        # _park, inlined: once per warm request.
+                        entry = idle.park(instance)
+                        if live is not None:
+                            live[instance.instance_id] = entry
                     else:
                         env.process(self._instance_loop(instance, pending))
                     served = True
@@ -321,23 +321,14 @@ class ServerlessPlatform(ServingPlatform):
     def _park(self, instance: PoolInstance) -> None:
         """Put an idle instance at the tail of the idle line.
 
-        Its keep-alive is a guard that watches no event: claiming the
-        instance withdraws it, and its expiry reclaims the instance.
+        Claiming it ends its keep-alive; expiring reclaims it.
         """
-        keep_alive = self._keep_alives.guard(None)
-        keep_alive.callbacks.append(self._expire_hook)
-        entry = (instance, keep_alive)
-        self._idle.append(entry)
+        entry = self._idle.park(instance)
         if self._live is not None:
             self._live[instance.instance_id] = entry
 
-    def _keep_alive_expired(self, keep_alive: Guard) -> None:
-        """A keep-alive expired: reclaim the instance at the head of the line.
-
-        The line is in idle-since order and every keep-alive has the
-        same delay, so the guard that expires is always the head's.
-        """
-        instance = self._idle.popleft()[0]
+    def _keep_alive_expired(self, instance: PoolInstance) -> None:
+        """The oldest idle instance's keep-alive expired: reclaim it."""
         if instance.provisioned:
             # Provisioned instances stay reserved for the whole run.
             self._park(instance)
@@ -354,10 +345,8 @@ class ServerlessPlatform(ServingPlatform):
         backlog.
         """
         idle = self._idle
-        if idle:
-            instance, keep_alive = idle.popleft()
-            keep_alive.cancel()
-            self.env.process(self._instance_loop(instance, pending,
+        if idle.entries:
+            self.env.process(self._instance_loop(idle.claim(), pending,
                                                  requeued=True))
         else:
             self.queue.requeue(pending)
@@ -380,13 +369,13 @@ class ServerlessPlatform(ServingPlatform):
                 runner.interrupt("fault")
                 return
             self._idle.remove(entry)
-            runner.cancel()
         if instance.alive:
             self.pool.kill(instance)
 
     def _flush_idle(self) -> None:
         """Cold-start storm: reclaim every idle non-provisioned sandbox."""
-        for instance, _runner in list(self._live.values()):
+        for entry in list(self._live.values()):
+            instance = entry[0]
             if (instance.state == InstanceState.IDLE
                     and not instance.provisioned):
                 self._kill_instance(instance)

@@ -9,8 +9,10 @@ spirit of SimPy:
   :class:`~repro.sim.engine.Process` — the things a process can ``yield``
   (besides a plain non-negative number: a bare sleep).
 * :class:`~repro.sim.engine.Lane` — fixed-delay guard timers raced
-  against an event (request deadlines, keep-alives) that share one
-  calendar slot.
+  against an event (request deadlines) that share one calendar slot.
+* :class:`~repro.sim.engine.IdleLine` — items waiting first-in
+  first-out that each expire a fixed delay after joining (keep-alives),
+  with one alarm on the calendar for the oldest.
 * :class:`~repro.sim.resources.Resource` — a capacity-limited pool of
   identical slots with a FIFO wait queue, used to model server workers.
 * :class:`~repro.sim.monitor.TimeSeriesMonitor` and friends — measurement

@@ -8,8 +8,8 @@ plain delays); the :class:`Process` wrapper resumes the generator
 whenever the yielded event triggers or the delay has passed.
 
 The engine is intentionally small but complete enough to model serving
-platforms: timeouts, triggerable events, guard timers, process
-interruption, and first-of-two races (:class:`Race`).
+platforms: timeouts, triggerable events, guard timers, idle lines,
+process interruption, and first-of-two races (:class:`Race`).
 
 Performance notes
 -----------------
@@ -17,8 +17,8 @@ This module is the hot path of every experiment (a full w-200 run pops
 millions of calendar entries), so it trades a little uniformity for
 speed.  Every entry pushed onto the heap is an event that runs: on the
 profiled serverless cell, heap pushes per request equal calendar
-events per request (about 6), apart from a handful of stale guard
-tokens per run.
+events per request (about 4.4), apart from a handful of stale guard
+and alarm tokens per run.
 
 * Every event class uses ``__slots__``; with hundreds of thousands of
   live events per run, per-instance ``__dict__`` allocation dominated
@@ -36,8 +36,8 @@ tokens per run.
   same 6-tuple carries every direct resumption: off an
   already-processed event, and the delivery of an interrupt.
 
-* **Guard lanes.**  A request deadline or a keep-alive is a fixed-delay
-  timer that nearly always loses its race.  :meth:`Environment.lane`
+* **Guard lanes.**  A request deadline is a fixed-delay timer that
+  nearly always loses its race.  :meth:`Environment.lane`
   returns a :class:`Lane` holding such guards in creation order, which
   for a constant delay is expiry order.  Only the lane's earliest guard
   sits on the heap, under the sequence number it took when it was
@@ -48,9 +48,18 @@ tokens per run.
   the same as with one :class:`Timeout` per guard.  :meth:`Lane.guard`
   is the timer and the race in one object: it triggers with the
   watched event if that fires first (withdrawing itself), or with
-  ``None`` when its delay expires.  A guard on ``None`` watches
-  nothing: it is a plain timer that can be withdrawn (the serverless
-  keep-alive of an idle instance).
+  ``None`` when its delay expires.
+
+* **Idle lines.**  An :class:`IdleLine` is a lane whose timers are
+  plain data: items wait in it first-in first-out, and each one
+  expires a fixed delay after it joined (the serverless keep-alive of
+  an idle instance).  An entry is an ``(item, expiry, sequence)``
+  tuple, the sequence number drawn when the item joined; only the
+  oldest entry's alarm sits on the heap, under exactly the key a
+  :class:`Timeout` of that delay would have taken then.  Claiming or
+  removing the oldest entry withdraws the alarm; a withdrawn alarm
+  pops uncounted and arms the new oldest entry (the lane rule).  So an
+  item that leaves before it expires costs no object beyond its entry.
 
 * Starting a process runs its first step *inline*: the generator
   advances to its first ``yield`` within ``env.process()`` itself
@@ -122,6 +131,7 @@ __all__ = [
     "Race",
     "Lane",
     "Guard",
+    "IdleLine",
     "Environment",
 ]
 
@@ -542,12 +552,8 @@ class Lane:
         """Guards held: the armed one and the waiting line."""
         return (self._armed is not None) + len(self._waiting)
 
-    def guard(self, event: Optional[Event]) -> "Guard":
-        """A guard on ``event``: yield it to wait for ``event`` or expiry.
-
-        With ``event=None`` the guard is a plain timer that can be
-        withdrawn: it only ever expires (or is cancelled).
-        """
+    def guard(self, event: Event) -> "Guard":
+        """A guard on ``event``: yield it to wait for ``event`` or expiry."""
         return Guard(self, event)
 
     def _expire(self, guard: "Guard") -> None:
@@ -569,21 +575,18 @@ class Guard(Event):
     Triggers with the watched event as its value if that fires first —
     the guard then withdraws itself — or with ``None`` when the lane's
     delay expires first.  A failure of the watched event is passed on
-    to the guard's waiters.  A guard on ``None`` watches nothing: it is
-    a timer that only expires.  :meth:`cancel` withdraws the guard in
+    to the guard's waiters.  :meth:`cancel` withdraws the guard in
     O(1).
     """
 
     __slots__ = ("_lane", "_expiry", "_sequence")
 
-    def __init__(self, lane: Lane, event: Optional[Event]):
+    def __init__(self, lane: Lane, event: Event):
         env = lane.env
-        callbacks = None
-        if event is not None:
-            if event.env is not env:
-                raise SimulationError(
-                    "cannot mix events of different environments")
-            callbacks = event.callbacks
+        if event.env is not env:
+            raise SimulationError(
+                "cannot mix events of different environments")
+        callbacks = event.callbacks
         self.env = env
         self._value = None
         self._ok = True
@@ -593,7 +596,7 @@ class Guard(Event):
         self._lane = lane
         self._expiry = env.now + lane.delay
         self._sequence = next(env._sequence)
-        if callbacks is None and event is not None and event._ok is not None:
+        if callbacks is None and event._ok is not None:
             # The watched event is already over: settled on the spot,
             # never on the lane.
             self.callbacks = None
@@ -660,6 +663,113 @@ class Guard(Event):
             callback(self)
 
 
+class IdleLine:
+    """Items waiting first-in first-out, each expiring ``delay`` after it
+    joined: a :class:`Lane` whose timers are data.
+
+    :meth:`park` appends an ``(item, expiry, sequence)`` entry, drawing
+    the sequence number a :class:`Timeout` of ``delay`` created then
+    would have drawn.  Creation order is expiry order, so only the
+    oldest entry needs a calendar entry: the line's *alarm*, pushed
+    under that entry's ``(expiry, NORMAL, sequence)`` key.  When it
+    goes off, the oldest entry leaves the line, the next one is armed,
+    and ``expire(item)`` runs (it may park the item again).
+    :meth:`claim` and :meth:`remove` take an entry out early; taking
+    the oldest withdraws the alarm, which then pops uncounted and arms
+    the new oldest entry.  The global pop order is the same as with
+    one withdrawable timer per entry.
+    """
+
+    __slots__ = ("env", "delay", "entries", "_expire", "_alarm", "_armed",
+                 "_hooks")
+
+    def __init__(self, env: "Environment", delay: float,
+                 expire: Callable[[Any], None]):
+        if not delay >= 0:
+            raise SimulationError(
+                f"idle-line delay must be non-negative: {delay!r}")
+        self.env = env
+        self.delay = delay
+        #: ``(item, expiry, sequence)`` entries, oldest first.  Read
+        #: only: :meth:`park`, :meth:`claim` and :meth:`remove` change it.
+        self.entries: Deque[tuple] = deque()
+        self._expire = expire
+        self._alarm = _Alarm(self)
+        #: Whether the alarm has an entry on the heap (live or
+        #: withdrawn); always true while the line holds entries.
+        self._armed = False
+        #: The alarm's callbacks, bound once.
+        self._hooks = [self._fire]
+
+    def park(self, item: Any) -> tuple:
+        """Put ``item`` at the tail; returns its entry (for :meth:`remove`)."""
+        env = self.env
+        entry = (item, env.now + self.delay, next(env._sequence))
+        self.entries.append(entry)
+        if not self._armed:
+            self._arm(entry)
+        return entry
+
+    def claim(self) -> Any:
+        """Take the oldest item out of the line (it must not be empty)."""
+        item = self.entries.popleft()[0]
+        # A live alarm is always the oldest entry's: withdraw it.
+        self._alarm._cancelled = True
+        return item
+
+    def remove(self, entry: tuple) -> None:
+        """Take ``entry`` out of the line, wherever it stands."""
+        entries = self.entries
+        if entry is entries[0]:
+            entries.popleft()
+            self._alarm._cancelled = True
+        else:
+            entries.remove(entry)
+
+    def _arm(self, entry: tuple) -> None:
+        """Put the alarm on the heap under ``entry``'s key."""
+        alarm = self._alarm
+        alarm._cancelled = False
+        alarm.callbacks = self._hooks
+        self._armed = True
+        heappush(self.env._queue, (entry[1], NORMAL, entry[2], alarm))
+
+    def _rearm(self) -> None:
+        """The alarm's entry popped: arm the oldest entry, if any."""
+        self._armed = False
+        entries = self.entries
+        if entries:
+            self._arm(entries[0])
+
+    def _fire(self, _alarm: "_Alarm") -> None:
+        """The oldest entry expired: it leaves, the next one is armed."""
+        item = self.entries.popleft()[0]
+        self._rearm()
+        self._expire(item)
+
+
+class _Alarm(Event):
+    """An :class:`IdleLine`'s one calendar entry (see there).
+
+    Reused for every entry the line arms; ``_cancelled`` marks it
+    withdrawn.  A withdrawn alarm's entry pops uncounted and re-arms
+    the line, so heap compaction keeps it.
+    """
+
+    __slots__ = ("_line",)
+
+    def __init__(self, line: IdleLine):
+        Event.__init__(self, line.env)
+        self.callbacks = None
+        self._ok = True
+        self._triggered = True
+        self._line = line
+
+    def _skip(self) -> None:
+        """Popped after a withdrawal: arm the line's oldest entry."""
+        self._line._rearm()
+
+
 class Environment:
     """The simulation environment: clock, calendar, and process factory."""
 
@@ -677,7 +787,7 @@ class Environment:
         #: Cancelled entries still sitting in the heap (lazy deletion).
         self._tombstones = 0
         #: Number of calendar entries executed (tombstones and withdrawn
-        #: guard tokens excluded; stale resume entries included).
+        #: guard and alarm tokens excluded; stale resume entries included).
         self.events_processed = 0
 
     # -- clock ------------------------------------------------------------
@@ -726,13 +836,13 @@ class Environment:
         """Rebuild the heap without tombstones (keeps memory O(live)).
 
         Rebuilds in place, because ``run()`` holds a local reference to
-        the list.  Lane entries stay: a withdrawn head still has to
-        re-arm its lane when it pops.
+        the list.  Lane and idle-line entries stay: a withdrawn head or
+        alarm still has to re-arm its lane or line when it pops.
         """
         queue = self._queue
         queue[:] = [entry for entry in queue
                     if len(entry) == 6 or not entry[3]._cancelled
-                    or entry[3].__class__ is Guard]
+                    or entry[3].__class__ in (Guard, _Alarm)]
         heapify(queue)
         self._tombstones = 0
 

@@ -12,6 +12,11 @@ Five layers:
 * **Composition**: regional replicas strip routing knobs and correlated
   fault schedules strike region 0 only; the brownout backend serves the
   cheap model fault-free.
+* **Hedge race**: with scripted backends (per-attempt latency and
+  outcome), every way a hedged request can end — no hedge, the primary
+  or the hedge first, a failure on either side or both, no admitting
+  alternate — reports the right attempt at the right time, commits the
+  client row once and frees every attempt row.
 * **End to end**: failover strictly improves availability and recovery
   under the chaos-outage schedule, hedging fires, brownout degrades,
   runs stay bit-identical serial vs workers=N, and `region_count=1`
@@ -448,6 +453,174 @@ class TestRegionalComposition:
         platform = build_platform(Environment(), deployment,
                                   rng=RandomStreams(SEED))
         assert not isinstance(platform, MultiRegionPlatform)
+
+
+# ---------------------------------------------------------------------------
+# Hedge race
+# ---------------------------------------------------------------------------
+
+class _ScriptedBackend:
+    """A regional backend whose attempts follow a script: each
+    ``request`` pops ``(latency, success, instance)``, waits the latency,
+    and writes the attempt row (a failure writes ``failed-<instance>``)."""
+
+    def __init__(self, env, script):
+        self.env = env
+        self.script = list(script)
+        self.rows = None
+
+    def bind(self, rows, commit=None):
+        self.rows = rows
+
+    def request(self, row, payload_mb, response_mb):
+        latency, success, instance = self.script.pop(0)
+        yield latency
+        rows = self.rows
+        rows.instance_id[row] = instance
+        rows.billed_duration_s[row] = latency
+        rows.predict_s[row] = latency
+        rows.completion_time[row] = self.env.now
+        if success:
+            rows.success[row] = True
+        else:
+            rows.errors[row] = f"failed-{instance}"
+
+
+class TestHedgeRace:
+    """The hedge timer is primed at 1 s; region 0 takes the primary
+    (priority routing), region 1 the hedge."""
+
+    HEDGE_AT = 1.0
+
+    def _run(self, primary, hedge=None, alternate_admits=True):
+        """Serve one request; returns (router, recorder, row, commits,
+        request process).  ``primary`` / ``hedge`` are
+        ``(latency, success, instance)`` scripts for regions 0 and 1."""
+        deployment = Planner().plan(
+            "aws", "mobilenet", "tf1.15", "serverless", region_count=2,
+            region_latency_s=(0.0, 0.0), routing_policy="priority",
+            hedge_percentile=95.0, hedge_min_samples=1,
+            breaker_failure_threshold=1)
+        env = Environment()
+        router = build_platform(env, deployment, rng=RandomStreams(SEED))
+        router.backends = [_ScriptedBackend(env, [primary]),
+                           _ScriptedBackend(env, [hedge] if hedge else [])]
+        recorder = OutcomeRecorder(1)
+        commits = []
+
+        def commit(row):
+            commits.append((row, env.now))
+            recorder.commit(row)
+
+        router.bind(recorder.columns, commit)
+        router._quantile.observe(self.HEDGE_AT)
+        assert router._quantile.ready
+        if not alternate_admits:
+            router.breakers[1].record_failure(0.0)
+        row = recorder.register(0, 0, 0.0)
+        process = env.process(router.request(row, 0.1, 0.01))
+        return env, router, recorder, row, commits, process
+
+    @staticmethod
+    def _all_rows_free(router):
+        attempts = router._attempts
+        return sorted(attempts._free) == list(range(attempts._fresh))
+
+    def test_no_hedge_when_the_primary_lands_first(self):
+        env, router, recorder, row, commits, _ = self._run((0.5, True, 10))
+        env.run()
+        outcome = recorder.table().row(row)
+        assert outcome.success and outcome.instance_id == 10
+        assert outcome.completion_time == 0.5
+        assert commits == [(row, 0.5)]
+        assert router.meter.hedges == 0 and router._attempts._fresh == 1
+        # The withdrawn timer never ran.
+        assert env.now == 0.5 and env.events_processed == 1
+        assert self._all_rows_free(router)
+
+    def test_primary_wins_after_the_hedge_fired(self):
+        env, router, recorder, row, commits, process = self._run(
+            (2.0, True, 10), (3.0, True, 20))
+        env.run(until=2.5)
+        outcome = recorder.table().row(row)
+        assert outcome.success and outcome.instance_id == 10
+        assert outcome.completion_time == 2.0
+        assert not process.is_alive
+        assert router.meter.hedges == 1
+        # The hedge still runs (and bills) on its row.
+        assert not self._all_rows_free(router)
+        env.run()
+        assert env.now == 4.0
+        assert commits == [(row, 2.0)]
+        assert self._all_rows_free(router)
+
+    def test_hedge_wins_and_finishes_the_client_row_when_it_lands(self):
+        env, router, recorder, row, commits, process = self._run(
+            (3.0, True, 10), (0.5, True, 20))
+        env.run(until=2.0)
+        outcome = recorder.table().row(row)
+        assert outcome.success and outcome.instance_id == 20
+        assert outcome.completion_time == 1.5
+        assert outcome.billed_duration_s == 0.5
+        assert commits == [(row, 1.5)]
+        assert router.meter.hedges == 1
+        assert router.meter.completed == 1
+        # The primary runs on inline in the request's process; its row
+        # is freed when it lands.
+        assert process.is_alive and not self._all_rows_free(router)
+        env.run()
+        assert env.now == 3.0 and not process.is_alive
+        assert self._all_rows_free(router)
+        assert commits == [(row, 1.5)]
+        assert recorder.table().row(row) == outcome
+
+    def test_primary_fails_first_and_the_hedge_succeeds(self):
+        env, router, recorder, row, commits, _ = self._run(
+            (1.5, False, 10), (1.0, True, 20))
+        env.run()
+        outcome = recorder.table().row(row)
+        assert outcome.success and outcome.instance_id == 20
+        assert outcome.completion_time == 2.0 and outcome.error == ""
+        assert commits == [(row, 2.0)]
+        assert self._all_rows_free(router)
+
+    def test_hedge_fails_first_and_the_primary_succeeds(self):
+        env, router, recorder, row, commits, _ = self._run(
+            (2.0, True, 10), (0.2, False, 20))
+        env.run()
+        outcome = recorder.table().row(row)
+        assert outcome.success and outcome.instance_id == 10
+        assert outcome.completion_time == 2.0
+        assert commits == [(row, 2.0)]
+        assert self._all_rows_free(router)
+
+    @pytest.mark.parametrize("primary, hedge, first", [
+        ((1.5, False, 10), (1.0, False, 20), 10),   # the primary first
+        ((2.0, False, 10), (0.2, False, 20), 20),   # the hedge first
+    ])
+    def test_both_fail_and_the_first_completion_is_reported(
+            self, primary, hedge, first):
+        env, router, recorder, row, commits, _ = self._run(primary, hedge)
+        env.run()
+        outcome = recorder.table().row(row)
+        assert not outcome.success
+        assert outcome.instance_id == first
+        assert outcome.error == f"failed-{first}"
+        # Reported once the other attempt failed too.
+        assert commits == [(row, 2.0)]
+        assert router.meter.failed == 1
+        assert self._all_rows_free(router)
+
+    def test_no_admitting_alternate_means_no_hedge(self):
+        env, router, recorder, row, commits, _ = self._run(
+            (2.0, True, 10), alternate_admits=False)
+        env.run()
+        outcome = recorder.table().row(row)
+        assert outcome.success and outcome.instance_id == 10
+        assert commits == [(row, 2.0)]
+        assert router.meter.hedges == 0 and router._attempts._fresh == 1
+        # The timer fired (counted) and found no backend to hedge on.
+        assert env.events_processed == 2
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Bare sleeps and guard lanes: the two engine primitives off the heap.
+"""Bare sleeps, guard lanes and idle lines: the engine primitives off
+the heap.
 
 * **Bare sleeps** — a process that yields a plain number resumes exactly
   where ``env.timeout`` of that delay would have resumed it; bools,
@@ -8,7 +9,12 @@
   order, clock, and ``events_processed`` on random programs of wins,
   expiries, withdrawals, interrupts, and guards armed from a fired
   guard's callbacks — while the heap holds at most one entry per lane.
-  ``lane.guard(None)`` watches nothing: a timer that can be withdrawn.
+* **Idle lines** — an :class:`~repro.sim.engine.IdleLine` entry behaves
+  like a withdrawable ``env.timeout`` created when it joined: the same
+  expiries, clock and ``events_processed`` on random programs of parks,
+  claims, removals and re-parks from the expiry hook, while the heap
+  holds one alarm entry per line; a heap compaction keeps a withdrawn
+  alarm, which still has to arm the next entry.
 * ``env.timeout_at(when)`` keys its entry at ``when`` exactly.
 """
 
@@ -20,6 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import Environment, Interrupt, SimulationError
+from repro.sim.engine import NORMAL, IdleLine
 
 
 def _entries_of(env, lane):
@@ -229,24 +236,6 @@ class TestLanes:
         assert seen == [event, 0.0]
         assert len(lane) == 0
 
-    def test_unwatched_guard_is_a_withdrawable_timer(self, env):
-        """A guard on ``None`` only expires, in creation order."""
-        lane = env.lane(3.0)
-        fired = []
-        guards = []
-        for index in range(3):
-            guard = lane.guard(None)
-            guard.callbacks.append(
-                lambda event, index=index: fired.append(
-                    (index, event.value, env.now)))
-            guards.append(guard)
-        assert guards[1].cancel() is True
-        env.run()
-        assert fired == [(0, None, 3.0), (2, None, 3.0)]
-        assert guards[0].cancel() is False  # too late: it expired
-        assert env.events_processed == 2
-        assert len(lane) == 0
-
     def test_timeout_at_is_keyed_at_the_exact_time(self, env):
         env.run(until=0.2)
         # now + (0.9 - now) rounds to a neighbour of 0.9.
@@ -289,6 +278,202 @@ class TestLanes:
         assert max(d for d, _ in peak) == 1
         assert max(k for _, k in peak) == 1
         assert len(deadlines) == 0 and len(keep_alives) == 0
+
+
+class TestIdleLine:
+    @staticmethod
+    def _alarm_keys(env, line):
+        """Heap keys of ``line``'s alarm entries."""
+        return [entry[:3] for entry in env._queue
+                if len(entry) == 4 and entry[3] is line._alarm]
+
+    def test_withdrawable_timers_fire_in_creation_order(self, env):
+        """Entries expire in the order they joined; a removed one never."""
+        fired = []
+        line = IdleLine(env, 3.0, lambda item: fired.append((item, env.now)))
+        entries = [line.park(index) for index in range(3)]
+        line.remove(entries[1])
+        env.run()
+        assert fired == [(0, 3.0), (2, 3.0)]
+        assert env.events_processed == 2
+        assert not line.entries
+
+    def test_claim_takes_the_oldest_and_its_alarm_pops_uncounted(self, env):
+        fired = []
+        line = IdleLine(env, 5.0, lambda item: fired.append((item, env.now)))
+        line.park("a")
+        env.run(until=1.0)
+        line.park("b")
+        assert line.claim() == "a"
+        # The withdrawn alarm stays until it pops, then arms "b".
+        assert self._alarm_keys(env, line) == [(5.0, NORMAL, 0)]
+        assert env.peek() == 6.0
+        assert self._alarm_keys(env, line) == [(6.0, NORMAL, 1)]
+        env.run()
+        assert fired == [("b", 6.0)]
+        assert env.events_processed == 1
+
+    def test_expiry_may_park_the_item_again(self, env):
+        """The hook runs after the next entry is armed; a re-park joins
+        the tail under a fresh key."""
+        fired = []
+        line = None
+
+        def expire(item):
+            fired.append((item, env.now))
+            if item == "kept" and env.now < 10.0:
+                line.park(item)
+
+        line = IdleLine(env, 4.0, expire)
+        line.park("kept")
+        env.run(until=1.0)
+        line.park("gone")
+        env.run()
+        assert fired == [("kept", 4.0), ("gone", 5.0), ("kept", 8.0),
+                         ("kept", 12.0)]
+        assert env.events_processed == 4
+
+    def test_heap_holds_at_most_one_alarm_entry(self, env):
+        line = IdleLine(env, 50.0, lambda item: None)
+        peak = []
+
+        def worker(index):
+            yield index * 0.5
+            entry = line.park(index)
+            yield (index % 4) * 10.0
+            if entry in line.entries:
+                line.remove(entry)
+
+        def probe():
+            while env.now < 200.0:
+                peak.append(len(self._alarm_keys(env, line)))
+                yield 0.25
+
+        for index in range(40):
+            env.process(worker(index))
+        env.process(probe())
+        env.run()
+        assert max(peak) == 1
+        assert not line.entries and not self._alarm_keys(env, line)
+
+    def test_compaction_keeps_a_withdrawn_alarm(self, env):
+        """A compaction while the alarm is withdrawn must not lose the
+        next entry's expiry."""
+        fired = []
+        line = IdleLine(env, 5.0, lambda item: fired.append((item, env.now)))
+        line.park("a")
+        line.park("b")
+        line.claim()
+        timers = [env.timeout(50.0) for _ in range(200)]
+        for timer in timers:
+            timer.cancel()
+        assert len(env._queue) < len(timers)  # it compacted
+        env.run()
+        assert fired == [("b", 5.0)]
+
+    def test_negative_or_nan_delay_rejected(self, env):
+        for bad in (-1.0, math.nan):
+            with pytest.raises(SimulationError):
+                IdleLine(env, bad, lambda item: None)
+
+
+# ---------------------------------------------------------------------------
+# IdleLine == one withdrawable timeout per entry, on random programs
+# ---------------------------------------------------------------------------
+
+_LINE_PROGRAM = st.tuples(
+    st.sampled_from([0.5, 1.0, 2.5, 4.0]),
+    # (when, action, which entry a removal takes)
+    st.lists(st.tuples(st.integers(min_value=0, max_value=14).map(
+                           lambda k: k * 0.5),
+                       st.sampled_from(["park", "park", "claim", "remove"]),
+                       st.integers(min_value=0, max_value=7)),
+             min_size=1, max_size=30),
+)
+
+
+def _run_line_program(delay, actions, use_line):
+    """Run one program; returns (expiry log, final clock, events).
+
+    Items whose number is a multiple of 3 park again once when they
+    expire, from inside the expiry hook.
+    """
+    env = Environment()
+    log = []
+    if use_line:
+        line = IdleLine(env, delay, lambda item: expire(item))
+        entries = line.entries
+
+        def park(item):
+            line.park(item)
+
+        def claim():
+            return line.claim()
+
+        def remove(index):
+            line.remove(entries[index])
+    else:
+        entries = []
+
+        def park(item):
+            timer = env.timeout(delay)
+            entry = (item, timer)
+            timer.callbacks.append(lambda _timer: fire(entry))
+            entries.append(entry)
+
+        def fire(entry):
+            assert entries[0] is entry
+            del entries[0]
+            expire(entry[0])
+
+        def claim():
+            item, timer = entries.pop(0)
+            timer.cancel()
+            return item
+
+        def remove(index):
+            entries.pop(index)[1].cancel()
+
+    def expire(item):
+        log.append(("expire", item, env.now))
+        if item[0] % 3 == 0 and item[1] == 0:
+            park((item[0], 1))
+
+    def actor(number, when, action, which):
+        yield when
+        if action == "park":
+            park((number, 0))
+        elif entries and action == "claim":
+            log.append(("claim", claim(), env.now))
+        elif entries:
+            remove(which % len(entries))
+
+    for number, (when, action, which) in enumerate(actions):
+        env.process(actor(number, when, action, which))
+    env.run()
+    return log, env.now, env.events_processed
+
+
+class TestIdleLineMatchesTimeouts:
+    @given(_LINE_PROGRAM)
+    @settings(max_examples=300, deadline=None)
+    def test_same_expiries_clock_and_event_count(self, program):
+        delay, actions = program
+        assert (_run_line_program(delay, actions, use_line=True)
+                == _run_line_program(delay, actions, use_line=False))
+
+    def test_program_exercises_every_action(self):
+        """A fixed program: expiries, a claim, a removal from the middle
+        (item 4) and re-parks from the hook (items 0 and 6)."""
+        actions = [(0.0, "park", 0), (0.5, "park", 0), (1.0, "park", 0),
+                   (1.5, "claim", 0), (1.5, "park", 0), (2.0, "remove", 2),
+                   (3.0, "park", 0)]
+        run = _run_line_program(1.0, actions, use_line=True)
+        assert run == ([("expire", (0, 0), 1.0), ("claim", (1, 0), 1.5),
+                        ("expire", (2, 0), 2.0), ("expire", (0, 1), 2.0),
+                        ("expire", (6, 0), 4.0), ("expire", (6, 1), 5.0)],
+                       5.0, 12)
+        assert run == _run_line_program(1.0, actions, use_line=False)
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,18 @@ observable behaviour.  These tests pin down the contracts:
   a :class:`~repro.sim.engine.Race`, including tombstone reclamation.
 * Every heap push on the profiled serverless cell is an event that
   runs: pushes equal ``events_processed`` up to the few stale guard
-  tokens and the entries still pending at the horizon.
+  and keep-alive alarm tokens and the entries still pending at the
+  horizon.
 * Every client request runs as one process through every layer
-  (retry loop, router, hybrid front door, platform); only hedge races,
-  instance loops and background loops add processes.
+  (retry loop, router, hybrid front door, platform); only hedges that
+  fire, instance loops and background loops add processes, and the
+  router builds no race.
 * A warm serverless request is served inside its own process: three
   calendar entries from arrival to response, and a kill mid-serve
   keeps the request's enqueue time and deadline.
+* Keep-alives are idle-line data: parking an instance builds no guard,
+  and only the oldest idle entry's alarm is on the calendar, under
+  that entry's own key, across kills and heap compactions.
 * The serverless platform's O(1) alive counter agrees with a
   brute-force scan over every instance ever created.
 * ``run_cells(workers=N)`` returns results identical to serial mode.
@@ -27,6 +32,7 @@ import pytest
 
 import repro.core.benchmark as benchmark_module
 import repro.sim.engine as engine
+from repro.cloud.providers import get_provider
 from repro.core.benchmark import ServingBenchmark
 from repro.core.executor import Executor
 from repro.core.parallel import run_cells
@@ -163,13 +169,15 @@ class TestHeapPushesAreEvents:
 
         Each request used to push ~8 heap entries of which ~6 ran (the
         client deadline and the keep-alive were raced, cancelled and
-        compacted away).  Bare sleeps and guard lanes push only what
-        runs; the remainder is bounded per run, not per request.
+        compacted away).  Bare sleeps, guard lanes and the idle line's
+        keep-alive alarm push only what runs; the withdrawn guard and
+        alarm tokens are bounded per run, not per request.
         """
         pushes = [0]
         stale = [0]
         envs = []
-        push, skip = engine.heappush, engine.Guard._skip
+        push = engine.heappush
+        skip, alarm_skip = engine.Guard._skip, engine._Alarm._skip
 
         def counting_push(queue, entry):
             pushes[0] += 1
@@ -178,6 +186,10 @@ class TestHeapPushesAreEvents:
         def counting_skip(guard):
             stale[0] += 1
             skip(guard)
+
+        def counting_alarm_skip(alarm):
+            stale[0] += 1
+            alarm_skip(alarm)
 
         class CapturedEnvironment(Environment):
             __slots__ = ()
@@ -188,6 +200,7 @@ class TestHeapPushesAreEvents:
 
         monkeypatch.setattr(engine, "heappush", counting_push)
         monkeypatch.setattr(engine.Guard, "_skip", counting_skip)
+        monkeypatch.setattr(engine._Alarm, "_skip", counting_alarm_skip)
         monkeypatch.setattr(benchmark_module, "Environment",
                             CapturedEnvironment)
         deployment = Planner().plan("aws", "mobilenet", "tf1.15",
@@ -198,8 +211,8 @@ class TestHeapPushesAreEvents:
         assert result.metadata["events_processed"] == events
         pending = len(env._queue)
         assert pushes[0] == events + stale[0] + pending
-        # A handful of lane tokens and pending entries per run (the old
-        # guards left about two dead entries per request).
+        # A handful of lane and alarm tokens and pending entries per run
+        # (the old guards left about two dead entries per request).
         assert stale[0] + pending <= 8, (stale[0], pending)
 
 
@@ -208,11 +221,12 @@ class TestOneProcessPerRequest:
 
     Nested layers (the retry loop, the router, the hybrid front door)
     run the next layer's ``request()`` with ``yield from``, so a request
-    is one process end to end.  The only other processes are the client
-    loops, the router's hedge races (a race needs a process on each
-    side), instance loops while an instance has work, and background
-    loops.  A layer that goes back to a child process per request
-    breaks the first, third or fourth count.
+    is one process end to end, a hedged one included: its primary
+    attempt runs inline.  The only other processes are the client
+    loops, the hedge attempts the router issues (one per hedge fired),
+    instance loops while an instance has work, and background loops.
+    A layer that goes back to a child process per request breaks the
+    first, third or fourth count.
     """
 
     @pytest.mark.parametrize("name, hedges", [
@@ -223,26 +237,26 @@ class TestOneProcessPerRequest:
     def test_process_constructions_are_structural(self, monkeypatch, name,
                                                   hedges):
         started = Counter()
-        attempts = set()
-        races = [0]
+        routed_races = [0]
         launched = [0]
         handoffs = [0]
-        process_init, race = engine.Process.__init__, engine.Environment.race
+        process_init, race_init = engine.Process.__init__, engine.Race.__init__
         launch, take = InstancePool.launch, WorkQueue.take
         requeue = ServerlessPlatform._requeue
 
         def counting_init(process, env, generator):
             started[generator.__name__] += 1
-            if generator.__name__ == "_attempt":
-                attempts.add(process)
             process_init(process, env, generator)
 
-        def counting_race(env, a, b):
-            # Only the hedge races; a request killed mid-serve also
-            # races its response against the rest of its deadline.
-            if a in attempts or b in attempts:
-                races[0] += 1
-            return race(env, a, b)
+        def counting_race(race, env, a, b):
+            # A request killed mid-serve races its response against the
+            # rest of its deadline; the router races nothing.
+            caller = sys._getframe(1)
+            if caller.f_code is engine.Environment.race.__code__:
+                caller = caller.f_back
+            routed_races[0] += (caller.f_globals["__name__"]
+                                == "repro.platforms.routing")
+            race_init(race, env, a, b)
 
         def counting_launch(pool, warm=False, provisioned=False):
             launched[0] += not warm
@@ -259,7 +273,7 @@ class TestOneProcessPerRequest:
 
         def counting_requeue(platform, pending):
             # A requeued ticket claims an idle instance, if any.
-            handoffs[0] += bool(platform._idle)
+            handoffs[0] += bool(platform._idle.entries)
             requeue(platform, pending)
 
         load_registered_studies()
@@ -267,7 +281,7 @@ class TestOneProcessPerRequest:
         workload = spec.build_workload(seed=5, scale=0.1)
         deployment = spec.deployment(Planner())
         monkeypatch.setattr(engine.Process, "__init__", counting_init)
-        monkeypatch.setattr(engine.Environment, "race", counting_race)
+        monkeypatch.setattr(engine.Race, "__init__", counting_race)
         monkeypatch.setattr(InstancePool, "launch", counting_launch)
         monkeypatch.setattr(WorkQueue, "take", counting_take)
         monkeypatch.setattr(ServerlessPlatform, "_requeue", counting_requeue)
@@ -279,10 +293,12 @@ class TestOneProcessPerRequest:
                 + started.pop("_resilient_request", 0)
                 == result.total_requests)
         assert started.pop("_client") == len(workload.client_traces)
-        # Routed attempts are processes only where they race: a hedge
-        # race's primary, plus the hedge itself once the timer wins.
-        assert started.pop("_attempt", 0) == races[0]
-        assert (races[0] > 0) == hedges
+        # A routed attempt is a process of its own only as a hedge the
+        # timer issued; the primary runs inline, and nothing races.
+        hedges_fired = result.usage.notes.get("hedges", 0.0)
+        assert started.pop("_attempt", 0) == hedges_fired
+        assert (hedges_fired > 0) == hedges
+        assert routed_races[0] == 0
         # Instance loops: one per cold launch (serverless cold start or
         # endpoint bring-up), plus one per hand-off of a ticket to an
         # instance that had finished its work.  Idle instances run none.
@@ -318,21 +334,27 @@ class TestInlineWarmServe:
         # A slow scaler keeps its ticks out of the measured window.
         env, platform, recorder = self._platform(provisioned_concurrency=1,
                                                  scale_interval_s=1000.0)
+        (instance, _expiry, parked), = platform._idle.entries
         row = recorder.register(0, 0, 0.0)
         process = env.process(platform.request(row, 0.1, 0.01))
-        steps = 0
+        times = []
         while process.is_alive:
             env.step()
-            steps += 1
+            times.append(env.now)
         outcome = recorder.table().row(row)
         assert outcome.success and outcome.instance_id == 0
-        assert steps == env.events_processed == 3
+        assert len(times) == env.events_processed == 3
+        # The instance went back to the idle line when the serve ended
+        # (the second entry), its keep-alive counted from then.
+        (again, expiry, sequence), = platform._idle.entries
+        assert again is instance and sequence > parked
+        assert expiry == times[1] + platform.provider.serverless.keep_alive_s
 
     def test_kill_mid_serve_requeues_under_the_original_enqueue_time(self):
         # A storm far beyond the window keeps the fault hooks armed.
         env, platform, recorder = self._platform(provisioned_concurrency=2,
                                                  storm_times_s=(1e5,))
-        first, second = (instance for instance, _ in platform._idle)
+        first, second = (entry[0] for entry in platform._idle.entries)
         row = recorder.register(0, 0, 0.0)
         process = env.process(platform.request(row, 0.1, 0.01))
         while first.state != InstanceState.BUSY:
@@ -372,6 +394,94 @@ class TestInlineWarmServe:
         assert outcome.stage(Stage.PREDICT) == 0.0
         assert outcome.error == "timeout"
         assert outcome.completion_time == enqueue + 2.0 < 10.0 + 2.0
+
+
+class TestKeepAlives:
+    """Keep-alives are idle-line data, not timers."""
+
+    def test_parking_builds_no_guard(self, monkeypatch, tiny_w40):
+        """Only a request that waits for an instance builds a guard (its
+        client deadline); parking an idle instance builds none."""
+        counts = Counter()
+        park, enqueue = engine.IdleLine.park, WorkQueue.enqueue
+        guard_init = engine.Guard.__init__
+
+        def counting_park(line, item):
+            counts["parked"] += 1
+            return park(line, item)
+
+        def counting_enqueue(queue, row, inferences):
+            counts["waited"] += 1
+            return enqueue(queue, row, inferences)
+
+        def counting_guard(guard, lane, event):
+            counts["guards"] += 1
+            guard_init(guard, lane, event)
+
+        monkeypatch.setattr(engine.IdleLine, "park", counting_park)
+        monkeypatch.setattr(WorkQueue, "enqueue", counting_enqueue)
+        monkeypatch.setattr(engine.Guard, "__init__", counting_guard)
+        deployment = Planner().plan("aws", "mobilenet", "tf1.15",
+                                    "serverless")
+        result = ServingBenchmark(seed=5).run(deployment, tiny_w40)
+        # Nearly every request re-parks the instance that served it.
+        assert counts["parked"] > result.total_requests // 2
+        assert counts["guards"] == counts["waited"] > 0
+
+    def _platform(self):
+        """Two provisioned instances parked at 0 s under a 5 s keep-alive
+        (faults on, so kills work; a slow scaler stays out of the way)."""
+        provider = get_provider("aws").with_serverless(keep_alive_s=5.0)
+        deployment = Planner().plan(provider, "mobilenet", "tf1.15",
+                                    "serverless", provisioned_concurrency=2,
+                                    scale_interval_s=1000.0,
+                                    storm_times_s=(1e5,))
+        env = Environment()
+        platform = ServerlessPlatform(env, deployment,
+                                      rng=RandomStreams(3))
+        recorder = OutcomeRecorder(1)
+        platform.bind(recorder.columns, recorder.commit)
+        platform.start()
+        return env, platform
+
+    @staticmethod
+    def _alarm_keys(env, platform):
+        alarm = platform._idle._alarm
+        return [entry[:3] for entry in env._queue
+                if len(entry) == 4 and entry[3] is alarm]
+
+    def test_killing_the_oldest_arms_the_next_under_its_own_key(self):
+        env, platform = self._platform()
+        (first, expiry, oldest), (second, next_expiry, sequence) = (
+            platform._idle.entries)
+        assert self._alarm_keys(env, platform) == [
+            (expiry, engine.NORMAL, oldest)]
+        platform._kill_instance(first)
+        # Withdrawn: its entry stays until it pops, uncounted.
+        assert [entry[0] for entry in platform._idle.entries] == [second]
+        assert self._alarm_keys(env, platform) == [
+            (expiry, engine.NORMAL, oldest)]
+        assert env.peek() == next_expiry
+        assert self._alarm_keys(env, platform) == [
+            (next_expiry, engine.NORMAL, sequence)]
+        env.run(until=next_expiry)
+        # The provisioned survivor expired once and parked again.
+        assert env.events_processed == 1
+        (entry,) = platform._idle.entries
+        assert entry[0] is second and entry[1] == next_expiry + 5.0
+        assert platform.pool.killed == 1
+
+    def test_compaction_while_the_alarm_is_withdrawn_keeps_the_next(self):
+        env, platform = self._platform()
+        first, second = (entry[0] for entry in platform._idle.entries)
+        platform._kill_instance(first)
+        timers = [env.timeout(50.0) for _ in range(200)]
+        for timer in timers:
+            timer.cancel()
+        assert len(env._queue) < len(timers)  # the heap compacted
+        env.run(until=5.0)
+        (entry,) = platform._idle.entries
+        assert entry[0] is second and entry[1] == 10.0
 
 
 class TestAliveCounterConsistency:
