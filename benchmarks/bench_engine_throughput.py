@@ -71,6 +71,9 @@ SEED_BASELINE_RPS = 3600.0
 CHECK_WORKLOAD = "w-40"
 CHECK_SCALE = 0.3
 
+#: The run-cache probe's study scale (fig05, AWS half).
+RUN_CACHE_SCALE = 0.02
+
 #: Allowed throughput regression before --check fails.
 CHECK_TOLERANCE = 0.30
 
@@ -594,6 +597,36 @@ def run_search_probe(candidates: int = 512) -> dict:
     }
 
 
+def run_cache_probe() -> dict:
+    """Count what the run cache keeps per cell after a study.
+
+    Runs the registered ``fig05`` study (AWS half, serially) at
+    ``RUN_CACHE_SCALE`` and reports the array bytes its cached results
+    hold per cell (``OutcomeSummary.resident_bytes``: each cell keeps
+    its whole-table summary, not its outcome table) — an exact,
+    host-independent count, gated exactly by ``--check``.
+    """
+    from repro.core.study import get_study  # noqa: E402
+    from repro.experiments.base import (  # noqa: E402
+        ExperimentContext,
+        load_registered_studies,
+    )
+
+    load_registered_studies()
+    context = ExperimentContext(seed=SEED, scale=RUN_CACHE_SCALE,
+                                providers=("aws",))
+    get_study("fig05").run(context)
+    cached = [result.table for result in context._runs.values()]
+    return {
+        "study": "fig05",
+        "scale": RUN_CACHE_SCALE,
+        "cells": len(cached),
+        "resident_bytes_per_cell": round(
+            sum(summary.resident_bytes() for summary in cached)
+            / len(cached), 1),
+    }
+
+
 def run_sweep(scale: float, repeats: int) -> dict:
     """The full sweep plus the --check probe; returns the report payload."""
     results = []
@@ -619,6 +652,7 @@ def run_sweep(scale: float, repeats: int) -> dict:
     hybrid = run_hybrid_probe(repeats)
     streaming = run_streaming_probe()
     search = run_search_probe()
+    run_cache = run_cache_probe()
     print(f" probe x{CHECK_SCALE:<5g} {probe['wall_s']:>8.3f}s "
           f"{probe['requests_per_s']:>10,.0f} req/s "
           f"({probe['events']} events, {probe['calls_per_req']:g} "
@@ -651,6 +685,9 @@ def run_sweep(scale: float, repeats: int) -> dict:
     print(f" halving search {search['cells_per_s']:>12,.0f} cells/s "
           f"({search['candidates']} candidates, "
           f"{search['simulated']} simulated over {search['rungs']} rungs)")
+    print(f" run cache      {run_cache['resident_bytes_per_cell']:>12,.1f} "
+          f"bytes/cell (fig05 x{RUN_CACHE_SCALE:g}, "
+          f"{run_cache['cells']} cells)")
     return {
         "bench": "engine-throughput",
         "cell": "aws/mobilenet/tf1.15/serverless",
@@ -668,6 +705,7 @@ def run_sweep(scale: float, repeats: int) -> dict:
         "hybrid_probe": hybrid,
         "streaming_probe": streaming,
         "search_probe": search,
+        "run_cache_probe": run_cache,
     }
 
 
@@ -873,6 +911,14 @@ def run_check(path: str) -> int:
               f"limit {chunk_limit}) -> {verdict}")
     else:
         print("note: no streaming_probe recorded; rerun the full sweep "
+              "to extend the gate")
+    run_cache_reference = recorded.get("run_cache_probe")
+    if run_cache_reference:
+        failed = not exact_gate("run cache resident bytes/cell",
+                                run_cache_probe(), run_cache_reference,
+                                "resident_bytes_per_cell") or failed
+    else:
+        print("note: no run_cache_probe recorded; rerun the full sweep "
               "to extend the gate")
     for label, measured, baseline in checks:
         floor = baseline * (1.0 - CHECK_TOLERANCE)

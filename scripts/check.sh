@@ -42,7 +42,15 @@
 # hybrid spill scenario, and a budgeted navigator-halving search end
 # to end through the CLI sweep path, and the flat-RSS smoke (scripts/rss_smoke.py) runs the
 # streamed w-1m workload at two request scales and asserts peak RSS
-# stays flat in the trace length.  Regenerate the baseline with
+# stays flat in the trace length.  The pooled-suite smoke runs every
+# registered experiment (`all --scale 0.03`) serially and over two
+# worker processes and fails unless the two reports match, apart from
+# the `elapsed_s` notes: the pooled cells are reduced in their workers,
+# so this is where a study that reads rows over the pool would break.
+# The run-cache gate (part of --check) runs the fig05 study (AWS half,
+# scale 0.02) and requires the bytes its run cache keeps per cell
+# (OutcomeSummary.resident_bytes, exact) to equal the recorded count.
+# Regenerate the baseline with
 # `python benchmarks/bench_engine_throughput.py` on the machine that
 # runs the gate.
 #
@@ -106,6 +114,12 @@ sys.exit(json.loads(line)["failed"] != 0)'
 
     echo "== flat-RSS smoke (streamed w-1m at two scales) =="
     python scripts/rss_smoke.py
+
+    echo "== pooled-suite smoke (all --scale 0.03: --workers 2 == serial) =="
+    serial=$(python -m repro.experiments.runner all --scale 0.03)
+    pooled=$(python -m repro.experiments.runner all --scale 0.03 --workers 2)
+    diff <(grep -v 'note: elapsed_s' <<<"$serial") \
+         <(grep -v 'note: elapsed_s' <<<"$pooled")
 fi
 
 if [[ "${1:-}" == "--docs" ]]; then

@@ -156,8 +156,9 @@ def run(scenario: Union[str, ScenarioSpec], *, seed: int = 7,
     """Run one declarative scenario (spec or registered name).
 
     The one-call entry point: resolves the spec's deployment and
-    workload, simulates the cell, and returns its
-    :class:`~repro.core.results.RunResult`::
+    workload as the run cache does, simulates the cell (uncached), and
+    returns its :class:`~repro.core.results.RunResult`, with the cell's
+    full outcome table::
 
         from repro.api import run
 
@@ -180,7 +181,10 @@ def run(scenario: Union[str, ScenarioSpec], *, seed: int = 7,
     context = ExperimentContext(seed=seed, scale=scale)
     if planner is not None:
         context.planner = planner
-    return context.run_scenario(scenario)
+    spec = get_scenario(scenario) if isinstance(scenario, str) else scenario
+    deployment, workload, cell_scale, cell_seed = context.cell(spec)
+    return context.benchmark.run(deployment, workload, cell_scale,
+                                 seed=cell_seed)
 
 
 def run_study(study: Union[str, Study, Sweep], *, seed: int = 7,

@@ -10,8 +10,11 @@ into the numbers the paper reports:
 * instance-count time-series (Figures 7 and 11);
 * comparison tables across systems.
 
-The timeline and breakdown read per-request rows, so they raise
-``ValueError`` on a streamed (trace-scale) result.
+The timeline and breakdown read a whole-table
+:class:`~repro.serving.streaming.OutcomeSummary`: the one a cached cell
+already carries, or one folded from a result's table on the spot.  Both
+answer exactly as the table's rows would; on a streamed (trace-scale)
+result, which keeps no such summary, they raise ``ValueError``.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ from typing import Dict, Iterable, List, Tuple
 import numpy as np
 
 from repro.core.results import RunResult
-from repro.serving.outcome_table import OutcomeTable
 from repro.serving.records import Stage
+from repro.serving.streaming import OutcomeSummary
 
 __all__ = ["Analyzer", "TimelinePoint", "BreakdownSummary"]
 
@@ -70,13 +73,13 @@ class BreakdownSummary:
         }
 
 
-def _rows(result: RunResult, reduction: str) -> OutcomeTable:
-    """The result's outcome table, for a reduction that reads its rows."""
+def _summary(result: RunResult, reduction: str) -> OutcomeSummary:
+    """The result's whole-table summary, for a reduction that needs one."""
     if result.streaming:
         raise ValueError(
             f"{reduction} reads per-request rows, but {result.label} is a "
             f"streamed result, which keeps only an OutcomeSummary")
-    return result.table
+    return result.reduced().table
 
 
 class Analyzer:
@@ -105,17 +108,15 @@ class Analyzer:
                          bin_seconds: float = 20.0) -> List[TimelinePoint]:
         """Average latency and success ratio per time bin (Figures 6, 8, 9).
 
-        The bins and their request / success counts are the table's
-        :meth:`~repro.serving.outcome_table.OutcomeTable.success_timeline`;
-        only the per-bin latency sum of the successful requests is
-        computed here.  Empty bins are skipped.
+        The bins and their request / success counts are the summary's
+        :meth:`~repro.serving.streaming.OutcomeSummary.success_timeline`
+        and the per-bin latency sums its
+        :meth:`~repro.serving.streaming.OutcomeSummary.latency_sums`.
+        Empty bins are skipped.
         """
-        table = _rows(result, "latency_timeline")
-        edges, requests, successes = table.success_timeline(bin_seconds)
-        success = table.success
-        latency_sums = np.bincount(table.send_bins(bin_seconds)[success],
-                                   weights=table.latency[success],
-                                   minlength=len(edges))
+        summary = _summary(result, "latency_timeline")
+        edges, requests, successes = summary.success_timeline(bin_seconds)
+        latency_sums = summary.latency_sums(bin_seconds, len(edges))
         points: List[TimelinePoint] = []
         for index in np.flatnonzero(requests):
             n_requests = int(requests[index])
@@ -143,29 +144,24 @@ class Analyzer:
     def coldstart_breakdown(self, result: RunResult) -> BreakdownSummary:
         """Average cold-start and warm-up sub-stages (Figures 10 and 14).
 
-        Masked column means over the outcome table: successful requests
-        split by the ``cold_start`` flag, stage columns averaged directly.
+        Successful requests split by the ``cold_start`` flag, each
+        stage averaged: the summary's
+        :meth:`~repro.serving.streaming.OutcomeSummary.breakdown_means`,
+        equal to the table's masked column means.
         """
-        table = _rows(result, "coldstart_breakdown")
-        cold = table.success & table.cold_start
-        warm = table.success & ~table.cold_start
-        n_cold = int(cold.sum())
-        n_warm = int(warm.sum())
-        latency = table.latency
-
-        def avg(column: np.ndarray, mask: np.ndarray, n: int) -> float:
-            return float(column[mask].mean()) if n else 0.0
-
+        summary = _summary(result, "coldstart_breakdown")
+        cold = summary.breakdown_means(cold=True)
+        warm = summary.breakdown_means(cold=False)
         return BreakdownSummary(
-            cold_e2e=avg(latency, cold, n_cold),
-            cold_import=avg(table.stage_column(Stage.IMPORT), cold, n_cold),
-            cold_download=avg(table.stage_column(Stage.DOWNLOAD), cold, n_cold),
-            cold_load=avg(table.stage_column(Stage.LOAD), cold, n_cold),
-            cold_predict=avg(table.stage_column(Stage.PREDICT), cold, n_cold),
-            warm_e2e=avg(latency, warm, n_warm),
-            warm_predict=avg(table.stage_column(Stage.PREDICT), warm, n_warm),
-            cold_requests=n_cold,
-            warm_requests=n_warm,
+            cold_e2e=cold["e2e"],
+            cold_import=cold[Stage.IMPORT],
+            cold_download=cold[Stage.DOWNLOAD],
+            cold_load=cold[Stage.LOAD],
+            cold_predict=cold[Stage.PREDICT],
+            warm_e2e=warm["e2e"],
+            warm_predict=warm[Stage.PREDICT],
+            cold_requests=summary.cold_on_success,
+            warm_requests=summary.success_count - summary.cold_on_success,
         )
 
     # -- cross-run helpers -------------------------------------------------------

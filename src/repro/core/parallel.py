@@ -13,24 +13,30 @@ to serial execution: the same cells produce the same traces, the same
 outcomes, and the same costs regardless of worker count or completion
 order (``Executor.map`` preserves submission order).
 
+Every cell is reduced where it finishes: :func:`run_cells` returns
+:meth:`~repro.core.results.RunResult.reduced` results, whose table is
+replaced by its whole-table
+:class:`~repro.serving.streaming.OutcomeSummary` — in the worker before
+transport, or in-process right after a serial cell simulates.  No
+outcome table outlives its cell, and every reduction a study reads
+answers exactly as the table would.
+
 Transport is kept lean in both directions:
 
 * **parent -> worker**: the benchmark and the (deduplicated) workloads —
   the heavy shared state — ship **once per worker** via the pool
   initializer; each task payload is then just a deployment, a workload
-  index, and a scale.  Previously the whole workload was re-pickled for
-  every cell.
+  index, a scale and a seed.
 * **worker -> parent**: workers return
   :meth:`~repro.core.results.RunResult.to_transport` payloads — the
-  columnar outcome table (numpy arrays) plus small dicts — and the
-  parent reattaches its own deployment object.  Compared to pickling
-  per-request object graphs this shrinks result transport by an order
-  of magnitude.  Payloads with at least a megabyte of column data skip
-  the pickle pipe entirely: the worker lifts the arrays into a
-  :mod:`multiprocessing.shared_memory` segment (see
-  :mod:`repro.core.shm`) and ships only descriptors; the parent copies
-  the columns out and unlinks the segment.  The rebuilt payload is
-  bit-identical to the pickled one (hash-asserted by the transport
+  summary's fields (a few fixed-size counters plus 16 bytes per
+  successful request and 8 per failed one) and small dicts — and the
+  parent reattaches its own deployment object.  Payloads with at least
+  a megabyte of array data skip the pickle pipe entirely: the worker
+  lifts the arrays into a :mod:`multiprocessing.shared_memory` segment
+  (see :mod:`repro.core.shm`) and ships only descriptors; the parent
+  copies the arrays out and unlinks the segment.  The rebuilt payload
+  is bit-identical to the pickled one (hash-asserted by the transport
   tests), and ``REPRO_SHM=0`` restores plain pickling.
 
 If worker processes cannot be spawned (restricted sandboxes, missing
@@ -88,10 +94,9 @@ def _run_cell_pooled(payload: Tuple["Deployment", int, float, object]):
     deployment, workload_index, scale, seed = payload
     benchmark: "ServingBenchmark" = _WORKER_STATE["benchmark"]
     workload: "Workload" = _WORKER_STATE["workloads"][workload_index]
-    transport = benchmark.run(deployment, workload, scale,
-                              seed=seed).to_transport()
+    result = benchmark.run(deployment, workload, scale, seed=seed).reduced()
     from repro.core.shm import pack_arrays
-    return pack_arrays(transport)
+    return pack_arrays(result.to_transport())
 
 
 def run_cells(benchmark: "ServingBenchmark",
@@ -100,8 +105,9 @@ def run_cells(benchmark: "ServingBenchmark",
     """Run every cell, fanning out over ``workers`` processes.
 
     Each cell is ``(deployment, workload, scale, seed)``; a ``None``
-    seed runs at the benchmark's seed.  Results come back in the order
-    of ``cells`` and are bit-identical to serial execution at any worker
+    seed runs at the benchmark's seed.  Results come back
+    :meth:`~repro.core.results.RunResult.reduced`, in the order of
+    ``cells``, and are bit-identical to serial execution at any worker
     count.  With ``workers <= 1`` (or a single cell) everything runs
     in-process.
     """
@@ -175,4 +181,4 @@ def run_cells(benchmark: "ServingBenchmark",
 
 def _run_serial(benchmark: "ServingBenchmark", cell: Cell) -> "RunResult":
     deployment, workload, scale, seed = cell
-    return benchmark.run(deployment, workload, scale, seed=seed)
+    return benchmark.run(deployment, workload, scale, seed=seed).reduced()

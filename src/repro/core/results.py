@@ -1,23 +1,27 @@
 """Run results: the raw material the analyzer works on.
 
 A :class:`RunResult` carries its outcomes as one of two backends with
-the same reduction API.  Most cells carry a columnar
-:class:`~repro.serving.outcome_table.OutcomeTable`, whose metrics are
-vectorised masked reductions over its arrays
-(:meth:`OutcomeTable.to_outcomes` rebuilds per-request objects on
-demand).  Trace-scale (streaming) runs carry an
-:class:`~repro.serving.streaming.OutcomeSummary` instead — the online
-reduction of the chunks that were folded during the run; per-request
-rows are unavailable by construction (they no longer exist).
+the same reduction API:
 
-The headline metrics delegate to whichever backend the result carries;
-only the transport (:meth:`RunResult.to_transport` /
-:meth:`RunResult.from_transport`) checks which one it is.
+* a columnar :class:`~repro.serving.outcome_table.OutcomeTable`, whose
+  metrics are vectorised masked reductions over its arrays
+  (:meth:`OutcomeTable.to_outcomes` rebuilds per-request objects on
+  demand).  :meth:`~repro.core.benchmark.ServingBenchmark.run` and
+  :func:`repro.api.run` return tables, for callers that read rows;
+* an :class:`~repro.serving.streaming.OutcomeSummary`.  Every cell that
+  runs through the run cache (:meth:`~repro.experiments.base.
+  ExperimentContext.run_specs`) is :meth:`RunResult.reduced` where it
+  finishes, so the cache and the worker pipe hold a whole-table summary,
+  which answers every reduction exactly as its table would.  Trace-scale
+  (streaming) runs carry the online reduction of the chunks folded
+  during the run; their per-request rows never exist at once.
+
+The headline metrics delegate to whichever backend the result carries.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Tuple, Union
 
 from repro.core.metrics import LatencyStats
@@ -35,9 +39,9 @@ class RunResult:
 
     deployment: Deployment
     workload_name: str
-    #: Columnar per-request outcomes — or, for streaming (trace-scale)
-    #: runs, the :class:`OutcomeSummary` their folded chunks reduced
-    #: into.
+    #: Columnar per-request outcomes, or an :class:`OutcomeSummary`: the
+    #: table's whole-table summary (:meth:`reduced`), or for streaming
+    #: (trace-scale) runs the summary their folded chunks reduced into.
     table: Union[OutcomeTable, OutcomeSummary]
     usage: PlatformUsage
     #: Simulated wall-clock length of the experiment (last completion).
@@ -49,9 +53,20 @@ class RunResult:
     # -- backend ---------------------------------------------------------------
     @property
     def streaming(self) -> bool:
-        """True when this result carries an :class:`OutcomeSummary`
-        (streaming reductions) instead of a full outcome table."""
-        return isinstance(self.table, OutcomeSummary)
+        """True when this result carries a chunk-ring
+        :class:`OutcomeSummary` (streaming reductions): neither a table
+        nor a whole-table summary."""
+        table = self.table
+        return isinstance(table, OutcomeSummary) and table.streamed
+
+    def reduced(self) -> "RunResult":
+        """This result with its table replaced by the table's whole-table
+        :class:`OutcomeSummary` (:meth:`OutcomeSummary.of_table`), or the
+        result itself when it already carries a summary.  Every metric
+        of the reduced result equals the original's."""
+        if isinstance(self.table, OutcomeSummary):
+            return self
+        return replace(self, table=OutcomeSummary.of_table(self.table))
 
     # -- headline metrics -----------------------------------------------------
     @property
@@ -83,7 +98,8 @@ class RunResult:
         """Distributional statistics over successful-request latencies.
 
         Streaming results serve quantiles from the latency sketch
-        (accurate to ~0.4 %); full tables compute them exactly.
+        (accurate to ~0.4 %); full tables compute them exactly, and a
+        whole-table summary keeps its table's.
         """
         return self.table.latency_stats()
 
@@ -94,24 +110,21 @@ class RunResult:
         The deployment object is the one piece of a result the parent
         already holds (it shipped it to the worker in the first place),
         and the only piece that is an arbitrary object graph; everything
-        else is the packed outcome columns (see
-        :meth:`OutcomeTable.packed`) and small dicts.  Streaming results
-        ship the :class:`OutcomeSummary` itself — it is already a small
-        fixed-size reduction, the whole point of streaming.
+        else is the :meth:`reduced` result's summary, as its
+        :meth:`OutcomeSummary.state` dict (whose arrays
+        :mod:`repro.core.shm` may lift), and small dicts.
         """
-        payload = (self.table if self.streaming else self.table.packed())
-        return (self.workload_name, payload, self.usage,
-                self.duration_s, self.workload_scale, self.metadata)
+        return (self.workload_name, self.reduced().table.state(),
+                self.usage, self.duration_s, self.workload_scale,
+                self.metadata)
 
     @classmethod
     def from_transport(cls, payload: Tuple,
                        deployment: Deployment) -> "RunResult":
         """Rebuild a result from :meth:`to_transport` plus the local deployment."""
-        workload_name, packed, usage, duration_s, scale, metadata = payload
-        table = (packed if isinstance(packed, OutcomeSummary)
-                 else OutcomeTable.from_packed(packed))
+        workload_name, state, usage, duration_s, scale, metadata = payload
         return cls(deployment=deployment, workload_name=workload_name,
-                   table=table, usage=usage,
+                   table=OutcomeSummary.from_state(state), usage=usage,
                    duration_s=duration_s, workload_scale=scale,
                    metadata=metadata)
 

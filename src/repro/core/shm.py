@@ -1,9 +1,13 @@
 """Shared-memory column transport for worker results.
 
-Worker-to-parent result payloads are mostly numpy arrays (the packed
-outcome columns).  Returning them through the ``ProcessPoolExecutor``
-result pipe costs two full copies: pickle serialises the array bytes
-into the pipe, and the parent deserialises them back out.  This module
+Worker-to-parent result payloads are mostly numpy arrays: a cell's
+whole-table :class:`~repro.serving.streaming.OutcomeSummary`, as the
+plain dict of :meth:`~repro.serving.streaming.OutcomeSummary.state`,
+carries its successful requests' send times and latencies and its
+failed requests' send times.  Returning them through the
+``ProcessPoolExecutor`` result pipe costs two full copies: pickle
+serialises the array bytes into the pipe, and the parent deserialises
+them back out.  This module
 moves the bytes through one :class:`multiprocessing.shared_memory`
 segment instead: the worker copies every array into the segment and
 returns only tiny ``(offset, dtype, shape)`` descriptors; the parent
@@ -16,7 +20,10 @@ the segment, and leaves everything else untouched, so
 :func:`unpack_arrays` rebuilds an object tree equal to the original
 (the transport tests hash-assert exactly that).  Payloads whose array
 bytes fall under the threshold are returned unchanged — a shared-memory
-segment per tiny result would cost more than it saves.
+segment per tiny result would cost more than it saves.  At the
+benchmark's scales a summary stays under it (about 160 KB per
+``study-fig05`` cell); cells of the full-length paper workloads cross
+it.
 
 Set ``REPRO_SHM=0`` to disable the path entirely (workers then return
 plain pickled payloads); any failure to create or map a segment also

@@ -18,7 +18,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.core.analyzer import Analyzer
 from repro.core.benchmark import ServingBenchmark
-from repro.core.parallel import run_cells
+from repro.core.parallel import Cell, run_cells
 from repro.core.planner import Planner
 from repro.core.results import RunResult
 from repro.core.scenario import ScenarioSpec, get_scenario
@@ -117,10 +117,14 @@ class ExperimentContext:
     Every declarative cell runs through :meth:`run_specs` (or its
     one-spec form :meth:`run_scenario`): each uncached spec resolves to
     its deployment, its cached workload at the spec's effective scale
-    and its pinned seed, and the batch runs through
+    and its pinned seed (:meth:`cell`), and the batch runs through
     :func:`~repro.core.parallel.run_cells`.  ``workers`` > 1 fans that
     batch out over that many worker processes (0 or 1 = serial,
     negative = one per core); results are bit-identical either way.
+    The run cache holds whole-table summaries, not outcome tables:
+    callers that read rows run the resolved cell through
+    :meth:`~repro.core.benchmark.ServingBenchmark.run` (as
+    :func:`repro.api.run` does).
     """
 
     seed: int = 7
@@ -156,25 +160,31 @@ class ExperimentContext:
                                                      scale=scale)
         return self._workloads[key]
 
+    def cell(self, spec: ScenarioSpec) -> Cell:
+        """``spec`` resolved to one runnable cell: its deployment through
+        this context's planner, its cached workload at the spec's
+        effective scale, that scale, and its pinned seed."""
+        scale = spec.cell_scale(self.scale)
+        return (spec.deployment(self.planner),
+                self.workload(spec.workload, spec.seed, scale),
+                scale, spec.seed)
+
     def run_specs(self, specs: Iterable[ScenarioSpec]) -> List[RunResult]:
         """Run every spec through the run cache; results in spec order.
 
         Specs are deduplicated by ``cell_key``.  Each one not yet cached
-        resolves to one cell (its deployment through this context's
-        planner, its workload at the spec's effective scale, its pinned
-        seed), and all of them run as one batch, over the worker pool
-        when ``workers`` > 1.
+        resolves to one :meth:`cell`, and all of them run as one batch,
+        over the worker pool when ``workers`` > 1.  The cache keeps each
+        result :meth:`~repro.core.results.RunResult.reduced` to its
+        whole-table summary (reduced where the cell finished), never its
+        outcome table.
         """
         specs = list(specs)
-        pending: Dict[str, tuple] = {}
+        pending: Dict[str, Cell] = {}
         for spec in specs:
             key = spec.cell_key
-            if key in self._runs or key in pending:
-                continue
-            scale = spec.cell_scale(self.scale)
-            pending[key] = (spec.deployment(self.planner),
-                            self.workload(spec.workload, spec.seed, scale),
-                            scale, spec.seed)
+            if key not in self._runs and key not in pending:
+                pending[key] = self.cell(spec)
         if pending:
             results = run_cells(self.benchmark, list(pending.values()),
                                 self.workers)

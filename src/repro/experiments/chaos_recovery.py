@@ -5,9 +5,9 @@ Serverless, the managed ML endpoint, and an autoscaled VM group face the
 *same* declarative fault schedule (a full-fleet outage 40 s into the
 run) with the same client-side resilience policy (3 retry attempts with
 jittered exponential backoff under a 30 s per-request budget), at K=5
-seeded replicates each.  The frame reports the three SLO reductions from
-:class:`~repro.serving.outcome_table.OutcomeTable` — SLO attainment,
-availability, time-to-recover — with 95 % confidence intervals.
+seeded replicates each.  The frame reports the three SLO reductions
+every outcome backend answers — SLO attainment, availability,
+time-to-recover — with 95 % confidence intervals.
 
 The interesting contrast: serverless "recovers" by cold-starting fresh
 sandboxes on demand (recovery time is a cold start), while the endpoint

@@ -15,6 +15,7 @@ Four sweeps, all under w-120 with TensorFlow 1.15:
 
 from __future__ import annotations
 
+from repro.core.analyzer import Analyzer
 from repro.core.scenario import ScenarioSpec
 from repro.core.study import Study, Sweep, register_study
 from repro.experiments.base import ExperimentContext, ExperimentResult
@@ -52,15 +53,11 @@ PANEL_SWEEPS = (
 
 
 def _cold_e2e(result) -> float:
-    table = result.table
-    mask = table.success & table.cold_start
-    return float(table.latency[mask].mean()) if mask.any() else 0.0
+    return Analyzer().coldstart_breakdown(result).cold_e2e
 
 
 def _warm_e2e(result) -> float:
-    table = result.table
-    mask = table.success & ~table.cold_start
-    return float(table.latency[mask].mean()) if mask.any() else 0.0
+    return Analyzer().coldstart_breakdown(result).warm_e2e
 
 
 def _base_spec() -> ScenarioSpec:

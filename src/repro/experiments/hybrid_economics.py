@@ -73,8 +73,7 @@ def hybrid_metrics(result: RunResult) -> Dict[str, object]:
         "provisioned_cost_usd": round(
             _prefixed_cost(result, "provisioned."), 6),
         "spill_cost_usd": round(_prefixed_cost(result, "spill."), 6),
-        "success_ratio": round(float(table.success.mean())
-                               if table.count else 0.0, 4),
+        "success_ratio": round(result.success_ratio, 4),
     }
 
 

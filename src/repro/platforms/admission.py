@@ -55,17 +55,18 @@ class PendingRequest:
 class WorkQueue:
     """The FaaS router's backlog: a FIFO of request tickets."""
 
-    __slots__ = ("env", "_tickets", "_free")
+    __slots__ = ("env", "tickets", "_free")
 
     def __init__(self, env: Environment):
         self.env = env
-        self._tickets: Deque[PendingRequest] = deque()
+        #: The buffered tickets, oldest first (empty: no backlog).
+        self.tickets: Deque[PendingRequest] = deque()
         self._free: List[PendingRequest] = []
 
     @property
     def backlog(self) -> int:
         """Number of requests waiting for an instance."""
-        return len(self._tickets)
+        return len(self.tickets)
 
     # -- submit side -------------------------------------------------------
     def ticket(self, row: int, inferences: int,
@@ -90,13 +91,13 @@ class WorkQueue:
     def enqueue(self, row: int, inferences: int) -> PendingRequest:
         """Buffer one request arriving now; returns its ticket."""
         pending = self.ticket(row, inferences, self.env.now)
-        self._tickets.append(pending)
+        self.tickets.append(pending)
         return pending
 
     # -- serve side --------------------------------------------------------
     def take(self) -> Optional[PendingRequest]:
         """Pop the oldest buffered ticket, or ``None`` if there is none."""
-        tickets = self._tickets
+        tickets = self.tickets
         return tickets.popleft() if tickets else None
 
     def requeue(self, pending: PendingRequest) -> None:
@@ -108,7 +109,7 @@ class WorkQueue:
         attribution includes the time lost on the dead instance — and
         the client keeps waiting on the same ``response_event``.
         """
-        self._tickets.append(pending)
+        self.tickets.append(pending)
 
     def recycle(self, pending: PendingRequest) -> None:
         """Return a served ticket to the free list for reuse."""

@@ -251,14 +251,14 @@ class ServerlessPlatform(ServingPlatform):
                     timer.cancel()
                 else:
                     self._release(instance, row, predict)
-                    pending = self.queue.take()
-                    if pending is None:
+                    if not self.queue.tickets:
                         # _park, inlined: once per warm request.
                         entry = idle.park(instance)
                         if live is not None:
                             live[instance.instance_id] = entry
                     else:
-                        env.process(self._instance_loop(instance, pending))
+                        env.process(self._instance_loop(
+                            instance, self.queue.take()))
                     served = True
         if not served:
             # The ticket is still outstanding: an instance will serve it

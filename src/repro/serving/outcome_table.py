@@ -1,8 +1,11 @@
 """Columnar (struct-of-arrays) request outcomes.
 
-:class:`OutcomeTable` holds one run's request outcomes as numpy columns:
-every metric is a masked reduction, and result transport is a handful of
-compact arrays.
+:class:`OutcomeTable` holds one run's request outcomes as numpy columns,
+and every metric is a masked reduction over them.  A table lives only
+as long as its cell's caller reads rows: the run cache and the worker
+pool keep its whole-table
+:class:`~repro.serving.streaming.OutcomeSummary` instead, which answers
+the same reductions exactly.
 
 The write side is a block of rows, :class:`OutcomeColumns`.  The
 executor registers each request's row with a recorder
@@ -365,14 +368,6 @@ class OutcomeTable(TimelineReductions):
         meeting = self.success & (self.latency <= target_s)
         return float(meeting.sum()) / self.count
 
-    def send_bins(self, bin_s: float) -> np.ndarray:
-        """Each row's time bin by send time, ``floor(send_time / bin_s)``:
-        the one binning behind :meth:`success_timeline` and the
-        analyzer's latency timeline."""
-        if bin_s <= 0:
-            raise ValueError("bin_s must be positive")
-        return (self.send_time / bin_s).astype(np.int64)
-
     def success_timeline(self, bin_s: float = 10.0):
         """Per-time-bin request and success counts (by send time).
 
@@ -381,12 +376,24 @@ class OutcomeTable(TimelineReductions):
         arrays.  The shared binning behind :meth:`availability` and
         :meth:`time_to_recover`.
         """
-        index = self.send_bins(bin_s)
+        index = send_bins(self.send_time, bin_s)
         requests = np.bincount(index)
         successes = np.bincount(index[self.success],
                                 minlength=len(requests))
         edges = np.arange(len(requests)) * bin_s
         return edges, requests, successes
+
+    def stage_sums(self, mask: np.ndarray) -> np.ndarray:
+        """Seconds each stage accumulated over the rows in ``mask``, in
+        ``Stage.ORDER`` (unproduced stages read 0.0).
+
+        Each entry sums the masked column the way ``np.mean`` does, so
+        a sum over the masked row count is the column's masked mean.
+        """
+        sums = np.zeros(_N_STAGES)
+        for name, column in self._stages.items():
+            sums[_STAGE_INDEX[name]] = column[mask].sum()
+        return sums
 
     # -- mutation (benchmark-internal) ----------------------------------------
     def fail_unfinished(self, horizon: float,
@@ -475,75 +482,6 @@ class OutcomeTable(TimelineReductions):
         """Reconstruct the full list of outcome objects (API-compat view)."""
         return [self.row(index) for index in range(self.count)]
 
-    # -- wire format -----------------------------------------------------------
-    def packed(self) -> dict:
-        """A compact lossless encoding for cross-process transport.
-
-        Applied tricks (all exactly invertible):
-
-        * ``request_id`` is elided when it equals ``arange(count)`` (the
-          executor's normal sequential numbering);
-        * integer columns travel as int32, booleans as ``packbits`` bit
-          arrays;
-        * columns that are mostly zero (billed duration on server
-          platforms, the cold-only stage columns) travel as
-          ``(indices, values)`` pairs; all-default columns vanish.
-        """
-        count = self.count
-        packed: dict = {"count": count, "errors": self.error_names}
-        if self._request_id is not None:
-            packed["request_id"] = self._request_id.astype(np.int64)
-        packed["client_id"] = self.client_id.astype(np.int32)
-        packed["send_time"] = self.send_time
-        packed["completion_time"] = self.completion_time
-        packed["success"] = np.packbits(self.success)
-        if self.cold_start.any():
-            packed["cold_start"] = np.packbits(self.cold_start)
-        if (self.instance_id >= 0).any():
-            packed["instance_id"] = self.instance_id.astype(np.int32)
-        if (self.inferences != 1).any():
-            packed["inferences"] = self.inferences.astype(np.int32)
-        if self.error_code.any():
-            packed["error_code"] = self.error_code
-        if (self.attempts != 1).any():
-            packed["attempts"] = self.attempts.astype(np.int32)
-        if self.served_by.any():
-            packed["served_by"] = self.served_by.astype(np.int8)
-        packed["billed_duration_s"] = _pack_sparse(self.billed_duration_s)
-        packed["stages"] = [_pack_sparse(self.stage_column(name))
-                            for name in STAGE_ORDER]
-        return packed
-
-    @classmethod
-    def from_packed(cls, packed: dict) -> "OutcomeTable":
-        """Rebuild a table from :meth:`packed` output (exact inverse).
-
-        Fields the wire format left out become the constructor's
-        zero-byte defaults; no full-size default array is allocated.
-        """
-        count = packed["count"]
-        cold = packed.get("cold_start")
-        return cls(
-            request_id=_widened(packed.get("request_id"), np.int64),
-            client_id=packed["client_id"].astype(np.int32),
-            send_time=packed["send_time"],
-            completion_time=packed["completion_time"],
-            success=np.unpackbits(packed["success"],
-                                  count=count).astype(bool),
-            cold_start=(None if cold is None else
-                        np.unpackbits(cold, count=count).astype(bool)),
-            instance_id=_widened(packed.get("instance_id"), np.int64),
-            billed_duration_s=_unpack_sparse(packed["billed_duration_s"],
-                                             count),
-            inferences=_widened(packed.get("inferences"), np.int32),
-            error_code=packed.get("error_code"),
-            stages=[_unpack_sparse(column, count)
-                    for column in packed["stages"]],
-            error_names=packed["errors"],
-            attempts=_widened(packed.get("attempts"), np.int32),
-            served_by=_widened(packed.get("served_by"), np.int8),
-        )
-
     # -- determinism -----------------------------------------------------------
     def column_hash(self) -> str:
         """SHA-256 over every column's bytes (golden-hash determinism tests).
@@ -569,38 +507,12 @@ class OutcomeTable(TimelineReductions):
         return digest.hexdigest()
 
 
-def _pack_sparse(column: np.ndarray):
-    """Shrink a float column: None (all zero) / scalar (constant) /
-    (indices, values) (mostly zero) / dense ndarray."""
-    nonzero = np.flatnonzero(column)
-    if nonzero.size == 0:
-        return None
-    first = column[0]
-    if nonzero.size == column.size and (column == first).all():
-        # e.g. the HANDLER stage: a per-run constant on every request.
-        return float(first)
-    if nonzero.size * 3 < column.size:  # 12B/entry sparse vs 8B/entry dense
-        return (nonzero.astype(np.int32), column[nonzero])
-    return column
-
-
-def _unpack_sparse(packed, count: int):
-    """Inverse of :func:`_pack_sparse` (None stays None: all zero)."""
-    if packed is None:
-        return None
-    if isinstance(packed, float):
-        return np.full(count, packed, dtype=np.float64)
-    if isinstance(packed, tuple):
-        column = np.zeros(count, dtype=np.float64)
-        indices, values = packed
-        column[indices] = values
-        return column
-    return packed
-
-
-def _widened(column, dtype):
-    """A packed integer column back at its table dtype (None stays None)."""
-    return None if column is None else column.astype(dtype)
+def send_bins(send_time: np.ndarray, bin_s: float) -> np.ndarray:
+    """Each send time's bin, ``floor(send_time / bin_s)``: the one
+    binning behind every success and latency timeline."""
+    if bin_s <= 0:
+        raise ValueError("bin_s must be positive")
+    return (send_time / bin_s).astype(np.int64)
 
 
 def _intern_error(names: List[str], error: str) -> int:

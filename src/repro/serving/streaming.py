@@ -1,10 +1,12 @@
-"""Streaming (chunked) outcome recording for trace-scale runs.
+"""Outcome summaries: the chunk ring of trace-scale runs, and the
+whole-table record every cached cell keeps.
 
 The preallocated :class:`~repro.serving.outcome_table.OutcomeRecorder`
 sizes one flat buffer from the workload's request count — perfect up to
 a few hundred thousand requests, hopeless at ten million (the columns
 alone are gigabytes, and every metric reduction walks all of them).
-This module is the flat-RSS alternative:
+This module is the flat-RSS alternative, and the record the run cache
+keeps instead of a table:
 
 * :class:`ChunkedOutcomeRecorder` hands serving rows of one
   :class:`~repro.serving.outcome_table.OutcomeColumns` block, grouped
@@ -17,7 +19,8 @@ This module is the flat-RSS alternative:
   arrival rate, not the trace length.
 
 * :class:`OutcomeSummary` is the online-reduction target: running
-  sums/counts for means and ratios, exact min/max, a log-binned
+  sums/counts for means and ratios (per-stage cold and warm sums for
+  the Figure 10 / 14 breakdown among them), exact min/max, a log-binned
   :class:`LatencySketch` for quantiles and SLO attainment, and a
   base-binned success timeline for ``availability`` /
   ``time_to_recover``.  It exposes the same reduction methods a full
@@ -25,7 +28,19 @@ This module is the flat-RSS alternative:
   :class:`~repro.core.results.RunResult` and the study layer consume
   either interchangeably.
 
-Accuracy contract (asserted by ``tests/test_streaming.py``):
+* :meth:`OutcomeSummary.of_table` is one fold over a finished table,
+  plus what only rows answer exactly: the table's own
+  :class:`~repro.core.metrics.LatencyStats` and
+  :meth:`~repro.serving.outcome_table.OutcomeTable.column_hash`, and the
+  successful requests' send times and latencies (the failed ones' send
+  times too), in row order.  Every cell that runs through the run cache
+  is reduced to one, where it finishes (in its worker, before
+  transport), and answers every reduction *exactly* as its table would:
+  one fold over a whole column sums in ``np.mean``'s order, and the
+  row-order arrays feed the same numpy calls the table makes.
+
+Accuracy contract of a chunk-ring summary (asserted by
+``tests/test_streaming.py``):
 
 ==========================  =============================================
 reduction                   streaming vs full-table
@@ -54,12 +69,17 @@ from repro.serving.outcome_table import (
     OutcomeTable,
     TimelineReductions,
     _intern_error,
+    send_bins,
 )
-from repro.serving.records import SERVED_BY_SPILL
+from repro.serving.records import SERVED_BY_SPILL, Stage
 
 #: Number of hybrid path codes tracked by the per-path accumulators
 #: (direct / provisioned / spill; see ``repro.serving.records``).
 _N_PATHS = 3
+
+#: The cold/warm breakdown sums: end-to-end latency, then every stage.
+_BREAKDOWN_KEYS = ("e2e",) + Stage.ORDER
+_N_BREAKDOWN = len(_BREAKDOWN_KEYS)
 
 __all__ = ["LatencySketch", "OutcomeSummary", "ChunkedOutcomeRecorder"]
 
@@ -80,6 +100,9 @@ class LatencySketch:
     accurate to one bin — with the default 4096 bins over seven decades
     that is ~0.4 % relative resolution.  Mean/min/max are tracked
     exactly; the standard deviation uses the running-moments form.
+    ``bins=0`` keeps the moments and extremes alone, with no histogram
+    and no quantiles: a whole-table summary's, whose rows answer every
+    quantile exactly.
     """
 
     __slots__ = ("lo", "hi", "bins", "_inv_log_step", "_log_lo", "counts",
@@ -88,8 +111,8 @@ class LatencySketch:
     def __init__(self, lo: float = 1e-4, hi: float = 1e3, bins: int = 4096):
         if not 0 < lo < hi:
             raise ValueError("need 0 < lo < hi")
-        if bins < 2:
-            raise ValueError("need at least two bins")
+        if bins < 2 and bins != 0:
+            raise ValueError("need at least two bins (or none)")
         self.lo = lo
         self.hi = hi
         self.bins = bins
@@ -111,6 +134,8 @@ class LatencySketch:
         self.total_sq += float(np.square(values).sum())
         self.min = min(self.min, float(values.min()))
         self.max = max(self.max, float(values.max()))
+        if not self.bins:
+            return
         clipped = np.clip(values, self.lo, None)
         index = ((np.log(clipped) - self._log_lo)
                  * self._inv_log_step).astype(np.int64)
@@ -131,6 +156,11 @@ class LatencySketch:
         mean = self.mean
         return math.sqrt(max(self.total_sq / self.count - mean * mean, 0.0))
 
+    def _require_histogram(self) -> None:
+        if not self.bins:
+            raise ValueError("a moments-only LatencySketch (bins=0) "
+                             "answers no quantile")
+
     def _edge(self, index: int) -> float:
         """Lower edge of bin ``index`` (geometric spacing)."""
         return math.exp(self._log_lo + index / self._inv_log_step)
@@ -139,6 +169,7 @@ class LatencySketch:
         """The ``q``-th percentile (0-100), accurate to one bin."""
         if not 0 <= q <= 100:
             raise ValueError("q must be within [0, 100]")
+        self._require_histogram()
         if not self.count:
             return 0.0
         rank = q / 100.0 * (self.count - 1)
@@ -151,6 +182,7 @@ class LatencySketch:
 
     def count_at_most(self, value: float) -> int:
         """Number of folded values ``<= value`` (to one bin of slack)."""
+        self._require_histogram()
         if not self.count:
             return 0
         if value >= self.max:
@@ -196,6 +228,11 @@ class OutcomeSummary(TimelineReductions):
     are the table's own implementation, inherited from
     :class:`~repro.serving.outcome_table.TimelineReductions` and read
     off this summary's :meth:`success_timeline`.
+
+    A whole-table summary (:meth:`of_table`) also keeps what only rows
+    answer exactly, and serves :meth:`latency_stats`,
+    :meth:`slo_attainment`, :meth:`success_timeline` and
+    :meth:`latency_sums` from it, bit for bit as its table would.
     """
 
     #: Time resolution (seconds) of the streaming success timeline; any
@@ -216,6 +253,10 @@ class OutcomeSummary(TimelineReductions):
         self.path_success_counts = np.zeros(_N_PATHS, dtype=np.int64)
         #: Per-path running sums of successful latencies (seconds).
         self.path_latency_totals = np.zeros(_N_PATHS, dtype=np.float64)
+        #: Running sums over the successful cold-start (warm) requests:
+        #: end-to-end latency, then each stage in ``Stage.ORDER``.
+        self.cold_totals = np.zeros(_N_BREAKDOWN, dtype=np.float64)
+        self.warm_totals = np.zeros(_N_BREAKDOWN, dtype=np.float64)
         #: Per-error-name failure/annotation counts.
         self.error_counts: Dict[str, int] = {}
         self.max_send_time = 0.0
@@ -224,6 +265,47 @@ class OutcomeSummary(TimelineReductions):
         # Chained per-chunk digest (a plain hex string, so summaries
         # pickle across process boundaries unlike a live hash object).
         self._digest_hex = ""
+        # What only a whole table answers exactly (see of_table); None
+        # on a chunk-ring summary.
+        self._stats: Optional[LatencyStats] = None
+        self._column_hash: Optional[str] = None
+        #: Send times and latencies of the successful requests, and the
+        #: send times of the failed ones, in row order (whole-table
+        #: summaries only).
+        self.success_send: Optional[np.ndarray] = None
+        self.success_latency: Optional[np.ndarray] = None
+        self.failed_send: Optional[np.ndarray] = None
+
+    @classmethod
+    def of_table(cls, table: OutcomeTable) -> "OutcomeSummary":
+        """The whole-table summary of a finished ``table``.
+
+        One :meth:`fold`'s counts and sums over the table (a single
+        fold sums each column in ``np.mean``'s order, so its means are
+        the table's bit for bit; its sketch keeps no histogram), plus
+        what only rows answer exactly: the table's
+        :class:`~repro.core.metrics.LatencyStats` and
+        :meth:`~repro.serving.outcome_table.OutcomeTable.column_hash`,
+        the successful requests' send times and latencies (16 bytes per
+        success) and the failed requests' send times (8 bytes per
+        failure), in row order.  Nothing else of ``table`` is kept.
+        """
+        summary = cls(LatencySketch(bins=0))
+        if table.count:
+            summary._add_sums(table)
+        success = table.success
+        summary.success_send = table.send_time[success]
+        summary.success_latency = table.successful_latencies()
+        summary.failed_send = table.send_time[~success]
+        summary._stats = LatencyStats.from_values(summary.success_latency)
+        summary._column_hash = table.column_hash()
+        return summary
+
+    @property
+    def streamed(self) -> bool:
+        """True for a chunk-ring summary; False for a whole-table one
+        (:meth:`of_table`), which answers exactly what its table does."""
+        return self._column_hash is None
 
     # -- folding ----------------------------------------------------------
     def fold(self, table: OutcomeTable) -> None:
@@ -232,19 +314,58 @@ class OutcomeSummary(TimelineReductions):
         Safe to call with chunks of any size, in row order; nothing from
         ``table`` is retained, so the caller may recycle its buffers.
         """
-        n = table.count
-        if n == 0:
+        if not table.count:
             return
+        self._add_sums(table)
+        send = table.send_time
+        success = table.success
+        index = send_bins(send, self.base_bin_s)
+        needed = int(index.max()) + 1
+        if needed > self._timeline_requests.size:
+            pad = needed - self._timeline_requests.size
+            self._timeline_requests = np.concatenate(
+                [self._timeline_requests, np.zeros(pad, dtype=np.int64)])
+            self._timeline_successes = np.concatenate(
+                [self._timeline_successes, np.zeros(pad, dtype=np.int64)])
+        size = self._timeline_requests.size
+        self._timeline_requests += np.bincount(index, minlength=size)
+        self._timeline_successes += np.bincount(index[success],
+                                                minlength=size)
+        chained = hashlib.sha256(self._digest_hex.encode("ascii"))
+        for column in (table.request_id, table.client_id, send,
+                       table.completion_time, success, table.cold_start,
+                       table.instance_id, table.billed_duration_s,
+                       table.inferences, table.error_code, table.stages,
+                       table.attempts):
+            chained.update(np.ascontiguousarray(column))
+        served = table.served_by
+        if served.any():
+            # Hybrid chunks fold their path column into the digest;
+            # all-direct chunks skip it so historical digests stay valid.
+            chained.update(np.ascontiguousarray(served))
+        chained.update("\x00".join(table.error_names).encode("utf-8"))
+        self._digest_hex = chained.hexdigest()
+
+    def _add_sums(self, table: OutcomeTable) -> None:
+        """The counts and sums of a fold over a non-empty ``table``: all
+        a whole table keeps of its fold (:meth:`of_table`), whose rows
+        answer what the ring keeps its timeline and digest for."""
+        n = table.count
         self.chunks_folded += 1
         success = table.success
         n_success = int(success.sum())
         self.count += n
         self.success_count += n_success
-        self.cold_on_success += int(table.cold_start[success].sum())
         self.attempts_total += int(table.attempts.sum())
         latency = table.completion_time - table.send_time
         success_latencies = latency[success]
         self.latencies.add(success_latencies)
+        cold = success & table.cold_start
+        self.cold_on_success += int(cold.sum())
+        for mask, totals in ((cold, self.cold_totals),
+                             (success & ~table.cold_start, self.warm_totals)):
+            totals[0] += latency[mask].sum()
+            totals[1:] += table.stage_sums(mask)
         served = table.served_by
         if served.any():
             self.path_counts += np.bincount(served, minlength=_N_PATHS)
@@ -273,35 +394,8 @@ class OutcomeSummary(TimelineReductions):
                 if name == "degraded":
                     mask = success & (error_code == code)
                     self.degraded_count += int(mask.sum())
-        send = table.send_time
-        if n:
-            self.max_send_time = max(self.max_send_time,
-                                     float(send.max()))
-        index = (send / self.base_bin_s).astype(np.int64)
-        needed = int(index.max()) + 1 if n else 0
-        if needed > self._timeline_requests.size:
-            pad = needed - self._timeline_requests.size
-            self._timeline_requests = np.concatenate(
-                [self._timeline_requests, np.zeros(pad, dtype=np.int64)])
-            self._timeline_successes = np.concatenate(
-                [self._timeline_successes, np.zeros(pad, dtype=np.int64)])
-        size = self._timeline_requests.size
-        self._timeline_requests += np.bincount(index, minlength=size)
-        self._timeline_successes += np.bincount(index[success],
-                                                minlength=size)
-        chained = hashlib.sha256(self._digest_hex.encode("ascii"))
-        for column in (table.request_id, table.client_id, send,
-                       table.completion_time, success, table.cold_start,
-                       table.instance_id, table.billed_duration_s,
-                       table.inferences, error_code, table.stages,
-                       table.attempts):
-            chained.update(np.ascontiguousarray(column))
-        if served.any():
-            # Hybrid chunks fold their path column into the digest;
-            # all-direct chunks skip it so historical digests stay valid.
-            chained.update(np.ascontiguousarray(served))
-        chained.update("\x00".join(table.error_names).encode("utf-8"))
-        self._digest_hex = chained.hexdigest()
+        self.max_send_time = max(self.max_send_time,
+                                 float(table.send_time.max()))
 
     # -- headline reductions ----------------------------------------------
     @property
@@ -322,7 +416,10 @@ class OutcomeSummary(TimelineReductions):
         return self.cold_on_success / self.success_count
 
     def latency_stats(self) -> LatencyStats:
-        """Distributional latency statistics (quantiles from the sketch)."""
+        """Distributional latency statistics: the table's own on a
+        whole-table summary, quantiles from the sketch on a streamed one."""
+        if self._stats is not None:
+            return self._stats
         return self.latencies.stats()
 
     def attempts_mean(self) -> float:
@@ -358,24 +455,48 @@ class OutcomeSummary(TimelineReductions):
             return float("nan")
         return float(self.path_latency_totals[served_by]) / hits
 
+    def breakdown_means(self, cold: bool) -> Dict[str, float]:
+        """Mean seconds of the successful cold-start (or warm) requests:
+        end to end (``"e2e"``), then per stage (``Stage.ORDER`` names);
+        every entry 0.0 when there are no such requests."""
+        if cold:
+            n, totals = self.cold_on_success, self.cold_totals
+        else:
+            n = self.success_count - self.cold_on_success
+            totals = self.warm_totals
+        return {key: float(total) / n if n else 0.0
+                for key, total in zip(_BREAKDOWN_KEYS, totals)}
+
     # -- SLO reductions ----------------------------------------------------
     def slo_attainment(self, target_s: float) -> float:
         """Fraction of all requests served successfully within ``target_s``.
 
-        The successful-latency count comes from the sketch, so the
-        effective target is shifted by at most one bin (~0.4 %).
+        Exact on a whole-table summary.  On a streamed one the
+        successful-latency count comes from the sketch, so the effective
+        target is shifted by at most one bin (~0.4 %).
         """
         if not self.count:
             return 1.0
+        if self.success_latency is not None:
+            return (float((self.success_latency <= target_s).sum())
+                    / self.count)
         return self.latencies.count_at_most(target_s) / self.count
 
     def success_timeline(self, bin_s: float = 10.0):
         """Per-time-bin request and success counts (by send time).
 
-        Exact whenever ``bin_s`` is an integer multiple of
-        :attr:`base_bin_s` (it aggregates the base-resolution bins);
-        other widths raise rather than silently approximating.
+        Exact at any ``bin_s`` on a whole-table summary (the table's own
+        binning over its send times).  On a streamed one, exact whenever
+        ``bin_s`` is an integer multiple of :attr:`base_bin_s` (it
+        aggregates the base-resolution bins); other widths raise rather
+        than silently approximating.
         """
+        if self.success_send is not None:
+            success = send_bins(self.success_send, bin_s)
+            requests = np.bincount(np.concatenate(
+                (success, send_bins(self.failed_send, bin_s))))
+            successes = np.bincount(success, minlength=len(requests))
+            return np.arange(len(requests)) * bin_s, requests, successes
         if bin_s <= 0:
             raise ValueError("bin_s must be positive")
         factor = bin_s / self.base_bin_s
@@ -398,6 +519,13 @@ class OutcomeSummary(TimelineReductions):
         successes = successes.reshape(bins, factor).sum(axis=1)
         return np.arange(bins) * bin_s, requests, successes
 
+    def latency_sums(self, bin_s: float, bins: int) -> np.ndarray:
+        """Per-time-bin sums of the successful requests' latencies, by
+        send time, over ``bins`` bins (whole-table summaries only: the
+        table's ``np.bincount`` over the same row-order arrays)."""
+        return np.bincount(send_bins(self.success_send, bin_s),
+                           weights=self.success_latency, minlength=bins)
+
     # -- determinism -------------------------------------------------------
     def digest(self) -> str:
         """SHA-256 over every folded chunk's column bytes, in fold order.
@@ -405,9 +533,40 @@ class OutcomeSummary(TimelineReductions):
         Equal digests mean bit-identical streaming runs *at the same
         chunk size* (the byte stream interleaves columns per chunk, so
         digests from different chunk sizes are not comparable — compare
-        the reductions instead).  Empty string before the first fold.
+        the reductions instead).  Empty string before the first fold,
+        and on a whole-table summary (see :meth:`column_hash`).
         """
         return self._digest_hex
+
+    def column_hash(self) -> str:
+        """The summarised table's
+        :meth:`~repro.serving.outcome_table.OutcomeTable.column_hash`
+        (a whole-table summary; a streamed one has its :meth:`digest`)."""
+        if self._column_hash is None:
+            raise ValueError("a streamed OutcomeSummary keeps no column "
+                             "hash; compare digest() instead")
+        return self._column_hash
+
+    # -- storage and transport ----------------------------------------------
+    def resident_bytes(self) -> int:
+        """Bytes of array data this summary holds, its latency sketch's
+        histogram included."""
+        arrays = [value for value in vars(self).values()
+                  if isinstance(value, np.ndarray)]
+        arrays.append(self.latencies.counts)
+        return sum(array.nbytes for array in arrays)
+
+    def state(self) -> Dict[str, object]:
+        """The summary's fields as a plain dict: its transport form, in
+        which :mod:`repro.core.shm` sees (and may lift) every array."""
+        return dict(vars(self))
+
+    @classmethod
+    def from_state(cls, state: Dict[str, object]) -> "OutcomeSummary":
+        """Rebuild a summary from :meth:`state`."""
+        summary = cls.__new__(cls)
+        vars(summary).update(state)
+        return summary
 
 
 class _Window(OutcomeColumns):

@@ -120,6 +120,7 @@ from __future__ import annotations
 from collections import deque
 from heapq import heapify, heappop, heappush
 from itertools import count
+from types import GeneratorType
 from typing import Any, Callable, Deque, Generator, Optional
 
 __all__ = [
@@ -322,7 +323,7 @@ class Process(Event):
     __slots__ = ("_generator", "_target")
 
     def __init__(self, env: "Environment", generator: Generator):
-        if not hasattr(generator, "send"):
+        if type(generator) is not GeneratorType:
             raise SimulationError("process() requires a generator")
         # Event.__init__, inlined: one process per request.
         self.env = env

@@ -7,7 +7,8 @@ The columnar rework leans on two exact-equivalence guarantees:
   variates and scales them with the exact operations numpy applies
   internally);
 * parallel cells are bit-identical to serial cells (every cell reseeds
-  its own streams, and the packed transport encoding is lossless).
+  its own streams, and the worker transport of a cell's whole-table
+  summary is lossless).
 
 Both are asserted here as SHA-256 hashes over every outcome column of a
 fixed-seed w-40 cell — if any draw, any completion time, or any stage
@@ -28,6 +29,7 @@ import pytest
 from repro.core.benchmark import ServingBenchmark
 from repro.core.parallel import run_cells
 from repro.core.planner import Planner
+from repro.core.results import RunResult
 from repro.serving.outcome_table import OutcomeRecorder, OutcomeTable
 from repro.serving.records import RequestOutcome, Stage
 from repro.serving.streaming import OutcomeSummary
@@ -275,11 +277,14 @@ class TestFidelityDeterminism:
 
 class TestPackedTransport:
     def test_packed_round_trip_is_lossless(self, w40_cell):
+        """The worker payload (the reduced result's summary) pickles and
+        rebuilds with the table's column hash and exact statistics."""
         deployment, workload = w40_cell
         result = ServingBenchmark(seed=SEED).run(deployment, workload)
-        wire = pickle.dumps(result.table.packed())
-        restored = OutcomeTable.from_packed(pickle.loads(wire))
-        assert restored.column_hash() == result.table.column_hash()
+        wire = pickle.dumps(result.to_transport())
+        restored = RunResult.from_transport(pickle.loads(wire), deployment)
+        assert restored.table.column_hash() == result.table.column_hash()
+        assert restored.latency_stats() == result.latency_stats()
 
     def test_packed_is_smaller_than_object_pickles(self, w40_cell):
         deployment, workload = w40_cell
@@ -467,18 +472,10 @@ class TestStoredColumns:
         for platform, table in storage_tables.items():
             dense = _dense(table)
             assert table.column_hash() == dense.column_hash(), platform
-            wire = pickle.dumps(table.packed())
-            expected = dense.packed()
-            # The wire elides sequential request ids whatever the storage.
-            assert expected.pop("request_id").tolist() == list(
-                range(table.count))
-            assert wire == pickle.dumps(expected)
-            restored = OutcomeTable.from_packed(pickle.loads(wire))
-            assert restored.column_hash() == dense.column_hash()
-            assert restored.resident_bytes() == table.resident_bytes()
             np.testing.assert_equal(_reductions(table), _reductions(dense))
-            np.testing.assert_equal(_reductions(restored),
-                                    _reductions(dense))
+            # The whole-table summary cannot tell the storage apart either.
+            assert (pickle.dumps(OutcomeSummary.of_table(table).state())
+                    == pickle.dumps(OutcomeSummary.of_table(dense).state()))
             folded, reference = OutcomeSummary(), OutcomeSummary()
             folded.fold(table)
             reference.fold(dense)
@@ -502,19 +499,3 @@ class TestStoredColumns:
         assert table.completion_time.tolist() == [0.5, 1.5, 2.5, 3.0]
         assert _zero_byte(other.error_code)
         assert other.error_strings() == [""] * 4
-
-    def test_from_packed_leaves_omitted_fields_zero_byte(self,
-                                                         storage_tables):
-        table = storage_tables["managed_ml"]
-        packed = table.packed()
-        omitted = [name for name in DEFAULTS if packed.get(name) is None]
-        assert omitted == ["cold_start", "instance_id", "billed_duration_s",
-                           "inferences", "attempts", "served_by"]
-        assert "request_id" not in packed
-        restored = OutcomeTable.from_packed(packed)
-        for name in omitted:
-            assert _zero_byte(getattr(restored, name)), name
-        for stage, column in zip(Stage.ORDER, packed["stages"]):
-            assert _zero_byte(restored.stage_column(stage)) == (
-                column is None), stage
-        assert restored.resident_bytes() == table.resident_bytes()

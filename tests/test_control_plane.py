@@ -22,18 +22,28 @@ Three layers of guarantees:
   by column hash, cost, instances created and ``events_processed``,
   and pins the study frames' unrounded rows (every table reduction)
   and one short-horizon fidelity cell.
+* **Summaries**: on every pinned cell, the whole-table
+  :class:`~repro.serving.streaming.OutcomeSummary` the run cache keeps
+  answers every reduction exactly as the table does (``==``, NaN equal
+  to NaN), and the studies that read more than the standard columns
+  print the same frames and series over the worker pool as serially.
 """
 
 import hashlib
 import json
 import os
+import pickle
+from dataclasses import astuple
 
+import numpy as np
 import pytest
 
 from repro.api import run
 from repro.cloud.providers import get_provider
+from repro.core.analyzer import Analyzer
 from repro.core.benchmark import ServingBenchmark
 from repro.core.planner import Planner
+from repro.core.results import RunResult
 from repro.core.scenario import ScenarioSpec, get_scenario
 from repro.core.study import get_study
 from repro.experiments.base import ExperimentContext, load_registered_studies
@@ -44,6 +54,9 @@ from repro.platforms.policies import (
     TargetUtilisationPolicy,
 )
 from repro.platforms.pool import InstancePool, InstanceState
+from repro.serving.outcome_table import OutcomeTable
+from repro.serving.records import Stage
+from repro.serving.streaming import OutcomeSummary
 from repro.workload.generator import standard_workload
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data",
@@ -488,32 +501,53 @@ def _golden():
 _GOLDEN = _golden()
 
 
-class TestGoldenEquivalence:
-    @pytest.fixture(scope="class")
-    def workloads(self):
-        return {key: standard_workload(entry["name"], seed=_GOLDEN["seed"],
-                                       scale=entry["scale"])
-                for key, entry in _GOLDEN["workloads"].items()}
+@pytest.fixture(scope="module")
+def workloads():
+    """The golden cells' workloads, by their key in the golden file."""
+    return {key: standard_workload(entry["name"], seed=_GOLDEN["seed"],
+                                   scale=entry["scale"])
+            for key, entry in _GOLDEN["workloads"].items()}
 
+
+def _run_golden_cell(key: str, workloads):
+    """Run the golden base cell ``key`` (its overrides parsed back)."""
+    parts = key.split("/")
+    provider, model, runtime, platform, workload_key = parts[:5]
+    overrides = {}
+    if len(parts) > 5:
+        for pair in parts[5].split(","):
+            name, raw = pair.split("=")
+            if raw in ("True", "False"):
+                overrides[name] = raw == "True"
+            elif "." in raw:
+                overrides[name] = float(raw)
+            else:
+                overrides[name] = int(raw)
+    deployment = Planner().plan(provider, model, runtime, platform,
+                                **overrides)
+    return ServingBenchmark(seed=_GOLDEN["seed"]).run(
+        deployment, workloads[workload_key])
+
+
+def _run_keep_alive_cell(key: str):
+    """Run the pinned keep-alive cell ``key``."""
+    expected = _GOLDEN["keep_alive"][key]
+    provider = get_provider("aws").with_serverless(
+        keep_alive_s=expected["keep_alive_s"])
+    overrides = {name: tuple(value) if isinstance(value, list) else value
+                 for name, value in expected["overrides"].items()}
+    deployment = Planner().plan(provider, "mobilenet", "tf1.15",
+                                "serverless", **overrides)
+    workload = standard_workload(expected["workload"], seed=_GOLDEN["seed"],
+                                 scale=expected["scale"])
+    return ServingBenchmark(seed=_GOLDEN["seed"]).run(deployment, workload)
+
+
+class TestGoldenEquivalence:
     @pytest.mark.parametrize("key", sorted(_GOLDEN["cells"]))
     def test_cell_reproduces_pre_refactor_columns(self, key, workloads):
-        parts = key.split("/")
-        provider, model, runtime, platform, workload_key = parts[:5]
-        overrides = {}
-        if len(parts) > 5:
-            for pair in parts[5].split(","):
-                name, raw = pair.split("=")
-                if raw in ("True", "False"):
-                    overrides[name] = raw == "True"
-                elif "." in raw:
-                    overrides[name] = float(raw)
-                else:
-                    overrides[name] = int(raw)
-        deployment = Planner().plan(provider, model, runtime, platform,
-                                    **overrides)
         expected = _GOLDEN["cells"][key]
-        result = ServingBenchmark(seed=_GOLDEN["seed"]).run(
-            deployment, workloads[workload_key])
+        result = _run_golden_cell(key, workloads)
         assert result.table.column_hash() == expected["column_hash"]
         assert result.total_requests == expected["requests"]
         assert result.cost == expected["cost"]
@@ -560,18 +594,7 @@ class TestGoldenKeepAlive:
     @pytest.mark.parametrize("key", sorted(_GOLDEN["keep_alive"]))
     def test_keep_alive_cell_reproduces_pin(self, key):
         expected = _GOLDEN["keep_alive"][key]
-        provider = get_provider("aws").with_serverless(
-            keep_alive_s=expected["keep_alive_s"])
-        overrides = {name: tuple(value) if isinstance(value, list)
-                     else value
-                     for name, value in expected["overrides"].items()}
-        deployment = Planner().plan(provider, "mobilenet", "tf1.15",
-                                    "serverless", **overrides)
-        workload = standard_workload(expected["workload"],
-                                     seed=_GOLDEN["seed"],
-                                     scale=expected["scale"])
-        result = ServingBenchmark(seed=_GOLDEN["seed"]).run(deployment,
-                                                            workload)
+        result = _run_keep_alive_cell(key)
         assert result.table.column_hash() == expected["column_hash"]
         assert result.total_requests == expected["requests"]
         assert result.cost == expected["cost"]
@@ -615,3 +638,127 @@ class TestGoldenFrames:
         assert result.table.column_hash() == expected["column_hash"]
         assert result.total_requests == expected["requests"]
         assert result.cost == expected["cost"]
+
+
+# ---------------------------------------------------------------------------
+# Whole-table summaries answer exactly like their tables
+# ---------------------------------------------------------------------------
+
+#: SLO targets, timeline bin widths and recovery starts the summary
+#: reductions are checked at.
+SLO_TARGETS_S = (0.2, 1.0, 5.0)
+TIMELINE_BINS_S = (5.0, 20.0)
+RECOVERY_AFTER_S = (0.0, 70.0)
+
+
+def _table_breakdown(table) -> tuple:
+    """Figure 10's breakdown as masked column means over the rows."""
+    cold = table.success & table.cold_start
+    warm = table.success & ~table.cold_start
+
+    def mean(column, mask):
+        return float(column[mask].mean()) if mask.any() else 0.0
+
+    return (mean(table.latency, cold),
+            mean(table.stage_column(Stage.IMPORT), cold),
+            mean(table.stage_column(Stage.DOWNLOAD), cold),
+            mean(table.stage_column(Stage.LOAD), cold),
+            mean(table.stage_column(Stage.PREDICT), cold),
+            mean(table.latency, warm),
+            mean(table.stage_column(Stage.PREDICT), warm),
+            int(cold.sum()), int(warm.sum()))
+
+
+def _table_latency_timeline(table, bin_s: float) -> list:
+    """Figures 6/8/9's latency timeline over the rows: non-empty bins'
+    (edge, requests, mean successful latency, success ratio)."""
+    edges, requests, successes = table.success_timeline(bin_s)
+    success = table.success
+    sums = np.bincount((table.send_time[success] / bin_s).astype(np.int64),
+                       weights=table.latency[success], minlength=len(edges))
+    return [(float(edges[index]), int(requests[index]),
+             float(sums[index] / successes[index]
+                   if successes[index] else 0.0),
+             int(successes[index]) / int(requests[index]))
+            for index in np.flatnonzero(requests)]
+
+
+def _reductions(outcomes) -> list:
+    """Every reduction both outcome backends answer, comparable with
+    ``np.testing.assert_equal`` (NaN equal to NaN)."""
+    return [
+        outcomes.count, outcomes.success_ratio, outcomes.cold_start_ratio,
+        outcomes.average_latency, astuple(outcomes.latency_stats()),
+        outcomes.attempts_mean(), outcomes.degraded_ratio(),
+        outcomes.spill_ratio(),
+        [outcomes.path_latency_mean(code) for code in range(3)],
+        [outcomes.slo_attainment(target) for target in SLO_TARGETS_S],
+        [[column.tolist() for column in outcomes.success_timeline(bin_s)]
+         for bin_s in TIMELINE_BINS_S],
+        [outcomes.availability(bin_s) for bin_s in TIMELINE_BINS_S],
+        [outcomes.time_to_recover(after, bin_s)
+         for after in RECOVERY_AFTER_S for bin_s in TIMELINE_BINS_S],
+        outcomes.column_hash(),
+    ]
+
+
+def _assert_summary_answers_like_table(result) -> None:
+    """The result's whole-table summary, shipped as a worker ships it,
+    answers every reduction exactly as its table does."""
+    table = result.table
+    assert isinstance(table, OutcomeTable)
+    reduced = RunResult.from_transport(
+        pickle.loads(pickle.dumps(result.to_transport())), result.deployment)
+    assert not reduced.streaming
+    np.testing.assert_equal(_reductions(reduced.table), _reductions(table))
+    analyzer = Analyzer()
+    breakdown = analyzer.coldstart_breakdown(reduced)
+    np.testing.assert_equal(astuple(breakdown), _table_breakdown(table))
+    np.testing.assert_equal(
+        [astuple(point) for point in analyzer.latency_timeline(reduced, 20.0)],
+        _table_latency_timeline(table, 20.0))
+
+
+class TestSummaryAnswersLikeTable:
+    """Every pinned cell's whole-table summary against its table."""
+
+    @pytest.mark.parametrize("key", sorted(_GOLDEN["cells"]))
+    def test_golden_cell(self, key, workloads):
+        _assert_summary_answers_like_table(_run_golden_cell(key, workloads))
+
+    @pytest.mark.parametrize("name", sorted(_GOLDEN["scenarios"]))
+    def test_scenario(self, name):
+        _assert_summary_answers_like_table(
+            run(get_scenario(name), seed=_GOLDEN["seed"],
+                scale=_GOLDEN["scenario_scale"]))
+
+    @pytest.mark.parametrize("key", sorted(_GOLDEN["keep_alive"]))
+    def test_keep_alive_cell(self, key):
+        _assert_summary_answers_like_table(_run_keep_alive_cell(key))
+
+
+class TestStudiesOverTheWorkerPool:
+    """Studies that read more than the standard columns print the same
+    frames and series over the worker pool as serially, and the run
+    cache keeps summaries, never tables."""
+
+    SCALE = 0.02
+
+    def _run(self, name: str, workers: int):
+        load_registered_studies()
+        context = ExperimentContext(seed=_GOLDEN["seed"], scale=self.SCALE,
+                                    providers=("aws",), workers=workers)
+        frame = get_study(name).run(context)
+        assert context._runs
+        for result in context._runs.values():
+            assert isinstance(result.table, OutcomeSummary)
+            assert not result.streaming
+        return (json.dumps(frame.to_rows(), sort_keys=True),
+                json.dumps(frame.series, sort_keys=True))
+
+    @pytest.mark.parametrize("name", ["fig06", "fig10", "fig12",
+                                      "chaos-recovery", "failover-recovery",
+                                      "hybrid-economics"])
+    def test_pooled_frame_and_series_match_serial(self, name):
+        serial = self._run(name, workers=0)
+        assert self._run(name, workers=2) == serial

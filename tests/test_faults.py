@@ -16,6 +16,7 @@ Four layers:
 """
 
 import math
+import pickle
 
 import pytest
 
@@ -33,7 +34,8 @@ from repro.core.planner import Planner
 from repro.platforms.base import build_platform
 from repro.platforms.pool import InstancePool, InstanceState
 from repro.serving.deployment import ServiceConfig
-from repro.serving.outcome_table import OutcomeRecorder, OutcomeTable
+from repro.serving.outcome_table import OutcomeRecorder
+from repro.serving.streaming import OutcomeSummary
 from repro.sim import Environment, RandomStreams
 from repro.workload.requests import RequestPool
 
@@ -524,16 +526,16 @@ class TestAttemptsColumn:
                 != self._table([1, 2]).column_hash())
 
     def test_packed_roundtrip_preserves_and_elides_attempts(self):
-        retried = self._table([1, 4, 2])
-        packed = retried.packed()
-        assert "attempts" in packed
-        rebuilt = OutcomeTable.from_packed(packed)
-        assert rebuilt.attempts.tolist() == [1, 4, 2]
-        assert rebuilt.column_hash() == retried.column_hash()
-        plain = self._table([1, 1, 1])
-        assert "attempts" not in plain.packed()
-        assert (OutcomeTable.from_packed(plain.packed()).attempts.tolist()
-                == [1, 1, 1])
+        """The whole-table summary a worker ships keeps the attempts
+        reduction and the table's hash, and no attempts column."""
+        for attempts in ([1, 4, 2], [1, 1, 1]):
+            table = self._table(attempts)
+            summary = OutcomeSummary.from_state(pickle.loads(pickle.dumps(
+                OutcomeSummary.of_table(table).state())))
+            assert summary.attempts_total == sum(attempts)
+            assert summary.attempts_mean() == table.attempts_mean()
+            assert summary.column_hash() == table.column_hash()
+            assert "attempts" not in summary.state()
 
     def test_retry_wrapper_commits_attempts_end_to_end(self, tiny_w40):
         deployment = Planner().plan(

@@ -414,23 +414,33 @@ class TestHybridDeterminism:
         assert first.table.column_hash() == second.table.column_hash()
 
     def test_served_by_survives_the_packed_round_trip(self, tiny_w40):
-        from repro.serving.outcome_table import OutcomeTable
+        """A hybrid cell's worker payload, forced through shared memory,
+        keeps the path reductions and the hash of its served_by column."""
+        from repro.core.results import RunResult
+        from repro.core.shm import pack_arrays, unpack_arrays
         deployment = hybrid_plan(Planner(), instances=1)
-        _, table = run_platform(deployment, tiny_w40)
+        result = ServingBenchmark(seed=SEED).run(deployment, tiny_w40)
+        table = result.table
         assert table.served_by.any()
-        back = OutcomeTable.from_packed(table.packed())
-        assert np.array_equal(back.served_by, table.served_by)
+        back = RunResult.from_transport(unpack_arrays(pack_arrays(
+            result.to_transport(), min_bytes=0)), deployment).table
+        assert back.spill_ratio() == table.spill_ratio() > 0.0
+        np.testing.assert_equal(
+            [back.path_latency_mean(code) for code in range(3)],
+            [table.path_latency_mean(code) for code in range(3)])
         assert back.column_hash() == table.column_hash()
 
     def test_non_hybrid_tables_elide_the_column(self, tiny_w40):
-        from repro.serving.outcome_table import OutcomeTable
+        """A non-hybrid table's hash skips its all-direct served_by
+        column; its summary keeps that hash and every request direct."""
+        from repro.serving.streaming import OutcomeSummary
         deployment = Planner().plan("aws", "mobilenet", "tf1.15",
                                     "serverless")
         _, table = run_platform(deployment, tiny_w40)
         assert not table.served_by.any()
-        assert "served_by" not in table.packed()
-        back = OutcomeTable.from_packed(table.packed())
-        assert back.column_hash() == table.column_hash()
+        summary = OutcomeSummary.of_table(table)
+        assert summary.path_counts.tolist() == [table.count, 0, 0]
+        assert summary.column_hash() == table.column_hash()
 
     def test_served_by_names_cover_the_codes(self):
         assert SERVED_BY_NAMES[SERVED_BY_DIRECT] == "direct"

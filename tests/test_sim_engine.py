@@ -161,6 +161,14 @@ class TestEvents:
 
 
 class TestProcesses:
+    def test_process_requires_a_generator(self, env):
+        def not_a_generator():
+            return 1
+
+        for target in (not_a_generator, not_a_generator(), iter([1.0])):
+            with pytest.raises(SimulationError, match="requires a generator"):
+                env.process(target)
+
     def test_process_return_value(self, env):
         def child():
             yield env.timeout(1.0)

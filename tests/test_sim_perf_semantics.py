@@ -38,6 +38,7 @@ from repro.core.executor import Executor
 from repro.core.parallel import run_cells
 from repro.core.planner import Planner
 from repro.core.scenario import get_scenario
+from repro.core.study import _standard_metrics
 from repro.experiments.base import load_registered_studies
 from repro.platforms.admission import WorkQueue
 from repro.platforms.pool import InstancePool, InstanceState
@@ -350,6 +351,28 @@ class TestInlineWarmServe:
         assert again is instance and sequence > parked
         assert expiry == times[1] + platform.provider.serverless.keep_alive_s
 
+    def test_warm_serve_takes_only_a_waiting_ticket(self, monkeypatch,
+                                                    tiny_w40):
+        """A warm serve checks the backlog before it takes from it: no
+        ``WorkQueue.take()`` from the request path comes back empty."""
+        import sys
+
+        take = WorkQueue.take
+        taken = {True: 0, False: 0}
+
+        def spy(queue):
+            pending = take(queue)
+            if sys._getframe(1).f_code.co_name == "request":
+                taken[pending is not None] += 1
+            return pending
+
+        monkeypatch.setattr(WorkQueue, "take", spy)
+        deployment = Planner().plan("aws", "mobilenet", "tf1.15",
+                                    "serverless")
+        result = ServingBenchmark(seed=5).run(deployment, tiny_w40)
+        assert result.success_ratio > 0.9
+        assert taken[False] == 0
+
     def test_kill_mid_serve_requeues_under_the_original_enqueue_time(self):
         # A storm far beyond the window keeps the fault hooks armed.
         env, platform, recorder = self._platform(provisioned_concurrency=2,
@@ -531,10 +554,9 @@ class TestAliveCounterConsistency:
 
 class TestParallelEquality:
     def _key_metrics(self, result):
-        return (result.total_requests, result.success_ratio,
-                result.average_latency, result.cost,
-                result.usage.instances_created, result.usage.cold_starts,
-                result.table.completion_time.tolist())
+        # The column hash covers completion_time and every other column.
+        return (_standard_metrics(result), result.latency_stats(),
+                result.table.column_hash())
 
     def test_run_matrix_parallel_identical_to_serial(self):
         """A deployment x workload grid of cells fans out bit-identically."""

@@ -4,8 +4,8 @@ Three guarantees of the streaming engine are pinned here:
 
 * **Chunk-ring equality** — the chunked recorder, at any chunk size,
   folds chunks whose columns, concatenated, are bit-identical to the
-  preallocated ``OutcomeRecorder``'s, and every folded chunk survives
-  the ``packed()`` wire format losslessly.
+  preallocated ``OutcomeRecorder``'s, and every folded chunk's
+  whole-table summary survives the worker transport losslessly.
 * **Streaming reductions** — a cell run through the streaming path
   (``OutcomeSummary`` folds, no full table) reproduces every standard
   metric: counts, ratios, and timelines exactly; sketch quantiles within
@@ -20,6 +20,7 @@ the materialised trace) and the recorder's exact-capacity contract.
 
 from __future__ import annotations
 
+import copy
 import pickle
 
 import numpy as np
@@ -29,7 +30,7 @@ from repro.core.benchmark import ServingBenchmark
 from repro.core.parallel import run_cells
 from repro.core.results import RunResult
 from repro.core.shm import ShmPayload, pack_arrays, unpack_arrays
-from repro.serving.outcome_table import OutcomeRecorder, OutcomeTable
+from repro.serving.outcome_table import OutcomeRecorder
 from repro.serving.streaming import (
     ChunkedOutcomeRecorder,
     LatencySketch,
@@ -83,16 +84,15 @@ def _replay(outcomes, chunk_rows: int):
     """Feed materialised outcomes through the streaming chunk ring.
 
     Returns every chunk the ring folded, in fold order, as a pair: the
-    chunk's ``column_hash()`` at fold time, and the table rebuilt from
-    its pickled ``packed()`` form (a copy that outlives the ring).
+    chunk's ``column_hash()`` at fold time, and a deep copy of the chunk
+    (a table that outlives the ring).
     """
     recorder = ChunkedOutcomeRecorder(chunk_rows=chunk_rows)
     fold = recorder.summary.fold
     folded = []
 
     def keep_and_fold(view):
-        wire = pickle.loads(pickle.dumps(view.packed()))
-        folded.append((view.column_hash(), OutcomeTable.from_packed(wire)))
+        folded.append((view.column_hash(), copy.deepcopy(view)))
         fold(view)
 
     recorder.summary.fold = keep_and_fold
@@ -131,11 +131,15 @@ class TestChunkRingEquality:
 
     def test_sealed_chunks_survive_packed_round_trip(self,
                                                      reference_result):
+        """Each sealed chunk's whole-table summary, pickled as a worker
+        ships it, keeps the chunk's hash at fold time."""
         result, _deployment = reference_result
         folded = _replay(result.table.to_outcomes(), chunk_rows=256)
         assert sum(chunk.count for _hash, chunk in folded) == (
             result.table.count)
-        for fold_hash, rebuilt in folded:
+        for fold_hash, chunk in folded:
+            wire = pickle.dumps(OutcomeSummary.of_table(chunk).state())
+            rebuilt = OutcomeSummary.from_state(pickle.loads(wire))
             assert rebuilt.column_hash() == fold_hash
 
     def test_commit_after_fold_is_a_hard_error(self):
