@@ -36,8 +36,9 @@ Transport is kept lean in both directions:
   lifts the arrays into a :mod:`multiprocessing.shared_memory` segment
   (see :mod:`repro.core.shm`) and ships only descriptors; the parent
   copies the arrays out and unlinks the segment.  The rebuilt payload
-  is bit-identical to the pickled one (hash-asserted by the transport
-  tests), and ``REPRO_SHM=0`` restores plain pickling.
+  is bit-identical to the pickled one (the transport tests compare
+  every array of the rebuilt summary, and the reductions it answers,
+  with the original's), and ``REPRO_SHM=0`` restores plain pickling.
 
 If worker processes cannot be spawned (restricted sandboxes, missing
 semaphores), or a worker dies mid-batch, the fan-out keeps every cell a
@@ -94,7 +95,7 @@ def _run_cell_pooled(payload: Tuple["Deployment", int, float, object]):
     deployment, workload_index, scale, seed = payload
     benchmark: "ServingBenchmark" = _WORKER_STATE["benchmark"]
     workload: "Workload" = _WORKER_STATE["workloads"][workload_index]
-    result = benchmark.run(deployment, workload, scale, seed=seed).reduced()
+    result = benchmark.run(deployment, workload, scale, seed=seed)
     from repro.core.shm import pack_arrays
     return pack_arrays(result.to_transport())
 

@@ -18,9 +18,10 @@ The packing is structural and lossless: :func:`pack_arrays` walks any
 composition of dicts / lists / tuples, lifts every ndarray it finds into
 the segment, and leaves everything else untouched, so
 :func:`unpack_arrays` rebuilds an object tree equal to the original
-(the transport tests hash-assert exactly that).  Payloads whose array
-bytes fall under the threshold are returned unchanged — a shared-memory
-segment per tiny result would cost more than it saves.  At the
+(the transport tests compare every rebuilt array with the original, bit
+for bit).  Payloads whose array bytes fall under the threshold are
+returned unchanged — a shared-memory segment per tiny result would cost
+more than it saves.  At the
 benchmark's scales a summary stays under it (about 160 KB per
 ``study-fig05`` cell); cells of the full-length paper workloads cross
 it.

@@ -19,8 +19,7 @@ keeps instead of a table:
   arrival rate, not the trace length.
 
 * :class:`OutcomeSummary` is the online-reduction target: running
-  sums/counts for means and ratios (per-stage cold and warm sums for
-  the Figure 10 / 14 breakdown among them), exact min/max, a log-binned
+  sums/counts for means and ratios, exact min/max, a log-binned
   :class:`LatencySketch` for quantiles and SLO attainment, and a
   base-binned success timeline for ``availability`` /
   ``time_to_recover``.  It exposes the same reduction methods a full
@@ -28,8 +27,9 @@ keeps instead of a table:
   :class:`~repro.core.results.RunResult` and the study layer consume
   either interchangeably.
 
-* :meth:`OutcomeSummary.of_table` is one fold over a finished table,
-  plus what only rows answer exactly: the table's own
+* :meth:`OutcomeSummary.of_table` is one fold over a finished table
+  and the per-stage cold and warm sums of the Figure 10 / 14
+  breakdown, plus what only rows answer exactly: the table's own
   :class:`~repro.core.metrics.LatencyStats` and
   :meth:`~repro.serving.outcome_table.OutcomeTable.column_hash`, and the
   successful requests' send times and latencies (the failed ones' send
@@ -253,10 +253,11 @@ class OutcomeSummary(TimelineReductions):
         self.path_success_counts = np.zeros(_N_PATHS, dtype=np.int64)
         #: Per-path running sums of successful latencies (seconds).
         self.path_latency_totals = np.zeros(_N_PATHS, dtype=np.float64)
-        #: Running sums over the successful cold-start (warm) requests:
-        #: end-to-end latency, then each stage in ``Stage.ORDER``.
-        self.cold_totals = np.zeros(_N_BREAKDOWN, dtype=np.float64)
-        self.warm_totals = np.zeros(_N_BREAKDOWN, dtype=np.float64)
+        #: Sums over the successful cold-start (warm) requests: end-to-end
+        #: latency, then each stage in ``Stage.ORDER`` (whole-table
+        #: summaries only).
+        self.cold_totals: Optional[np.ndarray] = None
+        self.warm_totals: Optional[np.ndarray] = None
         #: Per-error-name failure/annotation counts.
         self.error_counts: Dict[str, int] = {}
         self.max_send_time = 0.0
@@ -282,7 +283,8 @@ class OutcomeSummary(TimelineReductions):
 
         One :meth:`fold`'s counts and sums over the table (a single
         fold sums each column in ``np.mean``'s order, so its means are
-        the table's bit for bit; its sketch keeps no histogram), plus
+        the table's bit for bit; its sketch keeps no histogram), the
+        cold and warm breakdown sums (:meth:`breakdown_means`), plus
         what only rows answer exactly: the table's
         :class:`~repro.core.metrics.LatencyStats` and
         :meth:`~repro.serving.outcome_table.OutcomeTable.column_hash`,
@@ -294,6 +296,14 @@ class OutcomeSummary(TimelineReductions):
         if table.count:
             summary._add_sums(table)
         success = table.success
+        latency = table.latency
+        totals = []
+        for mask in (success & table.cold_start, success & ~table.cold_start):
+            sums = np.empty(_N_BREAKDOWN)
+            sums[0] = latency[mask].sum()
+            sums[1:] = table.stage_sums(mask)
+            totals.append(sums)
+        summary.cold_totals, summary.warm_totals = totals
         summary.success_send = table.send_time[success]
         summary.success_latency = table.successful_latencies()
         summary.failed_send = table.send_time[~success]
@@ -357,15 +367,10 @@ class OutcomeSummary(TimelineReductions):
         self.count += n
         self.success_count += n_success
         self.attempts_total += int(table.attempts.sum())
+        self.cold_on_success += int(table.cold_start[success].sum())
         latency = table.completion_time - table.send_time
         success_latencies = latency[success]
         self.latencies.add(success_latencies)
-        cold = success & table.cold_start
-        self.cold_on_success += int(cold.sum())
-        for mask, totals in ((cold, self.cold_totals),
-                             (success & ~table.cold_start, self.warm_totals)):
-            totals[0] += latency[mask].sum()
-            totals[1:] += table.stage_sums(mask)
         served = table.served_by
         if served.any():
             self.path_counts += np.bincount(served, minlength=_N_PATHS)
@@ -458,7 +463,11 @@ class OutcomeSummary(TimelineReductions):
     def breakdown_means(self, cold: bool) -> Dict[str, float]:
         """Mean seconds of the successful cold-start (or warm) requests:
         end to end (``"e2e"``), then per stage (``Stage.ORDER`` names);
-        every entry 0.0 when there are no such requests."""
+        every entry 0.0 when there are no such requests.  Whole-table
+        summaries only: the chunk ring keeps no breakdown sums."""
+        if self.cold_totals is None:
+            raise ValueError("a streamed OutcomeSummary keeps no "
+                             "cold/warm breakdown")
         if cold:
             n, totals = self.cold_on_success, self.cold_totals
         else:

@@ -273,6 +273,12 @@ class TestFidelityDeterminism:
         for left, right in zip(serial, parallel):
             assert left.table.column_hash() == right.table.column_hash()
             assert left.cost == right.cost
+            # The pooled summaries' row-order arrays read as the serial.
+            for target in (0.2, 1.0, 5.0):
+                assert (left.table.slo_attainment(target)
+                        == right.table.slo_attainment(target))
+            np.testing.assert_equal(left.table.success_timeline(5.0),
+                                    right.table.success_timeline(5.0))
 
 
 class TestPackedTransport:
@@ -283,8 +289,16 @@ class TestPackedTransport:
         result = ServingBenchmark(seed=SEED).run(deployment, workload)
         wire = pickle.dumps(result.to_transport())
         restored = RunResult.from_transport(pickle.loads(wire), deployment)
-        assert restored.table.column_hash() == result.table.column_hash()
+        table, summary = result.table, restored.table
+        assert summary.column_hash() == table.column_hash()
         assert restored.latency_stats() == result.latency_stats()
+        # The row-order arrays crossed as well: what reads them answers
+        # as the table's rows do.
+        for target in (0.2, 1.0, 5.0):
+            assert (summary.slo_attainment(target)
+                    == table.slo_attainment(target))
+        np.testing.assert_equal(summary.success_timeline(5.0),
+                                table.success_timeline(5.0))
 
     def test_packed_is_smaller_than_object_pickles(self, w40_cell):
         deployment, workload = w40_cell

@@ -45,6 +45,7 @@ from repro.core.benchmark import ServingBenchmark
 from repro.core.planner import Planner
 from repro.core.results import RunResult
 from repro.core.scenario import ScenarioSpec, get_scenario
+from repro.core.shm import pack_arrays, unpack_arrays
 from repro.core.study import get_study
 from repro.experiments.base import ExperimentContext, load_registered_studies
 from repro.platforms.admission import SlotQueue, WorkQueue
@@ -703,20 +704,25 @@ def _reductions(outcomes) -> list:
 
 
 def _assert_summary_answers_like_table(result) -> None:
-    """The result's whole-table summary, shipped as a worker ships it,
-    answers every reduction exactly as its table does."""
+    """The result's whole-table summary, shipped as a worker ships it
+    (pickled, and through a shared-memory segment), answers every
+    reduction exactly as its table does."""
     table = result.table
     assert isinstance(table, OutcomeTable)
-    reduced = RunResult.from_transport(
-        pickle.loads(pickle.dumps(result.to_transport())), result.deployment)
-    assert not reduced.streaming
-    np.testing.assert_equal(_reductions(reduced.table), _reductions(table))
+    payload = result.to_transport()
     analyzer = Analyzer()
-    breakdown = analyzer.coldstart_breakdown(reduced)
-    np.testing.assert_equal(astuple(breakdown), _table_breakdown(table))
-    np.testing.assert_equal(
-        [astuple(point) for point in analyzer.latency_timeline(reduced, 20.0)],
-        _table_latency_timeline(table, 20.0))
+    for shipped in (pickle.loads(pickle.dumps(payload)),
+                    unpack_arrays(pack_arrays(payload, min_bytes=0))):
+        reduced = RunResult.from_transport(shipped, result.deployment)
+        assert not reduced.streaming
+        np.testing.assert_equal(_reductions(reduced.table),
+                                _reductions(table))
+        breakdown = analyzer.coldstart_breakdown(reduced)
+        np.testing.assert_equal(astuple(breakdown), _table_breakdown(table))
+        np.testing.assert_equal(
+            [astuple(point)
+             for point in analyzer.latency_timeline(reduced, 20.0)],
+            _table_latency_timeline(table, 20.0))
 
 
 class TestSummaryAnswersLikeTable:

@@ -527,7 +527,9 @@ class TestAttemptsColumn:
 
     def test_packed_roundtrip_preserves_and_elides_attempts(self):
         """The whole-table summary a worker ships keeps the attempts
-        reduction and the table's hash, and no attempts column."""
+        reduction and the table's hash, and no attempts column: past its
+        fixed-size fields it holds 16 bytes per successful request."""
+        fixed = OutcomeSummary.of_table(self._table([])).resident_bytes()
         for attempts in ([1, 4, 2], [1, 1, 1]):
             table = self._table(attempts)
             summary = OutcomeSummary.from_state(pickle.loads(pickle.dumps(
@@ -535,7 +537,7 @@ class TestAttemptsColumn:
             assert summary.attempts_total == sum(attempts)
             assert summary.attempts_mean() == table.attempts_mean()
             assert summary.column_hash() == table.column_hash()
-            assert "attempts" not in summary.state()
+            assert summary.resident_bytes() == fixed + 16 * len(attempts)
 
     def test_retry_wrapper_commits_attempts_end_to_end(self, tiny_w40):
         deployment = Planner().plan(

@@ -382,6 +382,14 @@ class TestHybridEndToEnd:
 # Determinism and encoding layer
 # ---------------------------------------------------------------------------
 
+def _summary_reads(summary) -> list:
+    """The path means, spill ratio, SLO attainment and success timeline
+    a hybrid cell's summary answers from its transported arrays."""
+    return [[summary.path_latency_mean(code) for code in range(3)],
+            summary.spill_ratio(), summary.slo_attainment(1.0),
+            [column.tolist() for column in summary.success_timeline(5.0)]]
+
+
 class TestHybridDeterminism:
     def test_hybrid_cells_identical_across_worker_pool(self, tiny_w40):
         planner = Planner()
@@ -404,6 +412,9 @@ class TestHybridDeterminism:
         for left, right in zip(serial, parallel):
             assert left.table.column_hash() == right.table.column_hash()
             assert left.cost == right.cost
+            # What reads the shipped summaries' arrays agrees too.
+            np.testing.assert_equal(_summary_reads(right.table),
+                                    _summary_reads(left.table))
 
     def test_rerun_is_bit_identical(self, tiny_w40):
         deployment = hybrid_plan(Planner(), instances=1,

@@ -161,14 +161,6 @@ class TestEvents:
 
 
 class TestProcesses:
-    def test_process_requires_a_generator(self, env):
-        def not_a_generator():
-            return 1
-
-        for target in (not_a_generator, not_a_generator(), iter([1.0])):
-            with pytest.raises(SimulationError, match="requires a generator"):
-                env.process(target)
-
     def test_process_return_value(self, env):
         def child():
             yield env.timeout(1.0)
@@ -194,8 +186,15 @@ class TestProcesses:
         assert not proc.is_alive
 
     def test_non_generator_rejected(self, env):
-        with pytest.raises(SimulationError):
-            env.process(lambda: None)
+        async def coroutine():
+            return None
+
+        # A coroutine has ``send`` but is no generator.
+        awaitable = coroutine()
+        for target in (lambda: None, 1, iter([1.0]), awaitable):
+            with pytest.raises(SimulationError, match="requires a generator"):
+                env.process(target)
+        awaitable.close()
 
     def test_yield_non_event_rejected_at_process_creation(self, env):
         """The first step runs inline, so a bad first yield surfaces at

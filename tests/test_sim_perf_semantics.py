@@ -27,12 +27,14 @@ observable behaviour.  These tests pin down the contracts:
 
 import sys
 from collections import Counter
+from dataclasses import astuple
 
 import pytest
 
 import repro.core.benchmark as benchmark_module
 import repro.sim.engine as engine
 from repro.cloud.providers import get_provider
+from repro.core.analyzer import Analyzer
 from repro.core.benchmark import ServingBenchmark
 from repro.core.executor import Executor
 from repro.core.parallel import run_cells
@@ -554,9 +556,16 @@ class TestAliveCounterConsistency:
 
 class TestParallelEquality:
     def _key_metrics(self, result):
-        # The column hash covers completion_time and every other column.
+        # The column hash covers completion_time and every other column;
+        # the SLO attainments and timelines read the summary's
+        # row-order arrays, which crossed the worker pipe.
+        summary = result.table
         return (_standard_metrics(result), result.latency_stats(),
-                result.table.column_hash())
+                summary.column_hash(),
+                [summary.slo_attainment(target) for target in (0.2, 1.0)],
+                [column.tolist() for column in summary.success_timeline(5.0)],
+                [astuple(point)
+                 for point in Analyzer().latency_timeline(result, 20.0)])
 
     def test_run_matrix_parallel_identical_to_serial(self):
         """A deployment x workload grid of cells fans out bit-identically."""

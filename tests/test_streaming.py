@@ -12,7 +12,8 @@ Three guarantees of the streaming engine are pinned here:
   the sketch's documented resolution.
 * **Shared-memory transport** — ``pack_arrays``/``unpack_arrays`` round
   payloads through a shm segment bit-identically, and a worker pool
-  forced onto the segment path matches serial hashes.
+  forced onto the segment path returns the serial summaries, array for
+  array.
 
 Plus the streamed workload generator (block-by-block arrivals equal to
 the materialised trace) and the recorder's exact-capacity contract.
@@ -61,6 +62,58 @@ def reference_result(tiny_w40):
 ARRAY_COLUMNS = ("request_id", "client_id", "send_time", "completion_time",
                  "success", "cold_start", "instance_id", "billed_duration_s",
                  "inferences", "attempts", "served_by", "stages")
+
+#: SLO targets and timeline bin widths (seconds) a transported
+#: whole-table summary is read at.
+SLO_TARGETS_S = (0.2, 1.0, 5.0)
+TIMELINE_BINS_S = (5.0, 20.0)
+
+#: The row-order arrays of a whole-table summary: the bulk of its
+#: transport, and what its SLO and timeline reductions read.
+ROW_ARRAYS = ("success_send", "success_latency", "failed_send")
+
+
+def _assert_reads_like_table(summary: OutcomeSummary, table) -> None:
+    """``summary`` answers its ``table``'s SLO attainment and success
+    timelines off its row-order arrays, and keeps the table's hash."""
+    for target in SLO_TARGETS_S:
+        assert summary.slo_attainment(target) == table.slo_attainment(target)
+    for bin_s in TIMELINE_BINS_S:
+        np.testing.assert_equal(summary.success_timeline(bin_s),
+                                table.success_timeline(bin_s))
+    assert summary.column_hash() == table.column_hash()
+
+
+def _assert_same_summary(rebuilt: OutcomeSummary,
+                         original: OutcomeSummary) -> None:
+    """``rebuilt`` holds ``original``'s fields, every array bit for bit
+    (dtype and shape included), and reads the same SLO attainment,
+    success timelines, latency sums and breakdown off them."""
+    state, expected = rebuilt.state(), original.state()
+    assert state.keys() == expected.keys()
+    for name, value in expected.items():
+        got = state[name]
+        if isinstance(value, np.ndarray):
+            assert (got.dtype, got.shape) == (value.dtype, value.shape), name
+            assert got.tobytes() == value.tobytes(), name
+        elif isinstance(value, LatencySketch):
+            for slot in LatencySketch.__slots__:
+                np.testing.assert_equal(getattr(got, slot),
+                                        getattr(value, slot), err_msg=slot)
+        else:
+            assert got == value, name
+    for target in SLO_TARGETS_S:
+        assert (rebuilt.slo_attainment(target)
+                == original.slo_attainment(target))
+    for bin_s in TIMELINE_BINS_S:
+        timeline = rebuilt.success_timeline(bin_s)
+        np.testing.assert_equal(timeline, original.success_timeline(bin_s))
+        bins = len(timeline[0])
+        np.testing.assert_equal(rebuilt.latency_sums(bin_s, bins),
+                                original.latency_sums(bin_s, bins))
+    for cold in (True, False):
+        assert (rebuilt.breakdown_means(cold)
+                == original.breakdown_means(cold))
 
 
 def _write(columns, row, outcome):
@@ -132,7 +185,8 @@ class TestChunkRingEquality:
     def test_sealed_chunks_survive_packed_round_trip(self,
                                                      reference_result):
         """Each sealed chunk's whole-table summary, pickled as a worker
-        ships it, keeps the chunk's hash at fold time."""
+        ships it, keeps the chunk's hash at fold time and answers as the
+        chunk's rows do."""
         result, _deployment = reference_result
         folded = _replay(result.table.to_outcomes(), chunk_rows=256)
         assert sum(chunk.count for _hash, chunk in folded) == (
@@ -141,6 +195,7 @@ class TestChunkRingEquality:
             wire = pickle.dumps(OutcomeSummary.of_table(chunk).state())
             rebuilt = OutcomeSummary.from_state(pickle.loads(wire))
             assert rebuilt.column_hash() == fold_hash
+            _assert_reads_like_table(rebuilt, chunk)
 
     def test_commit_after_fold_is_a_hard_error(self):
         recorder = ChunkedOutcomeRecorder(chunk_rows=4, seal_lag_s=0.0)
@@ -277,13 +332,26 @@ class TestLatencySketch:
 
 
 class TestShmTransport:
-    def test_round_trip_is_bit_identical(self, reference_result):
-        result, deployment = reference_result
-        transport = result.to_transport()
-        packed = pack_arrays(transport, min_bytes=0)
-        assert isinstance(packed, ShmPayload)
-        rebuilt = RunResult.from_transport(unpack_arrays(packed), deployment)
-        assert rebuilt.table.column_hash() == result.table.column_hash()
+    def test_round_trip_is_bit_identical(self, reference_result, tiny_w40):
+        """The summary's arrays cross the segment bit for bit, and the
+        rebuilt summary answers as the table's rows do: on the serverless
+        cell (cold starts) and a managed cell that fails requests."""
+        from repro.core.planner import Planner
+        managed = Planner().plan("aws", "mobilenet", "tf1.15", "managed_ml")
+        cells = [reference_result,
+                 (ServingBenchmark(seed=SEED).run(managed, tiny_w40),
+                  managed)]
+        for result, deployment in cells:
+            table = result.table
+            packed = pack_arrays(result.to_transport(), min_bytes=0)
+            assert isinstance(packed, ShmPayload)
+            for name in ROW_ARRAYS:     # lifted into the segment
+                assert not isinstance(packed.tree[1][name], np.ndarray)
+            rebuilt = RunResult.from_transport(unpack_arrays(packed),
+                                               deployment).table
+            _assert_same_summary(rebuilt, OutcomeSummary.of_table(table))
+            _assert_reads_like_table(rebuilt, table)
+        assert int(table.success.sum()) < table.count  # failures crossed
 
     def test_small_payloads_stay_plain(self, reference_result):
         result, _deployment = reference_result
@@ -312,7 +380,7 @@ class TestShmTransport:
             monkeypatch.setenv("REPRO_SHM", shm)
             pooled = run_cells(bench, cells, workers=2)
             for left, right in zip(serial, pooled):
-                assert left.table.column_hash() == right.table.column_hash()
+                _assert_same_summary(right.table, left.table)
 
     def test_worker_crash_keeps_finished_cells_and_leaks_no_segment(
             self, monkeypatch, tiny_w40):
@@ -362,7 +430,7 @@ class TestShmTransport:
             pooled = run_cells(bench, cells, workers=2)
         assert segments() - before == set()
         for left, right in zip(serial, pooled):
-            assert left.table.column_hash() == right.table.column_hash()
+            _assert_same_summary(right.table, left.table)
             assert left.cost == right.cost
 
 
