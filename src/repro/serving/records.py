@@ -17,7 +17,7 @@ __all__ = ["Stage", "RequestOutcome", "SERVED_BY_DIRECT",
            "SERVED_BY_PROVISIONED", "SERVED_BY_SPILL", "SERVED_BY_NAMES"]
 
 #: ``RequestOutcome.served_by`` code for requests that never crossed a
-#: hybrid front door (every non-hybrid platform; the packed default).
+#: hybrid front door (every non-hybrid platform; the column default).
 SERVED_BY_DIRECT = 0
 #: Code for requests served by the hybrid front door's provisioned fleet.
 SERVED_BY_PROVISIONED = 1
