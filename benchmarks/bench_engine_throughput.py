@@ -143,17 +143,18 @@ def run_columnar_probe(result) -> dict:
     """Smoke the columnar pipeline on one run's data.
 
     Times (a) building an ``OutcomeTable`` from materialised outcome
-    objects and (b) the vectorised metric reductions (success ratio,
-    latency stats, cold-start ratio) over the table — the two halves of
-    the columnar data plane.  Reported as rows/s so the ``--check`` gate
-    can flag a regression in either half; both run in well under 100 ms.
+    objects and (b) vectorised masked reductions (success ratio,
+    latency stats, cold-start ratio) over the result's rows — the two
+    halves of the columnar data plane.  Reported as rows/s so the
+    ``--check`` gate can flag a regression in either half; both run in
+    well under 100 ms.
     Also counts the bytes the run's table stores per row
     (``OutcomeTable.resident_bytes``), an exact, host-independent count.
     """
     from repro.core.metrics import LatencyStats  # noqa: E402
     from repro.serving.outcome_table import OutcomeTable  # noqa: E402
 
-    outcomes = result.table.to_outcomes()
+    outcomes = result.rows.to_outcomes()
     # Best-of-N timing (like run_cell): these loops are millisecond-scale,
     # so a single scheduler stall would otherwise read as a regression.
     build_s = None
@@ -163,12 +164,12 @@ def run_columnar_probe(result) -> dict:
         elapsed = time.perf_counter() - started
         build_s = elapsed if build_s is None else min(build_s, elapsed)
 
-    table = result.table
+    table = result.rows
     reduce_s = None
     for _ in range(5):
         started = time.perf_counter()
         for _ in range(100):
-            latencies = table.successful_latencies()
+            latencies = table.latency[table.success]
             LatencyStats.from_values(latencies)
             success = table.success
             float(success.mean())
@@ -187,16 +188,18 @@ def run_columnar_probe(result) -> dict:
 def run_frame_probe(result, cells: int = 64) -> dict:
     """Smoke the study layer's ResultFrame build and query paths.
 
-    Times (a) assembling a ``cells``-row frame from per-cell results —
-    which runs every standard masked reduction per cell, the hot half of
+    Times (a) assembling a ``cells``-row frame from per-cell results as
+    the run cache holds them (:meth:`RunResult.reduced`) — which reads
+    every standard column off each cell's summary, the hot half of
     ``Study.run`` once simulations are cached — and (b) the relational
     verbs (``where`` + ``pivot`` + ``to_rows``) over the built frame.
     Reported as cells/s and query-ops/s for the ``--check`` gate.
     """
     from repro.core.study import ResultFrame  # noqa: E402
 
+    cached = result.reduced()
     pairs = [({"provider": "aws", "model": "mobilenet",
-               "memory_gb": float(index)}, result)
+               "memory_gb": float(index)}, cached)
              for index in range(cells)]
     build_s = None
     for _ in range(3):

@@ -52,7 +52,7 @@
 # (OutcomeSummary.resident_bytes, exact) to equal the recorded count.
 # Regenerate the baseline with
 # `python benchmarks/bench_engine_throughput.py` on the machine that
-# runs the gate.
+# runs the gate.  It runs after every other step (see below).
 #
 # The benchmark-harness self-test (perfbench/selftest.py, ~20 s) runs
 # every perfbench workload at a tiny scale in both modes and checks
@@ -81,9 +81,6 @@ python -m pytest -q
 if [[ "${1:-}" != "--fast" ]]; then
     echo "== docstring coverage (repro.api surface) =="
     python scripts/check_docstrings.py
-
-    echo "== perf gate (engine + columnar + control-plane + frame probes) =="
-    python benchmarks/bench_engine_throughput.py --check
 
     echo "== benchmark-harness self-test (perfbench at a tiny scale) =="
     python3 perfbench/selftest.py
@@ -125,6 +122,13 @@ fi
 if [[ "${1:-}" == "--docs" ]]; then
     echo "== docs build =="
     python scripts/build_docs.py
+fi
+
+if [[ "${1:-}" != "--fast" ]]; then
+    # Last: a wall-clock floor can trip on a slow host alone, and under
+    # set -e every step after this one would then be skipped.
+    echo "== perf gate (engine + columnar + control-plane + frame probes) =="
+    python benchmarks/bench_engine_throughput.py --check
 fi
 
 echo "check.sh: OK"

@@ -23,7 +23,7 @@ More groups pin the subsystems the base cells never reach:
   instances created, and ``events_processed``;
 * ``streamed`` — one streamed ``w-1m`` cell through the chunk ring,
   pinned by :meth:`~repro.serving.streaming.OutcomeSummary.digest`;
-* ``frames`` — the study frames that read every table reduction (the
+* ``frames`` — the study frames that read every summary reduction (the
   headline grid, both stage-breakdown figures, batched runs whose
   request ids skip the batch carriers' ids, the SLO / availability /
   recovery and hybrid-path columns), each pinned by a SHA-256 over its

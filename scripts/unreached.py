@@ -4,7 +4,8 @@
 Traces, in one process under ``sys.setprofile``:
 
 * every registered experiment (``repro-experiments all --scale 0.03``);
-* every registered scenario (``repro.api.run`` at scale 0.05);
+* every registered scenario (``repro.api.run`` at scale 0.2, the scale
+  the golden pins use: at 0.05 ``diurnal-scalein`` never scales in);
 * a budgeted ``navigator-halving`` search, whose budget is small enough
   that the analytic prefilter ranks the candidates it cannot simulate;
 * a replicated ``fig05`` sweep (two replicates, collapsed);
@@ -118,11 +119,15 @@ def traced_runs() -> Set[Tuple[str, int]]:
     from repro.core.scenario import list_scenarios
     from repro.experiments import runner
 
-    seen: Set = set()
+    seen: Set[Tuple[str, int]] = set()
 
     def profile(frame, event, arg):
         if event == "call":
-            seen.add(frame.f_code)
+            # Not the code object: code objects from different files
+            # compare equal when their bytecode, constants and first
+            # line match (three figure modules define the same ``run``).
+            code = frame.f_code
+            seen.add((code.co_filename, code.co_firstlineno))
 
     def streamed_cell() -> None:
         spec = ScenarioSpec(name="w-1m", provider="aws", model="mobilenet",
@@ -132,8 +137,8 @@ def traced_runs() -> Set[Tuple[str, int]]:
     steps = [
         ("experiments (all x0.03)",
          lambda: runner.main(["all", "--scale", "0.03"])),
-        ("scenarios (x0.05)",
-         lambda: [run(name, scale=0.05) for name in list_scenarios()]),
+        ("scenarios (x0.2)",
+         lambda: [run(name, scale=0.2) for name in list_scenarios()]),
         ("navigator-halving (budget 16)",
          lambda: runner.main(["sweep", "navigator-halving", "--budget",
                               "16", "--scale", "0.05"])),
@@ -152,7 +157,7 @@ def traced_runs() -> Set[Tuple[str, int]]:
             sys.setprofile(None)
         print(f"traced {label}: {time.time() - started:.1f} s",
               file=sys.stderr)
-    return {(code.co_filename, code.co_firstlineno) for code in seen}
+    return seen
 
 
 def main() -> int:

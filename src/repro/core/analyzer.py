@@ -10,11 +10,12 @@ into the numbers the paper reports:
 * instance-count time-series (Figures 7 and 11);
 * comparison tables across systems.
 
-The timeline and breakdown read a whole-table
-:class:`~repro.serving.streaming.OutcomeSummary`: the one a cached cell
-already carries, or one folded from a result's table on the spot.  Both
-answer exactly as the table's rows would; on a streamed (trace-scale)
-result, which keeps no such summary, they raise ``ValueError``.
+Every number reads the result's
+:class:`~repro.serving.streaming.OutcomeSummary` (``result.table``).
+The timeline and the breakdown need a whole-table summary, which
+answers them exactly; on a streamed (trace-scale) result, whose
+chunk-ring summary keeps no per-request rows, they raise
+``ValueError``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import numpy as np
 
 from repro.core.results import RunResult
 from repro.serving.records import Stage
-from repro.serving.streaming import OutcomeSummary
 
 __all__ = ["Analyzer", "TimelinePoint", "BreakdownSummary"]
 
@@ -73,13 +73,13 @@ class BreakdownSummary:
         }
 
 
-def _summary(result: RunResult, reduction: str) -> OutcomeSummary:
-    """The result's whole-table summary, for a reduction that needs one."""
+def _reject_streamed(result: RunResult, reduction: str) -> None:
+    """Raise for a streamed result: ``reduction`` reads what only a
+    whole-table summary keeps."""
     if result.streaming:
         raise ValueError(
             f"{reduction} reads per-request rows, but {result.label} is a "
             f"streamed result, which keeps only an OutcomeSummary")
-    return result.reduced().table
 
 
 class Analyzer:
@@ -114,7 +114,8 @@ class Analyzer:
         :meth:`~repro.serving.streaming.OutcomeSummary.latency_sums`.
         Empty bins are skipped.
         """
-        summary = _summary(result, "latency_timeline")
+        _reject_streamed(result, "latency_timeline")
+        summary = result.table
         edges, requests, successes = summary.success_timeline(bin_seconds)
         latency_sums = summary.latency_sums(bin_seconds, len(edges))
         points: List[TimelinePoint] = []
@@ -147,9 +148,10 @@ class Analyzer:
         Successful requests split by the ``cold_start`` flag, each
         stage averaged: the summary's
         :meth:`~repro.serving.streaming.OutcomeSummary.breakdown_means`,
-        equal to the table's masked column means.
+        equal to the rows' masked column means.
         """
-        summary = _summary(result, "coldstart_breakdown")
+        _reject_streamed(result, "coldstart_breakdown")
+        summary = result.table
         cold = summary.breakdown_means(cold=True)
         warm = summary.breakdown_means(cold=False)
         return BreakdownSummary(

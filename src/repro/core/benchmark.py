@@ -105,15 +105,18 @@ class ServingBenchmark:
         if streaming:
             # Fold the tail (failing still-open requests at the horizon,
             # exactly like fail_unfinished on the full path).
-            table = recorder.finalize(horizon)
+            summary = recorder.finalize(horizon)
             metadata["peak_resident_chunks"] = float(
                 recorder.peak_resident_chunks)
-            metadata["chunks_folded"] = float(table.chunks_folded)
+            metadata["chunks_folded"] = float(summary.chunks_folded)
+            rows = None
         else:
-            table = recorder.table()
+            # The summary folds from the rows when a reader first asks.
+            summary = None
+            rows = recorder.table()
             # Requests still open when the horizon was reached failed,
             # in bulk.
-            table.fail_unfinished(horizon)
+            rows.fail_unfinished(horizon)
             # The table now holds the rows: empty the block, so they go
             # with the result rather than with the run's objects, which
             # only the cyclic garbage collector frees.
@@ -121,9 +124,10 @@ class ServingBenchmark:
         return RunResult(
             deployment=deployment,
             workload_name=workload.name,
-            table=table,
             usage=usage,
             duration_s=end_time,
             workload_scale=workload_scale,
             metadata=metadata,
+            rows=rows,
+            _summary=summary,
         )

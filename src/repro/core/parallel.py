@@ -14,12 +14,11 @@ outcomes, and the same costs regardless of worker count or completion
 order (``Executor.map`` preserves submission order).
 
 Every cell is reduced where it finishes: :func:`run_cells` returns
-:meth:`~repro.core.results.RunResult.reduced` results, whose table is
-replaced by its whole-table
-:class:`~repro.serving.streaming.OutcomeSummary` — in the worker before
-transport, or in-process right after a serial cell simulates.  No
-outcome table outlives its cell, and every reduction a study reads
-answers exactly as the table would.
+:meth:`~repro.core.results.RunResult.reduced` results, which keep their
+whole-table :class:`~repro.serving.streaming.OutcomeSummary` and drop
+their rows — in the worker before transport, or in-process right after
+a serial cell simulates.  No outcome table outlives its cell, and every
+reduction a study reads is the summary's, exact.
 
 Transport is kept lean in both directions:
 

@@ -1,28 +1,25 @@
 """Run results: the raw material the analyzer works on.
 
-A :class:`RunResult` carries its outcomes as one of two backends with
-the same reduction API:
+Every metric of a :class:`RunResult` reads one
+:class:`~repro.serving.streaming.OutcomeSummary`, :attr:`RunResult.table`:
 
-* a columnar :class:`~repro.serving.outcome_table.OutcomeTable`, whose
-  metrics are vectorised masked reductions over its arrays
-  (:meth:`OutcomeTable.to_outcomes` rebuilds per-request objects on
-  demand).  :meth:`~repro.core.benchmark.ServingBenchmark.run` and
-  :func:`repro.api.run` return tables, for callers that read rows;
-* an :class:`~repro.serving.streaming.OutcomeSummary`.  Every cell that
-  runs through the run cache (:meth:`~repro.experiments.base.
-  ExperimentContext.run_specs`) is :meth:`RunResult.reduced` where it
-  finishes, so the cache and the worker pipe hold a whole-table summary,
-  which answers every reduction exactly as its table would.  Trace-scale
-  (streaming) runs carry the online reduction of the chunks folded
+* :meth:`~repro.core.benchmark.ServingBenchmark.run` (and
+  :func:`repro.api.run`) keeps the run's per-request rows, an
+  :class:`~repro.serving.outcome_table.OutcomeTable`, in
+  :attr:`RunResult.rows` for callers that read them, and folds the
+  summary from them (:meth:`OutcomeSummary.of_table`) the first time
+  :attr:`~RunResult.table` is read;
+* every cell that runs through the run cache (:meth:`~repro.experiments.
+  base.ExperimentContext.run_specs`) is :meth:`RunResult.reduced` where
+  it finishes, so the cache and the worker pipe hold its summary alone;
+* trace-scale (streaming) runs carry the summary of the chunks folded
   during the run; their per-request rows never exist at once.
-
-The headline metrics delegate to whichever backend the result carries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Tuple, Union
+from typing import Dict, Optional, Tuple
 
 from repro.core.metrics import LatencyStats
 from repro.platforms.base import PlatformUsage
@@ -39,34 +36,38 @@ class RunResult:
 
     deployment: Deployment
     workload_name: str
-    #: Columnar per-request outcomes, or an :class:`OutcomeSummary`: the
-    #: table's whole-table summary (:meth:`reduced`), or for streaming
-    #: (trace-scale) runs the summary their folded chunks reduced into.
-    table: Union[OutcomeTable, OutcomeSummary]
     usage: PlatformUsage
     #: Simulated wall-clock length of the experiment (last completion).
     duration_s: float
     #: Fraction of the paper's full workload that was replayed (1.0 = full).
     workload_scale: float = 1.0
     metadata: Dict[str, float] = field(default_factory=dict)
+    #: The run's per-request rows (``ServingBenchmark.run`` keeps them);
+    #: None on chunk-ring, cached and shipped results.
+    rows: Optional[OutcomeTable] = None
+    #: The summary :attr:`table` returns: given (chunk-ring and shipped
+    #: results), or folded from :attr:`rows` on first read.
+    _summary: Optional[OutcomeSummary] = None
 
-    # -- backend ---------------------------------------------------------------
+    @property
+    def table(self) -> OutcomeSummary:
+        """The run's :class:`OutcomeSummary`, which every metric reads."""
+        if self._summary is None:
+            self._summary = OutcomeSummary.of_table(self.rows)
+        return self._summary
+
     @property
     def streaming(self) -> bool:
-        """True when this result carries a chunk-ring
-        :class:`OutcomeSummary` (streaming reductions): neither a table
-        nor a whole-table summary."""
-        table = self.table
-        return isinstance(table, OutcomeSummary) and table.streamed
+        """True when :attr:`table` is a chunk-ring summary (streaming
+        reductions), not a whole-table one."""
+        return self.table.streamed
 
     def reduced(self) -> "RunResult":
-        """This result with its table replaced by the table's whole-table
-        :class:`OutcomeSummary` (:meth:`OutcomeSummary.of_table`), or the
-        result itself when it already carries a summary.  Every metric
-        of the reduced result equals the original's."""
-        if isinstance(self.table, OutcomeSummary):
+        """This result without its :attr:`rows`: every metric equals the
+        original's, read off the same summary."""
+        if self.rows is None:
             return self
-        return replace(self, table=OutcomeSummary.of_table(self.table))
+        return replace(self, rows=None, _summary=self.table)
 
     # -- headline metrics -----------------------------------------------------
     @property
@@ -98,8 +99,8 @@ class RunResult:
         """Distributional statistics over successful-request latencies.
 
         Streaming results serve quantiles from the latency sketch
-        (accurate to ~0.4 %); full tables compute them exactly, and a
-        whole-table summary keeps its table's.
+        (accurate to ~0.4 %); a whole-table summary keeps its rows' exact
+        statistics.
         """
         return self.table.latency_stats()
 
@@ -110,11 +111,11 @@ class RunResult:
         The deployment object is the one piece of a result the parent
         already holds (it shipped it to the worker in the first place),
         and the only piece that is an arbitrary object graph; everything
-        else is the :meth:`reduced` result's summary, as its
-        :meth:`OutcomeSummary.state` dict (whose arrays
-        :mod:`repro.core.shm` may lift), and small dicts.
+        else is the summary, as its :meth:`OutcomeSummary.state` dict
+        (whose arrays :mod:`repro.core.shm` may lift), and small dicts.
+        The rows stay behind.
         """
-        return (self.workload_name, self.reduced().table.state(),
+        return (self.workload_name, self.table.state(),
                 self.usage, self.duration_s, self.workload_scale,
                 self.metadata)
 
@@ -124,9 +125,9 @@ class RunResult:
         """Rebuild a result from :meth:`to_transport` plus the local deployment."""
         workload_name, state, usage, duration_s, scale, metadata = payload
         return cls(deployment=deployment, workload_name=workload_name,
-                   table=OutcomeSummary.from_state(state), usage=usage,
-                   duration_s=duration_s, workload_scale=scale,
-                   metadata=metadata)
+                   usage=usage, duration_s=duration_s,
+                   workload_scale=scale, metadata=metadata,
+                   _summary=OutcomeSummary.from_state(state))
 
     # -- presentation ---------------------------------------------------------
     @property

@@ -18,8 +18,8 @@ formatting.  This module lifts the sweeps themselves into data:
   :class:`~repro.experiments.base.ExperimentContext` run cache (and its
   worker-pool fan-out) and returns a :class:`ResultFrame`.
 * :class:`ResultFrame` — a tidy struct-of-arrays table: one row per
-  cell, columns = sweep axes plus masked-numpy reductions over each
-  cell's :class:`~repro.serving.outcome_table.OutcomeTable`, with
+  cell, columns = sweep axes plus the reductions of each cell's
+  :class:`~repro.serving.streaming.OutcomeSummary`, with
   ``select`` / ``where`` / ``pivot`` / ``to_rows`` / ``to_csv`` and
   named series (timelines) attached.
 
@@ -546,7 +546,7 @@ def _standard_metrics(result: RunResult) -> Dict[str, object]:
     """The per-cell reductions every frame carries.
 
     Read off the :class:`~repro.core.results.RunResult` headline
-    properties, which serve full tables and streaming
+    properties, which serve whole-table and streaming
     :class:`~repro.serving.streaming.OutcomeSummary` cells alike.
     """
     usage = result.usage
@@ -575,10 +575,9 @@ def _add_hybrid_metrics(metrics: Dict[str, object],
 
     Only hybrid cells carry them — other platforms never populate the
     ``served_by`` outcome column, so frames over non-hybrid sweeps keep
-    their exact pre-hybrid column set.  Both recording paths
-    (:class:`~repro.serving.outcome_table.OutcomeTable` and the
-    streaming :class:`~repro.serving.streaming.OutcomeSummary`) expose
-    the same two reductions.
+    their exact pre-hybrid column set.  Whole-table and streaming
+    :class:`~repro.serving.streaming.OutcomeSummary` cells answer both
+    reductions.
     """
     from repro.serving.records import SERVED_BY_PROVISIONED, SERVED_BY_SPILL
     if result.deployment.config.platform != PlatformKind.HYBRID:

@@ -37,8 +37,8 @@ hazards (``crash_mtbf_s``, ``request_error_rate``) apply to both.
 Each backend keeps its own conservation ledger over the requests routed
 to it; the front door keeps a :class:`HybridMeter` ledger over client
 requests and tags every outcome's ``served_by`` column (see
-:mod:`repro.serving.records`), which is how
-:class:`~repro.serving.outcome_table.OutcomeTable` reports the spill
+:mod:`repro.serving.records`), from which the run's
+:class:`~repro.serving.streaming.OutcomeSummary` reports the spill
 ratio and per-path latencies.  All spill randomness draws from the
 dedicated ``hybrid-spill`` stream — and only when stickiness is enabled
 — so hybrid runs stay bit-identical serially vs ``workers=N`` and the

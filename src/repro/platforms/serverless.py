@@ -36,9 +36,11 @@ The platform is a thin composition of the serving control plane:
   start, a pinned or requeued ticket, the backlog) and parks the
   instance when the backlog is empty, so idle instances run no process;
 * a :class:`~repro.platforms.billing.ServerlessMeter` owns the bill
-  (GB-seconds plus per-request fees, AWS excluding initialisation from
-  the billed duration and GCP including it, provisioned concurrency as
-  reserved GB-seconds — Section 5.4) and assembles the final
+  (GB-seconds plus per-request fees, the cold start's initialisation
+  billed as part of the triggering invocation on both providers —
+  ``billing_includes_init``, since Lambda bills the init of
+  container-image functions — provisioned concurrency as reserved
+  GB-seconds — Section 5.4) and assembles the final
   :class:`~repro.platforms.base.PlatformUsage`.
 """
 

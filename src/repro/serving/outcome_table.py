@@ -1,11 +1,12 @@
 """Columnar (struct-of-arrays) request outcomes.
 
-:class:`OutcomeTable` holds one run's request outcomes as numpy columns,
-and every metric is a masked reduction over them.  A table lives only
-as long as its cell's caller reads rows: the run cache and the worker
-pool keep its whole-table
-:class:`~repro.serving.streaming.OutcomeSummary` instead, which answers
-the same reductions exactly.
+:class:`OutcomeTable` holds one run's request outcomes as numpy columns:
+storage, the column hash, and the object view of a row.  It computes no
+metric.  Every metric reads the run's
+:class:`~repro.serving.streaming.OutcomeSummary`, one fold over the
+table (:meth:`~repro.serving.streaming.OutcomeSummary.of_table`), and a
+table lives only as long as its cell's caller reads rows
+(:attr:`~repro.core.results.RunResult.rows`).
 
 The write side is a block of rows, :class:`OutcomeColumns`.  The
 executor registers each request's row with a recorder
@@ -41,12 +42,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.metrics import LatencyStats
-from repro.serving.records import (
-    SERVED_BY_SPILL,
-    RequestOutcome,
-    Stage,
-)
+from repro.serving.records import RequestOutcome, Stage
 
 __all__ = ["OutcomeTable", "OutcomeColumns", "OutcomeRecorder"]
 
@@ -95,59 +91,7 @@ def _sequential(request_id, count: int) -> bool:
                                    np.arange(count, dtype=np.int64)))
 
 
-class TimelineReductions:
-    """The reductions both outcome backends compute from one timeline.
-
-    :class:`OutcomeTable` and the streaming
-    :class:`~repro.serving.streaming.OutcomeSummary` each expose
-    ``success_timeline(bin_s) -> (edges, requests, successes)``; the
-    timeline-level metrics are written once, here, over that.
-    """
-
-    def availability(self, bin_s: float = 10.0,
-                     min_success_ratio: float = 0.5) -> float:
-        """Fraction of time bins in which the service was *available*.
-
-        A bin is available when the success ratio of the requests sent
-        in it reaches ``min_success_ratio``; bins with no traffic count
-        as available (nothing was refused).  This is the outage-visible
-        metric: a 30 s dark window under 5 s bins costs ~6 bins of
-        availability regardless of how many requests piled into it.
-        """
-        edges, requests, successes = self.success_timeline(bin_s)
-        if len(edges) == 0:
-            return 1.0
-        active = requests > 0
-        if not active.any():
-            return 1.0
-        ratio = successes[active] / requests[active]
-        available = int((ratio >= min_success_ratio).sum())
-        available += int((~active).sum())
-        return available / len(edges)
-
-    def time_to_recover(self, after_s: float, bin_s: float = 10.0,
-                        min_success_ratio: float = 0.5) -> float:
-        """Seconds from ``after_s`` until service is healthy again.
-
-        Scans the :meth:`success_timeline` for the first bin starting at
-        or after ``after_s`` (the end of an outage window) that carries
-        traffic and meets ``min_success_ratio``; returns the gap between
-        ``after_s`` and that bin's left edge — 0.0 when the first bin
-        after the outage is already healthy.  Returns NaN when the
-        service never recovers within the recorded horizon.
-        """
-        edges, requests, successes = self.success_timeline(bin_s)
-        for index in range(len(edges)):
-            if edges[index] + bin_s <= after_s:
-                continue
-            if requests[index] == 0:
-                continue
-            if successes[index] / requests[index] >= min_success_ratio:
-                return float(max(edges[index] - after_s, 0.0))
-        return float("nan")
-
-
-class OutcomeTable(TimelineReductions):
+class OutcomeTable:
     """Immutable-ish struct-of-arrays over one run's request outcomes.
 
     Columns (all length ``count``):
@@ -248,45 +192,10 @@ class OutcomeTable(TimelineReductions):
         return sum(column.nbytes for column in columns
                    if column.strides != (0,))
 
-    # -- derived columns -------------------------------------------------------
     @property
     def latency(self) -> np.ndarray:
         """End-to-end latency per request (NaN where unfinished)."""
         return self.completion_time - self.send_time
-
-    def successful_latencies(self) -> np.ndarray:
-        """Latencies of the successful requests (the paper's headline set)."""
-        return self.latency[self.success]
-
-    # -- headline reductions ---------------------------------------------------
-    @property
-    def success_ratio(self) -> float:
-        """Fraction of requests that succeeded (the paper's SR metric)."""
-        count = self.count
-        if count == 0:
-            return 0.0
-        return int(self.success.sum()) / count
-
-    @property
-    def average_latency(self) -> float:
-        """Mean end-to-end latency of the *successful* requests."""
-        latencies = self.successful_latencies()
-        if latencies.size == 0:
-            return 0.0
-        return float(latencies.mean())
-
-    @property
-    def cold_start_ratio(self) -> float:
-        """Fraction of successful requests served by a cold instance."""
-        success = self.success
-        n_success = int(success.sum())
-        if n_success == 0:
-            return 0.0
-        return int(self.cold_start[success].sum()) / n_success
-
-    def latency_stats(self) -> LatencyStats:
-        """Exact distributional statistics over successful latencies."""
-        return LatencyStats.from_values(self.successful_latencies())
 
     def stage_column(self, stage: str) -> np.ndarray:
         """Accumulated seconds in one breakdown stage, per request (the
@@ -303,97 +212,6 @@ class OutcomeTable(TimelineReductions):
         successful brownout completions carry ``"degraded"``)."""
         names = self.error_names
         return [names[code] for code in self.error_code.tolist()]
-
-    def attempts_mean(self) -> float:
-        """Mean submission attempts per request (retry amplification).
-
-        1.0 means no request was retried; under chaos schedules with
-        client-side retries this is the plottable amplification factor.
-        An empty table reports 1.0.
-        """
-        if self.count == 0:
-            return 1.0
-        return float(self.attempts.mean())
-
-    def degraded_ratio(self) -> float:
-        """Fraction of all requests served in brownout (degraded) mode.
-
-        Degraded completions are *successes* carrying the reserved error
-        label ``"degraded"`` (the router served them from the cheaper
-        brownout backend instead of shedding).  0.0 when the run never
-        browned out; an empty table reports 0.0.
-        """
-        if self.count == 0:
-            return 0.0
-        try:
-            code = self.error_names.index("degraded")
-        except ValueError:
-            return 0.0
-        mask = self.success & (self.error_code == code)
-        return float(mask.sum()) / self.count
-
-    def spill_ratio(self) -> float:
-        """Fraction of all requests a hybrid front door spilled to serverless.
-
-        0.0 on non-hybrid runs (every request keeps the direct code) and
-        on hybrid runs whose provisioned fleet never saturated; an empty
-        table reports 0.0.
-        """
-        if self.count == 0:
-            return 0.0
-        return float((self.served_by == SERVED_BY_SPILL).sum()) / self.count
-
-    def path_latency_mean(self, served_by: int) -> float:
-        """Mean successful latency of one hybrid path (NaN when unserved).
-
-        ``served_by`` is a :data:`~repro.serving.records.SERVED_BY_NAMES`
-        code; the reduction mirrors the headline ``avg_latency_s`` but
-        restricted to the requests that path completed successfully.
-        """
-        mask = self.success & (self.served_by == served_by)
-        if not mask.any():
-            return float("nan")
-        return float(self.latency[mask].mean())
-
-    # -- SLO reductions --------------------------------------------------------
-    def slo_attainment(self, target_s: float) -> float:
-        """Fraction of *all* requests served successfully within ``target_s``.
-
-        The service-level objective of the chaos studies: failed,
-        timed-out, and shed requests all count against attainment, not
-        just slow successes.  An empty table attains vacuously (1.0).
-        """
-        if self.count == 0:
-            return 1.0
-        meeting = self.success & (self.latency <= target_s)
-        return float(meeting.sum()) / self.count
-
-    def success_timeline(self, bin_s: float = 10.0):
-        """Per-time-bin request and success counts (by send time).
-
-        Returns ``(edges, requests, successes)``: bin left edges from 0
-        to the last send time in ``bin_s`` steps, and two aligned count
-        arrays.  The shared binning behind :meth:`availability` and
-        :meth:`time_to_recover`.
-        """
-        index = send_bins(self.send_time, bin_s)
-        requests = np.bincount(index)
-        successes = np.bincount(index[self.success],
-                                minlength=len(requests))
-        edges = np.arange(len(requests)) * bin_s
-        return edges, requests, successes
-
-    def stage_sums(self, mask: np.ndarray) -> np.ndarray:
-        """Seconds each stage accumulated over the rows in ``mask``, in
-        ``Stage.ORDER`` (unproduced stages read 0.0).
-
-        Each entry sums the masked column the way ``np.mean`` does, so
-        a sum over the masked row count is the column's masked mean.
-        """
-        sums = np.zeros(_N_STAGES)
-        for name, column in self._stages.items():
-            sums[_STAGE_INDEX[name]] = column[mask].sum()
-        return sums
 
     # -- mutation (benchmark-internal) ----------------------------------------
     def fail_unfinished(self, horizon: float,
@@ -505,14 +323,6 @@ class OutcomeTable(TimelineReductions):
             digest.update(np.ascontiguousarray(self.served_by))
         digest.update("\x00".join(self.error_names).encode("utf-8"))
         return digest.hexdigest()
-
-
-def send_bins(send_time: np.ndarray, bin_s: float) -> np.ndarray:
-    """Each send time's bin, ``floor(send_time / bin_s)``: the one
-    binning behind every success and latency timeline."""
-    if bin_s <= 0:
-        raise ValueError("bin_s must be positive")
-    return (send_time / bin_s).astype(np.int64)
 
 
 def _intern_error(names: List[str], error: str) -> int:

@@ -1,49 +1,48 @@
-"""Outcome summaries: the chunk ring of trace-scale runs, and the
-whole-table record every cached cell keeps.
+"""Outcome summaries: the one reducer of every run's outcomes, and the
+chunk ring of trace-scale runs.
 
-The preallocated :class:`~repro.serving.outcome_table.OutcomeRecorder`
-sizes one flat buffer from the workload's request count — perfect up to
-a few hundred thousand requests, hopeless at ten million (the columns
-alone are gigabytes, and every metric reduction walks all of them).
-This module is the flat-RSS alternative, and the record the run cache
-keeps instead of a table:
+Every metric the paper reports is a reduction over one run's requests:
+the latency of the successful ones, the success ratio, the cold-start
+breakdown, the timelines.  :class:`OutcomeSummary` computes all of them,
+and is the only place that does; an
+:class:`~repro.serving.outcome_table.OutcomeTable` only stores rows.  A
+summary comes from one of two folds:
 
-* :class:`ChunkedOutcomeRecorder` hands serving rows of one
+* :meth:`OutcomeSummary.of_table` is one fold over a finished table,
+  plus what only rows answer exactly: the rows' exact
+  :class:`~repro.core.metrics.LatencyStats`, the table's
+  :meth:`~repro.serving.outcome_table.OutcomeTable.column_hash`, the
+  per-stage cold and warm sums of the Figure 10 / 14 breakdown, and the
+  successful requests' send times and latencies (the failed ones' send
+  times too), in row order.  A one-fold sum over a whole column is
+  ``np.mean``'s sum, so every reduction is exactly the masked numpy
+  reduction over the rows.  A result with rows folds it on first read;
+  every cell that runs through the run cache is folded where it
+  finishes (in its worker, before transport) and keeps nothing else.
+
+* :class:`ChunkedOutcomeRecorder` is the flat-RSS write side for
+  trace-scale runs.  The preallocated
+  :class:`~repro.serving.outcome_table.OutcomeRecorder` sizes one flat
+  buffer from the workload's request count — perfect up to a few
+  hundred thousand requests, hopeless at ten million.  The ring hands
+  serving rows of one
   :class:`~repro.serving.outcome_table.OutcomeColumns` block, grouped
   into fixed-size chunks.  A chunk *seals* once no row in it can still
   be written — every row committed, none held for a serverless
   invocation served after its client gave up — and the simulation clock
   has moved past the chunk's last send time by a safety lag.  A sealed
-  chunk folds into an :class:`OutcomeSummary` and its rows are reused
-  by a later chunk, so peak memory is bounded by the seal lag times the
-  arrival rate, not the trace length.
-
-* :class:`OutcomeSummary` is the online-reduction target: running
-  sums/counts for means and ratios, exact min/max, a log-binned
+  chunk folds into an :class:`OutcomeSummary` (:meth:`OutcomeSummary.
+  fold`: running sums and counts, exact min/max, a log-binned
   :class:`LatencySketch` for quantiles and SLO attainment, and a
-  base-binned success timeline for ``availability`` /
-  ``time_to_recover``.  It exposes the same reduction methods a full
-  :class:`~repro.serving.outcome_table.OutcomeTable` does, so
-  :class:`~repro.core.results.RunResult` and the study layer consume
-  either interchangeably.
+  base-binned success timeline) and its rows are reused by a later
+  chunk, so peak memory is bounded by the seal lag times the arrival
+  rate, not the trace length.
 
-* :meth:`OutcomeSummary.of_table` is one fold over a finished table
-  and the per-stage cold and warm sums of the Figure 10 / 14
-  breakdown, plus what only rows answer exactly: the table's own
-  :class:`~repro.core.metrics.LatencyStats` and
-  :meth:`~repro.serving.outcome_table.OutcomeTable.column_hash`, and the
-  successful requests' send times and latencies (the failed ones' send
-  times too), in row order.  Every cell that runs through the run cache
-  is reduced to one, where it finishes (in its worker, before
-  transport), and answers every reduction *exactly* as its table would:
-  one fold over a whole column sums in ``np.mean``'s order, and the
-  row-order arrays feed the same numpy calls the table makes.
-
-Accuracy contract of a chunk-ring summary (asserted by
-``tests/test_streaming.py``):
+Accuracy contract of a chunk-ring summary against the whole-table
+summary of the same run (asserted by ``tests/test_streaming.py``):
 
 ==========================  =============================================
-reduction                   streaming vs full-table
+reduction                   chunk ring vs whole table
 ==========================  =============================================
 counts, ratios, timeline    exact (integer accumulation)
 mean latency                exact up to float summation order (~1e-12 rel)
@@ -67,9 +66,7 @@ from repro.core.metrics import LatencyStats
 from repro.serving.outcome_table import (
     OutcomeColumns,
     OutcomeTable,
-    TimelineReductions,
     _intern_error,
-    send_bins,
 )
 from repro.serving.records import SERVED_BY_SPILL, Stage
 
@@ -79,7 +76,6 @@ _N_PATHS = 3
 
 #: The cold/warm breakdown sums: end-to-end latency, then every stage.
 _BREAKDOWN_KEYS = ("e2e",) + Stage.ORDER
-_N_BREAKDOWN = len(_BREAKDOWN_KEYS)
 
 __all__ = ["LatencySketch", "OutcomeSummary", "ChunkedOutcomeRecorder"]
 
@@ -212,27 +208,29 @@ class LatencySketch:
         )
 
 
-class OutcomeSummary(TimelineReductions):
-    """Online reductions over folded outcome chunks.
+def send_bins(send_time: np.ndarray, bin_s: float) -> np.ndarray:
+    """Each send time's bin, ``floor(send_time / bin_s)``: the one
+    binning behind every success and latency timeline."""
+    if bin_s <= 0:
+        raise ValueError("bin_s must be positive")
+    return (send_time / bin_s).astype(np.int64)
 
-    The streaming replacement for holding a full
-    :class:`~repro.serving.outcome_table.OutcomeTable` resident: every
-    headline metric, SLO reduction, and study-layer column is served
-    from running accumulators whose size is independent of the trace
-    length.  Methods mirror the table's reduction API
-    (:meth:`slo_attainment`, :meth:`availability`,
-    :meth:`time_to_recover`, :meth:`success_timeline`,
-    :meth:`attempts_mean`, :meth:`degraded_ratio`, :meth:`spill_ratio`,
-    :meth:`path_latency_mean`) so results built on either backend answer
-    the same questions; :meth:`availability` and :meth:`time_to_recover`
-    are the table's own implementation, inherited from
-    :class:`~repro.serving.outcome_table.TimelineReductions` and read
-    off this summary's :meth:`success_timeline`.
 
-    A whole-table summary (:meth:`of_table`) also keeps what only rows
-    answer exactly, and serves :meth:`latency_stats`,
-    :meth:`slo_attainment`, :meth:`success_timeline` and
-    :meth:`latency_sums` from it, bit for bit as its table would.
+class OutcomeSummary:
+    """Every reduction of one run's request outcomes.
+
+    The headline metrics, the SLO and timeline reductions
+    (:meth:`slo_attainment`, :meth:`success_timeline`,
+    :meth:`availability`, :meth:`time_to_recover`), the retry, brownout
+    and hybrid-path ratios and the study-layer columns are all served
+    from accumulators the folds fill.  A chunk-ring summary
+    (:meth:`fold`) keeps only accumulators whose size is independent of
+    the trace length.  A whole-table summary (:meth:`of_table`) also
+    keeps what only rows answer exactly, and serves
+    :meth:`latency_stats`, :meth:`slo_attainment`,
+    :meth:`success_timeline`, :meth:`latency_sums` and
+    :meth:`breakdown_means` from it, bit for bit as the masked numpy
+    reductions over its rows.
     """
 
     #: Time resolution (seconds) of the streaming success timeline; any
@@ -283,10 +281,10 @@ class OutcomeSummary(TimelineReductions):
 
         One :meth:`fold`'s counts and sums over the table (a single
         fold sums each column in ``np.mean``'s order, so its means are
-        the table's bit for bit; its sketch keeps no histogram), the
-        cold and warm breakdown sums (:meth:`breakdown_means`), plus
-        what only rows answer exactly: the table's
-        :class:`~repro.core.metrics.LatencyStats` and
+        the rows' masked means bit for bit; its sketch keeps no
+        histogram), the cold and warm breakdown sums
+        (:meth:`breakdown_means`), plus what only rows answer exactly:
+        the rows' :class:`~repro.core.metrics.LatencyStats` and
         :meth:`~repro.serving.outcome_table.OutcomeTable.column_hash`,
         the successful requests' send times and latencies (16 bytes per
         success) and the failed requests' send times (8 bytes per
@@ -299,13 +297,15 @@ class OutcomeSummary(TimelineReductions):
         latency = table.latency
         totals = []
         for mask in (success & table.cold_start, success & ~table.cold_start):
-            sums = np.empty(_N_BREAKDOWN)
-            sums[0] = latency[mask].sum()
-            sums[1:] = table.stage_sums(mask)
-            totals.append(sums)
+            # Each entry sums a masked column the way ``np.mean`` does,
+            # so a sum over the masked row count is its masked mean.
+            totals.append(np.array(
+                [latency[mask].sum()]
+                + [table.stage_column(name)[mask].sum()
+                   for name in Stage.ORDER]))
         summary.cold_totals, summary.warm_totals = totals
         summary.success_send = table.send_time[success]
-        summary.success_latency = table.successful_latencies()
+        summary.success_latency = latency[success]
         summary.failed_send = table.send_time[~success]
         summary._stats = LatencyStats.from_values(summary.success_latency)
         summary._column_hash = table.column_hash()
@@ -314,7 +314,7 @@ class OutcomeSummary(TimelineReductions):
     @property
     def streamed(self) -> bool:
         """True for a chunk-ring summary; False for a whole-table one
-        (:meth:`of_table`), which answers exactly what its table does."""
+        (:meth:`of_table`), which answers every reduction exactly."""
         return self._column_hash is None
 
     # -- folding ----------------------------------------------------------
@@ -421,8 +421,8 @@ class OutcomeSummary(TimelineReductions):
         return self.cold_on_success / self.success_count
 
     def latency_stats(self) -> LatencyStats:
-        """Distributional latency statistics: the table's own on a
-        whole-table summary, quantiles from the sketch on a streamed one."""
+        """Distributional latency statistics: exact on a whole-table
+        summary, quantiles from the sketch on a streamed one."""
         if self._stats is not None:
             return self._stats
         return self.latencies.stats()
@@ -443,7 +443,7 @@ class OutcomeSummary(TimelineReductions):
         """Fraction of all requests a hybrid front door spilled to serverless.
 
         Exact (integer accumulation); 0.0 on non-hybrid runs and on
-        empty summaries, mirroring the table reduction.
+        empty summaries.
         """
         if not self.count:
             return 0.0
@@ -452,8 +452,8 @@ class OutcomeSummary(TimelineReductions):
     def path_latency_mean(self, served_by: int) -> float:
         """Mean successful latency of one hybrid path (NaN when unserved).
 
-        Served from exact running sums, so it matches the table
-        reduction up to float summation order.
+        Served from running sums: exact on a whole-table summary, up to
+        float summation order on a streamed one.
         """
         hits = int(self.path_success_counts[served_by])
         if not hits:
@@ -494,8 +494,8 @@ class OutcomeSummary(TimelineReductions):
     def success_timeline(self, bin_s: float = 10.0):
         """Per-time-bin request and success counts (by send time).
 
-        Exact at any ``bin_s`` on a whole-table summary (the table's own
-        binning over its send times).  On a streamed one, exact whenever
+        Exact at any ``bin_s`` on a whole-table summary (its rows' send
+        times, binned by :func:`send_bins`).  On a streamed one, exact whenever
         ``bin_s`` is an integer multiple of :attr:`base_bin_s` (it
         aggregates the base-resolution bins); other widths raise rather
         than silently approximating.
@@ -528,10 +528,52 @@ class OutcomeSummary(TimelineReductions):
         successes = successes.reshape(bins, factor).sum(axis=1)
         return np.arange(bins) * bin_s, requests, successes
 
+    def availability(self, bin_s: float = 10.0,
+                     min_success_ratio: float = 0.5) -> float:
+        """Fraction of time bins in which the service was *available*.
+
+        A bin is available when the success ratio of the requests sent
+        in it reaches ``min_success_ratio``; bins with no traffic count
+        as available (nothing was refused).  This is the outage-visible
+        metric: a 30 s dark window under 5 s bins costs ~6 bins of
+        availability regardless of how many requests piled into it.
+        """
+        edges, requests, successes = self.success_timeline(bin_s)
+        if len(edges) == 0:
+            return 1.0
+        active = requests > 0
+        if not active.any():
+            return 1.0
+        ratio = successes[active] / requests[active]
+        available = int((ratio >= min_success_ratio).sum())
+        available += int((~active).sum())
+        return available / len(edges)
+
+    def time_to_recover(self, after_s: float, bin_s: float = 10.0,
+                        min_success_ratio: float = 0.5) -> float:
+        """Seconds from ``after_s`` until service is healthy again.
+
+        Scans the :meth:`success_timeline` for the first bin starting at
+        or after ``after_s`` (the end of an outage window) that carries
+        traffic and meets ``min_success_ratio``; returns the gap between
+        ``after_s`` and that bin's left edge — 0.0 when the first bin
+        after the outage is already healthy.  Returns NaN when the
+        service never recovers within the recorded horizon.
+        """
+        edges, requests, successes = self.success_timeline(bin_s)
+        for index in range(len(edges)):
+            if edges[index] + bin_s <= after_s:
+                continue
+            if requests[index] == 0:
+                continue
+            if successes[index] / requests[index] >= min_success_ratio:
+                return float(max(edges[index] - after_s, 0.0))
+        return float("nan")
+
     def latency_sums(self, bin_s: float, bins: int) -> np.ndarray:
         """Per-time-bin sums of the successful requests' latencies, by
-        send time, over ``bins`` bins (whole-table summaries only: the
-        table's ``np.bincount`` over the same row-order arrays)."""
+        send time, over ``bins`` bins (whole-table summaries only: one
+        ``np.bincount`` over the row-order arrays)."""
         return np.bincount(send_bins(self.success_send, bin_s),
                            weights=self.success_latency, minlength=bins)
 

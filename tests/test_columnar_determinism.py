@@ -27,6 +27,7 @@ import numpy as np
 import pytest
 
 from repro.core.benchmark import ServingBenchmark
+from repro.core.metrics import LatencyStats
 from repro.core.parallel import run_cells
 from repro.core.planner import Planner
 from repro.core.results import RunResult
@@ -289,22 +290,27 @@ class TestPackedTransport:
         result = ServingBenchmark(seed=SEED).run(deployment, workload)
         wire = pickle.dumps(result.to_transport())
         restored = RunResult.from_transport(pickle.loads(wire), deployment)
-        table, summary = result.table, restored.table
+        table, summary = result.rows, restored.table
         assert summary.column_hash() == table.column_hash()
-        assert restored.latency_stats() == result.latency_stats()
+        latencies = table.latency[table.success]
+        assert restored.latency_stats() == LatencyStats.from_values(latencies)
         # The row-order arrays crossed as well: what reads them answers
-        # as the table's rows do.
+        # as the rows do.
         for target in (0.2, 1.0, 5.0):
             assert (summary.slo_attainment(target)
-                    == table.slo_attainment(target))
-        np.testing.assert_equal(summary.success_timeline(5.0),
-                                table.success_timeline(5.0))
+                    == (latencies <= target).sum() / table.count)
+        bins = (table.send_time / 5.0).astype(np.int64)
+        requests = np.bincount(bins)
+        np.testing.assert_equal(
+            summary.success_timeline(5.0),
+            (np.arange(len(requests)) * 5.0, requests,
+             np.bincount(bins[table.success], minlength=len(requests))))
 
     def test_packed_is_smaller_than_object_pickles(self, w40_cell):
         deployment, workload = w40_cell
         result = ServingBenchmark(seed=SEED).run(deployment, workload)
         packed = len(pickle.dumps(result.to_transport()))
-        legacy = len(pickle.dumps(result.table.to_outcomes()))
+        legacy = len(pickle.dumps(result.rows.to_outcomes()))
         # The margin widens with request count (per-table overhead is
         # constant); at this tiny 750-request cell it is already ~1.9x.
         assert packed < legacy * 0.6
@@ -320,7 +326,7 @@ class TestLateAndPartialCommits:
         monkeypatch.setattr(serverless_module, "_FUNCTION_TIMEOUT_S", 0.05)
         deployment, workload = w40_cell
         result = ServingBenchmark(seed=SEED).run(deployment, workload)
-        table = result.table
+        table = result.rows
         timeout_code = table.error_names.index("timeout")
         timed_out = table.error_code == timeout_code
         assert timed_out.any()
@@ -385,7 +391,7 @@ class TestObjectViewConsistency:
         """Masked reductions agree with the reconstructed object view."""
         deployment, workload = w40_cell
         result = ServingBenchmark(seed=SEED).run(deployment, workload)
-        outcomes = result.table.to_outcomes()
+        outcomes = result.rows.to_outcomes()
         assert result.total_requests == len(outcomes)
         successes = [o for o in outcomes if o.success]
         assert result.success_ratio == len(successes) / len(outcomes)
@@ -414,7 +420,7 @@ def storage_tables():
     planner = Planner()
     return {platform: ServingBenchmark(seed=SEED).run(
                 planner.plan("aws", "mobilenet", "tf1.15", platform),
-                workload).table
+                workload).rows
             for platform in ("managed_ml", "serverless")}
 
 
@@ -436,15 +442,18 @@ def _dense(table: OutcomeTable) -> OutcomeTable:
 
 
 def _reductions(table: OutcomeTable) -> list:
-    """Every reduction the table offers, in comparable form."""
+    """Every column the table offers and every reduction of its
+    whole-table summary, in comparable form."""
+    summary = OutcomeSummary.of_table(table)
     return [
         table.count, table.latency.tolist(),
-        table.successful_latencies().tolist(), table.error_strings(),
-        table.attempts_mean(), table.degraded_ratio(), table.spill_ratio(),
-        [table.path_latency_mean(code) for code in range(3)],
-        table.slo_attainment(0.5), table.slo_attainment(5.0),
-        [column.tolist() for column in table.success_timeline(5.0)],
-        table.availability(5.0), table.time_to_recover(10.0, 5.0),
+        table.latency[table.success].tolist(), table.error_strings(),
+        summary.attempts_mean(), summary.degraded_ratio(),
+        summary.spill_ratio(),
+        [summary.path_latency_mean(code) for code in range(3)],
+        summary.slo_attainment(0.5), summary.slo_attainment(5.0),
+        [column.tolist() for column in summary.success_timeline(5.0)],
+        summary.availability(5.0), summary.time_to_recover(10.0, 5.0),
         [table.stage_column(stage).tolist() for stage in Stage.ORDER],
         table.request_id.tolist(), table.stages.tolist(),
     ]

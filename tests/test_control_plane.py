@@ -20,13 +20,14 @@ Three layers of guarantees:
   ``events_processed``, four serverless cells whose keep-alives expire
   (a 5 s keep-alive, with provisioned instances, crashes and a storm)
   by column hash, cost, instances created and ``events_processed``,
-  and pins the study frames' unrounded rows (every table reduction)
+  and pins the study frames' unrounded rows (every summary reduction)
   and one short-horizon fidelity cell.
 * **Summaries**: on every pinned cell, the whole-table
-  :class:`~repro.serving.streaming.OutcomeSummary` the run cache keeps
-  answers every reduction exactly as the table does (``==``, NaN equal
-  to NaN), and the studies that read more than the standard columns
-  print the same frames and series over the worker pool as serially.
+  :class:`~repro.serving.streaming.OutcomeSummary`, the one reducer,
+  answers every reduction exactly as the row-level numpy references
+  kept here (``==``, NaN equal to NaN), and the studies that read more
+  than the standard columns print the same frames and series over the
+  worker pool as serially.
 """
 
 import hashlib
@@ -56,7 +57,7 @@ from repro.platforms.policies import (
 )
 from repro.platforms.pool import InstancePool, InstanceState
 from repro.serving.outcome_table import OutcomeTable
-from repro.serving.records import Stage
+from repro.serving.records import SERVED_BY_SPILL, Stage
 from repro.serving.streaming import OutcomeSummary
 from repro.workload.generator import standard_workload
 
@@ -468,7 +469,7 @@ class TestConservation:
     def test_ledger_matches_outcome_table(self, runs):
         for platform, result in runs:
             notes = result.usage.notes
-            table = result.table
+            table = result.rows
             successes = int(table.success.sum())
             assert notes["completed"] == successes, platform
             # Client-side batching is off in these cells, so the table's
@@ -606,7 +607,7 @@ class TestGoldenKeepAlive:
 
 
 class TestGoldenFrames:
-    """Absolute pins for the reductions a study frame reads off tables."""
+    """Absolute pins for the reductions a study frame reads off cells."""
 
     @pytest.mark.parametrize("name", sorted(_GOLDEN["frames"]))
     def test_frame_rows_reproduce_pin(self, name):
@@ -670,10 +671,19 @@ def _table_breakdown(table) -> tuple:
             int(cold.sum()), int(warm.sum()))
 
 
+def _table_timeline(table, bin_s: float) -> tuple:
+    """Per-bin (left edges, requests, successes) over the rows, binned
+    by send time from 0 to the last send."""
+    index = (table.send_time / bin_s).astype(np.int64)
+    requests = np.bincount(index)
+    successes = np.bincount(index[table.success], minlength=len(requests))
+    return np.arange(len(requests)) * bin_s, requests, successes
+
+
 def _table_latency_timeline(table, bin_s: float) -> list:
     """Figures 6/8/9's latency timeline over the rows: non-empty bins'
     (edge, requests, mean successful latency, success ratio)."""
-    edges, requests, successes = table.success_timeline(bin_s)
+    edges, requests, successes = _table_timeline(table, bin_s)
     success = table.success
     sums = np.bincount((table.send_time[success] / bin_s).astype(np.int64),
                        weights=table.latency[success], minlength=len(edges))
@@ -684,39 +694,101 @@ def _table_latency_timeline(table, bin_s: float) -> list:
             for index in np.flatnonzero(requests)]
 
 
-def _reductions(outcomes) -> list:
-    """Every reduction both outcome backends answer, comparable with
-    ``np.testing.assert_equal`` (NaN equal to NaN)."""
+def _table_availability(table, bin_s: float) -> float:
+    """Share of bins in which at least half the requests succeeded
+    (bins without requests count as available; no bins reads 1.0)."""
+    _edges, requests, successes = _table_timeline(table, bin_s)
+    if len(requests) == 0:
+        return 1.0
+    return float(np.mean((requests == 0) | (2 * successes >= requests)))
+
+
+def _table_time_to_recover(table, after_s: float, bin_s: float) -> float:
+    """Seconds from ``after_s`` to the left edge (at least 0) of the
+    first bin ending after it in which at least half the requests
+    succeeded; NaN when there is none."""
+    edges, requests, successes = _table_timeline(table, bin_s)
+    healthy = ((edges + bin_s > after_s) & (requests > 0)
+               & (2 * successes >= requests))
+    if not healthy.any():
+        return float("nan")
+    return max(float(edges[np.argmax(healthy)]) - after_s, 0.0)
+
+
+def _reductions(table) -> list:
+    """Every reduction a summary answers, computed from the rows with
+    numpy: the reference for :func:`_summary_reductions` (compared with
+    ``np.testing.assert_equal``, NaN equal to NaN)."""
+    count = table.count
+    success = table.success
+    latency = table.latency
+    ok = latency[success]
+    if ok.size:
+        stats = (ok.size, ok.mean(), ok.std(),
+                 *np.percentile(ok, (50.0, 90.0, 95.0, 99.0)),
+                 ok.min(), ok.max())
+    else:
+        stats = (0,) + (0.0,) * 8
+    names = table.error_names
+    degraded = (success & (table.error_code == names.index("degraded"))
+                if "degraded" in names else np.zeros(count, dtype=bool))
+
+    def path_mean(code):
+        on_path = latency[success & (table.served_by == code)]
+        return on_path.mean() if on_path.size else float("nan")
+
     return [
-        outcomes.count, outcomes.success_ratio, outcomes.cold_start_ratio,
-        outcomes.average_latency, astuple(outcomes.latency_stats()),
-        outcomes.attempts_mean(), outcomes.degraded_ratio(),
-        outcomes.spill_ratio(),
-        [outcomes.path_latency_mean(code) for code in range(3)],
-        [outcomes.slo_attainment(target) for target in SLO_TARGETS_S],
-        [[column.tolist() for column in outcomes.success_timeline(bin_s)]
+        count, success.sum() / count,
+        table.cold_start[success].sum() / success.sum() if ok.size else 0.0,
+        ok.mean() if ok.size else 0.0, stats,
+        table.attempts.mean(), degraded.sum() / count,
+        (table.served_by == SERVED_BY_SPILL).sum() / count,
+        [path_mean(code) for code in range(3)],
+        [(success & (latency <= target)).sum() / count
+         for target in SLO_TARGETS_S],
+        [[column.tolist() for column in _table_timeline(table, bin_s)]
          for bin_s in TIMELINE_BINS_S],
-        [outcomes.availability(bin_s) for bin_s in TIMELINE_BINS_S],
-        [outcomes.time_to_recover(after, bin_s)
+        [_table_availability(table, bin_s) for bin_s in TIMELINE_BINS_S],
+        [_table_time_to_recover(table, after, bin_s)
          for after in RECOVERY_AFTER_S for bin_s in TIMELINE_BINS_S],
-        outcomes.column_hash(),
+        table.column_hash(),
+    ]
+
+
+def _summary_reductions(summary: OutcomeSummary) -> list:
+    """The reductions of :func:`_reductions`, read off a summary."""
+    return [
+        summary.count, summary.success_ratio, summary.cold_start_ratio,
+        summary.average_latency, astuple(summary.latency_stats()),
+        summary.attempts_mean(), summary.degraded_ratio(),
+        summary.spill_ratio(),
+        [summary.path_latency_mean(code) for code in range(3)],
+        [summary.slo_attainment(target) for target in SLO_TARGETS_S],
+        [[column.tolist() for column in summary.success_timeline(bin_s)]
+         for bin_s in TIMELINE_BINS_S],
+        [summary.availability(bin_s) for bin_s in TIMELINE_BINS_S],
+        [summary.time_to_recover(after, bin_s)
+         for after in RECOVERY_AFTER_S for bin_s in TIMELINE_BINS_S],
+        summary.column_hash(),
     ]
 
 
 def _assert_summary_answers_like_table(result) -> None:
-    """The result's whole-table summary, shipped as a worker ships it
-    (pickled, and through a shared-memory segment), answers every
-    reduction exactly as its table does."""
-    table = result.table
+    """The result's whole-table summary, as folded and as a worker ships
+    it (pickled, and through a shared-memory segment), answers every
+    reduction exactly as the row-level references over its rows."""
+    table = result.rows
     assert isinstance(table, OutcomeTable)
     payload = result.to_transport()
     analyzer = Analyzer()
-    for shipped in (pickle.loads(pickle.dumps(payload)),
+    expected = _reductions(table)
+    for shipped in (None, pickle.loads(pickle.dumps(payload)),
                     unpack_arrays(pack_arrays(payload, min_bytes=0))):
-        reduced = RunResult.from_transport(shipped, result.deployment)
+        reduced = (result.reduced() if shipped is None
+                   else RunResult.from_transport(shipped, result.deployment))
         assert not reduced.streaming
-        np.testing.assert_equal(_reductions(reduced.table),
-                                _reductions(table))
+        assert reduced.rows is None
+        np.testing.assert_equal(_summary_reductions(reduced.table), expected)
         breakdown = analyzer.coldstart_breakdown(reduced)
         np.testing.assert_equal(astuple(breakdown), _table_breakdown(table))
         np.testing.assert_equal(

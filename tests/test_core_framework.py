@@ -108,20 +108,20 @@ class TestBenchmarkAndExecutor:
         deployment = planner.plan("aws", "mobilenet", "ort1.4", "serverless")
         result = bench.run(deployment, tiny_w40)
         assert result.total_requests == tiny_w40.count
-        assert not np.isnan(result.table.completion_time).any()
+        assert not np.isnan(result.rows.completion_time).any()
         assert result.duration_s > 0
         assert result.workload_name == "w-40"
 
     def test_request_ids_unique(self, bench, planner, tiny_w40):
         deployment = planner.plan("aws", "mobilenet", "ort1.4", "serverless")
         result = bench.run(deployment, tiny_w40)
-        ids = result.table.request_id
+        ids = result.rows.request_id
         assert len(np.unique(ids)) == len(ids)
 
     def test_clients_are_assigned(self, bench, planner, tiny_w40):
         deployment = planner.plan("aws", "mobilenet", "ort1.4", "serverless")
         result = bench.run(deployment, tiny_w40)
-        clients = set(result.table.client_id.tolist())
+        clients = set(result.rows.client_id.tolist())
         assert clients == set(range(8))
 
     def test_run_many_and_matrix(self, bench, planner, tiny_w40):

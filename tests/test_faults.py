@@ -327,7 +327,8 @@ class TestServerlessFaults:
                                / resilient_table.count)
             assert resilient_ratio > flaky_ratio, batch_size
             assert resilient_ratio > 0.99, (batch_size, resilient_ratio)
-            assert resilient_table.attempts_mean() > 1.0, batch_size
+            assert (OutcomeSummary.of_table(resilient_table).attempts_mean()
+                    > 1.0), batch_size
 
 
 class TestEndpointFaults:
@@ -431,8 +432,9 @@ class TestFaultDeterminism:
 # ---------------------------------------------------------------------------
 
 class TestSLOReductions:
-    def _table(self, rows):
-        """Build a table from (send_time, success) pairs, 0.5 s latency."""
+    def _summary(self, rows):
+        """The whole-table summary of a table built from (send_time,
+        success) pairs, 0.5 s latency."""
         recorder = OutcomeRecorder(len(rows))
         columns = recorder.columns
         for index, (send, success) in enumerate(rows):
@@ -443,18 +445,18 @@ class TestSLOReductions:
             else:
                 columns.errors[row] = "instance_crash"
             recorder.commit(row)
-        return recorder.table()
+        return OutcomeSummary.of_table(recorder.table())
 
     def test_slo_attainment_counts_failures_against_the_target(self):
-        table = self._table([(0.0, True), (1.0, True),
-                             (2.0, False), (3.0, False)])
-        assert table.slo_attainment(1.0) == 0.5
-        assert table.slo_attainment(0.1) == 0.0
+        summary = self._summary([(0.0, True), (1.0, True),
+                                 (2.0, False), (3.0, False)])
+        assert summary.slo_attainment(1.0) == 0.5
+        assert summary.slo_attainment(0.1) == 0.0
 
     def test_empty_table_is_vacuously_healthy(self):
-        table = self._table([])
-        assert table.slo_attainment(1.0) == 1.0
-        assert table.availability() == 1.0
+        summary = self._summary([])
+        assert summary.slo_attainment(1.0) == 1.0
+        assert summary.availability() == 1.0
 
     def test_availability_counts_dark_bins(self):
         # Bins of 10 s over [0, 50): healthy, dead, empty, healthy, dead.
@@ -462,22 +464,22 @@ class TestSLOReductions:
                 + [(11.0, False), (12.0, False)]
                 + [(31.0, True)]
                 + [(41.0, False), (42.0, True), (43.0, False)])
-        table = self._table(rows)
-        assert table.availability(bin_s=10.0) == pytest.approx(3 / 5)
+        summary = self._summary(rows)
+        assert summary.availability(bin_s=10.0) == pytest.approx(3 / 5)
         with pytest.raises(ValueError):
-            table.availability(bin_s=0.0)
+            summary.availability(bin_s=0.0)
 
     def test_time_to_recover_finds_first_healthy_bin(self):
         rows = [(5.0, True), (15.0, False), (25.0, False), (35.0, True)]
-        table = self._table(rows)
-        assert table.time_to_recover(10.0, bin_s=10.0) == 20.0
+        summary = self._summary(rows)
+        assert summary.time_to_recover(10.0, bin_s=10.0) == 20.0
         # Already healthy at the probe time.
-        assert table.time_to_recover(0.0, bin_s=10.0) == 0.0
+        assert summary.time_to_recover(0.0, bin_s=10.0) == 0.0
 
     def test_time_to_recover_nan_when_never_healthy_again(self):
         rows = [(5.0, True), (15.0, False), (25.0, False)]
-        table = self._table(rows)
-        assert math.isnan(table.time_to_recover(10.0, bin_s=10.0))
+        summary = self._summary(rows)
+        assert math.isnan(summary.time_to_recover(10.0, bin_s=10.0))
 
     def test_time_to_recover_at_the_last_recorded_bin_is_finite(self):
         # The only healthy bin is the final one of the horizon: the
@@ -485,8 +487,8 @@ class TestSLOReductions:
         # never-recovered sentinel.
         rows = [(5.0, True), (15.0, False), (25.0, False),
                 (35.0, False), (45.0, True)]
-        table = self._table(rows)
-        ttr = table.time_to_recover(10.0, bin_s=10.0)
+        summary = self._summary(rows)
+        ttr = summary.time_to_recover(10.0, bin_s=10.0)
         assert not math.isnan(ttr)
         assert ttr == 30.0
 
@@ -506,7 +508,8 @@ class TestAttemptsColumn:
     def test_recorder_commits_the_attempts_column(self):
         table = self._table([1, 3, 2])
         assert table.attempts.tolist() == [1, 3, 2]
-        assert table.attempts_mean() == pytest.approx(2.0)
+        assert OutcomeSummary.of_table(table).attempts_mean() == \
+            pytest.approx(2.0)
         assert table.row(1).attempts == 3
 
     def test_retry_free_attempts_preserve_historical_hashes(self):
@@ -535,7 +538,7 @@ class TestAttemptsColumn:
             summary = OutcomeSummary.from_state(pickle.loads(pickle.dumps(
                 OutcomeSummary.of_table(table).state())))
             assert summary.attempts_total == sum(attempts)
-            assert summary.attempts_mean() == table.attempts_mean()
+            assert summary.attempts_mean() == float(table.attempts.mean())
             assert summary.column_hash() == table.column_hash()
             assert summary.resident_bytes() == fixed + 16 * len(attempts)
 
@@ -545,7 +548,8 @@ class TestAttemptsColumn:
             request_error_rate=0.2, retry_attempts=4)
         _, table = run_platform(deployment, tiny_w40)
         assert int(table.attempts.max()) > 1
-        assert table.attempts_mean() > 1.0
+        summary = OutcomeSummary.of_table(table)
+        assert summary.attempts_mean() > 1.0
         # The headline reduction matches the raw column.
-        assert table.attempts_mean() == pytest.approx(
+        assert summary.attempts_mean() == pytest.approx(
             float(table.attempts.mean()))

@@ -40,6 +40,7 @@ from repro.platforms.hybrid import (
 )
 from repro.serving.deployment import PlatformKind, ServiceConfig
 from repro.serving.outcome_table import OutcomeRecorder
+from repro.serving.streaming import OutcomeSummary
 from repro.serving.records import (
     SERVED_BY_DIRECT,
     SERVED_BY_NAMES,
@@ -223,7 +224,7 @@ class TestHybridEndToEnd:
 
     def test_both_paths_serve(self, spilling_cell):
         _, table, _ = spilling_cell
-        assert table.spill_ratio() > 0.0
+        assert OutcomeSummary.of_table(table).spill_ratio() > 0.0
         served = table.served_by
         assert (served == SERVED_BY_PROVISIONED).any()
         assert (served == SERVED_BY_SPILL).any()
@@ -271,7 +272,7 @@ class TestHybridEndToEnd:
         for instances in (1, 8):
             _, table = run_platform(hybrid_plan(planner, instances),
                                     small_w120)
-            ratios.append(table.spill_ratio())
+            ratios.append(OutcomeSummary.of_table(table).spill_ratio())
         assert ratios[1] < ratios[0]
 
     def test_max_spill_fraction_caps_the_running_ratio(self, small_w120):
@@ -282,7 +283,7 @@ class TestHybridEndToEnd:
         platform, table = run_platform(deployment, small_w120)
         notes = platform.meter.notes()
         assert 0.0 < notes["spilled"] <= cap * notes["submitted"]
-        assert table.spill_ratio() <= cap
+        assert OutcomeSummary.of_table(table).spill_ratio() <= cap
 
     def test_max_spill_fraction_zero_pins_everything_provisioned(
             self, small_w120):
@@ -290,7 +291,7 @@ class TestHybridEndToEnd:
         deployment = hybrid_plan(planner, instances=1,
                                  hybrid_max_spill_fraction=0.0)
         platform, table = run_platform(deployment, small_w120)
-        assert table.spill_ratio() == 0.0
+        assert OutcomeSummary.of_table(table).spill_ratio() == 0.0
         assert platform.meter.spilled == 0
 
     def test_sticky_windows_spill_contiguous_runs(self, small_w120):
@@ -313,9 +314,8 @@ class TestHybridEndToEnd:
     def test_spill_survives_a_provisioned_outage(self):
         """The hybrid-outage scenario: spill absorbs the outage window."""
         result = run("hybrid-outage", seed=SEED, scale=0.1)
-        table = result.table
-        assert table.spill_ratio() > 0.0
-        assert float(table.success.mean()) > 0.9
+        assert result.table.spill_ratio() > 0.0
+        assert float(result.rows.success.mean()) > 0.9
         # The outage struck only the provisioned path's fault injector.
         assert result.usage.notes["spill.completed"] > 0
 
@@ -327,10 +327,11 @@ class TestHybridEndToEnd:
         batched = run(spec.with_config(batch_size=4), seed=7, scale=0.2)
         spilled = batched.usage.notes["spilled"]
         assert spilled > 0
-        table = batched.table
+        table = batched.rows
         # Each spilled invocation carries four members (the last batch
         # of a client may carry fewer).
-        assert table.spill_ratio() > 0.5 * single.table.spill_ratio()
+        assert (batched.table.spill_ratio()
+                > 0.5 * single.table.spill_ratio())
         members = table.served_by == SERVED_BY_SPILL
         assert int(members.sum()) >= spilled
         assert (table.billed_duration_s[members] > 0).any()
@@ -346,9 +347,9 @@ class TestHybridEndToEnd:
         notes = result.usage.notes
         spilled = notes["region0.spilled"] + notes["region1.spilled"]
         assert spilled > 0
-        table = result.table
+        table = result.rows
         assert int((table.served_by == SERVED_BY_SPILL).sum()) == spilled
-        assert table.spill_ratio() == spilled / table.count
+        assert result.table.spill_ratio() == spilled / table.count
 
     def test_spilled_request_served_late_lands_in_its_row(self, monkeypatch):
         """The spill path writes the client's own row: a spilled request
@@ -431,20 +432,23 @@ class TestHybridDeterminism:
         from repro.core.shm import pack_arrays, unpack_arrays
         deployment = hybrid_plan(Planner(), instances=1)
         result = ServingBenchmark(seed=SEED).run(deployment, tiny_w40)
-        table = result.table
+        table = result.rows
         assert table.served_by.any()
         back = RunResult.from_transport(unpack_arrays(pack_arrays(
             result.to_transport(), min_bytes=0)), deployment).table
-        assert back.spill_ratio() == table.spill_ratio() > 0.0
+        spilled = (table.served_by == SERVED_BY_SPILL).sum()
+        assert back.spill_ratio() == spilled / table.count > 0.0
+        on_path = [table.latency[table.success & (table.served_by == code)]
+                   for code in range(3)]
         np.testing.assert_equal(
             [back.path_latency_mean(code) for code in range(3)],
-            [table.path_latency_mean(code) for code in range(3)])
+            [path.mean() if path.size else float("nan")
+             for path in on_path])
         assert back.column_hash() == table.column_hash()
 
     def test_non_hybrid_tables_elide_the_column(self, tiny_w40):
         """A non-hybrid table's hash skips its all-direct served_by
         column; its summary keeps that hash and every request direct."""
-        from repro.serving.streaming import OutcomeSummary
         deployment = Planner().plan("aws", "mobilenet", "tf1.15",
                                     "serverless")
         _, table = run_platform(deployment, tiny_w40)

@@ -23,7 +23,7 @@ class TestServerlessBasics:
 
     def test_cold_starts_happen_and_are_flagged(self, bench, planner, tiny_w40):
         result = run_serverless(bench, planner, tiny_w40)
-        table = result.table
+        table = result.rows
         cold = table.success & table.cold_start
         assert result.usage.cold_starts > 0
         assert cold.any(), "at least some requests must be cold-start requests"
@@ -33,7 +33,7 @@ class TestServerlessBasics:
 
     def test_warm_requests_are_fast(self, bench, planner, tiny_w40):
         result = run_serverless(bench, planner, tiny_w40)
-        table = result.table
+        table = result.rows
         warm = table.success & ~table.cold_start
         assert warm.any()
         mean_warm = float(table.latency[warm].mean())
@@ -56,7 +56,7 @@ class TestServerlessBasics:
 
     def test_vgg_skips_download_stage(self, bench, planner, tiny_w40):
         result = run_serverless(bench, planner, tiny_w40, model="vgg")
-        table = result.table
+        table = result.rows
         cold = table.success & table.cold_start
         assert cold.any()
         assert (table.stage_column(Stage.DOWNLOAD)[cold] == 0.0).all()
@@ -118,7 +118,7 @@ class TestServerlessDesignSpace:
                                extra_download_mb=300.0)
 
         def mean_cold_latency(result):
-            table = result.table
+            table = result.rows
             return float(table.latency[table.success & table.cold_start]
                          .mean())
 

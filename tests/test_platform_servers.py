@@ -31,7 +31,7 @@ class TestManagedMl:
         result = bench.run(
             planner.plan("aws", "albert", "tf1.15", "managed_ml"), small_w120)
         assert result.success_ratio < 0.9
-        assert not result.table.success.all()
+        assert not result.rows.success.all()
 
     def test_autoscaler_adds_instances_under_load(self, planner, small_w120,
                                                   bench):

@@ -165,7 +165,7 @@ class TestEndToEndInvariants:
         assert 0.0 <= result.success_ratio <= 1.0
         assert result.cost >= 0.0
         assert result.average_latency >= 0.0
-        outcomes = result.table.to_outcomes()
+        outcomes = result.rows.to_outcomes()
         for outcome in outcomes:
             assert outcome.completion_time is not None
             assert outcome.completion_time >= outcome.send_time

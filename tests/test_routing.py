@@ -54,6 +54,7 @@ from repro.serving.outcome_table import (
     OutcomeColumns,
     OutcomeRecorder,
 )
+from repro.serving.streaming import OutcomeSummary
 from repro.sim import Environment, RandomStreams
 from repro.workload.requests import RequestPool
 
@@ -654,11 +655,13 @@ class TestFailoverEndToEnd:
                               **OUTAGE, **ROUTED)
         _, single_table = run_platform(single, outage_w40)
         router, routed_table = run_platform(routed, outage_w40)
-        single_avail = single_table.availability(bin_s=5.0)
-        routed_avail = routed_table.availability(bin_s=5.0)
+        single_summary = OutcomeSummary.of_table(single_table)
+        routed_summary = OutcomeSummary.of_table(routed_table)
+        single_avail = single_summary.availability(bin_s=5.0)
+        routed_avail = routed_summary.availability(bin_s=5.0)
         assert routed_avail > single_avail
-        single_ttr = single_table.time_to_recover(70.0, bin_s=5.0)
-        routed_ttr = routed_table.time_to_recover(70.0, bin_s=5.0)
+        single_ttr = single_summary.time_to_recover(70.0, bin_s=5.0)
+        routed_ttr = routed_summary.time_to_recover(70.0, bin_s=5.0)
         # The single platform never recovers inside the horizon; the
         # routed one does — NaN orders after any finite recovery.
         assert not math.isnan(routed_ttr)
@@ -677,7 +680,8 @@ class TestFailoverEndToEnd:
                               **OUTAGE, **ROUTED)
         _, single_table = run_platform(single, outage_w40)
         _, routed_table = run_platform(routed, outage_w40)
-        assert routed_table.attempts_mean() < single_table.attempts_mean()
+        assert (OutcomeSummary.of_table(routed_table).attempts_mean()
+                < OutcomeSummary.of_table(single_table).attempts_mean())
 
     def test_late_attempts_filed_only_for_late_committing_backends(
             self, outage_w40):
@@ -756,7 +760,7 @@ class TestFailoverEndToEnd:
         notes = router.meter.notes()
         assert notes["degraded"] > 0
         assert notes["degraded"] <= notes["completed"]
-        assert table.degraded_ratio() > 0.0
+        assert OutcomeSummary.of_table(table).degraded_ratio() > 0.0
         # Degraded completions are successes labelled, not failures.
         errors = set(table.error_strings())
         assert DEGRADED_LABEL in errors

@@ -74,13 +74,20 @@ ROW_ARRAYS = ("success_send", "success_latency", "failed_send")
 
 
 def _assert_reads_like_table(summary: OutcomeSummary, table) -> None:
-    """``summary`` answers its ``table``'s SLO attainment and success
-    timelines off its row-order arrays, and keeps the table's hash."""
+    """``summary`` answers SLO attainment and success timelines off its
+    row-order arrays as numpy over ``table``'s rows does, and keeps the
+    table's hash."""
+    success = table.success
     for target in SLO_TARGETS_S:
-        assert summary.slo_attainment(target) == table.slo_attainment(target)
+        assert summary.slo_attainment(target) == (
+            (success & (table.latency <= target)).sum() / table.count)
     for bin_s in TIMELINE_BINS_S:
-        np.testing.assert_equal(summary.success_timeline(bin_s),
-                                table.success_timeline(bin_s))
+        bins = (table.send_time / bin_s).astype(np.int64)
+        requests = np.bincount(bins)
+        np.testing.assert_equal(
+            summary.success_timeline(bin_s),
+            (np.arange(len(requests)) * bin_s, requests,
+             np.bincount(bins[success], minlength=len(requests))))
     assert summary.column_hash() == table.column_hash()
 
 
@@ -166,7 +173,7 @@ class TestChunkRingEquality:
                                                       reference_result,
                                                       chunk_rows):
         result, _deployment = reference_result
-        table = result.table
+        table = result.rows
         chunks = [chunk for _hash, chunk in
                   _replay(table.to_outcomes(), chunk_rows)]
         full, tail = divmod(table.count, chunk_rows)
@@ -188,9 +195,9 @@ class TestChunkRingEquality:
         ships it, keeps the chunk's hash at fold time and answers as the
         chunk's rows do."""
         result, _deployment = reference_result
-        folded = _replay(result.table.to_outcomes(), chunk_rows=256)
+        folded = _replay(result.rows.to_outcomes(), chunk_rows=256)
         assert sum(chunk.count for _hash, chunk in folded) == (
-            result.table.count)
+            result.rows.count)
         for fold_hash, chunk in folded:
             wire = pickle.dumps(OutcomeSummary.of_table(chunk).state())
             rebuilt = OutcomeSummary.from_state(pickle.loads(wire))
@@ -341,7 +348,7 @@ class TestShmTransport:
         failing = ServingBenchmark(seed=SEED).run(managed, tiny_w40)
         assert failing.success_ratio < 1.0     # failed sends cross too
         for result, deployment in (reference_result, (failing, managed)):
-            table = result.table
+            table = result.rows
             packed = pack_arrays(result.to_transport(), min_bytes=0)
             assert isinstance(packed, ShmPayload)
             for name in ROW_ARRAYS:     # lifted into the segment
