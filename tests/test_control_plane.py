@@ -56,7 +56,7 @@ from repro.platforms.policies import (
     TargetUtilisationPolicy,
 )
 from repro.platforms.pool import InstancePool, InstanceState
-from repro.serving.outcome_table import OutcomeTable
+from repro.serving.outcome_table import OutcomeRecorder, OutcomeTable
 from repro.serving.records import SERVED_BY_SPILL, Stage
 from repro.serving.streaming import OutcomeSummary
 from repro.workload.generator import standard_workload
@@ -797,8 +797,52 @@ def _assert_summary_answers_like_table(result) -> None:
             _table_latency_timeline(table, 20.0))
 
 
+#: Rows on the edges no pinned cell reaches, as (send time, latency or
+#: None for a request still open at the horizon, error, other column
+#: writes): a bin at exactly half success (0-5 s), empty 5 s and 20 s
+#: bins, latencies exactly at two SLO targets (0.2 s, 1.0 s), a healthy
+#: bin that ends exactly at the 70 s recovery start, a degraded success,
+#: retries, both hybrid paths and a cold start with its stages.
+EDGE_ROWS = [
+    (0.0, 0.2, "", {"cold_start": True, "import_s": 2.0, "load_s": 1.0,
+                    "predict_s": 0.1}),
+    (2.0, 3.0, "timeout", {}),
+    (45.0, 1.0, "", {"served_by": 1, "predict_s": 0.05}),
+    (66.0, 0.5, "", {"served_by": 2, "attempts": 3}),
+    (71.0, 2.0, "instance_crash", {}),
+    (76.0, 0.25, "degraded", {}),
+    (77.0, None, "", {}),
+]
+
+
+def _edge_table() -> OutcomeTable:
+    """:data:`EDGE_ROWS` as a finished table."""
+    recorder = OutcomeRecorder(len(EDGE_ROWS))
+    columns = recorder.columns
+    for index, (send, latency, error, writes) in enumerate(EDGE_ROWS):
+        row = recorder.register(index, 0, send)
+        for name, value in writes.items():
+            getattr(columns, name)[row] = value
+        if latency is None:
+            continue
+        columns.completion_time[row] = send + latency
+        columns.success[row] = error in ("", "degraded")
+        if error:
+            columns.errors[row] = error
+        recorder.commit(row)
+    table = recorder.table()
+    table.fail_unfinished(80.0)
+    return table
+
+
 class TestSummaryAnswersLikeTable:
     """Every pinned cell's whole-table summary against its table."""
+
+    def test_hand_built_edges(self):
+        table = _edge_table()
+        np.testing.assert_equal(
+            _summary_reductions(OutcomeSummary.of_table(table)),
+            _reductions(table))
 
     @pytest.mark.parametrize("key", sorted(_GOLDEN["cells"]))
     def test_golden_cell(self, key, workloads):
