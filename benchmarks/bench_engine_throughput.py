@@ -188,18 +188,17 @@ def run_columnar_probe(result) -> dict:
 def run_frame_probe(result, cells: int = 64) -> dict:
     """Smoke the study layer's ResultFrame build and query paths.
 
-    Times (a) assembling a ``cells``-row frame from per-cell results as
-    the run cache holds them (:meth:`RunResult.reduced`) — which reads
-    every standard column off each cell's summary, the hot half of
-    ``Study.run`` once simulations are cached — and (b) the relational
-    verbs (``where`` + ``pivot`` + ``to_rows``) over the built frame.
-    Reported as cells/s and query-ops/s for the ``--check`` gate.
+    Times (a) assembling a ``cells``-row frame from per-cell results —
+    which reads every standard column off each cell's summary, the hot
+    half of ``Study.run`` once simulations are cached — and (b) the
+    relational verbs (``where`` + ``pivot`` + ``to_rows``) over the
+    built frame.  Reported as cells/s and query-ops/s for the
+    ``--check`` gate.
     """
     from repro.core.study import ResultFrame  # noqa: E402
 
-    cached = result.reduced()
     pairs = [({"provider": "aws", "model": "mobilenet",
-               "memory_gb": float(index)}, cached)
+               "memory_gb": float(index)}, result)
              for index in range(cells)]
     build_s = None
     for _ in range(3):
@@ -605,8 +604,9 @@ def run_cache_probe() -> dict:
 
     Runs the registered ``fig05`` study (AWS half, serially) at
     ``RUN_CACHE_SCALE`` and reports the array bytes its cached results
-    hold per cell (``OutcomeSummary.resident_bytes``: each cell keeps
-    its whole-table summary, not its outcome table) — an exact,
+    hold per cell: each summary's ``OutcomeSummary.resident_bytes``,
+    plus ``OutcomeTable.resident_bytes`` of any rows a result kept (a
+    cell reduced where it finishes keeps none) — an exact,
     host-independent count, gated exactly by ``--check``.
     """
     from repro.core.study import get_study  # noqa: E402
@@ -619,14 +619,16 @@ def run_cache_probe() -> dict:
     context = ExperimentContext(seed=SEED, scale=RUN_CACHE_SCALE,
                                 providers=("aws",))
     get_study("fig05").run(context)
-    cached = [result.table for result in context._runs.values()]
+    cached = list(context._runs.values())
+    resident = sum(result.table.resident_bytes()
+                   + (0 if result.rows is None
+                      else result.rows.resident_bytes())
+                   for result in cached)
     return {
         "study": "fig05",
         "scale": RUN_CACHE_SCALE,
         "cells": len(cached),
-        "resident_bytes_per_cell": round(
-            sum(summary.resident_bytes() for summary in cached)
-            / len(cached), 1),
+        "resident_bytes_per_cell": round(resident / len(cached), 1),
     }
 
 

@@ -30,7 +30,11 @@ from repro.models.profiles import LatencyProfiles
 from repro.platforms.base import build_platform
 from repro.serving.deployment import Deployment
 from repro.serving.outcome_table import OutcomeRecorder
-from repro.serving.streaming import DEFAULT_CHUNK_ROWS, ChunkedOutcomeRecorder
+from repro.serving.streaming import (
+    DEFAULT_CHUNK_ROWS,
+    ChunkedOutcomeRecorder,
+    OutcomeSummary,
+)
 from repro.sim import Environment, RandomStreams
 from repro.workload.generator import Workload
 from repro.workload.requests import RequestPool
@@ -111,8 +115,6 @@ class ServingBenchmark:
             metadata["chunks_folded"] = float(summary.chunks_folded)
             rows = None
         else:
-            # The summary folds from the rows when a reader first asks.
-            summary = None
             rows = recorder.table()
             # Requests still open when the horizon was reached failed,
             # in bulk.
@@ -121,13 +123,14 @@ class ServingBenchmark:
             # with the result rather than with the run's objects, which
             # only the cyclic garbage collector frees.
             recorder.columns.resize(0)
+            summary = OutcomeSummary.of_table(rows)
         return RunResult(
             deployment=deployment,
             workload_name=workload.name,
+            table=summary,
             usage=usage,
             duration_s=end_time,
             workload_scale=workload_scale,
             metadata=metadata,
             rows=rows,
-            _summary=summary,
         )

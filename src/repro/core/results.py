@@ -4,11 +4,10 @@ Every metric of a :class:`RunResult` reads one
 :class:`~repro.serving.streaming.OutcomeSummary`, :attr:`RunResult.table`:
 
 * :meth:`~repro.core.benchmark.ServingBenchmark.run` (and
-  :func:`repro.api.run`) keeps the run's per-request rows, an
+  :func:`repro.api.run`) folds it from the run's per-request rows
+  (:meth:`OutcomeSummary.of_table`) and keeps the rows, an
   :class:`~repro.serving.outcome_table.OutcomeTable`, in
-  :attr:`RunResult.rows` for callers that read them, and folds the
-  summary from them (:meth:`OutcomeSummary.of_table`) the first time
-  :attr:`~RunResult.table` is read;
+  :attr:`RunResult.rows` for callers that read them;
 * every cell that runs through the run cache (:meth:`~repro.experiments.
   base.ExperimentContext.run_specs`) is :meth:`RunResult.reduced` where
   it finishes, so the cache and the worker pipe hold its summary alone;
@@ -36,6 +35,9 @@ class RunResult:
 
     deployment: Deployment
     workload_name: str
+    #: The run's summary: folded from :attr:`rows`, or for streaming
+    #: (trace-scale) runs the summary their folded chunks reduced into.
+    table: OutcomeSummary
     usage: PlatformUsage
     #: Simulated wall-clock length of the experiment (last completion).
     duration_s: float
@@ -45,16 +47,6 @@ class RunResult:
     #: The run's per-request rows (``ServingBenchmark.run`` keeps them);
     #: None on chunk-ring, cached and shipped results.
     rows: Optional[OutcomeTable] = None
-    #: The summary :attr:`table` returns: given (chunk-ring and shipped
-    #: results), or folded from :attr:`rows` on first read.
-    _summary: Optional[OutcomeSummary] = None
-
-    @property
-    def table(self) -> OutcomeSummary:
-        """The run's :class:`OutcomeSummary`, which every metric reads."""
-        if self._summary is None:
-            self._summary = OutcomeSummary.of_table(self.rows)
-        return self._summary
 
     @property
     def streaming(self) -> bool:
@@ -67,7 +59,7 @@ class RunResult:
         original's, read off the same summary."""
         if self.rows is None:
             return self
-        return replace(self, rows=None, _summary=self.table)
+        return replace(self, rows=None)
 
     # -- headline metrics -----------------------------------------------------
     @property
@@ -125,9 +117,9 @@ class RunResult:
         """Rebuild a result from :meth:`to_transport` plus the local deployment."""
         workload_name, state, usage, duration_s, scale, metadata = payload
         return cls(deployment=deployment, workload_name=workload_name,
-                   usage=usage, duration_s=duration_s,
-                   workload_scale=scale, metadata=metadata,
-                   _summary=OutcomeSummary.from_state(state))
+                   table=OutcomeSummary.from_state(state), usage=usage,
+                   duration_s=duration_s, workload_scale=scale,
+                   metadata=metadata)
 
     # -- presentation ---------------------------------------------------------
     @property

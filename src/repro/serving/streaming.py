@@ -16,9 +16,10 @@ summary comes from one of two folds:
   successful requests' send times and latencies (the failed ones' send
   times too), in row order.  A one-fold sum over a whole column is
   ``np.mean``'s sum, so every reduction is exactly the masked numpy
-  reduction over the rows.  A result with rows folds it on first read;
-  every cell that runs through the run cache is folded where it
-  finishes (in its worker, before transport) and keeps nothing else.
+  reduction over the rows.  ``ServingBenchmark.run`` folds it as the
+  run finishes; every cell that runs through the run cache then drops
+  its rows where it finishes (in its worker, before transport) and
+  keeps the summary alone.
 
 * :class:`ChunkedOutcomeRecorder` is the flat-RSS write side for
   trace-scale runs.  The preallocated

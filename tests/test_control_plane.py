@@ -862,7 +862,7 @@ class TestSummaryAnswersLikeTable:
 class TestStudiesOverTheWorkerPool:
     """Studies that read more than the standard columns print the same
     frames and series over the worker pool as serially, and the run
-    cache keeps summaries, never tables."""
+    cache keeps summaries, never rows."""
 
     SCALE = 0.02
 
@@ -874,6 +874,7 @@ class TestStudiesOverTheWorkerPool:
         assert context._runs
         for result in context._runs.values():
             assert isinstance(result.table, OutcomeSummary)
+            assert result.rows is None
             assert not result.streaming
         return (json.dumps(frame.to_rows(), sort_keys=True),
                 json.dumps(frame.series, sort_keys=True))
