@@ -24,11 +24,9 @@ the routing probe's breaker trips and the search probe's simulated
 cells and rungs (all exactly, like the probe cell), the routed and
 hybrid probes' cProfile calls per request (within 2 %, like the probe
 cell) and the routed probe's calendar events (exactly), and also
-smokes the
-columnar outcome pipeline (outcome-table build + metric reductions on
-the probe's data), the
-serving control plane (instance-pool transitions, scaling-policy
-decisions, work-queue ticket cycling), the study layer
+smokes the whole-table fold (``OutcomeSummary.of_table`` over the
+probe's rows), the serving control plane (instance-pool transitions,
+scaling-policy decisions, work-queue ticket cycling), the study layer
 (``ResultFrame`` build over per-cell reductions + where/pivot/to_rows
 queries), and the hybrid spill front door (the probe cell on an
 undersized provisioned fleet, both billing paths metering).  It exits non-zero if any recorded probe regressed by more
@@ -140,45 +138,31 @@ def calls_per_request(deployment) -> float:
 
 
 def run_columnar_probe(result) -> dict:
-    """Smoke the columnar pipeline on one run's data.
+    """Time the whole-table fold on one run's rows.
 
-    Times (a) building an ``OutcomeTable`` from materialised outcome
-    objects and (b) vectorised masked reductions (success ratio,
-    latency stats, cold-start ratio) over the result's rows — the two
-    halves of the columnar data plane.  Reported as rows/s so the
-    ``--check`` gate can flag a regression in either half; both run in
-    well under 100 ms.
+    ``OutcomeSummary.of_table`` is the one reducer: every result that
+    keeps its rows folds its summary with it as the cell finishes
+    (column hash, latency percentiles, cold/warm breakdown sums, the
+    row-order arrays).  Reported as rows/s so the ``--check`` gate can
+    flag a regression; one fold of the probe's 4,500 rows takes about a
+    millisecond.
     Also counts the bytes the run's table stores per row
     (``OutcomeTable.resident_bytes``), an exact, host-independent count.
     """
-    from repro.core.metrics import LatencyStats  # noqa: E402
-    from repro.serving.outcome_table import OutcomeTable  # noqa: E402
-
-    outcomes = result.rows.to_outcomes()
-    # Best-of-N timing (like run_cell): these loops are millisecond-scale,
-    # so a single scheduler stall would otherwise read as a regression.
-    build_s = None
-    for _ in range(5):
-        started = time.perf_counter()
-        OutcomeTable.from_outcomes(outcomes)
-        elapsed = time.perf_counter() - started
-        build_s = elapsed if build_s is None else min(build_s, elapsed)
+    from repro.serving.streaming import OutcomeSummary  # noqa: E402
 
     table = result.rows
+    # Best-of-N timing (like run_cell): these loops are millisecond-scale,
+    # so a single scheduler stall would otherwise read as a regression.
     reduce_s = None
     for _ in range(5):
         started = time.perf_counter()
-        for _ in range(100):
-            latencies = table.latency[table.success]
-            LatencyStats.from_values(latencies)
-            success = table.success
-            float(success.mean())
-            float(table.cold_start[success].mean())
-        elapsed = (time.perf_counter() - started) / 100
+        for _ in range(20):
+            OutcomeSummary.of_table(table)
+        elapsed = (time.perf_counter() - started) / 20
         reduce_s = elapsed if reduce_s is None else min(reduce_s, elapsed)
     return {
         "requests": table.count,
-        "build_rows_per_s": round(table.count / build_s, 1),
         "reduce_rows_per_s": round(table.count / reduce_s, 1),
         "resident_bytes_per_row": round(table.resident_bytes()
                                         / table.count, 2),
@@ -676,8 +660,7 @@ def run_sweep(scale: float, repeats: int) -> dict:
           f"{routed['requests_per_s']:>10,.0f} req/s "
           f"({routed['events']} events, {routed['calls_per_req']:g} "
           f"calls/request)")
-    print(f" columnar build {columnar['build_rows_per_s']:>12,.0f} rows/s "
-          f"reduce {columnar['reduce_rows_per_s']:>14,.0f} rows/s "
+    print(f" columnar fold  {columnar['reduce_rows_per_s']:>12,.0f} rows/s "
           f"({columnar['resident_bytes_per_row']:g} table bytes/row)")
     print(f" control plane {control['cycles_per_s']:>13,.0f} cycles/s")
     print(f" result frame  {frame['build_cells_per_s']:>10,.0f} cells/s "
@@ -737,9 +720,9 @@ def run_check(path: str) -> int:
     """CI smoke gate: fail if any probe regressed > CHECK_TOLERANCE.
 
     Gates both the simulation hot path (requests/s on the fixed probe
-    cell) and the columnar pipeline (outcome-table build and metric
-    reduction rows/s), plus the probe cell's counters: calendar events
-    exactly, cProfile calls per request within CALLS_TOLERANCE, and
+    cell) and the whole-table fold (``OutcomeSummary.of_table`` rows/s),
+    plus the probe cell's counters: calendar events exactly, cProfile
+    calls per request within CALLS_TOLERANCE, and
     resident table bytes per row at most the recorded value.  The
     fault-injection and hybrid probes' calendar events, the routing
     probe's breaker trips, and the search probe's simulated cells and
@@ -777,9 +760,6 @@ def run_check(path: str) -> int:
     columnar_reference = recorded.get("columnar_probe")
     if columnar_reference:
         columnar = run_columnar_probe(keep[0])
-        checks.append(("columnar build rows/s",
-                       columnar["build_rows_per_s"],
-                       columnar_reference["build_rows_per_s"]))
         checks.append(("columnar reduce rows/s",
                        columnar["reduce_rows_per_s"],
                        columnar_reference["reduce_rows_per_s"]))

@@ -26,7 +26,8 @@
 # These do not depend on the host's speed (only on the Python and
 # numpy versions, like the recorded baseline).  It then gates, on
 # wall-clock: the
-# fixed simulation probe cell, the columnar build/reduce probes, the
+# fixed simulation probe cell, the whole-table fold probe
+# (OutcomeSummary.of_table over the probe cell's rows), the
 # control-plane (pool / policy / queue) probe, the study-layer
 # (ResultFrame build/query) probe, the replicated-frame (group_by
 # collapse) probe, the fault-injection probe (the probe cell under

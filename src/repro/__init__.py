@@ -39,7 +39,7 @@ from repro.core import (
 )
 from repro.models import LatencyProfiles, get_model, list_models
 from repro.runtimes import get_runtime, list_runtimes
-from repro.serving import Deployment, PlatformKind, RequestOutcome, ServiceConfig
+from repro.serving import Deployment, PlatformKind, ServiceConfig
 from repro.workload import (
     ArrivalTrace,
     MMPP,
@@ -63,7 +63,6 @@ __all__ = [
     "MMPP",
     "PlatformKind",
     "Planner",
-    "RequestOutcome",
     "ResultFrame",
     "RunResult",
     "ScenarioSpec",

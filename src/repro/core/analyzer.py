@@ -21,7 +21,7 @@ chunk-ring summary keeps no per-request rows, they raise
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -96,12 +96,6 @@ class Analyzer:
             "cold_start_ratio": round(result.cold_start_ratio, 4),
         })
         return row
-
-    def comparison_table(self, results: Iterable[RunResult]) -> List[Dict[str, object]]:
-        """Summaries of several runs, sorted for stable presentation."""
-        rows = [self.summarize(result) for result in results]
-        return sorted(rows, key=lambda row: (row["provider"], row["model"],
-                                             row["workload"], row["platform"]))
 
     # -- timelines ------------------------------------------------------------
     def latency_timeline(self, result: RunResult,

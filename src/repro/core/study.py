@@ -103,15 +103,13 @@ class SweepExpansion:
     """The fully expanded grid of one sweep, with its bookkeeping.
 
     ``cells`` is what will run.  ``dropped`` records the label dict of
-    every grid point the sweep's ``where`` constraint removed, and
-    ``sampled_out`` counts the feasible points removed by subsampling —
-    both are surfaced (frame metadata, CLI report) so grid control is
-    never silent.
+    every grid point the sweep's ``where`` constraint removed; it is
+    surfaced (frame metadata, CLI report) so grid control is never
+    silent.
     """
 
     cells: Tuple[SweepCell, ...]
     dropped: Tuple[Mapping[str, object], ...] = ()
-    sampled_out: int = 0
 
 
 def _freeze_items(mapping) -> Tuple[Tuple[str, object], ...]:
@@ -153,19 +151,13 @@ class Sweep:
         frame = run_study(sweep, scale=0.1, workers=-1)
         print(frame.replicate_summary().to_text())
 
-    Replication, constraints, and subsampling are declarative grid
-    control, applied in this order at expansion time:
+    Constraints and replication are declarative grid control, applied
+    in this order at expansion time:
 
     * ``where`` — a predicate over each cell's label dict; grid points
       it rejects are dropped *before execution* and reported in the
       :class:`SweepExpansion` (and the study frame's metadata), never
       silently.
-    * ``sample`` / ``sample_seed`` / ``sample_method`` — keep only
-      ``sample`` of the feasible points, chosen deterministically from
-      ``sample_seed``: ``"random"`` draws uniformly without
-      replacement, ``"lhs"`` stratifies every flat axis Latin-hypercube
-      style (each axis value appears as evenly as possible) and tops up
-      from the remaining feasible points.
     * ``replicates`` / ``seeds`` — expand every surviving cell into K
       seeded replicate runs.  Seeds default to ``base_seed + r`` for
       replicate ``r`` (so replicate 0 reproduces the unreplicated cell
@@ -198,13 +190,6 @@ class Sweep:
     #: True when an empty result is legitimate — e.g. the navigator's
     #: candidate sweep, whose server candidates live outside the grid.
     allow_empty: bool = False
-    #: Subsample the (feasible) grid down to this many cells.
-    sample: Optional[int] = None
-    #: Seed for the deterministic subsample draw.
-    sample_seed: int = 0
-    #: ``"random"`` (uniform without replacement) or ``"lhs"``
-    #: (Latin-hypercube stratification over the declared axes).
-    sample_method: str = "random"
 
     def __post_init__(self) -> None:
         if self.explicit_cells is not None:
@@ -273,15 +258,6 @@ class Sweep:
                 f"and replicates/seeds; pick one replication style")
         if self.where is not None and not callable(self.where):
             raise ValueError("where must be callable (labels -> bool)")
-        if self.sample is not None and self.sample < 1:
-            raise ValueError(f"sample must be >= 1, got {self.sample!r}")
-        if self.sample_method not in ("random", "lhs"):
-            raise ValueError(f"sample_method must be 'random' or 'lhs', "
-                             f"got {self.sample_method!r}")
-        if (self.sample_method == "lhs" and self.sample is not None
-                and not axes):
-            raise ValueError("lhs sampling needs declared axes to stratify; "
-                             "use sample_method='random' on explicit cells")
 
     @staticmethod
     def _parts(key: str) -> Tuple[str, ...]:
@@ -292,7 +268,7 @@ class Sweep:
         return self.replicates > 1 or self.seeds is not None
 
     def __len__(self) -> int:
-        if self.where is not None or self.sample is not None:
+        if self.where is not None:
             return len(self.cells())
         if self.explicit_cells is not None:
             total = len(self.explicit_cells)
@@ -312,12 +288,12 @@ class Sweep:
         return list(self.expand(base_seed=base_seed).cells)
 
     def expand(self, base_seed: Optional[int] = None) -> SweepExpansion:
-        """Fully expand the sweep, reporting constrained / sampled cells.
+        """Fully expand the sweep, reporting constrained cells.
 
         Expansion order: grid (or explicit cells) -> ``where``
-        constraint -> subsampling -> replication.  The returned
-        :class:`SweepExpansion` carries the dropped label dicts and the
-        sampled-out count, so grid control is observable.
+        constraint -> replication.  The returned
+        :class:`SweepExpansion` carries the dropped label dicts, so grid
+        control is observable.
         """
         if self.explicit_cells is not None:
             expanded = [(dict(cell.labels), cell)
@@ -325,12 +301,10 @@ class Sweep:
         else:
             expanded = self._grid_cells()
         kept, dropped = self._constrain(expanded)
-        kept, sampled_out = self._subsample(kept)
         cells = self._replicate([cell for _labels, cell in kept], base_seed)
         return SweepExpansion(
             cells=tuple(cells),
-            dropped=tuple(labels for labels, _cell in dropped),
-            sampled_out=sampled_out)
+            dropped=tuple(labels for labels, _cell in dropped))
 
     def _grid_cells(self) -> List[Tuple[Dict[str, object], SweepCell]]:
         """The raw cross-product grid as (labels, cell) pairs."""
@@ -399,69 +373,6 @@ class Sweep:
                 f"certainly a predicate bug (pass allow_empty=True if an "
                 f"empty result is legitimate)")
         return kept, dropped
-
-    def _subsample(self, kept):
-        """Deterministically thin the feasible grid to ``sample`` cells."""
-        if self.sample is None or len(kept) <= self.sample:
-            return kept, 0
-        rng = np.random.default_rng(self.sample_seed)
-        if self.sample_method == "lhs":
-            picked = self._lhs_indices(kept, rng)
-        else:
-            picked = sorted(rng.choice(len(kept), size=self.sample,
-                                       replace=False).tolist())
-        return [kept[i] for i in picked], len(kept) - len(picked)
-
-    def _lhs_indices(self, kept, rng) -> List[int]:
-        """Latin-hypercube pick: stratify every flat axis, then top up.
-
-        Each axis contributes a shuffled, evenly tiled pool of its
-        values; combining the pools row-wise yields ``sample`` candidate
-        points in which every axis value appears as evenly as possible.
-        Candidates that fell off the feasible grid (constraint-dropped,
-        zipped-axis holes, duplicates) are replaced by uniform draws
-        from the remaining feasible cells, keeping the result size
-        ``min(sample, feasible)`` and fully deterministic.
-        """
-        parts: List[str] = []
-        values: List[List[object]] = []
-        for key, axis_values in self.axes:
-            names = self._parts(key)
-            if len(names) == 1:
-                parts.append(names[0])
-                values.append(list(dict.fromkeys(axis_values)))
-            else:
-                for position, part in enumerate(names):
-                    parts.append(part)
-                    values.append(list(dict.fromkeys(
-                        value[position] for value in axis_values)))
-        by_labels = {
-            tuple(labels[part] for part in parts): index
-            for index, (labels, _cell) in enumerate(kept)
-        }
-        count = self.sample
-        pools = []
-        for axis_values in values:
-            repeats = -(-count // len(axis_values))
-            pool = np.tile(np.arange(len(axis_values)), repeats)[:count]
-            rng.shuffle(pool)
-            pools.append(pool)
-        picked: List[int] = []
-        seen: set = set()
-        for row in range(count):
-            key = tuple(values[axis][pools[axis][row]]
-                        for axis in range(len(parts)))
-            index = by_labels.get(key)
-            if index is not None and index not in seen:
-                seen.add(index)
-                picked.append(index)
-        remaining = [i for i in range(len(kept)) if i not in seen]
-        deficit = min(count - len(picked), len(remaining))
-        if deficit > 0:
-            extra = rng.choice(len(remaining), size=deficit,
-                               replace=False)
-            picked.extend(remaining[i] for i in sorted(extra.tolist()))
-        return sorted(picked)
 
     def _replicate(self, cells: List[SweepCell],
                    base_seed: Optional[int]) -> List[SweepCell]:
@@ -625,7 +536,7 @@ class ResultFrame:
         self.name = name
         #: Frame-level bookkeeping: ``labels`` (which columns are sweep
         #: labels), plus whatever the producing study reports —
-        #: ``constrained_out`` / ``sampled_out`` / ``replicates``.
+        #: ``constrained_out`` / ``replicates``.
         self.meta: Dict[str, object] = dict(meta or {})
         self.specs: Optional[List[ScenarioSpec]] = (
             list(specs) if specs is not None else None)
@@ -876,10 +787,10 @@ class ResultFrame:
 
         Raises:
             ValueError: if the frame carries no label metadata (frames
-                built by ``Study.run`` / ``from_results`` / ``concat``
-                always do); guessing group keys would silently produce
-                per-row "statistics", so use :meth:`group_by` with
-                explicit keys instead.
+                built by ``Study.run`` / ``from_results`` always do);
+                guessing group keys would silently produce per-row
+                "statistics", so use :meth:`group_by` with explicit keys
+                instead.
         """
         if "replicate" not in self._columns:
             return self
@@ -896,48 +807,6 @@ class ResultFrame:
             raise ValueError("cannot summarise: every label column is a "
                              "replication column")
         return self.group_by(*keys)
-
-    @classmethod
-    def concat(cls, frames: Sequence["ResultFrame"],
-               name: str = "") -> "ResultFrame":
-        """Stack several frames into one (cross-study concatenation).
-
-        Columns are the first-seen union across the frames; rows missing
-        a column get ``None``.  Named series are merged (later frames
-        win on name collisions) and specs are carried only when every
-        frame has them.  Label metadata merges in first-seen order, so
-        ``replicate_summary`` still works on a concatenated frame.
-        """
-        frames = list(frames)
-        if not frames:
-            return cls({}, name=name)
-        names: List[str] = []
-        labels: List[str] = []
-        for frame in frames:
-            for column in frame.columns:
-                if column not in names:
-                    names.append(column)
-            for label in frame.meta.get("labels", ()):
-                if label not in labels:
-                    labels.append(label)
-        columns: Dict[str, List[object]] = {key: [] for key in names}
-        for frame in frames:
-            for key in names:
-                if key in frame:
-                    columns[key].extend(frame.column(key))
-                else:
-                    columns[key].extend([None] * len(frame))
-        series: Dict[str, List[Dict[str, object]]] = {}
-        for frame in frames:
-            series.update(frame.series)
-        specs = None
-        if all(frame.specs is not None for frame in frames):
-            specs = [spec for frame in frames for spec in frame.specs]
-        meta: Dict[str, object] = {"labels": labels} if labels else {}
-        return cls(columns, series=series,
-                   name=name or "+".join(dict.fromkeys(
-                       frame.name for frame in frames if frame.name)),
-                   specs=specs, meta=meta)
 
     # -- presentation ------------------------------------------------------
     def to_rows(self, columns: Optional[Sequence[str]] = None,
@@ -1158,9 +1027,8 @@ class Study:
 
         Grid control is reported, never silent: the frame's ``meta``
         carries ``constrained_out`` (cells dropped by a sweep's
-        ``where`` predicate), ``sampled_out`` (cells thinned away by
-        subsampling), and ``replicates`` (per-sweep replication factor)
-        whenever a sweep used those hooks.
+        ``where`` predicate) and ``replicates`` (per-sweep replication
+        factor) whenever a sweep used those hooks.
         """
         if context is None:
             from repro.experiments.base import ExperimentContext
@@ -1177,16 +1045,11 @@ class Study:
         constrained = {sweep.name: len(expansion.dropped)
                        for sweep, expansion in expansions
                        if expansion.dropped}
-        sampled = {sweep.name: expansion.sampled_out
-                   for sweep, expansion in expansions
-                   if expansion.sampled_out}
         replicated = {sweep.name: sweep.replicates
                       for sweep, _expansion in expansions
                       if sweep._replicated}
         if constrained:
             frame.meta["constrained_out"] = constrained
-        if sampled:
-            frame.meta["sampled_out"] = sampled
         if replicated:
             frame.meta["replicates"] = replicated
         for template, fn in self.series.items():

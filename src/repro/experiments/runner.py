@@ -213,8 +213,8 @@ def _run_sweeps(names: List[str], args,
     ``--replicates K``) is reported collapsed — one row per cell with
     ``mean/std/ci95`` columns — after stating the raw replicate-row
     count; the CSV export carries the same stat columns.  Cells removed
-    by a sweep's constraint or subsampling hooks are counted in the
-    report header, never dropped silently.
+    by a sweep's constraint are counted in the report header, never
+    dropped silently.
     """
     if not names:
         parser.error("sweep requires at least one study or scenario name "
@@ -261,13 +261,11 @@ def _run_sweeps(names: List[str], args,
                     f"{rung['survivors']} survive "
                     f"({rung['simulated']} simulated, "
                     f"{rung['cached']} cached)")
-        for key, label in (("constrained_out", "constraint dropped"),
-                           ("sampled_out", "subsampling removed")):
-            counts = frame.meta.get(key)
-            if counts:
-                lines.append(f"  {label}: "
-                             + ", ".join(f"{sweep}: {count}"
-                                         for sweep, count in counts.items()))
+        constrained = frame.meta.get("constrained_out")
+        if constrained:
+            lines.append("  constraint dropped: "
+                         + ", ".join(f"{sweep}: {count}"
+                                     for sweep, count in constrained.items()))
         output_frame = frame
         if "replicate" in frame:
             output_frame = frame.replicate_summary()

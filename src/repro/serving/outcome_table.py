@@ -1,11 +1,11 @@
 """Columnar (struct-of-arrays) request outcomes.
 
 :class:`OutcomeTable` holds one run's request outcomes as numpy columns:
-storage, the column hash, and the object view of a row.  It computes no
-metric.  Every metric reads the run's
-:class:`~repro.serving.streaming.OutcomeSummary`, one fold over the
-table (:meth:`~repro.serving.streaming.OutcomeSummary.of_table`), and a
-table lives only as long as its cell's caller reads rows
+storage and the column hash.  It computes no metric.  Every metric
+reads the run's :class:`~repro.serving.streaming.OutcomeSummary`, one
+fold over the table
+(:meth:`~repro.serving.streaming.OutcomeSummary.of_table`), and a table
+lives only as long as its cell's caller reads rows
 (:attr:`~repro.core.results.RunResult.rows`).
 
 The write side is a block of rows, :class:`OutcomeColumns`.  The
@@ -18,13 +18,6 @@ per-request object exists: the block is bound once per run, a request
 is a plain row index, and ``commit(row)`` only interns the row's error
 string once the request finished.  A view of the block's rows is an
 :class:`OutcomeTable`, without a copy.
-
-``RequestOutcome`` remains as the object view of one row:
-:meth:`OutcomeTable.to_outcomes` builds the objects on demand and
-:meth:`OutcomeTable.from_outcomes` reads them back.  Reconstruction
-drops breakdown stages whose accumulated value is exactly 0.0 (the table
-cannot distinguish "absent" from "zero"); ``RequestOutcome.stage``
-reports 0.0 for both, so metrics are unchanged.
 
 A table stores only what its run produced.  A column whose rows all
 hold the recorder default is a zero-byte, read-only ``np.broadcast_to``
@@ -42,7 +35,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.serving.records import RequestOutcome, Stage
+from repro.serving.records import Stage
 
 __all__ = ["OutcomeTable", "OutcomeColumns", "OutcomeRecorder"]
 
@@ -207,12 +200,6 @@ class OutcomeTable:
             return _filled(self.count, np.float64, 0.0)
         return column
 
-    def error_strings(self) -> List[str]:
-        """Per-request error messages ('' for plain successful requests;
-        successful brownout completions carry ``"degraded"``)."""
-        names = self.error_names
-        return [names[code] for code in self.error_code.tolist()]
-
     # -- mutation (benchmark-internal) ----------------------------------------
     def fail_unfinished(self, horizon: float,
                         error: str = "unfinished") -> int:
@@ -233,72 +220,6 @@ class OutcomeTable:
         self.success[open_mask] = False
         self.error_code[open_mask] = _intern_error(self.error_names, error)
         return n_open
-
-    # -- interchange -----------------------------------------------------------
-    @classmethod
-    def from_outcomes(cls, outcomes: Iterable[RequestOutcome]) -> "OutcomeTable":
-        """Build a table from materialised outcome objects.
-
-        Unfinished outcomes keep everything except the completion fields.
-        Error names enter the vocabulary in the order a recorder would
-        have met them: finished outcomes first, then unfinished ones.
-        The objects themselves are left untouched.
-        """
-        outcomes = list(outcomes)
-        count = len(outcomes)
-        block = OutcomeColumns(count)
-        arrays = block.arrays
-        for name in ("request_id", "client_id", "send_time", "success",
-                     "cold_start", "billed_duration_s", "inferences",
-                     "attempts", "served_by"):
-            arrays[name][:] = [getattr(o, name) for o in outcomes]
-        arrays["completion_time"][:] = [
-            np.nan if o.completion_time is None else o.completion_time
-            for o in outcomes]
-        arrays["instance_id"][:] = [-1 if o.instance_id is None
-                                    else o.instance_id for o in outcomes]
-        for name, attr in _STAGE_ATTRS.items():
-            arrays[attr][:] = [o.breakdown.get(name, 0.0) for o in outcomes]
-        names = [""]
-        for finished in (True, False):
-            for row, outcome in enumerate(outcomes):
-                if (outcome.error
-                        and (outcome.completion_time is not None) == finished):
-                    block.error_code[row] = _intern_error(names,
-                                                          outcome.error)
-        return block.view(0, count, names)
-
-    def row(self, index: int) -> RequestOutcome:
-        """Reconstruct one request's outcome object."""
-        completion = float(self.completion_time[index])
-        instance = int(self.instance_id[index])
-        breakdown: Dict[str, float] = {}
-        for name in STAGE_ORDER:
-            seconds = float(self.stage_column(name)[index])
-            if seconds != 0.0:
-                breakdown[name] = seconds
-        ids = self._request_id
-        return RequestOutcome(
-            # Sequential ids are the row numbers; no O(n) rebuild per row.
-            request_id=(range(self.count)[index] if ids is None
-                        else int(ids[index])),
-            client_id=int(self.client_id[index]),
-            send_time=float(self.send_time[index]),
-            completion_time=None if np.isnan(completion) else completion,
-            success=bool(self.success[index]),
-            error=self.error_names[int(self.error_code[index])],
-            cold_start=bool(self.cold_start[index]),
-            instance_id=None if instance < 0 else instance,
-            billed_duration_s=float(self.billed_duration_s[index]),
-            inferences=int(self.inferences[index]),
-            breakdown=breakdown,
-            attempts=int(self.attempts[index]),
-            served_by=int(self.served_by[index]),
-        )
-
-    def to_outcomes(self) -> List[RequestOutcome]:
-        """Reconstruct the full list of outcome objects (API-compat view)."""
-        return [self.row(index) for index in range(self.count)]
 
     # -- determinism -----------------------------------------------------------
     def column_hash(self) -> str:

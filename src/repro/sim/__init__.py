@@ -33,12 +33,11 @@ from repro.sim.engine import (
     SimulationError,
     Timeout,
 )
-from repro.sim.monitor import CounterMonitor, GaugeMonitor, TimeSeriesMonitor
+from repro.sim.monitor import GaugeMonitor, TimeSeriesMonitor
 from repro.sim.randomness import RandomStreams
 from repro.sim.resources import Request, Resource
 
 __all__ = [
-    "CounterMonitor",
     "Environment",
     "Event",
     "GaugeMonitor",

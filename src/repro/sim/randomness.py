@@ -14,6 +14,10 @@ was ~10% of a full run's wall-clock.  Each convenience method therefore
 pre-draws a block of *standard* variates per stream (standard normal /
 standard exponential / unit uniform / bounded integers) and serves the
 scaled values from a cursor, which amortises the dispatch cost ~10x.
+The block size is set when the family is built
+(``RandomStreams(seed, block_size=...)``; ``ServingBenchmark`` passes
+its ``rng_block_size``) and defaults to :data:`DEFAULT_BLOCK_SIZE`; a
+block size of 1 draws unbuffered.
 
 The served sequence is **bit-identical to scalar draws** at any block
 size, because ``numpy`` fills arrays with the same per-element samplers
@@ -53,7 +57,6 @@ unbuffered path (block size 1) counts per call.
 from __future__ import annotations
 
 import math
-import os
 import zlib
 from typing import Callable, Dict, Tuple
 
@@ -64,9 +67,6 @@ __all__ = ["RandomStreams", "DEFAULT_BLOCK_SIZE"]
 #: Default number of standard variates pre-drawn per stream and family.
 DEFAULT_BLOCK_SIZE = 1024
 
-#: Environment override for the block size (1 disables buffering).
-_BLOCK_ENV = "REPRO_RNG_BLOCK"
-
 
 class RandomStreams:
     """A family of named, independently seeded ``numpy`` generators."""
@@ -75,7 +75,7 @@ class RandomStreams:
         self._seed = int(seed)
         self._streams: Dict[str, np.random.Generator] = {}
         if block_size is None:
-            block_size = int(os.environ.get(_BLOCK_ENV, DEFAULT_BLOCK_SIZE))
+            block_size = DEFAULT_BLOCK_SIZE
         self._block = max(1, int(block_size))
         # Per-stream buffers: name -> [values, cursor, bound], the bound
         # (``n``) only for bounded integers.  A buffer lives as long as
@@ -331,11 +331,6 @@ class RandomStreams:
             buffer[1] = position + 1
             return buffer[0][position]
         return draw
-
-    def fork(self, offset: int) -> "RandomStreams":
-        """A new family with a seed derived from this one (for replicas)."""
-        return RandomStreams(self._seed * 1_000_003 + int(offset),
-                             block_size=self._block)
 
 
 def _check_lognormal(mean: float, cv: float) -> None:

@@ -12,7 +12,7 @@ evaluated end-to-end on the simulator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.core.benchmark import ServingBenchmark
 from repro.core.planner import Planner
@@ -86,10 +86,6 @@ class AdaptiveBatchingPolicy:
                 best, best_latency = size, latency
         return BatchDecision(batch_size=best, expected_latency_s=best_latency,
                              request_rate=request_rate)
-
-    def decision_schedule(self, rates: Sequence[float]) -> List[BatchDecision]:
-        """Decisions for a sequence of observed request rates."""
-        return [self.decide(rate) for rate in rates]
 
     # -- simulation-backed evaluation ----------------------------------------------
     def evaluate(self, workload: Workload, batch_size: Optional[int] = None,

@@ -267,12 +267,6 @@ class HybridValidation:
         return abs(self.simulated_spill_fraction
                    - self.plan.routed_overflow_fraction)
 
-    def within(self, cost_rtol: float = ROUTED_COST_RTOL,
-               spill_atol: float = ROUTED_SPILL_ATOL) -> bool:
-        """Whether both disagreements sit inside the documented tolerances."""
-        return (self.cost_error <= cost_rtol
-                and self.spill_error <= spill_atol)
-
 
 def validate_routed_plan(scenario, routed_percentile: float = 60.0,
                          seed: int = 7, scale: float = 1.0,
@@ -297,9 +291,10 @@ def validate_routed_plan(scenario, routed_percentile: float = 60.0,
                             workload="w-40")
         check = validate_routed_plan(spec, routed_percentile=80.0,
                                      scale=0.3)
-        assert check.within()
+        print(check.cost_error, check.spill_error)
 
-    The tolerances hold on steady and diurnal workloads; on the
+    The errors stay within :data:`ROUTED_COST_RTOL` and
+    :data:`ROUTED_SPILL_ATOL` on steady and diurnal workloads; on the
     cold-start-pathological storm workloads (``w-storm``) the simulated
     spill bill runs far hotter than the warm-priced closed form, and
     ``cost_error`` reports exactly how far.

@@ -36,7 +36,7 @@ from repro.workload.generator import (
     standard_workload,
     standard_workload_specs,
 )
-from repro.workload.mmpp import MMPP, MMPPState, PoissonProcess
+from repro.workload.mmpp import MMPP, MMPPState
 from repro.workload.requests import RequestPool, RequestTemplate
 from repro.workload.splitter import merge_traces, split_trace
 from repro.workload.streaming import StreamedWorkload, StreamSession
@@ -46,7 +46,6 @@ __all__ = [
     "ArrivalTrace",
     "MMPP",
     "MMPPState",
-    "PoissonProcess",
     "RequestPool",
     "RequestTemplate",
     "StreamSession",

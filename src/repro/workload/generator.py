@@ -132,13 +132,6 @@ class Workload:
         info["target_requests"] = self.spec.target_requests
         return info
 
-    def subsampled(self, fraction: float, seed: int = 0) -> "Workload":
-        """A thinned copy of this workload (same shape, fewer requests)."""
-        trace = self.trace.subsampled(fraction, seed=seed)
-        clients = split_trace(trace, self.spec.num_clients)
-        return Workload(spec=self.spec, trace=trace, client_traces=clients,
-                        seed=self.seed)
-
 
 def _build_timeline(spec: WorkloadSpec,
                     rng: np.random.Generator) -> List[Tuple[float, float, MMPPState]]:

@@ -66,7 +66,3 @@ class RequestPool:
     def templates(self) -> List[RequestTemplate]:
         """All templates in the pool."""
         return list(self._templates)
-
-    def pick(self, rng: RandomStreams, stream: str = "request-pick") -> RequestTemplate:
-        """Pick one template uniformly at random (as the paper's clients do)."""
-        return self._templates[rng.choice(stream, len(self._templates))]

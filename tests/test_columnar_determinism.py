@@ -32,10 +32,12 @@ from repro.core.parallel import run_cells
 from repro.core.planner import Planner
 from repro.core.results import RunResult
 from repro.serving.outcome_table import OutcomeRecorder, OutcomeTable
-from repro.serving.records import RequestOutcome, Stage
+from repro.serving.records import Stage
 from repro.serving.streaming import OutcomeSummary
 from repro.sim import RandomStreams
 from repro.workload.generator import standard_workload
+
+from outcome_rows import errors
 
 SEED = 5
 
@@ -306,14 +308,18 @@ class TestPackedTransport:
             (np.arange(len(requests)) * 5.0, requests,
              np.bincount(bins[table.success], minlength=len(requests))))
 
-    def test_packed_is_smaller_than_object_pickles(self, w40_cell):
+    def test_packed_payload_is_row_arrays_plus_a_fixed_header(self,
+                                                              w40_cell):
         deployment, workload = w40_cell
         result = ServingBenchmark(seed=SEED).run(deployment, workload)
         packed = len(pickle.dumps(result.to_transport()))
-        legacy = len(pickle.dumps(result.rows.to_outcomes()))
-        # The margin widens with request count (per-table overhead is
-        # constant); at this tiny 750-request cell it is already ~1.9x.
-        assert packed < legacy * 0.6
+        # The summary ships its row-order arrays (send time and latency
+        # of each success, send time of each failure) and a header that
+        # does not grow with the run: 19,241 B in all for these 750
+        # successful requests.
+        success = result.rows.success
+        row_bytes = 16 * int(success.sum()) + 8 * int((~success).sum())
+        assert packed <= row_bytes + 8 * 1024
 
 
 class TestLateAndPartialCommits:
@@ -350,59 +356,26 @@ class TestLateAndPartialCommits:
         assert table.completion_time[0] != table.completion_time[0]  # NaN
 
 
-class TestNoOutcomeObjects:
-    """Serving writes outcome rows in place: a run builds no
-    ``RequestOutcome``, whatever layers its request path stacks."""
-
-    @pytest.mark.parametrize("cell", [
-        "serverless", "managed_ml", "failover-crash", "hybrid-burst",
-        "batched-retried"])
-    def test_a_run_constructs_no_request_outcome(self, monkeypatch, cell):
-        from repro.api import run
-        from repro.core.scenario import get_scenario, list_scenarios
-
-        built = []
-        init = RequestOutcome.__init__
-
-        def counting_init(self, *args, **kwargs):
-            built.append(1)
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(RequestOutcome, "__init__", counting_init)
-        workload = standard_workload("w-40", seed=SEED, scale=0.05)
-        planner = Planner()
-        if cell in list_scenarios():
-            result = run(get_scenario(cell), seed=SEED, scale=0.05)
-        elif cell == "batched-retried":
-            deployment = planner.plan(
-                "aws", "mobilenet", "tf1.15", "serverless", batch_size=4,
-                request_error_rate=0.1, retry_attempts=3)
-            result = ServingBenchmark(seed=SEED).run(deployment, workload)
-            assert result.table.attempts_mean() > 1.0
-        else:
-            deployment = planner.plan("aws", "mobilenet", "tf1.15", cell)
-            result = ServingBenchmark(seed=SEED).run(deployment, workload)
-        assert result.total_requests > 0
-        assert built == []
-
-
 class TestObjectViewConsistency:
     def test_metrics_match_object_view(self, w40_cell):
-        """Masked reductions agree with the reconstructed object view."""
+        """The summary's reductions agree with plain Python over the rows."""
         deployment, workload = w40_cell
         result = ServingBenchmark(seed=SEED).run(deployment, workload)
-        outcomes = result.rows.to_outcomes()
-        assert result.total_requests == len(outcomes)
-        successes = [o for o in outcomes if o.success]
-        assert result.success_ratio == len(successes) / len(outcomes)
+        rows = result.rows
+        success = rows.success.tolist()
+        latency = [completion - send for send, completion in zip(
+            rows.send_time.tolist(), rows.completion_time.tolist())]
+        cold_start = rows.cold_start.tolist()
+        successes = [row for row, ok in enumerate(success) if ok]
+        assert result.total_requests == len(success)
+        assert result.success_ratio == len(successes) / len(success)
         assert result.average_latency == pytest.approx(
-            sum(o.latency for o in successes) / len(successes))
-        cold = sum(1 for o in successes if o.cold_start)
+            sum(latency[row] for row in successes) / len(successes))
+        cold = sum(1 for row in successes if cold_start[row])
         assert result.cold_start_ratio == cold / len(successes)
-        # Stage attributions survive the round trip through the columns.
-        for outcome in outcomes[:50]:
-            for stage, seconds in outcome.breakdown.items():
-                assert seconds >= 0.0, stage
+        for stage in Stage.ORDER:
+            assert all(seconds >= 0.0
+                       for seconds in rows.stage_column(stage).tolist()), stage
 
 
 #: The recorder default of every column a run may leave untouched.
@@ -447,7 +420,7 @@ def _reductions(table: OutcomeTable) -> list:
     summary = OutcomeSummary.of_table(table)
     return [
         table.count, table.latency.tolist(),
-        table.latency[table.success].tolist(), table.error_strings(),
+        table.latency[table.success].tolist(), errors(table),
         summary.attempts_mean(), summary.degraded_ratio(),
         summary.spill_ratio(),
         [summary.path_latency_mean(code) for code in range(3)],
@@ -503,9 +476,13 @@ class TestStoredColumns:
             folded.fold(table)
             reference.fold(dense)
             assert folded.digest() == reference.digest()
-            outcomes = table.to_outcomes()
-            assert outcomes == [dense.row(i) for i in range(dense.count)]
-            assert outcomes[:20] == [table.row(i) for i in range(20)]
+            for name in ("client_id", "send_time", "completion_time",
+                         "success", *DEFAULTS):
+                np.testing.assert_equal(getattr(table, name),
+                                        getattr(dense, name), err_msg=name)
+                # Single-row reads of a zero-byte view see the default.
+                assert ([getattr(table, name)[row] for row in range(20)]
+                        == getattr(dense, name)[:20].tolist()), name
 
     def test_fail_unfinished_copies_a_zero_byte_error_column(self):
         recorder = OutcomeRecorder(capacity=4)
@@ -517,8 +494,8 @@ class TestStoredColumns:
         table, other = recorder.table(), recorder.table()
         assert _zero_byte(table.error_code)
         assert table.fail_unfinished(horizon=2.5) == 2
-        assert table.error_strings() == ["", "", "unfinished", "unfinished"]
+        assert errors(table) == ["", "", "unfinished", "unfinished"]
         assert table.success.tolist() == [True, True, False, False]
         assert table.completion_time.tolist() == [0.5, 1.5, 2.5, 3.0]
         assert _zero_byte(other.error_code)
-        assert other.error_strings() == [""] * 4
+        assert errors(other) == [""] * 4

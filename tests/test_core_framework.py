@@ -7,7 +7,6 @@ from repro.core import Analyzer, LatencyStats, Planner, ServingBenchmark, percen
 from repro.core.metrics import mean_or_zero, ratio
 from repro.core.parallel import run_cells
 from repro.serving import PlatformKind
-from repro.serving.records import RequestOutcome
 
 
 class TestMetrics:
@@ -189,14 +188,6 @@ class TestAnalyzer:
         assert set(breakdown.as_dict()) == {
             "E2E (cs)", "import", "download", "load", "predict (cs)",
             "E2E (wu)", "predict (wu)"}
-
-    def test_comparison_table_sorted(self, bench, planner, tiny_w40,
-                                     sample_result):
-        gpu = bench.run(
-            planner.plan("aws", "mobilenet", "tf1.15", "gpu_server"), tiny_w40)
-        rows = Analyzer().comparison_table([gpu, sample_result])
-        assert len(rows) == 2
-        assert rows[0]["platform"] <= rows[1]["platform"]
 
     def test_speedup_and_cost_ratio(self, sample_result):
         analyzer = Analyzer()

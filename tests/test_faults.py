@@ -39,6 +39,8 @@ from repro.serving.streaming import OutcomeSummary
 from repro.sim import Environment, RandomStreams
 from repro.workload.requests import RequestPool
 
+from outcome_rows import error_at, errors
+
 SEED = 5
 
 
@@ -64,7 +66,7 @@ def run_platform(deployment, workload, seed=SEED):
 
 def error_counts(table):
     counts = {}
-    for error in table.error_strings():
+    for error in errors(table):
         if error:
             counts[error] = counts.get(error, 0) + 1
     return counts
@@ -288,13 +290,13 @@ class TestServerlessFaults:
 
         env.process(client())
         env.run(until=400.0)
-        outcome = recorder.table().row(row)
+        table = recorder.table()
         assert platform.pool.killed >= 2
-        assert outcome.success, outcome.error
+        assert table.success[row], error_at(table, row)
         # Served by an instance launched after the outage window, long
         # before the 300 s deadline.
-        assert outcome.instance_id >= 2
-        assert 15.0 < outcome.completion_time < 60.0
+        assert table.instance_id[row] >= 2
+        assert 15.0 < table.completion_time[row] < 60.0
 
     def test_storms_force_extra_cold_starts(self, tiny_w40):
         planner = Planner()
@@ -510,7 +512,7 @@ class TestAttemptsColumn:
         assert table.attempts.tolist() == [1, 3, 2]
         assert OutcomeSummary.of_table(table).attempts_mean() == \
             pytest.approx(2.0)
-        assert table.row(1).attempts == 3
+        assert table.attempts[1] == 3
 
     def test_retry_free_attempts_preserve_historical_hashes(self):
         # An all-ones attempts column is the pre-column default: it

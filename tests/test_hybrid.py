@@ -55,6 +55,8 @@ from repro.tools.hybrid import (
 )
 from repro.workload.requests import RequestPool
 
+from outcome_rows import error_at
+
 SEED = 5
 
 BUCKETS = ("completed", "failed", "rejected", "timed_out", "shed")
@@ -365,12 +367,13 @@ class TestHybridEndToEnd:
         row = recorder.register(0, 0, 0.0)
         env.process(platform.request(row, 0.1, 0.01))
         env.run(until=120.0)
-        outcome = recorder.table().row(row)
-        assert outcome.served_by == SERVED_BY_SPILL
-        assert outcome.error == "timeout" and outcome.completion_time < 2.0
-        assert outcome.instance_id is not None
-        assert outcome.billed_duration_s > 0.0
-        assert outcome.stage("predict") > 0.0
+        table = recorder.table()
+        assert table.served_by[row] == SERVED_BY_SPILL
+        assert error_at(table, row) == "timeout"
+        assert table.completion_time[row] < 2.0
+        assert table.instance_id[row] >= 0
+        assert table.billed_duration_s[row] > 0.0
+        assert table.stage_column("predict")[row] > 0.0
 
     def test_registered_scenarios_run_end_to_end(self):
         for name in ("hybrid-burst", "hybrid-steady"):
@@ -510,7 +513,6 @@ class TestPlannerValidation:
                                      seed=7, scale=scale)
         label = (f"{workload} p{percentile}: cost_err={check.cost_error:.3f} "
                  f"spill_err={check.spill_error:.3f}")
-        assert check.within(), label
         assert check.cost_error <= ROUTED_COST_RTOL, label
         assert check.spill_error <= ROUTED_SPILL_ATOL, label
 

@@ -1,5 +1,7 @@
 """Property-based tests of cross-cutting invariants (hypothesis)."""
 
+import math
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -8,6 +10,7 @@ from repro.cloud.pricing import ServerlessBill, aws_pricing, gcp_pricing
 from repro.core.benchmark import ServingBenchmark
 from repro.core.planner import Planner
 from repro.models.profiles import LatencyProfiles
+from repro.serving.records import Stage
 from repro.workload.generator import WorkloadSpec, generate_workload
 
 
@@ -165,14 +168,18 @@ class TestEndToEndInvariants:
         assert 0.0 <= result.success_ratio <= 1.0
         assert result.cost >= 0.0
         assert result.average_latency >= 0.0
-        outcomes = result.rows.to_outcomes()
-        for outcome in outcomes:
-            assert outcome.completion_time is not None
-            assert outcome.completion_time >= outcome.send_time
-            for stage, seconds in outcome.breakdown.items():
-                assert seconds >= 0.0, stage
-        successful = [outcome for outcome in outcomes if outcome.success]
-        if successful:
-            # End-to-end latency can never be smaller than the predict stage.
-            for outcome in successful[:50]:
-                assert outcome.latency + 1e-9 >= outcome.stage("predict")
+        rows = result.rows
+        send = rows.send_time.tolist()
+        completion = rows.completion_time.tolist()
+        for sent, completed in zip(send, completion):
+            assert not math.isnan(completed)
+            assert completed >= sent
+        for stage in Stage.ORDER:
+            assert all(seconds >= 0.0
+                       for seconds in rows.stage_column(stage).tolist()), stage
+        predict = rows.stage_column(Stage.PREDICT).tolist()
+        successful = [row for row, ok in enumerate(rows.success.tolist())
+                      if ok]
+        # End-to-end latency can never be smaller than the predict stage.
+        for row in successful[:50]:
+            assert completion[row] - send[row] + 1e-9 >= predict[row]

@@ -58,6 +58,8 @@ from repro.serving.streaming import OutcomeSummary
 from repro.sim import Environment, RandomStreams
 from repro.workload.requests import RequestPool
 
+from outcome_rows import error_at, errors, row_values
+
 SEED = 5
 
 
@@ -530,9 +532,9 @@ class TestHedgeRace:
     def test_no_hedge_when_the_primary_lands_first(self):
         env, router, recorder, row, commits, _ = self._run((0.5, True, 10))
         env.run()
-        outcome = recorder.table().row(row)
-        assert outcome.success and outcome.instance_id == 10
-        assert outcome.completion_time == 0.5
+        table = recorder.table()
+        assert table.success[row] and table.instance_id[row] == 10
+        assert table.completion_time[row] == 0.5
         assert commits == [(row, 0.5)]
         assert router.meter.hedges == 0 and router._attempts._fresh == 1
         # The withdrawn timer never ran.
@@ -543,9 +545,9 @@ class TestHedgeRace:
         env, router, recorder, row, commits, process = self._run(
             (2.0, True, 10), (3.0, True, 20))
         env.run(until=2.5)
-        outcome = recorder.table().row(row)
-        assert outcome.success and outcome.instance_id == 10
-        assert outcome.completion_time == 2.0
+        table = recorder.table()
+        assert table.success[row] and table.instance_id[row] == 10
+        assert table.completion_time[row] == 2.0
         assert not process.is_alive
         assert router.meter.hedges == 1
         # The hedge still runs (and bills) on its row.
@@ -559,10 +561,11 @@ class TestHedgeRace:
         env, router, recorder, row, commits, process = self._run(
             (3.0, True, 10), (0.5, True, 20))
         env.run(until=2.0)
-        outcome = recorder.table().row(row)
-        assert outcome.success and outcome.instance_id == 20
-        assert outcome.completion_time == 1.5
-        assert outcome.billed_duration_s == 0.5
+        table = recorder.table()
+        assert table.success[row] and table.instance_id[row] == 20
+        assert table.completion_time[row] == 1.5
+        assert table.billed_duration_s[row] == 0.5
+        finished = row_values(table, row)
         assert commits == [(row, 1.5)]
         assert router.meter.hedges == 1
         assert router.meter.completed == 1
@@ -573,15 +576,16 @@ class TestHedgeRace:
         assert env.now == 3.0 and not process.is_alive
         assert self._all_rows_free(router)
         assert commits == [(row, 1.5)]
-        assert recorder.table().row(row) == outcome
+        assert row_values(recorder.table(), row) == finished
 
     def test_primary_fails_first_and_the_hedge_succeeds(self):
         env, router, recorder, row, commits, _ = self._run(
             (1.5, False, 10), (1.0, True, 20))
         env.run()
-        outcome = recorder.table().row(row)
-        assert outcome.success and outcome.instance_id == 20
-        assert outcome.completion_time == 2.0 and outcome.error == ""
+        table = recorder.table()
+        assert table.success[row] and table.instance_id[row] == 20
+        assert table.completion_time[row] == 2.0
+        assert error_at(table, row) == ""
         assert commits == [(row, 2.0)]
         assert self._all_rows_free(router)
 
@@ -589,9 +593,9 @@ class TestHedgeRace:
         env, router, recorder, row, commits, _ = self._run(
             (2.0, True, 10), (0.2, False, 20))
         env.run()
-        outcome = recorder.table().row(row)
-        assert outcome.success and outcome.instance_id == 10
-        assert outcome.completion_time == 2.0
+        table = recorder.table()
+        assert table.success[row] and table.instance_id[row] == 10
+        assert table.completion_time[row] == 2.0
         assert commits == [(row, 2.0)]
         assert self._all_rows_free(router)
 
@@ -603,10 +607,10 @@ class TestHedgeRace:
             self, primary, hedge, first):
         env, router, recorder, row, commits, _ = self._run(primary, hedge)
         env.run()
-        outcome = recorder.table().row(row)
-        assert not outcome.success
-        assert outcome.instance_id == first
-        assert outcome.error == f"failed-{first}"
+        table = recorder.table()
+        assert not table.success[row]
+        assert table.instance_id[row] == first
+        assert error_at(table, row) == f"failed-{first}"
         # Reported once the other attempt failed too.
         assert commits == [(row, 2.0)]
         assert router.meter.failed == 1
@@ -616,8 +620,8 @@ class TestHedgeRace:
         env, router, recorder, row, commits, _ = self._run(
             (2.0, True, 10), alternate_admits=False)
         env.run()
-        outcome = recorder.table().row(row)
-        assert outcome.success and outcome.instance_id == 10
+        table = recorder.table()
+        assert table.success[row] and table.instance_id[row] == 10
         assert commits == [(row, 2.0)]
         assert router.meter.hedges == 0 and router._attempts._fresh == 1
         # The timer fired (counted) and found no backend to hedge on.
@@ -728,14 +732,16 @@ class TestFailoverEndToEnd:
         env.process(client())
         env.run(until=120.0)
         table = recorder.table()
-        first, second = (table.row(row) for row in rows)
-        for outcome in (first, second):
-            assert outcome.error == "timeout" and not outcome.success
-            assert outcome.completion_time < outcome.send_time + 2.0
-            assert outcome.instance_id is not None
-            assert outcome.billed_duration_s > 0.0
-        assert first.instance_id != second.instance_id
-        assert first.billed_duration_s != second.billed_duration_s
+        for row in rows:
+            assert error_at(table, row) == "timeout"
+            assert not table.success[row]
+            assert table.completion_time[row] < table.send_time[row] + 2.0
+            assert table.instance_id[row] >= 0
+            assert table.billed_duration_s[row] > 0.0
+        first, second = rows
+        assert table.instance_id[first] != table.instance_id[second]
+        assert (table.billed_duration_s[first]
+                != table.billed_duration_s[second])
         assert not router._attempts._held and not router._attempts._closed
 
     def test_hedging_fires_and_ledger_holds(self, tiny_w40):
@@ -762,8 +768,7 @@ class TestFailoverEndToEnd:
         assert notes["degraded"] <= notes["completed"]
         assert OutcomeSummary.of_table(table).degraded_ratio() > 0.0
         # Degraded completions are successes labelled, not failures.
-        errors = set(table.error_strings())
-        assert DEGRADED_LABEL in errors
+        assert DEGRADED_LABEL in errors(table)
 
     def test_conservation_property_across_schedules_and_policies(
             self, tiny_w40):

@@ -5,7 +5,7 @@ import pytest
 from repro.cloud import aws
 from repro.models import get_model
 from repro.runtimes import get_runtime
-from repro.serving import Deployment, PlatformKind, RequestOutcome, ServiceConfig
+from repro.serving import Deployment, PlatformKind, ServiceConfig
 from repro.serving.records import Stage
 
 
@@ -70,27 +70,6 @@ class TestDeployment:
         assert deployment.instance_type() == "g4dn.2xlarge"
 
 
-class TestRequestOutcome:
-    def test_latency_requires_completion(self):
-        outcome = RequestOutcome(request_id=1, client_id=0, send_time=10.0)
-        assert outcome.latency is None
-        outcome.finish(12.5, success=True)
-        assert outcome.latency == pytest.approx(2.5)
-        assert outcome.success
-
-    def test_finish_before_send_rejected(self):
-        outcome = RequestOutcome(request_id=1, client_id=0, send_time=10.0)
-        with pytest.raises(ValueError):
-            outcome.finish(9.0, success=True)
-
-    def test_stage_accumulation(self):
-        outcome = RequestOutcome(request_id=1, client_id=0, send_time=0.0)
-        outcome.add_stage(Stage.NETWORK, 0.1)
-        outcome.add_stage(Stage.NETWORK, 0.2)
-        assert outcome.stage(Stage.NETWORK) == pytest.approx(0.3)
-        assert outcome.stage(Stage.PREDICT) == 0.0
-        with pytest.raises(ValueError):
-            outcome.add_stage(Stage.PREDICT, -0.1)
-
+class TestStage:
     def test_stage_vocabulary(self):
         assert set(Stage.COLD_ONLY) <= set(Stage.ORDER)

@@ -85,16 +85,6 @@ class TestClockAndTimeouts:
         env.run()
         assert seen == ["payload"]
 
-    def test_peek_reports_next_event_time(self, env):
-        env.timeout(4.0)
-        assert env.peek() == 4.0
-
-    def test_peek_empty_is_infinite(self, env):
-        assert env.peek() == float("inf")
-
-    def test_step_without_events_raises(self, env):
-        with pytest.raises(SimulationError):
-            env.step()
 
 
 class TestEvents:

@@ -305,9 +305,10 @@ class TestIdleLine:
         env.run(until=1.0)
         line.park("b")
         assert line.claim() == "a"
-        # The withdrawn alarm stays until it pops, then arms "b".
+        # The withdrawn alarm stays until it pops, uncounted, then arms "b".
         assert self._alarm_keys(env, line) == [(5.0, NORMAL, 0)]
-        assert env.peek() == 6.0
+        env.run(until=5.0)
+        assert fired == [] and env.events_processed == 0
         assert self._alarm_keys(env, line) == [(6.0, NORMAL, 1)]
         env.run()
         assert fired == [("b", 6.0)]

@@ -51,6 +51,8 @@ from repro.sim import Environment, RandomStreams, SimulationError
 from repro.workload.generator import standard_workload
 from repro.workload.requests import RequestPool
 
+from outcome_rows import error_at
+
 
 class TestCancellableTimers:
     def test_cancel_before_trigger_time_suppresses_callbacks(self, env):
@@ -152,18 +154,22 @@ class TestCancellableTimers:
         env.run()
         assert env.now == pytest.approx(1.0)
 
-    def test_peek_skips_tombstones(self, env):
+    def test_run_until_pops_a_tombstone_uncounted(self, env):
         first = env.timeout(1.0)
         env.timeout(5.0)
         first.cancel()
-        assert env.peek() == 5.0
+        assert env._tombstones == 1
+        env.run(until=1.0)
+        assert env.now == 1.0
+        assert env.events_processed == 0 and env._tombstones == 0
 
-    def test_step_skips_tombstones(self, env):
+    def test_run_skips_tombstones(self, env):
         first = env.timeout(1.0)
-        env.timeout(5.0)
+        second = env.timeout(5.0)
         first.cancel()
-        env.step()
-        assert env.now == 5.0
+        env.run()
+        assert env.now == 5.0 and second.processed
+        assert env.events_processed == 1 and env._tombstones == 0
 
 
 class TestHeapPushesAreEvents:
@@ -322,6 +328,12 @@ class TestInlineWarmServe:
     requeues the request under its original enqueue time and deadline.
     """
 
+    @staticmethod
+    def _run_next(env):
+        """Run the calendar up to its next entry's time (every entry
+        due then runs)."""
+        env.run(until=env._queue[0][0])
+
     def _platform(self, seed=3, **overrides):
         deployment = Planner().plan("aws", "mobilenet", "tf1.15",
                                     "serverless", **overrides)
@@ -342,10 +354,10 @@ class TestInlineWarmServe:
         process = env.process(platform.request(row, 0.1, 0.01))
         times = []
         while process.is_alive:
-            env.step()
+            self._run_next(env)
             times.append(env.now)
-        outcome = recorder.table().row(row)
-        assert outcome.success and outcome.instance_id == 0
+        table = recorder.table()
+        assert table.success[row] and table.instance_id[row] == 0
         assert len(times) == env.events_processed == 3
         # The instance went back to the idle line when the serve ended
         # (the second entry), its keep-alive counted from then.
@@ -383,18 +395,19 @@ class TestInlineWarmServe:
         row = recorder.register(0, 0, 0.0)
         process = env.process(platform.request(row, 0.1, 0.01))
         while first.state != InstanceState.BUSY:
-            env.step()
+            self._run_next(env)
         enqueue = env.now
         env.run(until=enqueue + 0.001)  # mid-serve: the handler alone is 8 ms
         killed_at = env.now
         platform._kill_instance(first)
         while process.is_alive:
-            env.step()
-        outcome = recorder.table().row(row)
-        assert outcome.success
-        assert outcome.instance_id == second.instance_id
+            self._run_next(env)
+        table = recorder.table()
+        assert table.success[row]
+        assert table.instance_id[row] == second.instance_id
         # The wait includes the time lost on the dead instance.
-        assert outcome.stage(Stage.QUEUE) == killed_at - enqueue > 0.0
+        assert (table.stage_column(Stage.QUEUE)[row]
+                == killed_at - enqueue > 0.0)
         assert platform.pool.killed == 1
 
     def test_kill_mid_serve_times_out_at_the_original_deadline(self):
@@ -412,13 +425,14 @@ class TestInlineWarmServe:
 
         env.process(client())
         env.run(until=40.0)
-        outcome = recorder.table().row(row)
-        enqueue = outcome.send_time + outcome.stage(Stage.NETWORK)
+        table = recorder.table()
+        enqueue = (table.send_time[row]
+                   + table.stage_column(Stage.NETWORK)[row])
         # The instance was serving the request when the outage hit.
-        assert outcome.instance_id == 0 and enqueue < 10.0
-        assert outcome.stage(Stage.PREDICT) == 0.0
-        assert outcome.error == "timeout"
-        assert outcome.completion_time == enqueue + 2.0 < 10.0 + 2.0
+        assert table.instance_id[row] == 0 and enqueue < 10.0
+        assert table.stage_column(Stage.PREDICT)[row] == 0.0
+        assert error_at(table, row) == "timeout"
+        assert table.completion_time[row] == enqueue + 2.0 < 10.0 + 2.0
 
 
 class TestKeepAlives:
@@ -475,7 +489,8 @@ class TestKeepAlives:
         return [entry[:3] for entry in env._queue
                 if len(entry) == 4 and entry[3] is alarm]
 
-    def test_killing_the_oldest_arms_the_next_under_its_own_key(self):
+    def test_killing_the_oldest_arms_the_next_under_its_own_key(
+            self, monkeypatch):
         env, platform = self._platform()
         (first, expiry, oldest), (second, next_expiry, sequence) = (
             platform._idle.entries)
@@ -486,10 +501,19 @@ class TestKeepAlives:
         assert [entry[0] for entry in platform._idle.entries] == [second]
         assert self._alarm_keys(env, platform) == [
             (expiry, engine.NORMAL, oldest)]
-        assert env.peek() == next_expiry
-        assert self._alarm_keys(env, platform) == [
-            (next_expiry, engine.NORMAL, sequence)]
+        armed = []
+        arm = engine.IdleLine._arm
+
+        def spy(line, entry):
+            armed.append((entry[0], entry[1:]))
+            arm(line, entry)
+
+        monkeypatch.setattr(engine.IdleLine, "_arm", spy)
         env.run(until=next_expiry)
+        # The withdrawn alarm popped and armed the survivor under the
+        # survivor's own key.
+        assert armed[0] == (second, (next_expiry, sequence))
+        assert [item for item, _key in armed] == [second, second]
         # The provisioned survivor expired once and parked again.
         assert env.events_processed == 1
         (entry,) = platform._idle.entries

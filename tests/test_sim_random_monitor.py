@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.sim import CounterMonitor, GaugeMonitor, RandomStreams, TimeSeriesMonitor
+from repro.sim import GaugeMonitor, RandomStreams, TimeSeriesMonitor
 
 
 class TestRandomStreams:
@@ -55,11 +55,6 @@ class TestRandomStreams:
         values = {streams.choice("pick", 5) for _ in range(200)}
         assert values <= {0, 1, 2, 3, 4}
         assert len(values) > 1
-
-    def test_fork_changes_draws(self):
-        base = RandomStreams(7)
-        forked = base.fork(1)
-        assert base.uniform("x", 0, 1) != forked.uniform("x", 0, 1)
 
     @pytest.mark.parametrize("block_size", [1, 3, 1024])
     def test_draw_count_covers_every_draw_path(self, block_size):
@@ -120,19 +115,7 @@ class TestTimeSeriesMonitor:
         assert len(series) == 2
 
 
-class TestCounterAndGauge:
-    def test_counter_increments(self):
-        counter = CounterMonitor()
-        counter.increment("requests")
-        counter.increment("requests", 2.0)
-        assert counter.get("requests") == 3.0
-        assert counter.get("missing") == 0.0
-
-    def test_counter_rejects_negative(self):
-        counter = CounterMonitor()
-        with pytest.raises(ValueError):
-            counter.increment("x", -1.0)
-
+class TestGauge:
     def test_gauge_tracks_history(self):
         gauge = GaugeMonitor("instances")
         gauge.set(0.0, 1.0)

@@ -32,6 +32,7 @@ from repro.core.parallel import run_cells
 from repro.core.results import RunResult
 from repro.core.shm import ShmPayload, pack_arrays, unpack_arrays
 from repro.serving.outcome_table import OutcomeRecorder
+from repro.serving.records import Stage
 from repro.serving.streaming import (
     ChunkedOutcomeRecorder,
     LatencySketch,
@@ -45,6 +46,8 @@ from repro.workload.generator import (
 )
 from repro.workload.splitter import merge_traces
 from repro.workload.streaming import PIECE_ARRIVALS, StreamedWorkload
+
+from outcome_rows import errors
 
 SEED = 5
 
@@ -123,25 +126,15 @@ def _assert_same_summary(rebuilt: OutcomeSummary,
                 == original.breakdown_means(cold))
 
 
-def _write(columns, row, outcome):
-    """Write what serving recorded for ``outcome`` into ``row``."""
-    columns.completion_time[row] = (np.nan if outcome.completion_time is None
-                                    else outcome.completion_time)
-    columns.success[row] = outcome.success
-    columns.cold_start[row] = outcome.cold_start
-    columns.instance_id[row] = (-1 if outcome.instance_id is None
-                                else outcome.instance_id)
-    columns.billed_duration_s[row] = outcome.billed_duration_s
-    columns.attempts[row] = outcome.attempts
-    columns.served_by[row] = outcome.served_by
-    for stage, seconds in outcome.breakdown.items():
-        columns.stages[stage][row] = seconds
-    if outcome.error:
-        columns.errors[row] = outcome.error
+#: The columns serving writes into a request's row, besides its stages
+#: and its error.
+SERVED_COLUMNS = ("completion_time", "success", "cold_start", "instance_id",
+                  "billed_duration_s", "attempts", "served_by")
 
 
-def _replay(outcomes, chunk_rows: int):
-    """Feed materialised outcomes through the streaming chunk ring.
+def _replay(table, chunk_rows: int):
+    """Write ``table``'s rows through the streaming chunk ring, one row
+    at a time as serving does.
 
     Returns every chunk the ring folded, in fold order, as a pair: the
     chunk's ``column_hash()`` at fold time, and a deep copy of the chunk
@@ -156,11 +149,21 @@ def _replay(outcomes, chunk_rows: int):
         fold(view)
 
     recorder.summary.fold = keep_and_fold
-    rows = [recorder.register(outcome.request_id, outcome.client_id,
-                              outcome.send_time, outcome.inferences)
-            for outcome in outcomes]
-    for row, outcome in zip(rows, outcomes):
-        _write(recorder.columns, row, outcome)
+    issued = zip(table.request_id.tolist(), table.client_id.tolist(),
+                 table.send_time.tolist(), table.inferences.tolist())
+    rows = [recorder.register(*values) for values in issued]
+    served = {name: getattr(table, name).tolist() for name in SERVED_COLUMNS}
+    stages = {stage: table.stage_column(stage).tolist()
+              for stage in Stage.ORDER}
+    row_errors = errors(table)
+    for index, row in enumerate(rows):
+        columns = recorder.columns
+        for name, values in served.items():
+            getattr(columns, name)[row] = values[index]
+        for stage, values in stages.items():
+            columns.stages[stage][row] = values[index]
+        if row_errors[index]:
+            columns.errors[row] = row_errors[index]
         recorder.commit(row)
     # Every replayed row is committed, so finalize fails none of them.
     recorder.finalize(horizon=0.0)
@@ -174,8 +177,7 @@ class TestChunkRingEquality:
                                                       chunk_rows):
         result, _deployment = reference_result
         table = result.rows
-        chunks = [chunk for _hash, chunk in
-                  _replay(table.to_outcomes(), chunk_rows)]
+        chunks = [chunk for _hash, chunk in _replay(table, chunk_rows)]
         full, tail = divmod(table.count, chunk_rows)
         assert ([chunk.count for chunk in chunks]
                 == [chunk_rows] * full + ([tail] if tail else []))
@@ -185,9 +187,8 @@ class TestChunkRingEquality:
                                      for chunk in chunks])
             assert joined.dtype == expected.dtype, name
             assert joined.tobytes() == expected.tobytes(), name
-        assert ([error for chunk in chunks
-                 for error in chunk.error_strings()]
-                == table.error_strings())
+        assert ([error for chunk in chunks for error in errors(chunk)]
+                == errors(table))
 
     def test_sealed_chunks_survive_packed_round_trip(self,
                                                      reference_result):
@@ -195,7 +196,7 @@ class TestChunkRingEquality:
         ships it, keeps the chunk's hash at fold time and answers as the
         chunk's rows do."""
         result, _deployment = reference_result
-        folded = _replay(result.rows.to_outcomes(), chunk_rows=256)
+        folded = _replay(result.rows, chunk_rows=256)
         assert sum(chunk.count for _hash, chunk in folded) == (
             result.rows.count)
         for fold_hash, chunk in folded:

@@ -586,7 +586,7 @@ class TestSweepReplication:
 
 
 # ---------------------------------------------------------------------------
-# Constraint hook and deterministic subsampling
+# Constraint hook
 # ---------------------------------------------------------------------------
 
 class TestSweepConstraint:
@@ -639,65 +639,8 @@ class TestSweepConstraint:
         assert frame.meta["constrained_out"] == {"con-exec": 1}
 
 
-class TestSweepSampling:
-    def _grid(self, **kwargs):
-        return Sweep(name="s", base=_base(),
-                     axes={"memory_gb": (2.0, 4.0, 8.0),
-                           "batch_size": (1, 2, 4)}, **kwargs)
-
-    def test_random_sample_is_deterministic(self):
-        first = self._grid(sample=4, sample_seed=9).expand()
-        second = self._grid(sample=4, sample_seed=9).expand()
-        assert [c.spec.cell_key for c in first.cells] == \
-            [c.spec.cell_key for c in second.cells]
-        assert len(first.cells) == 4
-        assert first.sampled_out == 5
-
-    def test_different_sample_seed_changes_the_draw(self):
-        draws = {tuple(c.spec.cell_key
-                       for c in self._grid(sample=4,
-                                           sample_seed=seed).expand().cells)
-                 for seed in range(6)}
-        assert len(draws) > 1
-
-    def test_sample_larger_than_grid_is_a_noop(self):
-        expansion = self._grid(sample=50).expand()
-        assert len(expansion.cells) == 9
-        assert expansion.sampled_out == 0
-
-    def test_lhs_stratifies_every_axis(self):
-        expansion = self._grid(sample=3, sample_method="lhs",
-                               sample_seed=2).expand()
-        assert len(expansion.cells) == 3
-        # 3 samples over 3-value axes: LHS hits each axis value once.
-        assert sorted(c.labels["memory_gb"] for c in expansion.cells) == \
-            [2.0, 4.0, 8.0]
-        assert sorted(c.labels["batch_size"] for c in expansion.cells) == \
-            [1, 2, 4]
-
-    def test_lhs_tops_up_after_constraint_holes(self):
-        sweep = self._grid(sample=5, sample_method="lhs", sample_seed=2,
-                           where=lambda labels: labels["batch_size"] < 4)
-        expansion = sweep.expand()
-        assert len(expansion.cells) == 5
-        assert all(c.labels["batch_size"] < 4 for c in expansion.cells)
-
-    def test_lhs_requires_axes(self):
-        explicit = Sweep.from_specs("lib", [get_scenario("burst-storm")])
-        with pytest.raises(ValueError, match="lhs"):
-            Sweep(name="s", base=_base(),
-                  explicit_cells=explicit.explicit_cells,
-                  sample=1, sample_method="lhs")
-
-    def test_invalid_sampling_rejected(self):
-        with pytest.raises(ValueError, match="sample must be"):
-            self._grid(sample=0)
-        with pytest.raises(ValueError, match="sample_method"):
-            self._grid(sample=2, sample_method="halton")
-
-
 # ---------------------------------------------------------------------------
-# Grouped reductions: group_by / replicate_summary / concat
+# Grouped reductions: group_by / replicate_summary
 # ---------------------------------------------------------------------------
 
 class TestGroupedReductions:
@@ -760,32 +703,6 @@ class TestGroupedReductions:
     def test_replicate_summary_is_identity_without_replicates(self):
         frame = ResultFrame.from_rows([{"cell": "a", "x": 1.0}])
         assert frame.replicate_summary() is frame
-
-    def test_concat_unions_columns_and_labels(self):
-        left = ResultFrame.from_rows([{"a": 1, "x": 1.0}], name="l",
-                                     meta={"labels": ["a"]})
-        right = ResultFrame.from_rows([{"a": 2, "y": 3.0}], name="r",
-                                      meta={"labels": ["a"]})
-        both = ResultFrame.concat([left, right])
-        assert both.columns == ["a", "x", "y"]
-        assert len(both) == 2
-        assert both.row(0)["y"] is None and both.row(1)["x"] is None
-        assert both.meta["labels"] == ["a"]
-        assert both.name == "l+r"
-
-    def test_concat_of_replicated_frames_still_summarises(self):
-        rows = [{"cell": "a", "replicate": r, "seed": 7 + r, "x": float(r)}
-                for r in range(2)]
-        meta = {"labels": ["cell", "replicate", "seed"]}
-        one = ResultFrame.from_rows(rows, meta=meta)
-        rows_b = [dict(row, cell="b") for row in rows]
-        two = ResultFrame.from_rows(rows_b, meta=meta)
-        summary = ResultFrame.concat([one, two]).replicate_summary()
-        assert list(summary["cell"]) == ["a", "b"]
-        assert list(summary["replicates"]) == [2, 2]
-
-    def test_concat_empty_input(self):
-        assert len(ResultFrame.concat([])) == 0
 
 
 # ---------------------------------------------------------------------------

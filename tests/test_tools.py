@@ -118,12 +118,6 @@ class TestAdaptiveBatching:
         fast = policy.decide(200.0).batch_size
         assert fast >= slow
 
-    def test_decision_schedule(self):
-        policy = AdaptiveBatchingPolicy(provider="aws", model="mobilenet",
-                                        runtime="ort1.4", latency_slo_s=0.5)
-        schedule = policy.decision_schedule([5.0, 50.0, 150.0])
-        assert len(schedule) == 3
-
     def test_validation(self):
         with pytest.raises(ValueError):
             AdaptiveBatchingPolicy(provider="aws", model="vgg",
@@ -299,58 +293,6 @@ class TestDecomposedEstimator:
             self._decomposed(gcp_estimator, on_gcp).total)
         assert analytic_objective(on_gcp) != pytest.approx(
             self._decomposed(estimator, on_gcp).total)
-
-    def _annotated_frame(self, specs):
-        from repro.core.study import ResultFrame
-        rows = [{**spec.as_row(), "cost_usd": 1.0} for spec in specs]
-        frame = ResultFrame.from_rows(rows, name="dec", specs=specs)
-        return CostEstimator.annotate_frame(frame)
-
-    def test_annotate_frame_decomposed_columns(self, estimator):
-        specs = [self._scenario(name=f"dec/{memory}", memory_gb=memory)
-                 for memory in (2.0, 4.0, 8.0)]
-        frame = self._annotated_frame(specs)
-        for name in ("est_cost_usd", "est_transfer_usd", "est_memory_usd",
-                     "est_fanout", "est_carbon_kg"):
-            assert name in frame.columns, name
-        for row, spec in zip(frame.to_rows(), specs):
-            estimate = self._decomposed(estimator, spec)
-            assert row["est_cost_usd"] == pytest.approx(estimate.total)
-            assert row["est_transfer_usd"] == pytest.approx(
-                estimate.transfer_cost)
-            assert row["est_memory_usd"] == pytest.approx(
-                estimate.memory_cost)
-            assert row["est_fanout"] == pytest.approx(estimate.fanout)
-            assert row["est_carbon_kg"] == pytest.approx(estimate.carbon_kg)
-            # Explicit components never exceed the blended total.
-            assert (row["est_transfer_usd"] + row["est_memory_usd"]
-                    < row["est_cost_usd"])
-
-    def test_annotate_frame_ranking_stable_across_equivalent_frames(self):
-        specs = [self._scenario(name=f"dec/{memory}", memory_gb=memory)
-                 for memory in (2.0, 4.0, 8.0)]
-        forward = self._annotated_frame(specs)
-        backward = self._annotated_frame(list(reversed(specs)))
-
-        def ranking(frame):
-            return [row["scenario"] for row in sorted(
-                frame.to_rows(),
-                key=lambda row: (row["est_cost_usd"], row["scenario"]))]
-
-        assert ranking(forward) == ranking(backward)
-
-    def test_annotate_frame_server_rows_are_none(self):
-        from repro.core.scenario import ScenarioSpec
-        specs = [self._scenario(),
-                 ScenarioSpec(name="dec/server", provider="aws",
-                              model="mobilenet", workload="w-40",
-                              platform="cpu_server")]
-        frame = self._annotated_frame(specs)
-        rows = frame.to_rows()
-        assert rows[0]["est_cost_usd"] is not None
-        for name in ("est_cost_usd", "est_transfer_usd", "est_memory_usd",
-                     "est_fanout", "est_carbon_kg"):
-            assert rows[1][name] is None, name
 
 
 class TestNavigatorEmptyPrefilter:

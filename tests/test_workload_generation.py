@@ -11,29 +11,7 @@ from repro.workload.generator import (
     standard_workload,
     standard_workload_specs,
 )
-from repro.workload.mmpp import MMPP, MMPPState, PoissonProcess
-
-
-class TestPoissonProcess:
-    def test_rate_validation(self):
-        with pytest.raises(ValueError):
-            PoissonProcess(-1.0)
-
-    def test_zero_rate_no_arrivals(self):
-        process = PoissonProcess(0.0)
-        assert process.sample(0, 100, np.random.default_rng(0)).size == 0
-
-    def test_mean_count_near_expectation(self):
-        process = PoissonProcess(10.0)
-        rng = np.random.default_rng(1)
-        counts = [process.sample(0, 100, rng).size for _ in range(30)]
-        assert np.mean(counts) == pytest.approx(1000, rel=0.05)
-
-    def test_arrivals_sorted_and_in_window(self):
-        process = PoissonProcess(5.0)
-        arrivals = process.sample(10, 20, np.random.default_rng(2))
-        assert np.all(np.diff(arrivals) >= 0)
-        assert np.all((arrivals >= 10) & (arrivals < 20))
+from repro.workload.mmpp import MMPP, MMPPState
 
 
 class TestMMPP:
@@ -61,21 +39,39 @@ class TestMMPP:
         names = [state.name for _, _, state in timeline]
         assert all(a != b for a, b in zip(names, names[1:]))
 
-    def test_expected_count_matches_rates(self):
-        mmpp = MMPP.two_state(10, 0.0001, 100, 0.0001)
-        state = mmpp.states[0]
-        timeline = [(0.0, 100.0, state)]
-        assert MMPP.expected_count(timeline) == pytest.approx(1000)
+    @pytest.mark.parametrize("total", [0, 1, 1000])
+    def test_conditioned_arrivals_hit_the_total_in_order(self, total):
+        mmpp = MMPP.two_state(5, 50, 30, 20)
+        trace = mmpp.sample_arrivals_conditioned(
+            300.0, np.random.default_rng(total), total)
+        assert trace.count == total
+        assert np.all(np.diff(trace.times) >= 0)
+        assert np.all((trace.times >= 0.0) & (trace.times < 300.0))
 
-    def test_rate_scale_scales_arrivals(self):
-        mmpp = MMPP.two_state(10, 40, 30, 30)
-        rng = np.random.default_rng(3)
-        timeline = mmpp.sample_state_timeline(300, rng)
-        base = mmpp.sample_arrivals(300, np.random.default_rng(4),
-                                    timeline=timeline).count
-        doubled = mmpp.sample_arrivals(300, np.random.default_rng(4),
-                                       timeline=timeline, rate_scale=2.0).count
-        assert doubled == pytest.approx(2 * base, rel=0.15)
+    def test_conditioned_arrivals_follow_the_intensity(self):
+        low, high = MMPPState("low", 1.0, 10.0), MMPPState("high", 9.0, 10.0)
+        trace = MMPP([low, high]).sample_arrivals_conditioned(
+            200.0, np.random.default_rng(5), 10_000,
+            timeline=[(0.0, 100.0, low), (100.0, 200.0, high)])
+        in_high = int((trace.times >= 100.0).sum())
+        assert in_high == pytest.approx(9_000, rel=0.03)
+
+    def test_conditioned_arrivals_on_a_zero_intensity_timeline(self):
+        idle = MMPPState("idle", 0.0, 10.0)
+        mmpp = MMPP([idle, idle])
+        timeline = [(0.0, 100.0, idle)]
+        rng = np.random.default_rng(0)
+        empty = mmpp.sample_arrivals_conditioned(100.0, rng, 0,
+                                                 timeline=timeline)
+        assert empty.count == 0
+        with pytest.raises(ValueError):
+            mmpp.sample_arrivals_conditioned(100.0, rng, 5, timeline=timeline)
+
+    def test_conditioned_arrivals_reject_a_negative_total(self):
+        mmpp = MMPP.two_state(5, 50, 30, 20)
+        with pytest.raises(ValueError):
+            mmpp.sample_arrivals_conditioned(100.0, np.random.default_rng(0),
+                                             -1)
 
 
 class TestWorkloadSpecs:
@@ -139,12 +135,6 @@ class TestGeneratedWorkloads:
     def test_unknown_name(self):
         with pytest.raises(KeyError):
             standard_workload("w-999")
-
-    def test_workload_subsample(self):
-        workload = standard_workload("w-40", seed=1, scale=0.2)
-        thinned = workload.subsampled(0.5, seed=1)
-        assert thinned.count < workload.count
-        assert len(thinned.client_traces) == 8
 
     @given(st.floats(min_value=0.05, max_value=1.0),
            st.integers(min_value=0, max_value=50))

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.sim import RandomStreams
 from repro.workload.requests import RequestPool, RequestTemplate
 
 
@@ -35,12 +34,6 @@ class TestRequestPool:
         batched_mean = np.mean([t.payload_mb for t in batched.templates])
         single_mean = np.mean([t.payload_mb for t in single.templates])
         assert batched_mean == pytest.approx(4 * single_mean)
-
-    def test_pick_is_uniform_ish(self):
-        pool = RequestPool(sample_payload_mb=0.1, pool_size=10, seed=2)
-        rng = RandomStreams(3)
-        picks = [pool.pick(rng).index for _ in range(500)]
-        assert set(picks) == set(range(10))
 
     def test_validation(self):
         with pytest.raises(ValueError):
