@@ -48,6 +48,18 @@ def perfbench():
 
 
 @pytest.fixture(scope="module")
+def tracing():
+    """perfbench's ``tracing`` module, imported from its own directory."""
+    saved = list(sys.path)
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import tracing as module
+    finally:
+        sys.path[:] = saved
+    return module
+
+
+@pytest.fixture(scope="module")
 def results(tiny_w40):
     """A result with rows and a streamed result of one retried cell, and
     a run-cache result with its uncached twin (which keeps rows)."""
@@ -113,3 +125,39 @@ class TestPerfbenchReadSurface:
         spilled = int((uncached.served_by == SERVED_BY_SPILL).sum())
         assert spilled > 0
         assert counts["spilled"] == pytest.approx(spilled)
+
+
+class TestLayerTraceSurface:
+    """``perfbench/tracing.py`` wraps each layer's entry points by name
+    (it reads ``owner.__dict__[name]``), so every name it patches must
+    live on that owner, and uninstalling puts every original back."""
+
+    def test_install_wraps_and_uninstall_restores(self, tracing):
+        from repro.core.executor import Executor
+        from repro.sim.randomness import RandomStreams
+
+        watched = [(ServingBenchmark, "run"), (Executor, "execute"),
+                   *((RandomStreams, name) for name in tracing.RNG_DRAWS)]
+        originals = [owner.__dict__[name] for owner, name in watched]
+        trace = tracing.LayerTrace().install()
+        try:
+            for (owner, name), original in zip(watched, originals):
+                assert owner.__dict__[name] is not original, name
+        finally:
+            trace.uninstall()
+        for (owner, name), original in zip(watched, originals):
+            assert owner.__dict__[name] is original, name
+
+    def test_a_traced_cell_counts_each_layer(self, tracing, tiny_w40):
+        deployment = Planner().plan("aws", "mobilenet", "tf1.15",
+                                    "serverless")
+        trace = tracing.LayerTrace().install()
+        try:
+            result = ServingBenchmark(seed=SEED).run(deployment, tiny_w40)
+        finally:
+            trace.uninstall()
+        assert trace.get("serving.commits") == result.total_requests
+        assert trace.get("rng.draws") > 0
+        for key in ("cell_s", "executor.execute_s", "platform.build_s",
+                    "platform.finalize_s", "serving.table_s"):
+            assert trace.get(key) > 0, key

@@ -356,6 +356,55 @@ class TestLateAndPartialCommits:
         assert table.completion_time[0] != table.completion_time[0]  # NaN
 
 
+#: The dtype of every per-row column a run's table holds.
+ROW_DTYPES = {"request_id": np.int64, "client_id": np.int32,
+              "send_time": np.float64, "completion_time": np.float64,
+              "success": np.bool_, "cold_start": np.bool_,
+              "instance_id": np.int64, "billed_duration_s": np.float64,
+              "inferences": np.int32, "error_code": np.int16,
+              "attempts": np.int32, "served_by": np.int8}
+
+
+class TestRowsStayColumnar:
+    """Serving writes outcome rows in place: whatever layers a request
+    path stacks, a run's rows come back as typed numpy columns with one
+    entry per request, and the run's summary is their fold."""
+
+    @pytest.mark.parametrize("cell", [
+        "serverless", "managed_ml", "failover-crash", "hybrid-burst",
+        "batched-retried"])
+    def test_a_run_returns_typed_columns(self, cell):
+        from repro.api import run
+        from repro.core.scenario import get_scenario, list_scenarios
+
+        workload = standard_workload("w-40", seed=SEED, scale=0.05)
+        planner = Planner()
+        if cell in list_scenarios():
+            result = run(get_scenario(cell), seed=SEED, scale=0.05)
+        elif cell == "batched-retried":
+            deployment = planner.plan(
+                "aws", "mobilenet", "tf1.15", "serverless", batch_size=4,
+                request_error_rate=0.1, retry_attempts=3)
+            result = ServingBenchmark(seed=SEED).run(deployment, workload)
+            assert result.table.attempts_mean() > 1.0
+        else:
+            deployment = planner.plan("aws", "mobilenet", "tf1.15", cell)
+            result = ServingBenchmark(seed=SEED).run(deployment, workload)
+        rows = result.rows
+        assert rows.count == result.total_requests > 0
+        for name, dtype in ROW_DTYPES.items():
+            column = getattr(rows, name)
+            assert isinstance(column, np.ndarray), name
+            assert column.dtype == dtype and column.shape == (rows.count,), \
+                name
+        for stage in Stage.ORDER:
+            column = rows.stage_column(stage)
+            assert column.dtype == np.float64, stage
+            assert column.shape == (rows.count,), stage
+        assert (OutcomeSummary.of_table(rows).column_hash()
+                == result.table.column_hash())
+
+
 class TestObjectViewConsistency:
     def test_metrics_match_object_view(self, w40_cell):
         """The summary's reductions agree with plain Python over the rows."""

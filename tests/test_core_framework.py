@@ -189,6 +189,23 @@ class TestAnalyzer:
             "E2E (cs)", "import", "download", "load", "predict (cs)",
             "E2E (wu)", "predict (wu)"}
 
+    def test_summarize_extends_each_result_row(self, bench, planner,
+                                               tiny_w40, sample_result):
+        gpu = bench.run(
+            planner.plan("aws", "mobilenet", "tf1.15", "gpu_server"), tiny_w40)
+        analyzer = Analyzer()
+        for result in (gpu, sample_result):
+            summary = analyzer.summarize(result)
+            row = result.as_row()
+            assert {name: summary[name] for name in row} == row
+            stats = result.latency_stats()
+            assert summary["p50_latency_s"] == round(stats.p50, 4)
+            assert summary["p99_latency_s"] == round(stats.p99, 4)
+            assert summary["cold_start_ratio"] == round(
+                result.cold_start_ratio, 4)
+        assert analyzer.summarize(gpu)["platform"] == "gpu_server"
+        assert analyzer.summarize(gpu)["cold_start_ratio"] == 0.0
+
     def test_speedup_and_cost_ratio(self, sample_result):
         analyzer = Analyzer()
         assert analyzer.speedup(sample_result, sample_result) == pytest.approx(1.0)

@@ -85,6 +85,31 @@ class TestClockAndTimeouts:
         env.run()
         assert seen == ["payload"]
 
+    def test_run_on_an_empty_calendar_returns_at_once(self, env):
+        env.run()
+        assert env.now == 0.0
+        assert env.events_processed == 0
+
+    def test_run_until_on_an_empty_calendar_moves_the_clock(self, env):
+        env.run(until=4.0)
+        assert env.now == 4.0
+        assert env.events_processed == 0
+
+    def test_run_until_runs_an_event_due_at_until(self, env):
+        fired = []
+        env.timeout(4.0).callbacks.append(lambda _event: fired.append(env.now))
+        env.run(until=4.0)
+        assert fired == [4.0]
+        assert env.events_processed == 1
+
+    def test_run_resumes_the_calendar_after_until(self, env):
+        fired = []
+        env.timeout(4.0).callbacks.append(lambda _event: fired.append(env.now))
+        env.run(until=2.0)
+        assert fired == [] and env.now == 2.0
+        env.run()
+        assert fired == [4.0] and env.now == 4.0
+        assert env.events_processed == 1
 
 
 class TestEvents:

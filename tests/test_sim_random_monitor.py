@@ -56,6 +56,16 @@ class TestRandomStreams:
         assert values <= {0, 1, 2, 3, 4}
         assert len(values) > 1
 
+    def test_choice_covers_every_index(self):
+        streams = RandomStreams(3)
+        picked = {streams.choice("pick", 10) for _ in range(500)}
+        bound = streams.choice_draw("bound", 10)
+        assert picked == {bound() for _ in range(500)} == set(range(10))
+
+    def test_distinct_seeds_change_draws(self):
+        assert (RandomStreams(7).uniform("x", 0, 1)
+                != RandomStreams(8).uniform("x", 0, 1))
+
     @pytest.mark.parametrize("block_size", [1, 3, 1024])
     def test_draw_count_covers_every_draw_path(self, block_size):
         """``draws`` counts served variates, whichever path served them."""
@@ -123,3 +133,18 @@ class TestGauge:
         assert gauge.value == 3.0
         assert gauge.history.times == [0.0, 5.0]
         assert gauge.history.values == [1.0, 3.0]
+
+    def test_gauge_adds_from_its_initial_value(self):
+        gauge = GaugeMonitor("queue", initial=2.0)
+        assert gauge.value == 2.0 and len(gauge.history) == 0
+        gauge.add(1.0, 3.0)
+        gauge.add(2.0, -1.0)
+        assert gauge.value == 4.0
+        assert gauge.history.resample([0.5, 1.0, 2.5]) == [0.0, 5.0, 4.0]
+
+    def test_gauge_rejects_out_of_order_changes(self):
+        gauge = GaugeMonitor("instances")
+        gauge.set(5.0, 1.0)
+        with pytest.raises(ValueError):
+            gauge.set(1.0, 2.0)
+        assert gauge.history.times == [5.0]

@@ -620,6 +620,35 @@ class TestSweepConstraint:
         with pytest.raises(ValueError, match="callable"):
             Sweep(name="c", base=_base(), where=True)
 
+    @staticmethod
+    def _grid(**kwargs):
+        return Sweep(name="c", base=_base(),
+                     axes={"memory_gb": (2.0, 4.0, 8.0),
+                           "batch_size": (1, 2, 4)}, **kwargs)
+
+    def test_where_keeps_grid_order(self):
+        grid = [c.labels for c in self._grid().expand().cells]
+        expansion = self._grid(
+            where=lambda labels: labels["batch_size"] != 2).expand()
+        assert [c.labels for c in expansion.cells] == [
+            labels for labels in grid if labels["batch_size"] != 2]
+        assert list(expansion.dropped) == [
+            labels for labels in grid if labels["batch_size"] == 2]
+
+    def test_where_sees_each_grid_point_once_before_replication(self):
+        seen = []
+
+        def keep(labels):
+            seen.append(dict(labels))
+            return labels["memory_gb"] > 2.0
+
+        expansion = self._grid(where=keep, replicates=2).expand()
+        assert len(seen) == 9
+        assert all(set(labels) == {"memory_gb", "batch_size"}
+                   for labels in seen)
+        assert len(expansion.cells) == 12
+        assert [c.spec.seed for c in expansion.cells[:2]] == [7, 8]
+
     def test_constraint_applies_before_replication(self):
         sweep = Sweep(
             name="c", base=_base(), axes={"memory_gb": (2.0, 4.0)},

@@ -118,6 +118,18 @@ class TestAdaptiveBatching:
         fast = policy.decide(200.0).batch_size
         assert fast >= slow
 
+    def test_decision_is_the_largest_size_within_the_slo(self):
+        policy = AdaptiveBatchingPolicy(provider="aws", model="mobilenet",
+                                        runtime="ort1.4", latency_slo_s=0.5)
+        for rate in (5.0, 50.0, 150.0):
+            decision = policy.decide(rate)
+            fitting = [size for size in policy.candidate_sizes
+                       if policy.expected_latency(size, rate) <= 0.5]
+            assert decision.batch_size == max(fitting, default=1), rate
+            assert decision.expected_latency_s == policy.expected_latency(
+                decision.batch_size, rate)
+            assert decision.request_rate == rate
+
     def test_validation(self):
         with pytest.raises(ValueError):
             AdaptiveBatchingPolicy(provider="aws", model="vgg",

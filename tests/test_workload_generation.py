@@ -39,6 +39,14 @@ class TestMMPP:
         names = [state.name for _, _, state in timeline]
         assert all(a != b for a, b in zip(names, names[1:]))
 
+    def test_timeline_starts_in_the_initial_state(self):
+        mmpp = MMPP.two_state(5, 50, 30, 20)
+        rng = np.random.default_rng(0)
+        timeline = mmpp.sample_state_timeline(100.0, rng, initial_state=1)
+        assert timeline[0][2].name == "high"
+        with pytest.raises(ValueError):
+            mmpp.sample_state_timeline(0.0, rng)
+
     @pytest.mark.parametrize("total", [0, 1, 1000])
     def test_conditioned_arrivals_hit_the_total_in_order(self, total):
         mmpp = MMPP.two_state(5, 50, 30, 20)
@@ -55,6 +63,22 @@ class TestMMPP:
             timeline=[(0.0, 100.0, low), (100.0, 200.0, high)])
         in_high = int((trace.times >= 100.0).sum())
         assert in_high == pytest.approx(9_000, rel=0.03)
+
+    def test_conditioned_arrivals_repeat_under_a_seed(self):
+        mmpp = MMPP.two_state(5, 50, 30, 20)
+        first, second = (mmpp.sample_arrivals_conditioned(
+            300.0, np.random.default_rng(11), 500, name="w") for _ in range(2))
+        np.testing.assert_array_equal(first.times, second.times)
+        assert first.name == "w"
+
+    def test_conditioned_arrivals_skip_zero_rate_intervals(self):
+        idle, busy = MMPPState("idle", 0.0, 10.0), MMPPState("busy", 4.0, 10.0)
+        trace = MMPP([idle, busy]).sample_arrivals_conditioned(
+            30.0, np.random.default_rng(2), 200,
+            timeline=[(0.0, 10.0, idle), (10.0, 20.0, busy),
+                      (20.0, 30.0, idle)])
+        assert trace.count == 200
+        assert np.all((trace.times >= 10.0) & (trace.times < 20.0))
 
     def test_conditioned_arrivals_on_a_zero_intensity_timeline(self):
         idle = MMPPState("idle", 0.0, 10.0)

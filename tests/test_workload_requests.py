@@ -35,6 +35,17 @@ class TestRequestPool:
         single_mean = np.mean([t.payload_mb for t in single.templates])
         assert batched_mean == pytest.approx(4 * single_mean)
 
+    def test_pool_repeats_under_a_seed(self):
+        def payloads(seed):
+            pool = RequestPool(sample_payload_mb=0.1, pool_size=10, seed=seed)
+            return [template.payload_mb for template in pool.templates]
+
+        assert payloads(2) == payloads(2)
+        assert payloads(2) != payloads(3)
+        pool = RequestPool(sample_payload_mb=0.1, pool_size=10, seed=2)
+        assert [template.index for template in pool.templates] == list(
+            range(10))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             RequestPool(sample_payload_mb=0.1, pool_size=0)

@@ -45,6 +45,34 @@ class TestArrivalTrace:
         trace = make_trace([0.1, 0.2, 0.3, 5.0])
         assert trace.peak_rate(1.0) == 3.0
 
+    def test_two_dimensional_times_rejected(self):
+        with pytest.raises(ValueError):
+            ArrivalTrace(np.zeros((2, 2)))
+
+    def test_rate_series_pads_to_the_given_duration(self):
+        trace = make_trace([0.5, 1.5])
+        times, rates = trace.rate_series(1.0, duration=5.0)
+        assert times.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
+        assert rates.tolist() == [1.0, 1.0, 0.0, 0.0, 0.0]
+
+    def test_rate_series_divides_counts_by_the_bin_width(self):
+        trace = make_trace([0.1, 0.2, 0.3, 2.5])
+        times, rates = trace.rate_series(2.0)
+        assert times.tolist() == [0.0, 2.0]
+        assert rates.tolist() == [1.5, 0.5]
+
+    def test_arrivals_all_at_time_zero_fill_one_bin(self):
+        trace = make_trace([0.0, 0.0, 0.0])
+        times, rates = trace.rate_series(1.0)
+        assert times.tolist() == [0.0]
+        assert rates.tolist() == [3.0]
+        assert trace.peak_rate() == 3.0
+        assert trace.mean_rate == 0.0
+
+    def test_rate_series_rejects_a_non_positive_bin(self):
+        with pytest.raises(ValueError):
+            make_trace([1.0]).rate_series(0.0)
+
     def test_summary_keys(self):
         summary = make_trace([0.0, 1.0]).summary()
         assert {"name", "requests", "duration_s", "mean_rate",
