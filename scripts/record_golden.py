@@ -28,6 +28,9 @@ More groups pin the subsystems the base cells never reach:
   request ids skip the batch carriers' ids, the SLO / availability /
   recovery and hybrid-path columns), each pinned by a SHA-256 over its
   unrounded ``to_rows()`` (see :func:`frame_digest`);
+* ``series`` — the latency timelines of the timeline figures (6, 8, 9),
+  each study's named series pinned by a SHA-256 over ``frame.series``
+  (see :func:`series_digest`);
 * ``fidelity`` — one short-horizon ``with_fidelity`` cell, pinned by
   column hash and cost.
 
@@ -121,8 +124,18 @@ FRAMES = {
     "fig10": 0.03,
     "fig14": 0.03,
     "fig17": 0.02,
+    "chaos-recovery": 0.1,
     "failover-recovery": 0.1,
     "hybrid-economics": 0.02,
+}
+
+#: Study series pinned by :func:`series_digest`, each at its own context
+#: scale, over both providers (the timeline figures' panels span them),
+#: serial.
+SERIES = {
+    "fig06": 0.1,
+    "fig08": 0.1,
+    "fig09": 0.1,
 }
 
 #: The keep-alive cells: aws/mobilenet/tf1.15 serverless on
@@ -151,6 +164,12 @@ FIDELITY_CELL = (ScenarioSpec(name="", provider="aws", model="mobilenet",
 def frame_digest(frame) -> str:
     """SHA-256 over a frame's unrounded rows (JSON, sorted keys)."""
     text = json.dumps(frame.to_rows(), sort_keys=True)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def series_digest(frame) -> str:
+    """SHA-256 over a frame's named series (JSON, sorted keys)."""
+    text = json.dumps(frame.series, sort_keys=True)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
@@ -189,6 +208,7 @@ def record(path: str = OUTPUT) -> dict:
         "streamed": record_streamed(planner),
         "keep_alive": record_keep_alive(planner),
         "frames": record_frames(),
+        "series": record_series(),
         "fidelity": record_fidelity(),
     }
     os.makedirs(os.path.dirname(path), exist_ok=True)
@@ -270,6 +290,19 @@ def record_frames() -> dict:
     return pins
 
 
+def record_series() -> dict:
+    """Pin every study of :data:`SERIES` by :func:`series_digest`."""
+    load_registered_studies()
+    pins = {}
+    for name, scale in SERIES.items():
+        context = ExperimentContext(seed=SEED, scale=scale,
+                                    providers=("aws", "gcp"), workers=0)
+        frame = get_study(name).run(context)
+        pins[name] = {"digest": series_digest(frame),
+                      "series": len(frame.series), "scale": scale}
+    return pins
+
+
 def record_fidelity() -> dict:
     """Pin the short-horizon cell by column hash and cost."""
     base, fidelity, scale = FIDELITY_CELL
@@ -284,7 +317,7 @@ def record_fidelity() -> dict:
 if __name__ == "__main__":
     payload = record()
     for group in ("cells", "scenarios", "streamed", "keep_alive", "frames",
-                  "fidelity"):
+                  "series", "fidelity"):
         for key, entry in payload[group].items():
             digest = entry.get("column_hash", entry.get("digest"))
             print(f"{digest[:16]}  {key}")
@@ -293,4 +326,5 @@ if __name__ == "__main__":
           f"{len(payload['streamed'])} streamed, "
           f"{len(payload['keep_alive'])} keep-alive, "
           f"{len(payload['frames'])} frames, "
+          f"{len(payload['series'])} series, "
           f"{len(payload['fidelity'])} fidelity)")

@@ -20,8 +20,8 @@ Three layers of guarantees:
   ``events_processed``, four serverless cells whose keep-alives expire
   (a 5 s keep-alive, with provisioned instances, crashes and a storm)
   by column hash, cost, instances created and ``events_processed``,
-  and pins the study frames' unrounded rows (every summary reduction)
-  and one short-horizon fidelity cell.
+  pins the study frames' unrounded rows (every summary reduction) and
+  the timeline figures' series, and one short-horizon fidelity cell.
 * **Summaries**: on every pinned cell, the whole-table
   :class:`~repro.serving.streaming.OutcomeSummary`, the one reducer,
   answers every reduction exactly as the row-level numpy references
@@ -621,6 +621,21 @@ class TestGoldenFrames:
         # JSON with sorted keys (floats print round-trip exact).
         text = json.dumps(frame.to_rows(), sort_keys=True)
         assert len(frame) == expected["rows"]
+        assert (hashlib.sha256(text.encode("utf-8")).hexdigest()
+                == expected["digest"])
+
+    @pytest.mark.parametrize("name", sorted(_GOLDEN["series"]))
+    def test_series_reproduce_pin(self, name):
+        expected = _GOLDEN["series"][name]
+        load_registered_studies()
+        context = ExperimentContext(seed=_GOLDEN["seed"],
+                                    scale=expected["scale"],
+                                    providers=("aws", "gcp"), workers=0)
+        frame = get_study(name).run(context)
+        # Same encoding as scripts/record_golden.py: the named series as
+        # JSON with sorted keys.
+        text = json.dumps(frame.series, sort_keys=True)
+        assert len(frame.series) == expected["series"]
         assert (hashlib.sha256(text.encode("utf-8")).hexdigest()
                 == expected["digest"])
 
