@@ -591,7 +591,10 @@ def run_cache_probe() -> dict:
     hold per cell: each summary's ``OutcomeSummary.resident_bytes``,
     plus ``OutcomeTable.resident_bytes`` of any rows a result kept (a
     cell reduced where it finishes keeps none) — an exact,
-    host-independent count, gated exactly by ``--check``.
+    host-independent count, gated exactly by ``--check``.  ``fig05``
+    declares no ``reads``, so its cells keep none of their row-order
+    arrays either: 216 bytes per cell, all fixed-size sums and counts
+    (14,374 while every cached summary kept those arrays).
     """
     from repro.core.study import get_study  # noqa: E402
     from repro.experiments.base import (  # noqa: E402

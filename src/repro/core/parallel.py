@@ -16,22 +16,24 @@ order (``Executor.map`` preserves submission order).
 Every cell is reduced where it finishes: :func:`run_cells` returns
 :meth:`~repro.core.results.RunResult.reduced` results, which keep their
 whole-table :class:`~repro.serving.streaming.OutcomeSummary` and drop
-their rows — in the worker before transport, or in-process right after
-a serial cell simulates.  No outcome table outlives its cell, and every
-reduction a study reads is the summary's, exact.
+their rows and the summary's row-order arrays, keeping only the SLO
+and timeline answers the caller's ``reads`` declares — in the worker
+before transport, or in-process right after a serial cell simulates.
+No outcome table outlives its cell, and every reduction a study reads
+is the summary's, exact.
 
 Transport is kept lean in both directions:
 
 * **parent -> worker**: the benchmark and the (deduplicated) workloads —
   the heavy shared state — ship **once per worker** via the pool
   initializer; each task payload is then just a deployment, a workload
-  index, a scale and a seed.
+  index, a scale, a seed and the declared reads.
 * **worker -> parent**: workers return
   :meth:`~repro.core.results.RunResult.to_transport` payloads — the
-  summary's fields (a few fixed-size counters plus 16 bytes per
-  successful request and 8 per failed one) and small dicts — and the
-  parent reattaches its own deployment object.  Payloads with at least
-  a megabyte of array data skip the pickle pipe entirely: the worker
+  summary's fields (fixed-size counters and sums, plus one timeline
+  per declared width) and small dicts — and the parent reattaches its
+  own deployment object.  Payloads with at least a megabyte of array
+  data skip the pickle pipe entirely: the worker
   lifts the arrays into a :mod:`multiprocessing.shared_memory` segment
   (see :mod:`repro.core.shm`) and ships only descriptors; the parent
   copies the arrays out and unlinks the segment.  The rebuilt payload
@@ -89,49 +91,51 @@ def _init_worker(benchmark: "ServingBenchmark",
     _WORKER_STATE["workloads"] = workloads
 
 
-def _run_cell_pooled(payload: Tuple["Deployment", int, float, object]):
+def _run_cell_pooled(payload: Tuple["Deployment", int, float, object,
+                                    Tuple]):
     """Worker entry point: run one cell against the initializer state."""
-    deployment, workload_index, scale, seed = payload
+    deployment, workload_index, scale, seed, reads = payload
     benchmark: "ServingBenchmark" = _WORKER_STATE["benchmark"]
     workload: "Workload" = _WORKER_STATE["workloads"][workload_index]
     result = benchmark.run(deployment, workload, scale, seed=seed)
     from repro.core.shm import pack_arrays
-    return pack_arrays(result.to_transport())
+    return pack_arrays(result.reduced(reads).to_transport())
 
 
 def run_cells(benchmark: "ServingBenchmark",
               cells: Sequence[Cell],
-              workers: int) -> List["RunResult"]:
+              workers: int, reads: Tuple = ()) -> List["RunResult"]:
     """Run every cell, fanning out over ``workers`` processes.
 
     Each cell is ``(deployment, workload, scale, seed)``; a ``None``
     seed runs at the benchmark's seed.  Results come back
-    :meth:`~repro.core.results.RunResult.reduced`, in the order of
+    :meth:`~repro.core.results.RunResult.reduced` to the answers
+    ``reads`` declares (``Study.reads`` pairs), in the order of
     ``cells``, and are bit-identical to serial execution at any worker
     count.  With ``workers <= 1`` (or a single cell) everything runs
     in-process.
     """
     workers = min(resolve_workers(workers), len(cells))
     if workers <= 1:
-        return [_run_serial(benchmark, cell) for cell in cells]
+        return [_run_serial(benchmark, cell, reads) for cell in cells]
     try:
         from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures.process import BrokenProcessPool
     except ImportError:
-        return [_run_serial(benchmark, cell) for cell in cells]
+        return [_run_serial(benchmark, cell, reads) for cell in cells]
 
     # Deduplicate the shared workloads (by identity: the experiment layer
     # caches and reuses Workload objects) so each ships once per worker.
     workloads: List["Workload"] = []
     indices: Dict[int, int] = {}
-    payloads: List[Tuple["Deployment", int, float, object]] = []
+    payloads: List[Tuple["Deployment", int, float, object, Tuple]] = []
     for deployment, workload, scale, seed in cells:
         index = indices.get(id(workload))
         if index is None:
             index = len(workloads)
             indices[id(workload)] = index
             workloads.append(workload)
-        payloads.append((deployment, index, scale, seed))
+        payloads.append((deployment, index, scale, seed, reads))
 
     futures = []
     failure: Optional[BaseException] = None
@@ -175,10 +179,12 @@ def run_cells(benchmark: "ServingBenchmark",
                       f"{len(unfinished)} of {len(cells)} cells serially",
                       RuntimeWarning, stacklevel=2)
         for index in unfinished:
-            results[index] = _run_serial(benchmark, cells[index])
+            results[index] = _run_serial(benchmark, cells[index], reads)
     return results
 
 
-def _run_serial(benchmark: "ServingBenchmark", cell: Cell) -> "RunResult":
+def _run_serial(benchmark: "ServingBenchmark", cell: Cell,
+                reads: Tuple) -> "RunResult":
     deployment, workload, scale, seed = cell
-    return benchmark.run(deployment, workload, scale, seed=seed).reduced()
+    return benchmark.run(deployment, workload, scale,
+                         seed=seed).reduced(reads)

@@ -10,7 +10,9 @@ Every metric of a :class:`RunResult` reads one
   :attr:`RunResult.rows` for callers that read them;
 * every cell that runs through the run cache (:meth:`~repro.experiments.
   base.ExperimentContext.run_specs`) is :meth:`RunResult.reduced` where
-  it finishes, so the cache and the worker pipe hold its summary alone;
+  it finishes, so the cache and the worker pipe hold its summary alone,
+  and of the summary's row-order arrays only the answers its studies
+  declare (:attr:`~repro.core.study.Study.reads`);
 * trace-scale (streaming) runs carry the summary of the chunks folded
   during the run; their per-request rows never exist at once.
 """
@@ -18,7 +20,7 @@ Every metric of a :class:`RunResult` reads one
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro.core.metrics import LatencyStats
 from repro.platforms.base import PlatformUsage
@@ -54,12 +56,13 @@ class RunResult:
         reductions), not a whole-table one."""
         return self.table.streamed
 
-    def reduced(self) -> "RunResult":
-        """This result without its :attr:`rows`: every metric equals the
-        original's, read off the same summary."""
-        if self.rows is None:
-            return self
-        return replace(self, rows=None)
+    def reduced(self, reads: Iterable[Tuple[str, float]] = ()
+                ) -> "RunResult":
+        """This result without its :attr:`rows`, its summary
+        :meth:`~repro.serving.streaming.OutcomeSummary.reduced` to the
+        answers ``reads`` declares: every metric and every declared
+        answer equals the original's."""
+        return replace(self, rows=None, table=self.table.reduced(reads))
 
     # -- headline metrics -----------------------------------------------------
     @property
@@ -105,7 +108,9 @@ class RunResult:
         and the only piece that is an arbitrary object graph; everything
         else is the summary, as its :meth:`OutcomeSummary.state` dict
         (whose arrays :mod:`repro.core.shm` may lift), and small dicts.
-        The rows stay behind.
+        The rows stay behind; a :meth:`reduced` result's summary ships
+        only its declared answers, a few kilobytes whatever the run's
+        length.
         """
         return (self.workload_name, self.table.state(),
                 self.usage, self.duration_s, self.workload_scale,

@@ -1,10 +1,11 @@
 """Shared-memory column transport for worker results.
 
-Worker-to-parent result payloads are mostly numpy arrays: a cell's
-whole-table :class:`~repro.serving.streaming.OutcomeSummary`, as the
-plain dict of :meth:`~repro.serving.streaming.OutcomeSummary.state`,
-carries its successful requests' send times and latencies and its
-failed requests' send times.  Returning them through the
+Worker-to-parent result payloads carry numpy arrays: a cell's
+:class:`~repro.serving.streaming.OutcomeSummary`, as the plain dict of
+:meth:`~repro.serving.streaming.OutcomeSummary.state`, holds its sums
+and the timelines its study declared (an unreduced whole-table summary
+holds its successful requests' send times and latencies and its failed
+requests' send times instead).  Returning them through the
 ``ProcessPoolExecutor`` result pipe costs two full copies: pickle
 serialises the array bytes into the pipe, and the parent deserialises
 them back out.  This module
@@ -21,10 +22,13 @@ the segment, and leaves everything else untouched, so
 (the transport tests compare every rebuilt array with the original, bit
 for bit).  Payloads whose array bytes fall under the threshold are
 returned unchanged — a shared-memory segment per tiny result would cost
-more than it saves.  At the
-benchmark's scales a summary stays under it (about 160 KB per
-``study-fig05`` cell); cells of the full-length paper workloads cross
-it.
+more than it saves.  A whole-table cell reduced to its declared
+answers ships a few kilobytes whatever its length (about 3 KB per
+``study-fig05`` cell), so no registered study or scenario reaches the
+threshold.  A streamed cell of a day-long trace does (``w-10m`` keeps
+86,400 one-second timeline bins, 1.4 MB), and so do an unreduced
+summary's row-order arrays; the transport tests force the path with
+``REPRO_SHM_MIN_BYTES``.
 
 Set ``REPRO_SHM=0`` to disable the path entirely (workers then return
 plain pickled payloads); any failure to create or map a segment also

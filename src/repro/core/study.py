@@ -53,6 +53,7 @@ import numpy as np
 from repro.core.results import RunResult
 from repro.core.scenario import ScenarioSpec
 from repro.serving.deployment import PlatformKind, ServiceConfig
+from repro.serving.streaming import declared_reads
 
 __all__ = [
     "Sweep",
@@ -950,7 +951,12 @@ class Study:
     :class:`RunResult`; mapping-valued callables expand to several
     columns).  ``series`` maps *name templates* — formatted with the
     cell's labels — to series builders; each cell contributes one named
-    series per entry.
+    series per entry.  ``reads`` declares the row-level answers those
+    read off each cell's summary, as ``("timeline", bin_s)`` and
+    ``("slo", target_s)`` pairs
+    (:func:`~repro.serving.streaming.declared_reads`): the run cache
+    keeps those answers instead of the cells' row-order arrays, and a
+    cell asked for one it was not declared raises ``ValueError``.
 
     Studies are the registerable unit the CLI runs by name::
 
@@ -978,6 +984,7 @@ class Study:
                    Tuple] = ()
     series: Union[Mapping[str, SeriesFn], Tuple] = ()
     notes: Union[Mapping[str, object], Tuple] = ()
+    reads: Tuple[Tuple[str, float], ...] = ()
 
     def __post_init__(self) -> None:
         if isinstance(self.sweeps, Sweep):
@@ -986,6 +993,7 @@ class Study:
         self.metrics = dict(_freeze_items(self.metrics))
         self.series = dict(_freeze_items(self.series))
         self.notes = dict(_freeze_items(self.notes))
+        self.reads = declared_reads(self.reads)
 
     def expansions(self, context=None) -> List[Tuple[Sweep, SweepExpansion]]:
         """Each sweep's full expansion, anchored at the context's seed."""
@@ -1012,16 +1020,18 @@ class Study:
                      sweeps=[sweep.with_replicates(replicates, seeds)
                              for sweep in self.sweeps],
                      title=self.title, metrics=self.metrics,
-                     series=self.series, notes=self.notes)
+                     series=self.series, notes=self.notes,
+                     reads=self.reads)
 
     def run(self, context=None) -> ResultFrame:
         """Execute every cell and assemble the tidy frame.
 
         Every cell runs in one
         :meth:`~repro.experiments.base.ExperimentContext.run_specs`
-        batch: through the context's shared run cache (so studies
-        overlapping on cells — e.g. fig05 and table1 — simulate each
-        cell once) and its parallel fan-out when ``context.workers`` > 1.
+        batch, with this study's ``reads``: through the context's shared
+        run cache (so studies overlapping on cells — e.g. fig05 and
+        table1 — simulate each cell once) and its parallel fan-out when
+        ``context.workers`` > 1.
         Cells whose provider is outside ``context.providers`` are
         dropped first.
 
@@ -1039,7 +1049,7 @@ class Study:
                  if cell.spec.provider in context.providers]
         specs = [cell.spec for cell in cells]
         results = list(zip([cell.labels for cell in cells],
-                           context.run_specs(specs)))
+                           context.run_specs(specs, self.reads)))
         frame = ResultFrame.from_results(
             results, metrics=self.metrics, name=self.name, specs=specs)
         constrained = {sweep.name: len(expansion.dropped)

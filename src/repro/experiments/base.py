@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import importlib
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.analyzer import Analyzer
 from repro.core.benchmark import ServingBenchmark
@@ -121,8 +121,10 @@ class ExperimentContext:
     :func:`~repro.core.parallel.run_cells`.  ``workers`` > 1 fans that
     batch out over that many worker processes (0 or 1 = serial,
     negative = one per core); results are bit-identical either way.
-    The run cache holds whole-table summaries, not outcome tables:
-    callers that read rows run the resolved cell through
+    The run cache holds whole-table summaries, not outcome tables, and
+    of each summary's row-order arrays only the SLO and timeline
+    answers its callers declared (``reads``): callers that read rows
+    run the resolved cell through
     :meth:`~repro.core.benchmark.ServingBenchmark.run` (as
     :func:`repro.api.run` does).
     """
@@ -169,25 +171,35 @@ class ExperimentContext:
                 self.workload(spec.workload, spec.seed, scale),
                 scale, spec.seed)
 
-    def run_specs(self, specs: Iterable[ScenarioSpec]) -> List[RunResult]:
+    def run_specs(self, specs: Iterable[ScenarioSpec],
+                  reads: Tuple = ()) -> List[RunResult]:
         """Run every spec through the run cache; results in spec order.
 
         Specs are deduplicated by ``cell_key``.  Each one not yet cached
         resolves to one :meth:`cell`, and all of them run as one batch,
         over the worker pool when ``workers`` > 1.  The cache keeps each
         result :meth:`~repro.core.results.RunResult.reduced` to its
-        whole-table summary (reduced where the cell finished), never its
-        outcome table.
+        whole-table summary (reduced where the cell finished) with the
+        answers ``reads`` declares (``Study.reads`` pairs), never its
+        outcome table.  A cached cell that lacks one of them runs again
+        with every answer it kept as well: runs are deterministic, so
+        its answers are the ones its rows gave.
         """
         specs = list(specs)
+        union = set(reads)
         pending: Dict[str, Cell] = {}
         for spec in specs:
             key = spec.cell_key
-            if key not in self._runs and key not in pending:
-                pending[key] = self.cell(spec)
+            cached = self._runs.get(key)
+            if key in pending or (cached is not None
+                                  and not cached.table.lacks(reads)):
+                continue
+            if cached is not None:
+                union.update(cached.table.answers)
+            pending[key] = self.cell(spec)
         if pending:
             results = run_cells(self.benchmark, list(pending.values()),
-                                self.workers)
+                                self.workers, tuple(union))
             self._runs.update(zip(pending, results))
         return [self._runs[spec.cell_key] for spec in specs]
 
@@ -230,7 +242,8 @@ def latency_series(bin_s: float):
     """A study series builder: the latency/success timeline of one cell.
 
     Used by the time-series figures (6, 8, 9); rows match the paper's
-    panels (time, average latency, success ratio per bin).
+    panels (time, average latency, success ratio per bin).  A study
+    that uses it declares ``("timeline", bin_s)`` in its ``reads``.
     """
     def build(context: ExperimentContext, spec: ScenarioSpec,
               result: RunResult) -> List[Dict[str, object]]:

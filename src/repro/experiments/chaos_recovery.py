@@ -92,6 +92,7 @@ STUDY = register_study(Study(
         ),
     ),
     metrics={"slo": slo_metrics},
+    reads=(("slo", SLO_TARGET_S), ("timeline", AVAILABILITY_BIN_S)),
 ))
 
 

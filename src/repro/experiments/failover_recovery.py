@@ -104,6 +104,7 @@ STUDY = register_study(Study(
         ),
     ),
     metrics={"failover": failover_metrics},
+    reads=(("slo", SLO_TARGET_S), ("timeline", AVAILABILITY_BIN_S)),
 ))
 
 

@@ -42,6 +42,7 @@ STUDY = register_study(Study(
     ),
     series={"{model}-{workload}-{provider}/{platform}":
             latency_series(BIN_S)},
+    reads=(("timeline", BIN_S),),
 ))
 
 

@@ -18,8 +18,9 @@ summary comes from one of two folds:
   ``np.mean``'s sum, so every reduction is exactly the masked numpy
   reduction over the rows.  ``ServingBenchmark.run`` folds it as the
   run finishes; every cell that runs through the run cache then drops
-  its rows where it finishes (in its worker, before transport) and
-  keeps the summary alone.
+  its rows where it finishes (in its worker, before transport), and
+  its summary keeps, of those row-order arrays, only the answers its
+  studies declare (:meth:`OutcomeSummary.reduced`).
 
 * :class:`ChunkedOutcomeRecorder` is the flat-RSS write side for
   trace-scale runs.  The preallocated
@@ -59,7 +60,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -78,7 +79,14 @@ _N_PATHS = 3
 #: The cold/warm breakdown sums: end-to-end latency, then every stage.
 _BREAKDOWN_KEYS = ("e2e",) + Stage.ORDER
 
-__all__ = ["LatencySketch", "OutcomeSummary", "ChunkedOutcomeRecorder"]
+__all__ = ["LatencySketch", "OutcomeSummary", "ChunkedOutcomeRecorder",
+           "declared_reads"]
+
+#: The row-level answers a study may declare it reads (``Study.reads``):
+#: ``("timeline", bin_s)`` is :meth:`OutcomeSummary.success_timeline`
+#: and :meth:`OutcomeSummary.latency_sums` at that width, ``("slo",
+#: target_s)`` is :meth:`OutcomeSummary.slo_attainment` at that target.
+READ_KINDS = ("slo", "timeline")
 
 #: Default number of rows per column chunk (~8 MB of columns).
 DEFAULT_CHUNK_ROWS = 65_536
@@ -209,6 +217,20 @@ class LatencySketch:
         )
 
 
+def declared_reads(reads: Iterable[Tuple[str, float]]
+                   ) -> Tuple[Tuple[str, float], ...]:
+    """``reads``, pairs of a :data:`READ_KINDS` kind and a number, as a
+    sorted tuple of unique ``(kind, float)`` pairs."""
+    normalized = set()
+    for read in reads:
+        if not (isinstance(read, tuple) and len(read) == 2
+                and read[0] in READ_KINDS):
+            raise ValueError(f"unknown read {read!r}; a read is a (kind, "
+                             f"value) pair, kind one of {READ_KINDS}")
+        normalized.add((read[0], float(read[1])))
+    return tuple(sorted(normalized))
+
+
 def send_bins(send_time: np.ndarray, bin_s: float) -> np.ndarray:
     """Each send time's bin, ``floor(send_time / bin_s)``: the one
     binning behind every success and latency timeline."""
@@ -231,7 +253,10 @@ class OutcomeSummary:
     :meth:`latency_stats`, :meth:`slo_attainment`,
     :meth:`success_timeline`, :meth:`latency_sums` and
     :meth:`breakdown_means` from it, bit for bit as the masked numpy
-    reductions over its rows.
+    reductions over its rows.  A :meth:`reduced` whole-table summary has
+    dropped its row-order arrays: it answers the SLO targets and
+    timeline widths it was reduced to, bit for bit as before, and
+    raises ``ValueError`` for any other.
     """
 
     #: Time resolution (seconds) of the streaming success timeline; any
@@ -275,6 +300,9 @@ class OutcomeSummary:
         self.success_send: Optional[np.ndarray] = None
         self.success_latency: Optional[np.ndarray] = None
         self.failed_send: Optional[np.ndarray] = None
+        #: The declared answers a :meth:`reduced` whole-table summary
+        #: keeps instead of those arrays, by declaration; None otherwise.
+        self.answers: Optional[Dict[Tuple[str, float], object]] = None
 
     @classmethod
     def of_table(cls, table: OutcomeTable) -> "OutcomeSummary":
@@ -311,6 +339,50 @@ class OutcomeSummary:
         summary._stats = LatencyStats.from_values(summary.success_latency)
         summary._column_hash = table.column_hash()
         return summary
+
+    def reduced(self, reads: Iterable[Tuple[str, float]] = ()
+                ) -> "OutcomeSummary":
+        """A copy of this whole-table summary without its row-order
+        arrays, keeping the answers ``reads`` declares (see
+        :data:`READ_KINDS`): each computed by the method that answers it
+        here, so it is this summary's answer bit for bit.  What the
+        arrays answer besides raises ``ValueError`` on the copy.  A
+        streamed or already reduced summary is returned as is.
+        """
+        if self.success_send is None:
+            return self
+        answers = {}
+        for read in declared_reads(reads):
+            kind, value = read
+            if kind == "slo":
+                answers[read] = self.slo_attainment(value)
+            else:
+                # The sums at their own length: latency_sums pads them
+                # to any later ``bins`` as np.bincount's minlength does.
+                answers[read] = (*self.success_timeline(value),
+                                 self.latency_sums(value, 0))
+        return self.from_state({**self.state(), "success_send": None,
+                                "success_latency": None, "failed_send": None,
+                                "answers": answers})
+
+    def lacks(self, reads: Iterable[Tuple[str, float]]
+              ) -> Tuple[Tuple[str, float], ...]:
+        """The declarations of ``reads`` a :meth:`reduced` summary kept
+        no answer for (none on any other summary)."""
+        if self.answers is None:
+            return ()
+        return tuple(read for read in declared_reads(reads)
+                     if read not in self.answers)
+
+    def _answer(self, kind: str, value: float):
+        """The kept answer of a :meth:`reduced` summary to one read."""
+        read = (kind, float(value))
+        if read not in self.answers:
+            raise ValueError(
+                f"this reduced OutcomeSummary keeps no answer for {read!r}; "
+                f"declare it in the study's reads (kept: "
+                f"{sorted(self.answers)})")
+        return self.answers[read]
 
     @property
     def streamed(self) -> bool:
@@ -481,10 +553,13 @@ class OutcomeSummary:
     def slo_attainment(self, target_s: float) -> float:
         """Fraction of all requests served successfully within ``target_s``.
 
-        Exact on a whole-table summary.  On a streamed one the
-        successful-latency count comes from the sketch, so the effective
-        target is shifted by at most one bin (~0.4 %).
+        Exact on a whole-table summary (a :meth:`reduced` one answers
+        the targets it kept).  On a streamed one the successful-latency
+        count comes from the sketch, so the effective target is shifted
+        by at most one bin (~0.4 %).
         """
+        if self.answers is not None:
+            return self._answer("slo", target_s)
         if not self.count:
             return 1.0
         if self.success_latency is not None:
@@ -496,7 +571,8 @@ class OutcomeSummary:
         """Per-time-bin request and success counts (by send time).
 
         Exact at any ``bin_s`` on a whole-table summary (its rows' send
-        times, binned by :func:`send_bins`).  On a streamed one, exact whenever
+        times, binned by :func:`send_bins`; a :meth:`reduced` one answers
+        the widths it kept).  On a streamed one, exact whenever
         ``bin_s`` is an integer multiple of :attr:`base_bin_s` (it
         aggregates the base-resolution bins); other widths raise rather
         than silently approximating.
@@ -507,6 +583,8 @@ class OutcomeSummary:
                 (success, send_bins(self.failed_send, bin_s))))
             successes = np.bincount(success, minlength=len(requests))
             return np.arange(len(requests)) * bin_s, requests, successes
+        if self.answers is not None:
+            return self._answer("timeline", bin_s)[:3]
         if bin_s <= 0:
             raise ValueError("bin_s must be positive")
         factor = bin_s / self.base_bin_s
@@ -574,7 +652,11 @@ class OutcomeSummary:
     def latency_sums(self, bin_s: float, bins: int) -> np.ndarray:
         """Per-time-bin sums of the successful requests' latencies, by
         send time, over ``bins`` bins (whole-table summaries only: one
-        ``np.bincount`` over the row-order arrays)."""
+        ``np.bincount`` over the row-order arrays, or the sums a
+        :meth:`reduced` one kept at ``bin_s``)."""
+        if self.answers is not None:
+            sums = self._answer("timeline", bin_s)[3]
+            return np.pad(sums, (0, max(bins - len(sums), 0)))
         return np.bincount(send_bins(self.success_send, bin_s),
                            weights=self.success_latency, minlength=bins)
 
@@ -602,10 +684,13 @@ class OutcomeSummary:
     # -- storage and transport ----------------------------------------------
     def resident_bytes(self) -> int:
         """Bytes of array data this summary holds, its latency sketch's
-        histogram included."""
+        histogram and its kept timelines included."""
         arrays = [value for value in vars(self).values()
                   if isinstance(value, np.ndarray)]
         arrays.append(self.latencies.counts)
+        for answer in (self.answers or {}).values():
+            if isinstance(answer, tuple):
+                arrays.extend(answer)
         return sum(array.nbytes for array in arrays)
 
     def state(self) -> Dict[str, object]:

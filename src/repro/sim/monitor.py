@@ -8,6 +8,7 @@ plots (e.g. Figure 7 and Figure 11, "number of instances over time").
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import List, Sequence
@@ -17,18 +18,23 @@ __all__ = ["TimeSeriesMonitor", "GaugeMonitor"]
 
 @dataclass
 class TimeSeriesMonitor:
-    """Records explicit ``(time, value)`` observations."""
+    """Records explicit ``(time, value)`` observations.
+
+    Both series are ``array("d")``: 8 bytes per entry, where a list of
+    Python floats costs about 32, and a platform's instance gauge keeps
+    one entry per pool change for as long as its result lives.
+    """
 
     name: str = ""
-    times: List[float] = field(default_factory=list)
-    values: List[float] = field(default_factory=list)
+    times: "array[float]" = field(default_factory=lambda: array("d"))
+    values: "array[float]" = field(default_factory=lambda: array("d"))
 
     def record(self, time: float, value: float) -> None:
         """Append an observation; times must be non-decreasing."""
         if self.times and time < self.times[-1]:
             raise ValueError("observations must be recorded in time order")
-        self.times.append(float(time))
-        self.values.append(float(value))
+        self.times.append(time)
+        self.values.append(value)
 
     def __len__(self) -> int:
         return len(self.times)

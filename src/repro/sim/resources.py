@@ -10,7 +10,7 @@ paper evaluates queue incoming HTTP requests.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Optional, Set
+from typing import Deque, Set
 
 from repro.sim.engine import Environment, Event, SimulationError
 
@@ -18,14 +18,19 @@ __all__ = ["Request", "Resource"]
 
 
 class Request(Event):
-    """A pending claim on a :class:`Resource` slot."""
+    """A pending claim on a :class:`Resource` slot.
 
-    __slots__ = ("resource", "usage_since")
+    A granted claim triggers with no value: the claim itself is what
+    :meth:`Resource.release` takes back, and a claim that held itself
+    as its value would be a reference cycle only the cyclic garbage
+    collector frees.
+    """
+
+    __slots__ = ("resource",)
 
     def __init__(self, resource: "Resource"):
         super().__init__(resource.env)
         self.resource = resource
-        self.usage_since: Optional[float] = None
 
 
 class Resource:
@@ -100,5 +105,4 @@ class Resource:
         while self._waiting and len(self._users) < self._capacity:
             req = self._waiting.popleft()
             self._users.add(req)
-            req.usage_since = self.env.now
-            req.succeed(req)
+            req.succeed()

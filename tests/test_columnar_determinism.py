@@ -26,6 +26,7 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.core import parallel
 from repro.core.benchmark import ServingBenchmark
 from repro.core.metrics import LatencyStats
 from repro.core.parallel import run_cells
@@ -269,14 +270,15 @@ class TestFidelityDeterminism:
         def run_all(workers):
             context = ExperimentContext(seed=SEED, scale=self.SCALE,
                                         workers=workers)
-            return context.run_specs(specs)
+            return context.run_specs(specs, (("slo", 0.2), ("slo", 1.0),
+                                             ("slo", 5.0), ("timeline", 5.0)))
 
         serial = run_all(workers=0)
         parallel = run_all(workers=2)
         for left, right in zip(serial, parallel):
             assert left.table.column_hash() == right.table.column_hash()
             assert left.cost == right.cost
-            # The pooled summaries' row-order arrays read as the serial.
+            # The pooled summaries' declared answers read as the serial.
             for target in (0.2, 1.0, 5.0):
                 assert (left.table.slo_attainment(target)
                         == right.table.slo_attainment(target))
@@ -286,8 +288,9 @@ class TestFidelityDeterminism:
 
 class TestPackedTransport:
     def test_packed_round_trip_is_lossless(self, w40_cell):
-        """The worker payload (the reduced result's summary) pickles and
-        rebuilds with the table's column hash and exact statistics."""
+        """A result's payload before any reduction (its whole-table
+        summary, row-order arrays included) pickles and rebuilds with
+        the table's column hash and exact statistics."""
         deployment, workload = w40_cell
         result = ServingBenchmark(seed=SEED).run(deployment, workload)
         wire = pickle.dumps(result.to_transport())
@@ -320,6 +323,22 @@ class TestPackedTransport:
         success = result.rows.success
         row_bytes = 16 * int(success.sum()) + 8 * int((~success).sum())
         assert packed <= row_bytes + 8 * 1024
+
+    @pytest.mark.parametrize("scale", [0.05, 0.3])
+    def test_worker_payload_without_declarations_is_a_fixed_header(
+            self, monkeypatch, w40_cell, scale):
+        """What a worker ships for a cell whose study declares no reads
+        (a fig05 cell) drops the row-order arrays: at most 8 KB, for 750
+        requests as for 4,500."""
+        deployment, _workload = w40_cell
+        workload = standard_workload("w-40", seed=SEED, scale=scale)
+        monkeypatch.setitem(parallel._WORKER_STATE, "benchmark",
+                            ServingBenchmark(seed=SEED))
+        monkeypatch.setitem(parallel._WORKER_STATE, "workloads", [workload])
+        payload = parallel._run_cell_pooled((deployment, 0, 1.0, None, ()))
+        assert len(pickle.dumps(payload)) <= 8 * 1024
+        summary = RunResult.from_transport(payload, deployment).table
+        assert summary.success_send is None and summary.answers == {}
 
 
 class TestLateAndPartialCommits:

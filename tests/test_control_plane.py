@@ -34,7 +34,7 @@ import hashlib
 import json
 import os
 import pickle
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -283,7 +283,7 @@ class TestInstancePool:
         pool.launch()
         pool.mark_ready(first)
         pool.retire(first)
-        assert pool.gauge.history.values == [1.0, 2.0, 1.0]
+        assert list(pool.gauge.history.values) == [1.0, 2.0, 1.0]
         assert pool.peak == 2
 
     def test_manual_gauge_records_ready(self, env):
@@ -294,7 +294,7 @@ class TestInstancePool:
         pool.sync_gauge()
         pool.mark_ready(instance)
         pool.sync_gauge()
-        assert pool.gauge.history.values == [1.0, 2.0]
+        assert list(pool.gauge.history.values) == [1.0, 2.0]
 
     def test_instance_seconds_requires_records(self, env):
         pool = InstancePool(env, gauge_name="test")
@@ -666,6 +666,10 @@ class TestGoldenFrames:
 SLO_TARGETS_S = (0.2, 1.0, 5.0)
 TIMELINE_BINS_S = (5.0, 20.0)
 RECOVERY_AFTER_S = (0.0, 70.0)
+#: The declarations (``Study.reads`` pairs) a reduced summary needs to
+#: answer at exactly those targets and widths.
+READS = (tuple(("slo", target) for target in SLO_TARGETS_S)
+         + tuple(("timeline", bin_s) for bin_s in TIMELINE_BINS_S))
 
 
 def _table_breakdown(table) -> tuple:
@@ -789,20 +793,23 @@ def _summary_reductions(summary: OutcomeSummary) -> list:
 
 
 def _assert_summary_answers_like_table(result) -> None:
-    """The result's whole-table summary, as folded and as a worker ships
-    it (pickled, and through a shared-memory segment), answers every
-    reduction exactly as the row-level references over its rows."""
+    """The result's whole-table summary, as folded, as reduced to
+    :data:`READS` and as a worker ships that (pickled, and through a
+    shared-memory segment), answers every reduction exactly as the
+    row-level references over its rows."""
     table = result.rows
     assert isinstance(table, OutcomeTable)
-    payload = result.to_transport()
+    payload = result.reduced(READS).to_transport()
     analyzer = Analyzer()
     expected = _reductions(table)
+    np.testing.assert_equal(_summary_reductions(result.table), expected)
     for shipped in (None, pickle.loads(pickle.dumps(payload)),
                     unpack_arrays(pack_arrays(payload, min_bytes=0))):
-        reduced = (result.reduced() if shipped is None
+        reduced = (result.reduced(READS) if shipped is None
                    else RunResult.from_transport(shipped, result.deployment))
         assert not reduced.streaming
         assert reduced.rows is None
+        assert reduced.table.success_send is None
         np.testing.assert_equal(_summary_reductions(reduced.table), expected)
         breakdown = analyzer.coldstart_breakdown(reduced)
         np.testing.assert_equal(astuple(breakdown), _table_breakdown(table))
@@ -872,6 +879,99 @@ class TestSummaryAnswersLikeTable:
     @pytest.mark.parametrize("key", sorted(_GOLDEN["keep_alive"]))
     def test_keep_alive_cell(self, key):
         _assert_summary_answers_like_table(_run_keep_alive_cell(key))
+
+
+class TestDeclaredAnswers:
+    """A reduced cell keeps exactly the answers declared for it: it
+    raises for any other, the run cache runs a cell again for one it
+    lacks, and the answers cross the worker pool bit for bit."""
+
+    SPEC = ScenarioSpec(name="declared", provider="aws", model="mobilenet",
+                        platform="managed_ml", workload="w-40")
+    SCALE = 0.05
+
+    def test_undeclared_answer_raises_naming_it(self):
+        result = run(self.SPEC, seed=_GOLDEN["seed"], scale=self.SCALE)
+        summary = result.reduced((("timeline", 20.0), ("slo", 5.0))).table
+        assert summary.slo_attainment(5.0) == result.table.slo_attainment(5.0)
+        for read in (lambda: summary.slo_attainment(1.0),
+                     lambda: summary.success_timeline(5.0),
+                     lambda: summary.latency_sums(5.0, 4),
+                     lambda: summary.availability(bin_s=5.0),
+                     lambda: summary.time_to_recover(70.0, bin_s=5.0)):
+            with pytest.raises(ValueError, match=r"declare.*reads"):
+                read()
+        with pytest.raises(ValueError, match=r"\('slo', 1\.0\)"):
+            summary.slo_attainment(1.0)
+        with pytest.raises(ValueError, match=r"\('timeline', 5\.0\)"):
+            summary.success_timeline(5.0)
+        # No declaration at all: still an error, never the sketch's
+        # approximation.
+        with pytest.raises(ValueError, match=r"\('slo', 5\.0\)"):
+            result.reduced().table.slo_attainment(5.0)
+        with pytest.raises(ValueError, match="unknown read"):
+            result.reduced((("p99", 1.0),))
+        # One pair not wrapped in the tuple of reads.
+        with pytest.raises(ValueError, match="unknown read 'timeline'"):
+            result.reduced(("timeline", 20.0))
+
+    def test_cached_cell_runs_again_for_a_missing_answer(self, monkeypatch):
+        direct = run(self.SPEC, seed=_GOLDEN["seed"], scale=self.SCALE)
+        simulated = []
+        simulate = ServingBenchmark.run
+
+        def counting(self, *args, **kwargs):
+            simulated.append(args[0].label)
+            return simulate(self, *args, **kwargs)
+
+        monkeypatch.setattr(ServingBenchmark, "run", counting)
+        context = ExperimentContext(seed=_GOLDEN["seed"], scale=self.SCALE,
+                                    providers=("aws",))
+        context.run_scenario(self.SPEC)
+        timeline, = context.run_specs([self.SPEC], (("timeline", 20.0),))
+        assert len(simulated) == 2
+        analyzer = Analyzer()
+        assert (analyzer.latency_timeline(timeline, 20.0)
+                == analyzer.latency_timeline(direct, 20.0))
+        assert ([astuple(point)
+                 for point in analyzer.latency_timeline(timeline, 20.0)]
+                == _table_latency_timeline(direct.rows, 20.0))
+        # A kept answer is a cache hit; a new one runs the cell again
+        # and keeps the answers it had as well.
+        assert context.run_specs([self.SPEC],
+                                 (("timeline", 20.0),))[0] is timeline
+        both, = context.run_specs([self.SPEC], (("slo", 5.0),))
+        assert len(simulated) == 3
+        assert sorted(both.table.answers) == [("slo", 5.0),
+                                              ("timeline", 20.0)]
+        assert both.table.slo_attainment(5.0) == (
+            direct.table.slo_attainment(5.0))
+
+    def test_declared_answers_equal_serial_and_pooled(self):
+        specs = [self.SPEC.with_seed(_GOLDEN["seed"] + replicate,
+                                     name=f"declared/r{replicate}")
+                 for replicate in range(2)]
+        specs.append(replace(self.SPEC, name="declared/lambda",
+                             platform="serverless"))
+
+        def answers(workers: int):
+            context = ExperimentContext(seed=_GOLDEN["seed"],
+                                        scale=self.SCALE, providers=("aws",),
+                                        workers=workers)
+            return [result.table.answers
+                    for result in context.run_specs(specs, READS)]
+
+        serial = answers(workers=0)
+        for kept in serial:
+            assert sorted(kept) == sorted(READS)
+        for left, right in zip(serial, answers(workers=2)):
+            assert left.keys() == right.keys()
+            for read, answer in left.items():
+                if read[0] == "slo":
+                    assert right[read] == answer
+                else:
+                    assert ([part.tobytes() for part in right[read]]
+                            == [part.tobytes() for part in answer])
 
 
 class TestStudiesOverTheWorkerPool:

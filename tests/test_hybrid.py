@@ -388,7 +388,8 @@ class TestHybridEndToEnd:
 
 def _summary_reads(summary) -> list:
     """The path means, spill ratio, SLO attainment and success timeline
-    a hybrid cell's summary answers from its transported arrays."""
+    a hybrid cell's summary answers from its transported sums and
+    declared answers."""
     return [[summary.path_latency_mean(code) for code in range(3)],
             summary.spill_ratio(), summary.slo_attainment(1.0),
             [column.tolist() for column in summary.success_timeline(5.0)]]
@@ -411,12 +412,14 @@ class TestHybridDeterminism:
         bench = ServingBenchmark(seed=SEED)
         cells = [(deployment, tiny_w40, 1.0, None)
                  for deployment in deployments]
-        serial = run_cells(bench, cells, workers=0)
-        parallel = run_cells(bench, cells, workers=3)
+        # The answers _summary_reads reads off the reduced summaries.
+        reads = (("slo", 1.0), ("timeline", 5.0))
+        serial = run_cells(bench, cells, workers=0, reads=reads)
+        parallel = run_cells(bench, cells, workers=3, reads=reads)
         for left, right in zip(serial, parallel):
             assert left.table.column_hash() == right.table.column_hash()
             assert left.cost == right.cost
-            # What reads the shipped summaries' arrays agrees too.
+            # What reads the shipped summaries' answers agrees too.
             np.testing.assert_equal(_summary_reads(right.table),
                                     _summary_reads(left.table))
 

@@ -131,8 +131,8 @@ class TestGauge:
         gauge.set(0.0, 1.0)
         gauge.add(5.0, 2.0)
         assert gauge.value == 3.0
-        assert gauge.history.times == [0.0, 5.0]
-        assert gauge.history.values == [1.0, 3.0]
+        assert list(gauge.history.times) == [0.0, 5.0]
+        assert list(gauge.history.values) == [1.0, 3.0]
 
     def test_gauge_adds_from_its_initial_value(self):
         gauge = GaugeMonitor("queue", initial=2.0)
@@ -147,4 +147,4 @@ class TestGauge:
         gauge.set(5.0, 1.0)
         with pytest.raises(ValueError):
             gauge.set(1.0, 2.0)
-        assert gauge.history.times == [5.0]
+        assert list(gauge.history.times) == [5.0]

@@ -1,8 +1,13 @@
 """Unit tests for Resource."""
 
+import gc
+
 import pytest
 
+from repro.core.benchmark import ServingBenchmark
+from repro.core.planner import Planner
 from repro.sim import Resource, SimulationError
+from repro.sim.resources import Request
 
 
 class TestResource:
@@ -77,3 +82,25 @@ class TestResource:
         env.run()
         assert timeline == [("a", "start", 0.0), ("a", "end", 2.0),
                             ("b", "start", 2.0), ("b", "end", 3.0)]
+
+    def test_granted_claims_are_freed_without_the_cycle_collector(
+            self, tiny_w40):
+        """A managed-ML cell grants a worker slot per request; with the
+        cyclic collector off, no granted claim is left for it: each one
+        is freed by reference counting when its request is done."""
+        deployment = Planner().plan("aws", "mobilenet", "tf1.15",
+                                    "managed_ml")
+        enabled, flags = gc.isenabled(), gc.get_debug()
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            ServingBenchmark(seed=5).run(deployment, tiny_w40)
+            gc.collect()
+            assert not [obj for obj in gc.garbage
+                        if isinstance(obj, Request)]
+        finally:
+            gc.set_debug(flags)
+            gc.garbage.clear()
+            if enabled:
+                gc.enable()

@@ -75,6 +75,11 @@ TIMELINE_BINS_S = (5.0, 20.0)
 #: transport, and what its SLO and timeline reductions read.
 ROW_ARRAYS = ("success_send", "success_latency", "failed_send")
 
+#: The declarations (``Study.reads`` pairs) a reduced summary needs to
+#: answer at :data:`SLO_TARGETS_S` and :data:`TIMELINE_BINS_S`.
+READS = (tuple(("slo", target) for target in SLO_TARGETS_S)
+         + tuple(("timeline", bin_s) for bin_s in TIMELINE_BINS_S))
+
 
 def _assert_reads_like_table(summary: OutcomeSummary, table) -> None:
     """``summary`` answers SLO attainment and success timelines off its
@@ -94,18 +99,36 @@ def _assert_reads_like_table(summary: OutcomeSummary, table) -> None:
     assert summary.column_hash() == table.column_hash()
 
 
+def _assert_same_bits(got, value, name: str) -> None:
+    """``got`` is ``value``, every array (also inside a tuple) bit for
+    bit, dtype and shape included."""
+    if isinstance(value, np.ndarray):
+        assert (got.dtype, got.shape) == (value.dtype, value.shape), name
+        assert got.tobytes() == value.tobytes(), name
+    elif isinstance(value, tuple):
+        assert isinstance(got, tuple) and len(got) == len(value), name
+        for got_part, part in zip(got, value):
+            _assert_same_bits(got_part, part, name)
+    else:
+        assert type(got) is type(value) and got == value, name
+
+
 def _assert_same_summary(rebuilt: OutcomeSummary,
                          original: OutcomeSummary) -> None:
     """``rebuilt`` holds ``original``'s fields, every array bit for bit
-    (dtype and shape included), and reads the same SLO attainment,
-    success timelines, latency sums and breakdown off them."""
+    (dtype and shape included; a reduced summary's kept answers too),
+    and reads the same SLO attainment, success timelines, latency sums
+    and breakdown off them."""
     state, expected = rebuilt.state(), original.state()
     assert state.keys() == expected.keys()
     for name, value in expected.items():
         got = state[name]
         if isinstance(value, np.ndarray):
-            assert (got.dtype, got.shape) == (value.dtype, value.shape), name
-            assert got.tobytes() == value.tobytes(), name
+            _assert_same_bits(got, value, name)
+        elif name == "answers" and value is not None:
+            assert got.keys() == value.keys(), name
+            for read, answer in value.items():
+                _assert_same_bits(got[read], answer, str(read))
         elif isinstance(value, LatencySketch):
             for slot in LatencySketch.__slots__:
                 np.testing.assert_equal(getattr(got, slot),
@@ -381,10 +404,10 @@ class TestShmTransport:
         bench = ServingBenchmark(seed=SEED)
         cells = [(deployment, tiny_w40, 1.0, None)
                  for deployment in deployments]
-        serial = run_cells(bench, cells, workers=0)
+        serial = run_cells(bench, cells, workers=0, reads=READS)
         for shm in ("1", "0"):
             monkeypatch.setenv("REPRO_SHM", shm)
-            pooled = run_cells(bench, cells, workers=2)
+            pooled = run_cells(bench, cells, workers=2, reads=READS)
             for left, right in zip(serial, pooled):
                 _assert_same_summary(right.table, left.table)
 
@@ -412,7 +435,7 @@ class TestShmTransport:
         bench = ServingBenchmark(seed=SEED)
         cells = [(deployment, tiny_w40, 1.0, None)
                  for deployment in deployments]
-        serial = run_cells(bench, cells, workers=0)
+        serial = run_cells(bench, cells, workers=0, reads=READS)
 
         # Patch the class, not the pool function: forked workers inherit
         # it, and a closure could not be pickled as the task.
@@ -433,7 +456,7 @@ class TestShmTransport:
         # least that one is kept.
         with pytest.warns(RuntimeWarning,
                           match="running [123] of 4 cells serially"):
-            pooled = run_cells(bench, cells, workers=2)
+            pooled = run_cells(bench, cells, workers=2, reads=READS)
         assert segments() - before == set()
         for left, right in zip(serial, pooled):
             _assert_same_summary(right.table, left.table)
