@@ -16,12 +16,13 @@ its line count and its number of references outside ``tests/`` (name
 tokens, plus string literals equal to the name, in every other Python
 file of the repository; the definitions of that name are not counted).
 The reference count decides what can go: worker-only code (the pool
-initializer, shared-memory transport) never runs in this one-process
-trace but is referenced, while a function with zero references is
-reached only from tests.  Dunder methods show ``-``: the language calls
-them without spelling their names.  Code that runs at import time
-(registries, calibration tables) runs before the trace starts and also
-shows up here.  The whole trace takes about 100 s on a 2-vCPU host.
+initializer, the pooled cell's entry point and its hand-off hooks)
+never runs in this one-process trace but is referenced, while a
+function with zero references is reached only from tests.  Dunder
+methods show ``-``: the language calls them without spelling their
+names.  Code that runs at import time (registries, calibration tables)
+runs before the trace starts and also shows up here.  The whole trace
+takes about 100 s on a 2-vCPU host.
 
 Usage::
 

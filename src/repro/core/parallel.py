@@ -28,32 +28,31 @@ Transport is kept lean in both directions:
   the heavy shared state — ship **once per worker** via the pool
   initializer; each task payload is then just a deployment, a workload
   index, a scale, a seed and the declared reads.
-* **worker -> parent**: workers return
-  :meth:`~repro.core.results.RunResult.to_transport` payloads — the
-  summary's fields (fixed-size counters and sums, plus one timeline
-  per declared width) and small dicts — and the parent reattaches its
-  own deployment object.  Payloads with at least a megabyte of array
-  data skip the pickle pipe entirely: the worker
-  lifts the arrays into a :mod:`multiprocessing.shared_memory` segment
-  (see :mod:`repro.core.shm`) and ships only descriptors; the parent
-  copies the arrays out and unlinks the segment.  The rebuilt payload
-  is bit-identical to the pickled one (the transport tests compare
-  every array of the rebuilt summary, and the reductions it answers,
-  with the original's), and ``REPRO_SHM=0`` restores plain pickling.
+* **worker -> parent**: a worker returns its reduced result, pickled,
+  with the deployment dropped — the summary's fixed-size counters and
+  sums, one answer per declared read, and small dicts, a few kilobytes
+  whatever the run's length — and the parent re-attaches the
+  deployment object it submitted.  The hand-off goes through
+  :func:`repro.core.shm.pack_arrays` and
+  :func:`~repro.core.shm.unpack_arrays`, looked up at call time so a
+  patch of either takes effect.
 
 If worker processes cannot be spawned (restricted sandboxes, missing
 semaphores), or a worker dies mid-batch, the fan-out keeps every cell a
-worker finished (unpacking it, which unlinks its shared-memory segment)
-and reruns only the unfinished cells in-process, with a
+worker finished and reruns only the unfinished cells in-process, with a
 ``RuntimeWarning`` — cells are pure functions, so a rerun is always
-safe and the results stay bit-identical.
+safe and the results stay bit-identical.  A cell that raises in a
+worker raises the same exception in the parent.
 """
 
 from __future__ import annotations
 
 import os
 import warnings
+from dataclasses import replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+
+from repro.core import shm
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.benchmark import ServingBenchmark
@@ -98,8 +97,7 @@ def _run_cell_pooled(payload: Tuple["Deployment", int, float, object,
     benchmark: "ServingBenchmark" = _WORKER_STATE["benchmark"]
     workload: "Workload" = _WORKER_STATE["workloads"][workload_index]
     result = benchmark.run(deployment, workload, scale, seed=seed)
-    from repro.core.shm import pack_arrays
-    return pack_arrays(result.reduced(reads).to_transport())
+    return shm.pack_arrays(replace(result.reduced(reads), deployment=None))
 
 
 def run_cells(benchmark: "ServingBenchmark",
@@ -151,17 +149,13 @@ def run_cells(benchmark: "ServingBenchmark",
         # still being submitted.
         failure = exc
     # The pool has shut down, so every submitted cell is settled.
-    # Unpack every finished one before anything else: each may own a
-    # shared-memory segment that only its unpack unlinks.
-    from repro.core.results import RunResult
-    from repro.core.shm import unpack_arrays
     results: List[Optional["RunResult"]] = [None] * len(cells)
     error: Optional[BaseException] = None
     for index, future in enumerate(futures):
         exc = future.exception()
         if exc is None:
-            results[index] = RunResult.from_transport(
-                unpack_arrays(future.result()), cells[index][0])
+            results[index] = replace(shm.unpack_arrays(future.result()),
+                                     deployment=cells[index][0])
         elif isinstance(exc, BrokenProcessPool):
             failure = failure or exc
         elif error is None:

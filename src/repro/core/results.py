@@ -12,7 +12,10 @@ Every metric of a :class:`RunResult` reads one
   base.ExperimentContext.run_specs`) is :meth:`RunResult.reduced` where
   it finishes, so the cache and the worker pipe hold its summary alone,
   and of the summary's row-order arrays only the answers its studies
-  declare (:attr:`~repro.core.study.Study.reads`);
+  declare (:attr:`~repro.core.study.Study.reads`); a pooled cell
+  crosses the pipe as that reduced result, pickled, with its
+  :attr:`~RunResult.deployment` set to None, and the parent re-attaches
+  the deployment it submitted;
 * trace-scale (streaming) runs carry the summary of the chunks folded
   during the run; their per-request rows never exist at once.
 """
@@ -98,33 +101,6 @@ class RunResult:
         statistics.
         """
         return self.table.latency_stats()
-
-    # -- transport -------------------------------------------------------------
-    def to_transport(self) -> Tuple:
-        """Compact worker-to-parent payload (everything but the deployment).
-
-        The deployment object is the one piece of a result the parent
-        already holds (it shipped it to the worker in the first place),
-        and the only piece that is an arbitrary object graph; everything
-        else is the summary, as its :meth:`OutcomeSummary.state` dict
-        (whose arrays :mod:`repro.core.shm` may lift), and small dicts.
-        The rows stay behind; a :meth:`reduced` result's summary ships
-        only its declared answers, a few kilobytes whatever the run's
-        length.
-        """
-        return (self.workload_name, self.table.state(),
-                self.usage, self.duration_s, self.workload_scale,
-                self.metadata)
-
-    @classmethod
-    def from_transport(cls, payload: Tuple,
-                       deployment: Deployment) -> "RunResult":
-        """Rebuild a result from :meth:`to_transport` plus the local deployment."""
-        workload_name, state, usage, duration_s, scale, metadata = payload
-        return cls(deployment=deployment, workload_name=workload_name,
-                   table=OutcomeSummary.from_state(state), usage=usage,
-                   duration_s=duration_s, workload_scale=scale,
-                   metadata=metadata)
 
     # -- presentation ---------------------------------------------------------
     @property

@@ -112,7 +112,7 @@ class ScenarioSpec:
     #: the cell replays the same request rates over a proportionally
     #: shorter trace.  The successive-halving search pins it per rung;
     #: like :attr:`seed`, it travels with the cell through the run cache
-    #: (:attr:`cell_key`) and the worker fan-out.
+    #: and the worker fan-out.
     fidelity: Optional[float] = None
 
     def __post_init__(self) -> None:
@@ -130,8 +130,7 @@ class ScenarioSpec:
                 raise ValueError("fidelity must be in (0, 1]")
             if self.fidelity == 1.0:
                 # Full fidelity is the plain cell: normalising keeps the
-                # cell_key (and so the run cache) identical to a spec
-                # that never set the field.
+                # cell_key identical to a spec that never set the field.
                 object.__setattr__(self, "fidelity", None)
 
     def _validate_names(self) -> None:
@@ -208,7 +207,10 @@ class ScenarioSpec:
 
     @property
     def cell_key(self) -> str:
-        """Stable identifier for run caching and result labelling."""
+        """Stable identifier for result labelling: it names rows and
+        breaks the halving search's ties.  The run cache keys by the
+        resolved cell instead
+        (:meth:`~repro.experiments.base.ExperimentContext.run_key`)."""
         overrides = ",".join(f"{key}={value}" for key, value in self.config)
         key = (f"{self.provider}/{self.model}/{self.runtime}/"
                f"{self.platform}/{self.workload}"

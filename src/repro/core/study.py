@@ -328,8 +328,8 @@ class Sweep:
                               if key not in spec_fields
                               and key != SEED_AXIS})
             # Per-cell name: sweep name plus the axis values, so rows /
-            # CSV exports stay identifiable (cell_key ignores the name,
-            # so this never splits the run cache).
+            # CSV exports stay identifiable (neither cell_key nor the run
+            # cache's key reads the name, so this never splits a run).
             suffix = "/".join(str(value) for value in assignment.values())
             spec = ScenarioSpec(
                 name=f"{self.name}/{suffix}" if suffix else self.name,

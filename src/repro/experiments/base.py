@@ -137,7 +137,7 @@ class ExperimentContext:
     planner: Planner = field(default_factory=Planner)
     analyzer: Analyzer = field(default_factory=Analyzer)
     _workloads: Dict[tuple, Workload] = field(default_factory=dict)
-    _runs: Dict[str, RunResult] = field(default_factory=dict)
+    _runs: Dict[tuple, RunResult] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.scale <= 1.0:
@@ -171,11 +171,22 @@ class ExperimentContext:
                 self.workload(spec.workload, spec.seed, scale),
                 scale, spec.seed)
 
+    def run_key(self, spec: ScenarioSpec) -> tuple:
+        """The run cache's key for ``spec``: what :meth:`cell` resolves
+        it to (provider, model, runtime, the resolved service config,
+        workload, effective scale and pinned seed), without generating
+        the workload.  Specs that differ only by an override set to its
+        planned default share one run."""
+        deployment = spec.deployment(self.planner)
+        return (deployment.provider.name, deployment.model.name,
+                deployment.runtime.key, deployment.config, spec.workload,
+                spec.cell_scale(self.scale), spec.seed)
+
     def run_specs(self, specs: Iterable[ScenarioSpec],
                   reads: Tuple = ()) -> List[RunResult]:
         """Run every spec through the run cache; results in spec order.
 
-        Specs are deduplicated by ``cell_key``.  Each one not yet cached
+        Specs are deduplicated by :meth:`run_key`.  Each one not yet cached
         resolves to one :meth:`cell`, and all of them run as one batch,
         over the worker pool when ``workers`` > 1.  The cache keeps each
         result :meth:`~repro.core.results.RunResult.reduced` to its
@@ -186,10 +197,10 @@ class ExperimentContext:
         its answers are the ones its rows gave.
         """
         specs = list(specs)
+        keys = [self.run_key(spec) for spec in specs]
         union = set(reads)
-        pending: Dict[str, Cell] = {}
-        for spec in specs:
-            key = spec.cell_key
+        pending: Dict[tuple, Cell] = {}
+        for spec, key in zip(specs, keys):
             cached = self._runs.get(key)
             if key in pending or (cached is not None
                                   and not cached.table.lacks(reads)):
@@ -201,7 +212,7 @@ class ExperimentContext:
             results = run_cells(self.benchmark, list(pending.values()),
                                 self.workers, tuple(union))
             self._runs.update(zip(pending, results))
-        return [self._runs[spec.cell_key] for spec in specs]
+        return [self._runs[key] for key in keys]
 
     def run_scenario(self, scenario) -> RunResult:
         """Run one declarative scenario (spec or registered name), cached."""

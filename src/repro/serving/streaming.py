@@ -18,9 +18,11 @@ summary comes from one of two folds:
   ``np.mean``'s sum, so every reduction is exactly the masked numpy
   reduction over the rows.  ``ServingBenchmark.run`` folds it as the
   run finishes; every cell that runs through the run cache then drops
-  its rows where it finishes (in its worker, before transport), and
-  its summary keeps, of those row-order arrays, only the answers its
-  studies declare (:meth:`OutcomeSummary.reduced`).
+  its rows where it finishes (in its worker, before the result is
+  pickled back to the parent), and its summary keeps, of those
+  row-order arrays, only the answers its studies declare
+  (:meth:`OutcomeSummary.reduced`), a few kilobytes whatever the run's
+  length.
 
 * :class:`ChunkedOutcomeRecorder` is the flat-RSS write side for
   trace-scale runs.  The preallocated
@@ -58,6 +60,7 @@ min/max                     exact
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import math
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -361,9 +364,11 @@ class OutcomeSummary:
                 # to any later ``bins`` as np.bincount's minlength does.
                 answers[read] = (*self.success_timeline(value),
                                  self.latency_sums(value, 0))
-        return self.from_state({**self.state(), "success_send": None,
-                                "success_latency": None, "failed_send": None,
-                                "answers": answers})
+        summary = copy.copy(self)
+        summary.success_send = summary.success_latency = None
+        summary.failed_send = None
+        summary.answers = answers
+        return summary
 
     def lacks(self, reads: Iterable[Tuple[str, float]]
               ) -> Tuple[Tuple[str, float], ...]:
@@ -681,7 +686,7 @@ class OutcomeSummary:
                              "hash; compare digest() instead")
         return self._column_hash
 
-    # -- storage and transport ----------------------------------------------
+    # -- storage ----------------------------------------------------------
     def resident_bytes(self) -> int:
         """Bytes of array data this summary holds, its latency sketch's
         histogram and its kept timelines included."""
@@ -692,18 +697,6 @@ class OutcomeSummary:
             if isinstance(answer, tuple):
                 arrays.extend(answer)
         return sum(array.nbytes for array in arrays)
-
-    def state(self) -> Dict[str, object]:
-        """The summary's fields as a plain dict: its transport form, in
-        which :mod:`repro.core.shm` sees (and may lift) every array."""
-        return dict(vars(self))
-
-    @classmethod
-    def from_state(cls, state: Dict[str, object]) -> "OutcomeSummary":
-        """Rebuild a summary from :meth:`state`."""
-        summary = cls.__new__(cls)
-        vars(summary).update(state)
-        return summary
 
 
 class _Window(OutcomeColumns):

@@ -251,7 +251,7 @@ class _ContextEvaluator:
 
     def is_cached(self, spec: ScenarioSpec) -> bool:
         """Whether the cell would replay from the run cache."""
-        return spec.cell_key in self.context._runs
+        return self.context.run_key(spec) in self.context._runs
 
     def prefetch(self, specs: Sequence[ScenarioSpec]) -> None:
         """Run a rung's cells as one batch over the context's worker pool."""

@@ -22,6 +22,7 @@ sees exactly what it would see over dense columns.
 
 import copy
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -288,13 +289,14 @@ class TestFidelityDeterminism:
 
 class TestPackedTransport:
     def test_packed_round_trip_is_lossless(self, w40_cell):
-        """A result's payload before any reduction (its whole-table
-        summary, row-order arrays included) pickles and rebuilds with
-        the table's column hash and exact statistics."""
+        """A result before any reduction, without its rows and its
+        deployment (its whole-table summary, row-order arrays included),
+        pickles and rebuilds with the table's column hash and exact
+        statistics."""
         deployment, workload = w40_cell
         result = ServingBenchmark(seed=SEED).run(deployment, workload)
-        wire = pickle.dumps(result.to_transport())
-        restored = RunResult.from_transport(pickle.loads(wire), deployment)
+        wire = pickle.dumps(replace(result, rows=None, deployment=None))
+        restored = replace(pickle.loads(wire), deployment=deployment)
         table, summary = result.rows, restored.table
         assert summary.column_hash() == table.column_hash()
         latencies = table.latency[table.success]
@@ -315,10 +317,11 @@ class TestPackedTransport:
                                                               w40_cell):
         deployment, workload = w40_cell
         result = ServingBenchmark(seed=SEED).run(deployment, workload)
-        packed = len(pickle.dumps(result.to_transport()))
+        packed = len(pickle.dumps(replace(result, rows=None,
+                                          deployment=None)))
         # The summary ships its row-order arrays (send time and latency
         # of each success, send time of each failure) and a header that
-        # does not grow with the run: 19,241 B in all for these 750
+        # does not grow with the run: 18,923 B in all for these 750
         # successful requests.
         success = result.rows.success
         row_bytes = 16 * int(success.sum()) + 8 * int((~success).sum())
@@ -328,8 +331,8 @@ class TestPackedTransport:
     def test_worker_payload_without_declarations_is_a_fixed_header(
             self, monkeypatch, w40_cell, scale):
         """What a worker ships for a cell whose study declares no reads
-        (a fig05 cell) drops the row-order arrays: at most 8 KB, for 750
-        requests as for 4,500."""
+        (a fig05 cell) is its result without a deployment, rows or
+        row-order arrays: at most 8 KB, for 750 requests as for 4,500."""
         deployment, _workload = w40_cell
         workload = standard_workload("w-40", seed=SEED, scale=scale)
         monkeypatch.setitem(parallel._WORKER_STATE, "benchmark",
@@ -337,8 +340,13 @@ class TestPackedTransport:
         monkeypatch.setitem(parallel._WORKER_STATE, "workloads", [workload])
         payload = parallel._run_cell_pooled((deployment, 0, 1.0, None, ()))
         assert len(pickle.dumps(payload)) <= 8 * 1024
-        summary = RunResult.from_transport(payload, deployment).table
-        assert summary.success_send is None and summary.answers == {}
+        assert isinstance(payload, RunResult)
+        assert payload.deployment is None and payload.rows is None
+        summary = payload.table
+        assert (summary.success_send is None
+                and summary.success_latency is None
+                and summary.failed_send is None)
+        assert summary.answers == {}
 
 
 class TestLateAndPartialCommits:
@@ -538,8 +546,8 @@ class TestStoredColumns:
             assert table.column_hash() == dense.column_hash(), platform
             np.testing.assert_equal(_reductions(table), _reductions(dense))
             # The whole-table summary cannot tell the storage apart either.
-            assert (pickle.dumps(OutcomeSummary.of_table(table).state())
-                    == pickle.dumps(OutcomeSummary.of_table(dense).state()))
+            assert (pickle.dumps(OutcomeSummary.of_table(table))
+                    == pickle.dumps(OutcomeSummary.of_table(dense)))
             folded, reference = OutcomeSummary(), OutcomeSummary()
             folded.fold(table)
             reference.fold(dense)

@@ -44,9 +44,7 @@ from repro.cloud.providers import get_provider
 from repro.core.analyzer import Analyzer
 from repro.core.benchmark import ServingBenchmark
 from repro.core.planner import Planner
-from repro.core.results import RunResult
 from repro.core.scenario import ScenarioSpec, get_scenario
-from repro.core.shm import pack_arrays, unpack_arrays
 from repro.core.study import get_study
 from repro.experiments.base import ExperimentContext, load_registered_studies
 from repro.platforms.admission import SlotQueue, WorkQueue
@@ -794,19 +792,18 @@ def _summary_reductions(summary: OutcomeSummary) -> list:
 
 def _assert_summary_answers_like_table(result) -> None:
     """The result's whole-table summary, as folded, as reduced to
-    :data:`READS` and as a worker ships that (pickled, and through a
-    shared-memory segment), answers every reduction exactly as the
-    row-level references over its rows."""
+    :data:`READS` and as a worker ships that (pickled, without its
+    deployment), answers every reduction exactly as the row-level
+    references over its rows."""
     table = result.rows
     assert isinstance(table, OutcomeTable)
-    payload = result.reduced(READS).to_transport()
+    payload = replace(result.reduced(READS), deployment=None)
     analyzer = Analyzer()
     expected = _reductions(table)
     np.testing.assert_equal(_summary_reductions(result.table), expected)
-    for shipped in (None, pickle.loads(pickle.dumps(payload)),
-                    unpack_arrays(pack_arrays(payload, min_bytes=0))):
-        reduced = (result.reduced(READS) if shipped is None
-                   else RunResult.from_transport(shipped, result.deployment))
+    shipped = pickle.loads(pickle.dumps(payload))
+    for reduced in (result.reduced(READS),
+                    replace(shipped, deployment=result.deployment)):
         assert not reduced.streaming
         assert reduced.rows is None
         assert reduced.table.success_send is None

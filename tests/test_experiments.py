@@ -7,6 +7,7 @@ benchmark harness under ``benchmarks/``.
 
 import pytest
 
+from repro.core.benchmark import ServingBenchmark
 from repro.core.scenario import ScenarioSpec
 from repro.experiments import ExperimentContext, list_experiments, run_experiment
 from repro.experiments.base import EXPERIMENTS, format_table
@@ -17,6 +18,20 @@ from repro.experiments.runner import build_parser, main, run_selected
 def tiny_context():
     """One shared, aggressively compressed context for all experiment tests."""
     return ExperimentContext(seed=3, scale=0.04, providers=("aws",))
+
+
+def _spy_on_runs(monkeypatch) -> list:
+    """Count simulations: the returned list gains the deployment of
+    every ``ServingBenchmark.run`` call."""
+    calls = []
+    run = ServingBenchmark.run
+
+    def counting(self, deployment, *args, **kwargs):
+        calls.append(deployment)
+        return run(self, deployment, *args, **kwargs)
+
+    monkeypatch.setattr(ServingBenchmark, "run", counting)
+    return calls
 
 
 class TestRegistry:
@@ -69,6 +84,35 @@ class TestContext:
         assert results[1] is not results[0]
         assert results[1].deployment.config.memory_gb == 4.0
         assert tiny_context.run_specs([larger])[0] is results[1]
+
+    def test_default_valued_overrides_simulate_once(self, monkeypatch):
+        """Specs that differ only by overrides set to their planned
+        defaults resolve to one cell and simulate once; a knob moved off
+        its default simulates again."""
+        calls = _spy_on_runs(monkeypatch)
+        context = ExperimentContext(seed=3, scale=0.04, providers=("aws",))
+        base = ScenarioSpec(name="a", provider="aws", model="mobilenet",
+                            workload="w-40")
+        explicit = base.with_config(memory_gb=2.0, extra_container_mb=0.0,
+                                    samples_per_request=1)
+        assert explicit.cell_key != base.cell_key
+        results = context.run_specs([base, explicit])
+        assert results[0] is results[1]
+        assert len(calls) == 1
+        moved = context.run_scenario(base.with_config(memory_gb=4.0))
+        assert moved.deployment.config.memory_gb == 4.0
+        assert len(calls) == len(context._runs) == 2
+
+    def test_fig12_simulates_each_resolved_cell_once(self, monkeypatch):
+        """fig12's 64 cells resolve to 54: the default-valued point of
+        each panel's knob (no extra container or download, one sample,
+        one inference) is one cell per provider and model."""
+        from repro.experiments.fig12_microbenchmarks import STUDY
+        calls = _spy_on_runs(monkeypatch)
+        context = ExperimentContext(seed=3, scale=0.01)
+        frame = STUDY.run(context)
+        assert len(list(frame.iter_rows())) == 64
+        assert len(calls) == len(context._runs) == 54
 
 
 class TestSelectedExperiments:

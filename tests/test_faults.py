@@ -537,8 +537,8 @@ class TestAttemptsColumn:
         fixed = OutcomeSummary.of_table(self._table([])).resident_bytes()
         for attempts in ([1, 4, 2], [1, 1, 1]):
             table = self._table(attempts)
-            summary = OutcomeSummary.from_state(pickle.loads(pickle.dumps(
-                OutcomeSummary.of_table(table).state())))
+            summary = pickle.loads(pickle.dumps(
+                OutcomeSummary.of_table(table)))
             assert summary.attempts_total == sum(attempts)
             assert summary.attempts_mean() == float(table.attempts.mean())
             assert summary.column_hash() == table.column_hash()

@@ -21,6 +21,9 @@ Six layers:
   tolerances on three workloads (the planner-vs-simulation check).
 """
 
+import pickle
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -432,16 +435,14 @@ class TestHybridDeterminism:
         assert first.table.column_hash() == second.table.column_hash()
 
     def test_served_by_survives_the_packed_round_trip(self, tiny_w40):
-        """A hybrid cell's worker payload, forced through shared memory,
-        keeps the path reductions and the hash of its served_by column."""
-        from repro.core.results import RunResult
-        from repro.core.shm import pack_arrays, unpack_arrays
+        """A hybrid cell's worker payload, pickled, keeps the path
+        reductions and the hash of its served_by column."""
         deployment = hybrid_plan(Planner(), instances=1)
         result = ServingBenchmark(seed=SEED).run(deployment, tiny_w40)
         table = result.rows
         assert table.served_by.any()
-        back = RunResult.from_transport(unpack_arrays(pack_arrays(
-            result.to_transport(), min_bytes=0)), deployment).table
+        payload = replace(result.reduced(), deployment=None)
+        back = pickle.loads(pickle.dumps(payload)).table
         spilled = (table.served_by == SERVED_BY_SPILL).sum()
         assert back.spill_ratio() == spilled / table.count > 0.0
         on_path = [table.latency[table.success & (table.served_by == code)]

@@ -1,4 +1,4 @@
-"""The trace-scale streaming plane: chunk ring, reductions, shm.
+"""The trace-scale streaming plane: chunk ring, reductions, transport.
 
 Three guarantees of the streaming engine are pinned here:
 
@@ -10,10 +10,10 @@ Three guarantees of the streaming engine are pinned here:
   (``OutcomeSummary`` folds, no full table) reproduces every standard
   metric: counts, ratios, and timelines exactly; sketch quantiles within
   the sketch's documented resolution.
-* **Shared-memory transport** — ``pack_arrays``/``unpack_arrays`` round
-  payloads through a shm segment bit-identically, and a worker pool
-  forced onto the segment path returns the serial summaries, array for
-  array.
+* **Worker transport** — a result pickled as a worker ships it keeps
+  every array of its summary bit for bit, and a worker pool returns the
+  serial summaries, streamed and whole-table, array for array, with
+  the parent's own deployments, also when a worker dies mid-batch.
 
 Plus the streamed workload generator (block-by-block arrivals equal to
 the materialised trace) and the recorder's exact-capacity contract.
@@ -23,14 +23,14 @@ from __future__ import annotations
 
 import copy
 import pickle
+import re
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 
 from repro.core.benchmark import ServingBenchmark
 from repro.core.parallel import run_cells
-from repro.core.results import RunResult
-from repro.core.shm import ShmPayload, pack_arrays, unpack_arrays
 from repro.serving.outcome_table import OutcomeRecorder
 from repro.serving.records import Stage
 from repro.serving.streaming import (
@@ -70,10 +70,6 @@ ARRAY_COLUMNS = ("request_id", "client_id", "send_time", "completion_time",
 #: whole-table summary is read at.
 SLO_TARGETS_S = (0.2, 1.0, 5.0)
 TIMELINE_BINS_S = (5.0, 20.0)
-
-#: The row-order arrays of a whole-table summary: the bulk of its
-#: transport, and what its SLO and timeline reductions read.
-ROW_ARRAYS = ("success_send", "success_latency", "failed_send")
 
 #: The declarations (``Study.reads`` pairs) a reduced summary needs to
 #: answer at :data:`SLO_TARGETS_S` and :data:`TIMELINE_BINS_S`.
@@ -119,7 +115,7 @@ def _assert_same_summary(rebuilt: OutcomeSummary,
     (dtype and shape included; a reduced summary's kept answers too),
     and reads the same SLO attainment, success timelines, latency sums
     and breakdown off them."""
-    state, expected = rebuilt.state(), original.state()
+    state, expected = vars(rebuilt), vars(original)
     assert state.keys() == expected.keys()
     for name, value in expected.items():
         got = state[name]
@@ -223,8 +219,8 @@ class TestChunkRingEquality:
         assert sum(chunk.count for _hash, chunk in folded) == (
             result.rows.count)
         for fold_hash, chunk in folded:
-            wire = pickle.dumps(OutcomeSummary.of_table(chunk).state())
-            rebuilt = OutcomeSummary.from_state(pickle.loads(wire))
+            wire = pickle.dumps(OutcomeSummary.of_table(chunk))
+            rebuilt = pickle.loads(wire)
             assert rebuilt.column_hash() == fold_hash
             _assert_reads_like_table(rebuilt, chunk)
 
@@ -336,8 +332,8 @@ class TestStreamingReductions:
 
     def test_transport_round_trip_preserves_digest(self, pair, tiny_w40):
         _full, streamed = pair
-        transport = streamed.to_transport()
-        rebuilt = RunResult.from_transport(transport, streamed.deployment)
+        rebuilt = pickle.loads(pickle.dumps(replace(streamed,
+                                                    deployment=None)))
         assert rebuilt.streaming
         assert rebuilt.table.digest() == streamed.table.digest()
         assert rebuilt.success_ratio == streamed.success_ratio
@@ -362,42 +358,26 @@ class TestLatencySketch:
         assert sketch.quantile(100.0) == 0.5
 
 
-class TestShmTransport:
+class TestWorkerTransport:
     def test_round_trip_is_bit_identical(self, reference_result, tiny_w40):
-        """The summary's arrays cross the segment bit for bit, and the
-        rebuilt summary answers as the table's rows do: on the serverless
-        cell (cold starts) and a managed cell that fails requests."""
+        """A result pickled as a worker ships it (without its deployment)
+        keeps its summary's arrays bit for bit, and the rebuilt summary
+        answers as the table's rows do: on the serverless cell (cold
+        starts) and a managed cell that fails requests."""
         from repro.core.planner import Planner
         managed = Planner().plan("aws", "mobilenet", "tf1.15", "managed_ml")
         failing = ServingBenchmark(seed=SEED).run(managed, tiny_w40)
         assert failing.success_ratio < 1.0     # failed sends cross too
-        for result, deployment in (reference_result, (failing, managed)):
+        for result in (reference_result[0], failing):
             table = result.rows
-            packed = pack_arrays(result.to_transport(), min_bytes=0)
-            assert isinstance(packed, ShmPayload)
-            for name in ROW_ARRAYS:     # lifted into the segment
-                assert not isinstance(packed.tree[1][name], np.ndarray)
-            rebuilt = RunResult.from_transport(unpack_arrays(packed),
-                                               deployment).table
+            wire = pickle.dumps(replace(result, rows=None, deployment=None))
+            rebuilt = pickle.loads(wire).table
             _assert_same_summary(rebuilt, OutcomeSummary.of_table(table))
             _assert_reads_like_table(rebuilt, table)
 
-    def test_small_payloads_stay_plain(self, reference_result):
-        result, _deployment = reference_result
-        transport = result.to_transport()
-        assert pack_arrays(transport) is transport  # under SHM_MIN_BYTES
-
-    def test_disabled_by_environment(self, monkeypatch, reference_result):
-        monkeypatch.setenv("REPRO_SHM", "0")
-        result, _deployment = reference_result
-        transport = result.to_transport()
-        assert pack_arrays(transport, min_bytes=0) is transport
-
-    def test_worker_pool_on_segment_path_matches_serial(self, monkeypatch,
-                                                        tiny_w40):
-        """Pooled == serial with the segment path forced on, and off."""
+    def test_worker_pool_matches_serial(self, tiny_w40):
+        """Pooled cells return the serial summaries, array for array."""
         from repro.core.planner import Planner
-        monkeypatch.setenv("REPRO_SHM_MIN_BYTES", "0")
         planner = Planner()
         deployments = [planner.plan("aws", "mobilenet", "tf1.15", platform)
                        for platform in ("serverless", "cpu_server")]
@@ -405,29 +385,50 @@ class TestShmTransport:
         cells = [(deployment, tiny_w40, 1.0, None)
                  for deployment in deployments]
         serial = run_cells(bench, cells, workers=0, reads=READS)
-        for shm in ("1", "0"):
-            monkeypatch.setenv("REPRO_SHM", shm)
-            pooled = run_cells(bench, cells, workers=2, reads=READS)
-            for left, right in zip(serial, pooled):
-                _assert_same_summary(right.table, left.table)
+        pooled = run_cells(bench, cells, workers=2, reads=READS)
+        for left, right in zip(serial, pooled):
+            _assert_same_summary(right.table, left.table)
 
-    def test_worker_crash_keeps_finished_cells_and_leaks_no_segment(
-            self, monkeypatch, tiny_w40):
+    def test_streamed_and_whole_table_cells_cross_the_pool(self, tiny_w40):
+        """A streamed cell, whose summary keeps a timeline as long as its
+        trace, and a whole-table cell come back from the pool as they
+        run in-process, each holding the deployment the parent passed
+        in.  A streamed workload always streams, so one benchmark runs
+        both kinds in one pooled batch."""
+        from repro.core.planner import Planner
+        planner = Planner()
+        streamed = StreamedWorkload(spec=workload_spec("w-40").compressed(
+            0.05), seed=SEED)
+        cells = [(planner.plan("aws", "mobilenet", "tf1.15", "serverless"),
+                  streamed, 1.0, None),
+                 (planner.plan("aws", "mobilenet", "tf1.15", "cpu_server"),
+                  tiny_w40, 1.0, None)]
+        bench = ServingBenchmark(seed=SEED, chunk_rows=128)
+        serial = run_cells(bench, cells, workers=0, reads=READS)
+        pooled = run_cells(bench, cells, workers=2, reads=READS)
+        assert [result.streaming for result in pooled] == [True, False]
+        assert pooled[0].table.chunks_folded > 1
+        assert pooled[0].table.digest() == serial[0].table.digest()
+        assert (pooled[1].table.column_hash()
+                == serial[1].table.column_hash())
+        for cell, left, right in zip(cells, serial, pooled):
+            assert right.deployment is cell[0]
+            assert right.cost == left.cost
+            np.testing.assert_equal(astuple(right.latency_stats()),
+                                    astuple(left.latency_stats()))
+            for bin_s in TIMELINE_BINS_S:
+                np.testing.assert_equal(right.table.success_timeline(bin_s),
+                                        left.table.success_timeline(bin_s))
+
+    def test_worker_crash_keeps_finished_cells(self, monkeypatch, tiny_w40):
         """A worker dying mid-batch: the cells other workers finished are
-        kept (unpacking unlinks their segments), only the unfinished cell
-        reruns in-process, and the results equal the serial run."""
+        kept, only the unfinished cells rerun in-process with one
+        warning, and the results equal the serial run."""
         import os
         import time
 
         from repro.core.planner import Planner
 
-        def segments():
-            if not os.path.isdir("/dev/shm"):
-                pytest.skip("no /dev/shm to inspect")
-            return {name for name in os.listdir("/dev/shm")
-                    if name.startswith("psm_")}
-
-        monkeypatch.setenv("REPRO_SHM_MIN_BYTES", "0")
         planner = Planner()
         deployments = [planner.plan("aws", "mobilenet", "tf1.15", platform)
                        for platform in ("serverless", "cpu_server",
@@ -451,13 +452,14 @@ class TestShmTransport:
 
         monkeypatch.setattr(ServingBenchmark, "run",
                             crash_managed_cell_in_worker)
-        before = segments()
         # The crashing worker sent back the cell it ran before, so at
         # least that one is kept.
-        with pytest.warns(RuntimeWarning,
-                          match="running [123] of 4 cells serially"):
+        with pytest.warns(RuntimeWarning) as caught:
             pooled = run_cells(bench, cells, workers=2, reads=READS)
-        assert segments() - before == set()
+        reruns = [str(warning.message) for warning in caught
+                  if issubclass(warning.category, RuntimeWarning)]
+        assert len(reruns) == 1
+        assert re.search("running [123] of 4 cells serially", reruns[0])
         for left, right in zip(serial, pooled):
             _assert_same_summary(right.table, left.table)
             assert left.cost == right.cost
